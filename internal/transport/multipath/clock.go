@@ -5,39 +5,27 @@ import "repro/internal/sim"
 // This file is the substrate seam: the sender's demotion / probation /
 // promotion state machine is written once against Clock and Driver, and
 // runs unchanged on the simulator's virtual scheduler (SimClock) and on
-// the wall clock (internal/wire's WallClock over time.AfterFunc). The
-// determinism contract for the wire port rests on this seam: given the
-// same Config, candidate set, and segment/ACK byte stream at the same
-// clock readings, both substrates must make byte-identical decisions —
-// the differential harness in internal/wire pins that.
-
-// Timer is one cancellable pending callback. A nil Timer is valid and
-// cancels to a no-op (use cancelTimer).
-type Timer interface {
-	// Cancel stops the timer if it has not fired. Callbacks that raced
-	// past Cancel on a wall clock are defused by generation checks in
-	// the state machine, so Cancel need not synchronize with the
-	// callback.
-	Cancel()
-}
-
-// cancelTimer cancels t if armed.
-func cancelTimer(t Timer) {
-	if t != nil {
-		t.Cancel()
-	}
-}
+// the wall clock (internal/wire's WallClock, a sim.Scheduler drained in
+// real time). The determinism contract for the wire port rests on this
+// seam: given the same Config, candidate set, and segment/ACK byte
+// stream at the same clock readings, both substrates must make
+// byte-identical decisions — the differential harness in internal/wire
+// pins that.
 
 // Clock is the timer substrate a Sender runs on. Implementations must
 // deliver callbacks serially with respect to the sender's other entry
 // points (the scheduler is single-threaded; WallClock serializes with a
-// mutex).
+// mutex), and Cancel must be exact: a cancelled callback never runs.
+// The state machine relies on that instead of defusing stale callbacks.
 type Clock interface {
 	// Now is the current time. Wall clocks report nanoseconds since an
 	// arbitrary epoch; only differences matter.
 	Now() sim.Time
 	// After arms fn to run once, d from now.
-	After(d sim.Time, fn func()) Timer
+	After(d sim.Time, fn func()) sim.EventID
+	// Cancel disarms a pending callback. Cancelling the zero EventID or
+	// one that already ran is a no-op.
+	Cancel(id sim.EventID)
 }
 
 // SimClock adapts the simulation scheduler to Clock. It is the
@@ -51,16 +39,10 @@ type SimClock struct {
 func (c SimClock) Now() sim.Time { return c.Sched.Now() }
 
 // After schedules fn on the scheduler.
-func (c SimClock) After(d sim.Time, fn func()) Timer {
-	return simTimer{c.Sched, c.Sched.After(d, fn)}
-}
+func (c SimClock) After(d sim.Time, fn func()) sim.EventID { return c.Sched.After(d, fn) }
 
-type simTimer struct {
-	s  *sim.Scheduler
-	id sim.EventID
-}
-
-func (t simTimer) Cancel() { t.s.Cancel(t.id) }
+// Cancel cancels a scheduled callback.
+func (c SimClock) Cancel(id sim.EventID) { c.Sched.Cancel(id) }
 
 // Driver is everything substrate-specific about running a Sender: the
 // clock, the transmission hooks, and the observers. NewSender fills it

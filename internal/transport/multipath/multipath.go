@@ -180,9 +180,8 @@ type Path struct {
 	LastDemoteAt, LastPromoteAt         sim.Time
 
 	opt        *packet.SourceRouteOption // prebuilt wire option (nil for direct paths)
-	probeTimer Timer
-	probeGen   uint32 // defuses stale wall-clock probe callbacks
-	probes     int    // unanswered probes this probation
+	probeTimer sim.EventID
+	probes     int // unanswered probes this probation
 	wrrCredit  float64
 	rng        *sim.RNG // per-path jitter stream: sim.SeedStream(base, Index)
 }
@@ -206,14 +205,20 @@ type Stats struct {
 	Elapsed sim.Time
 }
 
-// flight is one outstanding segment's transmission state.
+// flight is one outstanding segment's transmission state. Flights live
+// in a ring indexed by seq modulo its length and are recycled in place,
+// each with its timeout callback bound once, so transmitting allocates
+// nothing.
 type flight struct {
+	seq     uint32
+	live    bool // the slot holds an unacknowledged segment
+	parked  bool // timed out with no active path; waiting on promotion
+	retx    bool // retransmitted at least once: no RTT sample (Karn)
 	path    int
-	timer   Timer
-	gen     uint32 // bumped per transmit; defuses stale wall-clock timeouts
+	timer   sim.EventID
 	sentAt  sim.Time
 	retries int
-	retx    bool // retransmitted at least once: no RTT sample (Karn)
+	fire    func() // bound once: this flight's timeout
 }
 
 // Sender drives a multipath transfer.
@@ -229,12 +234,16 @@ type Sender struct {
 	src   uint16
 
 	paths    []*Path
-	segments [][]byte
+	probeFns []func() // per path, bound once: probe that path
+	el       []*Path  // eligible() scratch
+	data     []byte   // the caller's payload; segments are views into it
+	nseg     int
 	acked    uint32
 	nextSend uint32
-	inflight map[uint32]*flight
-	parked   map[uint32]bool // timed out with no active path; waiting on promotion
-	dupAcks  int
+	// flights covers every unacknowledged sequence number: they all lie
+	// in [acked, nextSend), which the window bounds by len(flights).
+	flights []flight
+	dupAcks int
 
 	stats      Stats
 	started    sim.Time
@@ -254,7 +263,9 @@ type Sender struct {
 
 // NewSender prepares a transfer of data from node src to node dst's
 // port, striped across the paths the strategy discovers on the
-// network's topology map, driven by the network's scheduler.
+// network's topology map, driven by the network's scheduler. The sender
+// transmits straight from data, so the caller must not modify it until
+// the transfer ends.
 func NewSender(net *netsim.Network, strat Strategy, src, dst topology.NodeID, port uint16, data []byte, cfg Config) *Sender {
 	cfg = cfg.withDefaults()
 	cands := strat.Discover(net.Graph, src, dst, cfg.Paths, cfg.MaxPathLen)
@@ -270,15 +281,15 @@ func NewSender(net *netsim.Network, strat Strategy, src, dst topology.NodeID, po
 // feed the jitter-seed mix exactly as in the simulator, so a wire
 // sender with matching endpoints draws the same per-path jitter
 // streams. The Driver may be zero at construction as long as Clock and
-// Xmit are set before Start.
+// Xmit are set before Start. Segments are views into data, which must
+// not be modified until the transfer ends.
 func NewDriverSender(drv Driver, strat Strategy, cands []srcroute.Candidate, src, dst topology.NodeID, port uint16, data []byte, cfg Config) *Sender {
 	cfg = cfg.withDefaults()
 	s := &Sender{
 		cfg: cfg, strat: strat, drv: drv, node: src,
 		addr: packet.MakeAddr(uint16(src), 1), dst: packet.MakeAddr(uint16(dst), 1),
 		port: port, src: 41000,
-		inflight: map[uint32]*flight{},
-		parked:   map[uint32]bool{},
+		data: data, nseg: (len(data) + cfg.SegmentSize - 1) / cfg.SegmentSize,
 	}
 	base := cfg.Seed<<20 ^ uint64(src)<<36 ^ uint64(dst)<<8 ^ uint64(port)<<16 ^ 0x6d70617468
 	for _, c := range cands {
@@ -287,17 +298,15 @@ func NewDriverSender(drv Driver, strat Strategy, cands []srcroute.Candidate, src
 			rng: sim.NewRNG(sim.SeedStream(base, uint64(len(s.paths)))),
 		}
 		s.paths = append(s.paths, p)
+		s.probeFns = append(s.probeFns, func() { s.probe(p) })
 	}
-	for off := 0; off < len(data); off += cfg.SegmentSize {
-		end := off + cfg.SegmentSize
-		if end > len(data) {
-			end = len(data)
-		}
-		seg := make([]byte, end-off)
-		copy(seg, data[off:end])
-		s.segments = append(s.segments, seg)
+	s.el = make([]*Path, 0, len(s.paths))
+	s.flights = make([]flight, max(1, min(cfg.Window, s.nseg)))
+	for i := range s.flights {
+		fl := &s.flights[i]
+		fl.fire = func() { s.timeout(fl) }
 	}
-	s.stats.Segments = len(s.segments)
+	s.stats.Segments = s.nseg
 	s.stats.PathsUsed = len(s.paths)
 	return s
 }
@@ -308,7 +317,7 @@ func (s *Sender) simXmit(p *Path, seq uint32) error {
 	data, err := packet.Serialize(
 		&packet.TIP{TTL: 32, Proto: packet.LayerTypeTTP, Src: s.addr, Dst: s.dst, SourceRoute: p.opt},
 		&packet.TTP{SrcPort: s.src, DstPort: s.port, Seq: seq, Window: uint16(p.Index) + 1, Next: s.contentType()},
-		&packet.Raw{Data: s.segments[seq]})
+		&packet.Raw{Data: s.Segment(seq)})
 	if err != nil {
 		return err
 	}
@@ -363,7 +372,7 @@ func (s *Sender) Start() {
 }
 
 // Done reports whether every segment is acknowledged.
-func (s *Sender) Done() bool { return int(s.acked) >= len(s.segments) }
+func (s *Sender) Done() bool { return int(s.acked) >= s.nseg }
 
 // Failed reports whether the transfer gave up.
 func (s *Sender) Failed() bool { return s.failed }
@@ -371,9 +380,13 @@ func (s *Sender) Failed() bool { return s.failed }
 // Acked returns the cumulative acknowledged sequence number.
 func (s *Sender) Acked() uint32 { return s.acked }
 
-// Segment returns segment seq's payload (owned by the sender; drivers
-// serialize from it without copying).
-func (s *Sender) Segment(seq uint32) []byte { return s.segments[seq] }
+// Segment returns segment seq's payload: a view into the transfer's
+// data, which drivers serialize from without copying.
+func (s *Sender) Segment(seq uint32) []byte {
+	off := int(seq) * s.cfg.SegmentSize
+	end := min(off+s.cfg.SegmentSize, len(s.data))
+	return s.data[off:end:end]
+}
 
 // Config returns the transfer's configuration with defaults applied.
 func (s *Sender) Config() Config { return s.cfg }
@@ -419,15 +432,26 @@ func (s *Sender) contentType() packet.LayerType {
 	return s.cfg.ContentType
 }
 
-// eligible returns the active paths in index order.
+// eligible returns the active paths in index order. The slice is
+// scratch, valid until the next call.
 func (s *Sender) eligible() []*Path {
-	var out []*Path
+	out := s.el[:0]
 	for _, p := range s.paths {
 		if p.State == PathActive {
 			out = append(out, p)
 		}
 	}
+	s.el = out
 	return out
+}
+
+// inflight returns seq's flight, or nil when seq is not outstanding.
+func (s *Sender) inflight(seq uint32) *flight {
+	fl := &s.flights[seq%uint32(len(s.flights))]
+	if !fl.live || fl.seq != seq {
+		return nil
+	}
+	return fl
 }
 
 func (s *Sender) allDead() bool {
@@ -450,33 +474,37 @@ func (s *Sender) pump() {
 		return // every path demoted; probes will call back on promotion
 	}
 	for seq := s.acked; seq < s.nextSend; seq++ {
-		if s.parked[seq] {
-			delete(s.parked, seq)
+		if fl := s.inflight(seq); fl != nil && fl.parked {
+			fl.parked = false
 			s.transmit(seq, s.strat.Pick(el), true)
 		}
 	}
-	for s.nextSend < uint32(len(s.segments)) && s.nextSend < s.acked+uint32(s.cfg.Window) {
+	for int(s.nextSend) < s.nseg && s.nextSend < s.acked+uint32(s.cfg.Window) {
 		s.transmit(s.nextSend, s.strat.Pick(el), false)
 		s.nextSend++
 	}
 }
 
-// transmit sends segment seq over path p and arms its timer. retx marks
-// a retransmission (counted, and excluded from RTT sampling).
+// transmit sends segment seq over path p and (re)arms its timer. retx
+// marks a retransmission (counted, and excluded from RTT sampling). A
+// failed transfer sends nothing more: fail cancelled every timer, and
+// none may be re-armed.
 func (s *Sender) transmit(seq uint32, p *Path, retx bool) {
+	if s.failed {
+		return
+	}
 	if err := s.drv.Xmit(p, seq); err != nil {
 		s.fail("serialize: " + err.Error())
 		return
 	}
-	fl := s.inflight[seq]
+	fl := s.inflight(seq)
 	if fl == nil {
-		fl = &flight{}
-		s.inflight[seq] = fl
+		fl = &s.flights[seq%uint32(len(s.flights))]
+		fl.seq, fl.live, fl.parked, fl.retx, fl.retries = seq, true, false, false, 0
 	}
 	fl.path = p.Index
 	fl.sentAt = s.now()
 	fl.retx = fl.retx || retx
-	fl.gen++
 	s.stats.Sent++
 	p.Sent++
 	s.obsSent.Inc()
@@ -490,8 +518,8 @@ func (s *Sender) transmit(seq uint32, p *Path, retx bool) {
 	if s.drv.Trace != nil {
 		s.tracef("tx seq=%d path=%d retx=%t rto=%d", seq, p.Index, retx, int64(d))
 	}
-	gen := fl.gen
-	fl.timer = s.drv.Clock.After(d, func() { s.timeout(seq, gen) })
+	s.drv.Clock.Cancel(fl.timer)
+	fl.timer = s.drv.Clock.After(d, fl.fire)
 }
 
 // rto computes a path's timeout for a segment's attempt'th
@@ -526,18 +554,12 @@ func (s *Sender) rto(p *Path, attempt int) sim.Time {
 // timeout handles a segment's retransmission timer: charge the path,
 // demote it when it keeps timing out, and re-send the segment over a
 // (possibly different) active path — or park it until probing revives
-// one. gen defuses stale wall-clock callbacks that fired between a
-// cancellation and the lock.
-func (s *Sender) timeout(seq uint32, gen uint32) {
-	if s.failed || seq < s.acked {
-		return
-	}
-	fl := s.inflight[seq]
-	if fl == nil || fl.gen != gen {
-		return
-	}
+// one. Acknowledgment and termination cancel the timer exactly, so it
+// only ever fires for a live flight.
+func (s *Sender) timeout(fl *flight) {
 	defer s.doFlush()
-	fl.timer = nil
+	fl.timer = sim.EventID{}
+	seq := fl.seq
 	p := s.paths[fl.path]
 	p.Timeouts++
 	p.Consec++
@@ -561,7 +583,7 @@ func (s *Sender) timeout(seq uint32, gen uint32) {
 			s.fail("all paths dead")
 			return
 		}
-		s.parked[seq] = true
+		fl.parked = true
 		if s.drv.Trace != nil {
 			s.tracef("park seq=%d", seq)
 		}
@@ -585,23 +607,17 @@ func (s *Sender) demote(p *Path) {
 }
 
 func (s *Sender) armProbe(p *Path) {
-	p.probeGen++
-	gen := p.probeGen
-	p.probeTimer = s.drv.Clock.After(s.cfg.ProbeEvery, func() { s.probe(p, gen) })
+	p.probeTimer = s.drv.Clock.After(s.cfg.ProbeEvery, s.probeFns[p.Index])
 }
 
 // probe sends a duplicate copy of the lowest unacknowledged segment
 // over a probation path. The receiver deduplicates, so the probe's only
 // effect is the ACK whose path echo proves the route delivers again.
-// MaxProbes unanswered probes declare the path dead.
-func (s *Sender) probe(p *Path, gen uint32) {
-	if p.probeGen != gen {
-		return
-	}
-	p.probeTimer = nil
-	if s.failed || s.Done() || p.State != PathProbation {
-		return
-	}
+// MaxProbes unanswered probes declare the path dead. Promotion and
+// termination cancel the probe timer exactly, so it only fires while
+// the path is on probation in a running transfer.
+func (s *Sender) probe(p *Path) {
+	p.probeTimer = sim.EventID{}
 	defer s.doFlush()
 	if p.probes >= s.cfg.MaxProbes {
 		p.State = PathDead
@@ -618,7 +634,7 @@ func (s *Sender) probe(p *Path, gen uint32) {
 	s.stats.Probes++
 	s.obsProbe.Inc()
 	seq := s.acked
-	if int(seq) >= len(s.segments) {
+	if int(seq) >= s.nseg {
 		return
 	}
 	if err := s.drv.Xmit(p, seq); err != nil {
@@ -640,9 +656,8 @@ func (s *Sender) probe(p *Path, gen uint32) {
 // promote returns a probation (or dead) path to the active set and
 // restarts striping onto it.
 func (s *Sender) promote(p *Path) {
-	cancelTimer(p.probeTimer)
-	p.probeTimer = nil
-	p.probeGen++
+	s.drv.Clock.Cancel(p.probeTimer)
+	p.probeTimer = sim.EventID{}
 	p.State = PathActive
 	p.Consec = 0
 	p.probes = 0
@@ -697,27 +712,25 @@ func (s *Sender) HandleAck(data []byte) bool {
 			return true
 		}
 	}
-	if ttp.Ack > uint32(len(s.segments)) {
+	if ttp.Ack > uint32(s.nseg) {
 		return true // forged cumulative ACK beyond the stream: ignore
 	}
 	now := s.now()
 	switch {
 	case ttp.Ack > s.acked:
 		for seq := s.acked; seq < ttp.Ack; seq++ {
-			if fl, ok := s.inflight[seq]; ok {
-				cancelTimer(fl.timer)
+			if fl := s.inflight(seq); fl != nil {
+				s.release(fl)
 				p := s.paths[fl.path]
 				p.Acked++
-				p.AckedBytes += len(s.segments[seq])
+				p.AckedBytes += len(s.Segment(seq))
 				if fl.path < len(s.obsPathAcked) {
 					s.obsPathAcked[fl.path].Inc()
 				}
 				if !fl.retx {
 					s.rttSample(p, now-fl.sentAt)
 				}
-				delete(s.inflight, seq)
 			}
-			delete(s.parked, seq)
 		}
 		s.acked = ttp.Ack
 		s.dupAcks = 0
@@ -734,25 +747,16 @@ func (s *Sender) HandleAck(data []byte) bool {
 		s.dupAcks++
 		if s.dupAcks == 3 {
 			el := s.eligible()
-			if len(el) > 0 {
-				if fl, ok := s.inflight[s.acked]; ok {
-					cancelTimer(fl.timer)
-					s.stats.Retransmissions++
-					s.obsRetx.Inc()
-					if s.drv.Trace != nil {
-						s.tracef("fast-retx seq=%d", s.acked)
-					}
-					s.transmit(s.acked, s.strat.Pick(el), true)
-					_ = fl
-				} else if s.parked[s.acked] {
-					delete(s.parked, s.acked)
-					s.stats.Retransmissions++
-					s.obsRetx.Inc()
-					if s.drv.Trace != nil {
-						s.tracef("fast-retx seq=%d", s.acked)
-					}
-					s.transmit(s.acked, s.strat.Pick(el), true)
+			// No flight is parked here: parking needs every path
+			// inactive, and the promotion that re-activated one
+			// unparked them all.
+			if len(el) > 0 && s.inflight(s.acked) != nil {
+				s.stats.Retransmissions++
+				s.obsRetx.Inc()
+				if s.drv.Trace != nil {
+					s.tracef("fast-retx seq=%d", s.acked)
 				}
+				s.transmit(s.acked, s.strat.Pick(el), true)
 			}
 		}
 	}
@@ -810,19 +814,29 @@ func (s *Sender) fail(reason string) {
 	}
 }
 
+// Stop cancels every pending timer without recording an outcome, so a
+// driver tearing down an unfinished transfer leaves nothing armed on its
+// clock. The sender must not be driven after Stop.
+func (s *Sender) Stop() { s.cancelAll() }
+
 func (s *Sender) cancelAll() {
-	for seq, fl := range s.inflight {
-		cancelTimer(fl.timer)
-		delete(s.inflight, seq)
-	}
-	for seq := range s.parked {
-		delete(s.parked, seq)
+	for i := range s.flights {
+		if fl := &s.flights[i]; fl.live {
+			s.release(fl)
+		}
 	}
 	for _, p := range s.paths {
-		cancelTimer(p.probeTimer)
-		p.probeTimer = nil
-		p.probeGen++
+		s.drv.Clock.Cancel(p.probeTimer)
+		p.probeTimer = sim.EventID{}
 	}
+}
+
+// release retires an acknowledged or abandoned flight and disarms its
+// timer.
+func (s *Sender) release(fl *flight) {
+	s.drv.Clock.Cancel(fl.timer)
+	fl.timer = sim.EventID{}
+	fl.live, fl.parked = false, false
 }
 
 // Receiver reassembles a striped stream and acknowledges every data
@@ -832,7 +846,9 @@ func (s *Sender) cancelAll() {
 type Receiver struct {
 	// Port is the listening TTP port.
 	Port uint16
-	// Data accumulates the in-order stream.
+	// Data accumulates the in-order stream. A consumer may drain it
+	// between Accept calls (the wire receiver digests and truncates it
+	// after each one); reassembly state lives elsewhere.
 	Data []byte
 	// Acks counts acknowledgments sent; Dups counts redundant data
 	// segments (stripe overlap, probation probes, spurious

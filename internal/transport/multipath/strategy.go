@@ -158,7 +158,8 @@ func (s *LossAdaptive) Discover(g *topology.Graph, src, dst topology.NodeID, k, 
 	return srcroute.DisjointPaths(g, src, dst, k, maxLen)
 }
 
-// Pick implements Strategy.
+// Pick implements Strategy: rotate over the tied paths in index order,
+// counting them instead of collecting them so a pick allocates nothing.
 func (s *LossAdaptive) Pick(eligible []*Path) *Path {
 	min := eligible[0].Loss
 	for _, p := range eligible[1:] {
@@ -167,12 +168,21 @@ func (s *LossAdaptive) Pick(eligible []*Path) *Path {
 		}
 	}
 	const tie = 1e-9
-	var tied []*Path
+	n := 0
 	for _, p := range eligible {
 		if p.Loss-min <= tie {
-			tied = append(tied, p)
+			n++
 		}
 	}
 	s.rr++
-	return tied[s.rr%len(tied)]
+	k := s.rr % n
+	for _, p := range eligible {
+		if p.Loss-min <= tie {
+			if k == 0 {
+				return p
+			}
+			k--
+		}
+	}
+	panic("unreachable: the minimum-loss path is always tied")
 }

@@ -179,7 +179,14 @@ func TestEngineForwardsToPeer(t *testing.T) {
 	if tip.Dst != packet.MakeAddr(4, 1) {
 		t.Fatalf("forwarded dst = %v", tip.Dst)
 	}
+	// The worker publishes its tally only after sendmmsg returns, which
+	// can be after the sink already holds the datagram, so poll.
+	deadline := time.Now().Add(2 * time.Second)
 	st := eng.Stats()
+	for (st.Forwarded != 1 || st.Sent != 1) && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+		st = eng.Stats()
+	}
 	if st.Forwarded != 1 || st.Sent != 1 {
 		t.Fatalf("forward counters: %s", st.String())
 	}

@@ -120,11 +120,13 @@ func (b *LoopbackBench) Close() { b.eng.Close() }
 // engine whose delivery hook reassembles and ACKs. One op is one
 // striped segment round trip (data segment out, cumulative ACK back),
 // so the per-op figures stay comparable across payload sizes and the
-// bounded per-run setup (sender socket, templates, fresh receiver)
-// vanishes under integer division by the segment count. Per-segment
-// allocations — the wall-clock RTO timer each transmit arms, the
-// in-flight bookkeeping — are constant per op, which keeps the
-// zero-tolerance allocs/op gate meaningful.
+// bounded per-run setup (sender socket, templates, fresh receiver,
+// timer goroutine) vanishes under integer division by the segment
+// count. The steady state allocates nothing per segment: RTO timers
+// are recycled scheduler slots, flights are recycled in place,
+// segments are views into the payload, and the receiver digests the
+// stream instead of keeping it, so the zero-tolerance allocs/op gate
+// holds the row at exactly 0.
 type MultipathLoopbackBench struct {
 	eng     *Engine
 	rcv     atomic.Pointer[MultipathReceiver]

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"hash"
 	"net"
 	"net/netip"
 	"sync"
@@ -26,8 +27,10 @@ import (
 // prebuilt per-path header templates patched in place (the TIP checksum
 // covers only the TIP header, so stamping TTP fields costs no checksum
 // work), a reusable transmit ring flushed through sendmmsg, and an ACK
-// read loop feeding HandleAck under the wall clock's lock — so the
-// steady-state striping path allocates nothing per packet.
+// read loop feeding each recvmmsg batch through HandleAck under one
+// acquisition of the wall clock's lock and flushing once — so the
+// steady-state striping path allocates nothing per packet and issues
+// one sendmmsg per ACK batch, not per ACK.
 
 // MPPath describes one wire path: the source-route waypoints the TIP
 // header will carry, the UDP address of the first hop, and an a-priori
@@ -78,8 +81,12 @@ type mpPathIO struct {
 // timer callbacks), so the shared core sees a serial world.
 type MultipathSender struct {
 	mu   sync.Locker
+	wall *WallClock // nil when cfg.Clock overrides the substrate
 	core *multipath.Sender
 	cfg  MultipathSenderConfig
+	// inBatch defers the end-of-entry-point flush while readLoop feeds
+	// a whole recvmmsg batch of ACKs to the core.
+	inBatch bool
 
 	conn  *net.UDPConn
 	tx    *txBatch
@@ -102,7 +109,8 @@ type MultipathSender struct {
 
 // NewMultipathSender opens a client socket and prepares the transfer.
 // Call Start to begin, Wait to block for the outcome, Close to tear
-// down.
+// down. Segments are transmitted straight from payload, which must not
+// be modified until the transfer ends.
 func NewMultipathSender(cfg MultipathSenderConfig, payload []byte) (*MultipathSender, error) {
 	s, err := newMultipathSender(cfg, payload, nil)
 	if err != nil {
@@ -147,9 +155,9 @@ func newMultipathSender(cfg MultipathSenderConfig, payload []byte, emit func(int
 	s := &MultipathSender{cfg: cfg, emit: emit, done: make(chan struct{})}
 	clk := cfg.Clock
 	if clk == nil {
-		wall := NewWallClock()
-		clk = wall
-		s.mu = wall
+		s.wall = NewWallClock()
+		clk = s.wall
+		s.mu = s.wall
 	} else {
 		s.mu = &sync.Mutex{}
 	}
@@ -162,7 +170,7 @@ func newMultipathSender(cfg MultipathSenderConfig, payload []byte, emit func(int
 		cands[i] = srcroute.Candidate{Path: route, Latency: p.Latency}
 	}
 	s.core = multipath.NewDriverSender(
-		multipath.Driver{Clock: clk, Xmit: s.xmit, Flush: s.flush, OnDone: s.onDone},
+		multipath.Driver{Clock: clk, Xmit: s.xmit, Flush: s.endEntry, OnDone: s.onDone},
 		cfg.Strategy, cands, cfg.Src, cfg.Dst, cfg.Port, payload, cfg.Transport)
 	s.segSize = s.core.Config().SegmentSize
 	if err := s.buildTemplates(cands, payload); err != nil {
@@ -259,9 +267,17 @@ func (s *MultipathSender) xmit(p *multipath.Path, seq uint32) error {
 	return nil
 }
 
+// endEntry is Driver.Flush, run at the end of every state-machine entry
+// point: flush, unless readLoop is mid-batch and flushes once after it.
+func (s *MultipathSender) endEntry() {
+	if !s.inBatch {
+		s.flush()
+	}
+}
+
 // flush pushes the queued datagrams through sendmmsg. Runs at the end
-// of every state-machine entry point (Driver.Flush) and when the queue
-// fills mid-burst.
+// of every state-machine entry point and when the queue fills
+// mid-burst.
 func (s *MultipathSender) flush() {
 	if s.conn == nil || len(s.txq) == 0 {
 		s.txq = s.txq[:0]
@@ -297,12 +313,14 @@ func (s *MultipathSender) readLoop() {
 		if err != nil {
 			return // socket closed
 		}
+		s.mu.Lock()
+		s.inBatch = true
 		for i := 0; i < n; i++ {
-			data := s.rxBuf[i][:s.rx.length(i)]
-			s.mu.Lock()
-			s.core.HandleAck(data)
-			s.mu.Unlock()
+			s.core.HandleAck(s.rxBuf[i][:s.rx.length(i)])
 		}
+		s.inBatch = false
+		s.flush()
+		s.mu.Unlock()
 	}
 }
 
@@ -349,7 +367,9 @@ func (s *MultipathSender) Paths() []multipath.Path {
 	return s.core.Paths()
 }
 
-// Close tears down the socket and waits for the read loop.
+// Close tears down the socket, waits for the read loop, cancels the
+// transfer's timers and stops the wall clock, so an unfinished transfer
+// sends nothing more once Close returns.
 func (s *MultipathSender) Close() {
 	if s.closed.Swap(true) {
 		return
@@ -358,6 +378,12 @@ func (s *MultipathSender) Close() {
 		s.conn.Close()
 	}
 	s.wg.Wait()
+	s.mu.Lock()
+	s.core.Stop()
+	s.mu.Unlock()
+	if s.wall != nil {
+		s.wall.Stop()
+	}
 	s.onDone()
 }
 
@@ -367,12 +393,17 @@ func (s *MultipathSender) Close() {
 // per-path template — copy, patch Ack, hand the ring slot back to the
 // worker's transmit batch. The lock serializes workers; the ring must
 // therefore hold at least workers×batch slots so a slot is not reused
-// before every worker's current batch has flushed.
+// before every worker's current batch has flushed. The in-order stream
+// is consumed as it arrives — folded into a running SHA-256 and a byte
+// count, then dropped — so memory stays bounded by the out-of-order
+// buffer however long the stream runs.
 type MultipathReceiver struct {
 	mu    sync.Mutex
 	core  *multipath.Receiver
 	local packet.Addr
 	port  uint16
+	hash  hash.Hash
+	bytes int
 
 	ring   [][]byte
 	ringAt int
@@ -404,6 +435,7 @@ func NewMultipathReceiver(node topology.NodeID, port uint16, slots int) *Multipa
 	}
 	r := &MultipathReceiver{
 		core:  multipath.NewReceiverCore(port),
+		hash:  sha256.New(),
 		local: packet.MakeAddr(uint16(node), 1),
 		port:  port,
 		ring:  make([][]byte, slots),
@@ -433,6 +465,11 @@ func (r *MultipathReceiver) Deliver(data []byte, from netip.AddrPort) []byte {
 		return nil
 	}
 	ackNo := r.core.Accept(r.ttp.Seq, r.ttp.LayerPayload(), int(r.ttp.Window))
+	if len(r.core.Data) > 0 {
+		r.hash.Write(r.core.Data)
+		r.bytes += len(r.core.Data)
+		r.core.Data = r.core.Data[:0]
+	}
 	t := r.tmpl[r.ttp.Window]
 	sig := routeSig(r.tip.SourceRoute)
 	if t == nil || t.srcPort != r.ttp.SrcPort || t.src != r.tip.Src || t.routeSig != sig {
@@ -499,13 +536,14 @@ func (r *MultipathReceiver) Summary() MPRecvSummary {
 	for k, v := range r.core.PathSegments {
 		per[k] = v
 	}
-	return MPRecvSummary{
-		Bytes:        len(r.core.Data),
-		SHA256:       sha256.Sum256(r.core.Data),
+	sum := MPRecvSummary{
+		Bytes:        r.bytes,
 		Acks:         r.acks,
 		Dups:         r.core.Dups,
 		PathSegments: per,
 	}
+	r.hash.Sum(sum.SHA256[:0])
+	return sum
 }
 
 // PublishObs copies the receiver's final counters into a registry so
