@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"strings"
@@ -17,7 +18,9 @@ import (
 // engine's decision kernel and to the simulator (via InjectArrival at
 // the same node) must produce byte-identical decision logs — deliver,
 // forward to the same next hop, or drop with the same reason string,
-// including packets the wire sanity filter rejects. The log is also
+// including packets the wire sanity filter rejects — and must pass on
+// byte-identical datagrams (rewritten, TTL-patched, source route
+// advanced) whenever they deliver or forward. The log is also
 // pinned against a committed golden file (testdata/golden_decisions.txt;
 // regenerate with WIRE_GOLDEN_REGEN=1 go test ./internal/wire -run
 // Differential) so either engine drifting from the recorded decisions
@@ -49,29 +52,86 @@ func diffChain() []netsim.Middlebox {
 		&middlebox.PortFirewall{Label: "fw", BlockedPorts: map[uint16]bool{25: true}},
 		&middlebox.PortFirewall{Label: "ghost", BlockedPorts: map[uint16]bool{6667: true}, Quiet: true},
 		&middlebox.Redirector{Label: "redir", MatchPort: 8080, To: packet.MakeAddr(2, 99)},
+		&middlebox.Redirector{Label: "redir-out", MatchPort: 9090, To: packet.MakeAddr(4, 7)},
 		&middlebox.Wiretap{Label: "tap", MatchSrc: 1},
 		garbler{},
 	}
 }
 
-// diffSim builds the simulator twin: a 1-2-3-4 chain with node 2
-// carrying the chain under test and the same routing pathologies as
-// testNodeConfig.
-func diffSim(t *testing.T) (*netsim.Network, *sim.Scheduler) {
-	t.Helper()
-	sched := sim.NewScheduler()
-	g := topology.Linear(4, sim.Millisecond)
-	n := netsim.New(sched, g)
+// simTwin is the simulator side of the harness: a 1-2-3-4 chain with
+// node 2 carrying the chain under test and the same routing pathologies
+// as testNodeConfig, plus a capture of the bytes node 2 passes on —
+// what its Deliver hook receives, or what first arrives at neighbor 1
+// or 3.
+type simTwin struct {
+	n      *netsim.Network
+	sched  *sim.Scheduler
+	passed []byte // nil until node 2 delivers or forwards
+}
+
+func newSimTwin(cfg NodeConfig) *simTwin {
+	tw := &simTwin{sched: sim.NewScheduler()}
+	tw.n = netsim.New(tw.sched, topology.Linear(4, sim.Millisecond))
 	for id := topology.NodeID(1); id <= 4; id++ {
-		n.Node(id).Route = chainRoute(id)
+		tw.n.Node(id).Route = chainRoute(id)
 	}
-	nd := n.Node(2)
-	nd.HonorSourceRoutes = true
-	nd.RequirePaymentForSourceRoute = true
-	for _, m := range diffChain() {
+	nd := tw.n.Node(2)
+	nd.HonorSourceRoutes = cfg.HonorSourceRoutes
+	nd.RequirePaymentForSourceRoute = cfg.RequirePaymentForSourceRoute
+	for _, m := range cfg.Middleboxes {
 		nd.AddMiddlebox(m)
 	}
-	return n, sched
+	nd.Deliver = func(_ *netsim.Node, _ *netsim.Trace, data []byte) { tw.capture(data) }
+	tw.n.Node(1).AddMiddlebox(recorder{tw})
+	tw.n.Node(3).AddMiddlebox(recorder{tw})
+	return tw
+}
+
+// capture keeps a copy of the first bytes node 2 passed on; later hops
+// patch the flight's buffer in place.
+func (tw *simTwin) capture(data []byte) {
+	if tw.passed == nil {
+		tw.passed = append([]byte{}, data...)
+	}
+}
+
+// arrive presents data to node 2 and returns its decision and the bytes
+// it passed on (nil for a drop).
+func (tw *simTwin) arrive(t *testing.T, data []byte) (string, []byte) {
+	t.Helper()
+	tw.passed = nil
+	tr := tw.n.InjectArrival(2, data)
+	tw.sched.Run()
+	return simDecision(t, tr, 2), tw.passed
+}
+
+// recorder is a pass-through middlebox on node 2's neighbors that
+// captures what node 2 forwarded to them.
+type recorder struct{ tw *simTwin }
+
+func (recorder) Name() string { return "recorder" }
+func (recorder) Silent() bool { return false }
+func (r recorder) Process(_ topology.NodeID, _ netsim.Direction, data []byte) ([]byte, netsim.Verdict) {
+	r.tw.capture(data)
+	return nil, netsim.Accept
+}
+
+// compareTwins runs one datagram through both engines and reports any
+// disagreement on the decision or on the bytes passed on. It returns
+// the live engine's decision.
+func compareTwins(t *testing.T, name string, dp *Dataplane, tw *simTwin, data []byte) string {
+	t.Helper()
+	// The wire engine patches bytes in place; both engines get a
+	// private copy, as they would from their own receive paths.
+	dec := dp.Process(append([]byte(nil), data...))
+	simGot, simBytes := tw.arrive(t, data)
+	if wireGot := dec.String(); wireGot != simGot {
+		t.Errorf("%s: live engine decided %q, simulator decided %q", name, wireGot, simGot)
+	}
+	if !bytes.Equal(dec.Data, simBytes) {
+		t.Errorf("%s: live engine passed on\n% x\nsimulator passed on\n% x", name, dec.Data, simBytes)
+	}
+	return dec.String()
 }
 
 // simDecision extracts node 2's decision from an InjectArrival trace,
@@ -116,11 +176,11 @@ func goldenStream(t *testing.T) []struct {
 } {
 	t.Helper()
 	src := packet.MakeAddr(1, 1)
-	srcRouted := func(pay bool, host uint16) []byte {
+	srcRouted := func(pay bool, host uint16, hops ...packet.Addr) []byte {
 		tip := &packet.TIP{
 			TTL: 16, Proto: packet.LayerTypeRaw,
 			Src: packet.MakeAddr(4, 1), Dst: packet.MakeAddr(1, host),
-			SourceRoute: &packet.SourceRouteOption{Hops: []packet.Addr{packet.MakeAddr(3, 1)}},
+			SourceRoute: &packet.SourceRouteOption{Hops: hops},
 		}
 		if pay {
 			tip.Payment = &packet.PaymentOption{Payer: tip.Src, Payee: packet.MakeAddr(2, 0), AmountMilli: 5, Nonce: 1, MAC: 9}
@@ -159,8 +219,8 @@ func goldenStream(t *testing.T) []struct {
 		{"ttl-expired", rawPkt(t, src, packet.MakeAddr(4, 1), 1, "old")},
 		{"no-route", rawPkt(t, src, packet.MakeAddr(7, 1), 16, "lost")},
 		{"bad-next-hop", rawPkt(t, src, packet.MakeAddr(8, 1), 16, "off")},
-		{"srcroute-paid", srcRouted(true, 9)},
-		{"srcroute-unpaid", srcRouted(false, 9)},
+		{"srcroute-paid", srcRouted(true, 9, packet.MakeAddr(3, 1))},
+		{"srcroute-unpaid", srcRouted(false, 9, packet.MakeAddr(3, 1))},
 		{"truncated", []byte{0x18, 0x00, 0x00}},
 		{"empty", nil},
 		{"bad-version", badver},
@@ -170,25 +230,21 @@ func goldenStream(t *testing.T) []struct {
 			d[2], d[3] = 0xFF, 0xFF // total length past the datagram
 			return d
 		}()},
+		{"srcroute-self-waypoint", srcRouted(true, 9, packet.MakeAddr(2, 1), packet.MakeAddr(3, 1))},
+		{"srcroute-remote-waypoint", srcRouted(true, 9, packet.MakeAddr(4, 1))},
+		{"srcroute-exhausted-here", srcRouted(true, 9, packet.MakeAddr(2, 1))},
+		{"redirected-outbound", ttpPkt(t, packet.TIP{TTL: 16, Src: src, Dst: packet.MakeAddr(2, 5)}, 9090, "PUT")},
 	}
 }
 
 func TestDifferentialDecisions(t *testing.T) {
-	n, sched := diffSim(t)
+	// Each engine gets its own chain instances from the one spec.
+	tw := newSimTwin(testNodeConfig(diffChain()))
 	dp := NewDataplane(testNodeConfig(diffChain()))
 
 	var log strings.Builder
 	for _, pkt := range goldenStream(t) {
-		// The wire engine patches bytes in place; both engines get a
-		// private copy, as they would from their own receive paths.
-		wireGot := dp.Process(append([]byte(nil), pkt.data...)).String()
-		tr := n.InjectArrival(2, pkt.data)
-		sched.Run()
-		simGot := simDecision(t, tr, 2)
-		if wireGot != simGot {
-			t.Errorf("%s: live engine decided %q, simulator decided %q", pkt.name, wireGot, simGot)
-		}
-		fmt.Fprintf(&log, "%s %s\n", pkt.name, wireGot)
+		fmt.Fprintf(&log, "%s %s\n", pkt.name, compareTwins(t, pkt.name, dp, tw, pkt.data))
 	}
 
 	const goldenPath = "testdata/golden_decisions.txt"
@@ -217,22 +273,14 @@ func TestDifferentialDecisions(t *testing.T) {
 // they see the identical packet order.
 func TestDifferentialStateful(t *testing.T) {
 	public := packet.MakeAddr(2, 1)
-	mkChain := func() []netsim.Middlebox {
-		return []netsim.Middlebox{middlebox.NewNAT("nat", public)}
+	mkConfig := func() NodeConfig {
+		cfg := testNodeConfig([]netsim.Middlebox{middlebox.NewNAT("nat", public)})
+		cfg.HonorSourceRoutes = false
+		cfg.RequirePaymentForSourceRoute = false
+		return cfg
 	}
-	sched := sim.NewScheduler()
-	g := topology.Linear(4, sim.Millisecond)
-	n := netsim.New(sched, g)
-	for id := topology.NodeID(1); id <= 4; id++ {
-		n.Node(id).Route = chainRoute(id)
-	}
-	for _, m := range mkChain() {
-		n.Node(2).AddMiddlebox(m)
-	}
-	cfg := testNodeConfig(mkChain())
-	cfg.HonorSourceRoutes = false
-	cfg.RequirePaymentForSourceRoute = false
-	dp := NewDataplane(cfg)
+	tw := newSimTwin(mkConfig())
+	dp := NewDataplane(mkConfig())
 
 	// The NAT rewrites only Sending/Delivering traffic; a transit
 	// arrival, then a delivery addressed to the public address, must
@@ -244,11 +292,6 @@ func TestDifferentialStateful(t *testing.T) {
 		ttpPkt(t, packet.TIP{TTL: 16, Src: packet.MakeAddr(4, 1), Dst: public}, 40000, "in"),
 	}
 	for i, data := range stream {
-		wireGot := dp.Process(append([]byte(nil), data...)).String()
-		tr := n.InjectArrival(2, data)
-		sched.Run()
-		if simGot := simDecision(t, tr, 2); wireGot != simGot {
-			t.Errorf("packet %d: live %q vs sim %q", i, wireGot, simGot)
-		}
+		compareTwins(t, fmt.Sprintf("packet %d", i), dp, tw, data)
 	}
 }
