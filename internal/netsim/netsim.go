@@ -29,7 +29,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/packet"
-	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -106,49 +105,15 @@ type RouteFunc func(dst packet.Addr, tip *packet.TIP) (topology.NodeID, bool)
 // DeliverFunc handles a packet that reached its destination node.
 type DeliverFunc func(n *Node, t *Trace, data []byte)
 
-// Node is one forwarding element (an AS border router).
+// Node is one forwarding element (an AS border router): a Forwarder
+// (identity, routing, source-route admission, middleboxes, counters)
+// placed in a simulated Network.
 type Node struct {
-	ID  topology.NodeID
+	Forwarder
 	Net *Network
 
-	// Route computes next hops; nil means the node can only deliver.
-	Route RouteFunc
-	// HonorSourceRoutes controls whether this node obeys source-route
-	// options — the provider's side of the §V-A4 tussle. A provider
-	// that does not honor them forwards by its own routing only.
-	HonorSourceRoutes bool
-	// RequirePaymentForSourceRoute models the §V-A4 recommendation:
-	// the provider honors source routes only when the packet carries a
-	// payment voucher.
-	RequirePaymentForSourceRoute bool
-	// srcRoutePolicy generalizes the payment flag: a compiled, metered
-	// admission program evaluated per packet on the policy VM (see
-	// SetSourceRoutePolicy). While set it replaces the boolean check;
-	// srcRouteSlots is this node's evaluation scratch.
-	srcRoutePolicy *SourceRoutePolicy
-	srcRouteSlots  []policy.Value
-	// Middleboxes are processed in order; any Drop wins. See the
-	// Middlebox interface for the single-pass chain semantics.
-	Middleboxes []Middlebox
 	// Deliver handles locally-destined traffic (after middleboxes).
 	Deliver DeliverFunc
-
-	// Counters accumulates per-node statistics.
-	Counters sim.Counter
-}
-
-// AddMiddlebox appends m to the node's processing chain.
-func (n *Node) AddMiddlebox(m Middlebox) { n.Middleboxes = append(n.Middleboxes, m) }
-
-// RemoveMiddlebox removes the first middlebox with the given name.
-func (n *Node) RemoveMiddlebox(name string) bool {
-	for i, m := range n.Middleboxes {
-		if m.Name() == name {
-			n.Middleboxes = append(n.Middleboxes[:i], n.Middleboxes[i+1:]...)
-			return true
-		}
-	}
-	return false
 }
 
 // adjEntry is one neighbor in a node's dense adjacency row.
@@ -227,11 +192,11 @@ type Network struct {
 	tracer *obs.Tracer
 
 	// addrShift maps a packet address to its destination node: the node
-	// for address a is uint32(a) >> addrShift. The default (16) is the
-	// classic provider-number scheme — the top 16 bits of the address
-	// name the node. WideAddressing sets it to 0, making the full 32-bit
-	// address the node number, so wide simulations address 10^5+ nodes
-	// without changing the wire format.
+	// for address a is uint32(a) >> addrShift. The default (ProviderShift)
+	// is the classic provider-number scheme — the top 16 bits of the
+	// address name the node. WideAddressing sets it to 0, making the full
+	// 32-bit address the node number, so wide simulations address 10^5+
+	// nodes without changing the wire format.
 	addrShift uint8
 
 	// keyed switches the network to deterministic keyed event ordering:
@@ -295,7 +260,7 @@ func build(sched *sim.Scheduler, g *topology.Graph, lean bool) *Network {
 		MaxQueue:      100 * sim.Millisecond,
 		HopProcessing: 10 * sim.Microsecond,
 		TraceEventCap: 8,
-		addrShift:     16,
+		addrShift:     ProviderShift,
 		Stats:         sim.Counter{},
 		dropKeys:      sim.NewKeyCache("drop:"),
 		blockedKeys:   sim.NewKeyCache("blocked:"),
@@ -323,12 +288,6 @@ func build(sched *sim.Scheduler, g *topology.Graph, lean bool) *Network {
 // for generated ISP-scale topologies; source-route options still carry
 // provider-style waypoints and are not supported in wide mode.
 func (n *Network) WideAddressing() { n.addrShift = 0 }
-
-// dstNode maps a packet destination address to the node that owns it
-// under the network's addressing mode.
-func (n *Network) dstNode(a packet.Addr) topology.NodeID {
-	return topology.NodeID(uint32(a) >> n.addrShift)
-}
 
 // AddrOf returns the packet address a packet must carry to be delivered
 // at node id under the network's addressing mode.
@@ -586,6 +545,9 @@ type flight struct {
 	// pooled marks fire-and-forget flights whose Trace returns to the
 	// network's trace pool on termination.
 	pooled bool
+	// undecoded marks a launched flight whose bytes the first step must
+	// decode (tip is stale until then).
+	undecoded bool
 }
 
 // newFlight returns a recycled or fresh flight context.
@@ -628,8 +590,9 @@ func (n *Network) newTrace() *Trace {
 // step runs the flight's packet through the node it has arrived at. It is
 // scheduled via f.run for every hop.
 func (f *flight) step() {
-	if f.dir == Sending {
-		if !f.pooled {
+	if f.undecoded {
+		f.undecoded = false
+		if f.dir == Sending && !f.pooled {
 			f.t.record(f.net.Sched.Now(), f.node.ID, "send", "")
 		}
 		if err := f.tip.DecodeReuse(f.data); err != nil {
@@ -643,25 +606,7 @@ func (f *flight) step() {
 // Send injects a packet at node src. The returned Trace fills in as the
 // simulation runs; inspect it after the scheduler drains.
 func (n *Network) Send(src topology.NodeID, data []byte) *Trace {
-	t := &Trace{SentAt: n.Sched.Now(), Events: make([]TraceEvent, 0, n.TraceEventCap)}
-	f := n.newFlight()
-	f.t = t
-	f.data = data
-	f.node = n.Node(src)
-	f.dir = Sending
-	f.hops = 0
-	if n.obs != nil {
-		n.obs.sends.Inc()
-	}
-	if n.tracer.Enabled() {
-		n.tracer.Emit(obs.Event{Time: int64(n.Sched.Now()), Scope: "netsim", Kind: "send", Node: int64(src)})
-	}
-	if n.keyed {
-		n.Sched.AtKeyed(n.Sched.Now(), n.nextKey(src), f.run)
-	} else {
-		n.Sched.After(0, f.run)
-	}
-	return t
+	return n.launch(src, Sending, data, false, false)
 }
 
 // Inject sends a packet at src fire-and-forget: the bytes are copied
@@ -670,25 +615,7 @@ func (n *Network) Send(src topology.NodeID, data []byte) *Trace {
 // the packet terminates. Scale scenarios injecting 10^7 packets use it
 // to keep steady-state traffic free of per-packet allocation.
 func (n *Network) Inject(src topology.NodeID, data []byte) {
-	f := n.newFlight()
-	f.t = n.newTrace()
-	f.pooled = true
-	f.buf = append(f.buf[:0], data...)
-	f.data = f.buf
-	f.node = n.Node(src)
-	f.dir = Sending
-	f.hops = 0
-	if n.obs != nil {
-		n.obs.sends.Inc()
-	}
-	if n.tracer.Enabled() {
-		n.tracer.Emit(obs.Event{Time: int64(n.Sched.Now()), Scope: "netsim", Kind: "send", Node: int64(src)})
-	}
-	if n.keyed {
-		n.Sched.AtKeyed(n.Sched.Now(), n.nextKey(src), f.run)
-	} else {
-		n.Sched.After(0, f.run)
-	}
+	n.launch(src, Sending, data, true, true)
 }
 
 // InjectArrival presents raw wire bytes to node id exactly as a transit
@@ -698,42 +625,53 @@ func (n *Network) Inject(src topology.NodeID, data []byte) {
 // differential-twin seam: internal/wire feeds identical bytes to its
 // dataplane and to InjectArrival and asserts the decision logs match.
 //
-// Unlike Send, the bytes are decoded before any processing (a wire
-// datagram arrives unparsed), so malformed input terminates with a
-// "malformed" drop at id — mirroring the wire engine's sanity filter and
+// Unlike Send, the node takes the arrival's path (no "send" trace
+// event, TTL decremented when it forwards), so malformed input
+// terminates with a "malformed" drop at id — mirroring the wire engine's
 // decode rejections. The bytes are copied; the caller's slice may be
 // reused immediately. The returned Trace fills in as the scheduler runs.
 func (n *Network) InjectArrival(id topology.NodeID, data []byte) *Trace {
-	t := &Trace{SentAt: n.Sched.Now(), Events: make([]TraceEvent, 0, n.TraceEventCap)}
+	return n.launch(id, Forwarding, data, true, false)
+}
+
+// launch starts a packet at node id now, on a fresh flight whose first
+// step decodes the bytes. copyData copies them into the flight's own
+// buffer so the caller's slice may be reused at once; pooled draws the
+// Trace from the trace pool and returns it there when the packet
+// terminates, so the caller must not keep it.
+func (n *Network) launch(id topology.NodeID, dir Direction, data []byte, copyData, pooled bool) *Trace {
 	f := n.newFlight()
-	f.t = t
-	f.buf = append(f.buf[:0], data...)
-	f.data = f.buf
+	if pooled {
+		f.t = n.newTrace()
+	} else {
+		f.t = &Trace{SentAt: n.Sched.Now(), Events: make([]TraceEvent, 0, n.TraceEventCap)}
+	}
+	f.pooled = pooled
+	f.data = data
+	if copyData {
+		f.buf = append(f.buf[:0], data...)
+		f.data = f.buf
+	}
 	f.node = n.Node(id)
-	f.dir = Forwarding
+	f.dir = dir
 	f.hops = 0
+	f.undecoded = true
 	if n.obs != nil {
 		n.obs.sends.Inc()
 	}
 	if n.tracer.Enabled() {
-		// Arrivals enter the network without an originating Send; emitting
-		// the "send" event here keeps packet conservation accountable (every
-		// termination stems from exactly one send, dup, or arrival).
+		// Arrivals enter the network without an originating Send; the
+		// "send" event keeps packet conservation accountable for them
+		// too (every termination stems from exactly one send, dup, or
+		// arrival).
 		n.tracer.Emit(obs.Event{Time: int64(n.Sched.Now()), Scope: "netsim", Kind: "send", Node: int64(id)})
 	}
-	run := func() {
-		if err := f.tip.DecodeReuse(f.data); err != nil {
-			f.net.dropFlight(f, f.node.ID, "malformed")
-			return
-		}
-		f.node.process(f)
-	}
 	if n.keyed {
-		n.Sched.AtKeyed(n.Sched.Now(), n.nextKey(id), run)
+		n.Sched.AtKeyed(n.Sched.Now(), n.nextKey(id), f.run)
 	} else {
-		n.Sched.After(0, run)
+		n.Sched.After(0, f.run)
 	}
-	return t
+	return f.t
 }
 
 // AtNode schedules a user callback (typically a traffic generator's next
@@ -773,9 +711,10 @@ func (n *Network) dropFlight(f *flight, node topology.NodeID, reason string) {
 	n.releaseFlight(f)
 }
 
-// process runs a packet through a node: middleboxes, then delivery or
-// forwarding. The flight's decoded header is trusted (no per-hop decode);
-// it is re-decoded only after a middlebox transform.
+// process runs a packet through a node: the forwarding kernel decides,
+// then the simulator does its bookkeeping and delivers, transmits, or
+// drops. The flight's decoded header is trusted (no per-hop decode); the
+// kernel re-decodes it only after a middlebox transform.
 func (nd *Node) process(f *flight) {
 	n := nd.Net
 	// A crashed node neither forwards, delivers, nor originates. The drop
@@ -786,71 +725,29 @@ func (nd *Node) process(f *flight) {
 		n.dropFlight(f, nd.ID, "node-down")
 		return
 	}
-	dir := f.dir
-	if dir != Sending {
-		if n.dstNode(f.tip.Dst) == nd.ID {
-			dir = Delivering
-		} else {
-			dir = Forwarding
-		}
-	}
-	// Middlebox chain (single-pass: see the Middlebox interface comment).
-	for _, m := range nd.Middleboxes {
-		if n.obs != nil {
-			n.obs.mboxRuns.Inc()
-		}
-		out, verdict := m.Process(nd.ID, dir, f.data)
-		if verdict == Drop {
-			if nd.Counters != nil {
-				nd.Counters.Inc("mbox_drop")
-			}
-			if n.obs != nil {
+	dec := nd.Decide(f.data, &f.tip, f.dir, n.addrShift, n)
+	if n.obs != nil {
+		ran := len(nd.Middleboxes)
+		if dec.Kind == Dropped {
+			switch dec.Drop {
+			case DropBlocked, DropLost:
 				n.obs.mboxDrops.Inc()
-			}
-			reason := "lost"
-			if !m.Silent() {
-				reason = n.blockedKeys.Key(m.Name())
-			}
-			n.dropFlight(f, nd.ID, reason)
-			return
-		}
-		if out != nil {
-			f.data = out
-			if n.obs != nil {
-				n.obs.rewrites.Inc()
-			}
-			if n.tracer.Enabled() {
-				// A silent device's rewrite stays anonymous in the event
-				// stream, mirroring the drop-report rule.
-				detail := ""
-				if !m.Silent() {
-					detail = m.Name()
-				}
-				n.tracer.Emit(obs.Event{Time: int64(n.Sched.Now()), Scope: "netsim", Kind: "mbox-rewrite", Node: int64(nd.ID), Detail: detail})
-			}
-			// Transformations may rewrite headers; re-decode to restore
-			// bytes/decoded-header coherence.
-			if err := f.tip.DecodeReuse(out); err != nil {
-				n.dropFlight(f, nd.ID, n.malformedKeys.Key(m.Name()))
-				return
-			}
-			if n.dstNode(f.tip.Dst) == nd.ID {
-				dir = Delivering
-			} else if dir == Delivering {
-				dir = Forwarding
+				ran = dec.Mbox + 1
+			case DropMalformedAfter:
+				ran = dec.Mbox + 1
 			}
 		}
+		n.obs.mboxRuns.Add(int64(ran))
 	}
-	if dir == Delivering {
+	switch dec.Kind {
+	case Deliver:
+		f.data = dec.Data
 		n.Delivered++
 		t := f.t
 		t.Delivered = true
 		t.DoneAt = n.Sched.Now()
 		if !f.pooled {
 			t.record(n.Sched.Now(), nd.ID, "deliver", "")
-		}
-		if nd.Counters != nil {
-			nd.Counters.Inc("delivered")
 		}
 		if n.obs != nil {
 			n.obs.delivered.Inc()
@@ -864,105 +761,63 @@ func (nd *Node) process(f *flight) {
 			nd.Deliver(nd, t, f.data)
 		}
 		n.releaseFlight(f)
-		return
-	}
-	// Forwarding: TTL.
-	if dir == Forwarding {
-		ttl, err := packet.DecrementTTL(f.data)
-		if err != nil {
-			n.dropFlight(f, nd.ID, "malformed")
+	case Forward:
+		f.data = dec.Data
+		if f.dir != Sending {
+			n.forwarded(f, nd.ID)
+		}
+		li := n.linkIndex(nd.ID, dec.Next)
+		if li < 0 {
+			n.dropFlight(f, nd.ID, "bad-next-hop")
 			return
 		}
-		f.tip.TTL = ttl // keep the decoded header coherent with the bytes
-		if ttl == 0 {
-			n.dropFlight(f, nd.ID, "ttl")
-			return
+		n.transmit(f, nd.ID, dec.Next, li)
+	default:
+		reason := dec.Reason
+		switch dec.Drop {
+		case DropNoRoute:
+			if f.dir != Sending {
+				// The hop was taken before routing failed.
+				n.forwarded(f, nd.ID)
+			}
+		case DropBlocked:
+			reason = n.blockedKeys.Key(nd.Middleboxes[dec.Mbox].Name())
+		case DropMalformedAfter:
+			reason = n.malformedKeys.Key(nd.Middleboxes[dec.Mbox].Name())
 		}
-		if !f.pooled {
-			f.t.record(n.Sched.Now(), nd.ID, "forward", "")
-		}
-		if nd.Counters != nil {
-			nd.Counters.Inc("forwarded")
-		}
-		f.hops++
-		if n.obs != nil {
-			n.obs.forwarded.Inc()
-		}
+		n.dropFlight(f, nd.ID, reason)
 	}
-	next, ok := nd.nextHop(f)
-	if !ok {
-		n.dropFlight(f, nd.ID, "no-route")
-		return
-	}
-	li := n.linkIndex(nd.ID, next)
-	if li < 0 {
-		n.dropFlight(f, nd.ID, "bad-next-hop")
-		return
-	}
-	n.transmit(f, nd.ID, next, li)
 }
 
-// nextHop picks the egress neighbor, honoring source routes when the
-// node's policy allows it.
-func (nd *Node) nextHop(f *flight) (topology.NodeID, bool) {
-	tip := &f.tip
-	if nd.HonorSourceRoutes {
-		if wp, ok := packet.PeekSourceRoute(f.data); ok {
-			allowed := true
-			if nd.srcRoutePolicy != nil {
-				// Compiled admission policy: fail-safe deny, bounded by
-				// the per-packet budget. wire.Dataplane.nextHop runs the
-				// identical check at the identical point.
-				allowed = nd.srcRoutePolicy.Allow(nd.srcRouteSlots, tip, wp)
-				if !allowed && nd.Counters != nil {
-					nd.Counters.Inc("srcroute_denied")
-				}
-			} else if nd.RequirePaymentForSourceRoute && tip.Payment == nil {
-				allowed = false
-				if nd.Counters != nil {
-					nd.Counters.Inc("srcroute_unpaid")
-				}
-			}
-			if allowed {
-				if wp == packet.MakeAddr(uint16(nd.ID), 0) || wp.Provider() == uint16(nd.ID) {
-					// We are the current waypoint: advance to the next.
-					nxt, advanced, err := packet.AdvanceSourceRoute(f.data)
-					if err == nil {
-						// Mirror the in-place pointer bump into the
-						// decoded header (coherence rule).
-						if advanced && tip.SourceRoute != nil && !tip.SourceRoute.Exhausted() {
-							tip.SourceRoute.Ptr++
-						}
-						if nxt != packet.AddrNone {
-							wp = nxt
-						} else {
-							wp = tip.Dst // route exhausted: head to destination
-						}
-					}
-				}
-				if nd.Counters != nil {
-					nd.Counters.Inc("srcroute_honored")
-				}
-				// Route toward the waypoint's provider. If the waypoint is
-				// a direct neighbor, use it.
-				target := topology.NodeID(wp.Provider())
-				if target == nd.ID {
-					target = topology.NodeID(tip.Dst.Provider())
-				}
-				if nd.Net.linkIndex(nd.ID, target) >= 0 {
-					return target, true
-				}
-				if nd.Route != nil {
-					return nd.Route(packet.MakeAddr(uint16(target), 0), tip)
-				}
-				return 0, false
-			}
+// forwarded records a forwarding hop at node: the packet passed its TTL
+// check there and was routed onward.
+func (n *Network) forwarded(f *flight, node topology.NodeID) {
+	if !f.pooled {
+		f.t.record(n.Sched.Now(), node, "forward", "")
+	}
+	f.hops++
+	if n.obs != nil {
+		n.obs.forwarded.Inc()
+	}
+}
+
+// adjacent and rewrote make the Network the forwarding kernel's
+// substrate.
+func (n *Network) adjacent(from, to topology.NodeID) bool { return n.linkIndex(from, to) >= 0 }
+
+func (n *Network) rewrote(node topology.NodeID, m Middlebox) {
+	if n.obs != nil {
+		n.obs.rewrites.Inc()
+	}
+	if n.tracer.Enabled() {
+		// A silent device's rewrite stays anonymous in the event
+		// stream, mirroring the drop-report rule.
+		detail := ""
+		if !m.Silent() {
+			detail = m.Name()
 		}
+		n.tracer.Emit(obs.Event{Time: int64(n.Sched.Now()), Scope: "netsim", Kind: "mbox-rewrite", Node: int64(node), Detail: detail})
 	}
-	if nd.Route == nil {
-		return 0, false
-	}
-	return nd.Route(tip.Dst, tip)
 }
 
 // transmit models link serialization + propagation + queueing. li is the

@@ -11,9 +11,10 @@ import (
 // Source-route admission as a compiled, metered policy program — §V-A4's
 // "design for choice" taken literally: the provider's side of the
 // source-routing tussle is an arbitrary stakeholder expression evaluated
-// per packet on the policy VM, not a hardcoded boolean. The same
-// compiled object drives netsim.Node.nextHop and wire.Dataplane.nextHop,
-// so the simulator and the live engine cannot disagree on admission.
+// per packet on the policy VM, not a hardcoded boolean. Admission runs
+// in the one forwarding kernel (Forwarder.Decide) that both a simulated
+// Node and a live wire dataplane call, so the simulator and the live
+// engine cannot disagree on it.
 //
 // Policies are TPL expressions over a fixed per-packet vocabulary,
 // compiled once through the process-wide policy.DefaultCache (a million
@@ -101,7 +102,7 @@ func joinStrings(ss []string) string {
 func (p *SourceRoutePolicy) Source() string { return p.prog.Source() }
 
 // NewScratch allocates a caller-owned slot buffer for Allow. One scratch
-// per evaluating goroutine (a netsim Node, a wire worker's Dataplane).
+// per evaluating goroutine (each Forwarder keeps its own).
 func (p *SourceRoutePolicy) NewScratch() []policy.Value {
 	return make([]policy.Value, len(p.codes))
 }
@@ -130,31 +131,40 @@ func (p *SourceRoutePolicy) Allow(scratch []policy.Value, tip *packet.TIP, wp pa
 	return err == nil && v.Kind == policy.KindBool && v.B
 }
 
-// SetSourceRoutePolicy installs a compiled source-route admission policy
-// on the node (replacing the RequirePaymentForSourceRoute boolean for
-// this node; the legacy flag is ignored while a policy is set). An empty
-// src clears the policy. The text is compiled once through the shared
-// cache; install-time errors are returned, per-packet evaluation is
-// fail-safe deny.
-func (nd *Node) SetSourceRoutePolicy(src string) error {
+// SetSourceRoutePolicy installs a source-route admission policy on the
+// node (replacing the RequirePaymentForSourceRoute boolean for this node;
+// the legacy flag is ignored while a policy is set). An empty src clears
+// the policy. The text is compiled once through the shared cache;
+// install-time errors are returned, per-packet evaluation is fail-safe
+// deny.
+func (f *Forwarder) SetSourceRoutePolicy(src string) error {
 	if src == "" {
-		nd.srcRoutePolicy, nd.srcRouteSlots = nil, nil
+		f.UseSourceRoutePolicy(nil)
 		return nil
 	}
 	p, err := CompileSourceRoutePolicy(src)
 	if err != nil {
 		return err
 	}
-	nd.srcRoutePolicy = p
-	nd.srcRouteSlots = p.NewScratch()
+	f.UseSourceRoutePolicy(p)
 	return nil
+}
+
+// UseSourceRoutePolicy installs an already compiled policy, as
+// SetSourceRoutePolicy does; nil clears it. The forwarder gets its own
+// evaluation scratch, so one compiled policy may serve many forwarders.
+func (f *Forwarder) UseSourceRoutePolicy(p *SourceRoutePolicy) {
+	f.srcRoutePolicy, f.srcRouteSlots = p, nil
+	if p != nil {
+		f.srcRouteSlots = p.NewScratch()
+	}
 }
 
 // SourceRoutePolicyText returns the canonical text of the installed
 // policy, or "" when none is set.
-func (nd *Node) SourceRoutePolicyText() string {
-	if nd.srcRoutePolicy == nil {
+func (f *Forwarder) SourceRoutePolicyText() string {
+	if f.srcRoutePolicy == nil {
 		return ""
 	}
-	return nd.srcRoutePolicy.Source()
+	return f.srcRoutePolicy.Source()
 }

@@ -2,9 +2,7 @@ package wire
 
 import (
 	"repro/internal/netsim"
-	"repro/internal/obs"
 	"repro/internal/packet"
-	"repro/internal/policy"
 	"repro/internal/topology"
 )
 
@@ -36,15 +34,14 @@ type NodeConfig struct {
 	Peers []topology.NodeID
 }
 
-// Dataplane is the per-worker decision kernel: it turns raw datagram
-// bytes into a Decision using the identical sequence a netsim node
-// applies to a transit arrival — sanity filter, decode, middlebox
-// chain, delivery check, TTL decrement, then source-route-aware next-hop
-// selection. One Dataplane is owned by one worker goroutine; Process
+// Dataplane is one worker's decision kernel: it decodes raw datagram
+// bytes and runs them through the netsim forwarding kernel
+// (netsim.Forwarder.Decide) as a transit arrival, exactly as a netsim
+// node does. One Dataplane is owned by one worker goroutine; Process
 // reuses its decode scratch and allocates nothing.
 type Dataplane struct {
-	cfg  NodeConfig
-	peer []bool // dense adjacency, indexed by NodeID
+	fwd   netsim.Forwarder
+	peers netsim.PeerSet
 
 	// blockedReason/malformedReason are the per-middlebox interned drop
 	// strings, built once so Process never concatenates.
@@ -52,229 +49,53 @@ type Dataplane struct {
 	malformedReason []string
 
 	tip packet.TIP // decode scratch, reused across packets
-
-	// srcSlots is this worker's source-route policy evaluation scratch
-	// (nil when no policy is configured).
-	srcSlots []policy.Value
-
-	o *dpObs // nil when observability is off (single nil check per site)
-}
-
-// dpObs bundles the dataplane's pre-bound observability instruments,
-// mirroring the netsim seam: every site is behind a nil check so the
-// zero-alloc contract holds with obs off.
-type dpObs struct {
-	processed *obs.Counter
-	delivered *obs.Counter
-	forwarded *obs.Counter
-	drops     *obs.Counter
-	mboxRuns  *obs.Counter
-	rewrites  *obs.Counter
-	mboxDrops *obs.Counter
 }
 
 // NewDataplane builds the decision kernel for one node personality.
 func NewDataplane(cfg NodeConfig) *Dataplane {
-	d := &Dataplane{cfg: cfg}
-	maxID := cfg.ID
-	for _, p := range cfg.Peers {
-		if p > maxID {
-			maxID = p
-		}
+	d := &Dataplane{
+		fwd: netsim.Forwarder{
+			ID:                           cfg.ID,
+			Route:                        cfg.Route,
+			HonorSourceRoutes:            cfg.HonorSourceRoutes,
+			RequirePaymentForSourceRoute: cfg.RequirePaymentForSourceRoute,
+			Middleboxes:                  cfg.Middleboxes,
+		},
+		peers:           netsim.NewPeerSet(cfg.Peers),
+		blockedReason:   make([]string, len(cfg.Middleboxes)),
+		malformedReason: make([]string, len(cfg.Middleboxes)),
 	}
-	d.peer = make([]bool, maxID+1)
-	for _, p := range cfg.Peers {
-		d.peer[p] = true
-	}
-	d.blockedReason = make([]string, len(cfg.Middleboxes))
-	d.malformedReason = make([]string, len(cfg.Middleboxes))
+	d.fwd.UseSourceRoutePolicy(cfg.SourceRoutePolicy)
 	for i, m := range cfg.Middleboxes {
 		d.blockedReason[i] = "blocked:" + m.Name()
 		d.malformedReason[i] = "malformed-after:" + m.Name()
 	}
-	if cfg.SourceRoutePolicy != nil {
-		d.srcSlots = cfg.SourceRoutePolicy.NewScratch()
-	}
 	return d
-}
-
-// Node returns the node identity this dataplane decides for.
-func (d *Dataplane) Node() topology.NodeID { return d.cfg.ID }
-
-// AttachObs enables per-decision observability counters on reg; nil
-// disables them again.
-func (d *Dataplane) AttachObs(reg *obs.Registry) {
-	if reg == nil {
-		d.o = nil
-		return
-	}
-	d.o = &dpObs{
-		processed: reg.Counter("wire.processed"),
-		delivered: reg.Counter("wire.delivered"),
-		forwarded: reg.Counter("wire.forwarded"),
-		drops:     reg.Counter("wire.drops"),
-		mboxRuns:  reg.Counter("wire.mbox.runs"),
-		rewrites:  reg.Counter("wire.mbox.rewrites"),
-		mboxDrops: reg.Counter("wire.mbox.drops"),
-	}
-}
-
-func (d *Dataplane) isPeer(id topology.NodeID) bool {
-	return int(id) < len(d.peer) && d.peer[id]
-}
-
-// dstNode maps a destination address to its owning node under the
-// provider addressing scheme (the top 16 bits name the node), matching
-// the netsim default.
-func dstNode(a packet.Addr) topology.NodeID {
-	return topology.NodeID(a.Provider())
-}
-
-// drop builds a Dropped decision without allocating.
-func (d *Dataplane) drop(kind DropKind, reason string) Decision {
-	if d.o != nil {
-		d.o.drops.Inc()
-	}
-	return Decision{Kind: Dropped, Drop: kind, Reason: reason}
 }
 
 // Process decides one datagram's fate. data is the raw wire bytes (the
 // receive slot, sliced to the datagram length); it may be patched in
 // place (TTL decrement, source-route advance) and the returned
-// Decision.Data may alias it. The decision sequence — and every reason
-// string — is byte-identical to what netsim.InjectArrival at the same
-// node records, which the differential tests pin.
-func (d *Dataplane) Process(data []byte) Decision {
-	if d.o != nil {
-		d.o.processed.Inc()
-	}
-	// Cheap structural sanity before committing to a full decode. The
-	// filter is sound (never rejects decodable bytes), so folding its
-	// rejects into "malformed" keeps the decision vocabulary identical
-	// to the simulator, which only has the decoder.
-	if packet.Filter(data) != packet.FilterAccept {
-		return d.drop(DropMalformed, "malformed")
-	}
+// Decision.Data may alias it, valid until the next Process call. The
+// decision — and every reason string — is the one netsim.InjectArrival
+// at the same node records, which the differential tests pin.
+func (d *Dataplane) Process(data []byte) netsim.Decision {
 	if err := d.tip.DecodeReuse(data); err != nil {
-		return d.drop(DropMalformed, "malformed")
+		return netsim.Decision{Kind: netsim.Dropped, Drop: netsim.DropMalformed, Reason: "malformed"}
 	}
-	nd := &d.cfg
-	dir := netsim.Forwarding
-	if dstNode(d.tip.Dst) == nd.ID {
-		dir = netsim.Delivering
-	}
-	// Middlebox chain: single-pass, installation order, direction
-	// recomputed after a rewrite — the netsim.Node.process semantics.
-	for i, m := range nd.Middleboxes {
-		if d.o != nil {
-			d.o.mboxRuns.Inc()
+	dec := d.fwd.Decide(data, &d.tip, netsim.Forwarding, netsim.ProviderShift, &d.peers)
+	switch dec.Kind {
+	case netsim.Forward:
+		if !d.peers.Has(dec.Next) {
+			return netsim.Decision{Kind: netsim.Dropped, Drop: netsim.DropBadNextHop, Reason: "bad-next-hop"}
 		}
-		out, verdict := m.Process(nd.ID, dir, data)
-		if verdict == netsim.Drop {
-			if d.o != nil {
-				d.o.mboxDrops.Inc()
-			}
-			if m.Silent() {
-				return d.drop(DropLost, "lost")
-			}
-			return d.drop(DropBlocked, d.blockedReason[i])
-		}
-		if out != nil {
-			data = out
-			if d.o != nil {
-				d.o.rewrites.Inc()
-			}
-			if err := d.tip.DecodeReuse(out); err != nil {
-				return d.drop(DropMalformedAfter, d.malformedReason[i])
-			}
-			if dstNode(d.tip.Dst) == nd.ID {
-				dir = netsim.Delivering
-			} else if dir == netsim.Delivering {
-				dir = netsim.Forwarding
-			}
+	case netsim.Dropped:
+		switch dec.Drop {
+		case netsim.DropBlocked:
+			dec.Reason = d.blockedReason[dec.Mbox]
+		case netsim.DropMalformedAfter:
+			dec.Reason = d.malformedReason[dec.Mbox]
 		}
 	}
-	if dir == netsim.Delivering {
-		if d.o != nil {
-			d.o.delivered.Inc()
-		}
-		return Decision{Kind: Deliver, Data: data}
-	}
-	// Forwarding: TTL decrement (in place, checksum repaired), then
-	// next-hop selection.
-	ttl, err := packet.DecrementTTL(data)
-	if err != nil {
-		return d.drop(DropMalformed, "malformed")
-	}
-	d.tip.TTL = ttl // keep the decoded header coherent with the bytes
-	if ttl == 0 {
-		return d.drop(DropTTL, "ttl")
-	}
-	next, ok := d.nextHop(data)
-	if !ok {
-		return d.drop(DropNoRoute, "no-route")
-	}
-	if !d.isPeer(next) {
-		return d.drop(DropBadNextHop, "bad-next-hop")
-	}
-	if d.o != nil {
-		d.o.forwarded.Inc()
-	}
-	return Decision{Kind: Forward, Next: next, Data: data}
-}
-
-// nextHop picks the egress neighbor, honoring source routes when policy
-// allows — a line-for-line mirror of netsim.Node.nextHop so the two
-// engines cannot disagree on routing.
-func (d *Dataplane) nextHop(data []byte) (topology.NodeID, bool) {
-	nd := &d.cfg
-	tip := &d.tip
-	if nd.HonorSourceRoutes {
-		if wp, ok := packet.PeekSourceRoute(data); ok {
-			allowed := true
-			if nd.SourceRoutePolicy != nil {
-				// Compiled admission policy: fail-safe deny, bounded by
-				// the per-packet budget — the netsim.Node.nextHop check,
-				// line for line.
-				allowed = nd.SourceRoutePolicy.Allow(d.srcSlots, tip, wp)
-			} else if nd.RequirePaymentForSourceRoute && tip.Payment == nil {
-				allowed = false
-			}
-			if allowed {
-				if wp == packet.MakeAddr(uint16(nd.ID), 0) || wp.Provider() == uint16(nd.ID) {
-					// We are the current waypoint: advance to the next.
-					nxt, advanced, err := packet.AdvanceSourceRoute(data)
-					if err == nil {
-						// Mirror the in-place pointer bump into the
-						// decoded header (coherence rule).
-						if advanced && tip.SourceRoute != nil && !tip.SourceRoute.Exhausted() {
-							tip.SourceRoute.Ptr++
-						}
-						if nxt != packet.AddrNone {
-							wp = nxt
-						} else {
-							wp = tip.Dst // route exhausted: head to destination
-						}
-					}
-				}
-				// Route toward the waypoint's provider. If the waypoint
-				// is a direct neighbor, use it.
-				target := topology.NodeID(wp.Provider())
-				if target == nd.ID {
-					target = topology.NodeID(tip.Dst.Provider())
-				}
-				if d.isPeer(target) {
-					return target, true
-				}
-				if nd.Route != nil {
-					return nd.Route(packet.MakeAddr(uint16(target), 0), tip)
-				}
-				return 0, false
-			}
-		}
-	}
-	if nd.Route == nil {
-		return 0, false
-	}
-	return nd.Route(tip.Dst, tip)
+	return dec
 }

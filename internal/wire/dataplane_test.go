@@ -104,7 +104,7 @@ func TestDataplaneForwardDecrementsTTL(t *testing.T) {
 	dp := NewDataplane(testNodeConfig(nil))
 	data := rawPkt(t, packet.MakeAddr(1, 1), packet.MakeAddr(4, 1), 16, "hi")
 	dec := dp.Process(data)
-	if dec.Kind != Forward {
+	if dec.Kind != netsim.Forward {
 		t.Fatalf("decision = %v", dec)
 	}
 	var tip packet.TIP
@@ -224,7 +224,7 @@ func TestProcessZeroAllocWithPolicy(t *testing.T) {
 	dp.Process(buf) // warm decode scratch and the VM pool
 	allocs := testing.AllocsPerRun(300, func() {
 		copy(buf, fwd)
-		if dec := dp.Process(buf); dec.Kind != Forward || dec.Next != 3 {
+		if dec := dp.Process(buf); dec.Kind != netsim.Forward || dec.Next != 3 {
 			t.Fatalf("policy-gated packet decided %v", dec)
 		}
 	})
@@ -250,13 +250,13 @@ func TestProcessZeroAlloc(t *testing.T) {
 	dp.Process(append(buf[:0:len(buf)], fwd...))
 	allocs := testing.AllocsPerRun(300, func() {
 		copy(buf, fwd) // refill, as a receive slot would be
-		if dec := dp.Process(buf); dec.Kind != Forward {
+		if dec := dp.Process(buf); dec.Kind != netsim.Forward {
 			t.Fatalf("forward packet decided %v", dec)
 		}
-		if dec := dp.Process(del); dec.Kind != Deliver {
+		if dec := dp.Process(del); dec.Kind != netsim.Deliver {
 			t.Fatalf("deliver packet decided %v", dec)
 		}
-		if dec := dp.Process(bad); dec.Kind != Dropped {
+		if dec := dp.Process(bad); dec.Kind != netsim.Dropped {
 			t.Fatalf("malformed packet decided %v", dec)
 		}
 	})

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/netsim"
 	"repro/internal/packet"
 	"repro/internal/topology"
 )
@@ -79,7 +80,7 @@ type txEntry struct {
 type tally struct {
 	received   uint64
 	filtered   [packet.FilterVerdicts]uint64
-	drops      [DropKinds]uint64
+	drops      [netsim.DropKinds]uint64
 	delivered  uint64
 	forwarded  uint64
 	echoed     uint64
@@ -94,7 +95,7 @@ type tally struct {
 type wstats struct {
 	received   atomic.Uint64
 	filtered   [packet.FilterVerdicts]atomic.Uint64
-	drops      [DropKinds]atomic.Uint64
+	drops      [netsim.DropKinds]atomic.Uint64
 	delivered  atomic.Uint64
 	forwarded  atomic.Uint64
 	echoed     atomic.Uint64
@@ -129,7 +130,7 @@ func (s *wstats) flush(t *tally) {
 type Stats struct {
 	Received   uint64
 	Filtered   [packet.FilterVerdicts]uint64
-	Drops      [DropKinds]uint64
+	Drops      [netsim.DropKinds]uint64
 	Delivered  uint64
 	Forwarded  uint64
 	Echoed     uint64
@@ -162,7 +163,7 @@ func (s Stats) String() string {
 		fmt.Fprintf(&b, " %s=%d", v, s.Filtered[v])
 	}
 	b.WriteString("\ndrops:")
-	for k := DropKind(0); k < DropKinds; k++ {
+	for k := netsim.DropKind(0); k < netsim.DropKinds; k++ {
 		fmt.Fprintf(&b, " %s=%d", k, s.Drops[k])
 	}
 	return b.String()
@@ -181,17 +182,15 @@ type Engine struct {
 }
 
 // worker is one receive loop: a socket (possibly shared on non-Linux),
-// a private arena of receive slots, a private Dataplane, and the
-// platform batch I/O state.
+// private receive buffers, a private Dataplane, and the platform batch
+// I/O state.
 type worker struct {
 	eng  *Engine
 	conn *net.UDPConn
 	dp   *Dataplane
 
-	arena  *Arena
-	rxBuf  [][]byte
-	rxSlot []int32
-	txq    []txEntry
+	rxBuf [][]byte
+	txq   []txEntry
 
 	rx *rxBatch
 	tx *txBatch
@@ -252,14 +251,13 @@ func New(cfg Config) (*Engine, error) {
 func (e *Engine) newWorker(conn *net.UDPConn) (*worker, error) {
 	b := e.cfg.Batch
 	w := &worker{eng: e, conn: conn, dp: e.cfg.NewDataplane()}
-	// The arena holds the worker's receive slots plus equal headroom
-	// for transient buffers (tests, future tx staging); the receive
-	// slots are checked out once and reused for the worker's lifetime.
-	w.arena = NewArena(2*b, e.cfg.SlotSize)
+	// One slab cut into the batch's receive buffers, reused for the
+	// worker's lifetime.
+	size := e.cfg.SlotSize
+	slab := make([]byte, b*size)
 	w.rxBuf = make([][]byte, b)
-	w.rxSlot = make([]int32, b)
 	for i := range w.rxBuf {
-		w.rxSlot[i], w.rxBuf[i] = w.arena.Get()
+		w.rxBuf[i] = slab[i*size : (i+1)*size : (i+1)*size]
 	}
 	w.txq = make([]txEntry, 0, b)
 	var err error
@@ -362,7 +360,7 @@ func (w *worker) handle(n int) {
 		}
 		dec := w.dp.Process(data)
 		switch dec.Kind {
-		case Deliver:
+		case netsim.Deliver:
 			t.delivered++
 			if deliver != nil {
 				if reply := deliver(dec.Data, w.rx.from(i)); reply != nil {
@@ -375,7 +373,7 @@ func (w *worker) handle(n int) {
 				w.txq = append(w.txq, txEntry{addr: w.rx.from(i), data: dec.Data})
 				t.echoed++
 			}
-		case Forward:
+		case netsim.Forward:
 			t.forwarded++
 			if a, ok := w.eng.peerAddr(dec.Next); ok {
 				w.txq = append(w.txq, txEntry{addr: a, data: dec.Data})

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/netsim"
 	"repro/internal/packet"
 	"repro/internal/topology"
 )
@@ -119,7 +120,7 @@ func TestEngineFiltersMalformed(t *testing.T) {
 	if st.Accepted() != rounds || st.Delivered != rounds {
 		t.Fatalf("accepted %d delivered %d, want %d: %s", st.Accepted(), st.Delivered, rounds, st.String())
 	}
-	if st.Drops[DropMalformed] != 0 {
+	if st.Drops[netsim.DropMalformed] != 0 {
 		// Filter-rejected datagrams never reach the dataplane; they are
 		// counted under Filtered, not Drops.
 		t.Fatalf("filter rejects leaked into dataplane drops: %s", st.String())
@@ -221,11 +222,11 @@ func TestEngineDifferentialOverUDP(t *testing.T) {
 			continue
 		}
 		switch dp.Process(append([]byte(nil), pkt.data...)).Kind {
-		case Deliver:
+		case netsim.Deliver:
 			want.delivered++
-		case Forward:
+		case netsim.Forward:
 			want.forwarded++
-		case Dropped:
+		case netsim.Dropped:
 			want.dropped++
 		}
 	}

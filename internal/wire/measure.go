@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/netsim"
 	"repro/internal/packet"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -16,8 +17,8 @@ import (
 // the tussle-bench -wire-json baseline writer so the committed
 // BENCH_wire.json numbers measure exactly what the benchmarks do.
 
-// ProcessBench measures the decision kernel alone: filter → decode →
-// TTL patch → route, no sockets. One op is one forwarded datagram.
+// ProcessBench measures the decision kernel alone: decode → TTL patch →
+// route, no sockets. One op is one forwarded datagram.
 type ProcessBench struct {
 	dp   *Dataplane
 	tmpl []byte
@@ -53,7 +54,7 @@ func NewProcessBench() (*ProcessBench, error) {
 func (b *ProcessBench) Run(count int) error {
 	for i := 0; i < count; i++ {
 		copy(b.buf, b.tmpl)
-		if dec := b.dp.Process(b.buf); dec.Kind != Forward || dec.Next != 3 {
+		if dec := b.dp.Process(b.buf); dec.Kind != netsim.Forward || dec.Next != 3 {
 			return fmt.Errorf("wire: process bench decided %v, want forward 3", dec)
 		}
 	}

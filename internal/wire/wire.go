@@ -3,125 +3,40 @@
 // binds one socket per worker (SO_REUSEPORT on Linux), receives
 // datagrams in batches (recvmmsg/sendmmsg where available, a portable
 // single-syscall loop elsewhere), runs each through the cheap raw-byte
-// sanity filter (packet.Filter) and then a Dataplane — the same
+// sanity filter (packet.Filter) and then a Dataplane — a decoder in
+// front of netsim's forwarding kernel (netsim.Forwarder.Decide), the one
 // middlebox chain, source-route policy, and routing decision sequence a
-// netsim node executes — and transmits forwards and echoes in batches.
+// simulated node also runs — and transmits forwards and echoes in
+// batches.
 //
 // # Zero-allocation steady state
 //
-// The receive path mirrors the netsim flight-pool discipline: every
-// worker owns a fixed Arena of receive slots, a reusable packet.TIP
-// decode scratch (DecodeReuse), preallocated batch headers, and a
-// per-reason stat table indexed by small integers — so the steady-state
-// recv→filter→decide→send path performs zero heap allocations per
-// packet. Drop reasons and middlebox-specific strings are interned at
-// Dataplane construction, never concatenated per packet.
+// Every worker owns one slab cut into its batch of receive buffers, a
+// reusable packet.TIP decode scratch (DecodeReuse), preallocated batch
+// headers, and a per-reason stat table indexed by small integers — so
+// the steady-state recv→filter→decide→send path performs zero heap
+// allocations per packet. Drop reasons and middlebox-specific strings
+// are interned at Dataplane construction, never concatenated per packet.
 //
 // # Determinism twin
 //
 // The simulator remains the deterministic twin of the live engine: for
 // any datagram bytes, Dataplane.Process and netsim.Network.InjectArrival
-// at the same node must produce the identical decision — deliver,
-// forward to the same next hop, or drop with the same reason, including
-// "malformed" for bytes the sanity filter or decoder rejects. The
-// differential tests in this package pin that contract with golden byte
-// streams (clean, malformed, and middlebox-rewritten); the invariant
-// machinery can therefore convict the live engine by replaying its
+// at the same node make the identical decision — deliver, forward to
+// the same next hop, or drop with the same reason, including
+// "malformed" for bytes the decoder rejects — and pass on identical
+// bytes. Both call the same kernel; the differential tests in this
+// package pin the two call paths and the socket path with golden byte
+// streams (clean, malformed, middlebox-rewritten, source-routed), so
+// the invariant machinery can convict the live engine by replaying its
 // traffic through the sim.
 package wire
 
-import (
-	"fmt"
+import "repro/internal/netsim"
 
-	"repro/internal/topology"
-)
-
-// DecisionKind classifies what the dataplane decided to do with a
-// datagram.
-type DecisionKind uint8
-
-// Decision kinds.
+// Drop kinds the engine's Stats.Drops table is indexed by, for callers
+// outside this package; the full set is netsim.DropKind.
 const (
-	// Deliver: the datagram terminates at this node.
-	Deliver DecisionKind = iota
-	// Forward: the datagram continues to Decision.Next.
-	Forward
-	// Dropped: the datagram is discarded for Decision.Reason.
-	Dropped
+	DropTTL     = netsim.DropTTL
+	DropBlocked = netsim.DropBlocked
 )
-
-// DropKind indexes the fixed per-reason drop-statistics table. The
-// human-readable reason (including the middlebox name for blocked /
-// malformed-after drops) travels separately in Decision.Reason.
-type DropKind uint8
-
-// Drop kinds, mirroring the netsim drop-reason vocabulary for the
-// decision paths a wire node shares with a sim node.
-const (
-	DropMalformed      DropKind = iota // filter or decoder rejected the bytes
-	DropTTL                            // TTL reached zero
-	DropNoRoute                        // no route to the destination
-	DropBadNextHop                     // routing chose a non-adjacent node
-	DropBlocked                        // a loud middlebox dropped it
-	DropLost                           // a silent middlebox dropped it
-	DropMalformedAfter                 // a middlebox rewrite produced undecodable bytes
-
-	// DropKinds is the number of distinct drop kinds (for stats arrays).
-	DropKinds
-)
-
-func (k DropKind) String() string {
-	switch k {
-	case DropMalformed:
-		return "malformed"
-	case DropTTL:
-		return "ttl"
-	case DropNoRoute:
-		return "no-route"
-	case DropBadNextHop:
-		return "bad-next-hop"
-	case DropBlocked:
-		return "blocked"
-	case DropLost:
-		return "lost"
-	case DropMalformedAfter:
-		return "malformed-after"
-	default:
-		return "unknown"
-	}
-}
-
-// Decision is the dataplane's verdict on one datagram. It is a value
-// type: producing one allocates nothing, and Reason is always an
-// interned string (a literal or a string prebuilt per middlebox at
-// Dataplane construction).
-type Decision struct {
-	Kind DecisionKind
-	// Next is the chosen next-hop node when Kind == Forward.
-	Next topology.NodeID
-	// Reason is the drop reason when Kind == Dropped, in the netsim
-	// vocabulary: "malformed", "ttl", "no-route", "bad-next-hop",
-	// "blocked:<name>", "lost", "malformed-after:<name>".
-	Reason string
-	// Drop is the stats-table index for the drop reason.
-	Drop DropKind
-	// Data is the datagram to transmit onward: the (possibly
-	// middlebox-rewritten, TTL-patched) bytes. It may alias the input
-	// buffer or a middlebox's own buffer; it is valid until the next
-	// Process call on the same Dataplane.
-	Data []byte
-}
-
-// String renders the decision in the differential-log vocabulary shared
-// with the simulator: "deliver", "forward <node>", "drop <reason>". It
-// allocates and is meant for logs and tests, not the fast path.
-func (d Decision) String() string {
-	switch d.Kind {
-	case Deliver:
-		return "deliver"
-	case Forward:
-		return fmt.Sprintf("forward %d", d.Next)
-	default:
-		return "drop " + d.Reason
-	}
-}
