@@ -625,11 +625,13 @@ func (n *Network) Inject(src topology.NodeID, data []byte) {
 // differential-twin seam: internal/wire feeds identical bytes to its
 // dataplane and to InjectArrival and asserts the decision logs match.
 //
-// Unlike Send, the node takes the arrival's path (no "send" trace
-// event, TTL decremented when it forwards), so malformed input
-// terminates with a "malformed" drop at id — mirroring the wire engine's
-// decode rejections. The bytes are copied; the caller's slice may be
-// reused immediately. The returned Trace fills in as the scheduler runs.
+// As with Send, the bytes are decoded before any processing, so
+// malformed input terminates with a "malformed" drop at id — mirroring
+// the wire engine's decode rejections. Unlike Send, the node treats the
+// packet as a transit arrival: no "send" trace event, and the TTL is
+// decremented when it forwards. The bytes are copied; the caller's slice
+// may be reused immediately. The returned Trace fills in as the
+// scheduler runs.
 func (n *Network) InjectArrival(id topology.NodeID, data []byte) *Trace {
 	return n.launch(id, Forwarding, data, true, false)
 }

@@ -69,6 +69,9 @@ type simTwin struct {
 	passed []byte // nil until node 2 delivers or forwards
 }
 
+// newSimTwin builds the twin of cfg, a node-2 personality built by
+// testNodeConfig: the chain's routes and adjacency stand in for its
+// Route and Peers.
 func newSimTwin(cfg NodeConfig) *simTwin {
 	tw := &simTwin{sched: sim.NewScheduler()}
 	tw.n = netsim.New(tw.sched, topology.Linear(4, sim.Millisecond))
