@@ -55,18 +55,21 @@ scale-json:
 
 # Scale smoke: a 100k-node, 2M-packet run through the sharded core
 # (sized to finish in well under five minutes on a 2-core runner); then
-# the 100k-node, 1M-packet chaos digest at seeds 42 and 7, compared byte
-# for byte with the committed bench/testdata/scale_seed*.txt (which
-# shard-determinism cannot catch: it only compares shard counts with each
-# other, so a change shifting all of them alike passes it); then a quick
-# scale measurement compared against the committed baseline.
+# the 100k-node, 1M-packet chaos digest at seeds 42 and 7 on 2 shards and
+# at seed 42 on 4 shards, compared byte for byte with the committed
+# bench/testdata/scale_seed*.txt (which shard-determinism cannot catch:
+# it only compares shard counts with each other, so a change shifting
+# all of them alike passes it; and its 5k-node graph is too small for
+# hubs to dominate the partition); then a quick scale measurement
+# compared against the committed baseline.
 scale-smoke:
 	$(GO) run ./cmd/netsim -nodes 100000 -shards 2 -packets 2000000 -seed 42
-	@for seed in 42 7; do \
-	  $(GO) run ./cmd/netsim -nodes 100000 -shards 2 -packets 1000000 -chaos -seed $$seed 2>/dev/null > /tmp/scale-digest.out || exit 1; \
-	  cmp /tmp/scale-digest.out bench/testdata/scale_seed$$seed.txt || { echo "scale-smoke: seed $$seed digest differs from bench/testdata/scale_seed$$seed.txt"; exit 1; }; \
+	@for run in 42/2 7/2 42/4; do \
+	  seed=$${run%/*}; shards=$${run#*/}; \
+	  $(GO) run ./cmd/netsim -nodes 100000 -shards $$shards -packets 1000000 -chaos -seed $$seed 2>/dev/null > /tmp/scale-digest.out || exit 1; \
+	  cmp /tmp/scale-digest.out bench/testdata/scale_seed$$seed.txt || { echo "scale-smoke: seed $$seed at $$shards shards: digest differs from bench/testdata/scale_seed$$seed.txt"; exit 1; }; \
 	done; \
-	echo "scale-smoke: 100k-node chaos digests match bench/testdata (seeds 42+7)"
+	echo "scale-smoke: 100k-node chaos digests match bench/testdata (seeds 42+7 on 2 shards, seed 42 on 4)"
 	$(GO) run ./cmd/tussle-bench -scale-json /tmp/scale-smoke.json -iters 2
 	$(GO) run ./cmd/tussle-bench -compare -tolerance 0.5 BENCH_scale.json /tmp/scale-smoke.json
 

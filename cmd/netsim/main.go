@@ -26,7 +26,8 @@
 //
 // Scale mode prints a deterministic digest on stdout — identical bytes
 // for the same seed at any shard count, sequential or parallel — and
-// timing on stderr, so CI can diff the digest across shard counts.
+// timing and per-shard load (nodes and executed events) on stderr, so
+// CI can diff the digest across shard counts.
 //
 // Multipath mode (-multipath) stripes a reliable transfer over
 // link-disjoint source routes between the best-connected stub pair of
@@ -43,6 +44,7 @@ import (
 	"os"
 	"runtime"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/chaos"
@@ -281,12 +283,22 @@ func runScale(nodes, shards, packets int, parallel, chaosOn bool, seed uint64, m
 		Obs: metricsPath != "",
 	}
 	start := time.Now()
-	res := scale.Run(cfg)
+	sm := scale.Prepare(cfg)
+	res := sm.Run()
 	wall := time.Since(start)
 	// Shard geometry is shard-count-dependent by definition, so it goes
 	// to stderr with the timing, keeping stdout diffable across counts.
-	fmt.Fprintf(os.Stderr, "netsim: scale: shards=%d window=%v cross-links=%d\n",
-		cfg.Shards, res.Window, res.CrossLinks)
+	// Per-shard node and event counts show a skewed partition: the
+	// busiest shard bounds the parallel drain.
+	var load strings.Builder
+	var busiest uint64
+	for i, sh := range sm.S.Shards {
+		fmt.Fprintf(&load, " %d:%dn/%dev", i, sm.S.Part.Counts[i], sh.Sched.Processed)
+		busiest = max(busiest, sh.Sched.Processed)
+	}
+	fmt.Fprintf(os.Stderr, "netsim: scale: shards=%d window=%v cross-links=%d load%s busiest=%.3fx mean\n",
+		len(sm.S.Shards), res.Window, res.CrossLinks, load.String(),
+		float64(busiest)*float64(len(sm.S.Shards))/float64(max(res.Processed, 1)))
 	fmt.Print(res.Render())
 	total := res.Delivered + res.Dropped
 	fmt.Fprintf(os.Stderr, "netsim: scale: %d packets, %d events in %v (%.0f pkt/s, %.0f ev/s, GOMAXPROCS=%d)\n",

@@ -103,8 +103,9 @@ type LinkImpairment struct {
 // between a and b; both directions are affected. rng drives the
 // impairment's coin flips and must be dedicated to it (fork one from
 // the experiment's root RNG); nil gets a fixed-seed generator. The
-// impairment map is the source of truth; the dense mirror is rebuilt
-// here and on every InvalidateTopology rebuild.
+// impairment map is the source of truth; the dense mirror's entry for
+// the link is set here, and the whole mirror is re-derived on every
+// InvalidateTopology rebuild.
 func (n *Network) ImpairLink(a, b topology.NodeID, imp LinkImpairment, rng *sim.RNG) {
 	if rng == nil {
 		rng = sim.NewRNG(1)
@@ -118,30 +119,24 @@ func (n *Network) ImpairLink(a, b topology.NodeID, imp LinkImpairment, rng *sim.
 		n.impairments = make(map[[2]topology.NodeID]*LinkImpairment)
 	}
 	n.impairments[linkKey(a, b)] = &imp
-	n.rebuildImpair()
+	if n.impair == nil {
+		n.impair = make([]*LinkImpairment, len(n.Graph.Links))
+	}
+	if li := n.linkIndex(a, b); li >= 0 {
+		n.impair[li] = &imp
+	}
 }
 
 // ClearImpairment removes the impairment on the link between a and b.
+// The mirror goes back to nil with the last impairment, so the healthy
+// fast path is again a single nil check.
 func (n *Network) ClearImpairment(a, b topology.NodeID) {
-	if n.impairments == nil {
-		return
-	}
 	delete(n.impairments, linkKey(a, b))
-	n.rebuildImpair()
-}
-
-// rebuildImpair refreshes the dense impairment mirror from the map. Off
-// the fast path (only runs when impairments change).
-func (n *Network) rebuildImpair() {
-	n.impair = nil
 	if len(n.impairments) == 0 {
-		return
+		n.impair = nil
+	} else if li := n.linkIndex(a, b); li >= 0 {
+		n.impair[li] = nil
 	}
-	impair := make([]*LinkImpairment, len(n.Graph.Links))
-	for i, l := range n.Graph.Links {
-		impair[i] = n.impairments[linkKey(l.A, l.B)]
-	}
-	n.impair = impair
 }
 
 // ImpairedLinks returns the number of links with an active packet

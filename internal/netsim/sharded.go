@@ -87,10 +87,12 @@ type Sharded struct {
 // faults at time t deterministically run after all arrivals at t.
 const faultKeyFlag = uint64(1) << 63
 
-// NewSharded partitions g across k shards (contiguous ranges of the
-// ascending NodeID order) and builds one lean keyed network per shard.
-// Callers wire routes/middleboxes/delivery on the owning shard's
-// network (see Owner) before sending traffic.
+// NewSharded partitions g across k shards, balanced by node degree
+// (topology.PartitionBalanced), and builds one lean keyed network per
+// shard. The partition decides only which shard runs a node's events,
+// so it moves wall-clock time, never output. Callers wire
+// routes/middleboxes/delivery on the owning shard's network (see Owner)
+// before sending traffic.
 func NewSharded(g *topology.Graph, k int) *Sharded {
 	// Pre-warm the Graph's lazy neighbor cache: shard goroutines read
 	// it concurrently and must never trigger the rebuild.
@@ -98,7 +100,7 @@ func NewSharded(g *topology.Graph, k int) *Sharded {
 		g.Neighbors(id)
 		break
 	}
-	part := topology.PartitionContiguous(g, k)
+	part := topology.PartitionBalanced(g, k)
 	s := &Sharded{Graph: g, Part: part}
 	s.Window, s.hasCross = part.MinCrossLatency(g)
 	s.Shards = make([]*Shard, part.K)

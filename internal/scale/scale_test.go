@@ -100,6 +100,32 @@ func TestWindowPositive(t *testing.T) {
 	}
 }
 
+// TestShardLoadBalanced: the busiest shard's executed events stay near
+// the mean. The parallel drain waits on its busiest shard every epoch,
+// so a skewed partition caps the speedup however many cores there are;
+// in a scale-free graph a split by NodeID range puts the hubs, and most
+// of the events, on shard 0.
+func TestShardLoadBalanced(t *testing.T) {
+	for _, seed := range []uint64{42, 7} {
+		for _, tc := range []struct {
+			shards int
+			limit  float64
+		}{{2, 1.15}, {4, 1.5}} {
+			sm := Prepare(Config{Nodes: 10000, Packets: 100000, Seed: seed, Chaos: true, Shards: tc.shards})
+			sm.Run()
+			var total, busiest uint64
+			for _, sh := range sm.S.Shards {
+				total += sh.Sched.Processed
+				busiest = max(busiest, sh.Sched.Processed)
+			}
+			ratio := float64(busiest) * float64(tc.shards) / float64(total)
+			if ratio > tc.limit {
+				t.Errorf("seed=%d shards=%d: busiest shard ran %.3fx the mean events, want <= %.2fx", seed, tc.shards, ratio, tc.limit)
+			}
+		}
+	}
+}
+
 // BenchmarkScaleForward is the scale sweep: end-to-end packets through
 // the sharded core (topology build + routing tables + full drain) at
 // three orders of magnitude of topology size. b.N scales the packet

@@ -2,6 +2,8 @@ package topology
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/sim"
@@ -110,48 +112,78 @@ func TestScaleFreeDegenerate(t *testing.T) {
 	}
 }
 
-// TestPartitionContiguous: balance within one node, full coverage,
-// stable table, and clamping.
-func TestPartitionContiguous(t *testing.T) {
-	g := GenerateScaleFree(103, 2, sim.NewRNG(9))
-	for _, k := range []int{1, 2, 4, 8} {
-		p := PartitionContiguous(g, k)
-		if p.K != k {
-			t.Fatalf("K=%d, want %d", p.K, k)
-		}
-		total, min, max := 0, 1<<30, 0
-		for _, c := range p.Counts {
-			total += c
-			if c < min {
-				min = c
+// nodeWeights is the partition's load model, computed independently:
+// 1 + degree per node.
+func nodeWeights(g *Graph) map[NodeID]int {
+	w := map[NodeID]int{}
+	for id := range g.Nodes {
+		w[id] = 1
+	}
+	for _, l := range g.Links {
+		w[l.A]++
+		w[l.B]++
+	}
+	return w
+}
+
+// TestPartitionBalanced: full coverage, a stable table, clamping, and
+// the greedy guarantee that the heaviest and lightest shards differ by
+// at most the largest single node weight.
+func TestPartitionBalanced(t *testing.T) {
+	for _, g := range []*Graph{
+		GenerateScaleFree(103, 2, sim.NewRNG(9)),
+		GenerateScaleFree(20000, 2, sim.NewRNG(42)),
+	} {
+		weights := nodeWeights(g)
+		maxW := 0
+		for _, w := range weights {
+			if w > maxW {
+				maxW = w
 			}
-			if c > max {
-				max = c
+		}
+		for _, k := range []int{1, 2, 4, 8} {
+			p := PartitionBalanced(g, k)
+			if p.K != k {
+				t.Fatalf("n=%d: K=%d, want %d", len(g.Nodes), p.K, k)
 			}
-		}
-		if total != len(g.Nodes) {
-			t.Fatalf("k=%d: counts sum %d != %d nodes", k, total, len(g.Nodes))
-		}
-		if max-min > 1 {
-			t.Errorf("k=%d: imbalance %d..%d", k, min, max)
-		}
-		// Contiguity: shard index is non-decreasing in NodeID order.
-		prev := int32(0)
-		for _, id := range g.NodeIDs() {
-			s := p.ShardOf(id)
-			if s < prev {
-				t.Fatalf("k=%d: shard order regresses at node %d", k, id)
+			total := 0
+			for _, c := range p.Counts {
+				total += c
 			}
-			prev = s
+			if total != len(g.Nodes) {
+				t.Fatalf("n=%d k=%d: counts sum %d != %d nodes", len(g.Nodes), k, total, len(g.Nodes))
+			}
+			count := make([]int, k)
+			load := make([]int, k)
+			for id, w := range weights {
+				s := p.ShardOf(id)
+				if s < 0 || int(s) >= k {
+					t.Fatalf("n=%d k=%d: node %d in shard %d", len(g.Nodes), k, id, s)
+				}
+				count[s]++
+				load[s] += w
+			}
+			for s := range count {
+				if count[s] != p.Counts[s] {
+					t.Fatalf("n=%d k=%d: shard %d holds %d nodes, Counts says %d", len(g.Nodes), k, s, count[s], p.Counts[s])
+				}
+			}
+			if lo, hi := slices.Min(load), slices.Max(load); hi-lo > maxW {
+				t.Errorf("n=%d k=%d: shard weights %d..%d differ by more than the largest node weight %d", len(g.Nodes), k, lo, hi, maxW)
+			}
+			if again := PartitionBalanced(g, k); !reflect.DeepEqual(again, p) {
+				t.Fatalf("n=%d k=%d: two partitions of the same graph differ", len(g.Nodes), k)
+			}
 		}
 	}
-	if p := PartitionContiguous(g, 0); p.K != 1 {
+	g := GenerateScaleFree(103, 2, sim.NewRNG(9))
+	if p := PartitionBalanced(g, 0); p.K != 1 {
 		t.Errorf("k=0 clamps to %d, want 1", p.K)
 	}
-	if p := PartitionContiguous(g, 1000); p.K != len(g.Nodes) {
+	if p := PartitionBalanced(g, 1000); p.K != len(g.Nodes) {
 		t.Errorf("k=1000 clamps to %d, want %d", p.K, len(g.Nodes))
 	}
-	if PartitionContiguous(g, 2).ShardOf(NodeID(9999)) != -1 {
+	if PartitionBalanced(g, 2).ShardOf(NodeID(9999)) != -1 {
 		t.Error("unknown ID must map to shard -1")
 	}
 }
@@ -160,15 +192,28 @@ func TestPartitionContiguous(t *testing.T) {
 // over the cut, and a single-shard partition has no cross links.
 func TestMinCrossLatency(t *testing.T) {
 	g := Linear(6, 3*sim.Millisecond)
-	p := PartitionContiguous(g, 2)
+	p := PartitionBalanced(g, 2)
+	cross := 0
+	var want sim.Time
+	for _, l := range g.Links {
+		if p.ShardOf(l.A) != p.ShardOf(l.B) {
+			if cross == 0 || l.Latency < want {
+				want = l.Latency
+			}
+			cross++
+		}
+	}
+	if cross == 0 {
+		t.Fatal("k=2 partition of a chain cut no link")
+	}
 	w, ok := p.MinCrossLatency(g)
-	if !ok || w != 3*sim.Millisecond {
-		t.Fatalf("window=%v ok=%v, want 3ms true", w, ok)
+	if !ok || w != want {
+		t.Fatalf("window=%v ok=%v, want %v true", w, ok, want)
 	}
-	if c := p.CrossLinks(g); c != 1 {
-		t.Fatalf("cross links %d, want 1 (chain cut)", c)
+	if c := p.CrossLinks(g); c != cross {
+		t.Fatalf("cross links %d, want %d", c, cross)
 	}
-	p1 := PartitionContiguous(g, 1)
+	p1 := PartitionBalanced(g, 1)
 	if _, ok := p1.MinCrossLatency(g); ok {
 		t.Fatal("k=1 partition reported a cross link")
 	}

@@ -1,13 +1,20 @@
 package topology
 
-import "repro/internal/sim"
+import (
+	"slices"
+
+	"repro/internal/sim"
+)
 
 // This file partitions a topology's nodes across K simulation shards.
-// The partition is a contiguous-range split of the dense node index
-// (NodeIDs in ascending order), so it is a pure function of the node set
-// and K — no hashing, no map iteration — and therefore reproducible
-// across runs and machines. The sharded simulation core sizes its
-// conservative-lookahead window from MinCrossLatency over the cut.
+// A shard's work is the events its nodes execute, and a node executes
+// roughly one event per packet it originates, forwards or delivers, so
+// transit hubs are far busier than leaves. The partition weighs each
+// node by 1 + its degree and balances the weights greedily, heaviest
+// node first. It reads nothing but the Graph and K — no hashing, no map
+// iteration order — so it is reproducible across runs and machines. The
+// sharded simulation core sizes its conservative-lookahead window from
+// MinCrossLatency over the cut.
 
 // Partition assigns every node to one of k shards.
 type Partition struct {
@@ -19,43 +26,79 @@ type Partition struct {
 	Counts []int
 }
 
-// PartitionContiguous splits the graph's nodes into k contiguous ranges
-// of the ascending NodeID order, balanced to within one node. k is
+// PartitionBalanced splits the graph's nodes into k shards of near-equal
+// weight, where a node weighs 1 + its degree. Nodes are visited by
+// weight descending, then NodeID ascending, and each goes to the
+// currently lightest shard (ties to the lowest index), so the heaviest
+// and lightest shards differ by at most the largest node weight. k is
 // clamped to [1, number of nodes].
-func PartitionContiguous(g *Graph, k int) *Partition {
-	ids := g.NodeIDs()
+//
+// Degree stands in for load: in a scale-free graph built by
+// preferential attachment the hubs have the lowest IDs and carry most
+// paths, so a split by ID range leaves one shard with most of the work.
+func PartitionBalanced(g *Graph, k int) *Partition {
 	if k < 1 {
 		k = 1
 	}
-	if k > len(ids) && len(ids) > 0 {
-		k = len(ids)
+	if k > len(g.Nodes) && len(g.Nodes) > 0 {
+		k = len(g.Nodes)
 	}
 	maxID := NodeID(0)
-	for _, id := range ids {
+	for id := range g.Nodes {
 		if id > maxID {
 			maxID = id
 		}
 	}
 	p := &Partition{K: k, shardOf: make([]int32, maxID+1), Counts: make([]int, k)}
-	for i := range p.shardOf {
-		p.shardOf[i] = -1
+	// shardOf holds each node's weight until the node is assigned, so the
+	// weights cost no allocation of their own (BENCH_scale gates
+	// allocs/op at zero tolerance); 0 marks an ID that is not a node.
+	weight := p.shardOf
+	for id := range g.Nodes {
+		weight[id] = 1
 	}
-	n := len(ids)
-	base, rem := 0, 0
-	if k > 0 {
-		base, rem = n/k, n%k
+	for _, l := range g.Links {
+		weight[l.A]++
+		weight[l.B]++
 	}
-	idx := 0
-	for s := 0; s < k; s++ {
-		size := base
-		if s < rem {
-			size++
+	maxW := slices.Max(weight)
+
+	// Counting sort into order: bucket maxW-w holds weight w, and IDs
+	// enter their bucket in ascending order.
+	next := make([]int, maxW+1)
+	for _, w := range weight {
+		if w > 0 {
+			next[maxW-w]++
 		}
-		for j := 0; j < size; j++ {
-			p.shardOf[ids[idx]] = int32(s)
-			p.Counts[s]++
-			idx++
+	}
+	sum := 0
+	for b, c := range next {
+		next[b] = sum
+		sum += c
+	}
+	order := make([]NodeID, sum)
+	for id, w := range weight {
+		if w > 0 {
+			order[next[maxW-w]] = NodeID(id)
+			next[maxW-w]++
+		} else {
+			p.shardOf[id] = -1
 		}
+	}
+
+	// A linear scan for the lightest shard costs O(n·k), no more than
+	// the k full-topology shard networks a sharded simulation builds.
+	load := make([]int, k)
+	for _, id := range order {
+		s := 0
+		for i := 1; i < k; i++ {
+			if load[i] < load[s] {
+				s = i
+			}
+		}
+		load[s] += int(weight[id]) // read before the assignment overwrites it
+		p.shardOf[id] = int32(s)
+		p.Counts[s]++
 	}
 	return p
 }
