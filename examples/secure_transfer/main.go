@@ -19,6 +19,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/transport"
+	"repro/internal/transport/multipath"
 	"repro/internal/trust"
 )
 
@@ -75,9 +76,10 @@ func main() {
 	}
 	fmt.Printf("file: %d bytes plaintext -> %d bytes sealed\n", len(file), len(ciphertext))
 
-	cfg := transport.DefaultConfig()
+	cfg := multipath.DefaultConfig()
+	cfg.Window = 8
 	cfg.ContentType = packet.LayerTypeCrypto // declare the stream content honestly
-	stats, recv := transport.Transfer(net, 1, 3, 9000, ciphertext, cfg)
+	stats, recv := multipath.Transfer(net, multipath.Routed{}, 1, 3, 9000, ciphertext, cfg)
 	if !stats.Done {
 		fmt.Fprintln(os.Stderr, "transfer failed")
 		os.Exit(1)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/transport"
+	"repro/internal/transport/multipath"
 )
 
 // E21EndToEndReliability quantifies the end-to-end argument itself
@@ -50,6 +51,8 @@ func E21EndToEndReliability(seed uint64) *Result {
 	for i := range data {
 		data[i] = byte(i)
 	}
+	cfg := multipath.DefaultConfig()
+	cfg.Window = 8
 	for _, lossPct := range []int{5, 20, 40} {
 		loss := float64(lossPct) / 100
 		for _, design := range []string{"e2e-only", "hop-by-hop+e2e"} {
@@ -63,7 +66,7 @@ func E21EndToEndReliability(seed uint64) *Result {
 					transport.InstallLinkARQ(net, id, loss, 5, rng, &local)
 				}
 			}
-			stats, r := transport.Transfer(net, 1, pathLen, 9000, data, transport.DefaultConfig())
+			stats, r := multipath.Transfer(net, multipath.Routed{}, 1, pathLen, 9000, data, cfg)
 			completed := 0.0
 			if stats.Done && len(r.Data) == len(data) {
 				completed = 1
@@ -74,11 +77,27 @@ func E21EndToEndReliability(seed uint64) *Result {
 		}
 	}
 	res.Finding = fmt.Sprintf(
-		"every configuration completes — correctness comes from the endpoints alone; at 40%% loss, link ARQ cuts end-to-end retransmissions from %.0f to %.0f and transfer time from %.0fms to %.0fms at the cost of %.0f in-network resends: an optimization, exactly as the argument says",
+		"%s; at 40%% loss, link ARQ cuts end-to-end retransmissions from %.0f to %.0f and transfer time from %.0fms to %.0fms at the cost of %.0f in-network resends: an optimization, exactly as the argument says",
+		completionClause(res),
 		res.MustGet("e2e-only loss=40%", "e2e-retx"),
 		res.MustGet("hop-by-hop+e2e loss=40%", "e2e-retx"),
 		res.MustGet("e2e-only loss=40%", "elapsed-ms"),
 		res.MustGet("hop-by-hop+e2e loss=40%", "elapsed-ms"),
 		res.MustGet("hop-by-hop+e2e loss=40%", "local-resends"))
 	return res
+}
+
+// completionClause states how many of E21's configurations completed,
+// read from the completed column rather than assumed.
+func completionClause(res *Result) string {
+	done := 0
+	for _, row := range res.Rows {
+		if res.MustGet(row.Label, "completed") == 1 {
+			done++
+		}
+	}
+	if done == len(res.Rows) {
+		return "every configuration completes — correctness comes from the endpoints alone"
+	}
+	return fmt.Sprintf("only %d of %d configurations complete", done, len(res.Rows))
 }

@@ -10,7 +10,6 @@ import (
 	"repro/internal/packet"
 	"repro/internal/sim"
 	"repro/internal/topology"
-	"repro/internal/transport"
 	"repro/internal/transport/multipath"
 )
 
@@ -79,16 +78,9 @@ func mpNetwork(env *obs.Env) (*sim.Scheduler, *netsim.Network) {
 	return sched, net
 }
 
-// mpTransportConfig and mpMultipathConfig keep the reliability knobs
-// identical across the baseline and every strategy, so E29's comparison
-// isolates path choice.
-func mpTransportConfig(seed uint64) transport.Config {
-	return transport.Config{Window: 8, SegmentSize: 512,
-		RTO: 30 * sim.Millisecond, MaxRetries: 40,
-		Backoff: 2, MaxRTO: 250 * sim.Millisecond, JitterFrac: 0.1, Seed: seed,
-		ContentType: packet.LayerTypeRaw}
-}
-
+// mpMultipathConfig keeps the reliability knobs identical across the
+// single-path baseline and every strategy, so E29's comparison isolates
+// path choice.
 func mpMultipathConfig(seed uint64) multipath.Config {
 	cfg := multipath.DefaultConfig()
 	cfg.Window = 8
@@ -147,29 +139,12 @@ func e29MultipathAvailability(seed uint64, env *obs.Env) *Result {
 			panic(err)
 		}
 
-		var delivered func() int
-		var demotions, promotions func() int
-		if strat == nil {
-			r := transport.InstallReceiver(net, 9, 7100)
-			s := transport.NewSender(net, 8, packet.MakeAddr(9, 1), 7100, payload, mpTransportConfig(seed))
-			if env != nil {
-				s.AttachObs(env.Registry())
-			}
-			s.Start()
-			delivered = func() int { return len(r.Data) }
-			demotions = func() int { return 0 }
-			promotions = func() int { return 0 }
-		} else {
-			r := multipath.InstallReceiver(net, 9, 7100)
-			s := multipath.NewSender(net, strat, 8, 9, 7100, payload, mpMultipathConfig(seed))
-			if env != nil {
-				s.AttachObs(env.Registry())
-			}
-			s.Start()
-			delivered = func() int { return len(r.Data) }
-			demotions = func() int { return s.Stats().Demotions }
-			promotions = func() int { return s.Stats().Promotions }
+		r := multipath.InstallReceiver(net, 9, 7100)
+		s := multipath.NewSender(net, strat, 8, 9, 7100, payload, mpMultipathConfig(seed))
+		if env != nil {
+			s.AttachObs(env.Registry())
 		}
+		s.Start()
 
 		// Delivered-bytes availability: the fraction of 50ms bins in
 		// which the receiver's in-order stream advanced.
@@ -178,22 +153,23 @@ func e29MultipathAvailability(seed uint64, env *obs.Env) *Result {
 		for t := bin; t <= horizon; t += bin {
 			bins++
 			sched.At(t, func() {
-				if d := delivered(); d > last {
+				if d := len(r.Data); d > last {
 					up++
 					last = d
 				}
-				deliveredAtHorizon = delivered() // final bin's write survives
+				deliveredAtHorizon = len(r.Data) // final bin's write survives
 			})
 		}
 		sched.RunUntil(horizon)
+		st := s.Stats()
 		res.AddRow(label,
 			float64(up)/float64(bins),
 			float64(deliveredAtHorizon)/1024,
-			float64(demotions()),
-			float64(promotions()))
+			float64(st.Demotions),
+			float64(st.Promotions))
 	}
 
-	run("single-path", nil)
+	run("single-path", multipath.Routed{})
 	for _, strat := range multipath.Strategies() {
 		run(strat.Name(), strat)
 	}

@@ -343,23 +343,37 @@ func TestE20CoverDistributionDecides(t *testing.T) {
 }
 
 func TestE21EndToEndCompletesEverywhere(t *testing.T) {
-	r := E21EndToEndReliability(testSeed)
-	for _, row := range r.Rows {
-		if row.Values[0] != 1 {
-			t.Fatalf("%s did not complete", row.Label)
+	for _, seed := range []uint64{42, 7} {
+		r := E21EndToEndReliability(seed)
+		for _, row := range r.Rows {
+			if row.Values[0] != 1 {
+				t.Fatalf("seed %d: %s did not complete", seed, row.Label)
+			}
 		}
-	}
-	// Link ARQ reduces end-to-end retransmissions at high loss.
-	if r.MustGet("hop-by-hop+e2e loss=40%", "e2e-retx") >= r.MustGet("e2e-only loss=40%", "e2e-retx") {
-		t.Fatal("link ARQ should cut e2e retransmissions")
-	}
-	// And it performs local work to do so.
-	if r.MustGet("hop-by-hop+e2e loss=40%", "local-resends") == 0 {
-		t.Fatal("no local resends recorded")
-	}
-	// The e2e-only design does no in-network work at all.
-	if r.MustGet("e2e-only loss=40%", "local-resends") != 0 {
-		t.Fatal("e2e-only design shows local resends")
+		if !strings.HasPrefix(r.Finding, "every configuration completes") {
+			t.Fatalf("seed %d: finding does not report full completion: %q", seed, r.Finding)
+		}
+		// Link ARQ reduces end-to-end retransmissions and transfer time
+		// at high loss.
+		if r.MustGet("hop-by-hop+e2e loss=40%", "e2e-retx") >= r.MustGet("e2e-only loss=40%", "e2e-retx") {
+			t.Fatalf("seed %d: link ARQ should cut e2e retransmissions", seed)
+		}
+		if r.MustGet("hop-by-hop+e2e loss=40%", "elapsed-ms") >= r.MustGet("e2e-only loss=40%", "elapsed-ms") {
+			t.Fatalf("seed %d: link ARQ should cut transfer time", seed)
+		}
+		// And it performs local work to do so.
+		if r.MustGet("hop-by-hop+e2e loss=40%", "local-resends") == 0 {
+			t.Fatalf("seed %d: no local resends recorded", seed)
+		}
+		// The e2e-only design does no in-network work at all.
+		if r.MustGet("e2e-only loss=40%", "local-resends") != 0 {
+			t.Fatalf("seed %d: e2e-only design shows local resends", seed)
+		}
+		// The completion clause is read from the rows, not asserted.
+		r.Rows[4].Values[0] = 0
+		if got, want := completionClause(r), "only 5 of 6 configurations complete"; got != want {
+			t.Fatalf("seed %d: completion clause with a failed row = %q, want %q", seed, got, want)
+		}
 	}
 }
 
@@ -514,25 +528,27 @@ func TestE28GoldSurvivesDegradationAndAttestationRejectsBurst(t *testing.T) {
 }
 
 func TestE29EveryStrategyBeatsSinglePath(t *testing.T) {
-	r := E29MultipathAvailability(testSeed)
-	single := r.MustGet("single-path", "availability")
-	if single <= 0 || single >= 1 {
-		t.Fatalf("single-path availability %v should be partial under the fault schedule", single)
-	}
-	for _, strat := range multipath.Strategies() {
-		a := r.MustGet(strat.Name(), "availability")
-		if a <= single {
-			t.Fatalf("%s availability %v not strictly above single-path %v", strat.Name(), a, single)
+	for _, seed := range []uint64{42, 7} {
+		r := E29MultipathAvailability(seed)
+		single := r.MustGet("single-path", "availability")
+		if single <= 0 || single >= 1 {
+			t.Fatalf("seed %d: single-path availability %v should be partial under the fault schedule", seed, single)
 		}
-		// Goodput is not the criterion (latency-weighted deliberately
-		// keeps favoring the fast path that keeps dying), but no
-		// strategy should pay more than a small goodput tax for its
-		// availability.
-		if r.MustGet(strat.Name(), "delivered-kb") < 0.9*r.MustGet("single-path", "delivered-kb") {
-			t.Fatalf("%s goodput collapsed relative to single-path", strat.Name())
-		}
-		if r.MustGet(strat.Name(), "demotions") <= 0 {
-			t.Fatalf("%s never demoted a path under the fault schedule", strat.Name())
+		for _, strat := range multipath.Strategies() {
+			a := r.MustGet(strat.Name(), "availability")
+			if a <= single {
+				t.Fatalf("seed %d: %s availability %v not strictly above single-path %v", seed, strat.Name(), a, single)
+			}
+			// Goodput is not the criterion (latency-weighted deliberately
+			// keeps favoring the fast path that keeps dying), but no
+			// strategy should pay more than a small goodput tax for its
+			// availability.
+			if r.MustGet(strat.Name(), "delivered-kb") < 0.9*r.MustGet("single-path", "delivered-kb") {
+				t.Fatalf("seed %d: %s goodput collapsed relative to single-path", seed, strat.Name())
+			}
+			if r.MustGet(strat.Name(), "demotions") <= 0 {
+				t.Fatalf("seed %d: %s never demoted a path under the fault schedule", seed, strat.Name())
+			}
 		}
 	}
 }

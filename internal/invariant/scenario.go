@@ -24,9 +24,9 @@ type TransferSpec struct {
 	Src   topology.NodeID `json:"src"`
 	Dst   topology.NodeID `json:"dst"`
 	Bytes int             `json:"bytes"`
-	// Multipath, when ≥ 2, runs the transfer over the multipath sender
-	// with that many requested paths (strategy derived deterministically
-	// from the value); 0 keeps the single-path transport. omitempty
+	// Multipath, when ≥ 2, stripes the transfer over that many
+	// requested source routes (strategy derived deterministically from
+	// the value); 0 sends it over one network-routed path. omitempty
 	// keeps old reproducers parseable.
 	Multipath int `json:"multipath,omitempty"`
 }

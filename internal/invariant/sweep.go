@@ -12,7 +12,6 @@ import (
 	"repro/internal/routing/linkstate"
 	"repro/internal/sim"
 	"repro/internal/topology"
-	"repro/internal/transport"
 	"repro/internal/transport/multipath"
 )
 
@@ -37,7 +36,7 @@ type hooks struct {
 	// and conservation close-out.
 	beforeFinish func(net *netsim.Network, c *Checker)
 	// corruptStream tampers with the transfer receiver's reassembled
-	// stream (single-path or multipath — it sees the raw bytes).
+	// stream (one path or striped — it sees the raw bytes).
 	corruptStream func(data []byte)
 	// mutateSnap tampers with one side of the merge-commutativity
 	// comparison.
@@ -139,9 +138,10 @@ func runScenario(sc *Scenario, enabled map[string]bool, hk *hooks) *trialResult 
 		sched.At(msToTime(tr.AtMs), func() { traces[i] = net.Send(tr.Src, data) })
 	}
 
-	// Optional reliable transfer — single-path transport, or the
-	// multipath sender when the spec asks for it (the stream-prefix
-	// invariant below holds for both, interleaved paths included).
+	// Optional reliable transfer — one network-routed path, or the
+	// multipath sender striping when the spec asks for it (the
+	// stream-prefix invariant below holds for both, interleaved paths
+	// included).
 	var xferState func() (done, failed bool)
 	var rcvData func() []byte
 	var sent []byte
@@ -150,6 +150,7 @@ func runScenario(sc *Scenario, enabled map[string]bool, hk *hooks) *trialResult 
 		for i := range sent {
 			sent[i] = byte(i*7 + 13)
 		}
+		var strat multipath.Strategy = multipath.Routed{}
 		if sp.Multipath >= 2 {
 			// Source-route forwarding is the multipath data plane; the
 			// sweep grants it everywhere, leaving the rerouter tables as
@@ -158,33 +159,21 @@ func runScenario(sc *Scenario, enabled map[string]bool, hk *hooks) *trialResult 
 				net.Node(id).HonorSourceRoutes = true
 			}
 			strats := multipath.Strategies()
-			strat := strats[sp.Multipath%len(strats)]
-			mrcv := multipath.InstallReceiver(net, sp.Dst, 7777)
-			mcfg := multipath.Config{
-				Paths: sp.Multipath, MaxPathLen: 8,
-				Window: 4, SegmentSize: 256,
-				RTO: 20 * sim.Millisecond, MaxRetries: 8,
-				Backoff: 2, MaxRTO: 200 * sim.Millisecond,
-				JitterFrac: 0.1, Seed: sc.Seed,
-				DemoteAfter: 2, ProbeEvery: 50 * sim.Millisecond, MaxProbes: 6,
-			}
-			msnd := multipath.NewSender(net, strat, sp.Src, sp.Dst, 7777, sent, mcfg)
-			sched.At(1*sim.Millisecond, msnd.Start)
-			xferState = func() (bool, bool) { return msnd.Done(), msnd.Failed() }
-			rcvData = func() []byte { return mrcv.Data }
-		} else {
-			rcv := transport.InstallReceiver(net, sp.Dst, 7777)
-			cfg := transport.Config{
-				Window: 4, SegmentSize: 256,
-				RTO: 20 * sim.Millisecond, MaxRetries: 8,
-				Backoff: 2, MaxRTO: 200 * sim.Millisecond,
-				JitterFrac: 0.1, Seed: sc.Seed,
-			}
-			snd := transport.NewSender(net, sp.Src, packet.MakeAddr(uint16(sp.Dst), 1), 7777, sent, cfg)
-			sched.At(1*sim.Millisecond, snd.Start)
-			xferState = func() (bool, bool) { return snd.Done(), snd.Failed() }
-			rcvData = func() []byte { return rcv.Data }
+			strat = strats[sp.Multipath%len(strats)]
 		}
+		rcv := multipath.InstallReceiver(net, sp.Dst, 7777)
+		cfg := multipath.Config{
+			Paths: sp.Multipath, MaxPathLen: 8,
+			Window: 4, SegmentSize: 256,
+			RTO: 20 * sim.Millisecond, MaxRetries: 8,
+			Backoff: 2, MaxRTO: 200 * sim.Millisecond,
+			JitterFrac: 0.1, Seed: sc.Seed,
+			DemoteAfter: 2, ProbeEvery: 50 * sim.Millisecond, MaxProbes: 6,
+		}
+		snd := multipath.NewSender(net, strat, sp.Src, sp.Dst, 7777, sent, cfg)
+		sched.At(1*sim.Millisecond, snd.Start)
+		xferState = func() (bool, bool) { return snd.Done(), snd.Failed() }
+		rcvData = func() []byte { return rcv.Data }
 	}
 
 	// Heal-reachability probes: fired after the restoration tail plus a
@@ -255,8 +244,8 @@ func runScenario(sc *Scenario, enabled map[string]bool, hk *hooks) *trialResult 
 	}
 
 	// Transport stream invariant (prefix + termination), identical for
-	// the single-path and multipath senders: interleaved paths and
-	// duplicate-bearing probes must still reassemble to an exact prefix.
+	// one path and many: interleaved paths and duplicate-bearing probes
+	// must still reassemble to an exact prefix.
 	if xferState != nil && enabled[Transport] {
 		if hk.corruptStream != nil {
 			hk.corruptStream(rcvData())

@@ -13,7 +13,7 @@ func benchTransfer(b *testing.B, loss float64) {
 		if loss > 0 {
 			InstallLossyLink(net, 2, loss, sim.NewRNG(uint64(i)))
 		}
-		stats, _ := Transfer(net, 1, 4, 9000, payload(16000), DefaultConfig())
+		stats, _ := transfer(net, 1, 4, payload(16000))
 		if !stats.Done {
 			b.Fatal("transfer failed")
 		}

@@ -1,3 +1,29 @@
+// Package transport holds the hop-by-hop reliability models that the
+// end-to-end arguments weigh (§VI-A; Saltzer, Reed & Clark is the
+// paper's reference [44]): in-network link ARQ, where each forwarding
+// node retransmits over its next link, and the plain lossy link it is
+// compared against. The end-to-end sender and receiver are the
+// multipath package's, run over one network-routed path
+// (multipath.Routed), so experiments compare two designs on one
+// reliable transport:
+//
+//   - end-to-end ARQ: only the endpoints retransmit; the network stays
+//     simple and transparent (the e2e-argument design);
+//   - hop-by-hop ARQ: each forwarding node also repairs losses on its
+//     outbound link, which can reduce retransmission span on lossy
+//     paths at the price of state and failure points inside the
+//     network.
+//
+// Link ARQ is modelled as per-link duplication with a probability of
+// success, resent locally until the downstream node takes the segment
+// or the retry budget runs out. Two properties the experiments surface:
+//
+//   - retransmission span: a loss near the destination costs only the
+//     last link's retransmission, not the whole path (the performance
+//     case *for* in-network function);
+//   - state and failure points: every custody node is a new place where
+//     the transfer can break — and none of it removes the need for
+//     end-to-end checking, which is the argument's core.
 package transport
 
 import (
@@ -6,23 +32,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
-
-// Hop-by-hop reliability: the in-network alternative the end-to-end
-// argument weighs. Each participating node holds a copy of every
-// forwarded data segment and retransmits over its next link until the
-// downstream node is seen to have taken custody. The implementation
-// models link-layer ARQ as per-link duplication with probability of
-// success, realized by resending through the simulator until the
-// next-hop trace confirms receipt.
-//
-// Two properties the experiments surface:
-//
-//   - retransmission span: a loss near the destination costs only the
-//     last link's retransmission, not the whole path (the performance
-//     case *for* in-network function);
-//   - state and failure points: every custody node is a new place where
-//     the transfer can break — and none of it removes the need for
-//     end-to-end checking, which is the argument's core.
 
 // LinkARQ wraps a node so that every data segment it forwards is
 // retried locally against the next hop until delivered or the retry

@@ -38,16 +38,16 @@ func fuzzAck(ack uint32, echo uint16) []byte {
 	return data
 }
 
-// FuzzMultipathAck feeds hostile ACK bytes to a sender whose every
-// outstanding flight has already been retransmitted once, then checks
-// the state machine's safety invariants: no panic on arbitrary bytes,
-// the cumulative ACK clamped to the stream (a forged 32-bit Ack must
-// not drive a 4-billion-step loop or push acked past the segment
-// count), estimators inside their domains, and — the Karn rule — no
-// RTT sample ever taken from a retransmitted flight, no matter what
-// sequence numbers the ACK claims (SRTT must stay zero because only
-// retransmitted flights exist). Timer hygiene is checked last: once
-// the transfer terminates, no scheduler events may survive.
+// FuzzMultipathAck feeds hostile ACK bytes to senders over one, two and
+// three of fuzzCands() (the one-path sender never demotes; the others
+// do) once every initial flight has timed out, then checks the state
+// machine's safety invariants: no panic on arbitrary bytes, the
+// cumulative ACK clamped to the stream (a forged 32-bit Ack must not
+// drive a 4-billion-step loop or push acked past the segment count),
+// estimators inside their domains, and — the Karn rule — no RTT sample
+// ever taken from a retransmitted flight, no matter what sequence
+// numbers the ACK claims. Timer hygiene is checked last: once the
+// transfer terminates, no scheduler events may survive.
 // The committed seed corpus lives in testdata/fuzz/FuzzMultipathAck
 // (regenerate with MP_FUZZ_CORPUS_REGEN=1 go test ./internal/transport/multipath
 // -run TestRegenMultipathAckCorpus); CI runs a short -fuzz smoke.
@@ -56,51 +56,68 @@ func FuzzMultipathAck(f *testing.F) {
 		f.Add(c.seed, c.data)
 	}
 	f.Fuzz(func(t *testing.T, seed uint64, data []byte) {
-		sched := sim.NewScheduler()
-		cfg := DefaultConfig()
-		cfg.Seed = seed
-		cfg.Window = 4
-		cfg.SegmentSize = 64
-		cfg.RTO = 10 * sim.Millisecond
-		cfg.MaxRTO = 50 * sim.Millisecond
-		cfg.MaxRetries = 3
-		cfg.ProbeEvery = 20 * sim.Millisecond
-		cfg.MaxProbes = 3
-		s := NewDriverSender(
-			Driver{Clock: SimClock{sched}, Xmit: func(p *Path, seq uint32) error { return nil }},
-			&ShortestK{}, fuzzCands(), 8, 9, 7000, make([]byte, 4*64), cfg)
-		s.Start()
-		// Let every initial flight time out once: with RTO 10ms and
-		// jitter ≤ 10%, by 12ms all four segments have been
-		// retransmitted, so every inflight entry is marked retx and no
-		// legitimate RTT sample can exist.
-		sched.RunUntil(12 * sim.Millisecond)
-		s.HandleAck(data)
-		s.HandleAck(data) // replay: same bytes twice must be harmless
-		// Drain: MaxRetries/MaxProbes bound the remaining timer chains.
-		sched.RunUntil(sched.Now() + 5*sim.Second)
-
-		if got, max := s.Acked(), uint32(len(make([]byte, 4*64))/64); got > max {
-			t.Fatalf("hostile ACK pushed acked to %d (stream has %d segments)", got, max)
-		}
-		for _, p := range s.Paths() {
-			if p.Loss < 0 || p.Loss > 1 {
-				t.Fatalf("path %d loss estimator out of [0,1]: %v", p.Index, p.Loss)
-			}
-			if p.SRTT < 0 || p.RTTVar < 0 {
-				t.Fatalf("path %d negative RTT estimator: srtt=%v rttvar=%v", p.Index, p.SRTT, p.RTTVar)
-			}
-			if p.SRTT != 0 {
-				t.Fatalf("path %d took an RTT sample from a retransmitted flight (Karn violation): srtt=%v", p.Index, p.SRTT)
-			}
-		}
-		if !s.Done() && !s.Failed() {
-			t.Fatalf("sender neither done nor failed after timers drained")
-		}
-		if n := sched.Pending(); n != 0 {
-			t.Fatalf("%d timers leaked after terminal state", n)
+		for n := 1; n <= len(fuzzCands()); n++ {
+			fuzzAckOnPaths(t, seed, data, n)
 		}
 	})
+}
+
+// fuzzAckOnPaths is one FuzzMultipathAck run against a sender over the
+// first n candidate paths.
+func fuzzAckOnPaths(t *testing.T, seed uint64, data []byte, n int) {
+	sched := sim.NewScheduler()
+	cfg := DefaultConfig()
+	cfg.Seed = seed
+	cfg.Window = 4
+	cfg.SegmentSize = 64
+	cfg.RTO = 10 * sim.Millisecond
+	cfg.MaxRTO = 50 * sim.Millisecond
+	cfg.MaxRetries = 3
+	cfg.ProbeEvery = 20 * sim.Millisecond
+	cfg.MaxProbes = 3
+	s := NewDriverSender(
+		Driver{Clock: SimClock{sched}, Xmit: func(p *Path, seq uint32) error { return nil }},
+		&ShortestK{}, fuzzCands()[:n], 8, 9, 7000, make([]byte, 4*64), cfg)
+	s.Start()
+	// Let every initial flight time out once: with RTO 10ms and
+	// jitter ≤ 10%, by 12ms all four segments have timed out and been
+	// retransmitted, so no legitimate RTT sample can exist — except on
+	// two paths, where each path's second timeout demotes it and the
+	// last flight to time out finds no active path and parks, sent only
+	// once. An ACK covering that flight samples it, on its own path, at
+	// exactly its age; clean records those ages.
+	sched.RunUntil(12 * sim.Millisecond)
+	clean := map[int]sim.Time{}
+	for i := range s.flights {
+		if fl := &s.flights[i]; fl.live && !fl.retx {
+			clean[fl.path] = sched.Now() - fl.sentAt
+		}
+	}
+	s.HandleAck(data)
+	s.HandleAck(data) // replay: same bytes twice must be harmless
+	// Drain: MaxRetries/MaxProbes bound the remaining timer chains.
+	sched.RunUntil(sched.Now() + 5*sim.Second)
+
+	if got, max := s.Acked(), uint32(len(make([]byte, 4*64))/64); got > max {
+		t.Fatalf("%d paths: hostile ACK pushed acked to %d (stream has %d segments)", n, got, max)
+	}
+	for _, p := range s.Paths() {
+		if p.Loss < 0 || p.Loss > 1 {
+			t.Fatalf("%d paths: path %d loss estimator out of [0,1]: %v", n, p.Index, p.Loss)
+		}
+		if p.SRTT < 0 || p.RTTVar < 0 {
+			t.Fatalf("%d paths: path %d negative RTT estimator: srtt=%v rttvar=%v", n, p.Index, p.SRTT, p.RTTVar)
+		}
+		if p.SRTT != 0 && p.SRTT != clean[p.Index] {
+			t.Fatalf("%d paths: path %d took an RTT sample from a retransmitted flight (Karn violation): srtt=%v", n, p.Index, p.SRTT)
+		}
+	}
+	if !s.Done() && !s.Failed() {
+		t.Fatalf("%d paths: sender neither done nor failed after timers drained", n)
+	}
+	if left := sched.Pending(); left != 0 {
+		t.Fatalf("%d paths: %d timers leaked after terminal state", n, left)
+	}
 }
 
 // fuzzCorpus is the committed hostile-ACK seed set: valid cumulative

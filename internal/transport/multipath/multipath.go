@@ -1,13 +1,16 @@
-// Package multipath implements reliable multipath transport: a stream
-// striped across k user-discovered source routes, with per-path failure
-// detection and failover. It is the data-plane half of the paper's
-// "design for choice" prescription (§IV-B, §V-A4): where
-// internal/transport commits a transfer to whatever path the network's
-// routing tussle produces, this sender holds several link-disjoint
-// routes at once and reacts to each path's fate independently — a link
-// flap, a provider crash, or a partition kills at most the paths that
-// cross it, and the stream migrates to the survivors within a few
-// retransmission timeouts instead of stalling for the fault's duration.
+// Package multipath implements reliable transport over one or more
+// paths, with per-path failure detection and failover. Striped across k
+// user-discovered source routes, it is the data-plane half of the
+// paper's "design for choice" prescription (§IV-B, §V-A4): the sender
+// holds several link-disjoint routes at once and reacts to each path's
+// fate independently — a link flap, a provider crash, or a partition
+// kills at most the paths that cross it, and the stream migrates to the
+// survivors within a few retransmission timeouts instead of stalling for
+// the fault's duration. With the Routed strategy it is the single-path
+// end-to-end ARQ of the end-to-end arguments (§VI-A): one path that
+// follows whatever route the network's routing tussle produces, and
+// retransmits with backoff until it gives up. internal/transport holds
+// the hop-by-hop link models that E21 weighs against it.
 //
 // Per-path machinery, mirroring a real multipath transport in
 // miniature:
@@ -19,7 +22,8 @@
 //   - loss: an EWMA over timeout/delivery outcomes per path, fed to
 //     loss-adaptive scheduling;
 //   - demotion: consecutive timeouts demote a path to probation, where
-//     it carries no new data;
+//     it carries no new data — unless it is the sender's only path,
+//     which has nowhere to move its traffic and keeps retransmitting;
 //   - probation probing: a demoted path is probed with duplicate
 //     copies of the lowest unacknowledged segment (harmless to the
 //     receiver, which deduplicates) until it answers or exhausts its
@@ -44,7 +48,6 @@ package multipath
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/netsim"
 	"repro/internal/obs"
@@ -85,16 +88,18 @@ type Config struct {
 	// probes declare the path dead.
 	ProbeEvery sim.Time
 	MaxProbes  int
-	// Seed drives the jitter RNGs (mixed with endpoints, as in
-	// transport.Config, then forked once per path).
+	// Seed drives the jitter RNGs (mixed with the endpoints, so
+	// concurrent transfers jitter independently, then forked once per
+	// path).
 	Seed uint64
 	// ContentType declares what the stream carries (TTP.Next).
 	ContentType packet.LayerType
 }
 
-// DefaultConfig mirrors transport.DefaultConfig with multipath knobs:
-// three paths, a demotion trigger fast enough to migrate within two
-// RTOs, and probing that revives a healed path in ~150ms.
+// DefaultConfig returns laptop-scale defaults: exponential backoff
+// (doubling from 60ms, capped at one second) with 10% deterministic
+// jitter, three paths, a demotion trigger fast enough to migrate within
+// two RTOs, and probing that revives a healed path in ~150ms.
 func DefaultConfig() Config {
 	return Config{
 		Paths: 3, MaxPathLen: 8, Window: 16, SegmentSize: 512,
@@ -567,7 +572,9 @@ func (s *Sender) timeout(fl *flight) {
 	if s.drv.Trace != nil {
 		s.tracef("timeout seq=%d path=%d consec=%d loss=%.4f", seq, p.Index, p.Consec, p.Loss)
 	}
-	if p.State == PathActive && p.Consec >= s.cfg.DemoteAfter {
+	// Demotion moves traffic to another path; a sender's only path has
+	// none, so it keeps retransmitting with backoff until MaxRetries.
+	if p.State == PathActive && p.Consec >= s.cfg.DemoteAfter && len(s.paths) > 1 {
 		s.demote(p)
 	}
 	fl.retries++
@@ -680,10 +687,12 @@ func (s *Sender) credit(p *Path) {
 	}
 }
 
-// HandleAck consumes ACKs for our connection; returns false for
-// unrelated traffic. It is the driver senders' ingress (the wire
-// engine's read loop calls it under the sender lock); on the netsim
-// substrate Start wires it to the node's delivery hook. Hostile input
+// HandleAck consumes ACKs for our connection — those sent to the
+// sender's source port from its destination port, since senders on one
+// node share the source port — and returns false for unrelated
+// traffic. It is the driver senders' ingress (the wire engine's read
+// loop calls it under the sender lock); on the netsim substrate Start
+// wires it to the node's delivery hook. Hostile input
 // is tolerated: a cumulative ACK beyond the stream, an out-of-range
 // path echo, or a replayed sequence number cannot poison the
 // estimators or panic (FuzzMultipathAck pins this).
@@ -696,7 +705,7 @@ func (s *Sender) HandleAck(data []byte) bool {
 	if err := ttp.DecodeFrom(tip.LayerPayload()); err != nil {
 		return false
 	}
-	if ttp.Flags&packet.FlagACK == 0 || ttp.DstPort != s.src {
+	if ttp.Flags&packet.FlagACK == 0 || ttp.DstPort != s.src || ttp.SrcPort != s.port {
 		return false
 	}
 	if s.failed {
@@ -985,10 +994,4 @@ func Fairness(paths []Path) float64 {
 		return 0
 	}
 	return sum * sum / (float64(len(paths)) * sumsq)
-}
-
-// SortPathsByIndex orders a Paths() snapshot by index (defensive: the
-// snapshot is already ordered; kept for callers that filter).
-func SortPathsByIndex(paths []Path) {
-	sort.Slice(paths, func(i, j int) bool { return paths[i].Index < paths[j].Index })
 }

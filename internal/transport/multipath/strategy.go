@@ -28,8 +28,9 @@ type Strategy interface {
 	Pick(eligible []*Path) *Path
 }
 
-// Strategies returns fresh instances of every built-in strategy in
-// canonical order. Fresh: strategies carry scheduling state (rotation
+// Strategies returns fresh instances of every built-in striping
+// strategy in canonical order (Routed, which stripes over nothing, is
+// not one). Fresh: strategies carry scheduling state (rotation
 // counters, weighting credit), so instances must not be shared across
 // senders.
 func Strategies() []Strategy {
@@ -50,6 +51,25 @@ func StrategyByName(name string) (Strategy, error) {
 	}
 	return nil, fmt.Errorf("multipath: unknown strategy %q", name)
 }
+
+// Routed is the single-path strategy: its one candidate is the bare
+// endpoint pair, which carries no source route, so every segment
+// follows whatever path the network's own routing tussle produces. It
+// is path selection's degenerate case, the baseline the end-to-end
+// experiments (E21) and design for choice (E29) measure. It stays out
+// of Strategies() because it makes no choice.
+type Routed struct{}
+
+// Name implements Strategy.
+func (Routed) Name() string { return "routed" }
+
+// Discover implements Strategy: the endpoints alone, whatever k asks.
+func (Routed) Discover(g *topology.Graph, src, dst topology.NodeID, k, maxLen int) []srcroute.Candidate {
+	return []srcroute.Candidate{{Path: []topology.NodeID{src, dst}}}
+}
+
+// Pick implements Strategy: the only path.
+func (Routed) Pick(eligible []*Path) *Path { return eligible[0] }
 
 // ShortestK stripes round-robin over the k latency-shortest candidate
 // paths regardless of overlap — the throughput-first strategy. Shared
