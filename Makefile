@@ -12,11 +12,17 @@ all: vet build test
 build:
 	$(GO) build ./...
 
+# bench/ is its own module (repro/bench, replacing repro with ../), so
+# ./... at the root never compiles it; vet and test it explicitly, or a
+# change deleting something only bench/ uses would first fail in
+# bash bench/run.sh.
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 
 test:
 	$(GO) test ./...
+	cd bench && $(GO) test ./...
 
 # The parallel experiment runner is the repo's only intentional
 # concurrency; -race on every change keeps it honest.

@@ -7,9 +7,11 @@
 //	policyc eval FILE attr=value ...
 //
 // check parses the document and, with -vocab, reports attributes outside
-// the ontology (tussles the enforcement point cannot capture). eval runs
-// the document against an environment built from attr=value arguments:
-// values parse as numbers or booleans when possible, else strings.
+// the ontology (tussles the enforcement point cannot capture). eval
+// compiles the document and runs it on the policy VM under
+// policy.DefaultBudget against an environment built from attr=value
+// arguments: finite decimal values bind as numbers, true and false as
+// booleans, anything else as a string.
 package main
 
 import (
@@ -60,7 +62,12 @@ func main() {
 			}
 			env[parts[0]] = parseValue(parts[1])
 		}
-		d, errs := policy.Evaluate(doc, env)
+		cd, err := policy.CompileDocument(doc)
+		if err != nil {
+			fatal("%v", err)
+		}
+		budget := policy.DefaultBudget()
+		d, errs := cd.Evaluate(env, &budget)
 		for _, e := range errs {
 			fmt.Fprintf(os.Stderr, "warning: %v\n", e)
 		}
@@ -93,9 +100,14 @@ func defaultOf(doc *policy.Document) string {
 	return "deny (implicit)"
 }
 
+// parseValue binds s as a number only when it is a finite decimal:
+// strconv.ParseFloat alone would also turn NaN, Inf and hex spellings
+// such as "Nan" or "0x1p4" into numbers.
 func parseValue(s string) policy.Value {
-	if n, err := strconv.ParseFloat(s, 64); err == nil {
-		return policy.Num(n)
+	if strings.Trim(s, "0123456789+-.eE") == "" {
+		if n, err := strconv.ParseFloat(s, 64); err == nil {
+			return policy.Num(n)
+		}
 	}
 	if s == "true" || s == "false" {
 		return policy.Bool(s == "true")

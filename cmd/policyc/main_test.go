@@ -17,6 +17,13 @@ func TestParseValue(t *testing.T) {
 		{"false", policy.Bool(false)},
 		{"hello", policy.Str("hello")},
 		{"80x", policy.Str("80x")},
+		{"1e3", policy.Num(1000)},
+		{"Nan", policy.Str("Nan")},
+		{"inf", policy.Str("inf")},
+		{"Infinity", policy.Str("Infinity")},
+		{"0x1p4", policy.Str("0x1p4")},
+		{"1e999", policy.Str("1e999")},
+		{"1_000", policy.Str("1_000")},
 	}
 	for _, c := range cases {
 		if got := parseValue(c.in); !got.Equal(c.want) {

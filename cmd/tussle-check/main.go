@@ -11,6 +11,10 @@
 //	tussle-check -repro repro.json                    # write first shrunk repro
 //	tussle-check -replay repro.json                   # re-run a reproducer
 //	tussle-check -multipath -trials 300               # stress the multipath data plane
+//	tussle-check -sharded -trials 500 -shards 4       # sweep the sharded core
+//
+// A flag the chosen mode ignores (-repro with -sharded, -shards without
+// it, anything but -invariants with -replay) exits 2.
 package main
 
 import (
@@ -18,6 +22,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"strings"
 
 	"repro/internal/invariant"
 )
@@ -43,6 +49,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 		verbose    = fs.Bool("v", false, "print per-failure violation details")
 	)
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	// Each mode reads only some of the flags. One set explicitly that the
+	// chosen mode would ignore is an error: -sharded -repro r.json must
+	// not exit 1 on a failure without writing r.json.
+	mode, reads := "without -sharded", "trials seed invariants shrink maxshrink repro multipath sharded v"
+	switch {
+	case *replayPath != "":
+		mode, reads = "with -replay", "replay invariants"
+	case *sharded:
+		mode, reads = "with -sharded", "sharded shards trials seed invariants v"
+	}
+	ignored := ""
+	fs.Visit(func(f *flag.Flag) {
+		if ignored == "" && !slices.Contains(strings.Fields(reads), f.Name) {
+			ignored = f.Name
+		}
+	})
+	if ignored != "" {
+		fmt.Fprintf(stderr, "tussle-check: -%s has no effect %s\n", ignored, mode)
 		return 2
 	}
 	enabled, err := invariant.ParseSet(*invariants)

@@ -66,3 +66,33 @@ func TestReplayRejectsMalformed(t *testing.T) {
 		t.Fatalf("exit %d, want 2", code)
 	}
 }
+
+func TestRunRejectsFlagsTheModeIgnores(t *testing.T) {
+	repro := filepath.Join(t.TempDir(), "r.json")
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-sharded", "-trials", "1", "-repro", repro}, "-repro has no effect with -sharded"},
+		{[]string{"-sharded", "-trials", "1", "-shrink=false"}, "-shrink has no effect with -sharded"},
+		{[]string{"-sharded", "-trials", "1", "-maxshrink", "10"}, "-maxshrink has no effect with -sharded"},
+		{[]string{"-sharded", "-trials", "1", "-multipath"}, "-multipath has no effect with -sharded"},
+		{[]string{"-replay", "missing.json", "-sharded"}, "-sharded has no effect with -replay"},
+		{[]string{"-replay", "missing.json", "-trials", "5"}, "-trials has no effect with -replay"},
+		{[]string{"-trials", "1", "-shards", "4"}, "-shards has no effect without -sharded"},
+	}
+	for _, c := range cases {
+		var out, errb bytes.Buffer
+		if code := run(c.args, &out, &errb); code != 2 || !strings.Contains(errb.String(), c.want) {
+			t.Errorf("%v: exit %d, stderr %q; want exit 2 naming %q", c.args, code, errb.String(), c.want)
+		}
+	}
+}
+
+func TestRunShardedSweep(t *testing.T) {
+	var out, errb bytes.Buffer
+	code := run([]string{"-sharded", "-trials", "2", "-seed", "42", "-shards", "2"}, &out, &errb)
+	if code != 0 || !strings.Contains(out.String(), "2 sharded trials clean") {
+		t.Fatalf("exit %d, stdout %q, stderr %q", code, out.String(), errb.String())
+	}
+}

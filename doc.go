@@ -4,9 +4,11 @@
 // architecture toolkit plus the simulated substrates its arguments rest
 // on.
 //
-// The root package holds only documentation and the benchmark harness
-// (bench_test.go) that regenerates every experiment table; the library
-// lives under internal/ — see DESIGN.md for the system inventory and the
-// per-experiment index, and EXPERIMENTS.md for claim-vs-measured
+// The root package holds only documentation, the benchmark harness
+// (bench_test.go) that regenerates every experiment table, and the
+// surface guard (surface_test.go) that fails on exported code under
+// internal/ that no experiment, CLI, example or benchmark reaches; the
+// library lives under internal/ — see DESIGN.md for the system inventory
+// and the per-experiment index, and EXPERIMENTS.md for claim-vs-measured
 // results.
 package repro

@@ -40,6 +40,15 @@ policy "pinhole-admission" {
 }
 `
 
+// dataPlaneVocabulary is the attribute ontology a firewall can read off
+// a data packet's headers. Anything else a policy references cannot be
+// enforced on the data plane.
+var dataPlaneVocabulary = []string{
+	"src-provider", "dst-provider", "port", "src-port", "tos",
+	"direction", "identity-scheme", "identity", "encrypted",
+	"inspectable", "tunneled", "has-payment",
+}
+
 func main() {
 	doc, err := policy.Parse(admission)
 	if err != nil {
@@ -47,10 +56,10 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("admission policy %q: attributes %v\n", doc.Name, doc.Attributes())
-	if out := policy.Analyze(doc, middlebox.Vocabulary); len(out) > 0 {
+	if out := policy.Analyze(doc, dataPlaneVocabulary); len(out) > 0 {
 		// "reputation" and "requested-port" are control-channel
 		// attributes beyond the data-plane vocabulary; the negotiable
-		// firewall understands them, a plain policy firewall would not.
+		// firewall understands them, a data-plane firewall could not.
 		fmt.Printf("(attributes beyond the data-plane ontology: %v — only the control channel can evaluate them)\n\n", out)
 	}
 
@@ -76,7 +85,12 @@ func main() {
 		rep.Report("alice", true, nil)
 		rep.Report("mallory", false, nil)
 	}
-	fw := &middlebox.NegotiableFirewall{Label: "site-fw", Doc: doc, Rep: rep,
+	compiled, err := policy.CompileDocument(doc)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	fw := &middlebox.NegotiableFirewall{Label: "site-fw", Doc: compiled, Rep: rep,
 		AlwaysOpen: map[uint16]bool{80: true}}
 	net.Node(3).AddMiddlebox(fw)
 

@@ -43,8 +43,16 @@ func TestMailSpamFiltering(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		offered = append(offered, Message{Spam: i%2 == 0})
 	}
-	rate := InboxSpamRate(s, offered, rng)
-	if rate > 0.10 {
+	inboxSpam, inbox := 0, 0
+	for _, m := range offered {
+		if s.Handle(m, rng) {
+			inbox++
+			if m.Spam {
+				inboxSpam++
+			}
+		}
+	}
+	if rate := float64(inboxSpam) / float64(inbox); rate > 0.10 {
 		t.Fatalf("inbox spam rate = %v with a 95%% filter", rate)
 	}
 	if s.Filtered == 0 || s.Delivered == 0 {
@@ -63,78 +71,6 @@ func TestMailUnreliableLosesMail(t *testing.T) {
 	}
 	if delivered < 400 || delivered > 600 {
 		t.Fatalf("delivered %d/1000 at 50%% reliability", delivered)
-	}
-}
-
-func TestCentralIndexTakedownKillsEverything(t *testing.T) {
-	rng := sim.NewRNG(3)
-	idx := NewCentralIndex()
-	catalog := []string{"song-a", "song-b", "song-c"}
-	swarm := NewSwarm(idx, 20, catalog, 3, rng)
-	if swarm.Availability() != 1 {
-		t.Fatalf("initial availability = %v", swarm.Availability())
-	}
-	if !idx.TakedownNode() {
-		t.Fatal("takedown failed")
-	}
-	if swarm.Availability() != 0 {
-		t.Fatalf("availability after central takedown = %v, want 0", swarm.Availability())
-	}
-	if idx.TakedownNode() {
-		t.Fatal("second takedown of a dead index should fail")
-	}
-}
-
-func TestDistributedIndexSurvivesTakedowns(t *testing.T) {
-	rng := sim.NewRNG(4)
-	idx := NewDistributedIndex(20, 3, rng)
-	catalog := []string{"song-a", "song-b", "song-c", "song-d", "song-e"}
-	swarm := NewSwarm(idx, 50, catalog, 3, rng)
-	if swarm.Availability() != 1 {
-		t.Fatalf("initial availability = %v", swarm.Availability())
-	}
-	// The same single legal action that killed Napster barely dents it.
-	idx.TakedownNode()
-	if swarm.Availability() < 0.8 {
-		t.Fatalf("availability after one node takedown = %v", swarm.Availability())
-	}
-	// Even half the nodes down leaves most content findable.
-	for i := 0; i < 9; i++ {
-		idx.TakedownNode()
-	}
-	if swarm.Availability() < 0.5 {
-		t.Fatalf("availability with 10/20 nodes down = %v", swarm.Availability())
-	}
-}
-
-func TestTakedownFileRemovesEntries(t *testing.T) {
-	rng := sim.NewRNG(5)
-	idx := NewDistributedIndex(5, 2, rng)
-	swarm := NewSwarm(idx, 10, []string{"infringing", "legit"}, 2, rng)
-	removed := idx.TakedownFile("infringing")
-	if removed == 0 {
-		t.Fatal("no entries removed")
-	}
-	if swarm.Fetch("infringing") {
-		t.Fatal("file still fetchable after full takedown")
-	}
-	if !swarm.Fetch("legit") {
-		t.Fatal("unrelated file damaged")
-	}
-}
-
-func TestSwarmUploadCredit(t *testing.T) {
-	rng := sim.NewRNG(6)
-	idx := NewCentralIndex()
-	swarm := NewSwarm(idx, 10, []string{"f"}, 1, rng)
-	for i := 0; i < 5; i++ {
-		if !swarm.Fetch("f") {
-			t.Fatal("fetch failed")
-		}
-	}
-	top := swarm.TopUploaders(1)
-	if len(top) != 1 || swarm.UploadCredit[top[0]] != 5 {
-		t.Fatalf("top uploaders = %v credit=%v", top, swarm.UploadCredit)
 	}
 }
 
@@ -190,12 +126,6 @@ func TestVoIPScore(t *testing.T) {
 	if mid <= 1 || mid >= 4.4 {
 		t.Fatalf("mid score = %v", mid)
 	}
-	if !VoIPAcceptable(100 * sim.Millisecond) {
-		t.Fatal("100ms should be acceptable")
-	}
-	if VoIPAcceptable(390 * sim.Millisecond) {
-		t.Fatal("390ms should not be acceptable")
-	}
 }
 
 func TestVoIPScoreMonotoneQuick(t *testing.T) {
@@ -208,27 +138,6 @@ func TestVoIPScoreMonotoneQuick(t *testing.T) {
 		return VoIPScore(d1) >= VoIPScore(d2)
 	}
 	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDistributedIndexReplicationQuick(t *testing.T) {
-	// Any file published survives up to Replication-1 adversarial node
-	// losses among its replica set... statistically: random single
-	// takedown keeps availability high.
-	f := func(seed uint64) bool {
-		rng := sim.NewRNG(seed)
-		idx := NewDistributedIndex(10, 3, rng)
-		idx.Publish(1, "f")
-		idx.TakedownNode()
-		idx.TakedownNode()
-		// With 3 replicas on 10 nodes and 2 random takedowns, the file
-		// is usually still up; we only require consistency: if Lookup
-		// finds it, fetching must succeed.
-		peers := idx.Lookup("f")
-		return peers == nil || len(peers) > 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,9 +1,8 @@
 // Package apps implements the application substrates the paper's
 // arguments run over: the mail system with user-selectable servers
 // (§IV-B's design-for-choice example), the web with caches (§VI-A's
-// mature-application enhancement), Napster-style peer-to-peer sharing
-// (§I's rights-holder tussle and §IV-C's "mutual aid" value flow), and a
-// VoIP quality model (the §VII QoS deployment story's demand side).
+// mature-application enhancement), and a VoIP quality model (the §VII
+// QoS deployment story's demand side).
 package apps
 
 import (
@@ -83,23 +82,4 @@ func (s *MailServer) Handle(m Message, rng *sim.RNG) bool {
 	}
 	s.Delivered++
 	return true
-}
-
-// InboxSpamRate reports the fraction of delivered mail that was spam,
-// given counts of spam/ham offered. It is the user-facing quality metric
-// that drives server choice.
-func InboxSpamRate(s *MailServer, offered []Message, rng *sim.RNG) float64 {
-	inboxSpam, inboxTotal := 0, 0
-	for _, m := range offered {
-		if s.Handle(m, rng) {
-			inboxTotal++
-			if m.Spam {
-				inboxSpam++
-			}
-		}
-	}
-	if inboxTotal == 0 {
-		return 0
-	}
-	return float64(inboxSpam) / float64(inboxTotal)
 }

@@ -121,6 +121,3 @@ func VoIPScore(delay sim.Time) float64 {
 		return 4.4 - (ms-150)*(3.4/250)
 	}
 }
-
-// VoIPAcceptable reports whether users tolerate the call quality.
-func VoIPAcceptable(delay sim.Time) bool { return VoIPScore(delay) >= 3.0 }

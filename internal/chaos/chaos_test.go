@@ -333,13 +333,18 @@ func TestByzantineBurstTrustModes(t *testing.T) {
 	}
 }
 
+// kindLog is an Observer that records the kind of each fault applied.
+type kindLog []Kind
+
+func (l *kindLog) Fault(ev Event, _ sim.Time) { *l = append(*l, ev.Kind) }
+
 func TestFlapNotifiesPerToggle(t *testing.T) {
 	g := diamond()
 	sched := sim.NewScheduler()
 	net := netsim.New(sched, g)
 	e := New(net, 1)
-	var kinds []Kind
-	e.Observe(ObserverFunc(func(ev Event, now sim.Time) { kinds = append(kinds, ev.Kind) }))
+	var kinds kindLog
+	e.Observe(&kinds)
 	p := &Plan{Events: []Event{{AtMs: 10, Kind: LinkFlap, A: 1, B: 2, PeriodMs: 5, Count: 4}}}
 	if err := e.Schedule(p); err != nil {
 		t.Fatal(err)

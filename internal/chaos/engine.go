@@ -18,12 +18,6 @@ type Observer interface {
 	Fault(ev Event, now sim.Time)
 }
 
-// ObserverFunc adapts a function to the Observer interface.
-type ObserverFunc func(ev Event, now sim.Time)
-
-// Fault implements Observer.
-func (f ObserverFunc) Fault(ev Event, now sim.Time) { f(ev, now) }
-
 // Engine replays fault plans onto a network. Create one per simulation
 // with New, bind optional consumers (AdDB for byzantine bursts), register
 // observers, then Schedule one or more plans before running the

@@ -247,28 +247,6 @@ func TestLedgerConservationQuick(t *testing.T) {
 	}
 }
 
-func TestMicropaymentBreakeven(t *testing.T) {
-	card := FeeSchedule{Name: "credit-card", Fixed: 0.30, Rate: 0.03}
-	breakeven := card.MicropaymentViability()
-	if breakeven < 0.30 || breakeven > 0.32 {
-		t.Fatalf("breakeven = %v", breakeven)
-	}
-	// A 1-cent payment delivers nothing net of fees.
-	if net := card.NetDelivered(100, 0.01); net != 0 {
-		t.Fatalf("micropayments net = %v, want 0", net)
-	}
-	// A $100 payment is fine.
-	if net := card.NetDelivered(1, 100); net <= 95 {
-		t.Fatalf("large payment net = %v", net)
-	}
-	// An aggregator bundling 1000 micropayments into one charge wins.
-	aggregated := card.NetDelivered(1, 10) // 1000 * $0.01 bundled
-	direct := card.NetDelivered(1000, 0.01)
-	if aggregated <= direct {
-		t.Fatal("aggregation should beat per-transaction micropayments")
-	}
-}
-
 func TestGreedPricingRatchetsWithoutCompetition(t *testing.T) {
 	rng := sim.NewRNG(8)
 	mono := &Provider{Name: "mono", Cost: 1, Offer: Offer{Price: 3}, Strat: &GreedPricing{Step: 0.5}}
@@ -276,41 +254,6 @@ func TestGreedPricingRatchetsWithoutCompetition(t *testing.T) {
 	m.Run(30)
 	if mono.Offer.Price <= 10 {
 		t.Fatalf("monopolist price = %v, should ratchet upward", mono.Offer.Price)
-	}
-}
-
-func TestAdaptivePricingBothModes(t *testing.T) {
-	// Locked-in consumers: adaptive pricing ratchets upward.
-	rng := sim.NewRNG(9)
-	locked := &Provider{Name: "a", Cost: 2, Offer: Offer{Price: 5}, Strat: &AdaptivePricing{Step: 0.25}}
-	rival := &Provider{Name: "b", Cost: 2, Offer: Offer{Price: 5}, Strat: StaticPricing{}}
-	consumers := mkConsumers(50, 30, 100) // effectively immobile
-	m := NewMarket(rng, []*Provider{locked, rival}, consumers)
-	for _, c := range consumers {
-		c.Provider = 0
-	}
-	m.Run(40)
-	if locked.Offer.Price <= 10 {
-		t.Fatalf("locked-in adaptive price = %v, should ratchet", locked.Offer.Price)
-	}
-	// Mobile consumers with heterogeneous switching costs: subscribers
-	// bleed away gradually as the price probes upward, and the fear
-	// response chases the rival down.
-	rng2 := sim.NewRNG(9)
-	fearful := &Provider{Name: "a", Cost: 2, Offer: Offer{Price: 6}, Strat: &AdaptivePricing{Step: 0.25}}
-	cheap := &Provider{Name: "b", Cost: 2, Offer: Offer{Price: 5}, Strat: StaticPricing{}}
-	consumers2 := mkConsumers(50, 30, 0.5)
-	for i, c := range consumers2 {
-		c.Provider = 0
-		c.SwitchCost = 1 + float64(i)*0.25
-	}
-	m2 := NewMarket(rng2, []*Provider{fearful, cheap}, consumers2)
-	for _, c := range consumers2 {
-		c.Provider = 0
-	}
-	m2.Run(60)
-	if fearful.Offer.Price >= 6 {
-		t.Fatalf("mobile-market adaptive price = %v, should chase the rival down", fearful.Offer.Price)
 	}
 }
 
@@ -324,9 +267,6 @@ func TestStrategyNames(t *testing.T) {
 	if (&GreedPricing{}).Name() != "greed" {
 		t.Fatal("greed name")
 	}
-	if (&AdaptivePricing{}).Name() != "adaptive" {
-		t.Fatal("adaptive name")
-	}
 }
 
 func TestProducerProfitAggregates(t *testing.T) {
@@ -339,13 +279,6 @@ func TestProducerProfitAggregates(t *testing.T) {
 	}
 	if m.ProducerProfit() <= 0 {
 		t.Fatal("profitable provider shows no profit")
-	}
-}
-
-func TestMicropaymentDegenerateFee(t *testing.T) {
-	confiscatory := FeeSchedule{Name: "bad", Fixed: 1, Rate: 1.0}
-	if v := confiscatory.MicropaymentViability(); v < 1e300 {
-		t.Fatalf("rate>=1 viability = %v, want effectively infinite", v)
 	}
 }
 

@@ -72,41 +72,3 @@ func abs(x float64) float64 {
 	}
 	return x
 }
-
-// FeeSchedule models a payment intermediary's pricing: a fixed fee plus
-// a proportional rate per transaction.
-type FeeSchedule struct {
-	Name  string
-	Fixed float64
-	Rate  float64
-}
-
-// Fee returns the cost of one transaction of the given size.
-func (f FeeSchedule) Fee(amount float64) float64 {
-	return f.Fixed + f.Rate*amount
-}
-
-// NetDelivered returns what the payee receives from n payments of the
-// given size, after fees.
-func (f FeeSchedule) NetDelivered(n int, amount float64) float64 {
-	gross := float64(n) * amount
-	fees := float64(n) * f.Fee(amount)
-	net := gross - fees
-	if net < 0 {
-		return 0
-	}
-	return net
-}
-
-// MicropaymentViability reproduces the §IV-C aside on "the rise and fall
-// of micro-payments": under a fixed-fee schedule, payments below the
-// breakeven size deliver nothing. It returns the smallest payment size
-// with positive net delivery.
-func (f FeeSchedule) MicropaymentViability() float64 {
-	if f.Rate >= 1 {
-		return inf()
-	}
-	return f.Fixed / (1 - f.Rate)
-}
-
-func inf() float64 { return 1e308 }

@@ -16,7 +16,6 @@ import (
 	"math"
 
 	"repro/internal/obs"
-	"repro/internal/policy"
 	"repro/internal/sim"
 )
 
@@ -73,14 +72,6 @@ type Provider struct {
 	Alive bool
 	// lossStreak counts consecutive unprofitable rounds.
 	lossStreak int
-
-	// admission is the compiled market-admission policy (see
-	// SetAdmissionPolicy in policy.go); nil admits everyone.
-	// admissionCodes/admissionSlots are the slot binding and the
-	// provider-owned evaluation scratch.
-	admission      *policy.Program
-	admissionCodes []uint8
-	admissionSlots []policy.Value
 }
 
 // Consumer is one buyer.
@@ -254,11 +245,6 @@ func (m *Market) Step() {
 		bestIdx, bestVal, bestTun := -1, 0.0, false
 		for i, p := range m.Providers {
 			if !p.Alive {
-				continue
-			}
-			// Admission policy gates the choice set; current subscribers
-			// are grandfathered (contracts outlive policy changes).
-			if p.admission != nil && c.Provider != i && !p.admits(c, m.Round) {
 				continue
 			}
 			v, tun := c.valueOf(p.Offer)

@@ -98,50 +98,3 @@ func (s *GreedPricing) Reprice(p *Provider, view MarketView) Offer {
 	s.lastSubs = p.Subscribers
 	return o
 }
-
-// AdaptivePricing combines greed and fear: probe upward while holding
-// subscribers, undercut the cheapest rival after losing them. In a
-// market where consumers can switch it degenerates to Bertrand
-// competition; when consumers are locked in it ratchets toward their
-// willingness-to-pay — exactly the §V-A1 contrast.
-type AdaptivePricing struct {
-	Step float64
-
-	lastSubs int
-	started  bool
-}
-
-// Name implements Strategy.
-func (*AdaptivePricing) Name() string { return "adaptive" }
-
-// Reprice implements Strategy.
-func (s *AdaptivePricing) Reprice(p *Provider, view MarketView) Offer {
-	o := p.Offer
-	step := s.Step
-	if step == 0 {
-		step = 0.25
-	}
-	if s.started && p.Subscribers < s.lastSubs {
-		// Fear: losing share — chase the cheapest rival.
-		minRival := math.Inf(1)
-		for i, price := range view.Prices {
-			if i != view.Self && price < minRival {
-				minRival = price
-			}
-		}
-		if math.IsInf(minRival, 1) || minRival > o.Price {
-			o.Price -= step
-		} else {
-			o.Price = minRival - step
-		}
-	} else {
-		// Greed: probe upward.
-		o.Price += step
-	}
-	if o.Price < p.Cost {
-		o.Price = p.Cost
-	}
-	s.lastSubs = p.Subscribers
-	s.started = true
-	return o
-}

@@ -152,42 +152,3 @@ func TestSecureSessionOverNetworkPastWiretap(t *testing.T) {
 		t.Fatalf("tap read %d packets, want just the 2 hellos", readable)
 	}
 }
-
-func TestEncryptionBlockerVsInspectableSession(t *testing.T) {
-	// The §VI-A compromise in one flow: a provider blocks opaque
-	// encryption; the endpoints switch to inspectable mode (inner type
-	// visible, content not) and traffic flows again.
-	net, sched := lineNet(t)
-	net.Node(2).AddMiddlebox(&middlebox.EncryptionBlocker{Label: "no-opaque", AllowInspectable: true})
-
-	rng := sim.NewRNG(2)
-	a, b := &trust.Endpoint{}, &trust.Endpoint{}
-	key, _, err := trust.Establish(a, b, rng, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sendSession := func(flags uint8) *netsim.Trace {
-		c := &packet.Crypto{Flags: flags, Nonce: 7}
-		c.Seal(key, []byte("session"), packet.LayerTypeRaw)
-		cdata, err := packet.Serialize(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data, err := packet.Serialize(
-			&packet.TIP{TTL: 16, Proto: packet.LayerTypeCrypto,
-				Src: packet.MakeAddr(1, 1), Dst: packet.MakeAddr(3, 1)},
-			&packet.Raw{Data: cdata})
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr := net.Send(1, data)
-		sched.Run()
-		return tr
-	}
-	if tr := sendSession(0); tr.Delivered {
-		t.Fatal("opaque session passed the blocker")
-	}
-	if tr := sendSession(packet.CryptoInspectable); !tr.Delivered {
-		t.Fatalf("inspectable session blocked: %s", tr.DropReason)
-	}
-}

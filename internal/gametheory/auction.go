@@ -1,16 +1,13 @@
 package gametheory
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // This file implements the mechanism-design strand of §II-B: Vickrey's
-// second-price auction and the VCG generalization, whose point is that
-// they make truth-telling a dominant strategy — removing the
-// information sub-game from the tussle ("with tussle reduced or
-// eliminated in the information subgame, it becomes simpler to reduce or
-// guide tussle in the larger overall game").
+// second-price auction, whose point is that it makes truth-telling a
+// dominant strategy — removing the information sub-game from the tussle
+// ("with tussle reduced or eliminated in the information subgame, it
+// becomes simpler to reduce or guide tussle in the larger overall
+// game").
 
 // Bid is one bidder's declared value.
 type Bid struct {
@@ -95,35 +92,4 @@ func TruthfulnessViolation(mechanism func([]Bid) (AuctionResult, bool), bidder s
 		}
 	}
 	return maxGain
-}
-
-// VCGItem allocates k identical items to the k highest of n single-unit
-// bidders, charging each winner the externality they impose: the
-// (k+1)-th highest bid. This is the uniform-price special case of VCG
-// and is truthful.
-type VCGItem struct {
-	Winners []string
-	// Price is the per-item VCG payment.
-	Price float64
-}
-
-// VCGAllocate runs the k-item VCG auction.
-func VCGAllocate(bids []Bid, k int) VCGItem {
-	if k <= 0 || len(bids) == 0 {
-		return VCGItem{}
-	}
-	sorted := make([]Bid, len(bids))
-	copy(sorted, bids)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Amount > sorted[j].Amount })
-	if k > len(sorted) {
-		k = len(sorted)
-	}
-	out := VCGItem{}
-	for i := 0; i < k; i++ {
-		out.Winners = append(out.Winners, sorted[i].Bidder)
-	}
-	if k < len(sorted) {
-		out.Price = sorted[k].Amount
-	}
-	return out
 }

@@ -50,12 +50,3 @@ func BenchmarkReplicator(b *testing.B) {
 		Replicator(a, []float64{0.5, 0.5}, 1000)
 	}
 }
-
-func BenchmarkTournament(b *testing.B) {
-	g := PrisonersDilemma()
-	strats := []RepeatedStrategy{TitForTat{}, AlwaysDefect{}, AlwaysCooperate{}, GrimTrigger{}}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Tournament(g, strats, 200)
-	}
-}

@@ -75,81 +75,3 @@ func Replicator(a [][]float64, initial []float64, steps int) []float64 {
 	}
 	return x
 }
-
-// RepeatedStrategy plays an iterated two-action game (0 = cooperate,
-// 1 = defect by convention).
-type RepeatedStrategy interface {
-	Name() string
-	// Play returns the next action given both players' full histories
-	// (own first).
-	Play(own, other []int) int
-}
-
-// Strategy implementations for the iterated tussle.
-type (
-	// AlwaysCooperate never defects.
-	AlwaysCooperate struct{}
-	// AlwaysDefect always defects.
-	AlwaysDefect struct{}
-	// TitForTat cooperates first, then mirrors the opponent.
-	TitForTat struct{}
-	// GrimTrigger cooperates until the first defection, then defects
-	// forever — the "social pressure" enforcement §II-B describes.
-	GrimTrigger struct{}
-)
-
-// Name and Play implement RepeatedStrategy for each strategy type.
-func (AlwaysCooperate) Name() string        { return "always-cooperate" }
-func (AlwaysCooperate) Play(_, _ []int) int { return 0 }
-func (AlwaysDefect) Name() string           { return "always-defect" }
-func (AlwaysDefect) Play(_, _ []int) int    { return 1 }
-func (TitForTat) Name() string              { return "tit-for-tat" }
-func (TitForTat) Play(own, other []int) int {
-	if len(other) == 0 {
-		return 0
-	}
-	return other[len(other)-1]
-}
-func (GrimTrigger) Name() string { return "grim-trigger" }
-func (GrimTrigger) Play(own, other []int) int {
-	for _, a := range other {
-		if a == 1 {
-			return 1
-		}
-	}
-	return 0
-}
-
-// PlayRepeated runs an iterated game between two strategies for rounds
-// rounds and returns cumulative payoffs.
-func PlayRepeated(g *Game, s1, s2 RepeatedStrategy, rounds int) (p1, p2 float64) {
-	var h1, h2 []int
-	for r := 0; r < rounds; r++ {
-		a1 := s1.Play(h1, h2)
-		a2 := s2.Play(h2, h1)
-		p1 += g.A[a1][a2]
-		p2 += g.B[a1][a2]
-		h1 = append(h1, a1)
-		h2 = append(h2, a2)
-	}
-	return p1, p2
-}
-
-// Tournament plays every pair (including self-play) for rounds rounds
-// and returns total scores, Axelrod style.
-func Tournament(g *Game, strategies []RepeatedStrategy, rounds int) map[string]float64 {
-	scores := make(map[string]float64, len(strategies))
-	for i, s1 := range strategies {
-		for j, s2 := range strategies {
-			if j < i {
-				continue
-			}
-			p1, p2 := PlayRepeated(g, s1, s2, rounds)
-			scores[s1.Name()] += p1
-			if i != j {
-				scores[s2.Name()] += p2
-			}
-		}
-	}
-	return scores
-}

@@ -4,9 +4,9 @@
 // have a common goal but fail to coordinate", solvers for their
 // equilibria, adaptation dynamics (best response, fictitious play,
 // replicator — the bounded-rationality extension the paper cites), and
-// the Vickrey/VCG mechanisms that "construct rules of a game that
-// guaranteed tussle-free actor networks ... revolving around revealing
-// truthful information".
+// the Vickrey mechanism, one of those that "construct rules of a game
+// that guaranteed tussle-free actor networks ... revolving around
+// revealing truthful information".
 package gametheory
 
 import (

@@ -207,40 +207,6 @@ func TestReplicatorPreservesSimplex(t *testing.T) {
 	}
 }
 
-func TestRepeatedTitForTatSustainsCooperation(t *testing.T) {
-	g := PrisonersDilemma()
-	p1, p2 := PlayRepeated(g, TitForTat{}, TitForTat{}, 100)
-	if p1 != 300 || p2 != 300 {
-		t.Fatalf("TFT vs TFT = %v,%v; want full cooperation 300,300", p1, p2)
-	}
-}
-
-func TestRepeatedDefectorExploitsCooperator(t *testing.T) {
-	g := PrisonersDilemma()
-	p1, p2 := PlayRepeated(g, AlwaysDefect{}, AlwaysCooperate{}, 10)
-	if p1 != 50 || p2 != 0 {
-		t.Fatalf("AD vs AC = %v,%v", p1, p2)
-	}
-}
-
-func TestGrimTriggerPunishesForever(t *testing.T) {
-	g := PrisonersDilemma()
-	p1, _ := PlayRepeated(g, GrimTrigger{}, AlwaysDefect{}, 10)
-	// Grim cooperates once (sucker), then defects 9 times.
-	if p1 != 0+9*1 {
-		t.Fatalf("grim payoff = %v", p1)
-	}
-}
-
-func TestTournamentTFTBeatsAlwaysDefectOverall(t *testing.T) {
-	g := PrisonersDilemma()
-	scores := Tournament(g, []RepeatedStrategy{TitForTat{}, AlwaysDefect{}, AlwaysCooperate{}, GrimTrigger{}}, 200)
-	if scores["tit-for-tat"] <= scores["always-defect"] {
-		t.Fatalf("TFT %v should outscore AD %v in a mixed population",
-			scores["tit-for-tat"], scores["always-defect"])
-	}
-}
-
 func TestVickreyWinnerPaysSecondPrice(t *testing.T) {
 	res, ok := Vickrey([]Bid{{"a", 10}, {"b", 7}, {"c", 3}})
 	if !ok || res.Winner != "a" || res.Price != 7 {
@@ -285,26 +251,6 @@ func TestVickreyTruthfulQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestVCGAllocate(t *testing.T) {
-	res := VCGAllocate([]Bid{{"a", 9}, {"b", 7}, {"c", 5}, {"d", 3}}, 2)
-	if len(res.Winners) != 2 || res.Winners[0] != "a" || res.Winners[1] != "b" {
-		t.Fatalf("winners = %v", res.Winners)
-	}
-	if res.Price != 5 {
-		t.Fatalf("price = %v, want the externality 5", res.Price)
-	}
-}
-
-func TestVCGAllEdgeCases(t *testing.T) {
-	if res := VCGAllocate(nil, 2); len(res.Winners) != 0 {
-		t.Fatal("empty auction allocated")
-	}
-	res := VCGAllocate([]Bid{{"a", 5}}, 3)
-	if len(res.Winners) != 1 || res.Price != 0 {
-		t.Fatalf("undersubscribed = %+v", res)
 	}
 }
 

@@ -43,7 +43,7 @@ func FuzzShrinkRoundTrip(f *testing.F) {
 			}
 			return false
 		}
-		shrunk := ShrinkEvents(p, pred)
+		shrunk := shrinkEvents(p, pred)
 		if len(shrunk.Events) > len(p.Events) {
 			t.Fatalf("shrunk plan grew: %d > %d events", len(shrunk.Events), len(p.Events))
 		}

@@ -62,13 +62,6 @@ func SweepSharded(cfg Config, shards int) *Result {
 	return res
 }
 
-// RunSharded executes one sharded trial at the given seed and shard
-// count with all sharded-checkable invariants armed; tussle-check
-// -replay uses it to re-examine a failing trial.
-func RunSharded(seed uint64, shards int) []Violation {
-	return runSharded(seed, shards, ShardedInvariants())
-}
-
 func runSharded(seed uint64, shards int, enabled map[string]bool) []Violation {
 	rng := sim.NewRNG(seed)
 	nodes := 100 + rng.Intn(300)

@@ -45,12 +45,11 @@ func ddmin[T any](items []T, fails func([]T) bool) []T {
 	return cur
 }
 
-// ShrinkEvents minimizes a chaos plan's event list while fails keeps
+// shrinkEvents minimizes a chaos plan's event list while fails keeps
 // returning true for the candidate plan. The result reuses the plan's
 // name and seed with a subsequence of its events; if fails rejects the
-// full plan, the input is returned as-is. Exported for the shrink
-// round-trip fuzz target.
-func ShrinkEvents(p *chaos.Plan, fails func(*chaos.Plan) bool) *chaos.Plan {
+// full plan, the input is returned as-is.
+func shrinkEvents(p *chaos.Plan, fails func(*chaos.Plan) bool) *chaos.Plan {
 	withEvents := func(evs []chaos.Event) *chaos.Plan {
 		c := *p
 		c.Events = evs

@@ -98,7 +98,7 @@ func TestShrinkEventsSubsequence(t *testing.T) {
 	// Predicate: the plan still contains at least one event of the first
 	// event's kind.
 	kind := sc.Plan.Events[0].Kind
-	shrunk := ShrinkEvents(sc.Plan, func(p *chaos.Plan) bool {
+	shrunk := shrinkEvents(sc.Plan, func(p *chaos.Plan) bool {
 		for i := range p.Events {
 			if p.Events[i].Kind == kind {
 				return true

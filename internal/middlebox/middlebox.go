@@ -1,9 +1,9 @@
 // Package middlebox implements the in-network devices that make the
 // transparency tussle concrete (§V-B and §VI-A of the paper): port-based,
-// trust-aware, policy-language, and negotiable (MIDCOM-style) firewalls,
-// NAT, connection redirectors, wiretaps, and encryption blockers. Every
-// device implements the netsim.Middlebox interface and can be installed
-// at any node. (Application-level caches live in internal/apps.)
+// trust-aware, and negotiable (MIDCOM-style) firewalls, NAT, connection
+// redirectors, and wiretaps. Every device implements the
+// netsim.Middlebox interface and can be installed at any node.
+// (Application-level caches live in internal/apps.)
 //
 // Devices differ on the two axes the paper cares about:
 //
@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/netsim"
 	"repro/internal/packet"
-	"repro/internal/policy"
 	"repro/internal/topology"
 	"repro/internal/trust"
 )
@@ -153,122 +152,4 @@ func (f *TrustFirewall) Process(node topology.NodeID, dir netsim.Direction, data
 		}
 	}
 	return nil, netsim.Accept
-}
-
-// PolicyFirewall enforces a TPL policy document over packet attributes —
-// the policy-language approach of §II-B, with its strengths (expressive,
-// explicit) and its bound ontology (attributes below are all it can see).
-type PolicyFirewall struct {
-	Label string
-	Doc   *policy.Document
-	Quiet bool
-	Hits  int
-	// Errors counts rule evaluation failures (unknown attributes —
-	// tussles outside the ontology).
-	Errors int
-
-	// compiled caches the bytecode form of Doc (built on first Process,
-	// rebuilt if Doc is swapped). The VM and the tree-walker are
-	// differentially tested to agree on every value and error, so this
-	// changes per-packet cost, not decisions.
-	compiled *policy.CompiledDocument
-	budget   policy.Budget
-}
-
-// Vocabulary is the attribute ontology a PolicyFirewall exposes to
-// policies. Anything else a policy references cannot be enforced.
-var Vocabulary = []string{
-	"src-provider", "dst-provider", "port", "src-port", "tos",
-	"direction", "identity-scheme", "identity", "encrypted",
-	"inspectable", "tunneled", "has-payment",
-}
-
-// Name implements netsim.Middlebox.
-func (f *PolicyFirewall) Name() string { return f.Label }
-
-// Silent implements netsim.Middlebox.
-func (f *PolicyFirewall) Silent() bool { return f.Quiet }
-
-// buildEnv exposes packet attributes to the policy evaluator.
-func buildEnv(dir netsim.Direction, data []byte) policy.Env {
-	tip, ttp := decode(data)
-	env := policy.Env{}
-	if tip == nil {
-		return env
-	}
-	env["src-provider"] = policy.Num(float64(tip.Src.Provider()))
-	env["dst-provider"] = policy.Num(float64(tip.Dst.Provider()))
-	env["tos"] = policy.Num(float64(tip.TOS))
-	env["direction"] = policy.Str(map[netsim.Direction]string{
-		netsim.Forwarding: "transit", netsim.Delivering: "inbound", netsim.Sending: "outbound",
-	}[dir])
-	env["has-payment"] = policy.Bool(tip.Payment != nil)
-	scheme := "none"
-	identity := ""
-	if tip.Identity != nil {
-		scheme = trust.Scheme(tip.Identity.Scheme).String()
-		identity = string(tip.Identity.ID)
-	}
-	env["identity-scheme"] = policy.Str(scheme)
-	env["identity"] = policy.Str(identity)
-	encrypted := false
-	inspectable := false
-	tunneled := false
-	if ttp != nil {
-		env["port"] = policy.Num(float64(ttp.DstPort))
-		env["src-port"] = policy.Num(float64(ttp.SrcPort))
-		switch ttp.Next {
-		case packet.LayerTypeCrypto:
-			encrypted = true
-			var c packet.Crypto
-			if err := c.DecodeFrom(ttp.LayerPayload()); err == nil {
-				if _, err := c.InnerType(); err == nil {
-					inspectable = true
-				}
-			}
-		case packet.LayerTypeTunnel:
-			tunneled = true
-		}
-	} else {
-		env["port"] = policy.Num(-1)
-		env["src-port"] = policy.Num(-1)
-		if tip.Proto == packet.LayerTypeCrypto {
-			encrypted = true
-		}
-		if tip.Proto == packet.LayerTypeTunnel {
-			tunneled = true
-		}
-	}
-	env["encrypted"] = policy.Bool(encrypted)
-	env["inspectable"] = policy.Bool(inspectable)
-	env["tunneled"] = policy.Bool(tunneled)
-	return env
-}
-
-// Process implements netsim.Middlebox.
-func (f *PolicyFirewall) Process(node topology.NodeID, dir netsim.Direction, data []byte) ([]byte, netsim.Verdict) {
-	env := buildEnv(dir, data)
-	if f.compiled == nil || f.compiled.Doc != f.Doc {
-		cd, err := policy.CompileDocument(f.Doc)
-		if err != nil {
-			// Unreachable for a parsed document; fall back to reference
-			// semantics rather than fail open or closed.
-			d, errs := policy.Evaluate(f.Doc, env)
-			f.Errors += len(errs)
-			if d.Permitted() {
-				return nil, netsim.Accept
-			}
-			f.Hits++
-			return nil, netsim.Drop
-		}
-		f.compiled = cd
-	}
-	f.budget = policy.DefaultBudget()
-	d, errs := f.compiled.Evaluate(env, &f.budget)
-	f.Errors += len(errs)
-	if d.Permitted() {
-		return nil, netsim.Accept
-	}
-	f.Hits++
-	return nil, netsim.Drop
 }

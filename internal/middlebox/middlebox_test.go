@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/netsim"
 	"repro/internal/packet"
-	"repro/internal/policy"
 	"repro/internal/trust"
 )
 
@@ -127,69 +126,6 @@ func TestTrustFirewall(t *testing.T) {
 	}
 }
 
-func TestPolicyFirewall(t *testing.T) {
-	doc, err := policy.Parse(`policy "edge" {
-        rule no-anon { when identity-scheme == "anonymous" then deny "identify yourself" }
-        rule no-smtp { when port == 25 && direction == "inbound" then deny }
-        rule opaque { when encrypted && !inspectable then deny "opaque crypto" }
-        default permit
-    }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fw := &PolicyFirewall{Label: "pfw", Doc: doc}
-
-	anon := pkt(t, packet.TIP{Src: 1, Dst: 2, Identity: &packet.IdentityOption{Scheme: packet.IdentityAnonymous}}, &packet.TTP{DstPort: 80}, nil)
-	if _, v := fw.Process(2, netsim.Delivering, anon); v != netsim.Drop {
-		t.Fatal("anonymous not denied")
-	}
-	smtp := pkt(t, packet.TIP{Src: 1, Dst: 2, Identity: &packet.IdentityOption{Scheme: packet.IdentityCertified, ID: []byte("a")}}, &packet.TTP{DstPort: 25}, nil)
-	if _, v := fw.Process(2, netsim.Delivering, smtp); v != netsim.Drop {
-		t.Fatal("inbound smtp not denied")
-	}
-	if _, v := fw.Process(2, netsim.Forwarding, smtp); v != netsim.Accept {
-		t.Fatal("transit smtp should pass (direction != inbound)")
-	}
-	web := pkt(t, packet.TIP{Src: 1, Dst: 2, Identity: &packet.IdentityOption{Scheme: packet.IdentityCertified, ID: []byte("a")}}, &packet.TTP{DstPort: 443}, nil)
-	if _, v := fw.Process(2, netsim.Delivering, web); v != netsim.Accept {
-		t.Fatal("default permit failed")
-	}
-}
-
-func TestPolicyFirewallCryptoVisibility(t *testing.T) {
-	doc, err := policy.Parse(`policy "crypto" {
-        rule opaque { when encrypted && !inspectable then deny }
-        default permit
-    }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fw := &PolicyFirewall{Label: "pfw", Doc: doc}
-	key := []byte("k")
-	mk := func(flags uint8) []byte {
-		c := &packet.Crypto{Flags: flags, Nonce: 1}
-		c.Seal(key, []byte("secret"), packet.LayerTypeRaw)
-		cdata, err := packet.Serialize(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data, err := packet.Serialize(
-			&packet.TIP{TTL: 8, Proto: packet.LayerTypeTTP, Src: 1, Dst: 2},
-			&packet.TTP{DstPort: 7, Next: packet.LayerTypeCrypto},
-			&packet.Raw{Data: cdata})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
-	if _, v := fw.Process(2, netsim.Delivering, mk(0)); v != netsim.Drop {
-		t.Fatal("opaque crypto admitted")
-	}
-	if _, v := fw.Process(2, netsim.Delivering, mk(packet.CryptoInspectable)); v != netsim.Accept {
-		t.Fatal("inspectable crypto blocked")
-	}
-}
-
 func TestNATTranslatesAndRestores(t *testing.T) {
 	public := packet.MakeAddr(5, 1)
 	nat := NewNAT("nat", public)
@@ -296,64 +232,6 @@ func TestWiretapReadsClearMissesCrypto(t *testing.T) {
 	}
 }
 
-func TestEncryptionBlocker(t *testing.T) {
-	key := []byte("k")
-	mk := func(flags uint8) []byte {
-		c := &packet.Crypto{Flags: flags, Nonce: 2}
-		c.Seal(key, []byte("x"), packet.LayerTypeRaw)
-		cdata, err := packet.Serialize(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data, err := packet.Serialize(
-			&packet.TIP{TTL: 8, Proto: packet.LayerTypeCrypto, Src: 1, Dst: 2},
-			&packet.Raw{Data: cdata})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
-	eb := &EncryptionBlocker{Label: "no-vpn"}
-	if _, v := eb.Process(2, netsim.Forwarding, mk(0)); v != netsim.Drop {
-		t.Fatal("opaque crypto passed")
-	}
-	clear := pkt(t, packet.TIP{Src: 1, Dst: 2}, &packet.TTP{DstPort: 80}, nil)
-	if _, v := eb.Process(2, netsim.Forwarding, clear); v != netsim.Accept {
-		t.Fatal("cleartext blocked")
-	}
-	eb2 := &EncryptionBlocker{Label: "visible-ok", AllowInspectable: true}
-	if _, v := eb2.Process(2, netsim.Forwarding, mk(packet.CryptoInspectable)); v != netsim.Accept {
-		t.Fatal("inspectable crypto blocked despite exemption")
-	}
-	if _, v := eb2.Process(2, netsim.Forwarding, mk(0)); v != netsim.Drop {
-		t.Fatal("opaque crypto passed the exempting blocker")
-	}
-}
-
-func TestPolicyFirewallOntologyBound(t *testing.T) {
-	// A policy referencing an attribute outside the firewall's
-	// vocabulary cannot be enforced — Analyze flags it, and at run time
-	// the rule errors and is skipped (fail-safe).
-	doc, err := policy.Parse(`policy "beyond" {
-        rule future { when quantum-entangled == true then deny }
-        default permit
-    }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out := policy.Analyze(doc, Vocabulary); len(out) != 1 || out[0] != "quantum-entangled" {
-		t.Fatalf("Analyze = %v", out)
-	}
-	fw := &PolicyFirewall{Label: "pfw", Doc: doc}
-	data := pkt(t, packet.TIP{Src: 1, Dst: 2}, &packet.TTP{DstPort: 80}, nil)
-	if _, v := fw.Process(2, netsim.Delivering, data); v != netsim.Accept {
-		t.Fatal("unenforceable rule should fail open to default")
-	}
-	if fw.Errors == 0 {
-		t.Fatal("ontology violation not recorded")
-	}
-}
-
 func TestMiddleboxAccessors(t *testing.T) {
 	boxes := []struct {
 		name   string
@@ -362,11 +240,9 @@ func TestMiddleboxAccessors(t *testing.T) {
 	}{
 		{"pf", false, &PortFirewall{Label: "pf"}},
 		{"tf", false, &TrustFirewall{Label: "tf"}},
-		{"pof", false, &PolicyFirewall{Label: "pof"}},
 		{"nat", false, NewNAT("nat", 1)},
 		{"rd", false, &Redirector{Label: "rd"}},
 		{"tap", true, &Wiretap{Label: "tap"}},
-		{"eb", false, &EncryptionBlocker{Label: "eb"}},
 		{"nfw", false, &NegotiableFirewall{Label: "nfw"}},
 	}
 	for _, b := range boxes {
@@ -381,9 +257,7 @@ func TestMiddleboxAccessors(t *testing.T) {
 	quiets := []netsim.Middlebox{
 		&PortFirewall{Label: "q", Quiet: true},
 		&TrustFirewall{Label: "q", Quiet: true},
-		&PolicyFirewall{Label: "q", Quiet: true},
 		&Redirector{Label: "q", Quiet: true},
-		&EncryptionBlocker{Label: "q", Quiet: true},
 		&NegotiableFirewall{Label: "q", Quiet: true},
 	}
 	for _, mb := range quiets {
@@ -404,7 +278,6 @@ func TestMiddleboxesPassMalformedTraffic(t *testing.T) {
 		NewNAT("nat", 1),
 		&Redirector{Label: "rd", MatchPort: 1},
 		&Wiretap{Label: "tap"},
-		&EncryptionBlocker{Label: "eb"},
 		&NegotiableFirewall{Label: "nfw"},
 	}
 	for _, mb := range boxes {

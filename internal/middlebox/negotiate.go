@@ -21,10 +21,11 @@ const ControlPort uint16 = 3288
 // language, not hard-coded.
 type NegotiableFirewall struct {
 	Label string
-	// Doc governs pinhole admission. The evaluation environment gets
+	// Doc governs pinhole admission, evaluated under
+	// policy.DefaultBudget per request. The evaluation environment gets
 	// "requested-port", "identity-scheme", "identity", and
 	// "reputation" (when Rep is set).
-	Doc *policy.Document
+	Doc *policy.CompiledDocument
 	// Rep optionally supplies reputation scores for requesters.
 	Rep *trust.Reputation
 	// AlwaysOpen ports need no negotiation.
@@ -104,7 +105,8 @@ func (f *NegotiableFirewall) handleRequest(tip *packet.TIP, ttp *packet.TTP) {
 		f.Denied++
 		return
 	}
-	d, _ := policy.Evaluate(f.Doc, env)
+	budget := policy.DefaultBudget()
+	d, _ := f.Doc.Evaluate(env, &budget)
 	if d.Permitted() {
 		if f.pinholes == nil {
 			f.pinholes = make(map[uint16]bool)

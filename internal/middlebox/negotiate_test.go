@@ -9,7 +9,7 @@ import (
 	"repro/internal/trust"
 )
 
-func negotiationDoc(t *testing.T) *policy.Document {
+func negotiationDoc(t *testing.T) *policy.CompiledDocument {
 	t.Helper()
 	doc, err := policy.Parse(`policy "pinholes" {
         principal admin
@@ -22,7 +22,11 @@ func negotiationDoc(t *testing.T) *policy.Document {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return doc
+	cd, err := policy.CompileDocument(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cd
 }
 
 func TestNegotiableFirewallGrantsAndEnforces(t *testing.T) {
@@ -98,6 +102,32 @@ func TestNegotiableFirewallDenials(t *testing.T) {
 	}
 	if fw.Denied != len(cases) {
 		t.Fatalf("denied = %d, want %d", fw.Denied, len(cases))
+	}
+}
+
+// Without a reputation mediator the request carries no "reputation"
+// attribute: the reputable rule errors and is skipped, so the default
+// denies even a certified requester — the decision the tree-walking
+// reference gives for the same environment.
+func TestNegotiableFirewallNoReputationDenies(t *testing.T) {
+	doc := negotiationDoc(t)
+	fw := &NegotiableFirewall{Label: "nfw", Doc: doc}
+	alice := &packet.IdentityOption{Scheme: packet.IdentityCertified, ID: []byte("alice")}
+	req, err := PinholeRequest(packet.MakeAddr(1, 1), packet.MakeAddr(2, 1), alice, 7777)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw.Process(2, netsim.Delivering, req)
+	if fw.Granted != 0 || fw.Denied != 1 || len(fw.Pinholes()) != 0 {
+		t.Fatalf("granted=%d denied=%d pinholes=%v", fw.Granted, fw.Denied, fw.Pinholes())
+	}
+	ref, errs := policy.Evaluate(doc.Doc, policy.Env{
+		"requested-port":  policy.Num(7777),
+		"identity-scheme": policy.Str("certified"),
+		"identity":        policy.Str("alice"),
+	})
+	if ref.Permitted() || !ref.Default || len(errs) != 1 {
+		t.Fatalf("reference decision %+v errs %v, want the default deny after one rule error", ref, errs)
 	}
 }
 

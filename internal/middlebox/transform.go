@@ -185,49 +185,3 @@ func (w *Wiretap) ReadableFraction() float64 {
 	}
 	return float64(n) / float64(len(w.Captured))
 }
-
-// EncryptionBlocker drops encrypted traffic — the escalation §VI-A
-// contemplates: "the response of the provider is to refuse to carry
-// encrypted data." The device can be configured to exempt inspectable
-// encryption (the visible-choice compromise).
-type EncryptionBlocker struct {
-	Label string
-	// AllowInspectable exempts crypto layers that declare their inner
-	// type.
-	AllowInspectable bool
-	Quiet            bool
-	Hits             int
-}
-
-// Name implements netsim.Middlebox.
-func (e *EncryptionBlocker) Name() string { return e.Label }
-
-// Silent implements netsim.Middlebox.
-func (e *EncryptionBlocker) Silent() bool { return e.Quiet }
-
-// Process implements netsim.Middlebox.
-func (e *EncryptionBlocker) Process(node topology.NodeID, dir netsim.Direction, data []byte) ([]byte, netsim.Verdict) {
-	tip, ttp := decode(data)
-	if tip == nil {
-		return nil, netsim.Accept
-	}
-	var cryptoBytes []byte
-	if ttp != nil && ttp.Next == packet.LayerTypeCrypto {
-		cryptoBytes = ttp.LayerPayload()
-	} else if tip.Proto == packet.LayerTypeCrypto {
-		cryptoBytes = tip.LayerPayload()
-	}
-	if cryptoBytes == nil {
-		return nil, netsim.Accept
-	}
-	if e.AllowInspectable {
-		var c packet.Crypto
-		if err := c.DecodeFrom(cryptoBytes); err == nil {
-			if _, err := c.InnerType(); err == nil {
-				return nil, netsim.Accept
-			}
-		}
-	}
-	e.Hits++
-	return nil, netsim.Drop
-}

@@ -342,29 +342,3 @@ func (r *Registry) Snapshot() *Snapshot {
 	sort.Slice(s.Histograms, func(i, j int) bool { return s.Histograms[i].Name < s.Histograms[j].Name })
 	return s
 }
-
-// Span measures a duration against a caller-supplied deterministic
-// clock (simulated time, rounds, iterations — never wall time) and
-// records it into a histogram when ended. Spans are values: starting
-// and ending one allocates nothing, and a span over a nil histogram is
-// free.
-type Span struct {
-	h     *Histogram
-	start int64
-}
-
-// StartSpan opens a span at clock value now.
-func StartSpan(h *Histogram, now int64) Span {
-	if h == nil {
-		return Span{}
-	}
-	return Span{h: h, start: now}
-}
-
-// End closes the span at clock value now, recording now-start.
-func (s Span) End(now int64) {
-	if s.h == nil {
-		return
-	}
-	s.h.Observe(float64(now - s.start))
-}

@@ -1,8 +1,9 @@
 // Package packet implements the self-describing datagram format used by
 // the simulated internetwork: a layered packet model in the style of
-// gopacket, with a layer-type registry, an eager decoder that tolerates
-// unknown or malformed layers, an allocation-free Parser for hot paths,
-// and a serialization buffer for constructing packets.
+// gopacket, with an eager decoder that tolerates unknown or malformed
+// layers, reusable layers whose DecodeFrom fills caller-owned structs
+// without allocating on hot paths, and a serialization buffer for
+// constructing packets.
 //
 // The protocol family implemented here is deliberately not IP: it is the
 // "TIP" (Tussle Internet Protocol) stack, a compact analogue whose choice
@@ -18,8 +19,8 @@ import "fmt"
 // (§I of the paper: "the self-describing datagram packet").
 type LayerType uint8
 
-// Registered layer types. LayerTypeNone terminates decoding; LayerTypeRaw
-// is an opaque payload.
+// Layer types the decoder knows. LayerTypeNone terminates decoding;
+// LayerTypeRaw is an opaque payload.
 const (
 	LayerTypeNone    LayerType = 0
 	LayerTypeRaw     LayerType = 1
@@ -47,17 +48,6 @@ func (t LayerType) String() string {
 		return n
 	}
 	return fmt.Sprintf("LayerType(%d)", uint8(t))
-}
-
-// RegisterLayerType adds a custom layer type name and decoder constructor.
-// It panics if the type is already registered — layer numbering is a
-// global namespace and silent collisions would corrupt decoding.
-func RegisterLayerType(t LayerType, name string, newDecoder func() DecodingLayer) {
-	if _, ok := layerNames[t]; ok {
-		panic(fmt.Sprintf("packet: layer type %d already registered", t))
-	}
-	layerNames[t] = name
-	decoders[t] = newDecoder
 }
 
 // Layer is one decoded protocol layer within a packet.
@@ -222,54 +212,4 @@ func (p *Packet) String() string {
 		s += l.LayerType().String()
 	}
 	return s
-}
-
-// Parser decodes a known chain of layers into caller-owned structs without
-// allocation, in the style of gopacket's DecodingLayerParser. Layers not
-// present in the parser terminate decoding with ErrUnsupportedLayer.
-type Parser struct {
-	first  LayerType
-	layers map[LayerType]DecodingLayer
-	// Truncated reports whether the last decode ended early because a
-	// layer type had no registered decoder in this parser.
-	Truncated bool
-}
-
-// ErrUnsupportedLayer is returned by Parser.DecodeLayers when it meets a
-// layer type it has no decoder for; decoded layers up to that point are
-// still valid.
-var ErrUnsupportedLayer = fmt.Errorf("packet: unsupported layer type in parser")
-
-// NewParser builds a parser beginning at first, using the supplied
-// reusable decoding layers.
-func NewParser(first LayerType, layers ...DecodingLayer) *Parser {
-	p := &Parser{first: first, layers: make(map[LayerType]DecodingLayer, len(layers))}
-	for _, l := range layers {
-		p.layers[l.LayerType()] = l
-	}
-	return p
-}
-
-// DecodeLayers decodes data, appending the types decoded to *decoded
-// (which is truncated first). On ErrUnsupportedLayer the successfully
-// decoded prefix is valid and Truncated is set.
-func (p *Parser) DecodeLayers(data []byte, decoded *[]LayerType) error {
-	*decoded = (*decoded)[:0]
-	p.Truncated = false
-	rest := data
-	t := p.first
-	for t != LayerTypeNone && len(rest) > 0 {
-		l, ok := p.layers[t]
-		if !ok {
-			p.Truncated = true
-			return ErrUnsupportedLayer
-		}
-		if err := l.DecodeFrom(rest); err != nil {
-			return err
-		}
-		*decoded = append(*decoded, t)
-		rest = l.LayerPayload()
-		t = l.NextLayerType()
-	}
-	return nil
 }

@@ -385,51 +385,6 @@ func TestCryptoOpaqueVsInspectableOnWire(t *testing.T) {
 	}
 }
 
-func TestParserDecodeLayers(t *testing.T) {
-	data := mustSerialize(t,
-		&TIP{TTL: 4, Proto: LayerTypeTTP, Src: 1, Dst: 2},
-		&TTP{SrcPort: 9, DstPort: 10, Next: LayerTypeRaw},
-		&Raw{Data: []byte("x")})
-
-	var tip TIP
-	var ttp TTP
-	var raw Raw
-	parser := NewParser(LayerTypeTIP, &tip, &ttp, &raw)
-	var decoded []LayerType
-	if err := parser.DecodeLayers(data, &decoded); err != nil {
-		t.Fatal(err)
-	}
-	want := []LayerType{LayerTypeTIP, LayerTypeTTP, LayerTypeRaw}
-	if len(decoded) != len(want) {
-		t.Fatalf("decoded %v", decoded)
-	}
-	for i := range want {
-		if decoded[i] != want[i] {
-			t.Fatalf("decoded %v, want %v", decoded, want)
-		}
-	}
-	if ttp.SrcPort != 9 || string(raw.Data) != "x" {
-		t.Fatal("parser did not fill layers")
-	}
-}
-
-func TestParserUnsupportedLayer(t *testing.T) {
-	data := mustSerialize(t,
-		&TIP{TTL: 4, Proto: LayerTypeTunnel, Src: 1, Dst: 2},
-		&Tunnel{Inner: LayerTypeRaw},
-		&Raw{Data: []byte("x")})
-	var tip TIP
-	parser := NewParser(LayerTypeTIP, &tip)
-	var decoded []LayerType
-	err := parser.DecodeLayers(data, &decoded)
-	if !errors.Is(err, ErrUnsupportedLayer) {
-		t.Fatalf("err = %v", err)
-	}
-	if !parser.Truncated || len(decoded) != 1 || decoded[0] != LayerTypeTIP {
-		t.Fatalf("prefix not preserved: truncated=%v decoded=%v", parser.Truncated, decoded)
-	}
-}
-
 func TestParserReuseNoAlloc(t *testing.T) {
 	data := mustSerialize(t,
 		&TIP{TTL: 4, Proto: LayerTypeTTP, Src: 1, Dst: 2},
@@ -438,15 +393,22 @@ func TestParserReuseNoAlloc(t *testing.T) {
 	var tip TIP
 	var ttp TTP
 	var raw Raw
-	parser := NewParser(LayerTypeTIP, &tip, &ttp, &raw)
-	decoded := make([]LayerType, 0, 4)
 	allocs := testing.AllocsPerRun(200, func() {
-		if err := parser.DecodeLayers(data, &decoded); err != nil {
+		if err := tip.DecodeFrom(data); err != nil {
+			t.Fatal(err)
+		}
+		if err := ttp.DecodeFrom(tip.LayerPayload()); err != nil {
+			t.Fatal(err)
+		}
+		if err := raw.DecodeFrom(ttp.LayerPayload()); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs > 0 {
-		t.Fatalf("parser allocates %v per decode, want 0", allocs)
+		t.Fatalf("decoding into caller-owned layers allocates %v per packet, want 0", allocs)
+	}
+	if string(raw.Data) != "abc" {
+		t.Fatalf("raw = %q", raw.Data)
 	}
 }
 
@@ -480,15 +442,6 @@ func TestSerializeBufferAppend(t *testing.T) {
 	}
 }
 
-func TestRegisterLayerTypeDuplicatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on duplicate registration")
-		}
-	}()
-	RegisterLayerType(LayerTypeTIP, "dup", nil)
-}
-
 func TestLayerTypeString(t *testing.T) {
 	if LayerTypeTIP.String() != "TIP" {
 		t.Fatalf("TIP name = %q", LayerTypeTIP.String())
@@ -506,27 +459,6 @@ func BenchmarkSerializeTIPTTP(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := SerializeLayers(buf, tip, ttp, raw); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkParserDecode(b *testing.B) {
-	data, err := Serialize(
-		&TIP{TTL: 64, Proto: LayerTypeTTP, Src: 1, Dst: 2},
-		&TTP{Next: LayerTypeRaw},
-		&Raw{Data: make([]byte, 512)})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var tip TIP
-	var ttp TTP
-	var raw Raw
-	parser := NewParser(LayerTypeTIP, &tip, &ttp, &raw)
-	decoded := make([]LayerType, 0, 4)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := parser.DecodeLayers(data, &decoded); err != nil {
 			b.Fatal(err)
 		}
 	}

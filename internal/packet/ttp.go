@@ -2,13 +2,8 @@ package packet
 
 import "fmt"
 
-// TTP flag bits.
-const (
-	FlagSYN uint8 = 1 << 0
-	FlagACK uint8 = 1 << 1
-	FlagFIN uint8 = 1 << 2
-	FlagRST uint8 = 1 << 3
-)
+// FlagACK is the TTP flag bit marking an acknowledgement.
+const FlagACK uint8 = 1 << 1
 
 const ttpHeaderLen = 16
 

@@ -162,11 +162,3 @@ func VoucherMAC(key []byte, payer, payee packet.Addr, amount, nonce uint32) uint
 	}
 	return out
 }
-
-// VerifyVoucher checks a received payment option against the payer's key.
-func VerifyVoucher(key []byte, p *packet.PaymentOption) bool {
-	if p == nil {
-		return false
-	}
-	return p.MAC == VoucherMAC(key, p.Payer, p.Payee, p.AmountMilli, p.Nonce)
-}

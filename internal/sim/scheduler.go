@@ -35,9 +35,6 @@ func (t Time) String() string {
 	return fmt.Sprintf("%dns", int64(t))
 }
 
-// FromSeconds converts seconds to simulated Time.
-func FromSeconds(s float64) Time { return Time(s * float64(Second)) }
-
 // event is one slot in the scheduler's event pool. Slots are recycled
 // through a free list; gen increments on every release so stale EventIDs
 // (and stale heap entries) can never touch a recycled slot's new tenant.

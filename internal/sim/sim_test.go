@@ -303,16 +303,6 @@ func TestTimeString(t *testing.T) {
 	}
 }
 
-func TestFromSecondsRoundTrip(t *testing.T) {
-	f := func(msRaw uint16) bool {
-		s := float64(msRaw) / 1000
-		return math.Abs(FromSeconds(s).Seconds()-s) < 2e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSeriesBasics(t *testing.T) {
 	var s Series
 	for _, v := range []float64{1, 2, 3, 4, 5} {

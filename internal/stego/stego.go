@@ -63,18 +63,6 @@ func EmbedPadding(paddings [][]byte, msg []byte) int {
 	return used
 }
 
-// ExtractPadding recovers n message bytes from the padding fields.
-func ExtractPadding(paddings [][]byte, n int) []byte {
-	out := make([]byte, 0, n)
-	for i := 0; i < n && i < len(paddings); i++ {
-		if len(paddings[i]) == 0 {
-			continue
-		}
-		out = append(out, paddings[i][0])
-	}
-	return out
-}
-
 // PaddingDetector scores a traffic sample's padding entropy against the
 // expected cover distribution and reports a suspicion in [0, 1].
 type PaddingDetector struct {
