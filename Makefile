@@ -24,10 +24,14 @@ test:
 	$(GO) test ./...
 	cd bench && $(GO) test ./...
 
-# The parallel experiment runner is the repo's only intentional
-# concurrency; -race on every change keeps it honest.
+# The parallel experiment runner, the sharded simulator's epoch driver
+# and the live wire engine are the repo's intentional concurrency; -race
+# on every change keeps them honest. The bench module's wire engine and
+# striping harnesses are concurrent too, and ./... at the root never
+# compiles that module (see vet), so it gets its own pass.
 race:
 	$(GO) test -race ./...
+	cd bench && $(GO) test -race ./...
 
 # One-iteration smoke of the suite benchmarks, then a quick measurement
 # run compared against the committed baseline: catches regressions that

@@ -35,14 +35,20 @@
 // reports each path's fate (RTT/loss estimates, demotions, promotions):
 //
 //	netsim -multipath -mpstrategy loss-adaptive -faultplan plan.json
+//
+// Each mode reads only some of the flags. A flag set explicitly that the
+// selected mode ignores (-faultplan with -nodes, -shards without it)
+// exits 2.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -61,39 +67,67 @@ import (
 )
 
 func main() {
-	seed := flag.Uint64("seed", 1, "simulation seed")
-	packets := flag.Int("packets", 200, "number of probe packets")
-	fwDensity := flag.Float64("fw-density", 0, "fraction of transit nodes with restrictive firewalls")
-	useSrcRoute := flag.Bool("srcroute", false, "attach user source routes (nodes honor them)")
-	showTrace := flag.Bool("trace", false, "print each packet's trace")
-	faultPlan := flag.String("faultplan", "", "replay a chaos fault plan (JSON) during the run")
-	metricsPath := flag.String("metrics", "", "write the obs metric snapshot as JSON to this file")
-	eventsPath := flag.String("events", "", "write forwarding-layer events as JSON lines to this file")
-	nodes := flag.Int("nodes", 0, "scale mode: run the sharded core over a scale-free topology this big")
-	shards := flag.Int("shards", 1, "scale mode: shard count")
-	parallel := flag.Bool("parallel", true, "scale mode: run shards in parallel epochs (off = lockstep)")
-	chaosOn := flag.Bool("chaos", false, "scale mode: inject a deterministic fault schedule")
-	useMultipath := flag.Bool("multipath", false, "multipath mode: stripe a reliable transfer over disjoint source routes")
-	mpStrategy := flag.String("mpstrategy", "disjointness-max", "multipath mode: path-selection strategy (shortest-k, disjointness-max, latency-weighted, loss-adaptive)")
-	mpBytes := flag.Int("mpbytes", 256<<10, "multipath mode: transfer size in bytes")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	if *useMultipath {
-		runMultipath(*seed, *mpStrategy, *mpBytes, *faultPlan, *metricsPath)
-		return
+// run parses args, selects the mode, and runs it; it returns the process
+// exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("netsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		seed         = fs.Uint64("seed", 1, "simulation seed")
+		packets      = fs.Int("packets", 200, "number of probe packets")
+		fwDensity    = fs.Float64("fw-density", 0, "fraction of transit nodes with restrictive firewalls")
+		useSrcRoute  = fs.Bool("srcroute", false, "attach user source routes (nodes honor them)")
+		showTrace    = fs.Bool("trace", false, "print each packet's trace")
+		faultPlan    = fs.String("faultplan", "", "replay a chaos fault plan (JSON) during the run")
+		metricsPath  = fs.String("metrics", "", "write the obs metric snapshot as JSON to this file")
+		eventsPath   = fs.String("events", "", "write forwarding-layer events as JSON lines to this file")
+		nodes        = fs.Int("nodes", 0, "scale mode: run the sharded core over a scale-free topology this big")
+		shards       = fs.Int("shards", 1, "scale mode: shard count")
+		parallel     = fs.Bool("parallel", true, "scale mode: run shards in parallel epochs (off = lockstep)")
+		chaosOn      = fs.Bool("chaos", false, "scale mode: inject a deterministic fault schedule")
+		useMultipath = fs.Bool("multipath", false, "multipath mode: stripe a reliable transfer over disjoint source routes")
+		mpStrategy   = fs.String("mpstrategy", "disjointness-max", "multipath mode: path-selection strategy (shortest-k, disjointness-max, latency-weighted, loss-adaptive)")
+		mpBytes      = fs.Int("mpbytes", 256<<10, "multipath mode: transfer size in bytes")
+	)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	// Each mode reads only some of the flags. One set explicitly that the
+	// selected mode would ignore is an error: -nodes N -faultplan p.json
+	// must not run scale mode and drop the plan.
+	mode, reads := "in probe mode (without -nodes or -multipath)", "seed packets fw-density srcroute trace faultplan metrics events"
+	switch {
+	case *useMultipath:
+		mode, reads = "with -multipath", "multipath mpstrategy mpbytes seed faultplan metrics"
+	case *nodes > 0:
+		mode, reads = "with -nodes", "nodes shards parallel chaos packets seed metrics"
+	}
+	ignored, packetsSet := "", false
+	fs.Visit(func(f *flag.Flag) {
+		if ignored == "" && !slices.Contains(strings.Fields(reads), f.Name) {
+			ignored = f.Name
+		}
+		packetsSet = packetsSet || f.Name == "packets"
+	})
+	if ignored != "" {
+		fmt.Fprintf(stderr, "netsim: -%s has no effect %s\n", ignored, mode)
+		return 2
 	}
 
-	if *nodes > 0 {
+	switch {
+	case *useMultipath:
+		return runMultipath(stdout, stderr, *seed, *mpStrategy, *mpBytes, *faultPlan, *metricsPath)
+	case *nodes > 0:
 		// -packets keeps its own default for probe mode; scale mode
 		// defaults to 10 packets per node unless the flag was given.
 		pk := 0
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "packets" {
-				pk = *packets
-			}
-		})
-		runScale(*nodes, *shards, pk, *parallel, *chaosOn, *seed, *metricsPath)
-		return
+		if packetsSet {
+			pk = *packets
+		}
+		return runScale(stdout, stderr, *nodes, *shards, pk, *parallel, *chaosOn, *seed, *metricsPath)
 	}
 
 	rng := sim.NewRNG(*seed)
@@ -110,8 +144,8 @@ func main() {
 		if *eventsPath != "" {
 			f, err := os.Create(*eventsPath)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "netsim: events: %v\n", err)
-				os.Exit(1)
+				fmt.Fprintf(stderr, "netsim: events: %v\n", err)
+				return 1
 			}
 			defer f.Close()
 			sink = obs.NewJSONL(f)
@@ -123,41 +157,36 @@ func main() {
 	pv := pathvector.New(g)
 	pv.AttachObs(reg)
 	if err := pv.Converge(); err != nil {
-		fmt.Fprintf(os.Stderr, "netsim: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "netsim: %v\n", err)
+		return 1
 	}
-	fmt.Printf("topology: %d nodes, %d links; path-vector converged in %d iterations\n",
+	fmt.Fprintf(stdout, "topology: %d nodes, %d links; path-vector converged in %d iterations\n",
 		len(g.Nodes), len(g.Links), pv.Iterations)
 
 	// With a fault plan, the engine replays timed faults and a rerouter
 	// re-converges path-vector routing around them; probe sends spread
 	// over the plan's duration so traffic actually meets the faults.
 	var eng *chaos.Engine
-	var pvr *chaos.PathVectorRerouter
+	var pvr *chaos.Rerouter
 	horizon := sim.Time(0)
 	if *faultPlan != "" {
-		buf, err := os.ReadFile(*faultPlan)
+		plan, err := loadPlan(*faultPlan)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "netsim: faultplan: %v\n", err)
-			os.Exit(1)
-		}
-		plan, err := chaos.ParsePlan(buf)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "netsim: faultplan: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "netsim: faultplan: %v\n", err)
+			return 1
 		}
 		pvr = chaos.NewPathVectorRerouter(net, pv, true)
 		pvr.AttachObs(reg)
 		if err := pvr.Converge(); err != nil {
-			fmt.Fprintf(os.Stderr, "netsim: faultplan: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "netsim: faultplan: %v\n", err)
+			return 1
 		}
 		eng = chaos.New(net, *seed)
 		eng.AttachObs(reg)
 		eng.Observe(pvr)
 		if err := eng.Schedule(plan); err != nil {
-			fmt.Fprintf(os.Stderr, "netsim: faultplan: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "netsim: faultplan: %v\n", err)
+			return 1
 		}
 		for i := range plan.Events {
 			if at := plan.Events[i].At(); at > horizon {
@@ -165,7 +194,7 @@ func main() {
 			}
 		}
 		horizon += 200 * sim.Millisecond
-		fmt.Printf("fault plan %q: %d events; probes spread over %v\n",
+		fmt.Fprintf(stdout, "fault plan %q: %d events; probes spread over %v\n",
 			plan.Name, len(plan.Events), horizon)
 	}
 
@@ -210,8 +239,8 @@ func main() {
 			&packet.TTP{SrcPort: 4000, DstPort: dstPort, Next: packet.LayerTypeRaw},
 			&packet.Raw{Data: []byte("probe")})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "netsim: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "netsim: %v\n", err)
+			return 1
 		}
 		if eng != nil {
 			i, src, data := i, src, data
@@ -225,7 +254,7 @@ func main() {
 	sched.Run()
 
 	if eng != nil {
-		fmt.Printf("chaos: applied %v; path-vector reconverged %d times (route churn %d, modeled delay %v)\n",
+		fmt.Fprintf(stdout, "chaos: applied %v; path-vector reconverged %d times (route churn %d, modeled delay %v)\n",
 			eng.Applied, pvr.Reconverges, pvr.TotalChurn, pvr.TotalDelay)
 	}
 
@@ -241,16 +270,16 @@ func main() {
 			dropReasons.Inc(tr.DropReason)
 		}
 		if *showTrace {
-			fmt.Printf("packet %d:\n", i)
+			fmt.Fprintf(stdout, "packet %d:\n", i)
 			for _, e := range tr.Events {
-				fmt.Printf("  %-10v node %-3d %-8s %s\n", e.At, e.Node, e.Action, e.Detail)
+				fmt.Fprintf(stdout, "  %-10v node %-3d %-8s %s\n", e.At, e.Node, e.Action, e.Detail)
 			}
 		}
 	}
-	fmt.Printf("delivered %d/%d (%.1f%%)\n", delivered, len(traces),
+	fmt.Fprintf(stdout, "delivered %d/%d (%.1f%%)\n", delivered, len(traces),
 		100*float64(delivered)/float64(len(traces)))
 	if delivered > 0 {
-		fmt.Printf("latency: mean %.2fms p99 %.2fms; hops: mean %.1f max %.0f\n",
+		fmt.Fprintf(stdout, "latency: mean %.2fms p99 %.2fms; hops: mean %.1f max %.0f\n",
 			latency.Mean(), latency.Percentile(99), hops.Mean(), hops.Max())
 	}
 	reasons := make([]string, 0, len(dropReasons))
@@ -259,24 +288,34 @@ func main() {
 	}
 	sort.Strings(reasons)
 	for _, reason := range reasons {
-		fmt.Printf("dropped (%s): %d\n", reason, dropReasons[reason])
+		fmt.Fprintf(stdout, "dropped (%s): %d\n", reason, dropReasons[reason])
 	}
 	if sink != nil {
 		if err := sink.Err(); err != nil {
-			fmt.Fprintf(os.Stderr, "netsim: events: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "netsim: events: %v\n", err)
+			return 1
 		}
 	}
 	if *metricsPath != "" {
-		writeMetrics(reg, *metricsPath)
+		return writeMetrics(stderr, reg, *metricsPath)
 	}
+	return 0
+}
+
+// loadPlan reads and parses a chaos fault plan file.
+func loadPlan(path string) (*chaos.Plan, error) {
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return chaos.ParsePlan(buf)
 }
 
 // runScale executes the sharded scale workload. Everything on stdout is
 // deterministic for (seed, nodes, packets, chaos) — independent of the
 // shard count and driver — so CI diffs it across shard counts; wall
 // time and throughput go to stderr.
-func runScale(nodes, shards, packets int, parallel, chaosOn bool, seed uint64, metricsPath string) {
+func runScale(stdout, stderr io.Writer, nodes, shards, packets int, parallel, chaosOn bool, seed uint64, metricsPath string) int {
 	cfg := scale.Config{
 		Nodes: nodes, Packets: packets, Seed: seed,
 		Shards: shards, Parallel: parallel, Chaos: chaosOn,
@@ -296,32 +335,33 @@ func runScale(nodes, shards, packets int, parallel, chaosOn bool, seed uint64, m
 		fmt.Fprintf(&load, " %d:%dn/%dev", i, sm.S.Part.Counts[i], sh.Sched.Processed)
 		busiest = max(busiest, sh.Sched.Processed)
 	}
-	fmt.Fprintf(os.Stderr, "netsim: scale: shards=%d window=%v cross-links=%d load%s busiest=%.3fx mean\n",
+	fmt.Fprintf(stderr, "netsim: scale: shards=%d window=%v cross-links=%d load%s busiest=%.3fx mean\n",
 		len(sm.S.Shards), res.Window, res.CrossLinks, load.String(),
 		float64(busiest)*float64(len(sm.S.Shards))/float64(max(res.Processed, 1)))
-	fmt.Print(res.Render())
+	fmt.Fprint(stdout, res.Render())
 	total := res.Delivered + res.Dropped
-	fmt.Fprintf(os.Stderr, "netsim: scale: %d packets, %d events in %v (%.0f pkt/s, %.0f ev/s, GOMAXPROCS=%d)\n",
+	fmt.Fprintf(stderr, "netsim: scale: %d packets, %d events in %v (%.0f pkt/s, %.0f ev/s, GOMAXPROCS=%d)\n",
 		total, res.Processed, wall.Round(time.Millisecond),
 		float64(total)/wall.Seconds(), float64(res.Processed)/wall.Seconds(),
 		runtime.GOMAXPROCS(0))
 	if metricsPath != "" {
-		writeMetrics(res.Metrics, metricsPath)
+		return writeMetrics(stderr, res.Metrics, metricsPath)
 	}
+	return 0
 }
 
-// writeMetrics dumps a registry snapshot as indented JSON.
-func writeMetrics(reg *obs.Registry, path string) {
+// writeMetrics dumps a registry snapshot as indented JSON and returns the
+// exit code.
+func writeMetrics(stderr io.Writer, reg *obs.Registry, path string) int {
 	buf, err := json.MarshalIndent(reg.Snapshot(), "", "  ")
+	if err == nil {
+		err = os.WriteFile(path, append(buf, '\n'), 0o644)
+	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "netsim: metrics: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "netsim: metrics: %v\n", err)
+		return 1
 	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "netsim: metrics: %v\n", err)
-		os.Exit(1)
-	}
+	return 0
 }
 
 // runMultipath is multipath mode: discover disjoint source routes
@@ -329,11 +369,11 @@ func writeMetrics(reg *obs.Registry, path string) {
 // reliable transfer across them with the chosen strategy, optionally
 // replaying a chaos fault plan underneath, and report per-path fates.
 // Deterministic per seed.
-func runMultipath(seed uint64, strategy string, bytes int, faultPlan, metricsPath string) {
+func runMultipath(stdout, stderr io.Writer, seed uint64, strategy string, bytes int, faultPlan, metricsPath string) int {
 	strat, err := multipath.StrategyByName(strategy)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "netsim: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "netsim: %v\n", err)
+		return 1
 	}
 	rng := sim.NewRNG(seed)
 	g := topology.GenerateHierarchy(topology.DefaultHierarchy(), rng)
@@ -352,8 +392,8 @@ func runMultipath(seed uint64, strategy string, bytes int, faultPlan, metricsPat
 	pv := pathvector.New(g)
 	pv.AttachObs(reg)
 	if err := pv.Converge(); err != nil {
-		fmt.Fprintf(os.Stderr, "netsim: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "netsim: %v\n", err)
+		return 1
 	}
 	for _, id := range g.NodeIDs() {
 		nd := net.Node(id)
@@ -362,23 +402,18 @@ func runMultipath(seed uint64, strategy string, bytes int, faultPlan, metricsPat
 	}
 
 	if faultPlan != "" {
-		buf, err := os.ReadFile(faultPlan)
+		plan, err := loadPlan(faultPlan)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "netsim: faultplan: %v\n", err)
-			os.Exit(1)
-		}
-		plan, err := chaos.ParsePlan(buf)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "netsim: faultplan: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "netsim: faultplan: %v\n", err)
+			return 1
 		}
 		eng := chaos.New(net, seed)
 		eng.AttachObs(reg)
 		if err := eng.Schedule(plan); err != nil {
-			fmt.Fprintf(os.Stderr, "netsim: faultplan: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "netsim: faultplan: %v\n", err)
+			return 1
 		}
-		fmt.Printf("fault plan %q: %d events\n", plan.Name, len(plan.Events))
+		fmt.Fprintf(stdout, "fault plan %q: %d events\n", plan.Name, len(plan.Events))
 	}
 
 	// Pick the stub pair with the richest disjoint-path set (first such
@@ -410,21 +445,22 @@ func runMultipath(seed uint64, strategy string, bytes int, faultPlan, metricsPat
 	sched.Run()
 
 	st := snd.Stats()
-	fmt.Printf("multipath %s: %d -> %d, %d bytes in %d segments over %d paths\n",
+	fmt.Fprintf(stdout, "multipath %s: %d -> %d, %d bytes in %d segments over %d paths\n",
 		strat.Name(), src, dst, bytes, st.Segments, st.PathsUsed)
 	for _, p := range snd.Paths() {
-		fmt.Printf("  path %d %v: %s, sent %d acked %d retx %d timeouts %d demote %d promote %d srtt %v loss %.3f\n",
+		fmt.Fprintf(stdout, "  path %d %v: %s, sent %d acked %d retx %d timeouts %d demote %d promote %d srtt %v loss %.3f\n",
 			p.Index, p.Cand.Path, p.State, p.Sent, p.Acked, p.Retx, p.Timeouts,
 			p.Demotions, p.Promotions, p.SRTT, p.Loss)
 	}
 	switch {
 	case st.Done:
-		fmt.Printf("done in %v: sent %d, retx %d, probes %d, demotions %d, promotions %d, dups absorbed %d\n",
+		fmt.Fprintf(stdout, "done in %v: sent %d, retx %d, probes %d, demotions %d, promotions %d, dups absorbed %d\n",
 			st.Elapsed, st.Sent, st.Retransmissions, st.Probes, st.Demotions, st.Promotions, rcv.Dups)
 	case st.Failed:
-		fmt.Printf("FAILED after %v: %s\n", st.Elapsed, st.FailReason)
+		fmt.Fprintf(stdout, "FAILED after %v: %s\n", st.Elapsed, st.FailReason)
 	}
 	if metricsPath != "" {
-		writeMetrics(reg, metricsPath)
+		return writeMetrics(stderr, reg, metricsPath)
 	}
+	return 0
 }

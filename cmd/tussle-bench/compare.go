@@ -48,8 +48,8 @@ func loadSuite(path string) (*suiteBench, error) {
 // tolerance (e.g. 0.10 = fail when ns/op grows more than 10%), or
 // allocs/op grown at all (alloc counts are deterministic, so any growth
 // is a real regression, not noise). Experiments present in only one file
-// are reported but never fail the gate (the suite may have grown or
-// shrunk between revisions).
+// never fail the gate (the suite may have grown or shrunk between
+// revisions); runCompare lists them (see onlyIn).
 func compareSuites(oldSB, newSB *suiteBench, tolerance float64) (deltas []regression, regressed []regression) {
 	oldByID := make(map[string]expBench, len(oldSB.Experiments))
 	for _, e := range oldSB.Experiments {
@@ -74,6 +74,22 @@ func compareSuites(oldSB, newSB *suiteBench, tolerance float64) (deltas []regres
 	sort.Slice(deltas, func(i, j int) bool { return deltas[i].Ratio > deltas[j].Ratio })
 	sort.Slice(regressed, func(i, j int) bool { return regressed[i].Ratio > regressed[j].Ratio })
 	return deltas, regressed
+}
+
+// onlyIn returns the IDs of the experiments in a that b lacks, in a's
+// order.
+func onlyIn(a, b *suiteBench) []string {
+	inB := make(map[string]bool, len(b.Experiments))
+	for _, e := range b.Experiments {
+		inB[e.ID] = true
+	}
+	var ids []string
+	for _, e := range a.Experiments {
+		if !inB[e.ID] {
+			ids = append(ids, e.ID)
+		}
+	}
+	return ids
 }
 
 // suiteAllocs totals allocs/op across all experiments in a suite.
@@ -102,6 +118,12 @@ func runCompare(w io.Writer, oldPath, newPath string, tolerance float64) int {
 	fmt.Fprintf(w, "%-6s %14s %14s %8s %12s %12s\n", "exp", "old ns/op", "new ns/op", "ratio", "old allocs", "new allocs")
 	for _, d := range deltas {
 		fmt.Fprintf(w, "%-6s %14d %14d %7.2fx %12d %12d\n", d.ID, d.OldNs, d.NewNs, d.Ratio, d.OldAlloc, d.NewAlloc)
+	}
+	for _, id := range onlyIn(oldSB, newSB) {
+		fmt.Fprintf(w, "%-6s only in %s (not gated)\n", id, oldPath)
+	}
+	for _, id := range onlyIn(newSB, oldSB) {
+		fmt.Fprintf(w, "%-6s only in %s (not gated)\n", id, newPath)
 	}
 	fmt.Fprintf(w, "suite allocs/op: %d -> %d\n", suiteAllocs(oldSB), suiteAllocs(newSB))
 	if len(regressed) > 0 {

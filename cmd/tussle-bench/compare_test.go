@@ -117,3 +117,32 @@ func TestRunCompareExitCodes(t *testing.T) {
 		t.Fatalf("missing-file compare exit = %d, want 2", code)
 	}
 }
+
+// A row present in only one file never fails the gate, but it is named:
+// an experiment that vanished from the new run must not pass unnoticed.
+func TestRunCompareReportsUnmatchedRows(t *testing.T) {
+	dir := t.TempDir()
+	oldPath := writeSuite(t, dir, "old.json", []expBench{
+		{ID: "E1", NsPerOp: 1000, AllocsPerOp: 10},
+		{ID: "E2", NsPerOp: 1000, AllocsPerOp: 10},
+	})
+	newPath := writeSuite(t, dir, "new.json", []expBench{
+		{ID: "E1", NsPerOp: 1000, AllocsPerOp: 10},
+		{ID: "E3", NsPerOp: 1000, AllocsPerOp: 10},
+	})
+	var out strings.Builder
+	if code := runCompare(&out, oldPath, newPath, 0.10); code != 0 {
+		t.Fatalf("exit = %d, want 0; output:\n%s", code, out.String())
+	}
+	for _, want := range []string{
+		"E2     only in " + oldPath + " (not gated)\n",
+		"E3     only in " + newPath + " (not gated)\n",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("output lacks %q:\n%s", want, out.String())
+		}
+	}
+	if strings.Contains(out.String(), "E1     only in") {
+		t.Errorf("a row in both files reported as unmatched:\n%s", out.String())
+	}
+}

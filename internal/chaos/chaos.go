@@ -10,9 +10,9 @@
 //
 // The paper's §VI-A is the motivation: "failures of transparency will
 // occur — design what happens then". The engine supplies the failures;
-// the observers registered on it (routing re-convergence adapters in
-// reroute.go, transport backoff, traceroute diagnostics) are the
-// "design what happens then".
+// the observers registered on it (the routing Rerouter in reroute.go,
+// the invariant checker) and the per-packet netsim traces that record
+// where and why traffic died are the "design what happens then".
 package chaos
 
 import (

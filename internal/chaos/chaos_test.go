@@ -140,7 +140,9 @@ func replay(t *testing.T) string {
 	net := netsim.New(sched, g)
 	db := linkstate.NewDatabase(g)
 	r := NewLinkStateRerouter(net, db, true)
-	r.Converge()
+	if err := r.Converge(); err != nil {
+		t.Fatal(err)
+	}
 	e := New(net, 42)
 	e.Observe(r)
 	p, err := ParsePlan([]byte(samplePlan()))
@@ -216,7 +218,9 @@ func TestLinkStateRerouterFailsOverOnCrash(t *testing.T) {
 	net := netsim.New(sched, g)
 	db := linkstate.NewDatabase(g)
 	r := NewLinkStateRerouter(net, db, true)
-	r.Converge()
+	if err := r.Converge(); err != nil {
+		t.Fatal(err)
+	}
 	e := New(net, 1)
 	e.Observe(r)
 	p := &Plan{Events: []Event{
@@ -284,6 +288,64 @@ func TestPathVectorRerouterFailsOverOnCrash(t *testing.T) {
 	}
 }
 
+// A rerouter with Install false is a shadow instance, as E27 runs
+// link-state beside live path-vector routing: it counts every
+// reconvergence with its churn and delay, but never changes any node's
+// Route. The installing twin under the same plan shows the check can
+// see a replaced Route.
+func TestShadowRerouterNeverInstalls(t *testing.T) {
+	for _, install := range []bool{false, true} {
+		g := diamond()
+		sched := sim.NewScheduler()
+		net := netsim.New(sched, g)
+		// Sentinel routes count their own calls, so a replaced Route is
+		// one whose sentinel no longer sees the call.
+		calls := map[topology.NodeID]int{}
+		for _, id := range g.NodeIDs() {
+			id := id
+			net.Node(id).Route = func(packet.Addr, *packet.TIP) (topology.NodeID, bool) {
+				calls[id]++
+				return 0, false
+			}
+		}
+		r := NewLinkStateRerouter(net, linkstate.NewDatabase(g), install)
+		if err := r.Converge(); err != nil {
+			t.Fatal(err)
+		}
+		e := New(net, 1)
+		e.Observe(r)
+		p := &Plan{Events: []Event{
+			{AtMs: 10, Kind: NodeCrash, Node: 2},
+			{AtMs: 40, Kind: LinkDown, A: 1, B: 3},
+			{AtMs: 70, Kind: LinkUp, A: 1, B: 3},
+			{AtMs: 100, Kind: NodeRecover, Node: 2},
+		}}
+		if err := e.Schedule(p); err != nil {
+			t.Fatal(err)
+		}
+		sched.Run()
+		if r.Reconverges != 4 || r.TotalChurn == 0 || r.TotalDelay == 0 {
+			t.Fatalf("install=%v: reconverges %d, churn %d, delay %v; want 4 with churn and delay",
+				install, r.Reconverges, r.TotalChurn, r.TotalDelay)
+		}
+		replaced := 0
+		for _, id := range g.NodeIDs() {
+			before := calls[id]
+			net.Node(id).Route(packet.MakeAddr(4, 1), nil)
+			if calls[id] == before {
+				replaced++
+			}
+		}
+		want := 0
+		if install {
+			want = len(g.Nodes)
+		}
+		if replaced != want {
+			t.Fatalf("install=%v: %d of %d node routes replaced, want %d", install, replaced, len(g.Nodes), want)
+		}
+	}
+}
+
 // pathVia returns the transit node a delivered 1→4 diamond probe used.
 func pathVia(tr *netsim.Trace) topology.NodeID {
 	for _, id := range tr.Path() {
@@ -302,7 +364,9 @@ func TestByzantineBurstTrustModes(t *testing.T) {
 		keys := linkstate.GenerateKeys(g, sim.NewRNG(3))
 		db := linkstate.NewAdDatabase(g, mode, keys)
 		r := NewAdRerouter(net, db, keys, true)
-		r.Converge()
+		if err := r.Converge(); err != nil {
+			t.Fatal(err)
+		}
 		e := New(net, 9)
 		e.AdDB = db
 		e.Keys = keys

@@ -10,35 +10,27 @@ import (
 	"repro/internal/trust"
 )
 
-// This file wires routing protocols to the fault engine: each rerouter
-// is an Observer that resynchronizes its protocol's view of the topology
-// from the network's actual fault state, recomputes routes, and installs
-// the new tables after a modeled reconvergence delay. Convergence time
-// and route churn are exported as plain fields (for deterministic
-// experiment tables) and obs histograms (for -metrics snapshots).
+// This file wires routing protocols to the fault engine: a Rerouter is an
+// Observer that resynchronizes its protocol's view of the topology from
+// the network's actual fault state, recomputes routes, and installs the
+// new tables after a modeled reconvergence delay. Convergence time and
+// route churn are exported as plain fields (for deterministic experiment
+// tables) and obs histograms (for -metrics snapshots).
 //
 // Rerouters resync from netsim ground truth rather than applying event
 // diffs, so they are idempotent under duplicate notifications and
 // independent of event ordering — a partition and the same links failed
 // one by one converge to identical tables.
 
-// rerouteObs is the shared instrument bundle; protocol adapters bind it
-// to protocol-specific metric names.
-type rerouteObs struct {
-	reconverges *obs.Counter
-	delayNs     *obs.Histogram
-	churn       *obs.Histogram
-}
-
-func (ro *rerouteObs) attach(reg *obs.Registry, prefix string) {
-	if reg == nil {
-		ro.reconverges, ro.delayNs, ro.churn = nil, nil, nil
-		return
-	}
-	ro.reconverges = reg.Counter(prefix + ".reconverges")
-	ro.delayNs = reg.Histogram(prefix+".reconverge_time_ns", obs.TimeBucketsNs)
-	ro.churn = reg.Histogram(prefix+".route_churn", obs.CountBuckets)
-}
+// The delay models. Link-state news floods at floodHopDelay per hop and
+// then costs computeDelay of SPF; path-vector news travels by iterative
+// advertisement at iterDelay per convergence iteration (BGP-style
+// propagation is slow).
+const (
+	floodHopDelay = 500 * sim.Microsecond
+	computeDelay  = 100 * sim.Microsecond
+	iterDelay     = 5 * sim.Millisecond
+)
 
 // nextHops is a snapshot of every node's next hop per destination, the
 // unit of churn accounting.
@@ -144,41 +136,19 @@ func topologyFault(k Kind) bool {
 	return false
 }
 
-// installer arms a delayed table install guarded by a generation
-// counter, so a newer reconvergence supersedes an older one still in
-// flight (its install becomes a no-op).
-type installer struct {
-	gen int
-}
-
-func (ins *installer) arm(sched *sim.Scheduler, delay sim.Time, install func()) {
-	ins.gen++
-	gen := ins.gen
-	sched.After(delay, func() {
-		if ins.gen == gen {
-			install()
-		}
-	})
-}
-
-// LinkStateRerouter re-converges a ground-truth link-state Database on
-// every topology fault: failed links and crashed nodes are masked with
-// negative cost overrides (SPF skips them), tables are recomputed, and —
-// after a modeled flooding+SPF delay — installed on every node. With
-// Install false it is a shadow instance: it measures reconvergence time
-// and churn without touching forwarding (useful to report link-state
-// convergence while the network forwards by another protocol).
-type LinkStateRerouter struct {
-	Net *netsim.Network
-	DB  *linkstate.Database
-	// Install controls whether recomputed tables are installed as node
-	// RouteFuncs after the delay.
+// Rerouter re-converges one routing protocol on the faults it reacts to:
+// it resyncs the protocol from the network's fault state, recomputes
+// every node's next hops, counts the churn against the previous
+// computation, and installs the new routes on every node after the
+// protocol's modeled delay. A newer reconvergence supersedes an older
+// one whose install is still pending. With Install false it is a shadow
+// instance: it measures reconvergence time and churn without touching
+// forwarding (useful to report one protocol's convergence while the
+// network forwards by another).
+type Rerouter struct {
+	// Install controls whether recomputed routes are installed as node
+	// RouteFuncs.
 	Install bool
-	// FloodHopDelay is the per-hop LSA propagation delay; the modeled
-	// reconvergence time is radius × FloodHopDelay + ComputeDelay.
-	FloodHopDelay sim.Time
-	// ComputeDelay is the fixed SPF computation cost.
-	ComputeDelay sim.Time
 
 	// Reconverges, TotalDelay and TotalChurn accumulate for experiment
 	// tables (deterministic, obs-independent).
@@ -186,338 +156,251 @@ type LinkStateRerouter struct {
 	TotalDelay  sim.Time
 	TotalChurn  int
 
-	saved map[[2]topology.NodeID]*float64 // pre-mask override state
-	prev  nextHops
-	ins   installer
-	ro    rerouteObs
-}
+	sched  *sim.Scheduler
+	metric string // obs metric prefix
+	reacts func(Kind) bool
+	// resync brings the protocol up to date with the network's fault
+	// state after ev (the zero Event at Converge) and recomputes. It
+	// returns every node's next hops and a function that installs them.
+	resync func(ev Event) (nextHops, func(), error)
+	// delay is the modeled reconvergence time for ev, asked after resync.
+	delay func(ev Event) sim.Time
 
-// NewLinkStateRerouter builds a rerouter with the default delay model
-// (500µs per flooding hop, 100µs SPF).
-func NewLinkStateRerouter(net *netsim.Network, db *linkstate.Database, install bool) *LinkStateRerouter {
-	return &LinkStateRerouter{
-		Net: net, DB: db, Install: install,
-		FloodHopDelay: 500 * sim.Microsecond,
-		ComputeDelay:  100 * sim.Microsecond,
-		saved:         map[[2]topology.NodeID]*float64{},
-	}
+	prev nextHops
+	gen  int // install generation: only the newest pending install runs
+
+	reconverges *obs.Counter
+	delayNs     *obs.Histogram
+	churn       *obs.Histogram
 }
 
 // AttachObs binds the rerouter's reconvergence metrics. A nil registry
 // disables again.
-func (r *LinkStateRerouter) AttachObs(reg *obs.Registry) { r.ro.attach(reg, "routing.linkstate") }
-
-// Converge recomputes (and, when Install is set, immediately installs)
-// tables from the current fault state without modeling any delay — call
-// it once at setup for the initial healthy tables.
-func (r *LinkStateRerouter) Converge() {
-	tables := r.recompute()
-	r.prev = tablesNextHops(tables)
-	if r.Install {
-		r.install(tables)
+func (r *Rerouter) AttachObs(reg *obs.Registry) {
+	if reg == nil {
+		r.reconverges, r.delayNs, r.churn = nil, nil, nil
+		return
 	}
+	r.reconverges = reg.Counter(r.metric + ".reconverges")
+	r.delayNs = reg.Histogram(r.metric+".reconverge_time_ns", obs.TimeBucketsNs)
+	r.churn = reg.Histogram(r.metric+".route_churn", obs.CountBuckets)
+}
+
+// Converge recomputes routes from the current fault state and, when
+// Install is set, installs them at once, modeling no delay — call it
+// once at setup for the initial tables.
+func (r *Rerouter) Converge() error {
+	cur, install, err := r.resync(Event{})
+	if err != nil {
+		return err
+	}
+	r.prev = cur
+	if r.Install {
+		install()
+	}
+	return nil
 }
 
 // Fault implements Observer.
-func (r *LinkStateRerouter) Fault(ev Event, now sim.Time) {
-	if !topologyFault(ev.Kind) {
+func (r *Rerouter) Fault(ev Event, now sim.Time) {
+	if !r.reacts(ev.Kind) {
 		return
 	}
-	tables := r.recompute()
-	cur := tablesNextHops(tables)
+	cur, install, err := r.resync(ev)
+	if err != nil {
+		return // Gao–Rexford guarantees convergence; defensive only
+	}
 	churn := churnCount(r.prev, cur)
 	r.prev = cur
-	delay := sim.Time(floodRadius(r.Net, faultSite(ev)))*r.FloodHopDelay + r.ComputeDelay
+	delay := r.delay(ev)
 	r.Reconverges++
 	r.TotalDelay += delay
 	r.TotalChurn += churn
-	if r.ro.reconverges != nil {
-		r.ro.reconverges.Inc()
-		r.ro.delayNs.Observe(float64(delay))
-		r.ro.churn.Observe(float64(churn))
+	if r.reconverges != nil {
+		r.reconverges.Inc()
+		r.delayNs.Observe(float64(delay))
+		r.churn.Observe(float64(churn))
 	}
 	if r.Install {
-		r.ins.arm(r.Net.Sched, delay, func() { r.install(tables) })
+		r.gen++
+		gen := r.gen
+		r.sched.After(delay, func() {
+			if r.gen == gen {
+				install()
+			}
+		})
 	}
 }
 
-// recompute masks every currently-failed link and crashed node in the
-// database (negative cost ⇒ SPF skips the edge), restores masks for
-// healed elements, and recomputes all tables.
-func (r *LinkStateRerouter) recompute() map[topology.NodeID]*linkstate.Table {
-	for _, l := range r.Net.Graph.Links {
-		down := r.Net.LinkFailed(l.A, l.B) || r.Net.NodeFailed(l.A) || r.Net.NodeFailed(l.B)
-		r.mask(l.A, l.B, down)
-		r.mask(l.B, l.A, down)
+// floodDelay is the link-state delay model: the news floods hop by hop
+// from the fault site to the farthest live node, then every node runs
+// SPF.
+func floodDelay(net *netsim.Network) func(Event) sim.Time {
+	return func(ev Event) sim.Time {
+		return sim.Time(floodRadius(net, faultSite(ev)))*floodHopDelay + computeDelay
 	}
-	return linkstate.Compute(r.DB)
 }
 
-// mask sets or clears the fault override on the directed edge a→b,
-// preserving any pre-existing traffic-engineering override underneath.
-func (r *LinkStateRerouter) mask(a, b topology.NodeID, down bool) {
+// NewLinkStateRerouter re-converges a ground-truth link-state Database on
+// every topology fault: failed links and crashed nodes are masked with
+// negative cost overrides (SPF skips them) and every table is recomputed.
+// The modeled delay is flooding from the fault site plus one SPF run.
+func NewLinkStateRerouter(net *netsim.Network, db *linkstate.Database, install bool) *Rerouter {
+	saved := map[[2]topology.NodeID]*float64{} // pre-mask override state
+	return &Rerouter{
+		Install: install, sched: net.Sched, metric: "routing.linkstate",
+		reacts: topologyFault,
+		resync: func(Event) (nextHops, func(), error) {
+			for _, l := range net.Graph.Links {
+				down := net.LinkFailed(l.A, l.B) || net.NodeFailed(l.A) || net.NodeFailed(l.B)
+				mask(db, saved, l.A, l.B, down)
+				mask(db, saved, l.B, l.A, down)
+			}
+			return tableHops(net, linkstate.Compute(db))
+		},
+		delay: floodDelay(net),
+	}
+}
+
+// mask sets or clears the fault override on the directed edge a→b of db,
+// keeping any pre-existing traffic-engineering override in saved so it
+// can be restored underneath.
+func mask(db *linkstate.Database, saved map[[2]topology.NodeID]*float64, a, b topology.NodeID, down bool) {
 	key := [2]topology.NodeID{a, b}
-	prevSaved, masked := r.saved[key]
+	prevSaved, masked := saved[key]
 	if down {
 		if masked {
 			return
 		}
-		if c, ok := r.DB.Overrides[key]; ok {
+		if c, ok := db.Overrides[key]; ok {
 			cc := c
-			r.saved[key] = &cc
+			saved[key] = &cc
 		} else {
-			r.saved[key] = nil
+			saved[key] = nil
 		}
-		r.DB.SetCost(a, b, -1)
+		db.SetCost(a, b, -1)
 		return
 	}
 	if !masked {
 		return
 	}
 	if prevSaved != nil {
-		r.DB.SetCost(a, b, *prevSaved)
+		db.SetCost(a, b, *prevSaved)
 	} else {
-		delete(r.DB.Overrides, key)
+		delete(db.Overrides, key)
 	}
-	delete(r.saved, key)
+	delete(saved, key)
 }
 
-func (r *LinkStateRerouter) install(tables map[topology.NodeID]*linkstate.Table) {
-	for id, tbl := range tables {
-		r.Net.Node(id).Route = tbl.RouteFunc()
-	}
-}
-
-func tablesNextHops(tables map[topology.NodeID]*linkstate.Table) nextHops {
+// tableHops returns the next hops of link-state tables and a function
+// installing the tables as node routes.
+func tableHops(net *netsim.Network, tables map[topology.NodeID]*linkstate.Table) (nextHops, func(), error) {
 	nh := make(nextHops, len(tables))
 	for id, tbl := range tables {
 		nh[id] = tbl.Next
 	}
-	return nh
-}
-
-// PathVectorRerouter re-converges a Gao–Rexford path-vector protocol on
-// every topology fault: the protocol's Down/DownNodes maps are synced
-// from the network and Converge recomputes every RIB; the new RouteFuncs
-// are installed after Iterations × IterDelay (path-vector news travels
-// by iterative advertisement, not flooding).
-type PathVectorRerouter struct {
-	Net *netsim.Network
-	PV  *pathvector.Protocol
-	// Install controls whether the recomputed RouteFuncs are installed.
-	Install bool
-	// IterDelay is the modeled time per convergence iteration.
-	IterDelay sim.Time
-
-	Reconverges int
-	TotalDelay  sim.Time
-	TotalChurn  int
-
-	prev nextHops
-	ins  installer
-	ro   rerouteObs
-}
-
-// NewPathVectorRerouter builds a rerouter with the default delay model
-// (5ms per convergence iteration — BGP-style propagation is slow).
-func NewPathVectorRerouter(net *netsim.Network, pv *pathvector.Protocol, install bool) *PathVectorRerouter {
-	return &PathVectorRerouter{Net: net, PV: pv, Install: install, IterDelay: 5 * sim.Millisecond}
-}
-
-// AttachObs binds the rerouter's reconvergence metrics. A nil registry
-// disables again.
-func (r *PathVectorRerouter) AttachObs(reg *obs.Registry) { r.ro.attach(reg, "routing.pathvector") }
-
-// Converge recomputes and (when Install is set) immediately installs
-// routes from the current fault state — the setup call.
-func (r *PathVectorRerouter) Converge() error {
-	if err := r.reconverge(); err != nil {
-		return err
-	}
-	r.prev = r.ribNextHops()
-	if r.Install {
-		r.install()
-	}
-	return nil
-}
-
-// Fault implements Observer.
-func (r *PathVectorRerouter) Fault(ev Event, now sim.Time) {
-	if !topologyFault(ev.Kind) {
-		return
-	}
-	if err := r.reconverge(); err != nil {
-		return // Gao–Rexford guarantees convergence; defensive only
-	}
-	cur := r.ribNextHops()
-	churn := churnCount(r.prev, cur)
-	r.prev = cur
-	delay := sim.Time(r.PV.Iterations) * r.IterDelay
-	r.Reconverges++
-	r.TotalDelay += delay
-	r.TotalChurn += churn
-	if r.ro.reconverges != nil {
-		r.ro.reconverges.Inc()
-		r.ro.delayNs.Observe(float64(delay))
-		r.ro.churn.Observe(float64(churn))
-	}
-	if r.Install {
-		r.ins.arm(r.Net.Sched, delay, func() { r.install() })
-	}
-}
-
-// reconverge syncs the protocol's fault view from the network and
-// recomputes. Converge rebuilds the RIB maps from scratch, so RouteFuncs
-// captured from the previous convergence keep serving the old routes
-// until install replaces them — exactly the stale-routing window a real
-// network has while BGP reconverges.
-func (r *PathVectorRerouter) reconverge() error {
-	for _, l := range r.Net.Graph.Links {
-		r.PV.MarkLink(l.A, l.B, r.Net.LinkFailed(l.A, l.B))
-	}
-	for _, id := range r.Net.Graph.NodeIDs() {
-		r.PV.MarkNode(id, r.Net.NodeFailed(id))
-	}
-	return r.PV.Converge()
-}
-
-func (r *PathVectorRerouter) ribNextHops() nextHops {
-	nh := make(nextHops, len(r.PV.RIBs))
-	for id, rib := range r.PV.RIBs {
-		table := make(map[topology.NodeID]topology.NodeID, len(rib.Best))
-		for dst, route := range rib.Best {
-			if len(route.Path) > 0 {
-				table[dst] = route.Path[0]
-			}
+	return nh, func() {
+		for id, tbl := range tables {
+			net.Node(id).Route = tbl.RouteFunc()
 		}
-		nh[id] = table
-	}
-	return nh
+	}, nil
 }
 
-func (r *PathVectorRerouter) install() {
-	for _, id := range r.Net.Graph.NodeIDs() {
-		r.Net.Node(id).Route = r.PV.RouteFunc(id)
+// NewPathVectorRerouter re-converges a Gao–Rexford path-vector protocol
+// on every topology fault: the protocol's link and node marks are synced
+// from the network and every RIB is recomputed. The modeled delay is one
+// iterDelay per convergence iteration.
+//
+// Converge rebuilds the RIB maps from scratch, so RouteFuncs captured
+// from the previous convergence keep serving the old routes until the
+// install replaces them — exactly the stale-routing window a real
+// network has while BGP reconverges.
+func NewPathVectorRerouter(net *netsim.Network, pv *pathvector.Protocol, install bool) *Rerouter {
+	return &Rerouter{
+		Install: install, sched: net.Sched, metric: "routing.pathvector",
+		reacts: topologyFault,
+		resync: func(Event) (nextHops, func(), error) {
+			for _, l := range net.Graph.Links {
+				pv.MarkLink(l.A, l.B, net.LinkFailed(l.A, l.B))
+			}
+			for _, id := range net.Graph.NodeIDs() {
+				pv.MarkNode(id, net.NodeFailed(id))
+			}
+			if err := pv.Converge(); err != nil {
+				return nil, nil, err
+			}
+			nh := make(nextHops, len(pv.RIBs))
+			for id, rib := range pv.RIBs {
+				table := make(map[topology.NodeID]topology.NodeID, len(rib.Best))
+				for dst, route := range rib.Best {
+					if len(route.Path) > 0 {
+						table[dst] = route.Path[0]
+					}
+				}
+				nh[id] = table
+			}
+			return nh, func() {
+				for _, id := range net.Graph.NodeIDs() {
+					net.Node(id).Route = pv.RouteFunc(id)
+				}
+			}, nil
+		},
+		delay: func(Event) sim.Time { return sim.Time(pv.Iterations) * iterDelay },
 	}
 }
 
-// AdRerouter re-converges an advertisement-driven link-state database
-// (the byzantine-defense substrate): on topology faults every live node
-// re-floods an honest advertisement reflecting its current live links
-// (signed when Keys are provided) and tables are recomputed from the
-// advertised state; on byzantine bursts only the recompute happens — the
-// lying advertisements stay in the database until the next honest
-// re-flood, which is how the poison takes effect.
+// NewAdRerouter re-converges an advertisement-driven link-state database
+// (the byzantine-defense substrate). On topology faults every live node
+// re-floods an honest advertisement of its current live links (signed
+// when keys are provided) and tables are recomputed from the advertised
+// state; on byzantine bursts only the recompute happens — the lying
+// advertisements stay in the database until the next honest re-flood,
+// which is how the poison takes effect. The delay model is the
+// link-state one.
 //
 // Note what this models under TrustAll: a crashed node's stale
 // advertisement lingers (nobody re-attests its links), so traffic keeps
 // routing into the dead router. SignedTwoSided's mutual attestation
 // kills those edges as soon as the live neighbors re-flood.
-type AdRerouter struct {
-	Net  *netsim.Network
-	DB   *linkstate.AdDatabase
-	Keys map[topology.NodeID]*trust.Principal
-	// Install controls whether recomputed tables are installed.
-	Install bool
-	// FloodHopDelay / ComputeDelay: same delay model as LinkStateRerouter.
-	FloodHopDelay sim.Time
-	ComputeDelay  sim.Time
-
-	Reconverges int
-	TotalDelay  sim.Time
-	TotalChurn  int
-
-	prev nextHops
-	ins  installer
-	ro   rerouteObs
-}
-
-// NewAdRerouter builds an advertisement-database rerouter.
-func NewAdRerouter(net *netsim.Network, db *linkstate.AdDatabase, keys map[topology.NodeID]*trust.Principal, install bool) *AdRerouter {
-	return &AdRerouter{
-		Net: net, DB: db, Keys: keys, Install: install,
-		FloodHopDelay: 500 * sim.Microsecond,
-		ComputeDelay:  100 * sim.Microsecond,
-	}
-}
-
-// AttachObs binds the rerouter's reconvergence metrics. A nil registry
-// disables again.
-func (r *AdRerouter) AttachObs(reg *obs.Registry) { r.ro.attach(reg, "routing.linkstate") }
-
-// Converge floods honest advertisements from every live node, recomputes
-// tables, and (when Install is set) installs them immediately — setup.
-func (r *AdRerouter) Converge() {
-	r.reflood()
-	tables := r.recompute()
-	r.prev = tablesNextHops(tables)
-	if r.Install {
-		r.install(tables)
-	}
-}
-
-// Fault implements Observer.
-func (r *AdRerouter) Fault(ev Event, now sim.Time) {
-	refresh := topologyFault(ev.Kind)
-	if !refresh && ev.Kind != ByzantineBurst {
-		return
-	}
-	if refresh {
-		r.reflood()
-	}
-	tables := r.recompute()
-	cur := tablesNextHops(tables)
-	churn := churnCount(r.prev, cur)
-	r.prev = cur
-	delay := sim.Time(floodRadius(r.Net, faultSite(ev)))*r.FloodHopDelay + r.ComputeDelay
-	r.Reconverges++
-	r.TotalDelay += delay
-	r.TotalChurn += churn
-	if r.ro.reconverges != nil {
-		r.ro.reconverges.Inc()
-		r.ro.delayNs.Observe(float64(delay))
-		r.ro.churn.Observe(float64(churn))
-	}
-	if r.Install {
-		r.ins.arm(r.Net.Sched, delay, func() { r.install(tables) })
+func NewAdRerouter(net *netsim.Network, db *linkstate.AdDatabase, keys map[topology.NodeID]*trust.Principal, install bool) *Rerouter {
+	return &Rerouter{
+		Install: install, sched: net.Sched, metric: "routing.linkstate",
+		reacts: func(k Kind) bool { return topologyFault(k) || k == ByzantineBurst },
+		resync: func(ev Event) (nextHops, func(), error) {
+			if ev.Kind != ByzantineBurst {
+				reflood(net, db, keys)
+			}
+			tables := make(map[topology.NodeID]*linkstate.Table, len(net.Graph.Nodes))
+			for _, id := range net.Graph.NodeIDs() {
+				next, dist := db.SPF(id)
+				tables[id] = &linkstate.Table{Src: id, Next: next, Dist: dist}
+			}
+			return tableHops(net, tables)
+		},
+		delay: floodDelay(net),
 	}
 }
 
 // reflood floods an honest advertisement from every live node, listing
 // only its currently-live links. Crashed nodes flood nothing: their last
-// advertisement goes stale (see the type comment).
-func (r *AdRerouter) reflood() {
-	g := r.Net.Graph
+// advertisement goes stale (see NewAdRerouter).
+func reflood(net *netsim.Network, db *linkstate.AdDatabase, keys map[topology.NodeID]*trust.Principal) {
+	g := net.Graph
 	for _, id := range g.NodeIDs() {
-		if r.Net.NodeFailed(id) {
+		if net.NodeFailed(id) {
 			continue
 		}
 		ad := &linkstate.Advertisement{From: id, Costs: map[topology.NodeID]float64{}}
 		for _, nb := range g.Neighbors(id) {
-			if r.Net.LinkFailed(id, nb) || r.Net.NodeFailed(nb) {
+			if net.LinkFailed(id, nb) || net.NodeFailed(nb) {
 				continue
 			}
 			l, _ := g.LinkBetween(id, nb)
 			ad.Costs[nb] = l.Cost
 		}
-		if p := r.Keys[id]; p != nil {
+		if p := keys[id]; p != nil {
 			ad.Sign(p)
 		}
-		r.DB.Flood(ad)
-	}
-}
-
-func (r *AdRerouter) recompute() map[topology.NodeID]*linkstate.Table {
-	tables := make(map[topology.NodeID]*linkstate.Table, len(r.Net.Graph.Nodes))
-	for _, id := range r.Net.Graph.NodeIDs() {
-		next, dist := r.DB.SPF(id)
-		tables[id] = &linkstate.Table{Src: id, Next: next, Dist: dist}
-	}
-	return tables
-}
-
-func (r *AdRerouter) install(tables map[topology.NodeID]*linkstate.Table) {
-	for id, tbl := range tables {
-		r.Net.Node(id).Route = tbl.RouteFunc()
+		db.Flood(ad)
 	}
 }

@@ -96,7 +96,9 @@ func e27Availability(seed uint64, env *obs.Env) *Result {
 		// times for the same faults without touching forwarding.
 		lsr := chaos.NewLinkStateRerouter(net, linkstate.NewDatabase(g), false)
 		lsr.AttachObs(env.Registry())
-		lsr.Converge()
+		if err := lsr.Converge(); err != nil {
+			panic(err)
+		}
 
 		eng := chaos.New(net, seed)
 		eng.AttachObs(env.Registry())
@@ -289,7 +291,9 @@ func e28Degradation(seed uint64, env *obs.Env) *Result {
 		}
 		adr := chaos.NewAdRerouter(net, db, keys, true)
 		adr.AttachObs(env.Registry())
-		adr.Converge()
+		if err := adr.Converge(); err != nil {
+			panic(err)
+		}
 
 		eng := chaos.New(net, seed)
 		eng.AdDB = db

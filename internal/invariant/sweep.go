@@ -89,26 +89,26 @@ func runScenario(sc *Scenario, enabled map[string]bool, hk *hooks) *trialResult 
 			break
 		}
 	}
-	var converge func()
+	var rr *chaos.Rerouter
 	if needAdDB {
 		keys := linkstate.GenerateKeys(g, sim.NewRNG(sc.TopoSeed^0x5eed))
 		db := linkstate.NewAdDatabase(g, linkstate.SignedTwoSided, keys)
 		db.AttachObs(reg)
-		rr := chaos.NewAdRerouter(net, db, keys, true)
-		rr.AttachObs(reg)
+		rr = chaos.NewAdRerouter(net, db, keys, true)
 		eng.AdDB = db
 		eng.Keys = keys
-		eng.Observe(rr)
-		converge = rr.Converge
 	} else {
 		db := linkstate.NewDatabase(g)
 		db.AttachObs(reg)
-		rr := chaos.NewLinkStateRerouter(net, db, true)
-		rr.AttachObs(reg)
-		eng.Observe(rr)
-		converge = rr.Converge
+		rr = chaos.NewLinkStateRerouter(net, db, true)
 	}
-	converge()
+	rr.AttachObs(reg)
+	eng.Observe(rr)
+	if err := rr.Converge(); err != nil {
+		return &trialResult{reg: reg, violations: []Violation{{
+			Invariant: "harness", Detail: fmt.Sprintf("initial routing failed to converge: %v", err),
+		}}}
+	}
 	eng.AttachObs(reg)
 	eng.Observe(checker)
 	if err := eng.Schedule(sc.Plan); err != nil {

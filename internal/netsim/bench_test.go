@@ -43,28 +43,3 @@ func BenchmarkSendAcrossHierarchy(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkTraceroute(b *testing.B) {
-	sched := sim.NewScheduler()
-	g := topology.Linear(8, sim.Millisecond)
-	n := New(sched, g)
-	for id := topology.NodeID(1); id <= 8; id++ {
-		id := id
-		n.Node(id).Route = func(dst packet.Addr, tip *packet.TIP) (topology.NodeID, bool) {
-			d := topology.NodeID(dst.Provider())
-			switch {
-			case d > id:
-				return id + 1, true
-			case d < id:
-				return id - 1, true
-			}
-			return id, true
-		}
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if hops := n.Traceroute(1, packet.MakeAddr(8, 1), 10, nil); len(hops) != 7 {
-			b.Fatalf("hops = %d", len(hops))
-		}
-	}
-}

@@ -8,8 +8,8 @@ import (
 	"repro/internal/topology"
 )
 
-// refModel is the map-based reference the dense linkTable and its fault
-// mirrors are pinned against: the simplest possible bookkeeping, updated
+// refModel is the map-based reference the dense link table and fault
+// state are pinned against: the simplest possible bookkeeping, updated
 // in lockstep with the Network under a random operation schedule.
 type refModel struct {
 	failed   map[[2]topology.NodeID]bool
@@ -33,9 +33,9 @@ func refKey(a, b topology.NodeID) [2]topology.NodeID {
 }
 
 // checkAgainst compares every observable of the dense tables with the
-// reference: per-link failure state (map and dense row), adjacency rows
+// reference: per-link failure state (query and dense row), adjacency rows
 // (membership, sortedness, and link-index correctness), the crashed-node
-// mirror, and the impairment mirror's nil-when-empty contract.
+// flags, and the impairment table's nil-when-empty contract.
 func (m *refModel) checkAgainst(t *testing.T, n *Network, step int) {
 	t.Helper()
 	g := n.Graph
@@ -82,14 +82,14 @@ func (m *refModel) checkAgainst(t *testing.T, n *Network, step int) {
 			t.Fatalf("step %d: dense nodeDown[%d] = %v, ref %v", step, id, got, m.down[id])
 		}
 	}
+	if n.ImpairedLinks() != len(m.impaired) {
+		t.Fatalf("step %d: ImpairedLinks = %d, ref %d", step, n.ImpairedLinks(), len(m.impaired))
+	}
 	if len(m.impaired) == 0 {
 		if n.impair != nil {
-			t.Fatalf("step %d: impair mirror non-nil with no impairments (healthy fast path lost)", step)
+			t.Fatalf("step %d: impair table non-nil with no impairments (healthy fast path lost)", step)
 		}
 	} else {
-		if n.ImpairedLinks() != len(m.impaired) {
-			t.Fatalf("step %d: ImpairedLinks = %d, ref %d", step, n.ImpairedLinks(), len(m.impaired))
-		}
 		for i, l := range g.Links {
 			if got, want := n.impair[i] != nil, m.impaired[refKey(l.A, l.B)]; got != want {
 				t.Fatalf("step %d: dense impair[%d] (%d–%d) present=%v, ref %v", step, i, l.A, l.B, got, want)
@@ -99,10 +99,11 @@ func (m *refModel) checkAgainst(t *testing.T, n *Network, step int) {
 }
 
 // TestLinkTableMatchesReference drives a seeded random schedule of fault
-// and topology operations — link fail/restore, node crash/recover,
-// impair/clear, link growth plus InvalidateTopology — comparing the
-// dense adjacency/failure/impairment tables against the map reference
-// after every operation.
+// operations — link fail/restore, node crash/recover, impair/clear —
+// comparing the dense adjacency/failure/impairment tables against the
+// map reference after every operation. Mutations naming a link or node
+// the topology does not have must panic and change nothing; queries on
+// them report false.
 func TestLinkTableMatchesReference(t *testing.T) {
 	rng := sim.NewRNG(20260806)
 	g := topology.GenerateHierarchy(topology.HierarchyConfig{
@@ -113,10 +114,20 @@ func TestLinkTableMatchesReference(t *testing.T) {
 	n := New(sim.NewScheduler(), g)
 	ref := newRefModel()
 	ids := g.NodeIDs()
-	nextID := ids[len(ids)-1] + 1
+	unknown := ids[len(ids)-1] + 1
 
 	pickLink := func() topology.Link { return g.Links[rng.Intn(len(g.Links))] }
 	pickNode := func() topology.NodeID { return ids[rng.Intn(len(ids))] }
+	// pickNonLink returns two distinct existing nodes with no link
+	// between them.
+	pickNonLink := func() (topology.NodeID, topology.NodeID) {
+		for {
+			a, b := pickNode(), pickNode()
+			if _, ok := g.LinkBetween(a, b); a != b && !ok {
+				return a, b
+			}
+		}
+	}
 
 	ref.checkAgainst(t, n, -1)
 	for step := 0; step < 400; step++ {
@@ -146,55 +157,43 @@ func TestLinkTableMatchesReference(t *testing.T) {
 			n.ClearImpairment(l.A, l.B)
 			delete(ref.impaired, refKey(l.A, l.B))
 		case 6:
-			// Grow the topology: a new stub homed onto an existing node,
-			// then the rebuild the growth contract requires. Fault state
-			// must survive the rebuild (the maps are the source of truth).
-			home := pickNode()
-			g.AddNode(nextID, topology.Stub, 3)
-			g.AddLink(nextID, home, topology.CustomerOf, 5*sim.Millisecond, 1)
-			ids = append(ids, nextID)
-			nextID++
-			n.InvalidateTopology()
+			a, b := pickNonLink()
+			switch rng.Intn(4) {
+			case 0:
+				mustPanic(t, "FailLink", func() { n.FailLink(a, b) })
+			case 1:
+				mustPanic(t, "RestoreLink", func() { n.RestoreLink(a, b) })
+			case 2:
+				mustPanic(t, "ImpairLink", func() { n.ImpairLink(a, b, LinkImpairment{Corrupt: 0.1}, nil) })
+			default:
+				mustPanic(t, "ClearImpairment", func() { n.ClearImpairment(a, b) })
+			}
+			if n.LinkFailed(a, b) || n.LinkFailed(b, a) {
+				t.Fatalf("step %d: LinkFailed(%d,%d) = true for a pair with no link", step, a, b)
+			}
 		case 7:
-			// A new link between existing nodes, same rebuild contract.
-			a, b := pickNode(), pickNode()
-			if a == b {
-				continue
+			// Node 0 is inside the dense tables but not in the topology.
+			id := []topology.NodeID{0, unknown, unknown + 5}[rng.Intn(3)]
+			if rng.Bool(0.5) {
+				mustPanic(t, "FailNode", func() { n.FailNode(id) })
+			} else {
+				mustPanic(t, "RecoverNode", func() { n.RecoverNode(id) })
 			}
-			if _, exists := g.LinkBetween(a, b); exists {
-				continue
+			if n.NodeFailed(id) {
+				t.Fatalf("step %d: NodeFailed(%d) = true for an unknown node", step, id)
 			}
-			g.AddLink(a, b, topology.PeerOf, 5*sim.Millisecond, 1)
-			n.InvalidateTopology()
 		}
 		ref.checkAgainst(t, n, step)
 	}
 }
 
-// A rebuild with every fault type active must re-derive all three dense
-// mirrors from their maps, not lose state.
-func TestInvalidateTopologyPreservesFaults(t *testing.T) {
-	rng := sim.NewRNG(7)
-	g := topology.GenerateHierarchy(topology.HierarchyConfig{
-		Tier1: 1, Tier2: 2, Stubs: 4,
-		MultihomeProb: 0.5, PeerProb: 0.3,
-		BaseLatency: 5 * sim.Millisecond,
-	}, rng)
-	n := New(sim.NewScheduler(), g)
-	ref := newRefModel()
-
-	l0, l1 := g.Links[0], g.Links[1]
-	n.FailLink(l0.A, l0.B)
-	ref.failed[refKey(l0.A, l0.B)] = true
-	n.ImpairLink(l1.A, l1.B, LinkImpairment{Corrupt: 0.2}, rng.Fork())
-	ref.impaired[refKey(l1.A, l1.B)] = true
-	crash := g.NodeIDs()[0]
-	n.FailNode(crash)
-	ref.down[crash] = true
-
-	ids := g.NodeIDs()
-	g.AddNode(ids[len(ids)-1]+1, topology.Stub, 3)
-	g.AddLink(ids[len(ids)-1]+1, ids[0], topology.CustomerOf, 5*sim.Millisecond, 1)
-	n.InvalidateTopology()
-	ref.checkAgainst(t, n, 0)
+// mustPanic fails the test unless fn panics.
+func mustPanic(t *testing.T, what string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s on a missing element did not panic", what)
+		}
+	}()
+	fn()
 }

@@ -280,64 +280,6 @@ func TestQueueOverflowNeverExceedsBound(t *testing.T) {
 	}
 }
 
-// Links added to the Graph after the Network is built must become usable:
-// the dense link table notices the topology change and rebuilds, and
-// fault state set before the rebuild survives it.
-func TestLinkTableInvalidation(t *testing.T) {
-	sched := sim.NewScheduler()
-	g := topology.Linear(3, sim.Millisecond)
-	n := New(sched, g)
-	for id := topology.NodeID(1); id <= 3; id++ {
-		id := id
-		n.Node(id).Route = func(dst packet.Addr, tip *packet.TIP) (topology.NodeID, bool) {
-			d := topology.NodeID(dst.Provider())
-			if d == id {
-				return id, true
-			}
-			if id == 1 && d == 3 {
-				return 3, true // prefer the shortcut once it exists
-			}
-			if d > id {
-				return id + 1, true
-			}
-			return id - 1, true
-		}
-	}
-	// Before the shortcut exists, 1→3 is a bad next hop.
-	tr := n.Send(1, rawPacket(t, 1, 3, 8, 8))
-	sched.Run()
-	if tr.DropReason != "bad-next-hop" {
-		t.Fatalf("pre-shortcut drop = %q, want bad-next-hop", tr.DropReason)
-	}
-	// Fail 1-2, then grow the topology behind the simulator's back.
-	n.FailLink(1, 2)
-	g.AddLink(1, 3, topology.PeerOf, sim.Millisecond, 1)
-	tr = n.Send(1, rawPacket(t, 1, 3, 8, 8))
-	sched.Run()
-	if !tr.Delivered {
-		t.Fatalf("post-shortcut send dropped: %s", tr.DropReason)
-	}
-	if p := tr.Path(); len(p) != 2 || p[1] != 3 {
-		t.Fatalf("path = %v, want direct 1→3", p)
-	}
-	// The explicit hook works too, and the fault set pre-rebuild held.
-	n.InvalidateTopology()
-	if !n.LinkFailed(1, 2) {
-		t.Fatal("fault state lost across rebuild")
-	}
-	tr = n.Send(1, rawPacket(t, 1, 2, 8, 8))
-	sched.Run()
-	if tr.DropReason != "link-down" {
-		t.Fatalf("failed link drop = %q, want link-down", tr.DropReason)
-	}
-	n.RestoreLink(1, 2)
-	tr = n.Send(1, rawPacket(t, 1, 2, 8, 8))
-	sched.Run()
-	if !tr.Delivered {
-		t.Fatalf("restored link still dropping: %s", tr.DropReason)
-	}
-}
-
 // A middlebox transform must leave the carried decoded header coherent
 // with the bytes: after a redirect, downstream routing (which reads the
 // decoded header) must follow the rewritten destination, and in-place

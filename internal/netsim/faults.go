@@ -1,44 +1,44 @@
 package netsim
 
 import (
-	"repro/internal/packet"
+	"fmt"
+
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
-// This file adds failure injection and the traceroute-style diagnostic
+// This file is the simulator's failure injection, the first half of what
 // §VI-A asks for: "Failures of transparency will occur — design what
 // happens then... Tools for fault isolation and error reporting would
-// help." The tool works only from externally observable behaviour: TTL
-// expiries identify forwarding nodes; middlebox drops identify the
-// device only when it chooses not to be silent.
+// help." The other half is the per-packet Trace, which records where a
+// packet died and why, as far as the devices on its path disclose it.
+//
+// Fault state lives only in the dense tables the forwarding path reads.
+// The mutations below panic on a link or node the topology does not
+// have, as Node does for an unknown ID; the queries report false.
+
+// mustLink returns the link index of a–b, panicking when the topology
+// has no such link (a wiring bug).
+func (n *Network) mustLink(a, b topology.NodeID) int32 {
+	li := n.linkIndex(a, b)
+	if li < 0 {
+		panic(fmt.Sprintf("netsim: no link %d-%d", a, b))
+	}
+	return li
+}
 
 // FailLink marks the link between a and b down in both directions.
-// Transit over a failed link drops with reason "link-down". The failure
-// map is the source of truth; the dense link table's failure flags are a
-// mirror for the forwarding fast path and are refreshed here and on
-// every InvalidateTopology rebuild.
-func (n *Network) FailLink(a, b topology.NodeID) {
-	if n.failed == nil {
-		n.failed = make(map[[2]topology.NodeID]bool)
-	}
-	n.failed[linkKey(a, b)] = true
-	if li := n.linkIndex(a, b); li >= 0 {
-		n.lt.failed[li] = true
-	}
-}
+// Transit over a failed link drops with reason "link-down".
+func (n *Network) FailLink(a, b topology.NodeID) { n.lt.failed[n.mustLink(a, b)] = true }
 
 // RestoreLink brings a failed link back.
-func (n *Network) RestoreLink(a, b topology.NodeID) {
-	delete(n.failed, linkKey(a, b))
-	if li := n.linkIndex(a, b); li >= 0 {
-		n.lt.failed[li] = false
-	}
-}
+func (n *Network) RestoreLink(a, b topology.NodeID) { n.lt.failed[n.mustLink(a, b)] = false }
 
-// LinkFailed reports whether the link is currently down.
+// LinkFailed reports whether the link between a and b exists and is
+// currently down.
 func (n *Network) LinkFailed(a, b topology.NodeID) bool {
-	return n.failed[linkKey(a, b)]
+	li := n.linkIndex(a, b)
+	return li >= 0 && n.lt.failed[li]
 }
 
 // FailNode crashes a node: it stops forwarding, delivering, and
@@ -47,32 +47,17 @@ func (n *Network) LinkFailed(a, b topology.NodeID) bool {
 // error reports); packets subsequently routed at a live neighbor toward
 // the dead one are dropped at the neighbor with reason "peer-down" (the
 // keepalive-loss detection that lets diagnostics localize the crash).
-// The crash map is the source of truth; the dense nodeDown mirror is
-// refreshed here and on every InvalidateTopology rebuild.
-func (n *Network) FailNode(id topology.NodeID) {
-	if n.downNodes == nil {
-		n.downNodes = make(map[topology.NodeID]bool)
-	}
-	n.downNodes[id] = true
-	if int(id) < len(n.nodeDown) {
-		n.nodeDown[id] = true
-	}
-}
+func (n *Network) FailNode(id topology.NodeID) { n.nodeDown[n.Node(id).ID] = true }
 
 // RecoverNode brings a crashed node back. Its routing state (RouteFunc,
 // middleboxes, counters) is whatever it was before the crash; protocols
 // that want to model cold-start reconvergence do so via their fault
 // observers.
-func (n *Network) RecoverNode(id topology.NodeID) {
-	delete(n.downNodes, id)
-	if int(id) < len(n.nodeDown) {
-		n.nodeDown[id] = false
-	}
-}
+func (n *Network) RecoverNode(id topology.NodeID) { n.nodeDown[n.Node(id).ID] = false }
 
-// NodeFailed reports whether the node is currently crashed.
+// NodeFailed reports whether the node exists and is currently crashed.
 func (n *Network) NodeFailed(id topology.NodeID) bool {
-	return n.downNodes[id]
+	return int(id) < len(n.nodeDown) && n.nodeDown[id]
 }
 
 // LinkImpairment describes packet-level damage on one link: each
@@ -102,11 +87,9 @@ type LinkImpairment struct {
 // ImpairLink installs (or replaces) a packet impairment on the link
 // between a and b; both directions are affected. rng drives the
 // impairment's coin flips and must be dedicated to it (fork one from
-// the experiment's root RNG); nil gets a fixed-seed generator. The
-// impairment map is the source of truth; the dense mirror's entry for
-// the link is set here, and the whole mirror is re-derived on every
-// InvalidateTopology rebuild.
+// the experiment's root RNG); nil gets a fixed-seed generator.
 func (n *Network) ImpairLink(a, b topology.NodeID, imp LinkImpairment, rng *sim.RNG) {
+	li := n.mustLink(a, b)
 	if rng == nil {
 		rng = sim.NewRNG(1)
 	}
@@ -115,27 +98,27 @@ func (n *Network) ImpairLink(a, b topology.NodeID, imp LinkImpairment, rng *sim.
 		imp.dirRNG[0] = rng.StreamFork(0)
 		imp.dirRNG[1] = rng.StreamFork(1)
 	}
-	if n.impairments == nil {
-		n.impairments = make(map[[2]topology.NodeID]*LinkImpairment)
-	}
-	n.impairments[linkKey(a, b)] = &imp
 	if n.impair == nil {
 		n.impair = make([]*LinkImpairment, len(n.Graph.Links))
 	}
-	if li := n.linkIndex(a, b); li >= 0 {
-		n.impair[li] = &imp
+	if n.impair[li] == nil {
+		n.impaired++
 	}
+	n.impair[li] = &imp
 }
 
 // ClearImpairment removes the impairment on the link between a and b.
-// The mirror goes back to nil with the last impairment, so the healthy
+// The table goes back to nil with the last impairment, so the healthy
 // fast path is again a single nil check.
 func (n *Network) ClearImpairment(a, b topology.NodeID) {
-	delete(n.impairments, linkKey(a, b))
-	if len(n.impairments) == 0 {
+	li := n.mustLink(a, b)
+	if n.impair == nil || n.impair[li] == nil {
+		return
+	}
+	n.impair[li] = nil
+	n.impaired--
+	if n.impaired == 0 {
 		n.impair = nil
-	} else if li := n.linkIndex(a, b); li >= 0 {
-		n.impair[li] = nil
 	}
 }
 
@@ -143,33 +126,14 @@ func (n *Network) ClearImpairment(a, b topology.NodeID) {
 // impairment installed. Reachability checks use it to gate expectations:
 // a corrupting link can legitimately kill a probe between nodes that are
 // topologically connected.
-func (n *Network) ImpairedLinks() int { return len(n.impairments) }
+func (n *Network) ImpairedLinks() int { return n.impaired }
 
-// Backlog returns the transmission backlog currently queued on the
-// directed link from→to: how long a packet admitted now would wait
-// before its serialization starts. Zero for idle or unknown links.
-func (n *Network) Backlog(from, to topology.NodeID) sim.Time {
-	li := n.linkIndex(from, to)
-	if li < 0 {
-		return 0
-	}
-	di := 2 * int(li)
-	if n.Graph.Links[li].A != from {
-		di++
-	}
-	if b := n.lt.busy[di] - n.Sched.Now(); b > 0 {
-		return b
-	}
-	return 0
-}
-
-// NodeBacklog returns the largest outbound Backlog across the node's
-// live adjacent links — a cheap local congestion signal for QoS devices
-// (load shedding keyed on egress pressure).
+// NodeBacklog returns the largest outbound transmission backlog across
+// the node's live adjacent links: how long a packet admitted now on the
+// busiest of them would wait before its serialization starts. It is a
+// cheap local congestion signal for QoS devices (load shedding keyed on
+// egress pressure).
 func (n *Network) NodeBacklog(id topology.NodeID) sim.Time {
-	if n.lt.nlinks != len(n.Graph.Links) {
-		n.InvalidateTopology()
-	}
 	if int(id) >= len(n.lt.adj) {
 		return 0
 	}
@@ -188,118 +152,4 @@ func (n *Network) NodeBacklog(id topology.NodeID) sim.Time {
 		}
 	}
 	return worst
-}
-
-func linkKey(a, b topology.NodeID) [2]topology.NodeID {
-	if a > b {
-		a, b = b, a
-	}
-	return [2]topology.NodeID{a, b}
-}
-
-// Hop is one step of a traceroute report.
-type Hop struct {
-	TTL int
-	// Node is the responding node, or 0 when nothing was learned (a
-	// silent loss).
-	Node topology.NodeID
-	// Note is what was learned: "time-exceeded", "destination",
-	// "blocked:<device>" for a disclosing middlebox, "peer-down" when a
-	// live node reports its next hop dead, or "lost" when nothing was
-	// (silent middlebox and crashed node alike).
-	Note string
-}
-
-// Traceroute probes the path from src toward dst with TTL-limited
-// packets, one TTL at a time, and reports what an end user could learn.
-// mkProbe builds the probe payload for a given TTL; pass nil for a
-// default raw probe.
-func (n *Network) Traceroute(src topology.NodeID, dst packet.Addr, maxTTL int, mkProbe func(ttl uint8) []byte) []Hop {
-	if mkProbe == nil {
-		mkProbe = func(ttl uint8) []byte {
-			data, err := packet.Serialize(
-				&packet.TIP{TTL: ttl, Proto: packet.LayerTypeRaw,
-					Src: packet.MakeAddr(uint16(src), 1), Dst: dst},
-				&packet.Raw{Data: []byte("traceroute")})
-			if err != nil {
-				panic(err)
-			}
-			return data
-		}
-	}
-	var hops []Hop
-	for ttl := 1; ttl <= maxTTL; ttl++ {
-		tr := n.Send(src, mkProbe(uint8(ttl)))
-		n.Sched.Run()
-		switch {
-		case tr.Delivered:
-			hops = append(hops, Hop{TTL: ttl, Node: topology.NodeID(dst.Provider()), Note: "destination"})
-			return hops
-		case tr.DropReason == "ttl":
-			// The expiring node reveals itself (the ICMP time-exceeded
-			// analogue).
-			hops = append(hops, Hop{TTL: ttl, Node: tr.DropNode, Note: "time-exceeded"})
-		case tr.DropReason == "lost":
-			// A silent device: the user learns only that the path goes
-			// dark past the previous hop.
-			hops = append(hops, Hop{TTL: ttl, Note: "lost"})
-			return hops
-		case tr.DropReason == "node-down":
-			// The probe died inside a crashed node. Dead routers cannot
-			// send error reports, so from the outside this is
-			// indistinguishable from a silent loss — localization relies
-			// on a live upstream neighbor reporting "peer-down" instead.
-			hops = append(hops, Hop{TTL: ttl, Note: "lost"})
-			return hops
-		case tr.DropReason == "peer-down":
-			// A live node detected its next hop dead (keepalive loss) and
-			// says so: the crash is localized to the reporter's neighbor
-			// on the path.
-			hops = append(hops, Hop{TTL: ttl, Node: tr.DropNode, Note: "peer-down"})
-			return hops
-		default:
-			// A disclosing device names itself in the drop reason.
-			hops = append(hops, Hop{TTL: ttl, Node: tr.DropNode, Note: tr.DropReason})
-			return hops
-		}
-	}
-	return hops
-}
-
-// PathMTUProbe is a second diagnostic in the same spirit: find the
-// largest payload that survives to dst, by binary search over probe
-// sizes. It exercises queue behaviour rather than fragmentation (TIP
-// does not fragment), and demonstrates diagnosis by active measurement.
-func (n *Network) PathMTUProbe(src topology.NodeID, dst packet.Addr, lo, hi int) int {
-	try := func(size int) bool {
-		data, err := packet.Serialize(
-			&packet.TIP{TTL: 64, Proto: packet.LayerTypeRaw,
-				Src: packet.MakeAddr(uint16(src), 1), Dst: dst},
-			&packet.Raw{Data: make([]byte, size)})
-		if err != nil {
-			return false
-		}
-		tr := n.Send(src, data)
-		n.Sched.Run()
-		return tr.Delivered
-	}
-	if !try(lo) {
-		return 0
-	}
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if try(mid) {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	return lo
-}
-
-// FlapLink schedules a link to fail at failAt and recover at healAt —
-// the standard failure-injection workload for resilience experiments.
-func (n *Network) FlapLink(a, b topology.NodeID, failAt, healAt sim.Time) {
-	n.Sched.At(failAt, func() { n.FailLink(a, b) })
-	n.Sched.At(healAt, func() { n.RestoreLink(a, b) })
 }

@@ -135,7 +135,7 @@ type Forwarder struct {
 	RequirePaymentForSourceRoute bool
 	// srcRoutePolicy generalizes the payment flag: a compiled, metered
 	// admission program evaluated per packet on the policy VM (see
-	// SetSourceRoutePolicy). While set it replaces the boolean check;
+	// UseSourceRoutePolicy). While set it replaces the boolean check;
 	// srcRouteSlots is this forwarder's evaluation scratch.
 	srcRoutePolicy *SourceRoutePolicy
 	srcRouteSlots  []policy.Value

@@ -124,34 +124,28 @@ type adjEntry struct {
 
 // linkTable is the dense forwarding-plane view of the topology: per-node
 // adjacency rows (sorted by neighbor ID), per-directed-link transmission
-// backlog, and per-link failure flags. It is derived from the Graph at
-// construction and rebuilt whenever the Graph's link count changes (see
-// Network.InvalidateTopology); the failure map on Network remains the
-// source of truth for fault state across rebuilds.
+// backlog, and per-link failure flags. It is built once from the Graph in
+// New; the topology is fixed from then on.
 type linkTable struct {
 	adj    [][]adjEntry // indexed by NodeID
 	busy   []sim.Time   // indexed by 2*linkIdx (+1 for the B→A direction)
 	failed []bool       // indexed by linkIdx
-	nlinks int          // Graph.Links length at build time (staleness check)
 }
 
 // Network is the assembled simulator.
 //
 // Node state lives in a flat arena ([]Node) indexed through the dense
-// nodesByID table; the nodes map is a build-time input only (it seeds the
-// arena in New and survives for rebuilds), never touched on the
-// forwarding fast path. The same struct-of-arrays discipline covers the
-// rest of the hot state: transmit backlogs, link-failure flags, node-down
+// nodesByID table. The same struct-of-arrays discipline covers the rest
+// of the hot state: transmit backlogs, link-failure flags, node-down
 // flags, impairments, and the per-node key counters all live in
-// contiguous slices indexed by the dense node or link index.
+// contiguous slices indexed by the dense node or link index, and they are
+// the only copy of that state.
 type Network struct {
 	Sched *sim.Scheduler
 	Graph *topology.Graph
-	nodes map[topology.NodeID]*Node
-	// nodeArr is the contiguous node arena; nodes and nodesByID point
-	// into it. Allocated once in New — node addresses are stable.
-	nodeArr []Node
-	// nodesByID is the dense mirror of nodes for hot-path lookup.
+	// nodeArr is the contiguous node arena, allocated once in New, so node
+	// addresses are stable; nodesByID indexes it by NodeID.
+	nodeArr   []Node
 	nodesByID []*Node
 
 	// LinkRate is bytes/second of every link (serialization delay).
@@ -169,21 +163,15 @@ type Network struct {
 	// forwarding allocation-free for longer paths.
 	TraceEventCap int
 
-	lt     linkTable
-	failed map[[2]topology.NodeID]bool
-
-	// downNodes is the source of truth for crashed nodes; nodeDown is its
-	// dense mirror (indexed by NodeID) for the forwarding fast path. Both
-	// follow the same rebuild contract as the link failure map/mirror.
-	downNodes map[topology.NodeID]bool
-	nodeDown  []bool
-
-	// impairments is the source of truth for per-link packet impairment
-	// (corruption/duplication/reordering); impair is its dense mirror
-	// indexed by link index, nil when no link is impaired so the healthy
-	// fast path pays a single nil check.
-	impairments map[[2]topology.NodeID]*LinkImpairment
-	impair      []*LinkImpairment
+	lt linkTable
+	// nodeDown flags crashed nodes, indexed by NodeID.
+	nodeDown []bool
+	// impair holds per-link packet impairment (corruption, duplication,
+	// reordering) indexed by link index. It is nil while no link is
+	// impaired, so the healthy fast path pays a single nil check;
+	// impaired counts its non-nil entries.
+	impair   []*LinkImpairment
+	impaired int
 
 	// obs/tracer are the observability hooks; both nil when disabled,
 	// and every instrumented site is a single nil check so the
@@ -237,7 +225,8 @@ type Network struct {
 }
 
 // New builds a Network over a topology. All nodes start with no routes,
-// no middleboxes, and no delivery handler.
+// no middleboxes, and no delivery handler. The Network sizes its dense
+// tables from g once, here: g must not gain nodes or links afterwards.
 func New(sched *sim.Scheduler, g *topology.Graph) *Network {
 	return build(sched, g, false)
 }
@@ -255,7 +244,6 @@ func build(sched *sim.Scheduler, g *topology.Graph, lean bool) *Network {
 	n := &Network{
 		Sched:         sched,
 		Graph:         g,
-		nodes:         make(map[topology.NodeID]*Node, len(g.Nodes)),
 		LinkRate:      1e8, // 800 Mbit/s
 		MaxQueue:      100 * sim.Millisecond,
 		HopProcessing: 10 * sim.Microsecond,
@@ -266,9 +254,15 @@ func build(sched *sim.Scheduler, g *topology.Graph, lean bool) *Network {
 		blockedKeys:   sim.NewKeyCache("blocked:"),
 		malformedKeys: sim.NewKeyCache("malformed-after:"),
 	}
-	// Flat node arena in ascending ID order; the map indexes into it.
+	// Flat node arena in ascending ID order; the dense per-node tables are
+	// indexed by NodeID, up to the largest.
 	ids := g.NodeIDs()
+	size := 1
+	if len(ids) > 0 {
+		size = int(ids[len(ids)-1]) + 1
+	}
 	n.nodeArr = make([]Node, len(ids))
+	n.nodesByID = make([]*Node, size)
 	for i, id := range ids {
 		nd := &n.nodeArr[i]
 		nd.ID = id
@@ -276,9 +270,20 @@ func build(sched *sim.Scheduler, g *topology.Graph, lean bool) *Network {
 		if !lean {
 			nd.Counters = sim.Counter{}
 		}
-		n.nodes[id] = nd
+		n.nodesByID[id] = nd
 	}
-	n.InvalidateTopology()
+	adj := make([][]adjEntry, size)
+	for i, l := range g.Links {
+		adj[l.A] = insertAdj(adj[l.A], adjEntry{to: l.B, link: int32(i)})
+		adj[l.B] = insertAdj(adj[l.B], adjEntry{to: l.A, link: int32(i)})
+	}
+	n.lt = linkTable{
+		adj:    adj,
+		busy:   make([]sim.Time, 2*len(g.Links)),
+		failed: make([]bool, len(g.Links)),
+	}
+	n.nodeDown = make([]bool, size)
+	n.keySeq = make([]uint32, size)
 	return n
 }
 
@@ -363,77 +368,6 @@ func (n *Network) AttachObs(reg *obs.Registry, tr *obs.Tracer) {
 	}
 }
 
-// InvalidateTopology rebuilds the dense adjacency/link-state table from
-// the Graph. It must be called after links are added to the Graph of a
-// live Network (adding links through the Graph directly does not notify
-// the simulator; as a backstop, the table also rebuilds itself when it
-// notices the Graph's link count changed). Per-link backlog is preserved
-// across rebuilds (link indices are append-only), and fault state — link
-// failures, node crashes, and link impairments — is re-derived from the
-// FailLink/FailNode/ImpairLink maps, so in-flight traffic and injected
-// faults survive a rebuild.
-func (n *Network) InvalidateTopology() {
-	g := n.Graph
-	maxID := topology.NodeID(0)
-	for id := range g.Nodes {
-		if id > maxID {
-			maxID = id
-		}
-	}
-	for _, l := range g.Links {
-		if l.A > maxID {
-			maxID = l.A
-		}
-		if l.B > maxID {
-			maxID = l.B
-		}
-	}
-	adj := make([][]adjEntry, maxID+1)
-	for i, l := range g.Links {
-		adj[l.A] = insertAdj(adj[l.A], adjEntry{to: l.B, link: int32(i)})
-		adj[l.B] = insertAdj(adj[l.B], adjEntry{to: l.A, link: int32(i)})
-	}
-	busy := make([]sim.Time, 2*len(g.Links))
-	copy(busy, n.lt.busy)
-	failed := make([]bool, len(g.Links))
-	for i, l := range g.Links {
-		if n.failed[linkKey(l.A, l.B)] {
-			failed[i] = true
-		}
-	}
-	n.lt = linkTable{adj: adj, busy: busy, failed: failed, nlinks: len(g.Links)}
-
-	nodeDown := make([]bool, maxID+1)
-	for id := range n.downNodes {
-		if int(id) < len(nodeDown) {
-			nodeDown[id] = true
-		}
-	}
-	n.nodeDown = nodeDown
-	n.impair = nil
-	if len(n.impairments) > 0 {
-		impair := make([]*LinkImpairment, len(g.Links))
-		for i, l := range g.Links {
-			impair[i] = n.impairments[linkKey(l.A, l.B)]
-		}
-		n.impair = impair
-	}
-
-	nodesByID := make([]*Node, maxID+1)
-	for id, nd := range n.nodes {
-		if int(id) < len(nodesByID) {
-			nodesByID[id] = nd
-		}
-	}
-	n.nodesByID = nodesByID
-
-	if len(n.keySeq) < int(maxID)+1 {
-		keySeq := make([]uint32, maxID+1)
-		copy(keySeq, n.keySeq)
-		n.keySeq = keySeq
-	}
-}
-
 // insertAdj inserts e into row keeping it sorted by neighbor ID, so
 // lookups and iteration stay deterministic.
 func insertAdj(row []adjEntry, e adjEntry) []adjEntry {
@@ -448,12 +382,8 @@ func insertAdj(row []adjEntry, e adjEntry) []adjEntry {
 }
 
 // linkIndex returns the Graph.Links index of the from→to adjacency, or
-// -1 when the nodes are not adjacent. It transparently rebuilds the dense
-// table if links were added behind the simulator's back.
+// -1 when the nodes are not adjacent.
 func (n *Network) linkIndex(from, to topology.NodeID) int32 {
-	if n.lt.nlinks != len(n.Graph.Links) {
-		n.InvalidateTopology()
-	}
 	if int(from) >= len(n.lt.adj) {
 		return -1
 	}
@@ -471,9 +401,6 @@ func (n *Network) Node(id topology.NodeID) *Node {
 		if nd := n.nodesByID[id]; nd != nil {
 			return nd
 		}
-	}
-	if nd, ok := n.nodes[id]; ok {
-		return nd
 	}
 	panic(fmt.Sprintf("netsim: unknown node %d", id))
 }
@@ -831,7 +758,7 @@ func (n *Network) transmit(f *flight, from, to topology.NodeID, li int32) {
 	}
 	// A dead adjacency is detected by the live endpoint (keepalive loss),
 	// so the drop is attributed to the upstream node — this is what lets
-	// traceroute localize a crashed node to one hop.
+	// a trace localize a crashed node to one hop.
 	if n.nodeDown[to] {
 		n.dropFlight(f, from, "peer-down")
 		return
@@ -948,14 +875,4 @@ func (n *Network) duplicate(f *flight, from, to topology.NodeID, arrive sim.Time
 		n.tracer.Emit(obs.Event{Time: int64(n.Sched.Now()), Scope: "netsim", Kind: "dup", Node: int64(to)})
 	}
 	n.schedArrival(g, from, to, arrive)
-}
-
-// DeliveryRatio returns delivered / (delivered + dropped), or 0 when no
-// packets have terminated.
-func (n *Network) DeliveryRatio() float64 {
-	total := n.Delivered + n.Dropped
-	if total == 0 {
-		return 0
-	}
-	return float64(n.Delivered) / float64(total)
 }

@@ -67,8 +67,8 @@ func TestDeliveryAcrossChain(t *testing.T) {
 	if tr.Latency() <= 0 {
 		t.Fatal("latency should be positive")
 	}
-	if n.DeliveryRatio() != 1 {
-		t.Fatalf("delivery ratio = %v", n.DeliveryRatio())
+	if n.Delivered != 1 || n.Dropped != 0 {
+		t.Fatalf("delivered %d, dropped %d; want 1 and 0", n.Delivered, n.Dropped)
 	}
 }
 
@@ -79,8 +79,9 @@ func TestTTLExpiry(t *testing.T) {
 	if tr.Delivered {
 		t.Fatal("packet with ttl=2 should expire on a 3-hop path")
 	}
-	if tr.DropReason != "ttl" {
-		t.Fatalf("drop reason = %q", tr.DropReason)
+	// The expiring node reveals itself (the ICMP time-exceeded analogue).
+	if tr.DropReason != "ttl" || tr.DropNode != 3 {
+		t.Fatalf("drop = %q at %d, want ttl at 3", tr.DropReason, tr.DropNode)
 	}
 }
 
@@ -141,8 +142,9 @@ func TestMiddleboxDropVisible(t *testing.T) {
 	if tr.Delivered {
 		t.Fatal("should be blocked")
 	}
-	if tr.DropReason != "blocked:fw2" {
-		t.Fatalf("drop reason = %q", tr.DropReason)
+	// A disclosing device names itself and its node.
+	if tr.DropReason != "blocked:fw2" || tr.DropNode != 2 {
+		t.Fatalf("drop = %q at %d, want blocked:fw2 at 2", tr.DropReason, tr.DropNode)
 	}
 	if fw.hit != 1 {
 		t.Fatalf("middlebox hit %d times", fw.hit)

@@ -131,40 +131,14 @@ func (p *SourceRoutePolicy) Allow(scratch []policy.Value, tip *packet.TIP, wp pa
 	return err == nil && v.Kind == policy.KindBool && v.B
 }
 
-// SetSourceRoutePolicy installs a source-route admission policy on the
-// node (replacing the RequirePaymentForSourceRoute boolean for this node;
-// the legacy flag is ignored while a policy is set). An empty src clears
-// the policy. The text is compiled once through the shared cache;
-// install-time errors are returned, per-packet evaluation is fail-safe
-// deny.
-func (f *Forwarder) SetSourceRoutePolicy(src string) error {
-	if src == "" {
-		f.UseSourceRoutePolicy(nil)
-		return nil
-	}
-	p, err := CompileSourceRoutePolicy(src)
-	if err != nil {
-		return err
-	}
-	f.UseSourceRoutePolicy(p)
-	return nil
-}
-
-// UseSourceRoutePolicy installs an already compiled policy, as
-// SetSourceRoutePolicy does; nil clears it. The forwarder gets its own
+// UseSourceRoutePolicy installs a compiled source-route admission policy
+// (see CompileSourceRoutePolicy) on the forwarder; nil clears it. While a
+// policy is set it replaces the RequirePaymentForSourceRoute boolean;
+// per-packet evaluation is fail-safe deny. The forwarder gets its own
 // evaluation scratch, so one compiled policy may serve many forwarders.
 func (f *Forwarder) UseSourceRoutePolicy(p *SourceRoutePolicy) {
 	f.srcRoutePolicy, f.srcRouteSlots = p, nil
 	if p != nil {
 		f.srcRouteSlots = p.NewScratch()
 	}
-}
-
-// SourceRoutePolicyText returns the canonical text of the installed
-// policy, or "" when none is set.
-func (f *Forwarder) SourceRoutePolicyText() string {
-	if f.srcRoutePolicy == nil {
-		return ""
-	}
-	return f.srcRoutePolicy.Source()
 }

@@ -15,6 +15,17 @@ import (
 // routing, out-of-vocabulary references are refused at install time, and
 // an installed policy keeps the forward hop zero-alloc.
 
+// useSourceRoutePolicy compiles src and installs it on nd, as
+// wire.NewDataplane does for a live forwarder.
+func useSourceRoutePolicy(t *testing.T, nd *Node, src string) {
+	t.Helper()
+	p, err := CompileSourceRoutePolicy(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nd.UseSourceRoutePolicy(p)
+}
+
 func srcRoutedPkt(t *testing.T, pay bool, via uint16) []byte {
 	t.Helper()
 	tip := &packet.TIP{
@@ -40,9 +51,7 @@ func TestSourceRoutePolicyPaidEquivalence(t *testing.T) {
 	for id := topology.NodeID(1); id <= 4; id++ {
 		nd := n.Node(id)
 		nd.HonorSourceRoutes = true
-		if err := nd.SetSourceRoutePolicy("paid"); err != nil {
-			t.Fatal(err)
-		}
+		useSourceRoutePolicy(t, nd, "paid")
 	}
 	trUnpaid := n.Send(1, srcRoutedPkt(t, false, 3))
 	trPaid := n.Send(1, srcRoutedPkt(t, true, 3))
@@ -96,9 +105,7 @@ func diamondNet(t *testing.T) (*Network, *sim.Scheduler) {
 func TestSourceRoutePolicyWaypointSteering(t *testing.T) {
 	n, sched := diamondNet(t)
 	for id := topology.NodeID(1); id <= 4; id++ {
-		if err := n.Node(id).SetSourceRoutePolicy("!(waypoint-provider == 3) || paid"); err != nil {
-			t.Fatal(err)
-		}
+		useSourceRoutePolicy(t, n.Node(id), "!(waypoint-provider == 3) || paid")
 	}
 	trUnpaid := n.Send(1, srcRoutedPkt(t, false, 3))
 	trPaid := n.Send(1, srcRoutedPkt(t, true, 3))
@@ -115,25 +122,33 @@ func TestSourceRoutePolicyWaypointSteering(t *testing.T) {
 	}
 }
 
-// Out-of-vocabulary references are install-time errors, not per-packet
-// surprises; parse errors surface too, and the empty string clears.
+// Out-of-vocabulary references are compile-time errors, not per-packet
+// surprises; parse errors surface too. The compiled policy carries its
+// canonical text, installing it gives the forwarder its own scratch, and
+// nil clears it.
 func TestSourceRoutePolicyInstall(t *testing.T) {
-	nd := &Node{}
-	if err := nd.SetSourceRoutePolicy("port == 80"); err == nil ||
+	if _, err := CompileSourceRoutePolicy("port == 80"); err == nil ||
 		!strings.Contains(err.Error(), `"port"`) {
-		t.Fatalf("out-of-vocabulary install error = %v", err)
+		t.Fatalf("out-of-vocabulary compile error = %v", err)
 	}
-	if err := nd.SetSourceRoutePolicy("paid &&"); err == nil {
-		t.Fatal("parse error not surfaced at install")
+	if _, err := CompileSourceRoutePolicy("paid &&"); err == nil {
+		t.Fatal("parse error not surfaced at compile")
 	}
-	if err := nd.SetSourceRoutePolicy("paid && ttl > 2"); err != nil {
+	p, err := CompileSourceRoutePolicy("paid && ttl > 2")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := nd.SourceRoutePolicyText(); got != "(paid && (ttl > 2))" {
+	if got := p.Source(); got != "(paid && (ttl > 2))" {
 		t.Fatalf("canonical policy text = %q", got)
 	}
-	if err := nd.SetSourceRoutePolicy(""); err != nil || nd.SourceRoutePolicyText() != "" {
-		t.Fatalf("clearing: err=%v text=%q", err, nd.SourceRoutePolicyText())
+	nd := &Node{}
+	nd.UseSourceRoutePolicy(p)
+	if nd.srcRoutePolicy != p || len(nd.srcRouteSlots) != 2 {
+		t.Fatalf("install: policy %p slots %d, want %p and 2", nd.srcRoutePolicy, len(nd.srcRouteSlots), p)
+	}
+	nd.UseSourceRoutePolicy(nil)
+	if nd.srcRoutePolicy != nil || nd.srcRouteSlots != nil {
+		t.Fatal("nil did not clear the policy")
 	}
 }
 
@@ -153,9 +168,7 @@ func TestSourceRoutePolicyZeroAllocHop(t *testing.T) {
 	for id := topology.NodeID(1); id <= topology.NodeID(nodes); id++ {
 		nd := n.Node(id)
 		nd.HonorSourceRoutes = true
-		if err := nd.SetSourceRoutePolicy("paid && ttl > 0 && waypoint-provider < 100"); err != nil {
-			t.Fatal(err)
-		}
+		useSourceRoutePolicy(t, nd, "paid && ttl > 0 && waypoint-provider < 100")
 	}
 	tip := &packet.TIP{
 		TTL: uint8(nodes + 8), Proto: packet.LayerTypeRaw,

@@ -147,16 +147,6 @@ func (s *Sharded) Send(src topology.NodeID, data []byte) *Trace {
 	return s.Owner(src).Send(src, data)
 }
 
-// Inject fire-and-forget sends a packet at src on its owning shard.
-func (s *Sharded) Inject(src topology.NodeID, data []byte) {
-	s.Owner(src).Inject(src, data)
-}
-
-// AtNode schedules fn at time t on src's owning shard, keyed to src.
-func (s *Sharded) AtNode(t sim.Time, src topology.NodeID, fn func()) {
-	s.Owner(src).AtNode(t, src, fn)
-}
-
 // FaultAt schedules a fault mutation at time t on every shard: fn runs
 // once per shard against that shard's network, so replicated fault
 // state (failures, crashes, impairments) stays identical everywhere.

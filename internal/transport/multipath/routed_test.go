@@ -68,7 +68,8 @@ func TestTransferSurvivesLoss(t *testing.T) {
 
 func TestTransferSurvivesLinkFlap(t *testing.T) {
 	sched, net := chainNet(4)
-	net.FlapLink(2, 3, 5*sim.Millisecond, 200*sim.Millisecond)
+	sched.At(5*sim.Millisecond, func() { net.FailLink(2, 3) })
+	sched.At(200*sim.Millisecond, func() { net.RestoreLink(2, 3) })
 	data := mpPayload(4000)
 	s, r := routedSender(net, 1, 4, 9000, data, routedConfig())
 	s.Start()

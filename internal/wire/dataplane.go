@@ -19,8 +19,8 @@ type NodeConfig struct {
 	RequirePaymentForSourceRoute bool
 	// SourceRoutePolicy is the compiled, metered admission program
 	// (netsim.CompileSourceRoutePolicy); while set it replaces the
-	// payment boolean, exactly as Node.SetSourceRoutePolicy does in the
-	// simulator. The compiled object is immutable and may be shared
+	// payment boolean, exactly as Forwarder.UseSourceRoutePolicy does in
+	// the simulator. The compiled object is immutable and may be shared
 	// across workers; each Dataplane keeps its own evaluation scratch.
 	SourceRoutePolicy *netsim.SourceRoutePolicy
 	// Middleboxes are processed in installation order, single-pass,
