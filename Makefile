@@ -195,6 +195,7 @@ fuzz-smoke:
 	$(GO) test -fuzz='^FuzzCompileEval$$' -fuzztime=30s ./internal/policy
 	$(GO) test -fuzz='^FuzzDisjointPaths$$' -fuzztime=30s ./internal/routing/srcroute
 	$(GO) test -fuzz='^FuzzMultipathAck$$' -fuzztime=30s ./internal/transport/multipath
+	$(GO) test -fuzz='^FuzzReceiverAck$$' -fuzztime=30s ./internal/transport/multipath
 
 # Property-based invariant sweeps: seeded random topologies, traffic, and
 # fault plans run with the runtime invariant checker armed (see

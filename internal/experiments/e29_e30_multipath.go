@@ -94,10 +94,16 @@ func mpMultipathConfig(seed uint64) multipath.Config {
 	return cfg
 }
 
+// mpPayload returns n bytes with data[i] = byte(i*13 + i/509), filled
+// one 509-byte run at a time so no byte pays for a division.
 func mpPayload(n int) []byte {
 	data := make([]byte, n)
-	for i := range data {
-		data[i] = byte(i*13 + i/509)
+	for run, i := 0, 0; i < n; run++ {
+		v := byte(i*13 + run)
+		for end := min(i+509, n); i < end; i++ {
+			data[i] = v
+			v += 13
+		}
 	}
 	return data
 }

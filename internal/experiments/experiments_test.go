@@ -573,6 +573,22 @@ func TestE30PartitionCompletesIntactOnSurvivors(t *testing.T) {
 	}
 }
 
+// TestMPPayloadBytes pins E29/E30's payload to its defining formula, at
+// sizes either side of the 509-byte runs mpPayload fills.
+func TestMPPayloadBytes(t *testing.T) {
+	for _, n := range []int{0, 1, 508, 509, 510, 1018, 768 << 10} {
+		got := mpPayload(n)
+		if len(got) != n {
+			t.Fatalf("mpPayload(%d) has %d bytes", n, len(got))
+		}
+		for i, b := range got {
+			if want := byte(i*13 + i/509); b != want {
+				t.Fatalf("mpPayload(%d)[%d] = %d, want %d", n, i, b, want)
+			}
+		}
+	}
+}
+
 func TestAllExperimentsRunAndRender(t *testing.T) {
 	results := All(testSeed)
 	if len(results) != 30 {

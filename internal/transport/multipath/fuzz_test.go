@@ -1,6 +1,7 @@
 package multipath
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"testing"
@@ -143,21 +144,160 @@ func fuzzCorpus() []struct {
 	}
 }
 
-// TestRegenMultipathAckCorpus writes the committed seed corpus in the
-// go-fuzz file format. Guarded by MP_FUZZ_CORPUS_REGEN so a normal test
-// run never touches testdata.
+// TestRegenMultipathAckCorpus writes the committed seed corpora of
+// FuzzMultipathAck and FuzzReceiverAck in the go-fuzz file format.
+// Guarded by MP_FUZZ_CORPUS_REGEN so a normal test run never touches
+// testdata.
 func TestRegenMultipathAckCorpus(t *testing.T) {
 	if os.Getenv("MP_FUZZ_CORPUS_REGEN") == "" {
-		t.Skip("set MP_FUZZ_CORPUS_REGEN=1 to rewrite testdata/fuzz/FuzzMultipathAck")
+		t.Skip("set MP_FUZZ_CORPUS_REGEN=1 to rewrite testdata/fuzz/FuzzMultipathAck and FuzzReceiverAck")
 	}
-	dir := "testdata/fuzz/FuzzMultipathAck"
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	for i, c := range fuzzCorpus() {
-		body := fmt.Sprintf("go test fuzz v1\nuint64(%d)\n[]byte(%q)\n", c.seed, c.data)
-		if err := os.WriteFile(fmt.Sprintf("%s/seed-%d", dir, i), []byte(body), 0o644); err != nil {
+	write := func(dir string, i int, body string) {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
 			t.Fatal(err)
 		}
+		if err := os.WriteFile(fmt.Sprintf("%s/seed-%d", dir, i), []byte("go test fuzz v1\n"+body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, c := range fuzzCorpus() {
+		write("testdata/fuzz/FuzzMultipathAck", i, fmt.Sprintf("uint64(%d)\n[]byte(%q)\n", c.seed, c.data))
+	}
+	for i, c := range receiverCorpus() {
+		write("testdata/fuzz/FuzzReceiverAck", i, fmt.Sprintf("[]byte(%q)\n[]byte(%q)\n", c[0], c[1]))
+	}
+}
+
+// FuzzReceiverAck feeds two hostile datagrams to a receiver, a, b, a,
+// b, so a template built for one is reused or rebuilt for the other
+// under whatever echo each claims. Their TIP checksums are repaired
+// first, so mutations reach the option parser rather than stopping at
+// the checksum. Nothing may panic; a datagram that is not a data
+// segment for the port is refused; and every ACK must equal
+// packet.Serialize's bytes for the fields decoded from its segment,
+// acknowledging the sequence number the receiver expects next.
+// The committed seed corpus lives in testdata/fuzz/FuzzReceiverAck
+// (regenerated with FuzzMultipathAck's); CI runs a short -fuzz smoke.
+func FuzzReceiverAck(f *testing.F) {
+	for _, c := range receiverCorpus() {
+		f.Add(c[0], c[1])
+	}
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		a, b = withChecksum(a), withChecksum(b)
+		r := NewReceiverCore(9, 7000)
+		for _, data := range [][]byte{a, b, a, b} {
+			checkReceiverAck(t, r, data)
+		}
+	})
+}
+
+// checkReceiverAck delivers one datagram to r and checks its ACK
+// against Serialize's.
+func checkReceiverAck(t *testing.T, r *Receiver, data []byte) {
+	var tip packet.TIP
+	var ttp packet.TTP
+	ours := tip.DecodeFrom(data) == nil && tip.Proto == packet.LayerTypeTTP &&
+		ttp.DecodeFrom(tip.LayerPayload()) == nil && ttp.DstPort == r.Port && ttp.Flags&packet.FlagACK == 0
+	prefix := []byte{0xaa}
+	ack, ok := r.Receive(bytes.Clone(prefix), data)
+	if ok != ours || (!ours && ack != nil) {
+		t.Fatalf("receiver took=%v (ack %x) a datagram that is ours=%v", ok, ack, ours)
+	}
+	if !ours {
+		return
+	}
+	var back *packet.SourceRouteOption
+	if sr := tip.SourceRoute; sr != nil && len(sr.Hops) > 0 {
+		back = &packet.SourceRouteOption{}
+		for i := len(sr.Hops) - 1; i >= 0; i-- {
+			back.Hops = append(back.Hops, sr.Hops[i])
+		}
+	}
+	want, err := packet.Serialize(
+		&packet.TIP{TTL: 32, Proto: packet.LayerTypeTTP, Src: packet.MakeAddr(9, 1), Dst: tip.Src, SourceRoute: back},
+		&packet.TTP{SrcPort: r.Port, DstPort: ttp.SrcPort, Ack: r.next, Flags: packet.FlagACK, Window: ttp.Window, Next: packet.LayerTypeRaw},
+		&packet.Raw{})
+	if err != nil {
+		if ack != nil {
+			t.Fatalf("framed ACK %x where Serialize refuses: %v", ack, err)
+		}
+		return
+	}
+	if !bytes.Equal(ack, append(bytes.Clone(prefix), want...)) {
+		t.Fatalf("ACK differs from Serialize\n got %x\nwant %x%x", ack, prefix, want)
+	}
+}
+
+// withChecksum returns a copy of data with its TIP checksum repaired,
+// when the header length field fits the datagram.
+func withChecksum(data []byte) []byte {
+	data = bytes.Clone(data)
+	if len(data) < 16 {
+		return data
+	}
+	if hlen := int(data[0]&0x0f) * 8; hlen >= 16 && hlen <= len(data) {
+		data[6], data[7] = 0, 0
+		ck := packet.Checksum(data[:hlen])
+		data[6], data[7] = byte(ck>>8), byte(ck)
+	}
+	return data
+}
+
+// fuzzSegment serializes a data segment for FuzzReceiverAck's corpus.
+func fuzzSegment(srcPort uint16, src packet.Addr, route []packet.Addr, seq uint32, echo uint16, flags uint8) []byte {
+	var sr *packet.SourceRouteOption
+	if route != nil {
+		sr = &packet.SourceRouteOption{Ptr: uint8(len(route)), Hops: route}
+	}
+	data, err := packet.Serialize(
+		&packet.TIP{TTL: 32, Proto: packet.LayerTypeTTP, Src: src, Dst: packet.MakeAddr(9, 1), SourceRoute: sr},
+		&packet.TTP{SrcPort: srcPort, DstPort: 7000, Seq: seq, Flags: flags, Window: echo, Next: packet.LayerTypeRaw},
+		&packet.Raw{Data: []byte("payload")})
+	if err != nil {
+		panic(err)
+	}
+	return data
+}
+
+// longRouteSegment is a data segment whose source route has 11
+// waypoints: it decodes, but its ACK's reverse route is one more than
+// Serialize encodes, so the receiver accepts it without an ACK. Its
+// checksum is left for withChecksum to fill.
+func longRouteSegment() []byte {
+	const hlen = 64 // 16-byte base header + 47-byte route option, padded
+	b := make([]byte, hlen+16+7)
+	b[0] = 1<<4 | hlen/8
+	b[2], b[3] = 0, byte(len(b))
+	b[4], b[5] = 32, byte(packet.LayerTypeTTP)
+	b[8], b[9], b[11] = 0, 8, 1     // source 8.1
+	b[12], b[13], b[15] = 0, 9, 1   // destination 9.1
+	b[16], b[17], b[18] = 2, 47, 11 // source route, option length, pointer
+	for i := 0; i < 11; i++ {
+		b[19+4*i+1] = byte(i + 1) // waypoint i+1.0
+	}
+	ttp := b[hlen:]
+	ttp[0], ttp[1] = 41000>>8, 41000&0xff
+	ttp[2], ttp[3] = 7000>>8, 7000&0xff
+	ttp[13], ttp[15] = byte(packet.LayerTypeRaw), 1
+	return b
+}
+
+// receiverCorpus is the committed hostile-segment seed set, as pairs:
+// two routes whose waypoints collide under FNV-1a on one echo, a source
+// port or address change on one echo, direct against routed, an
+// over-long route, an ACK beside an echo-0 segment, truncated and
+// garbage bytes.
+func receiverCorpus() [][2][]byte {
+	a, b := packet.MakeAddr(8, 1), packet.MakeAddr(7, 1)
+	r1 := []packet.Addr{0x13222325, 0x00050001}
+	r2 := []packet.Addr{0x84222324, 0x950501b2}
+	return [][2][]byte{
+		{fuzzSegment(41000, a, r1, 0, 1, 0), fuzzSegment(41000, a, r2, 1, 1, 0)},  // colliding routes
+		{fuzzSegment(41000, a, r1, 0, 1, 0), fuzzSegment(41001, a, r1, 2, 1, 0)},  // source port
+		{fuzzSegment(41000, a, r1, 1, 2, 0), fuzzSegment(41000, b, r1, 0, 2, 0)},  // source address
+		{fuzzSegment(41000, a, nil, 0, 3, 0), fuzzSegment(41000, a, r2, 0, 3, 0)}, // direct, then routed
+		{longRouteSegment(), fuzzSegment(41000, a, r1, 0, 1, 0)},
+		{fuzzSegment(41000, a, r1, 0, 1, packet.FlagACK), fuzzSegment(41000, a, nil, 5, 0, 0)},
+		{fuzzSegment(41000, a, r1, 0, 1, 0)[:30], []byte("not a packet at all....")},
 	}
 }

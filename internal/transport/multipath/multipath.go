@@ -43,11 +43,15 @@
 // the wall clock). All randomness (RTO jitter) derives from the
 // configured seed through one RNG stream per path — never from draw
 // order across paths — so the same seed reproduces the same decisions
-// on both substrates.
+// on both substrates. Framing is shared too: Sender.Frame and
+// Receiver.Receive build every segment and ACK from headers serialized
+// once, so both substrates put the same bytes on the wire.
 package multipath
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/netsim"
 	"repro/internal/obs"
@@ -184,11 +188,21 @@ type Path struct {
 	AckedBytes                          int
 	LastDemoteAt, LastPromoteAt         sim.Time
 
-	opt        *packet.SourceRouteOption // prebuilt wire option (nil for direct paths)
+	// full and tail are the prebuilt headers of full-size and tail
+	// segments: the TIP total length is checksummed, so the two lengths
+	// need separately checksummed headers.
+	full, tail segHeader
 	probeTimer sim.EventID
 	probes     int // unanswered probes this probation
 	wrrCredit  float64
 	rng        *sim.RNG // per-path jitter stream: sim.SeedStream(base, Index)
+}
+
+// segHeader is one prebuilt segment header — the bytes in front of a
+// payload of one length — or why it could not be built.
+type segHeader struct {
+	hdr []byte
+	err error
 }
 
 // Stats summarizes a transfer.
@@ -242,6 +256,7 @@ type Sender struct {
 	probeFns []func() // per path, bound once: probe that path
 	el       []*Path  // eligible() scratch
 	data     []byte   // the caller's payload; segments are views into it
+	xbuf     []byte   // simXmit's frame buffer, reused: Inject copies it
 	nseg     int
 	acked    uint32
 	nextSend uint32
@@ -297,11 +312,14 @@ func NewDriverSender(drv Driver, strat Strategy, cands []srcroute.Candidate, src
 		data: data, nseg: (len(data) + cfg.SegmentSize - 1) / cfg.SegmentSize,
 	}
 	base := cfg.Seed<<20 ^ uint64(src)<<36 ^ uint64(dst)<<8 ^ uint64(port)<<16 ^ 0x6d70617468
+	tail := len(data) - (s.nseg-1)*cfg.SegmentSize // the last segment's length
 	for _, c := range cands {
 		p := &Path{
-			Index: len(s.paths), Cand: c, opt: c.Option(),
+			Index: len(s.paths), Cand: c,
 			rng: sim.NewRNG(sim.SeedStream(base, uint64(len(s.paths)))),
 		}
+		opt := c.Option()
+		p.full, p.tail = s.header(p.Index, opt, cfg.SegmentSize), s.header(p.Index, opt, tail)
 		s.paths = append(s.paths, p)
 		s.probeFns = append(s.probeFns, func() { s.probe(p) })
 	}
@@ -316,17 +334,60 @@ func NewDriverSender(drv Driver, strat Strategy, cands []srcroute.Candidate, src
 	return s
 }
 
-// simXmit is the netsim substrate's transmission hook: serialize and
-// inject at the sending node.
+// header serializes path idx's segment header for an n-byte payload
+// through packet.Serialize, the reference encoder, so both substrates
+// frame exactly the bytes it would.
+func (s *Sender) header(idx int, opt *packet.SourceRouteOption, n int) segHeader {
+	pkt, err := packet.Serialize(
+		&packet.TIP{TTL: 32, Proto: packet.LayerTypeTTP, Src: s.addr, Dst: s.dst, SourceRoute: opt},
+		&packet.TTP{SrcPort: s.src, DstPort: s.port, Window: uint16(idx) + 1, Next: s.contentType()},
+		&packet.Raw{Data: make([]byte, n)})
+	if err != nil {
+		return segHeader{err: err}
+	}
+	return segHeader{hdr: pkt[:len(pkt)-n]}
+}
+
+// Frame appends segment seq's datagram on path p to dst and returns it:
+// the path's prebuilt full or tail header with Seq stamped in place,
+// then the payload. It is the one framing path of both substrates.
+func (s *Sender) Frame(dst []byte, p *Path, seq uint32) ([]byte, error) {
+	seg := s.segment(seq)
+	h := &p.full
+	if len(seg) != s.cfg.SegmentSize {
+		h = &p.tail
+	}
+	if h.err != nil {
+		return dst, h.err
+	}
+	pkt := append(append(dst, h.hdr...), seg...)
+	// The header holds whole TIP and TTP headers, so the patch cannot fail.
+	_ = packet.PatchTTPSeq(pkt[len(dst):], seq)
+	return pkt, nil
+}
+
+// FrameErr reports the first path whose segment headers could not be
+// built, or nil. The simulator meets the error when the path first
+// transmits, failing the transfer; the wire sender rejects it at
+// construction.
+func (s *Sender) FrameErr() error {
+	for _, p := range s.paths {
+		if err := cmp.Or(p.full.err, p.tail.err); err != nil {
+			return fmt.Errorf("path %d: %w", p.Index, err)
+		}
+	}
+	return nil
+}
+
+// simXmit is the netsim substrate's transmission hook: frame into the
+// reused buffer and inject at the sending node, which copies it.
 func (s *Sender) simXmit(p *Path, seq uint32) error {
-	data, err := packet.Serialize(
-		&packet.TIP{TTL: 32, Proto: packet.LayerTypeTTP, Src: s.addr, Dst: s.dst, SourceRoute: p.opt},
-		&packet.TTP{SrcPort: s.src, DstPort: s.port, Seq: seq, Window: uint16(p.Index) + 1, Next: s.contentType()},
-		&packet.Raw{Data: s.Segment(seq)})
+	pkt, err := s.Frame(s.xbuf[:0], p, seq)
 	if err != nil {
 		return err
 	}
-	s.net.Send(s.node, data)
+	s.xbuf = pkt
+	s.net.Inject(s.node, pkt)
 	return nil
 }
 
@@ -385,16 +446,13 @@ func (s *Sender) Failed() bool { return s.failed }
 // Acked returns the cumulative acknowledged sequence number.
 func (s *Sender) Acked() uint32 { return s.acked }
 
-// Segment returns segment seq's payload: a view into the transfer's
-// data, which drivers serialize from without copying.
-func (s *Sender) Segment(seq uint32) []byte {
+// segment returns segment seq's payload: a view into the transfer's
+// data, which Frame copies from.
+func (s *Sender) segment(seq uint32) []byte {
 	off := int(seq) * s.cfg.SegmentSize
 	end := min(off+s.cfg.SegmentSize, len(s.data))
 	return s.data[off:end:end]
 }
-
-// Config returns the transfer's configuration with defaults applied.
-func (s *Sender) Config() Config { return s.cfg }
 
 // Stats returns the transfer summary.
 func (s *Sender) Stats() Stats {
@@ -732,7 +790,7 @@ func (s *Sender) HandleAck(data []byte) bool {
 				s.release(fl)
 				p := s.paths[fl.path]
 				p.Acked++
-				p.AckedBytes += len(s.Segment(seq))
+				p.AckedBytes += len(s.segment(seq))
 				if fl.path < len(s.obsPathAcked) {
 					s.obsPathAcked[fl.path].Inc()
 				}
@@ -856,7 +914,7 @@ type Receiver struct {
 	// Port is the listening TTP port.
 	Port uint16
 	// Data accumulates the in-order stream. A consumer may drain it
-	// between Accept calls (the wire receiver digests and truncates it
+	// between Receive calls (the wire receiver digests and truncates it
 	// after each one); reassembly state lives elsewhere.
 	Data []byte
 	// Acks counts acknowledgments sent; Dups counts redundant data
@@ -870,24 +928,41 @@ type Receiver struct {
 
 	next uint32
 	buf  map[uint32][]byte
+	free [][]byte // drained out-of-order buffers, reused by the next ones
+	addr packet.Addr
+	tip  packet.TIP // decode scratch
+	ttp  packet.TTP
+	tmpl map[uint16]*ackTemplate // by path echo
 	net  *netsim.Network
 	node topology.NodeID
-	addr packet.Addr
+	abuf []byte // handle's frame buffer, reused: Inject copies it
 }
 
-// NewReceiverCore creates a detached reassembly core for port: no
-// network hookup, no ACK serialization. The wire engine feeds it
-// decoded segments through Accept and builds its own ACK datagrams
-// from the returned cumulative sequence number.
-func NewReceiverCore(port uint16) *Receiver {
-	return &Receiver{Port: port, buf: map[uint32][]byte{}, PathSegments: map[int]int{}}
+// ackTemplate is one path echo's prebuilt ACK and the segment identity
+// it answers: a segment from another source port, address or route
+// under the same echo rebuilds it.
+type ackTemplate struct {
+	pkt     []byte
+	srcPort uint16
+	src     packet.Addr
+	route   []packet.Addr
+}
+
+// NewReceiverCore creates a receiver for port at node with no network
+// hookup: the wire engine feeds it datagrams through Receive and
+// transmits the ACKs it frames.
+func NewReceiverCore(node topology.NodeID, port uint16) *Receiver {
+	return &Receiver{
+		Port: port, addr: packet.MakeAddr(uint16(node), 1),
+		buf: map[uint32][]byte{}, PathSegments: map[int]int{}, tmpl: map[uint16]*ackTemplate{},
+	}
 }
 
 // InstallReceiver attaches a multipath receiver for port at node id,
 // chaining any existing delivery handler for other traffic.
 func InstallReceiver(net *netsim.Network, id topology.NodeID, port uint16) *Receiver {
-	r := NewReceiverCore(port)
-	r.net, r.node, r.addr = net, id, packet.MakeAddr(uint16(id), 1)
+	r := NewReceiverCore(id, port)
+	r.net, r.node = net, id
 	nd := net.Node(id)
 	prev := nd.Deliver
 	nd.Deliver = func(n *netsim.Node, tr *netsim.Trace, data []byte) {
@@ -898,72 +973,109 @@ func InstallReceiver(net *netsim.Network, id topology.NodeID, port uint16) *Rece
 	return r
 }
 
-// Accept ingests one data segment (sequence number, payload, 1-based
+// accept ingests one data segment (sequence number, payload, 1-based
 // path echo) and returns the cumulative ACK to send: the next expected
 // sequence number. The in-order fast path appends straight to Data
-// without an intermediate copy, so a steady in-order stream allocates
-// only for Data growth.
-func (r *Receiver) Accept(seq uint32, payload []byte, echo int) uint32 {
+// without an intermediate copy, and out-of-order segments wait in
+// recycled buffers, so a steady stream allocates only for Data growth.
+func (r *Receiver) accept(seq uint32, payload []byte, echo int) uint32 {
 	switch {
 	case seq == r.next:
 		r.Data = append(r.Data, payload...)
 		r.next++
 		r.PathSegments[echo]++
 	case seq > r.next && r.buf[seq] == nil:
-		p := make([]byte, len(payload))
-		copy(p, payload)
-		r.buf[seq] = p
+		// Held segments are never nil, even when empty: nil means absent.
+		var b []byte
+		if k := len(r.free); k > 0 {
+			b, r.free = r.free[k-1][:0], r.free[:k-1]
+		} else {
+			b = make([]byte, 0, len(payload))
+		}
+		r.buf[seq] = append(b, payload...)
 		r.PathSegments[echo]++
 	default:
 		r.Dups++
 	}
-	for r.buf[r.next] != nil {
-		r.Data = append(r.Data, r.buf[r.next]...)
+	for b := r.buf[r.next]; b != nil; b = r.buf[r.next] {
+		r.Data = append(r.Data, b...)
 		delete(r.buf, r.next)
+		r.free = append(r.free, b)
 		r.next++
 	}
 	return r.next
 }
 
-// handle consumes data segments for our port; returns false for
-// unrelated traffic.
-func (r *Receiver) handle(data []byte) bool {
-	var tip packet.TIP
-	if err := tip.DecodeFrom(data); err != nil || tip.Proto != packet.LayerTypeTTP {
-		return false
+// Receive ingests one datagram. A data segment for the receiver's port
+// is accepted, and its cumulative ACK — the echo's template with Ack
+// stamped in place — is appended to dst and returned; ack is nil when
+// no ACK can be built for the segment's route. ok is false for traffic
+// that is not ours. The segment is decoded into the receiver's own
+// scratch, so the steady state allocates only for Data's growth.
+func (r *Receiver) Receive(dst, data []byte) (ack []byte, ok bool) {
+	tip, ttp := &r.tip, &r.ttp
+	if err := tip.DecodeReuse(data); err != nil || tip.Proto != packet.LayerTypeTTP {
+		return nil, false
 	}
-	var ttp packet.TTP
-	if err := ttp.DecodeFrom(tip.LayerPayload()); err != nil || ttp.DstPort != r.Port {
-		return false
+	if err := ttp.DecodeFrom(tip.LayerPayload()); err != nil || ttp.DstPort != r.Port || ttp.Flags&packet.FlagACK != 0 {
+		return nil, false // not a data segment for us; ACKs are for senders
 	}
-	if ttp.Flags&packet.FlagACK != 0 {
-		return false // ACKs are for senders
+	ackNo := r.accept(ttp.Seq, ttp.LayerPayload(), int(ttp.Window))
+	t := r.template()
+	if t == nil {
+		return nil, true
 	}
-	ackNo := r.Accept(ttp.Seq, ttp.LayerPayload(), int(ttp.Window))
-	ack, err := packet.Serialize(
-		&packet.TIP{TTL: 32, Proto: packet.LayerTypeTTP, Src: r.addr, Dst: tip.Src,
-			SourceRoute: ReverseRoute(tip.SourceRoute)},
-		&packet.TTP{SrcPort: r.Port, DstPort: ttp.SrcPort, Ack: ackNo,
-			Flags: packet.FlagACK, Window: ttp.Window, Next: packet.LayerTypeRaw},
-		&packet.Raw{Data: nil})
-	if err == nil {
-		r.Acks++
-		r.net.Send(r.node, ack)
-	}
-	return true
+	ack = append(dst, t...)
+	// The template holds whole TIP and TTP headers, so the patch cannot fail.
+	_ = packet.PatchTTPAck(ack[len(dst):], ackNo, ttp.Window)
+	r.Acks++
+	return ack, true
 }
 
-// ReverseRoute builds the ACK's source route: the data segment's
-// waypoints in reverse. Nil in, nil out.
-func ReverseRoute(sr *packet.SourceRouteOption) *packet.SourceRouteOption {
-	if sr == nil || len(sr.Hops) == 0 {
+// template returns the ACK template for the segment in the decode
+// scratch, rebuilt through packet.Serialize, the reference encoder,
+// when the segment's source port, address or waypoints differ from the
+// ones its echo's template answers; nil when the ACK cannot be built.
+func (r *Receiver) template() []byte {
+	tip, ttp := &r.tip, &r.ttp
+	var route []packet.Addr
+	if tip.SourceRoute != nil {
+		route = tip.SourceRoute.Hops
+	}
+	t := r.tmpl[ttp.Window]
+	if t != nil && t.srcPort == ttp.SrcPort && t.src == tip.Src && slices.Equal(t.route, route) {
+		return t.pkt
+	}
+	var back *packet.SourceRouteOption // the arrival route reversed
+	if len(route) > 0 {
+		back = &packet.SourceRouteOption{Hops: slices.Clone(route)}
+		slices.Reverse(back.Hops)
+	}
+	pkt, err := packet.Serialize(
+		&packet.TIP{TTL: 32, Proto: packet.LayerTypeTTP, Src: r.addr, Dst: tip.Src, SourceRoute: back},
+		&packet.TTP{SrcPort: r.Port, DstPort: ttp.SrcPort, Flags: packet.FlagACK, Window: ttp.Window, Next: packet.LayerTypeRaw},
+		&packet.Raw{})
+	if err != nil {
 		return nil
 	}
-	hops := make([]packet.Addr, len(sr.Hops))
-	for i, h := range sr.Hops {
-		hops[len(hops)-1-i] = h
+	if t == nil {
+		t = &ackTemplate{}
+		r.tmpl[ttp.Window] = t
 	}
-	return &packet.SourceRouteOption{Hops: hops}
+	t.pkt, t.srcPort, t.src, t.route = pkt, ttp.SrcPort, tip.Src, append(t.route[:0], route...)
+	return pkt
+}
+
+// handle is the netsim delivery hook: receive into the reused frame
+// buffer and inject the ACK at the receiving node, which copies it.
+// It returns false for unrelated traffic.
+func (r *Receiver) handle(data []byte) bool {
+	ack, ok := r.Receive(r.abuf[:0], data)
+	if ack != nil {
+		r.abuf = ack
+		r.net.Inject(r.node, ack)
+	}
+	return ok
 }
 
 // Transfer is the convenience wrapper: set up receiver and sender with

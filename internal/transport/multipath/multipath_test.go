@@ -11,12 +11,22 @@ import (
 	"repro/internal/topology"
 )
 
-// mpNet builds the canonical multipath test network: sender stub 8 and
-// receiver stub 9 each homed on three peered transits 1/2/3, yielding
-// exactly three link-disjoint 3-node paths (8-1-9 cheapest, then 8-2-9,
-// then 8-3-9). Every node honors source routes; there is no dynamic
-// routing — path choice is entirely the sender's.
+// mpNet builds the canonical multipath test network on mpGraph. Every
+// node honors source routes; there is no dynamic routing — path choice
+// is entirely the sender's.
 func mpNet() (*sim.Scheduler, *netsim.Network) {
+	sched := sim.NewScheduler()
+	net := netsim.New(sched, mpGraph())
+	for _, id := range []topology.NodeID{1, 2, 3, 8, 9} {
+		net.Node(id).HonorSourceRoutes = true
+	}
+	return sched, net
+}
+
+// mpGraph is sender stub 8 and receiver stub 9 each homed on three
+// peered transits 1/2/3, yielding exactly three link-disjoint 3-node
+// paths (8-1-9 cheapest, then 8-2-9, then 8-3-9).
+func mpGraph() *topology.Graph {
 	g := topology.NewGraph()
 	for i := 1; i <= 3; i++ {
 		g.AddNode(topology.NodeID(i), topology.Transit, 1)
@@ -29,12 +39,7 @@ func mpNet() (*sim.Scheduler, *netsim.Network) {
 		g.AddLink(8, topology.NodeID(i), topology.CustomerOf, sim.Millisecond, 1)
 		g.AddLink(9, topology.NodeID(i), topology.CustomerOf, sim.Time(i)*sim.Millisecond, 1)
 	}
-	sched := sim.NewScheduler()
-	net := netsim.New(sched, g)
-	for _, id := range []topology.NodeID{1, 2, 3, 8, 9} {
-		net.Node(id).HonorSourceRoutes = true
-	}
-	return sched, net
+	return g
 }
 
 func mpPayload(n int) []byte {

@@ -229,61 +229,3 @@ func TestMultipathDifferentialDecisions(t *testing.T) {
 		t.Fatalf("multipath decision log drifted from golden:\n--- got ---\n%s--- want ---\n%s", log.String(), want)
 	}
 }
-
-// TestMultipathWireTemplateBytes pins the template/patch transmit path
-// against the simulator's full Serialize: for every captured wire
-// datagram, re-serializing the same segment through packet.Serialize
-// (as simXmit does) must yield the identical bytes.
-func TestMultipathWireTemplateBytes(t *testing.T) {
-	cfg := mpDiffConfig(42)
-	strat := &multipath.ShortestK{}
-	cands := strat.Discover(mpDiffGraph(), 8, 9, cfg.Paths, cfg.MaxPathLen)
-	paths := make([]MPPath, len(cands))
-	for i, c := range cands {
-		paths[i] = MPPath{Hops: c.Path[1 : len(c.Path)-1], Latency: c.Latency}
-	}
-	payload := mpDiffPayload()[:5*512+100] // force a short tail segment
-	sched := sim.NewScheduler()
-	type captured struct {
-		path int
-		pkt  []byte
-	}
-	var got []captured
-	ws, err := newMultipathSender(MultipathSenderConfig{
-		Transport: cfg, Strategy: strat, Src: 8, Dst: 9, Port: 7000,
-		Paths: paths, Clock: multipath.SimClock{Sched: sched},
-	}, payload, func(path int, pkt []byte) {
-		got = append(got, captured{path, append([]byte(nil), pkt...)})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws.Start()
-	// Run only the initial burst: no ACKs, stop before the first RTO.
-	sched.RunUntil(10 * sim.Millisecond)
-	if len(got) == 0 {
-		t.Fatal("no datagrams captured")
-	}
-	for _, c := range got {
-		var tip packet.TIP
-		if err := tip.DecodeFrom(c.pkt); err != nil {
-			t.Fatalf("captured datagram does not decode: %v", err)
-		}
-		var ttp packet.TTP
-		if err := ttp.DecodeFrom(tip.LayerPayload()); err != nil {
-			t.Fatalf("captured TTP does not decode: %v", err)
-		}
-		want, err := packet.Serialize(
-			&packet.TIP{TTL: 32, Proto: packet.LayerTypeTTP, Src: packet.MakeAddr(8, 1), Dst: packet.MakeAddr(9, 1),
-				SourceRoute: cands[c.path].Option()},
-			&packet.TTP{SrcPort: 41000, DstPort: 7000, Seq: ttp.Seq, Window: uint16(c.path) + 1, Next: packet.LayerTypeRaw},
-			&packet.Raw{Data: ws.core.Segment(ttp.Seq)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(want) != string(c.pkt) {
-			t.Fatalf("path %d seq %d: template-built bytes differ from Serialize\n got %x\nwant %x",
-				c.path, ttp.Seq, c.pkt, want)
-		}
-	}
-}

@@ -23,14 +23,16 @@ import (
 // This file ports the multipath transport onto the wire engine: the
 // identical demotion / probation / promotion state machine from
 // internal/transport/multipath, driven by the Clock/Driver seam, with
-// real UDP sockets underneath. The substrate obligations live here —
-// prebuilt per-path header templates patched in place (the TIP checksum
-// covers only the TIP header, so stamping TTP fields costs no checksum
-// work), a reusable transmit ring flushed through sendmmsg, and an ACK
-// read loop feeding each recvmmsg batch through HandleAck under one
-// acquisition of the wall clock's lock and flushing once — so the
-// steady-state striping path allocates nothing per packet and issues
-// one sendmmsg per ACK batch, not per ACK.
+// real UDP sockets underneath. Framing lives in that core, shared with
+// the simulator: per-path segment headers and per-echo ACK templates
+// built once through packet.Serialize and patched in place (the TIP
+// checksum covers only the TIP header, so stamping TTP fields costs no
+// checksum work). The substrate obligations live here — ring slots the
+// core frames into, flushed through sendmmsg, and an ACK read loop
+// feeding each recvmmsg batch through HandleAck under one acquisition
+// of the wall clock's lock and flushing once — so the steady-state
+// striping path allocates nothing per packet and issues one sendmmsg
+// per ACK batch, not per ACK.
 
 // MPPath describes one wire path: the source-route waypoints the TIP
 // header will carry, the UDP address of the first hop, and an a-priori
@@ -66,16 +68,6 @@ type MultipathSenderConfig struct {
 	Clock multipath.Clock
 }
 
-// mpPathIO is one path's transmit-side state: where its datagrams go
-// and the prebuilt headers they start from. Two templates exist
-// because the TIP total-length field is checksummed, so full-size and
-// tail segments need different (pre-checksummed) headers.
-type mpPathIO struct {
-	via     netip.AddrPort
-	hdrFull []byte
-	hdrTail []byte
-}
-
 // MultipathSender stripes one reliable stream across wire paths. All
 // state-machine entry points run under mu (the WallClock shares it for
 // timer callbacks), so the shared core sees a serial world.
@@ -94,10 +86,8 @@ type MultipathSender struct {
 	rxBuf [][]byte
 	txq   []txEntry
 
-	pio     []mpPathIO
-	ring    [][]byte
-	ringAt  int
-	segSize int
+	ring   [][]byte
+	ringAt int
 
 	emit func(path int, pkt []byte) // test capture; nil on real sockets
 
@@ -172,15 +162,14 @@ func newMultipathSender(cfg MultipathSenderConfig, payload []byte, emit func(int
 	s.core = multipath.NewDriverSender(
 		multipath.Driver{Clock: clk, Xmit: s.xmit, Flush: s.endEntry, OnDone: s.onDone},
 		cfg.Strategy, cands, cfg.Src, cfg.Dst, cfg.Port, payload, cfg.Transport)
-	s.segSize = s.core.Config().SegmentSize
-	if err := s.buildTemplates(cands, payload); err != nil {
-		return nil, err
+	if err := s.core.FrameErr(); err != nil {
+		return nil, fmt.Errorf("wire: multipath template %w", err)
 	}
 	nring := 2 * s.batch()
 	s.ring = make([][]byte, nring)
 	slab := make([]byte, nring*2048)
 	for i := range s.ring {
-		s.ring[i] = slab[i*2048 : (i+1)*2048]
+		s.ring[i] = slab[i*2048 : (i+1)*2048 : (i+1)*2048]
 	}
 	s.txq = make([]txEntry, 0, s.batch())
 	return s, nil
@@ -193,74 +182,22 @@ func (s *MultipathSender) batch() int {
 	return 64
 }
 
-// buildTemplates serializes, once per path, the full-segment and
-// tail-segment headers the transmit path later copies and patches.
-// Serializing through the same packet.Serialize call the simulator's
-// sender uses keeps the on-wire bytes identical between substrates.
-func (s *MultipathSender) buildTemplates(cands []srcroute.Candidate, payload []byte) error {
-	ct := s.core.Config().ContentType
-	if ct == packet.LayerTypeNone {
-		ct = packet.LayerTypeRaw
-	}
-	local := packet.MakeAddr(uint16(s.cfg.Src), 1)
-	remote := packet.MakeAddr(uint16(s.cfg.Dst), 1)
-	tail := len(payload) % s.segSize
-	if tail == 0 {
-		tail = s.segSize
-	}
-	s.pio = make([]mpPathIO, len(cands))
-	for i, c := range cands {
-		build := func(segLen int) ([]byte, error) {
-			data, err := packet.Serialize(
-				&packet.TIP{TTL: 32, Proto: packet.LayerTypeTTP, Src: local, Dst: remote, SourceRoute: c.Option()},
-				&packet.TTP{SrcPort: 41000, DstPort: s.cfg.Port, Window: uint16(i) + 1, Next: ct},
-				&packet.Raw{Data: make([]byte, segLen)})
-			if err != nil {
-				return nil, err
-			}
-			hdr := make([]byte, len(data)-segLen)
-			copy(hdr, data[:len(hdr)])
-			return hdr, nil
-		}
-		full, err := build(s.segSize)
-		if err != nil {
-			return fmt.Errorf("wire: multipath template path %d: %w", i, err)
-		}
-		tl, err := build(tail)
-		if err != nil {
-			return fmt.Errorf("wire: multipath template path %d: %w", i, err)
-		}
-		s.pio[i] = mpPathIO{via: s.cfg.Paths[i].Via, hdrFull: full, hdrTail: tl}
-	}
-	return nil
-}
-
-// xmit is the Driver transmission hook: copy the path's template and
-// the segment payload into a ring slot, stamp the sequence number, and
-// queue (or capture). Zero allocations in the steady state.
+// xmit is the Driver transmission hook: frame the segment into a ring
+// slot and queue (or capture) it. Zero allocations in the steady state.
 func (s *MultipathSender) xmit(p *multipath.Path, seq uint32) error {
-	seg := s.core.Segment(seq)
-	io := &s.pio[p.Index]
-	hdr := io.hdrFull
-	if len(seg) != s.segSize {
-		hdr = io.hdrTail
+	pkt, err := s.core.Frame(s.ring[s.ringAt][:0], p, seq)
+	if err != nil {
+		return err
 	}
-	slot := s.ring[s.ringAt]
 	s.ringAt++
 	if s.ringAt == len(s.ring) {
 		s.ringAt = 0
-	}
-	n := copy(slot, hdr)
-	n += copy(slot[n:], seg)
-	pkt := slot[:n]
-	if err := packet.PatchTTPSeq(pkt, seq); err != nil {
-		return err
 	}
 	if s.emit != nil {
 		s.emit(p.Index, pkt)
 		return nil
 	}
-	s.txq = append(s.txq, txEntry{addr: io.via, data: pkt})
+	s.txq = append(s.txq, txEntry{addr: s.cfg.Paths[p.Index].Via, data: pkt})
 	if len(s.txq) == cap(s.txq) {
 		s.flush()
 	}
@@ -389,42 +326,26 @@ func (s *MultipathSender) Close() {
 
 // MultipathReceiver reassembles a striped stream inside the wire
 // engine: install its Deliver method as Config.Deliver and every
-// accepted data segment is answered with a cumulative ACK built from a
-// per-path template — copy, patch Ack, hand the ring slot back to the
-// worker's transmit batch. The lock serializes workers; the ring must
-// therefore hold at least workers×batch slots so a slot is not reused
-// before every worker's current batch has flushed. The in-order stream
-// is consumed as it arrives — folded into a running SHA-256 and a byte
-// count, then dropped — so memory stays bounded by the out-of-order
-// buffer however long the stream runs.
+// accepted data segment is answered with a cumulative ACK that the
+// core frames from its per-echo template into a ring slot, handed back
+// to the worker's transmit batch. The lock serializes workers; the
+// ring must therefore hold at least workers×batch slots so a slot is
+// not reused before every worker's current batch has flushed. The
+// in-order stream is consumed as it arrives — folded into a running
+// SHA-256 and a byte count, then dropped — so memory stays bounded by
+// the out-of-order buffer however long the stream runs.
 type MultipathReceiver struct {
 	mu    sync.Mutex
 	core  *multipath.Receiver
-	local packet.Addr
-	port  uint16
 	hash  hash.Hash
 	bytes int
 
 	ring   [][]byte
 	ringAt int
-	tmpl   map[uint16]*mpAckTemplate
-	tip    packet.TIP
-	ttp    packet.TTP
-	acks   uint64
 }
 
-// mpAckTemplate is one path echo's prebuilt ACK datagram plus the
-// identity it was built against (rebuilt if the sender's port, address,
-// or route changes under the same echo).
-type mpAckTemplate struct {
-	pkt      []byte
-	srcPort  uint16
-	src      packet.Addr
-	routeSig uint64
-}
-
-// mpAckSlot is the ring slot size: a TIP header with the longest legal
-// source route plus the TTP header fits comfortably.
+// mpAckSlot is the ring slot size: a TIP header with the longest
+// source route an ACK can carry plus the TTP header fits comfortably.
 const mpAckSlot = 128
 
 // NewMultipathReceiver builds a receiver for node's port with slots
@@ -434,16 +355,13 @@ func NewMultipathReceiver(node topology.NodeID, port uint16, slots int) *Multipa
 		slots = 256
 	}
 	r := &MultipathReceiver{
-		core:  multipath.NewReceiverCore(port),
-		hash:  sha256.New(),
-		local: packet.MakeAddr(uint16(node), 1),
-		port:  port,
-		ring:  make([][]byte, slots),
-		tmpl:  map[uint16]*mpAckTemplate{},
+		core: multipath.NewReceiverCore(node, port),
+		hash: sha256.New(),
+		ring: make([][]byte, slots),
 	}
 	slab := make([]byte, slots*mpAckSlot)
 	for i := range r.ring {
-		r.ring[i] = slab[i*mpAckSlot : (i+1)*mpAckSlot]
+		r.ring[i] = slab[i*mpAckSlot : (i+1)*mpAckSlot : (i+1)*mpAckSlot]
 	}
 	return r
 }
@@ -455,63 +373,19 @@ func NewMultipathReceiver(node topology.NodeID, port uint16, slots int) *Multipa
 func (r *MultipathReceiver) Deliver(data []byte, from netip.AddrPort) []byte {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if err := r.tip.DecodeReuse(data); err != nil || r.tip.Proto != packet.LayerTypeTTP {
-		return nil
-	}
-	if err := r.ttp.DecodeFrom(r.tip.LayerPayload()); err != nil {
-		return nil
-	}
-	if r.ttp.Flags&packet.FlagACK != 0 || r.ttp.DstPort != r.port {
-		return nil
-	}
-	ackNo := r.core.Accept(r.ttp.Seq, r.ttp.LayerPayload(), int(r.ttp.Window))
+	ack, _ := r.core.Receive(r.ring[r.ringAt][:0], data)
 	if len(r.core.Data) > 0 {
 		r.hash.Write(r.core.Data)
 		r.bytes += len(r.core.Data)
 		r.core.Data = r.core.Data[:0]
 	}
-	t := r.tmpl[r.ttp.Window]
-	sig := routeSig(r.tip.SourceRoute)
-	if t == nil || t.srcPort != r.ttp.SrcPort || t.src != r.tip.Src || t.routeSig != sig {
-		pkt, err := packet.Serialize(
-			&packet.TIP{TTL: 32, Proto: packet.LayerTypeTTP, Src: r.local, Dst: r.tip.Src,
-				SourceRoute: multipath.ReverseRoute(r.tip.SourceRoute)},
-			&packet.TTP{SrcPort: r.port, DstPort: r.ttp.SrcPort,
-				Flags: packet.FlagACK, Window: r.ttp.Window, Next: packet.LayerTypeRaw},
-			&packet.Raw{Data: nil})
-		if err != nil || len(pkt) > mpAckSlot {
-			return nil
+	if ack != nil {
+		r.ringAt++
+		if r.ringAt == len(r.ring) {
+			r.ringAt = 0
 		}
-		t = &mpAckTemplate{pkt: pkt, srcPort: r.ttp.SrcPort, src: r.tip.Src, routeSig: sig}
-		r.tmpl[r.ttp.Window] = t
 	}
-	slot := r.ring[r.ringAt]
-	r.ringAt++
-	if r.ringAt == len(r.ring) {
-		r.ringAt = 0
-	}
-	n := copy(slot, t.pkt)
-	ack := slot[:n]
-	if packet.PatchTTPAck(ack, ackNo, r.ttp.Window) != nil {
-		return nil
-	}
-	r.acks++
 	return ack
-}
-
-// routeSig fingerprints a source route's waypoints (FNV-1a) so a
-// template built for one route is not replayed for another under the
-// same path echo.
-func routeSig(sr *packet.SourceRouteOption) uint64 {
-	if sr == nil {
-		return 0
-	}
-	h := uint64(14695981039346656037)
-	for _, hop := range sr.Hops {
-		h ^= uint64(hop)
-		h *= 1099511628211
-	}
-	return h
 }
 
 // MPRecvSummary is a receiver snapshot for stats output.
@@ -538,7 +412,7 @@ func (r *MultipathReceiver) Summary() MPRecvSummary {
 	}
 	sum := MPRecvSummary{
 		Bytes:        r.bytes,
-		Acks:         r.acks,
+		Acks:         uint64(r.core.Acks),
 		Dups:         r.core.Dups,
 		PathSegments: per,
 	}

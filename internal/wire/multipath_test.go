@@ -3,9 +3,12 @@ package wire
 import (
 	"bytes"
 	"crypto/sha256"
+	"errors"
 	"net"
 	"net/netip"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -205,6 +208,46 @@ func TestMultipathReceiverDeliverAllocs(t *testing.T) {
 	sum := rcv.Summary()
 	if want := int(seq+1) * len(payload); sum.Bytes != want || !bytes.Equal(sum.SHA256[:], h.Sum(nil)) {
 		t.Fatalf("streamed %d bytes, want %d with the payload's digest", sum.Bytes, want)
+	}
+}
+
+// TestMultipathReceiverAckFollowsRoute delivers two segments under one
+// path echo along routes whose waypoints hash alike under FNV-1a. Each
+// ACK must retrace its own segment's route: the echo's ACK template is
+// keyed on the exact waypoints, not a fingerprint of them.
+func TestMultipathReceiverAckFollowsRoute(t *testing.T) {
+	rcv := NewMultipathReceiver(0, 7777, 64)
+	from := netip.MustParseAddrPort("127.0.0.1:40000")
+	for i, route := range [][]packet.Addr{{0x13222325, 0x00050001}, {0x84222324, 0x950501b2}} {
+		seg, err := packet.Serialize(
+			&packet.TIP{TTL: 8, Proto: packet.LayerTypeTTP, Src: packet.MakeAddr(1, 1), Dst: packet.MakeAddr(0, 1),
+				SourceRoute: &packet.SourceRouteOption{Ptr: 2, Hops: route}},
+			&packet.TTP{SrcPort: 41000, DstPort: 7777, Seq: uint32(i), Window: 1, Next: packet.LayerTypeRaw},
+			&packet.Raw{Data: []byte("segment")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tip packet.TIP
+		if err := tip.DecodeFrom(rcv.Deliver(seg, from)); err != nil {
+			t.Fatalf("route %d: ACK does not decode: %v", i, err)
+		}
+		if want := []packet.Addr{route[1], route[0]}; tip.SourceRoute == nil || !slices.Equal(tip.SourceRoute.Hops, want) {
+			t.Fatalf("route %d: ACK source route %v, want the reverse %v", i, tip.SourceRoute, want)
+		}
+	}
+}
+
+// TestMultipathSenderRejectsUnframablePath: a segment size whose
+// datagrams overflow the TIP length field cannot be framed, and the
+// wire constructor refuses it instead of failing the transfer later.
+func TestMultipathSenderRejectsUnframablePath(t *testing.T) {
+	cfg := multipath.DefaultConfig()
+	cfg.SegmentSize = 70000
+	_, err := newMultipathSender(MultipathSenderConfig{
+		Transport: cfg, Src: 8, Dst: 9, Port: 7000, Paths: []MPPath{{Latency: sim.Millisecond}},
+	}, make([]byte, 2*cfg.SegmentSize), func(int, []byte) {})
+	if !errors.Is(err, packet.ErrBadHeader) || !strings.HasPrefix(err.Error(), "wire: multipath template path 0: ") {
+		t.Fatalf("constructor error = %v, want path 0's header error", err)
 	}
 }
 
