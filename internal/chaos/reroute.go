@@ -370,12 +370,7 @@ func NewAdRerouter(net *netsim.Network, db *linkstate.AdDatabase, keys map[topol
 			if ev.Kind != ByzantineBurst {
 				reflood(net, db, keys)
 			}
-			tables := make(map[topology.NodeID]*linkstate.Table, len(net.Graph.Nodes))
-			for _, id := range net.Graph.NodeIDs() {
-				next, dist := db.SPF(id)
-				tables[id] = &linkstate.Table{Src: id, Next: next, Dist: dist}
-			}
-			return tableHops(net, tables)
+			return tableHops(net, linkstate.Compute(db))
 		},
 		delay: floodDelay(net),
 	}

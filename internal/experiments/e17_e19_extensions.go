@@ -113,13 +113,9 @@ func e18Byzantine(seed uint64, env *obs.Env) *Result {
 			sched.AttachObs(env.Registry())
 			net := netsim.New(sched, g)
 			net.AttachObs(env.Registry(), env.Tracer())
+			tables := linkstate.Compute(db)
 			for _, id := range g.NodeIDs() {
-				id := id
-				next, _ := db.SPF(id)
-				net.Node(id).Route = func(dst packet.Addr, tip *packet.TIP) (topology.NodeID, bool) {
-					nh, ok := next[topology.NodeID(dst.Provider())]
-					return nh, ok
-				}
+				net.Node(id).Route = tables[id].RouteFunc()
 				if isLiar[id] {
 					net.Node(id).AddMiddlebox(blackhole{})
 				}

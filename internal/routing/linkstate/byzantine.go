@@ -90,10 +90,11 @@ const (
 // AdDatabase is a link-state database built from advertisements rather
 // than ground truth.
 //
-// Like Database, it embeds SPF scratch space, so an AdDatabase must not
-// be shared across goroutines; each simulation owns its own.
+// Like Database, it reuses one shortest-path search across SPF calls, so
+// an AdDatabase must not be shared across goroutines; each simulation
+// owns its own.
 type AdDatabase struct {
-	g    *topology.Graph
+	spf
 	Mode VerifyMode
 	ads  map[topology.NodeID]*Advertisement
 	keys map[topology.NodeID]*trust.Principal
@@ -101,12 +102,7 @@ type AdDatabase struct {
 	// Rejected counts advertisements or entries discarded by defenses.
 	Rejected int
 
-	scratch     spfScratch
-	nbrsScratch []topology.NodeID
-
-	// obs instruments flooding and route computation; nil means disabled.
-	spfRuns     *obs.Counter
-	spfSettled  *obs.Histogram
+	// obs instruments flooding; nil means disabled.
 	adsFlooded  *obs.Counter
 	adsRejected *obs.Counter
 }
@@ -117,12 +113,11 @@ type AdDatabase struct {
 // flooded and rejected by the verification mode's defenses. A nil
 // registry disables again.
 func (db *AdDatabase) AttachObs(reg *obs.Registry) {
+	db.attachObs(reg)
 	if reg == nil {
-		db.spfRuns, db.spfSettled, db.adsFlooded, db.adsRejected = nil, nil, nil, nil
+		db.adsFlooded, db.adsRejected = nil, nil
 		return
 	}
-	db.spfRuns = reg.Counter("routing.linkstate.spf_runs")
-	db.spfSettled = reg.Histogram("routing.linkstate.spf_settled", obs.CountBuckets)
 	db.adsFlooded = reg.Counter("routing.linkstate.ads_flooded")
 	db.adsRejected = reg.Counter("routing.linkstate.ads_rejected")
 }
@@ -131,7 +126,7 @@ func (db *AdDatabase) AttachObs(reg *obs.Registry) {
 // node to its signing principal (public halves are what verifiers use;
 // the same struct carries both here for simplicity).
 func NewAdDatabase(g *topology.Graph, mode VerifyMode, keys map[topology.NodeID]*trust.Principal) *AdDatabase {
-	return &AdDatabase{g: g, Mode: mode, ads: map[topology.NodeID]*Advertisement{}, keys: keys}
+	return &AdDatabase{spf: spf{g: g}, Mode: mode, ads: map[topology.NodeID]*Advertisement{}, keys: keys}
 }
 
 // Flood installs an advertisement, applying the mode's checks.
@@ -191,75 +186,22 @@ func (db *AdDatabase) EffectiveCost(a, b topology.NodeID) (float64, bool) {
 	}
 }
 
-// SPF runs Dijkstra over the advertised (not true) costs.
+// SPF runs the shortest-path search from src over the advertised (not
+// true) costs. Its edges are the neighbours each advertisement claims,
+// phantoms included, not the graph's.
 func (db *AdDatabase) SPF(src topology.NodeID) (next map[topology.NodeID]topology.NodeID, dist map[topology.NodeID]float64) {
-	// Reuse the base implementation by adapting to a Database with
-	// overrides? The edge set differs (phantoms under TrustAll), so do
-	// the walk directly over claimed neighbors. The queue here is a
-	// stable-sorted list (small graphs: simplicity over heap
-	// bookkeeping); the scratch struct only recycles the allocations.
-	sc := &db.scratch
-	sc.reset()
-	next = make(map[topology.NodeID]topology.NodeID)
-	dist = map[topology.NodeID]float64{src: 0}
-	prev, done := sc.prev, sc.done
-	q := append(sc.q[:0], item{src, 0})
-	head := 0
-	for head < len(q) {
-		it := q[head]
-		head++
-		if done[it.node] {
-			continue
-		}
-		done[it.node] = true
-		ad := db.ads[it.node]
-		if ad == nil {
-			continue
-		}
-		nbrs := db.nbrsScratch[:0]
-		for nb := range ad.Costs {
-			nbrs = append(nbrs, nb)
-		}
-		db.nbrsScratch = nbrs
-		sort.Slice(nbrs, func(i, j int) bool { return nbrs[i] < nbrs[j] })
-		for _, nb := range nbrs {
-			c, ok := db.EffectiveCost(it.node, nb)
-			if !ok || c < 0 {
-				continue
-			}
-			nd := it.dist + c
-			cur, seen := dist[nb]
-			if !seen || nd < cur {
-				dist[nb] = nd
-				prev[nb] = it.node
-				q = append(q, item{nb, nd})
+	sp := &db.search
+	sp.Reset(src)
+	for u, _, ok := sp.Next(); ok; u, _, ok = sp.Next() {
+		if ad := db.ads[u]; ad != nil {
+			for v := range ad.Costs {
+				if c, ok := db.EffectiveCost(u, v); ok {
+					sp.Relax(v, c)
+				}
 			}
 		}
-		sort.SliceStable(q[head:], func(i, j int) bool { return q[head+i].dist < q[head+j].dist })
 	}
-	sc.q = q[:0]
-	if db.spfRuns != nil {
-		db.spfRuns.Inc()
-		db.spfSettled.Observe(float64(len(done)))
-	}
-	for dst := range dist {
-		if dst == src {
-			continue
-		}
-		hop := dst
-		valid := true
-		for prev[hop] != src {
-			hop = prev[hop]
-			if hop == 0 && prev[hop] == 0 {
-				valid = false
-				break
-			}
-		}
-		if valid {
-			next[dst] = hop
-		}
-	}
-	return next, dist
+	return db.tables()
 }
 
 // GenerateKeys creates one signing principal per node, deterministically.

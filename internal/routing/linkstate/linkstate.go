@@ -1,14 +1,15 @@
 // Package linkstate implements an OSPF-style link-state routing protocol
 // for the simulated internetwork: every node floods its link costs, every
-// node runs Dijkstra over the identical database, and — the property that
-// matters for the tussle analysis of §IV-C — every node's cost choices
-// are public. Contrast with the path-vector protocol in the sibling
-// package, which reveals only chosen paths.
+// node runs the same shortest-path search (topology.ShortestPaths, which
+// every router in the repository shares) over the identical database,
+// and — the property that matters for the tussle analysis of §IV-C —
+// every node's cost choices are public. Database holds the true costs
+// and AdDatabase the advertised ones (see byzantine.go); both give the
+// search only their edges and costs. Contrast with the path-vector
+// protocol in the sibling package, which reveals only chosen paths.
 package linkstate
 
 import (
-	"math"
-
 	"repro/internal/obs"
 	"repro/internal/packet"
 	"repro/internal/topology"
@@ -17,39 +18,58 @@ import (
 // Database is the flooded link-state database: the complete, public view
 // of the network's links and costs.
 //
-// The embedded SPF scratch space makes repeated SPF/Compute calls cheap
-// but means a Database must not be shared across goroutines. Parallelism
-// in this repository is across independent simulations, each with its own
+// A Database reuses one shortest-path search across SPF and Compute
+// calls, so it must not be shared across goroutines. Parallelism in this
+// repository is across independent simulations, each with its own
 // Database (see experiments.RunAll).
 type Database struct {
-	g *topology.Graph
+	spf
 	// Overrides lets a node advertise a different cost on a link
 	// (traffic engineering — a visible tussle move).
 	Overrides map[[2]topology.NodeID]float64
+}
 
-	scratch spfScratch
-
-	// obs instruments route computation; nil means disabled.
+// spf is what both databases keep to run SPF: the graph, the search
+// reused across runs, and the route-computation metrics (nil means
+// disabled).
+type spf struct {
+	g          *topology.Graph
+	search     topology.ShortestPaths
 	spfRuns    *obs.Counter
 	spfSettled *obs.Histogram
 }
 
 // NewDatabase builds a database over the topology.
 func NewDatabase(g *topology.Graph) *Database {
-	return &Database{g: g, Overrides: make(map[[2]topology.NodeID]float64)}
+	return &Database{spf: spf{g: g}, Overrides: make(map[[2]topology.NodeID]float64)}
 }
 
 // AttachObs enables route-computation observability: a counter of SPF
 // runs and the distribution of nodes settled per run (the convergence
 // work a cost change triggers). A nil registry disables again.
-func (db *Database) AttachObs(reg *obs.Registry) {
+func (db *Database) AttachObs(reg *obs.Registry) { db.attachObs(reg) }
+
+func (s *spf) attachObs(reg *obs.Registry) {
 	if reg == nil {
-		db.spfRuns, db.spfSettled = nil, nil
+		s.spfRuns, s.spfSettled = nil, nil
 		return
 	}
-	db.spfRuns = reg.Counter("routing.linkstate.spf_runs")
-	db.spfSettled = reg.Histogram("routing.linkstate.spf_settled", obs.CountBuckets)
+	s.spfRuns = reg.Counter("routing.linkstate.spf_runs")
+	s.spfSettled = reg.Histogram("routing.linkstate.spf_settled", obs.CountBuckets)
 }
+
+// tables ends an SPF run: it records the run and returns the search's
+// next-hop and distance tables.
+func (s *spf) tables() (map[topology.NodeID]topology.NodeID, map[topology.NodeID]float64) {
+	next, dist := s.search.Tables()
+	if s.spfRuns != nil {
+		s.spfRuns.Inc()
+		s.spfSettled.Observe(float64(len(dist)))
+	}
+	return next, dist
+}
+
+func (s *spf) graph() *topology.Graph { return s.g }
 
 // SetCost overrides the advertised cost of the directed edge a→b.
 func (db *Database) SetCost(a, b topology.NodeID, cost float64) {
@@ -79,127 +99,20 @@ func (db *Database) VisibleChoices() int {
 	return n
 }
 
-// item is a priority-queue entry for Dijkstra.
-type item struct {
-	node topology.NodeID
-	dist float64
-}
-
-// pq is a binary min-heap of items ordered by dist. It is sifted manually
-// (not via container/heap) so pushes never box items into interfaces.
-type pq []item
-
-func (p pq) push(it item) pq {
-	p = append(p, it)
-	i := len(p) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if p[parent].dist <= p[i].dist {
-			break
-		}
-		p[i], p[parent] = p[parent], p[i]
-		i = parent
-	}
-	return p
-}
-
-func (p pq) pop() (item, pq) {
-	it := p[0]
-	n := len(p) - 1
-	p[0] = p[n]
-	p = p[:n]
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		m := l
-		if r := l + 1; r < n && p[r].dist < p[l].dist {
-			m = r
-		}
-		if p[i].dist <= p[m].dist {
-			break
-		}
-		p[i], p[m] = p[m], p[i]
-		i = m
-	}
-	return it, p
-}
-
-// spfScratch holds Dijkstra working state reused across SPF calls so
-// repeated route computations (Compute builds one table per node) do not
-// reallocate the priority queue and bookkeeping maps every call. The
-// returned next/dist maps escape to callers and are always fresh.
-type spfScratch struct {
-	q    pq
-	prev map[topology.NodeID]topology.NodeID
-	done map[topology.NodeID]bool
-}
-
-func (sc *spfScratch) reset() {
-	if sc.prev == nil {
-		sc.prev = make(map[topology.NodeID]topology.NodeID)
-		sc.done = make(map[topology.NodeID]bool)
-	} else {
-		clear(sc.prev)
-		clear(sc.done)
-	}
-	sc.q = sc.q[:0]
-}
-
-// SPF runs Dijkstra from src over the database and returns, for every
-// reachable destination, the next hop and total cost.
+// SPF runs the shortest-path search from src over the database's costs
+// and returns, for every reachable destination, the next hop and total
+// cost. A negative cost (how chaos masks a failed link) is no edge.
 func (db *Database) SPF(src topology.NodeID) (next map[topology.NodeID]topology.NodeID, dist map[topology.NodeID]float64) {
-	sc := &db.scratch
-	sc.reset()
-	next = make(map[topology.NodeID]topology.NodeID)
-	dist = make(map[topology.NodeID]float64)
-	prev, done := sc.prev, sc.done
-	const inf = math.MaxFloat64
-	dist[src] = 0
-	q := sc.q.push(item{src, 0})
-	var it item
-	for len(q) > 0 {
-		it, q = q.pop()
-		if done[it.node] {
-			continue
-		}
-		done[it.node] = true
-		for _, nb := range db.g.Neighbors(it.node) {
-			c, ok := db.Cost(it.node, nb)
-			if !ok || c < 0 {
-				continue
-			}
-			nd := it.dist + c
-			cur, seen := dist[nb]
-			if !seen {
-				cur = inf
-			}
-			if nd < cur {
-				dist[nb] = nd
-				prev[nb] = it.node
-				q = q.push(item{nb, nd})
+	sp := &db.search
+	sp.Reset(src)
+	for u, _, ok := sp.Next(); ok; u, _, ok = sp.Next() {
+		for _, v := range db.g.Neighbors(u) {
+			if c, ok := db.Cost(u, v); ok {
+				sp.Relax(v, c)
 			}
 		}
 	}
-	sc.q = q // keep the grown backing array for the next call
-	if db.spfRuns != nil {
-		db.spfRuns.Inc()
-		db.spfSettled.Observe(float64(len(done)))
-	}
-	for dst := range dist {
-		if dst == src {
-			continue
-		}
-		// Walk back to find the first hop.
-		hop := dst
-		for prev[hop] != src {
-			hop = prev[hop]
-		}
-		next[dst] = hop
-	}
-	return next, dist
+	return db.tables()
 }
 
 // Table is a computed forwarding table for one node.
@@ -209,10 +122,15 @@ type Table struct {
 	Dist map[topology.NodeID]float64
 }
 
-// Compute builds forwarding tables for every node.
-func Compute(db *Database) map[topology.NodeID]*Table {
-	out := make(map[topology.NodeID]*Table)
-	for _, id := range db.g.NodeIDs() {
+// Compute builds a forwarding table for every node of the graph from
+// db's SPF; db is a *Database or an *AdDatabase.
+func Compute(db interface {
+	SPF(topology.NodeID) (map[topology.NodeID]topology.NodeID, map[topology.NodeID]float64)
+	graph() *topology.Graph
+}) map[topology.NodeID]*Table {
+	ids := db.graph().NodeIDs()
+	out := make(map[topology.NodeID]*Table, len(ids))
+	for _, id := range ids {
 		next, dist := db.SPF(id)
 		out[id] = &Table{Src: id, Next: next, Dist: dist}
 	}

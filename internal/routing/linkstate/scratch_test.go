@@ -8,9 +8,9 @@ import (
 	"repro/internal/topology"
 )
 
-// Repeated SPF calls on one Database reuse scratch state; every call must
-// nonetheless return results identical to a fresh database's, including
-// after cost changes between calls.
+// Repeated SPF calls on one Database reuse one shortest-path search;
+// every call must nonetheless return results identical to a fresh
+// database's, including after cost changes between calls.
 func TestSPFScratchReuseIsStateless(t *testing.T) {
 	g := topology.GenerateHierarchy(topology.DefaultHierarchy(), sim.NewRNG(3))
 	db := NewDatabase(g)
@@ -42,9 +42,9 @@ func TestSPFScratchReuseIsStateless(t *testing.T) {
 	}
 }
 
-// Compute (one SPF per node) should not allocate the Dijkstra queue or
-// bookkeeping maps per call once scratch has warmed up — only the
-// returned tables themselves.
+// Compute (one SPF per node) should not allocate the search's frontier
+// or bookkeeping per call once the database's search has warmed up —
+// only the returned tables themselves.
 func TestSPFScratchReducesAllocs(t *testing.T) {
 	g := topology.GenerateHierarchy(topology.DefaultHierarchy(), sim.NewRNG(3))
 	db := NewDatabase(g)
@@ -57,8 +57,8 @@ func TestSPFScratchReducesAllocs(t *testing.T) {
 	}
 }
 
-// AdDatabase.SPF with scratch reuse must match a fresh AdDatabase fed the
-// same advertisements.
+// AdDatabase.SPF reusing its search must match a fresh AdDatabase fed
+// the same advertisements.
 func TestAdSPFScratchReuseIsStateless(t *testing.T) {
 	g := topology.GenerateHierarchy(topology.DefaultHierarchy(), sim.NewRNG(5))
 	rng := sim.NewRNG(11)

@@ -6,6 +6,10 @@
 // such as exploiting hosts as intermediate forwarding agents. (This kind
 // of overlay network is a tool in the tussle, certainly.)"
 //
+// Route picks relays with the shortest-path search every router in the
+// repository shares (topology.ShortestPaths) over the mesh's measured
+// latencies, so equal-latency ties always resolve the same way.
+//
 // The economic distortion the paper points out — overlay relaying makes a
 // provider carry traffic it was never compensated to carry — is measured
 // by counting relayed bytes that cross providers outside their business
@@ -13,16 +17,14 @@
 package overlay
 
 import (
-	"container/heap"
-	"math"
-
 	"repro/internal/netsim"
 	"repro/internal/packet"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
-// Mesh is an overlay over a set of member nodes.
+// Mesh is an overlay over a set of member nodes. Route reuses one
+// search, so a Mesh must not be shared across goroutines.
 type Mesh struct {
 	Members []topology.NodeID
 	// lat[a][b] is the measured underlay latency a→b; absence means the
@@ -30,6 +32,8 @@ type Mesh struct {
 	lat map[topology.NodeID]map[topology.NodeID]sim.Time
 	// RelayedBytes counts bytes forwarded on behalf of other members.
 	RelayedBytes int
+
+	search topology.ShortestPaths // reused by every Route
 }
 
 // NewMesh creates an overlay with the given members and no measurements.
@@ -60,65 +64,22 @@ func (m *Mesh) Direct(a, b topology.NodeID) (sim.Time, bool) {
 }
 
 // Route computes the lowest-latency overlay path src→dst over working
-// measured edges (Dijkstra on the overlay graph). The returned slice
-// includes src and dst; nil means unreachable even via relays.
+// measured edges, with latencies weighed in seconds. Equal-latency ties
+// go to the lower NodeID (see topology.ShortestPaths), so one set of
+// measurements always yields one path. The returned slice includes src
+// and dst; nil means unreachable even via relays.
 func (m *Mesh) Route(src, dst topology.NodeID) []topology.NodeID {
-	dist := map[topology.NodeID]float64{src: 0}
-	prev := map[topology.NodeID]topology.NodeID{}
-	done := map[topology.NodeID]bool{}
-	q := &overlayPQ{{src, 0}}
-	for q.Len() > 0 {
-		it := heap.Pop(q).(qi2)
-		if done[it.node] {
-			continue
+	sp := &m.search
+	sp.Reset(src)
+	for u, _, ok := sp.Next(); ok; u, _, ok = sp.Next() {
+		if u == dst {
+			return sp.Path(dst)
 		}
-		done[it.node] = true
-		if it.node == dst {
-			break
-		}
-		for nb, l := range m.lat[it.node] {
-			nd := it.d + l.Seconds()
-			cur, seen := dist[nb]
-			if !seen {
-				cur = math.MaxFloat64
-			}
-			if nd < cur {
-				dist[nb] = nd
-				prev[nb] = it.node
-				heap.Push(q, qi2{nb, nd})
-			}
+		for v, l := range m.lat[u] {
+			sp.Relax(v, l.Seconds())
 		}
 	}
-	if _, ok := dist[dst]; !ok {
-		return nil
-	}
-	var path []topology.NodeID
-	for at := dst; ; {
-		path = append([]topology.NodeID{at}, path...)
-		if at == src {
-			break
-		}
-		at = prev[at]
-	}
-	return path
-}
-
-type qi2 struct {
-	node topology.NodeID
-	d    float64
-}
-type overlayPQ []qi2
-
-func (p overlayPQ) Len() int            { return len(p) }
-func (p overlayPQ) Less(i, j int) bool  { return p[i].d < p[j].d }
-func (p overlayPQ) Swap(i, j int)       { p[i], p[j] = p[j], p[i] }
-func (p *overlayPQ) Push(x interface{}) { *p = append(*p, x.(qi2)) }
-func (p *overlayPQ) Pop() interface{} {
-	old := *p
-	n := len(old)
-	it := old[n-1]
-	*p = old[:n-1]
-	return it
+	return nil
 }
 
 // TunnelID used by overlay encapsulation.

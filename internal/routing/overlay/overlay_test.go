@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/netsim"
@@ -39,6 +40,23 @@ func TestRouteRelaysWhenFaster(t *testing.T) {
 	p := m.Route(1, 3)
 	if len(p) != 3 || p[1] != 2 {
 		t.Fatalf("route = %v, want faster relay via 2", p)
+	}
+}
+
+// Four equal-latency relays tie. The search settles the lowest NodeID
+// first, so every call must take relay 2, whatever order the mesh's
+// latency map yields the relays in.
+func TestRouteTieIsDeterministic(t *testing.T) {
+	m := NewMesh([]topology.NodeID{1, 2, 3, 4, 5, 6})
+	for _, relay := range []topology.NodeID{2, 3, 5, 6} {
+		m.Observe(1, relay, sim.Millisecond)
+		m.Observe(relay, 4, sim.Millisecond)
+	}
+	want := []topology.NodeID{1, 2, 4}
+	for i := 0; i < 100; i++ {
+		if p := m.Route(1, 4); !reflect.DeepEqual(p, want) {
+			t.Fatalf("call %d: route = %v, want %v", i, p, want)
+		}
 	}
 }
 

@@ -1,8 +1,6 @@
 package srcroute
 
 import (
-	"math"
-
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -14,15 +12,18 @@ import (
 // keeps a live path under any single-link failure the disjoint set
 // covers.
 //
-// The search is greedy successive-shortest-path extraction: Dijkstra
-// over the links not yet claimed by an earlier path, claim the winning
-// path's links, repeat. Greedy extraction is not guaranteed to find the
-// maximum disjoint set on adversarial graphs, but it is deterministic,
-// each successive path is the shortest the remaining graph admits, and
-// on provider hierarchies it finds the disjoint set that exists. When
-// fewer than k disjoint paths exist the result is simply shorter —
-// callers degrade to the paths they get, down to one (or zero when src
-// and dst are disconnected, equal, or absent from the graph).
+// The search is greedy successive-shortest-path extraction: a
+// lowest-latency search (topology.ShortestPaths) over the links not yet
+// claimed by an earlier path, claim the winning path's links, repeat.
+// It never looks at business relationships, so paths need not be
+// valley-free. Greedy extraction is not guaranteed to find the maximum
+// disjoint set on adversarial graphs, but it is deterministic (ties
+// settle by NodeID), each successive path is the shortest the remaining
+// graph admits, and on provider hierarchies it finds the disjoint set
+// that exists. When fewer than k disjoint paths exist the result is
+// simply shorter — callers degrade to the paths they get, down to one
+// (or zero when src and dst are disconnected, equal, or absent from the
+// graph).
 func DisjointPaths(g *topology.Graph, src, dst topology.NodeID, k, maxLen int) []Candidate {
 	if maxLen <= 0 {
 		maxLen = 8
@@ -40,13 +41,18 @@ func DisjointPaths(g *topology.Graph, src, dst topology.NodeID, k, maxLen int) [
 		return nil
 	}
 	claimed := map[[2]topology.NodeID]bool{}
+	var sp topology.ShortestPaths
 	var out []Candidate
 	for len(out) < k {
-		path, lat := shortestAvoiding(g, src, dst, claimed)
+		path, lat := shortestAvoiding(g, &sp, src, dst, claimed)
 		if path == nil || len(path) > maxLen {
 			// Removing links only lengthens shortest paths, so the first
 			// miss (disconnected or over the length bound) is final.
 			break
+		}
+		if out == nil {
+			// Each path leaves src on a link of its own.
+			out = make([]Candidate, 0, min(k, len(g.Neighbors(src))))
 		}
 		out = append(out, Candidate{Path: path, Latency: lat})
 		for i := 1; i < len(path); i++ {
@@ -64,55 +70,20 @@ func linkKey(a, b topology.NodeID) [2]topology.NodeID {
 	return [2]topology.NodeID{a, b}
 }
 
-// shortestAvoiding runs Dijkstra from src to dst over the links not in
-// claimed, minimizing summed latency. Deterministic: the frontier node
-// with the smallest (distance, id) settles next, and relaxation is
-// strictly-improving, so equal-cost ties always resolve the same way.
-func shortestAvoiding(g *topology.Graph, src, dst topology.NodeID, claimed map[[2]topology.NodeID]bool) ([]topology.NodeID, sim.Time) {
-	const inf = sim.Time(math.MaxInt64)
-	dist := map[topology.NodeID]sim.Time{src: 0}
-	prev := map[topology.NodeID]topology.NodeID{}
-	done := map[topology.NodeID]bool{}
-	for {
-		cur, best, found := topology.NodeID(0), inf, false
-		for n, d := range dist {
-			if done[n] {
-				continue
-			}
-			if !found || d < best || (d == best && n < cur) {
-				cur, best, found = n, d, true
-			}
+// shortestAvoiding searches from src to dst over the links not in
+// claimed, minimizing summed latency. Latencies are integer nanoseconds,
+// exact as float64 sums below 2^53 ns (about 104 days).
+func shortestAvoiding(g *topology.Graph, sp *topology.ShortestPaths, src, dst topology.NodeID, claimed map[[2]topology.NodeID]bool) ([]topology.NodeID, sim.Time) {
+	sp.Reset(src)
+	for u, d, ok := sp.Next(); ok; u, d, ok = sp.Next() {
+		if u == dst {
+			return sp.Path(dst), sim.Time(d)
 		}
-		if !found {
-			return nil, 0 // frontier exhausted: dst unreachable
-		}
-		if cur == dst {
-			break
-		}
-		done[cur] = true
-		for _, nb := range g.Neighbors(cur) {
-			if done[nb] || claimed[linkKey(cur, nb)] {
-				continue
-			}
-			l, ok := g.LinkBetween(cur, nb)
-			if !ok {
-				continue
-			}
-			if d, seen := dist[nb]; !seen || best+l.Latency < d {
-				dist[nb] = best + l.Latency
-				prev[nb] = cur
+		for _, v := range g.Neighbors(u) {
+			if l, ok := g.LinkBetween(u, v); ok && !claimed[linkKey(u, v)] {
+				sp.Relax(v, float64(l.Latency))
 			}
 		}
 	}
-	var path []topology.NodeID
-	for at := dst; ; at = prev[at] {
-		path = append(path, at)
-		if at == src {
-			break
-		}
-	}
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
-	return path, dist[dst]
+	return nil, 0 // frontier exhausted: dst unreachable
 }

@@ -8,7 +8,9 @@
 // package addresses each:
 //
 //   - "where these user-selected routes come from": Discover enumerates
-//     candidate provider paths from the (public) topology map;
+//     candidate provider paths from the (public) topology map, and
+//     DisjointPaths extracts link-disjoint ones by successive runs of the
+//     shortest-path search every router shares (topology.ShortestPaths);
 //   - "how failures are managed": Verify compares the requested path with
 //     the path actually taken (from the simulator trace), so senders can
 //     fail over to the next candidate;

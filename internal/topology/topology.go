@@ -4,7 +4,8 @@
 // or peer — in the style of Gao–Rexford. The business relationships are
 // what make routing a tussle space (§V-A of the paper): they determine
 // which paths a provider is *willing* to announce, as distinct from which
-// paths exist.
+// paths exist. The package also holds the one shortest-path search that
+// every router in the repository runs (ShortestPaths).
 package topology
 
 import (
