@@ -198,15 +198,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 			plan.Name, len(plan.Events), horizon)
 	}
 
+	// Every firewall denies the same high ports; they only read the set,
+	// so they share one.
+	blocked := map[uint16]bool{}
+	for p := uint16(1024); p <= 10000; p++ {
+		blocked[p] = true
+	}
 	for _, id := range g.NodeIDs() {
 		nd := net.Node(id)
 		nd.Route = pv.RouteFunc(id)
 		nd.HonorSourceRoutes = *useSrcRoute
 		if g.Nodes[id].Kind == topology.Transit && rng.Bool(*fwDensity) {
-			blocked := map[uint16]bool{}
-			for p := uint16(1024); p <= 10000; p++ {
-				blocked[p] = true
-			}
 			nd.AddMiddlebox(&middlebox.PortFirewall{Label: fmt.Sprintf("fw-%d", id), BlockedPorts: blocked})
 		}
 	}

@@ -12,8 +12,9 @@
 package actornet
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -48,19 +49,27 @@ type Actor struct {
 }
 
 // Network is the actor network.
+//
+// Actors live in a slice in join order and are addressed by index; an
+// alignment is one edge, and every edge's value is one slot of align, so
+// a round of harmonization is a single pass over that slice. Names matter
+// in two places only: the public methods take them, and the model's
+// determinism rests on name order, which byName and order keep.
 type Network struct {
 	rng    *sim.RNG
-	actors map[string]*Actor
-	// align[a][b] in [0,1] measures the commitment between two actors.
-	align map[string]map[string]float64
-	// actorList mirrors the keys of actors in ascending order, and nbr
-	// mirrors each actor's alignment partners in ascending order. Both
-	// are maintained incrementally on insert, so the per-round dynamics
-	// (Step, Durability) iterate in the same deterministic order as a
-	// fresh sort without sorting — or allocating — on every call.
-	actorList []string
-	nbr       map[string][]string
-	Round     int
+	actors []Actor
+	// byName lists the actor indices in ascending name order.
+	byName []int32
+	// partners lists each actor's alignment partners, indexed like actors.
+	partners [][]partner
+	// align[e] in [0,1] measures the commitment across edge e.
+	align []float64
+	// order lists the edges ascending by (lesser name, greater name), the
+	// order of a walk over actors by name and then partners by name.
+	// Durability sums in this order: float addition is not associative,
+	// so the order is part of the result.
+	order []orderedEdge
+	Round int
 
 	// HarmonizationRate is how fast aligned pairs converge per round.
 	HarmonizationRate float64
@@ -75,88 +84,137 @@ type Network struct {
 	entrySeq int
 }
 
+// partner is one alignment seen from one of its actors: the other actor
+// and the edge they share.
+type partner struct{ actor, edge int32 }
+
+// orderedEdge is an edge's entry in Network.order: its actors, the one
+// whose name sorts first as lo, and the edge.
+type orderedEdge struct{ lo, hi, edge int32 }
+
 // New creates an empty network with the default dynamics.
 func New(rng *sim.RNG) *Network {
 	return &Network{
 		rng:               rng,
-		actors:            make(map[string]*Actor),
-		align:             make(map[string]map[string]float64),
-		nbr:               make(map[string][]string),
 		HarmonizationRate: 0.05,
 		Perturbation:      0.35,
 	}
 }
 
+// search returns name's position in byName, or where it would be
+// inserted, and whether an actor has that name.
+func (n *Network) search(name string) (int, bool) {
+	return slices.BinarySearchFunc(n.byName, name, func(a int32, name string) int {
+		return cmp.Compare(n.actors[a].Name, name)
+	})
+}
+
 // AddActor inserts an actor; duplicate names panic (a wiring bug).
-func (n *Network) AddActor(name string, kind Kind) *Actor {
-	if _, dup := n.actors[name]; dup {
+func (n *Network) AddActor(name string, kind Kind) {
+	i, dup := n.search(name)
+	if dup {
 		panic(fmt.Sprintf("actornet: duplicate actor %q", name))
 	}
-	a := &Actor{Name: name, Kind: kind, Joined: n.Round}
-	n.actors[name] = a
-	n.align[name] = make(map[string]float64)
-	n.actorList = insertSorted(n.actorList, name)
-	return a
+	n.byName = slices.Insert(n.byName, i, int32(len(n.actors)))
+	n.actors = append(n.actors, Actor{Name: name, Kind: kind, Joined: n.Round})
+	n.partners = append(n.partners, nil)
 }
 
-// insertSorted inserts s into the ascending slice xs.
-func insertSorted(xs []string, s string) []string {
-	i := sort.SearchStrings(xs, s)
-	xs = append(xs, "")
-	copy(xs[i+1:], xs[i:])
-	xs[i] = s
-	return xs
+// index returns the named actor's index, or -1 if there is none.
+func (n *Network) index(name string) int32 {
+	if i, ok := n.search(name); ok {
+		return n.byName[i]
+	}
+	return -1
 }
 
-// Align sets the mutual alignment between two actors.
+// Align sets the mutual alignment between two actors. An unknown name,
+// or an actor aligned with itself, panics (a wiring bug).
 func (n *Network) Align(a, b string, v float64) {
+	ai, bi := n.index(a), n.index(b)
+	switch {
+	case ai < 0:
+		panic(fmt.Sprintf("actornet: unknown actor %q", a))
+	case bi < 0:
+		panic(fmt.Sprintf("actornet: unknown actor %q", b))
+	case ai == bi:
+		panic(fmt.Sprintf("actornet: actor %q aligned with itself", a))
+	}
 	if v < 0 {
 		v = 0
 	}
 	if v > 1 {
 		v = 1
 	}
-	if _, known := n.align[a][b]; !known {
-		n.nbr[a] = insertSorted(n.nbr[a], b)
-		n.nbr[b] = insertSorted(n.nbr[b], a)
+	n.link(ai, bi, v)
+}
+
+// edge returns the edge between actors a and b, or -1 if they are not
+// partners.
+func (n *Network) edge(a, b int32) int32 {
+	for _, p := range n.partners[a] {
+		if p.actor == b {
+			return p.edge
+		}
 	}
-	n.align[a][b] = v
-	n.align[b][a] = v
+	return -1
 }
 
-// Alignment returns the current alignment between two actors.
-func (n *Network) Alignment(a, b string) float64 { return n.align[a][b] }
+// link sets the alignment between actors a and b, making them partners
+// if they are not yet.
+func (n *Network) link(a, b int32, v float64) {
+	if e := n.edge(a, b); e >= 0 {
+		n.align[e] = v
+		return
+	}
+	e := int32(len(n.align))
+	n.align = append(n.align, v)
+	n.partners[a] = append(n.partners[a], partner{b, e})
+	n.partners[b] = append(n.partners[b], partner{a, e})
+	key := orderedEdge{a, b, e}
+	if n.actors[b].Name < n.actors[a].Name {
+		key.lo, key.hi = b, a
+	}
+	i, _ := slices.BinarySearchFunc(n.order, key, func(x, key orderedEdge) int {
+		if c := cmp.Compare(n.actors[x.lo].Name, n.actors[key.lo].Name); c != 0 {
+			return c
+		}
+		return cmp.Compare(n.actors[x.hi].Name, n.actors[key.hi].Name)
+	})
+	n.order = slices.Insert(n.order, i, key)
+}
 
-// Actors returns the actor names in deterministic (ascending) order. The
-// returned slice is a copy; internal code iterates the cache directly.
+// Alignment returns the current alignment between two actors: 0 when
+// either is unknown or they are not partners.
+func (n *Network) Alignment(a, b string) float64 {
+	if ai, bi := n.index(a), n.index(b); ai >= 0 && bi >= 0 {
+		if e := n.edge(ai, bi); e >= 0 {
+			return n.align[e]
+		}
+	}
+	return 0
+}
+
+// Actors returns the actor names in deterministic (ascending) order.
 func (n *Network) Actors() []string {
-	out := make([]string, len(n.actorList))
-	copy(out, n.actorList)
+	out := make([]string, len(n.byName))
+	for i, a := range n.byName {
+		out[i] = n.actors[a].Name
+	}
 	return out
-}
-
-// neighbors returns a's alignment partners in deterministic (ascending)
-// order. The returned slice is the live cache: callers must not mutate it.
-func (n *Network) neighbors(a string) []string {
-	return n.nbr[a]
 }
 
 // Durability is the mean alignment across all edges — the Latour
 // "society made durable" metric. An edgeless network has durability 0.
 func (n *Network) Durability() float64 {
-	total, count := 0.0, 0
-	for _, name := range n.actorList {
-		for _, other := range n.neighbors(name) {
-			if other > name { // count each edge once
-				total += n.align[name][other]
-				count++
-			}
-		}
-	}
-	if count == 0 {
+	if len(n.order) == 0 {
 		return 0
 	}
-	return total / float64(count)
+	total := 0.0
+	for _, o := range n.order {
+		total += n.align[o.edge]
+	}
+	return total / float64(len(n.order))
 }
 
 // Step advances one round: aligned pairs harmonize toward full
@@ -166,14 +224,9 @@ func (n *Network) Durability() float64 {
 func (n *Network) Step(entryRate float64) {
 	n.Round++
 	// Harmonization: all existing edges drift toward 1.
-	for _, name := range n.actorList {
-		for _, other := range n.neighbors(name) {
-			if other > name {
-				nv := n.align[name][other] + n.HarmonizationRate*(1-n.align[name][other])
-				n.align[name][other] = nv
-				n.align[other][name] = nv
-			}
-		}
+	r := n.HarmonizationRate
+	for e, v := range n.align {
+		n.align[e] = v + r*(1-v)
 	}
 	if n.rng.Bool(entryRate) && len(n.actors) > 0 {
 		n.enter()
@@ -186,37 +239,31 @@ func (n *Network) Step(entryRate float64) {
 func (n *Network) enter() {
 	n.entrySeq++
 	n.Entries++
-	name := fmt.Sprintf("entrant-%d", n.entrySeq)
 	kinds := []Kind{Human, Technology, Institution}
-	a := n.AddActor(name, kinds[n.rng.Intn(len(kinds))])
-	existing := n.actorList
-	attach := 3
-	if attach > len(existing)-1 {
-		attach = len(existing) - 1
-	}
-	perm := n.rng.Perm(len(existing))
+	n.AddActor(fmt.Sprintf("entrant-%d", n.entrySeq), kinds[n.rng.Intn(len(kinds))])
+	self := int32(len(n.actors) - 1)
+	// The attachment points are drawn from the name-ordered actor list,
+	// the entrant included (and skipped).
+	existing := n.byName
+	attach := min(3, len(existing)-1)
 	attached := 0
-	for _, idx := range perm {
+	for _, idx := range n.rng.Perm(len(existing)) {
 		target := existing[idx]
-		if target == name {
+		if target == self {
 			continue
 		}
-		n.Align(name, target, n.rng.Range(0.05, 0.3))
+		n.link(self, target, n.rng.Range(0.05, 0.3))
 		// The attachment point's other relationships loosen.
-		for _, other := range n.neighbors(target) {
-			if other == name {
-				continue
+		for _, p := range n.partners[target] {
+			if p.actor != self {
+				n.align[p.edge] *= 1 - n.Perturbation
 			}
-			nv := n.align[target][other] * (1 - n.Perturbation)
-			n.align[target][other] = nv
-			n.align[other][target] = nv
 		}
 		attached++
 		if attached >= attach {
 			break
 		}
 	}
-	_ = a
 }
 
 // AttemptChange models trying to change the architecture: success

@@ -1,6 +1,8 @@
 package actornet
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -174,5 +176,33 @@ func TestDeterminism(t *testing.T) {
 	}
 	if run() != run() {
 		t.Fatal("same seed produced different trajectories")
+	}
+}
+
+// Aligning with an unknown actor, or an actor with itself, panics with
+// the actor's name before anything changes: no phantom partner is left
+// behind to skew later rounds.
+func TestAlignRejectsUnknownOrSelf(t *testing.T) {
+	for _, c := range []struct{ a, b, named string }{
+		{"a", "ghost", "ghost"},
+		{"ghost", "a", "ghost"},
+		{"a", "a", "a"},
+	} {
+		n := New(sim.NewRNG(10))
+		n.AddActor("a", Human)
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, fmt.Sprintf("%q", c.named)) {
+					t.Fatalf("Align(%q, %q) panicked with %q, want %q named", c.a, c.b, msg, c.named)
+				}
+			}()
+			n.Align(c.a, c.b, 0.9)
+		}()
+		n.AddActor("b", Technology)
+		n.Align("a", "b", 0.4)
+		if d := n.Durability(); d != 0.4 {
+			t.Fatalf("after the failed Align(%q, %q), durability = %v, want 0.4 from the one real edge", c.a, c.b, d)
+		}
 	}
 }

@@ -27,7 +27,14 @@ func E9EndToEnd(seed uint64) *Result {
 			"newapp-success", "web-latency-ms", "delivery", "failure-points",
 		},
 	}
-	knownPorts := map[uint16]bool{25: true, 80: true, 443: true}
+	// "That which is not permitted is forbidden": block all but the known
+	// application ports. The deny set is ports 1024–10000, and the known
+	// ports (25, 80, 443) lie below it. Firewalls only read the set, so
+	// they all share one.
+	blocked := map[uint16]bool{}
+	for p := uint16(1024); p <= 10000; p++ {
+		blocked[p] = true
+	}
 	for _, density := range []float64{0, 0.25, 0.5, 0.75} {
 		rng := sim.NewRNG(seed)
 		g := topology.GenerateHierarchy(topology.DefaultHierarchy(), rng)
@@ -42,15 +49,6 @@ func E9EndToEnd(seed uint64) *Result {
 			nd := net.Node(id)
 			nd.Route = pv.RouteFunc(id)
 			if g.Nodes[id].Kind == topology.Transit && rng.Bool(density) {
-				// "That which is not permitted is forbidden": block all
-				// but the known application ports.
-				blocked := map[uint16]bool{}
-				for p := uint16(1024); p <= 10000; p += 1 {
-					blocked[p] = true
-				}
-				for p := range knownPorts {
-					delete(blocked, p)
-				}
 				nd.AddMiddlebox(&middlebox.PortFirewall{Label: fmt.Sprintf("fw-%d", id), BlockedPorts: blocked})
 				failurePoints++
 			}

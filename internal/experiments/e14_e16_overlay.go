@@ -119,10 +119,10 @@ func E14Overlay(seed uint64) *Result {
 					if err != nil {
 						panic(err)
 					}
-					before := net.Node(d).Counters.Get("delivered")
+					before := net.Node(d).Counters.Delivered
 					net.Send(s, enc)
 					sched.Run()
-					if net.Node(d).Counters.Get("delivered") > before {
+					if net.Node(d).Counters.Delivered > before {
 						ok++
 					}
 				}

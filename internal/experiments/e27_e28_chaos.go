@@ -147,7 +147,7 @@ func e27Availability(seed uint64, env *obs.Env) *Result {
 				}
 				// Counter baseline before any send this round, so the
 				// overlay check sees only this round's arrivals at 2.
-				base := net.Node(2).Counters.Get("delivered")
+				base := net.Node(2).Counters.Delivered
 				var attempts []attempt
 				for _, a := range addrs {
 					attempts = append(attempts, attempt{net.Send(4, mkProbe(a)), topology.NodeID(a.Provider())})
@@ -171,7 +171,7 @@ func e27Availability(seed uint64, env *obs.Env) *Result {
 						}
 					}
 					if cfg == "overlay-failover" &&
-						net.Node(2).Counters.Get("delivered") > base && hostUp(2) {
+						net.Node(2).Counters.Delivered > base && hostUp(2) {
 						ok = true
 					}
 					if ok {

@@ -206,7 +206,7 @@ func TestSilentDropTraceDiagnostics(t *testing.T) {
 			t.Fatalf("trace leaked silent device name: %+v", e)
 		}
 	}
-	if got := n.Stats.Get("drop:lost"); got != 1 {
+	if got := n.Stats["drop:lost"]; got != 1 {
 		t.Fatalf("drop:lost counter = %d, want 1", got)
 	}
 }

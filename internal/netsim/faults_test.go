@@ -124,8 +124,8 @@ func TestImpairmentDuplication(t *testing.T) {
 	if delivered != 2 {
 		t.Fatalf("deliveries = %d, want original + duplicate", delivered)
 	}
-	if n.Stats.Get("dup-injected") != 1 {
-		t.Fatalf("dup-injected = %d", n.Stats.Get("dup-injected"))
+	if n.Stats["dup-injected"] != 1 {
+		t.Fatalf("dup-injected = %d", n.Stats["dup-injected"])
 	}
 	n.ClearImpairment(2, 3)
 	delivered = 0

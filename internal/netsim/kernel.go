@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/packet"
 	"repro/internal/policy"
-	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -143,8 +142,25 @@ type Forwarder struct {
 	// Middlebox interface for the single-pass chain semantics.
 	Middleboxes []Middlebox
 
-	// Counters accumulates per-node statistics; nil counts nothing.
-	Counters sim.Counter
+	// Counters tallies this forwarder's decisions by outcome.
+	Counters NodeCounters
+}
+
+// NodeCounters tallies one forwarder's decisions by outcome. Decide
+// counts every arrival it delivers or passes on and every middlebox
+// drop; nextHop counts the fate of each source route it reads.
+type NodeCounters struct {
+	// Delivered counts packets that terminated at the node.
+	Delivered int
+	// Forwarded counts transit packets that survived the TTL patch.
+	Forwarded int
+	// MboxDrop counts packets a middlebox dropped, loud or silent.
+	MboxDrop int
+	// SrcRouteDenied counts source routes the admission policy refused,
+	// and SrcRouteUnpaid those ignored for lack of a payment voucher.
+	SrcRouteDenied, SrcRouteUnpaid int
+	// SrcRouteHonored counts source routes the node followed.
+	SrcRouteHonored int
 }
 
 // AddMiddlebox appends m to the node's processing chain.
@@ -221,9 +237,7 @@ func (f *Forwarder) Decide(data []byte, tip *packet.TIP, dir Direction, shift ui
 	for i, m := range f.Middleboxes {
 		out, verdict := m.Process(f.ID, dir, data)
 		if verdict == Drop {
-			if f.Counters != nil {
-				f.Counters.Inc("mbox_drop")
-			}
+			f.Counters.MboxDrop++
 			if m.Silent() {
 				return Decision{Kind: Dropped, Drop: DropLost, Mbox: i, Reason: "lost"}
 			}
@@ -245,9 +259,7 @@ func (f *Forwarder) Decide(data []byte, tip *packet.TIP, dir Direction, shift ui
 		}
 	}
 	if dir == Delivering {
-		if f.Counters != nil {
-			f.Counters.Inc("delivered")
-		}
+		f.Counters.Delivered++
 		return Decision{Kind: Deliver, Data: data}
 	}
 	if dir == Forwarding {
@@ -259,9 +271,7 @@ func (f *Forwarder) Decide(data []byte, tip *packet.TIP, dir Direction, shift ui
 		if ttl == 0 {
 			return dropped(DropTTL)
 		}
-		if f.Counters != nil {
-			f.Counters.Inc("forwarded")
-		}
+		f.Counters.Forwarded++
 	}
 	next, ok := f.nextHop(data, tip, env)
 	if !ok {
@@ -280,14 +290,12 @@ func (f *Forwarder) nextHop(data []byte, tip *packet.TIP, env substrate) (topolo
 				// Compiled admission policy: fail-safe deny, bounded by
 				// the per-packet budget.
 				allowed = f.srcRoutePolicy.Allow(f.srcRouteSlots, tip, wp)
-				if !allowed && f.Counters != nil {
-					f.Counters.Inc("srcroute_denied")
+				if !allowed {
+					f.Counters.SrcRouteDenied++
 				}
 			} else if f.RequirePaymentForSourceRoute && tip.Payment == nil {
 				allowed = false
-				if f.Counters != nil {
-					f.Counters.Inc("srcroute_unpaid")
-				}
+				f.Counters.SrcRouteUnpaid++
 			}
 			if allowed {
 				if wp == packet.MakeAddr(uint16(f.ID), 0) || wp.Provider() == uint16(f.ID) {
@@ -306,9 +314,7 @@ func (f *Forwarder) nextHop(data []byte, tip *packet.TIP, env substrate) (topolo
 						}
 					}
 				}
-				if f.Counters != nil {
-					f.Counters.Inc("srcroute_honored")
-				}
+				f.Counters.SrcRouteHonored++
 				// Route toward the waypoint's provider. If the waypoint is
 				// a direct neighbor, use it.
 				target := topology.NodeID(wp.Provider())

@@ -228,19 +228,6 @@ type Network struct {
 // no middleboxes, and no delivery handler. The Network sizes its dense
 // tables from g once, here: g must not gain nodes or links afterwards.
 func New(sched *sim.Scheduler, g *topology.Graph) *Network {
-	return build(sched, g, false)
-}
-
-// NewLean builds a Network without per-node Counters maps: node counter
-// increments become no-ops. At ISP scale (10^5+ nodes) the per-node maps
-// dominate construction cost and add a map write to every hop; lean
-// networks keep the network-wide Stats, obs metrics, and traces, which
-// is what the scale scenarios read.
-func NewLean(sched *sim.Scheduler, g *topology.Graph) *Network {
-	return build(sched, g, true)
-}
-
-func build(sched *sim.Scheduler, g *topology.Graph, lean bool) *Network {
 	n := &Network{
 		Sched:         sched,
 		Graph:         g,
@@ -267,9 +254,6 @@ func build(sched *sim.Scheduler, g *topology.Graph, lean bool) *Network {
 		nd := &n.nodeArr[i]
 		nd.ID = id
 		nd.Net = n
-		if !lean {
-			nd.Counters = sim.Counter{}
-		}
 		n.nodesByID[id] = nd
 	}
 	adj := make([][]adjEntry, size)

@@ -165,6 +165,26 @@ func TestMiddleboxDropSilent(t *testing.T) {
 	}
 }
 
+// Each node tallies its own decisions: the origin counts nothing, a
+// transit node counts what it forwards and delivers, and a dropping
+// middlebox is charged to the node it sits at.
+func TestNodeCounters(t *testing.T) {
+	n, sched := chainNet(t)
+	n.Node(3).AddMiddlebox(&dropBox{name: "fw3"})
+	n.Send(1, mkPkt(t, packet.MakeAddr(1, 1), packet.MakeAddr(2, 1), 8))
+	n.Send(1, mkPkt(t, packet.MakeAddr(1, 1), packet.MakeAddr(4, 1), 8))
+	sched.Run()
+	want := map[topology.NodeID]NodeCounters{
+		2: {Delivered: 1, Forwarded: 1},
+		3: {MboxDrop: 1},
+	}
+	for id := topology.NodeID(1); id <= 4; id++ {
+		if got := n.Node(id).Counters; got != want[id] {
+			t.Errorf("node %d counters = %+v, want %+v", id, got, want[id])
+		}
+	}
+}
+
 func TestRemoveMiddlebox(t *testing.T) {
 	n, _ := chainNet(t)
 	nd := n.Node(2)
@@ -279,10 +299,10 @@ func TestSourceRouteRequiresPayment(t *testing.T) {
 	}
 	// The unpaid packet's source route was ignored (fell back to Route);
 	// node 1 counts it.
-	if n.Node(1).Counters.Get("srcroute_unpaid") == 0 {
+	if n.Node(1).Counters.SrcRouteUnpaid == 0 {
 		t.Fatal("unpaid source route not flagged")
 	}
-	if n.Node(1).Counters.Get("srcroute_honored") == 0 {
+	if n.Node(1).Counters.SrcRouteHonored == 0 {
 		t.Fatal("paid source route not honored")
 	}
 }

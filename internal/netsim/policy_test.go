@@ -59,10 +59,10 @@ func TestSourceRoutePolicyPaidEquivalence(t *testing.T) {
 	if !trUnpaid.Delivered || !trPaid.Delivered {
 		t.Fatalf("deliveries: unpaid=%v paid=%v", trUnpaid.Delivered, trPaid.Delivered)
 	}
-	if n.Node(1).Counters.Get("srcroute_denied") == 0 {
+	if n.Node(1).Counters.SrcRouteDenied == 0 {
 		t.Fatal("unpaid source route not denied by policy")
 	}
-	if n.Node(1).Counters.Get("srcroute_honored") == 0 {
+	if n.Node(1).Counters.SrcRouteHonored == 0 {
 		t.Fatal("paid source route not honored by policy")
 	}
 }

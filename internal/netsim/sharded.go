@@ -88,9 +88,9 @@ type Sharded struct {
 const faultKeyFlag = uint64(1) << 63
 
 // NewSharded partitions g across k shards, balanced by node degree
-// (topology.PartitionBalanced), and builds one lean keyed network per
-// shard. The partition decides only which shard runs a node's events,
-// so it moves wall-clock time, never output. Callers wire
+// (topology.PartitionBalanced), and builds one keyed network per shard.
+// The partition decides only which shard runs a node's events, so it
+// moves wall-clock time, never output. Callers wire
 // routes/middleboxes/delivery on the owning shard's network (see Owner)
 // before sending traffic.
 func NewSharded(g *topology.Graph, k int) *Sharded {
@@ -106,7 +106,7 @@ func NewSharded(g *topology.Graph, k int) *Sharded {
 	s.Shards = make([]*Shard, part.K)
 	for i := 0; i < part.K; i++ {
 		sched := sim.NewScheduler()
-		net := NewLean(sched, g)
+		net := New(sched, g)
 		net.keyed = true
 		net.shardOf = part.Table()
 		net.shardID = int32(i)

@@ -23,6 +23,7 @@ package srcroute
 import (
 	"crypto/hmac"
 	"crypto/sha256"
+	"slices"
 	"sort"
 
 	"repro/internal/packet"
@@ -48,7 +49,6 @@ func Discover(g *topology.Graph, src, dst topology.NodeID, k, maxLen int) []Cand
 		maxLen = 8
 	}
 	var out []Candidate
-	visited := map[topology.NodeID]bool{src: true}
 	path := []topology.NodeID{src}
 	var lat sim.Time
 	var dfs func(cur topology.NodeID)
@@ -63,17 +63,17 @@ func Discover(g *topology.Graph, src, dst topology.NodeID, k, maxLen int) []Cand
 			return
 		}
 		for _, nb := range g.Neighbors(cur) {
-			if visited[nb] {
+			// The path holds at most maxLen nodes: scanning it is
+			// cheaper than keeping a visited set beside it.
+			if slices.Contains(path, nb) {
 				continue
 			}
 			l, _ := g.LinkBetween(cur, nb)
-			visited[nb] = true
 			path = append(path, nb)
 			lat += l.Latency
 			dfs(nb)
 			lat -= l.Latency
 			path = path[:len(path)-1]
-			visited[nb] = false
 		}
 	}
 	dfs(src)

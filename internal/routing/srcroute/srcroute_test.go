@@ -1,6 +1,9 @@
 package srcroute
 
 import (
+	"reflect"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -142,4 +145,99 @@ func TestVoucherTamperingDetected(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// discoverRef is the visited-set search Discover replaced, kept as an
+// oracle: the same DFS with a map of the nodes on the current path.
+func discoverRef(g *topology.Graph, src, dst topology.NodeID, k, maxLen int) []Candidate {
+	if maxLen <= 0 {
+		maxLen = 8
+	}
+	var out []Candidate
+	visited := map[topology.NodeID]bool{src: true}
+	path := []topology.NodeID{src}
+	var lat sim.Time
+	var dfs func(cur topology.NodeID)
+	dfs = func(cur topology.NodeID) {
+		if cur == dst {
+			cp := make([]topology.NodeID, len(path))
+			copy(cp, path)
+			out = append(out, Candidate{Path: cp, Latency: lat})
+			return
+		}
+		if len(path) >= maxLen {
+			return
+		}
+		for _, nb := range g.Neighbors(cur) {
+			if visited[nb] {
+				continue
+			}
+			l, _ := g.LinkBetween(cur, nb)
+			visited[nb] = true
+			path = append(path, nb)
+			lat += l.Latency
+			dfs(nb)
+			lat -= l.Latency
+			path = path[:len(path)-1]
+			visited[nb] = false
+		}
+	}
+	dfs(src)
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Latency != out[j].Latency {
+			return out[i].Latency < out[j].Latency
+		}
+		return len(out[i].Path) < len(out[j].Path)
+	})
+	if k > 0 && len(out) > k {
+		out = out[:k]
+	}
+	return out
+}
+
+// FuzzDiscover drives Discover over generated hierarchies with arbitrary
+// endpoints and bounds. It must return exactly the visited-set oracle's
+// candidates, latencies and order, and every path must be simple, run
+// from src to dst over real links and fit in maxLen. maxLen is capped at
+// 10 so that one input enumerates in milliseconds.
+func FuzzDiscover(f *testing.F) {
+	f.Add(uint64(42), uint8(0), uint8(13), uint8(5), uint8(7))
+	f.Add(uint64(7), uint8(2), uint8(5), uint8(1), uint8(4))
+	f.Add(uint64(1), uint8(9), uint8(9), uint8(0), uint8(0))
+	f.Fuzz(func(t *testing.T, seed uint64, srcIdx, dstIdx, k, maxLen uint8) {
+		g := topology.GenerateHierarchy(topology.DefaultHierarchy(), sim.NewRNG(seed))
+		ids := g.NodeIDs()
+		src := ids[int(srcIdx)%len(ids)]
+		dst := ids[int(dstIdx)%len(ids)]
+		kk, ml := int(k%12), int(maxLen%11)
+		got := Discover(g, src, dst, kk, ml)
+		if want := discoverRef(g, src, dst, kk, ml); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Discover(%d, %d, k=%d, maxLen=%d) = %v, oracle %v", src, dst, kk, ml, got, want)
+		}
+		if ml <= 0 {
+			ml = 8
+		}
+		if kk > 0 && len(got) > kk {
+			t.Fatalf("%d candidates for k=%d", len(got), kk)
+		}
+		for ci, c := range got {
+			if len(c.Path) == 0 || len(c.Path) > ml {
+				t.Fatalf("candidate %d has %d nodes (maxLen %d)", ci, len(c.Path), ml)
+			}
+			if c.Path[0] != src || c.Path[len(c.Path)-1] != dst {
+				t.Fatalf("candidate %d endpoints wrong: %v", ci, c.Path)
+			}
+			for i, n := range c.Path {
+				if slices.Contains(c.Path[:i], n) {
+					t.Fatalf("candidate %d revisits %d: %v", ci, n, c.Path)
+				}
+				if i == 0 {
+					continue
+				}
+				if _, adj := g.LinkBetween(c.Path[i-1], n); !adj {
+					t.Fatalf("candidate %d uses non-link %d-%d", ci, c.Path[i-1], n)
+				}
+			}
+		}
+	})
 }

@@ -182,6 +182,3 @@ func (c Counter) Inc(name string) int {
 
 // Addn increments a named counter by n.
 func (c Counter) Addn(name string, n int) { c[name] += n }
-
-// Get returns the count for name (0 if never incremented).
-func (c Counter) Get(name string) int { return c[name] }

@@ -411,7 +411,7 @@ func TestCounter(t *testing.T) {
 	c.Inc("a")
 	c.Inc("a")
 	c.Addn("b", 5)
-	if c.Get("a") != 2 || c.Get("b") != 5 || c.Get("missing") != 0 {
+	if c["a"] != 2 || c["b"] != 5 || c["missing"] != 0 {
 		t.Fatalf("counter state wrong: %v", c)
 	}
 }
@@ -433,7 +433,7 @@ func TestKeyCacheInterning(t *testing.T) {
 	c := Counter{}
 	c.Inc(kc.Key("ttl"))
 	c.Inc(kc.Key("ttl"))
-	if c.Get("drop:ttl") != 2 {
-		t.Fatalf("counter via interned key = %d, want 2", c.Get("drop:ttl"))
+	if c["drop:ttl"] != 2 {
+		t.Fatalf("counter via interned key = %d, want 2", c["drop:ttl"])
 	}
 }
