@@ -198,6 +198,7 @@ fuzz-smoke:
 	$(GO) test -fuzz='^FuzzShortestPaths$$' -fuzztime=30s ./internal/topology
 	$(GO) test -fuzz='^FuzzMultipathAck$$' -fuzztime=30s ./internal/transport/multipath
 	$(GO) test -fuzz='^FuzzReceiverAck$$' -fuzztime=30s ./internal/transport/multipath
+	$(GO) test -fuzz='^FuzzReassembly$$' -fuzztime=30s ./internal/transport/multipath
 
 # Property-based invariant sweeps: seeded random topologies, traffic, and
 # fault plans run with the runtime invariant checker armed (see

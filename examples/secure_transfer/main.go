@@ -79,7 +79,9 @@ func main() {
 	cfg := multipath.DefaultConfig()
 	cfg.Window = 8
 	cfg.ContentType = packet.LayerTypeCrypto // declare the stream content honestly
-	stats, recv := multipath.Transfer(net, multipath.Routed{}, 1, 3, 9000, ciphertext, cfg)
+	// Bob's receiver streams the reassembled ciphertext into received.
+	var received bytes.Buffer
+	stats, _ := multipath.Transfer(net, multipath.Routed{}, 1, 3, 9000, ciphertext, cfg, &received)
 	if !stats.Done {
 		fmt.Fprintln(os.Stderr, "transfer failed")
 		os.Exit(1)
@@ -89,7 +91,7 @@ func main() {
 
 	// Bob reassembles and decrypts.
 	var cr packet.Crypto
-	if err := cr.DecodeFrom(recv.Data); err != nil {
+	if err := cr.DecodeFrom(received.Bytes()); err != nil {
 		fmt.Fprintln(os.Stderr, "bob decode:", err)
 		os.Exit(1)
 	}

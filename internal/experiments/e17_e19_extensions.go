@@ -77,11 +77,13 @@ func e18Byzantine(seed uint64, env *obs.Env) *Result {
 			"delivery", "attracted-to-liar", "rejected-ads",
 		},
 	}
+	// Every configuration runs on the same graph and keys; nothing below
+	// mutates either.
+	rng := sim.NewRNG(seed)
+	g := topology.GenerateHierarchy(topology.DefaultHierarchy(), rng)
+	keys := linkstate.GenerateKeys(g, rng)
 	for _, mode := range []linkstate.VerifyMode{linkstate.TrustAll, linkstate.SignedTwoSided} {
 		for _, attackers := range []int{0, 1, 2} {
-			rng := sim.NewRNG(seed)
-			g := topology.GenerateHierarchy(topology.DefaultHierarchy(), rng)
-			keys := linkstate.GenerateKeys(g, rng)
 			db := linkstate.NewAdDatabase(g, mode, keys)
 			db.AttachObs(env.Registry())
 

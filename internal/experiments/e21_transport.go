@@ -66,9 +66,9 @@ func E21EndToEndReliability(seed uint64) *Result {
 					transport.InstallLinkARQ(net, id, loss, 5, rng, &local)
 				}
 			}
-			stats, r := multipath.Transfer(net, multipath.Routed{}, 1, pathLen, 9000, data, cfg)
+			stats, r := multipath.Transfer(net, multipath.Routed{}, 1, pathLen, 9000, data, cfg, nil)
 			completed := 0.0
-			if stats.Done && len(r.Data) == len(data) {
+			if stats.Done && r.Bytes == len(data) {
 				completed = 1
 			}
 			res.AddRow(fmt.Sprintf("%s loss=%d%%", design, lossPct),

@@ -251,34 +251,35 @@ func e28Degradation(seed uint64, env *obs.Env) *Result {
 		{"degraded", 300 * sim.Millisecond, 900 * sim.Millisecond},
 		{"healed", 900 * sim.Millisecond, 1200 * sim.Millisecond},
 	}
-	for _, mode := range []linkstate.VerifyMode{linkstate.TrustAll, linkstate.SignedTwoSided} {
-		rng := sim.NewRNG(seed)
-		g := topology.NewGraph()
-		for i := 1; i <= 12; i++ {
-			kind, tier := topology.Transit, 2
-			if i <= 2 {
-				tier = 1
-			}
-			if i >= 6 {
-				kind, tier = topology.Stub, 3
-			}
-			g.AddNode(topology.NodeID(i), kind, tier)
+	// Both modes run on the same graph and keys; nothing below mutates
+	// either.
+	g := topology.NewGraph()
+	for i := 1; i <= 12; i++ {
+		kind, tier := topology.Transit, 2
+		if i <= 2 {
+			tier = 1
 		}
-		g.AddLink(1, 2, topology.PeerOf, sim.Millisecond, 3)
-		g.AddLink(3, 1, topology.CustomerOf, sim.Millisecond, 1)
-		g.AddLink(3, 2, topology.CustomerOf, sim.Millisecond, 5)
-		g.AddLink(4, 1, topology.CustomerOf, sim.Millisecond, 1.5)
-		g.AddLink(4, 2, topology.CustomerOf, sim.Millisecond, 1)
-		g.AddLink(5, 1, topology.CustomerOf, sim.Millisecond, 1)
-		g.AddLink(5, 2, topology.CustomerOf, sim.Millisecond, 1)
-		g.AddLink(6, 3, topology.CustomerOf, sim.Millisecond, 1)
-		g.AddLink(7, 4, topology.CustomerOf, sim.Millisecond, 1)
-		g.AddLink(8, 5, topology.CustomerOf, sim.Millisecond, 1)
-		g.AddLink(9, 5, topology.CustomerOf, sim.Millisecond, 1)
-		g.AddLink(10, 5, topology.CustomerOf, sim.Millisecond, 1)
-		g.AddLink(11, 3, topology.CustomerOf, sim.Millisecond, 1)
-		g.AddLink(12, 4, topology.CustomerOf, sim.Millisecond, 1)
-		keys := linkstate.GenerateKeys(g, rng)
+		if i >= 6 {
+			kind, tier = topology.Stub, 3
+		}
+		g.AddNode(topology.NodeID(i), kind, tier)
+	}
+	g.AddLink(1, 2, topology.PeerOf, sim.Millisecond, 3)
+	g.AddLink(3, 1, topology.CustomerOf, sim.Millisecond, 1)
+	g.AddLink(3, 2, topology.CustomerOf, sim.Millisecond, 5)
+	g.AddLink(4, 1, topology.CustomerOf, sim.Millisecond, 1.5)
+	g.AddLink(4, 2, topology.CustomerOf, sim.Millisecond, 1)
+	g.AddLink(5, 1, topology.CustomerOf, sim.Millisecond, 1)
+	g.AddLink(5, 2, topology.CustomerOf, sim.Millisecond, 1)
+	g.AddLink(6, 3, topology.CustomerOf, sim.Millisecond, 1)
+	g.AddLink(7, 4, topology.CustomerOf, sim.Millisecond, 1)
+	g.AddLink(8, 5, topology.CustomerOf, sim.Millisecond, 1)
+	g.AddLink(9, 5, topology.CustomerOf, sim.Millisecond, 1)
+	g.AddLink(10, 5, topology.CustomerOf, sim.Millisecond, 1)
+	g.AddLink(11, 3, topology.CustomerOf, sim.Millisecond, 1)
+	g.AddLink(12, 4, topology.CustomerOf, sim.Millisecond, 1)
+	keys := linkstate.GenerateKeys(g, sim.NewRNG(seed))
+	for _, mode := range []linkstate.VerifyMode{linkstate.TrustAll, linkstate.SignedTwoSided} {
 		db := linkstate.NewAdDatabase(g, mode, keys)
 		if env != nil {
 			db.AttachObs(env.Registry())

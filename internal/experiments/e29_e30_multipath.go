@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 
 	"repro/internal/chaos"
@@ -159,11 +158,11 @@ func e29MultipathAvailability(seed uint64, env *obs.Env) *Result {
 		for t := bin; t <= horizon; t += bin {
 			bins++
 			sched.At(t, func() {
-				if d := len(r.Data); d > last {
+				if d := r.Bytes; d > last {
 					up++
 					last = d
 				}
-				deliveredAtHorizon = len(r.Data) // final bin's write survives
+				deliveredAtHorizon = r.Bytes // final bin's write survives
 			})
 		}
 		sched.RunUntil(horizon)
@@ -226,7 +225,8 @@ func e30PartitionReconvergence(seed uint64, env *obs.Env) *Result {
 		if err := eng.Schedule(plan); err != nil {
 			panic(err)
 		}
-		r := multipath.InstallReceiver(net, 9, 7200)
+		stream := &multipath.PrefixCheck{Want: payload}
+		multipath.InstallReceiver(net, 9, 7200).Out = stream
 		s := multipath.NewSender(net, strat, 8, 9, 7200, payload, mpMultipathConfig(seed))
 		if env != nil {
 			s.AttachObs(env.Registry())
@@ -251,7 +251,7 @@ func e30PartitionReconvergence(seed uint64, env *obs.Env) *Result {
 			}
 		}
 		intact := 0.0
-		if bytes.Equal(r.Data, payload) {
+		if stream.Complete() {
 			intact = 1
 		}
 		done := 0.0

@@ -2,6 +2,7 @@ package invariant
 
 import (
 	"bytes"
+	"io"
 	"testing"
 
 	"repro/internal/netsim"
@@ -203,15 +204,26 @@ func TestCanaryReach(t *testing.T) {
 	runCanary(t, Reach, hk, nil)
 }
 
-// Corrupting the receiver's reassembled stream must break the transport
-// prefix invariant.
+// Corrupting the receiver's reassembled stream on its way to the
+// prefix check must break the transport prefix invariant.
 func TestCanaryTransport(t *testing.T) {
-	hk := &hooks{corruptStream: func(data []byte) {
-		if len(data) > 0 {
-			data[0] ^= 0xff
-		}
-	}}
+	hk := &hooks{corruptStream: func(w io.Writer) io.Writer { return &flipFirst{w: w} }}
 	runCanary(t, Transport, hk, func(sc *Scenario) bool { return sc.Transfer != nil })
+}
+
+// flipFirst passes a stream on with its first byte inverted.
+type flipFirst struct {
+	w       io.Writer
+	flipped bool
+}
+
+func (f *flipFirst) Write(p []byte) (int, error) {
+	if !f.flipped && len(p) > 0 {
+		f.flipped = true
+		p = bytes.Clone(p)
+		p[0] ^= 0xff
+	}
+	return f.w.Write(p)
 }
 
 // Tampering with one side of the merged snapshots must break

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 
 	"repro/internal/chaos"
 	"repro/internal/netsim"
@@ -35,9 +36,9 @@ type hooks struct {
 	// beforeFinish runs after the scheduler drains, before route walks
 	// and conservation close-out.
 	beforeFinish func(net *netsim.Network, c *Checker)
-	// corruptStream tampers with the transfer receiver's reassembled
-	// stream (one path or striped — it sees the raw bytes).
-	corruptStream func(data []byte)
+	// corruptStream interposes on the transfer receiver's in-order
+	// stream (one path or striped) on its way to the prefix check.
+	corruptStream func(io.Writer) io.Writer
 	// mutateSnap tampers with one side of the merge-commutativity
 	// comparison.
 	mutateSnap func(s *obs.Snapshot)
@@ -143,7 +144,8 @@ func runScenario(sc *Scenario, enabled map[string]bool, hk *hooks) *trialResult 
 	// stream-prefix invariant below holds for both, interleaved paths
 	// included).
 	var xferState func() (done, failed bool)
-	var rcvData func() []byte
+	var rcv *multipath.Receiver
+	var stream *multipath.PrefixCheck
 	var sent []byte
 	if sp := sc.Transfer; sp != nil {
 		sent = make([]byte, sp.Bytes)
@@ -161,7 +163,12 @@ func runScenario(sc *Scenario, enabled map[string]bool, hk *hooks) *trialResult 
 			strats := multipath.Strategies()
 			strat = strats[sp.Multipath%len(strats)]
 		}
-		rcv := multipath.InstallReceiver(net, sp.Dst, 7777)
+		rcv = multipath.InstallReceiver(net, sp.Dst, 7777)
+		stream = &multipath.PrefixCheck{Want: sent}
+		rcv.Out = stream
+		if hk.corruptStream != nil {
+			rcv.Out = hk.corruptStream(stream)
+		}
 		cfg := multipath.Config{
 			Paths: sp.Multipath, MaxPathLen: 8,
 			Window: 4, SegmentSize: 256,
@@ -173,7 +180,6 @@ func runScenario(sc *Scenario, enabled map[string]bool, hk *hooks) *trialResult 
 		snd := multipath.NewSender(net, strat, sp.Src, sp.Dst, 7777, sent, cfg)
 		sched.At(1*sim.Millisecond, snd.Start)
 		xferState = func() (bool, bool) { return snd.Done(), snd.Failed() }
-		rcvData = func() []byte { return rcv.Data }
 	}
 
 	// Heal-reachability probes: fired after the restoration tail plus a
@@ -247,20 +253,16 @@ func runScenario(sc *Scenario, enabled map[string]bool, hk *hooks) *trialResult 
 	// one path and many: interleaved paths and duplicate-bearing probes
 	// must still reassemble to an exact prefix.
 	if xferState != nil && enabled[Transport] {
-		if hk.corruptStream != nil {
-			hk.corruptStream(rcvData())
-		}
 		done, failed := xferState()
-		data := rcvData()
 		now := int64(sched.Now())
 		if !done && !failed {
 			checker.Report(Transport, "transfer neither completed nor failed after the scheduler drained", now)
 		}
-		if len(data) > len(sent) || !bytes.Equal(data, sent[:len(data)]) {
+		if !stream.Prefix() {
 			checker.Report(Transport, fmt.Sprintf("received stream (%d bytes) is not an in-order prefix of the sent stream (%d bytes)",
-				len(data), len(sent)), now)
-		} else if done && len(data) != len(sent) {
-			checker.Report(Transport, fmt.Sprintf("transfer reported done but receiver holds %d of %d bytes", len(data), len(sent)), now)
+				rcv.Bytes, len(sent)), now)
+		} else if done && rcv.Bytes != len(sent) {
+			checker.Report(Transport, fmt.Sprintf("transfer reported done but receiver holds %d of %d bytes", rcv.Bytes, len(sent)), now)
 		}
 	}
 

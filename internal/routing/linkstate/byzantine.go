@@ -3,7 +3,8 @@ package linkstate
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strconv"
 
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -33,16 +34,22 @@ type Advertisement struct {
 	Sig   []byte
 }
 
-// adBytes is the canonical signed encoding.
+// adBytes is the canonical signed encoding: the advertiser, then each
+// neighbour in ascending ID with its cost in the shortest decimal form
+// that parses back to the same float64, so the signature covers the
+// exact costs SPF reads.
 func adBytes(a *Advertisement) []byte {
 	nbrs := make([]topology.NodeID, 0, len(a.Costs))
 	for n := range a.Costs {
 		nbrs = append(nbrs, n)
 	}
-	sort.Slice(nbrs, func(i, j int) bool { return nbrs[i] < nbrs[j] })
-	out := []byte(fmt.Sprintf("lsa:%d", a.From))
+	slices.Sort(nbrs)
+	out := strconv.AppendUint([]byte("lsa:"), uint64(a.From), 10)
 	for _, n := range nbrs {
-		out = append(out, []byte(fmt.Sprintf("|%d=%.6f", n, a.Costs[n]))...)
+		out = append(out, '|')
+		out = strconv.AppendUint(out, uint64(n), 10)
+		out = append(out, '=')
+		out = strconv.AppendFloat(out, a.Costs[n], 'g', -1, 64)
 	}
 	return out
 }

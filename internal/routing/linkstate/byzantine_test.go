@@ -108,6 +108,22 @@ func TestForgedAdvertisementRejected(t *testing.T) {
 	}
 }
 
+// A signature covers the exact costs SPF reads: an honest
+// advertisement whose cost is nudged by less than any fixed number of
+// printed decimals hides must be rejected, as a forgery is.
+func TestTamperedCostRejected(t *testing.T) {
+	g := byzDiamond()
+	keys := GenerateKeys(g, sim.NewRNG(3))
+	db := NewAdDatabase(g, SignedTwoSided, keys)
+	ad := HonestAdvertisement(g, 1)
+	ad.Sign(keys[1])
+	ad.Costs[3] += 1e-9
+	db.Flood(ad)
+	if db.ads[1] != nil || db.Rejected != 1 {
+		t.Fatalf("advertisement with a tampered cost accepted (rejected %d)", db.Rejected)
+	}
+}
+
 func TestPhantomLinksStripped(t *testing.T) {
 	g := byzDiamond()
 	rng := sim.NewRNG(4)

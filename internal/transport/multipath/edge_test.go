@@ -77,7 +77,8 @@ func TestFullParkThenPromotion(t *testing.T) {
 // dead paths demoted and the survivor's loss estimate clean.
 func TestLossAdaptiveSingleSurvivor(t *testing.T) {
 	sched, net := mpNet()
-	r := InstallReceiver(net, 9, 7000)
+	var got bytes.Buffer
+	InstallReceiver(net, 9, 7000).Out = &got
 	data := mpPayload(32 << 10)
 	s := NewSender(net, &LossAdaptive{}, 8, 9, 7000, data, mpConfig(42))
 	sched.After(2*sim.Millisecond, func() {
@@ -91,7 +92,7 @@ func TestLossAdaptiveSingleSurvivor(t *testing.T) {
 	if !st.Done || st.Failed {
 		t.Fatalf("transfer died with one surviving path: %+v", st)
 	}
-	if !bytes.Equal(r.Data, data) {
+	if !bytes.Equal(got.Bytes(), data) {
 		t.Fatal("stream corrupted on the surviving path")
 	}
 	if st.Demotions < 2 {
@@ -122,6 +123,8 @@ func TestLossAdaptiveSingleSurvivor(t *testing.T) {
 func TestRestripeAfterPathDeath(t *testing.T) {
 	sched, net := mpNet()
 	r := InstallReceiver(net, 9, 7000)
+	var got bytes.Buffer
+	r.Out = &got
 	cfg := mpConfig(7)
 	cfg.ProbeEvery = 10 * sim.Millisecond
 	cfg.MaxProbes = 2
@@ -137,7 +140,7 @@ func TestRestripeAfterPathDeath(t *testing.T) {
 	if !st.Done || st.Failed {
 		t.Fatalf("transfer did not survive the path death: %+v", st)
 	}
-	if !bytes.Equal(r.Data, data) {
+	if !bytes.Equal(got.Bytes(), data) {
 		t.Fatal("stream corrupted after re-striping")
 	}
 	var dead *Path

@@ -3,6 +3,7 @@ package multipath
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -88,6 +89,8 @@ func TestReceiverAckMatchesSerialize(t *testing.T) {
 		{"back to first", 41000, src, []packet.Addr{0x13222325, 0x00050001}, 1},
 	}
 	r := NewReceiverCore(9, port)
+	var got bytes.Buffer
+	r.Out = &got
 	prefix := []byte{0xaa}
 	for i, c := range cases {
 		var sr, back *packet.SourceRouteOption
@@ -117,8 +120,8 @@ func TestReceiverAckMatchesSerialize(t *testing.T) {
 			t.Fatalf("%s: ok=%v ACK differs from Serialize\n got %x\nwant %x%x", c.name, ok, ack, prefix, want)
 		}
 	}
-	if r.Acks != len(cases) || string(r.Data) != strings.Repeat("segment", len(cases)) {
-		t.Fatalf("acks=%d data=%q after %d in-order segments", r.Acks, r.Data, len(cases))
+	if r.Acks != len(cases) || got.String() != strings.Repeat("segment", len(cases)) {
+		t.Fatalf("acks=%d data=%q after %d in-order segments", r.Acks, got.String(), len(cases))
 	}
 }
 
@@ -146,31 +149,40 @@ func TestUnframableSegmentFailsTransfer(t *testing.T) {
 // TestSimSteadyStateZeroAlloc gates a simulated transfer's steady state
 // at zero allocations for every strategy: the sender framing and
 // injecting segments, the hops, the receiver decoding, holding
-// out-of-order arrivals and framing and injecting ACKs, and the sender
-// consuming them. Data is drained between steps, as the wire receiver
-// does, so its growth is not counted.
+// out-of-order arrivals, streaming the in-order bytes and framing and
+// injecting ACKs, and the sender consuming them. The receiver runs as
+// the experiments run it: counting only (Out nil), and checking the
+// stream against the payload.
 func TestSimSteadyStateZeroAlloc(t *testing.T) {
-	for _, strat := range Strategies() {
-		sched, net := mpNet()
-		r := InstallReceiver(net, 9, 7000)
-		s := NewSender(net, strat, 8, 9, 7000, make([]byte, 4<<20), mpConfig(42))
-		s.Start()
-		step := func() {
-			sched.RunUntil(sched.Now() + sim.Millisecond)
-			r.Data = r.Data[:0]
-		}
-		for i := 0; i < 200; i++ {
-			step() // warm the pools, the scheduler heap and the reassembly map
-		}
-		acked := s.Acked()
-		if avg := testing.AllocsPerRun(500, step); avg != 0 {
-			t.Fatalf("%s: simulated transfer allocates %.2f per millisecond step, want 0", strat.Name(), avg)
-		}
-		if s.Acked() == acked || s.Done() || s.Failed() {
-			t.Fatalf("%s: transfer left the steady state: acked %d → %d, %+v", strat.Name(), acked, s.Acked(), s.Stats())
-		}
-		if len(r.buf)+len(r.free) == 0 {
-			t.Fatalf("%s: no segment arrived out of order; the gate misses the holding path", strat.Name())
+	for _, check := range []bool{false, true} {
+		for _, strat := range Strategies() {
+			name := fmt.Sprintf("%s check=%v", strat.Name(), check)
+			sched, net := mpNet()
+			r := InstallReceiver(net, 9, 7000)
+			data := make([]byte, 4<<20)
+			stream := &PrefixCheck{Want: data}
+			if check {
+				r.Out = stream
+			}
+			s := NewSender(net, strat, 8, 9, 7000, data, mpConfig(42))
+			s.Start()
+			step := func() { sched.RunUntil(sched.Now() + sim.Millisecond) }
+			for i := 0; i < 200; i++ {
+				step() // warm the pools, the scheduler heap and the reassembly map
+			}
+			acked := s.Acked()
+			if avg := testing.AllocsPerRun(500, step); avg != 0 {
+				t.Fatalf("%s: simulated transfer allocates %.2f per millisecond step, want 0", name, avg)
+			}
+			if s.Acked() == acked || s.Done() || s.Failed() {
+				t.Fatalf("%s: transfer left the steady state: acked %d → %d, %+v", name, acked, s.Acked(), s.Stats())
+			}
+			if len(r.buf)+len(r.free) == 0 {
+				t.Fatalf("%s: no segment arrived out of order; the gate misses the holding path", name)
+			}
+			if check && (!stream.Prefix() || r.Bytes == 0) {
+				t.Fatalf("%s: streamed %d bytes that are not a prefix of the payload", name, r.Bytes)
+			}
 		}
 	}
 }

@@ -145,12 +145,12 @@ func fuzzCorpus() []struct {
 }
 
 // TestRegenMultipathAckCorpus writes the committed seed corpora of
-// FuzzMultipathAck and FuzzReceiverAck in the go-fuzz file format.
-// Guarded by MP_FUZZ_CORPUS_REGEN so a normal test run never touches
-// testdata.
+// FuzzMultipathAck, FuzzReceiverAck and FuzzReassembly in the go-fuzz
+// file format. Guarded by MP_FUZZ_CORPUS_REGEN so a normal test run
+// never touches testdata.
 func TestRegenMultipathAckCorpus(t *testing.T) {
 	if os.Getenv("MP_FUZZ_CORPUS_REGEN") == "" {
-		t.Skip("set MP_FUZZ_CORPUS_REGEN=1 to rewrite testdata/fuzz/FuzzMultipathAck and FuzzReceiverAck")
+		t.Skip("set MP_FUZZ_CORPUS_REGEN=1 to rewrite testdata/fuzz/FuzzMultipathAck, FuzzReceiverAck and FuzzReassembly")
 	}
 	write := func(dir string, i int, body string) {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -165,6 +165,9 @@ func TestRegenMultipathAckCorpus(t *testing.T) {
 	}
 	for i, c := range receiverCorpus() {
 		write("testdata/fuzz/FuzzReceiverAck", i, fmt.Sprintf("[]byte(%q)\n[]byte(%q)\n", c[0], c[1]))
+	}
+	for i, c := range reassemblyCorpus() {
+		write("testdata/fuzz/FuzzReassembly", i, fmt.Sprintf("[]byte(%q)\n[]byte(%q)\n[]byte(%q)\n", c[0], c[1], c[2]))
 	}
 }
 

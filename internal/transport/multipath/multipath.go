@@ -49,8 +49,10 @@
 package multipath
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
+	"io"
 	"slices"
 
 	"repro/internal/netsim"
@@ -913,10 +915,14 @@ func (s *Sender) release(fl *flight) {
 type Receiver struct {
 	// Port is the listening TTP port.
 	Port uint16
-	// Data accumulates the in-order stream. A consumer may drain it
-	// between Receive calls (the wire receiver digests and truncates it
-	// after each one); reassembly state lives elsewhere.
-	Data []byte
+	// Bytes counts the in-order stream delivered so far.
+	Bytes int
+	// Out, when set, receives the in-order stream as it completes: each
+	// segment's payload once, in sequence order, never a duplicate. The
+	// receiver keeps none of the stream itself. Out must not fail, as a
+	// hash.Hash's Write never does: the receiver has already
+	// acknowledged the bytes, so it has no one to hand an error to.
+	Out io.Writer
 	// Acks counts acknowledgments sent; Dups counts redundant data
 	// segments (stripe overlap, probation probes, spurious
 	// retransmissions) — duplicates are acknowledged but never
@@ -975,13 +981,13 @@ func InstallReceiver(net *netsim.Network, id topology.NodeID, port uint16) *Rece
 
 // accept ingests one data segment (sequence number, payload, 1-based
 // path echo) and returns the cumulative ACK to send: the next expected
-// sequence number. The in-order fast path appends straight to Data
-// without an intermediate copy, and out-of-order segments wait in
-// recycled buffers, so a steady stream allocates only for Data growth.
+// sequence number. The in-order fast path hands the payload straight to
+// Out without an intermediate copy, and out-of-order segments wait in
+// recycled buffers, so a steady stream does not allocate.
 func (r *Receiver) accept(seq uint32, payload []byte, echo int) uint32 {
 	switch {
 	case seq == r.next:
-		r.Data = append(r.Data, payload...)
+		r.deliver(payload)
 		r.next++
 		r.PathSegments[echo]++
 	case seq > r.next && r.buf[seq] == nil:
@@ -998,7 +1004,7 @@ func (r *Receiver) accept(seq uint32, payload []byte, echo int) uint32 {
 		r.Dups++
 	}
 	for b := r.buf[r.next]; b != nil; b = r.buf[r.next] {
-		r.Data = append(r.Data, b...)
+		r.deliver(b)
 		delete(r.buf, r.next)
 		r.free = append(r.free, b)
 		r.next++
@@ -1006,12 +1012,20 @@ func (r *Receiver) accept(seq uint32, payload []byte, echo int) uint32 {
 	return r.next
 }
 
+// deliver counts one in-order payload and passes it to Out.
+func (r *Receiver) deliver(p []byte) {
+	r.Bytes += len(p)
+	if r.Out != nil {
+		_, _ = r.Out.Write(p) // Out never fails; see its contract
+	}
+}
+
 // Receive ingests one datagram. A data segment for the receiver's port
 // is accepted, and its cumulative ACK — the echo's template with Ack
 // stamped in place — is appended to dst and returned; ack is nil when
 // no ACK can be built for the segment's route. ok is false for traffic
 // that is not ours. The segment is decoded into the receiver's own
-// scratch, so the steady state allocates only for Data's growth.
+// scratch, so the steady state does not allocate.
 func (r *Receiver) Receive(dst, data []byte) (ack []byte, ok bool) {
 	tip, ttp := &r.tip, &r.ttp
 	if err := tip.DecodeReuse(data); err != nil || tip.Proto != packet.LayerTypeTTP {
@@ -1080,14 +1094,40 @@ func (r *Receiver) handle(data []byte) bool {
 
 // Transfer is the convenience wrapper: set up receiver and sender with
 // the given strategy, run the scheduler until quiescent, and return
-// both sides' outcomes.
-func Transfer(net *netsim.Network, strat Strategy, from, to topology.NodeID, port uint16, data []byte, cfg Config) (Stats, *Receiver) {
+// both sides' outcomes. The receiver streams to out, which may be nil
+// when only the counts matter.
+func Transfer(net *netsim.Network, strat Strategy, from, to topology.NodeID, port uint16, data []byte, cfg Config, out io.Writer) (Stats, *Receiver) {
 	r := InstallReceiver(net, to, port)
+	r.Out = out
 	s := NewSender(net, strat, from, to, port, data, cfg)
 	s.Start()
 	net.Sched.Run()
 	return s.Stats(), r
 }
+
+// PrefixCheck is a receiver's Out for a stream known in advance: it
+// compares each write with the next bytes of Want and keeps only the
+// verdict, so checking a stream costs no copy of it.
+type PrefixCheck struct {
+	Want []byte
+	n    int  // bytes written
+	bad  bool // a written byte differed from Want, or ran past its end
+}
+
+// Write compares p with the next len(p) bytes of Want. It never fails.
+func (c *PrefixCheck) Write(p []byte) (int, error) {
+	if !c.bad && (len(p) > len(c.Want)-c.n || !bytes.Equal(p, c.Want[c.n:c.n+len(p)])) {
+		c.bad = true
+	}
+	c.n += len(p)
+	return len(p), nil
+}
+
+// Prefix reports whether the stream written so far is a prefix of Want.
+func (c *PrefixCheck) Prefix() bool { return !c.bad }
+
+// Complete reports whether the stream written so far equals Want.
+func (c *PrefixCheck) Complete() bool { return !c.bad && c.n == len(c.Want) }
 
 // Fairness is Jain's fairness index over the per-path acknowledged
 // bytes of the supplied paths (1 = perfectly even, 1/n = one path

@@ -63,12 +63,13 @@ func TestTransferCleanAllStrategies(t *testing.T) {
 	data := mpPayload(8 << 10)
 	for _, strat := range Strategies() {
 		sched, net := mpNet()
-		st, rcv := Transfer(net, strat, 8, 9, 7000, data, mpConfig(42))
+		var got bytes.Buffer
+		st, _ := Transfer(net, strat, 8, 9, 7000, data, mpConfig(42), &got)
 		if !st.Done || st.Failed {
 			t.Fatalf("%s: transfer did not complete: %+v", strat.Name(), st)
 		}
-		if !bytes.Equal(rcv.Data, data) {
-			t.Fatalf("%s: delivered %d bytes, want %d (or corrupted)", strat.Name(), len(rcv.Data), len(data))
+		if !bytes.Equal(got.Bytes(), data) {
+			t.Fatalf("%s: delivered %d bytes, want %d (or corrupted)", strat.Name(), got.Len(), len(data))
 		}
 		if p := sched.Pending(); p != 0 {
 			t.Fatalf("%s: %d timers still pending after completion", strat.Name(), p)
@@ -84,7 +85,7 @@ func TestTransferCleanAllStrategies(t *testing.T) {
 func TestStripingUsesAllPaths(t *testing.T) {
 	sched, net := mpNet()
 	_ = sched
-	st, rcv := Transfer(net, &DisjointnessMax{}, 8, 9, 7000, mpPayload(16<<10), mpConfig(42))
+	st, rcv := Transfer(net, &DisjointnessMax{}, 8, 9, 7000, mpPayload(16<<10), mpConfig(42), nil)
 	if !st.Done {
 		t.Fatalf("transfer failed: %+v", st)
 	}
@@ -99,7 +100,8 @@ func TestStripingUsesAllPaths(t *testing.T) {
 func TestSurvivesLinkFailure(t *testing.T) {
 	for _, strat := range Strategies() {
 		sched, net := mpNet()
-		r := InstallReceiver(net, 9, 7000)
+		var got bytes.Buffer
+		InstallReceiver(net, 9, 7000).Out = &got
 		data := mpPayload(96 << 10)
 		s := NewSender(net, strat, 8, 9, 7000, data, mpConfig(42))
 		sched.After(8*sim.Millisecond, func() { net.FailLink(9, 1) })
@@ -109,7 +111,7 @@ func TestSurvivesLinkFailure(t *testing.T) {
 		if !st.Done || st.Failed {
 			t.Fatalf("%s: transfer died with a failed link: %+v", strat.Name(), st)
 		}
-		if !bytes.Equal(r.Data, data) {
+		if !bytes.Equal(got.Bytes(), data) {
 			t.Fatalf("%s: stream corrupted under link failure", strat.Name())
 		}
 		if st.Demotions == 0 {
@@ -126,7 +128,8 @@ func TestSurvivesLinkFailure(t *testing.T) {
 // survivors with zero duplicate delivery (exact stream equality).
 func TestSurvivesNodeCrashPartition(t *testing.T) {
 	sched, net := mpNet()
-	r := InstallReceiver(net, 9, 7000)
+	var got bytes.Buffer
+	InstallReceiver(net, 9, 7000).Out = &got
 	data := mpPayload(96 << 10)
 	s := NewSender(net, &DisjointnessMax{}, 8, 9, 7000, data, mpConfig(7))
 	sched.After(8*sim.Millisecond, func() { net.FailNode(2) })
@@ -135,8 +138,8 @@ func TestSurvivesNodeCrashPartition(t *testing.T) {
 	if st := s.Stats(); !st.Done || st.Failed {
 		t.Fatalf("partition killed the transfer: %+v", st)
 	}
-	if !bytes.Equal(r.Data, data) {
-		t.Fatalf("delivered stream != sent stream (len %d vs %d)", len(r.Data), len(data))
+	if !bytes.Equal(got.Bytes(), data) {
+		t.Fatalf("delivered stream != sent stream (len %d vs %d)", got.Len(), len(data))
 	}
 	if p := sched.Pending(); p != 0 {
 		t.Fatalf("%d timers pending after completion", p)

@@ -43,22 +43,24 @@ func routedConfig() Config {
 	return cfg
 }
 
-// routedSender installs a receiver at dst and prepares a Routed sender
-// from src on the same port.
-func routedSender(net *netsim.Network, src, dst topology.NodeID, port uint16, data []byte, cfg Config) (*Sender, *Receiver) {
-	r := InstallReceiver(net, dst, port)
-	return NewSender(net, Routed{}, src, dst, port, data, cfg), r
+// routedSender installs a receiver at dst, streaming into the returned
+// buffer, and prepares a Routed sender from src on the same port.
+func routedSender(net *netsim.Network, src, dst topology.NodeID, port uint16, data []byte, cfg Config) (*Sender, *bytes.Buffer) {
+	got := new(bytes.Buffer)
+	InstallReceiver(net, dst, port).Out = got
+	return NewSender(net, Routed{}, src, dst, port, data, cfg), got
 }
 
 func TestTransferSurvivesLoss(t *testing.T) {
 	_, net := chainNet(4)
 	transport.InstallLossyLink(net, 2, 0.3, sim.NewRNG(7))
 	data := mpPayload(8000)
-	st, r := Transfer(net, Routed{}, 1, 4, 9000, data, routedConfig())
+	var got bytes.Buffer
+	st, _ := Transfer(net, Routed{}, 1, 4, 9000, data, routedConfig(), &got)
 	if !st.Done {
 		t.Fatalf("transfer died under 30%% loss: %+v", st)
 	}
-	if !bytes.Equal(r.Data, data) {
+	if !bytes.Equal(got.Bytes(), data) {
 		t.Fatal("data corrupted under loss")
 	}
 	if st.Retransmissions == 0 {
@@ -71,13 +73,13 @@ func TestTransferSurvivesLinkFlap(t *testing.T) {
 	sched.At(5*sim.Millisecond, func() { net.FailLink(2, 3) })
 	sched.At(200*sim.Millisecond, func() { net.RestoreLink(2, 3) })
 	data := mpPayload(4000)
-	s, r := routedSender(net, 1, 4, 9000, data, routedConfig())
+	s, got := routedSender(net, 1, 4, 9000, data, routedConfig())
 	s.Start()
 	sched.Run()
 	if !s.Done() {
 		t.Fatalf("transfer died across a link flap: %+v", s.Stats())
 	}
-	if !bytes.Equal(r.Data, data) {
+	if !bytes.Equal(got.Bytes(), data) {
 		t.Fatal("data corrupted across flap")
 	}
 }
@@ -145,6 +147,8 @@ func TestBackoffSpacingAndDeterminism(t *testing.T) {
 func TestReceiverReassemblyOutOfOrderDuplicates(t *testing.T) {
 	sched, net := chainNet(2)
 	r := InstallReceiver(net, 2, 9000)
+	var got bytes.Buffer
+	r.Out = &got
 	send := func(seq uint32, body string) {
 		data, err := packet.Serialize(
 			&packet.TIP{TTL: 8, Proto: packet.LayerTypeTTP, Src: packet.MakeAddr(1, 1), Dst: packet.MakeAddr(2, 1)},
@@ -157,17 +161,17 @@ func TestReceiverReassemblyOutOfOrderDuplicates(t *testing.T) {
 		sched.Run()
 	}
 	send(1, "BBB") // out of order
-	if len(r.Data) != 0 {
+	if got.Len() != 0 || r.Bytes != 0 {
 		t.Fatal("delivered out-of-order data")
 	}
 	send(0, "AAA")
-	if string(r.Data) != "AAABBB" {
-		t.Fatalf("reassembly = %q", r.Data)
+	if got.String() != "AAABBB" || r.Bytes != 6 {
+		t.Fatalf("reassembly = %q (%d bytes counted)", got.String(), r.Bytes)
 	}
 	send(0, "AAA") // duplicate
 	send(1, "BBB") // duplicate
-	if string(r.Data) != "AAABBB" {
-		t.Fatalf("duplicates corrupted stream: %q", r.Data)
+	if got.String() != "AAABBB" || r.Bytes != 6 {
+		t.Fatalf("duplicates corrupted stream: %q (%d bytes counted)", got.String(), r.Bytes)
 	}
 	if r.Dups != 2 || r.Acks != 4 {
 		t.Fatalf("dups=%d acks=%d, want 2 duplicates among 4 acknowledged segments", r.Dups, r.Acks)
@@ -179,8 +183,9 @@ func TestTransferRoundTripQuick(t *testing.T) {
 		_, net := chainNet(3)
 		transport.InstallLossyLink(net, 2, 0.15, sim.NewRNG(seed))
 		data := mpPayload(int(sizeRaw%4000) + 1)
-		st, r := Transfer(net, Routed{}, 1, 3, 9000, data, routedConfig())
-		return st.Done && bytes.Equal(r.Data, data)
+		var got bytes.Buffer
+		st, _ := Transfer(net, Routed{}, 1, 3, 9000, data, routedConfig(), &got)
+		return st.Done && bytes.Equal(got.Bytes(), data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
@@ -202,7 +207,7 @@ func TestConcurrentTransfersIndependent(t *testing.T) {
 	if !sA.Done() || !sB.Done() {
 		t.Fatalf("concurrent transfers incomplete: %+v %+v", sA.Stats(), sB.Stats())
 	}
-	if !bytes.Equal(rA.Data, dataA) || !bytes.Equal(rB.Data, dataB) {
+	if !bytes.Equal(rA.Bytes(), dataA) || !bytes.Equal(rB.Bytes(), dataB) {
 		t.Fatal("streams cross-contaminated")
 	}
 }
@@ -211,7 +216,7 @@ func TestDeclaredContentType(t *testing.T) {
 	sched, net := chainNet(2)
 	cfg := routedConfig()
 	cfg.ContentType = packet.LayerTypeCrypto
-	s, r := routedSender(net, 1, 2, 9000, mpPayload(1500), cfg)
+	s, got := routedSender(net, 1, 2, 9000, mpPayload(1500), cfg)
 	// Observe segments at the receiver by decoding TTP.Next.
 	var seen []packet.LayerType
 	nd := net.Node(2)
@@ -228,8 +233,8 @@ func TestDeclaredContentType(t *testing.T) {
 	}
 	s.Start()
 	sched.Run()
-	if !s.Done() || len(r.Data) != 1500 {
-		t.Fatalf("transfer failed: done=%v got=%d", s.Done(), len(r.Data))
+	if !s.Done() || got.Len() != 1500 {
+		t.Fatalf("transfer failed: done=%v got=%d", s.Done(), got.Len())
 	}
 	if len(seen) == 0 {
 		t.Fatal("no segments observed")

@@ -49,9 +49,12 @@ func e2eConfig() multipath.Config {
 	return cfg
 }
 
-// transfer runs one end-to-end transfer over the chain's own routing.
-func transfer(net *netsim.Network, from, to topology.NodeID, data []byte) (multipath.Stats, *multipath.Receiver) {
-	return multipath.Transfer(net, multipath.Routed{}, from, to, 9000, data, e2eConfig())
+// transfer runs one end-to-end transfer over the chain's own routing
+// and returns the stream the receiver reassembled.
+func transfer(net *netsim.Network, from, to topology.NodeID, data []byte) (multipath.Stats, []byte) {
+	var got bytes.Buffer
+	stats, _ := multipath.Transfer(net, multipath.Routed{}, from, to, 9000, data, e2eConfig(), &got)
+	return stats, got.Bytes()
 }
 
 // partitioned prepares a transfer of size bytes from node 1 to node 4
@@ -68,12 +71,12 @@ func partitioned(size int) (*multipath.Sender, *sim.Scheduler) {
 func TestTransferCleanNetwork(t *testing.T) {
 	net, _ := chain(4)
 	data := payload(5000)
-	stats, r := transfer(net, 1, 4, data)
+	stats, got := transfer(net, 1, 4, data)
 	if !stats.Done {
 		t.Fatalf("transfer incomplete: %+v", stats)
 	}
-	if !bytes.Equal(r.Data, data) {
-		t.Fatalf("data corrupted: got %d bytes", len(r.Data))
+	if !bytes.Equal(got, data) {
+		t.Fatalf("data corrupted: got %d bytes", len(got))
 	}
 	if stats.Retransmissions != 0 {
 		t.Fatalf("clean network retransmitted %d", stats.Retransmissions)
@@ -86,16 +89,16 @@ func TestTransferCleanNetwork(t *testing.T) {
 func TestTransferSingleSegment(t *testing.T) {
 	net, _ := chain(2)
 	data := []byte("tiny")
-	stats, r := transfer(net, 1, 2, data)
-	if !stats.Done || stats.Segments != 1 || !bytes.Equal(r.Data, data) {
+	stats, got := transfer(net, 1, 2, data)
+	if !stats.Done || stats.Segments != 1 || !bytes.Equal(got, data) {
 		t.Fatalf("tiny transfer failed: %+v", stats)
 	}
 }
 
 func TestTransferEmptyPayload(t *testing.T) {
 	net, _ := chain(2)
-	stats, r := transfer(net, 1, 2, nil)
-	if !stats.Done || stats.Segments != 0 || len(r.Data) != 0 {
+	stats, got := transfer(net, 1, 2, nil)
+	if !stats.Done || stats.Segments != 0 || len(got) != 0 {
 		t.Fatalf("empty transfer: %+v", stats)
 	}
 }

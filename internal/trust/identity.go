@@ -10,10 +10,12 @@
 package trust
 
 import (
+	"bytes"
 	"crypto/ed25519"
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/sim"
 )
@@ -56,12 +58,22 @@ func (rr rngReader) Read(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// Principal is a key-holding party.
+// Principal is a key-holding party. Its methods are safe for concurrent
+// use.
 type Principal struct {
 	Name   string
 	Scheme Scheme
 	Pub    ed25519.PublicKey
 	priv   ed25519.PrivateKey
+
+	// Ed25519 is deterministic (RFC 8032): one key signs one message
+	// to one signature, and a (public key, message, signature) triple
+	// always verifies alike. So the principal remembers its last
+	// signature and its last successful verification, and answers a
+	// repeat of either from memory, byte-identically.
+	mu                  sync.Mutex
+	signMsg, signSig    []byte // the last message signed, its signature
+	okPub, okMsg, okSig []byte // the last triple that verified
 }
 
 // NewPrincipal generates a principal with a fresh deterministic keypair.
@@ -73,14 +85,32 @@ func NewPrincipal(name string, scheme Scheme, rng *sim.RNG) *Principal {
 	return &Principal{Name: name, Scheme: scheme, Pub: pub, priv: priv}
 }
 
-// Sign signs msg with the principal's private key.
+// Sign signs msg with the principal's private key. The caller owns the
+// returned slice.
 func (p *Principal) Sign(msg []byte) []byte {
-	return ed25519.Sign(p.priv, msg)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.signSig == nil || !bytes.Equal(msg, p.signMsg) {
+		p.signSig = ed25519.Sign(p.priv, msg)
+		p.signMsg = append(p.signMsg[:0], msg...)
+	}
+	return bytes.Clone(p.signSig)
 }
 
 // Verify checks a signature by this principal.
 func (p *Principal) Verify(msg, sig []byte) bool {
-	return ed25519.Verify(p.Pub, msg, sig)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.okSig != nil && bytes.Equal(sig, p.okSig) && bytes.Equal(msg, p.okMsg) && bytes.Equal(p.Pub, p.okPub) {
+		return true
+	}
+	if !ed25519.Verify(p.Pub, msg, sig) {
+		return false
+	}
+	p.okPub = append(p.okPub[:0], p.Pub...)
+	p.okMsg = append(p.okMsg[:0], msg...)
+	p.okSig = append(p.okSig[:0], sig...)
+	return true
 }
 
 // Certificate binds a subject key and attributes under an issuer's

@@ -331,14 +331,13 @@ func (s *MultipathSender) Close() {
 // to the worker's transmit batch. The lock serializes workers; the
 // ring must therefore hold at least workers×batch slots so a slot is
 // not reused before every worker's current batch has flushed. The
-// in-order stream is consumed as it arrives — folded into a running
-// SHA-256 and a byte count, then dropped — so memory stays bounded by
-// the out-of-order buffer however long the stream runs.
+// core streams the in-order bytes into a running SHA-256 as they
+// complete and keeps none of them, so memory stays bounded by the
+// out-of-order buffer however long the stream runs.
 type MultipathReceiver struct {
-	mu    sync.Mutex
-	core  *multipath.Receiver
-	hash  hash.Hash
-	bytes int
+	mu   sync.Mutex
+	core *multipath.Receiver
+	hash hash.Hash // the core's Out
 
 	ring   [][]byte
 	ringAt int
@@ -359,6 +358,7 @@ func NewMultipathReceiver(node topology.NodeID, port uint16, slots int) *Multipa
 		hash: sha256.New(),
 		ring: make([][]byte, slots),
 	}
+	r.core.Out = r.hash
 	slab := make([]byte, slots*mpAckSlot)
 	for i := range r.ring {
 		r.ring[i] = slab[i*mpAckSlot : (i+1)*mpAckSlot : (i+1)*mpAckSlot]
@@ -374,11 +374,6 @@ func (r *MultipathReceiver) Deliver(data []byte, from netip.AddrPort) []byte {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	ack, _ := r.core.Receive(r.ring[r.ringAt][:0], data)
-	if len(r.core.Data) > 0 {
-		r.hash.Write(r.core.Data)
-		r.bytes += len(r.core.Data)
-		r.core.Data = r.core.Data[:0]
-	}
 	if ack != nil {
 		r.ringAt++
 		if r.ringAt == len(r.ring) {
@@ -411,7 +406,7 @@ func (r *MultipathReceiver) Summary() MPRecvSummary {
 		per[k] = v
 	}
 	sum := MPRecvSummary{
-		Bytes:        r.bytes,
+		Bytes:        r.core.Bytes,
 		Acks:         uint64(r.core.Acks),
 		Dups:         r.core.Dups,
 		PathSegments: per,
