@@ -196,6 +196,7 @@ fuzz-smoke:
 	$(GO) test -fuzz='^FuzzDisjointPaths$$' -fuzztime=30s ./internal/routing/srcroute
 	$(GO) test -fuzz='^FuzzDiscover$$' -fuzztime=30s ./internal/routing/srcroute
 	$(GO) test -fuzz='^FuzzShortestPaths$$' -fuzztime=30s ./internal/topology
+	$(GO) test -fuzz='^FuzzFrozenGraph$$' -fuzztime=30s ./internal/topology
 	$(GO) test -fuzz='^FuzzMultipathAck$$' -fuzztime=30s ./internal/transport/multipath
 	$(GO) test -fuzz='^FuzzReceiverAck$$' -fuzztime=30s ./internal/transport/multipath
 	$(GO) test -fuzz='^FuzzReassembly$$' -fuzztime=30s ./internal/transport/multipath

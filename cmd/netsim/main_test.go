@@ -60,6 +60,9 @@ func TestRunAcceptsEachModesFlags(t *testing.T) {
 			"path-vector reconverged 2 times"},
 		{[]string{"-nodes", "300", "-shards", "2", "-parallel=false", "-chaos", "-packets", "500",
 			"-seed", "3", "-metrics", metrics}, "delivered="},
+		// Fewer nodes than the generator's seed clique: the run uses the
+		// clique.
+		{[]string{"-nodes", "1", "-packets", "10"}, "scale: nodes=3 links=3 sinks=1 packets=10"},
 		{[]string{"-multipath", "-mpstrategy", "shortest-k", "-mpbytes", "4096", "-seed", "2",
 			"-faultplan", plan, "-metrics", metrics}, "multipath shortest-k"},
 	}

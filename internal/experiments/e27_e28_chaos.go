@@ -335,6 +335,11 @@ func e28Degradation(seed uint64, env *obs.Env) *Result {
 			return data
 		}
 
+		// One template per bulk stream: Inject copies it into a flight of
+		// its own, and nothing reads the bulk's traces.
+		bulk11 := mkProbe(11, 8, qos.BestEffort, 8000)
+		bulk12 := mkProbe(12, 9, qos.BestEffort, 8000)
+
 		type roundStats struct {
 			gold, be     []*netsim.Trace
 			shed0, shed1 int
@@ -354,8 +359,8 @@ func e28Degradation(seed uint64, env *obs.Env) *Result {
 			// link 1→5 at twice its capacity, and the shed plane engages.
 			sched.At(mid, func() {
 				for k := 0; k < 25; k++ {
-					net.Send(11, mkProbe(11, 8, qos.BestEffort, 8000))
-					net.Send(12, mkProbe(12, 9, qos.BestEffort, 8000))
+					net.Inject(11, bulk11)
+					net.Inject(12, bulk12)
 				}
 			})
 			sched.At(mid+sim.Millisecond, func() {

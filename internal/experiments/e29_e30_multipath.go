@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/chaos"
 	"repro/internal/netsim"
@@ -93,6 +94,11 @@ func mpMultipathConfig(seed uint64) multipath.Config {
 	return cfg
 }
 
+// sharedPayload is E29's 2 MiB payload, built once per process; E30
+// streams a prefix of it. Senders only read their data (Frame copies
+// it), so concurrent experiments share it safely.
+var sharedPayload = sync.OnceValue(func() []byte { return mpPayload(2 << 20) })
+
 // mpPayload returns n bytes with data[i] = byte(i*13 + i/509), filled
 // one 509-byte run at a time so no byte pays for a division.
 func mpPayload(n int) []byte {
@@ -128,7 +134,7 @@ func e29MultipathAvailability(seed uint64, env *obs.Env) *Result {
 	}
 	const horizon = 2000 * sim.Millisecond
 	const bin = 50 * sim.Millisecond
-	payload := mpPayload(2 << 20) // sized to outlast the horizon in every configuration
+	payload := sharedPayload() // sized to outlast the horizon in every configuration
 
 	run := func(label string, strat multipath.Strategy) {
 		sched, net := mpNetwork(env)
@@ -210,7 +216,7 @@ func e30PartitionReconvergence(seed uint64, env *obs.Env) *Result {
 		},
 	}
 	const partitionAt = 600 * sim.Millisecond
-	payload := mpPayload(768 << 10)
+	payload := sharedPayload()[: 768<<10 : 768<<10]
 
 	for _, strat := range multipath.Strategies() {
 		sched, net := mpNetwork(env)

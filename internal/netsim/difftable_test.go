@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"sort"
 	"testing"
 
 	"repro/internal/sim"
@@ -32,9 +31,26 @@ func refKey(a, b topology.NodeID) [2]topology.NodeID {
 	return [2]topology.NodeID{a, b}
 }
 
+// backlog is NodeBacklog by a scan of every link: the largest backlog
+// on a live link out of id, in the direction leaving id.
+func (m *refModel) backlog(n *Network, id topology.NodeID) sim.Time {
+	var worst sim.Time
+	for i, l := range n.Graph.Links {
+		if (l.A != id && l.B != id) || m.failed[refKey(l.A, l.B)] {
+			continue
+		}
+		di := 2 * i
+		if l.B == id {
+			di++
+		}
+		worst = max(worst, n.lt.busy[di]-n.Sched.Now())
+	}
+	return worst
+}
+
 // checkAgainst compares every observable of the dense tables with the
-// reference: per-link failure state (query and dense row), adjacency rows
-// (membership, sortedness, and link-index correctness), the crashed-node
+// reference: per-link failure state (query and dense row), link-index
+// lookups in both directions, each node's backlog, the crashed-node
 // flags, and the impairment table's nil-when-empty contract.
 func (m *refModel) checkAgainst(t *testing.T, n *Network, step int) {
 	t.Helper()
@@ -56,24 +72,8 @@ func (m *refModel) checkAgainst(t *testing.T, n *Network, step int) {
 		}
 	}
 	for _, id := range g.NodeIDs() {
-		neighbors := g.Neighbors(id)
-		row := n.lt.adj[id]
-		if len(row) != len(neighbors) {
-			t.Fatalf("step %d: adj row of %d has %d entries, graph has %d neighbors", step, id, len(row), len(neighbors))
-		}
-		if !sort.SliceIsSorted(row, func(i, j int) bool { return row[i].to < row[j].to }) {
-			t.Fatalf("step %d: adj row of %d not sorted by neighbor", step, id)
-		}
-		want := append([]topology.NodeID(nil), neighbors...)
-		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		for i, e := range row {
-			if e.to != want[i] {
-				t.Fatalf("step %d: adj row of %d = %v at %d, want %v", step, id, e.to, i, want[i])
-			}
-			l := g.Links[e.link]
-			if refKey(l.A, l.B) != refKey(id, e.to) {
-				t.Fatalf("step %d: adj entry %d→%d carries link %d (%d–%d)", step, id, e.to, e.link, l.A, l.B)
-			}
+		if got, want := n.NodeBacklog(id), m.backlog(n, id); got != want {
+			t.Fatalf("step %d: NodeBacklog(%d) = %v, scan of the links %v", step, id, got, want)
 		}
 		if got, want := n.NodeFailed(id), m.down[id]; got != want {
 			t.Fatalf("step %d: NodeFailed(%d) = %v, ref %v", step, id, got, want)
@@ -100,7 +100,7 @@ func (m *refModel) checkAgainst(t *testing.T, n *Network, step int) {
 
 // TestLinkTableMatchesReference drives a seeded random schedule of fault
 // operations — link fail/restore, node crash/recover, impair/clear —
-// comparing the dense adjacency/failure/impairment tables against the
+// comparing the dense link/failure/impairment tables against the
 // map reference after every operation. Mutations naming a link or node
 // the topology does not have must panic and change nothing; queries on
 // them report false.
@@ -112,6 +112,13 @@ func TestLinkTableMatchesReference(t *testing.T) {
 		BaseLatency: 5 * sim.Millisecond,
 	}, rng.Fork())
 	n := New(sim.NewScheduler(), g)
+	// Distinct backlogs on every directed link, from an RNG of their own so
+	// the operation schedule stays as it was, give NodeBacklog a maximum to
+	// find.
+	busy := sim.NewRNG(7)
+	for i := range n.lt.busy {
+		n.lt.busy[i] = sim.Time(1 + busy.Intn(1000))
+	}
 	ref := newRefModel()
 	ids := g.NodeIDs()
 	unknown := ids[len(ids)-1] + 1

@@ -134,17 +134,15 @@ func (n *Network) ImpairedLinks() int { return n.impaired }
 // cheap local congestion signal for QoS devices (load shedding keyed on
 // egress pressure).
 func (n *Network) NodeBacklog(id topology.NodeID) sim.Time {
-	if int(id) >= len(n.lt.adj) {
-		return 0
-	}
 	now := n.Sched.Now()
 	var worst sim.Time
-	for _, e := range n.lt.adj[id] {
-		if n.lt.failed[e.link] {
+	_, links := n.lt.adj.Row(id)
+	for _, li := range links {
+		if n.lt.failed[li] {
 			continue
 		}
-		di := 2 * int(e.link)
-		if n.Graph.Links[e.link].A != id {
+		di := 2 * int(li)
+		if n.Graph.Links[li].A != id {
 			di++
 		}
 		if b := n.lt.busy[di] - now; b > worst {

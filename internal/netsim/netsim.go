@@ -18,8 +18,8 @@
 // bytes from hop to hop. The two representations are kept coherent — any
 // in-place byte patch (TTL decrement, source-route advance) is mirrored
 // into the decoded header, and a middlebox transform (non-nil return from
-// Process) forces a re-decode. Link lookups go through a dense per-node
-// adjacency table instead of the Graph's map, and each hop re-schedules
+// Process) forces a re-decode. Link lookups read the Graph's frozen
+// adjacency (topology.Adjacency) directly, and each hop re-schedules
 // the flight's single preallocated closure, so a steady-state forward hop
 // (no transform, no drop) performs zero heap allocations.
 package netsim
@@ -116,20 +116,14 @@ type Node struct {
 	Deliver DeliverFunc
 }
 
-// adjEntry is one neighbor in a node's dense adjacency row.
-type adjEntry struct {
-	to   topology.NodeID
-	link int32 // index into Graph.Links
-}
-
-// linkTable is the dense forwarding-plane view of the topology: per-node
-// adjacency rows (sorted by neighbor ID), per-directed-link transmission
-// backlog, and per-link failure flags. It is built once from the Graph in
-// New; the topology is fixed from then on.
+// linkTable is the dense forwarding-plane view of the topology: the
+// graph's frozen adjacency, per-directed-link transmission backlog, and
+// per-link failure flags. It is built once from the Graph in New; the
+// topology is fixed from then on.
 type linkTable struct {
-	adj    [][]adjEntry // indexed by NodeID
-	busy   []sim.Time   // indexed by 2*linkIdx (+1 for the B→A direction)
-	failed []bool       // indexed by linkIdx
+	adj    *topology.Adjacency // shared with the Graph and every shard
+	busy   []sim.Time          // indexed by 2*linkIdx (+1 for the B→A direction)
+	failed []bool              // indexed by linkIdx
 }
 
 // Network is the assembled simulator.
@@ -225,8 +219,9 @@ type Network struct {
 }
 
 // New builds a Network over a topology. All nodes start with no routes,
-// no middleboxes, and no delivery handler. The Network sizes its dense
-// tables from g once, here: g must not gain nodes or links afterwards.
+// no middleboxes, and no delivery handler. The Network freezes g and sizes
+// its dense tables from it once, here: g must not gain nodes or links
+// afterwards.
 func New(sched *sim.Scheduler, g *topology.Graph) *Network {
 	n := &Network{
 		Sched:         sched,
@@ -242,12 +237,11 @@ func New(sched *sim.Scheduler, g *topology.Graph) *Network {
 		malformedKeys: sim.NewKeyCache("malformed-after:"),
 	}
 	// Flat node arena in ascending ID order; the dense per-node tables are
-	// indexed by NodeID, up to the largest.
+	// indexed by NodeID, up to the largest. Freezing the graph here, before
+	// any shard goroutine starts, leaves the shards only reads of it.
+	adj := g.Freeze()
 	ids := g.NodeIDs()
-	size := 1
-	if len(ids) > 0 {
-		size = int(ids[len(ids)-1]) + 1
-	}
+	size := adj.Bound()
 	n.nodeArr = make([]Node, len(ids))
 	n.nodesByID = make([]*Node, size)
 	for i, id := range ids {
@@ -255,11 +249,6 @@ func New(sched *sim.Scheduler, g *topology.Graph) *Network {
 		nd.ID = id
 		nd.Net = n
 		n.nodesByID[id] = nd
-	}
-	adj := make([][]adjEntry, size)
-	for i, l := range g.Links {
-		adj[l.A] = insertAdj(adj[l.A], adjEntry{to: l.B, link: int32(i)})
-		adj[l.B] = insertAdj(adj[l.B], adjEntry{to: l.A, link: int32(i)})
 	}
 	n.lt = linkTable{
 		adj:    adj,
@@ -352,32 +341,9 @@ func (n *Network) AttachObs(reg *obs.Registry, tr *obs.Tracer) {
 	}
 }
 
-// insertAdj inserts e into row keeping it sorted by neighbor ID, so
-// lookups and iteration stay deterministic.
-func insertAdj(row []adjEntry, e adjEntry) []adjEntry {
-	i := len(row)
-	for i > 0 && row[i-1].to > e.to {
-		i--
-	}
-	row = append(row, adjEntry{})
-	copy(row[i+1:], row[i:])
-	row[i] = e
-	return row
-}
-
 // linkIndex returns the Graph.Links index of the from→to adjacency, or
 // -1 when the nodes are not adjacent.
-func (n *Network) linkIndex(from, to topology.NodeID) int32 {
-	if int(from) >= len(n.lt.adj) {
-		return -1
-	}
-	for _, e := range n.lt.adj[from] {
-		if e.to == to {
-			return e.link
-		}
-	}
-	return -1
-}
+func (n *Network) linkIndex(from, to topology.NodeID) int32 { return n.lt.adj.LinkIndex(from, to) }
 
 // Node returns the node for id; it panics on unknown IDs (a wiring bug).
 func (n *Network) Node(id topology.NodeID) *Node {

@@ -94,12 +94,6 @@ const faultKeyFlag = uint64(1) << 63
 // routes/middleboxes/delivery on the owning shard's network (see Owner)
 // before sending traffic.
 func NewSharded(g *topology.Graph, k int) *Sharded {
-	// Pre-warm the Graph's lazy neighbor cache: shard goroutines read
-	// it concurrently and must never trigger the rebuild.
-	for id := range g.Nodes {
-		g.Neighbors(id)
-		break
-	}
 	part := topology.PartitionBalanced(g, k)
 	s := &Sharded{Graph: g, Part: part}
 	s.Window, s.hasCross = part.MinCrossLatency(g)

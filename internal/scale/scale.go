@@ -103,6 +103,12 @@ func Prepare(cfg Config) *Sim {
 	if cfg.M <= 0 {
 		cfg.M = 2
 	}
+	// GenerateScaleFree starts from a clique of M+1 nodes; raising Nodes to
+	// match here keeps the sink count and the chaos schedule in step with
+	// the graph it builds.
+	if cfg.Nodes < cfg.M+1 {
+		cfg.Nodes = cfg.M + 1
+	}
 	if cfg.Sinks <= 0 {
 		// Sinks scale with the topology so the aggregate sink ingress
 		// capacity scales with the packet load; a handful of sinks under
@@ -141,13 +147,14 @@ func Prepare(cfg Config) *Sim {
 	}
 
 	ids := g.NodeIDs()
+	adj := g.Freeze()
 	sinks := make([]topology.NodeID, cfg.Sinks)
-	isSink := make([]bool, ids[len(ids)-1]+1)
+	isSink := make([]bool, adj.Bound())
 	for i := range sinks {
 		sinks[i] = ids[i*len(ids)/cfg.Sinks]
 		isSink[sinks[i]] = true
 	}
-	next := nextHopTables(g, sinks)
+	next := nextHopTables(adj, sinks)
 	sinkIdx := make([]int32, len(isSink))
 	for i := range sinkIdx {
 		sinkIdx[i] = -1
@@ -248,50 +255,23 @@ func (sm *Sim) Run() *Result {
 	return res
 }
 
-// nextHopTables runs one BFS per sink, producing dense node ->
-// next-hop-toward-sink tables. Entry 0 means unreachable (node IDs
-// start at 1). The BFS runs over a CSR copy of the adjacency built once
-// from the link list (sorted rows for deterministic traversal order) —
-// at hundreds of sinks over 10^5 nodes, per-visit map lookups through
-// Graph.Neighbors would dominate setup time.
-func nextHopTables(g *topology.Graph, sinks []topology.NodeID) [][]topology.NodeID {
-	maxID := topology.NodeID(0)
-	for id := range g.Nodes {
-		if id > maxID {
-			maxID = id
-		}
-	}
-	offs := make([]int32, maxID+2)
-	for _, l := range g.Links {
-		offs[l.A+1]++
-		offs[l.B+1]++
-	}
-	for i := 1; i < len(offs); i++ {
-		offs[i] += offs[i-1]
-	}
-	nbrs := make([]topology.NodeID, 2*len(g.Links))
-	fill := make([]int32, maxID+1)
-	for _, l := range g.Links {
-		nbrs[offs[l.A]+fill[l.A]] = l.B
-		fill[l.A]++
-		nbrs[offs[l.B]+fill[l.B]] = l.A
-		fill[l.B]++
-	}
-	for v := topology.NodeID(0); v <= maxID; v++ {
-		row := nbrs[offs[v] : offs[v]+fill[v]]
-		sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
-	}
+// nextHopTables runs one BFS per sink over the graph's frozen
+// adjacency, producing dense node -> next-hop-toward-sink tables. Entry 0
+// means unreachable (node IDs start at 1). Rows are sorted by neighbour,
+// so the traversal order, and with it every table, is deterministic.
+func nextHopTables(adj *topology.Adjacency, sinks []topology.NodeID) [][]topology.NodeID {
 	out := make([][]topology.NodeID, len(sinks))
-	queue := make([]topology.NodeID, 0, len(g.Nodes))
+	queue := make([]topology.NodeID, 0, adj.Bound())
 	for i, sk := range sinks {
-		tbl := make([]topology.NodeID, maxID+1)
-		seen := make([]bool, maxID+1)
+		tbl := make([]topology.NodeID, adj.Bound())
+		seen := make([]bool, adj.Bound())
 		queue = queue[:0]
 		seen[sk] = true
 		queue = append(queue, sk)
 		for qi := 0; qi < len(queue); qi++ {
 			v := queue[qi]
-			for _, nb := range nbrs[offs[v] : offs[v]+fill[v]] {
+			nbrs, _ := adj.Row(v)
+			for _, nb := range nbrs {
 				if seen[nb] {
 					continue
 				}

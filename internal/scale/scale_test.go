@@ -47,6 +47,20 @@ func TestDeliversTraffic(t *testing.T) {
 	}
 }
 
+// TestFewerNodesThanSeedClique: a config asking for fewer nodes than the
+// generator's M+1 seed clique runs on the clique it gets, with sinks
+// derived from that size, instead of deriving zero sinks and panicking
+// when the first source picks one.
+func TestFewerNodesThanSeedClique(t *testing.T) {
+	r := Run(Config{Nodes: 1, Packets: 10})
+	if r.Nodes != 3 || r.Config.Nodes != 3 || r.Config.Sinks != 1 {
+		t.Fatalf("nodes=%d config nodes=%d sinks=%d, want 3/3/1", r.Nodes, r.Config.Nodes, r.Config.Sinks)
+	}
+	if r.Delivered != 10 || r.Dropped != 0 {
+		t.Fatalf("delivered=%d dropped=%d, want 10/0\n%s", r.Delivered, r.Dropped, r.Render())
+	}
+}
+
 // TestChaosActuallyFaults guards the chaos schedule against silently
 // becoming a no-op: at this density some packets must die.
 func TestChaosActuallyFaults(t *testing.T) {

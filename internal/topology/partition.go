@@ -43,23 +43,14 @@ func PartitionBalanced(g *Graph, k int) *Partition {
 	if k > len(g.Nodes) && len(g.Nodes) > 0 {
 		k = len(g.Nodes)
 	}
-	maxID := NodeID(0)
-	for id := range g.Nodes {
-		if id > maxID {
-			maxID = id
-		}
-	}
-	p := &Partition{K: k, shardOf: make([]int32, maxID+1), Counts: make([]int, k)}
+	adj := g.Freeze()
+	p := &Partition{K: k, shardOf: make([]int32, adj.Bound()), Counts: make([]int, k)}
 	// shardOf holds each node's weight until the node is assigned, so the
 	// weights cost no allocation of their own (BENCH_scale gates
 	// allocs/op at zero tolerance); 0 marks an ID that is not a node.
 	weight := p.shardOf
-	for id := range g.Nodes {
-		weight[id] = 1
-	}
-	for _, l := range g.Links {
-		weight[l.A]++
-		weight[l.B]++
+	for _, id := range adj.ids {
+		weight[id] = 1 + adj.off[id+1] - adj.off[id]
 	}
 	maxW := slices.Max(weight)
 

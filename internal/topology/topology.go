@@ -4,13 +4,14 @@
 // or peer — in the style of Gao–Rexford. The business relationships are
 // what make routing a tussle space (§V-A of the paper): they determine
 // which paths a provider is *willing* to announce, as distinct from which
-// paths exist. The package also holds the one shortest-path search that
-// every router in the repository runs (ShortestPaths).
+// paths exist. The package also holds the one adjacency every reader of
+// a graph walks (Adjacency) and the one shortest-path search that every
+// router in the repository runs (ShortestPaths).
 package topology
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -88,24 +89,19 @@ type Node struct {
 	Tier int
 }
 
-// Graph is the AS-level topology.
+// Graph is the AS-level topology. Its structure is read through one
+// frozen Adjacency (see Freeze), built on the first read and rebuilt on
+// the first read after AddNode or AddLink; once built, reads are safe
+// from several goroutines but never concurrently with AddNode or AddLink.
 type Graph struct {
 	Nodes map[NodeID]*Node
 	Links []Link
-	// adj caches adjacency: node -> link indices.
-	adj map[NodeID][]int
-	// nbr caches sorted neighbor lists for Neighbors; rebuilt lazily
-	// whenever the link count no longer matches nbrLinks. Routing code
-	// (SPF, path-vector convergence, source-route discovery) calls
-	// Neighbors in its innermost loops, so this must not allocate per
-	// call.
-	nbr      map[NodeID][]NodeID
-	nbrLinks int
+	adj   *Adjacency
 }
 
 // NewGraph returns an empty topology.
 func NewGraph() *Graph {
-	return &Graph{Nodes: make(map[NodeID]*Node), adj: make(map[NodeID][]int)}
+	return &Graph{Nodes: make(map[NodeID]*Node)}
 }
 
 // AddNode inserts a node; it panics on duplicate IDs (topology bugs should
@@ -131,48 +127,25 @@ func (g *Graph) AddLink(a, b NodeID, rel Relationship, latency sim.Time, cost fl
 	if a == b {
 		panic("topology: self-link")
 	}
-	idx := len(g.Links)
 	g.Links = append(g.Links, Link{A: a, B: b, Rel: rel, Latency: latency, Cost: cost})
-	g.adj[a] = append(g.adj[a], idx)
-	g.adj[b] = append(g.adj[b], idx)
 }
 
-// Neighbors returns the IDs adjacent to id, in deterministic (ascending)
-// order. The returned slice is a shared cache — callers iterate it but
-// must not modify it.
+// Neighbors returns the IDs adjacent to id in ascending order, once per
+// link, so a neighbour joined by two links appears twice. The slice is
+// the frozen adjacency's row: callers iterate it but must not modify it.
 func (g *Graph) Neighbors(id NodeID) []NodeID {
-	if g.nbr == nil || g.nbrLinks != len(g.Links) {
-		g.rebuildNeighbors()
-	}
-	return g.nbr[id]
+	nbr, _ := g.Freeze().Row(id)
+	return nbr
 }
 
-// rebuildNeighbors recomputes every node's sorted neighbor list. The
-// cache goes stale only by adding links (links are never removed;
-// netsim models failure as state on the link, not removal), so a link
-// count check is a complete staleness test.
-func (g *Graph) rebuildNeighbors() {
-	g.nbr = make(map[NodeID][]NodeID, len(g.adj))
-	for id, lis := range g.adj {
-		out := make([]NodeID, 0, len(lis))
-		for _, li := range lis {
-			out = append(out, g.Links[li].Other(id))
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-		g.nbr[id] = out
-	}
-	g.nbrLinks = len(g.Links)
-}
-
-// LinkBetween returns the link between a and b, if any.
+// LinkBetween returns the link between a and b, if any; between nodes
+// joined by several links, the one added first.
 func (g *Graph) LinkBetween(a, b NodeID) (Link, bool) {
-	for _, li := range g.adj[a] {
-		l := g.Links[li]
-		if l.Other(a) == b {
-			return l, true
-		}
+	li := g.Freeze().LinkIndex(a, b)
+	if li < 0 {
+		return Link{}, false
 	}
-	return Link{}, false
+	return g.Links[li], true
 }
 
 // RelFrom reports the relationship of the a→b edge from a's perspective:
@@ -224,67 +197,17 @@ func (g *Graph) Providers(id NodeID) []NodeID {
 	return out
 }
 
-// Customers returns the IDs that buy transit from this node.
-func (g *Graph) Customers(id NodeID) []NodeID {
-	var out []NodeID
-	for _, n := range g.Neighbors(id) {
-		if c, ok := g.RelFrom(id, n); ok && c == Customer {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-// Peers returns this node's settlement-free peers.
-func (g *Graph) Peers(id NodeID) []NodeID {
-	var out []NodeID
-	for _, n := range g.Neighbors(id) {
-		if c, ok := g.RelFrom(id, n); ok && c == Peer {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
 // NodeIDs returns all node IDs in ascending order (deterministic
-// iteration for simulations).
-func (g *Graph) NodeIDs() []NodeID {
-	ids := make([]NodeID, 0, len(g.Nodes))
-	for id := range g.Nodes {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
+// iteration for simulations), as a fresh copy of the frozen list.
+func (g *Graph) NodeIDs() []NodeID { return slices.Clone(g.Freeze().ids) }
 
 // Stubs returns all stub node IDs in ascending order.
 func (g *Graph) Stubs() []NodeID {
 	var out []NodeID
-	for _, id := range g.NodeIDs() {
+	for _, id := range g.Freeze().ids {
 		if g.Nodes[id].Kind == Stub {
 			out = append(out, id)
 		}
 	}
 	return out
-}
-
-// Connected reports whether the undirected graph is connected.
-func (g *Graph) Connected() bool {
-	if len(g.Nodes) == 0 {
-		return true
-	}
-	start := g.NodeIDs()[0]
-	seen := map[NodeID]bool{start: true}
-	stack := []NodeID{start}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, m := range g.Neighbors(n) {
-			if !seen[m] {
-				seen[m] = true
-				stack = append(stack, m)
-			}
-		}
-	}
-	return len(seen) == len(g.Nodes)
 }

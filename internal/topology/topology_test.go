@@ -38,12 +38,44 @@ func TestProvidersCustomersPeers(t *testing.T) {
 	if p := g.Providers(3); len(p) != 1 || p[0] != 1 {
 		t.Fatalf("Providers(3) = %v", p)
 	}
-	if c := g.Customers(1); len(c) != 1 || c[0] != 3 {
-		t.Fatalf("Customers(1) = %v", c)
+	if c := neighborsOfClass(g, 1, Customer); len(c) != 1 || c[0] != 3 {
+		t.Fatalf("customers of 1 = %v", c)
 	}
-	if p := g.Peers(1); len(p) != 1 || p[0] != 2 {
-		t.Fatalf("Peers(1) = %v", p)
+	if p := neighborsOfClass(g, 1, Peer); len(p) != 1 || p[0] != 2 {
+		t.Fatalf("peers of 1 = %v", p)
 	}
+}
+
+// neighborsOfClass returns id's neighbours that are of class c to it.
+func neighborsOfClass(g *Graph, id NodeID, c NeighborClass) []NodeID {
+	var out []NodeID
+	for _, n := range g.Neighbors(id) {
+		if got, ok := g.RelFrom(id, n); ok && got == c {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
+// connected reports whether the undirected graph is connected.
+func connected(g *Graph) bool {
+	ids := g.NodeIDs()
+	if len(ids) == 0 {
+		return true
+	}
+	seen := map[NodeID]bool{ids[0]: true}
+	stack := []NodeID{ids[0]}
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, m := range g.Neighbors(n) {
+			if !seen[m] {
+				seen[m] = true
+				stack = append(stack, m)
+			}
+		}
+	}
+	return len(seen) == len(ids)
 }
 
 func TestNeighborsDeterministic(t *testing.T) {
@@ -90,11 +122,11 @@ func TestLinkToUnknownNodePanics(t *testing.T) {
 
 func TestConnected(t *testing.T) {
 	g := triangle()
-	if !g.Connected() {
+	if !connected(g) {
 		t.Fatal("triangle should be connected")
 	}
 	g.AddNode(9, Stub, 3)
-	if g.Connected() {
+	if connected(g) {
 		t.Fatal("isolated node should disconnect graph")
 	}
 }
@@ -102,7 +134,7 @@ func TestConnected(t *testing.T) {
 func TestGenerateHierarchyConnected(t *testing.T) {
 	f := func(seed uint64) bool {
 		g := GenerateHierarchy(DefaultHierarchy(), sim.NewRNG(seed))
-		return g.Connected()
+		return connected(g)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
@@ -157,7 +189,7 @@ func TestGenerateHierarchyDeterministic(t *testing.T) {
 
 func TestLinear(t *testing.T) {
 	g := Linear(4, sim.Millisecond)
-	if !g.Connected() || len(g.Links) != 3 {
+	if !connected(g) || len(g.Links) != 3 {
 		t.Fatalf("linear graph malformed: %d links", len(g.Links))
 	}
 	if c, _ := g.RelFrom(1, 2); c != Provider {
