@@ -183,31 +183,68 @@ experiments:
 metrics:
 	$(GO) run ./cmd/tussle-bench -quiet -metrics /tmp/metrics.json >/dev/null
 
-# Short fuzz passes over the TIP decoder (safety invariants on arbitrary
-# bytes, then DecodeReuse-vs-DecodeFrom differential) and the chaos plan
-# parser (canonical-form round-trip). The regexps are anchored because
-# -fuzz must match exactly one target.
+# Short fuzz passes, each seeded from the committed corpus in
+# */testdata/fuzz; CI's fuzz-smoke job runs this target. The regexps are
+# anchored because -fuzz must match exactly one target.
 fuzz-smoke:
+# The TIP decoder: safety invariants on arbitrary bytes, then the
+# DecodeReuse-vs-DecodeFrom differential.
 	$(GO) test -fuzz='^FuzzDecode$$' -fuzztime=30s ./internal/packet
 	$(GO) test -fuzz='^FuzzDecodeReuse$$' -fuzztime=30s ./internal/packet
+# The chaos plan parser's canonical-form round trip, and the shrinker's.
 	$(GO) test -fuzz='^FuzzFaultPlan$$' -fuzztime=30s ./internal/chaos
 	$(GO) test -fuzz='^FuzzShrinkRoundTrip$$' -fuzztime=30s ./internal/invariant
+# Compiler/VM differential: random TPL programs must evaluate
+# identically (values and error strings) on the metered VM and the
+# tree-walking reference, and agree under starved budgets.
 	$(GO) test -fuzz='^FuzzCompileEval$$' -fuzztime=30s ./internal/policy
+# Disjoint-path discovery: arbitrary topology bytes must never panic,
+# and returned path sets must be simple, link-disjoint, and
+# deterministic.
 	$(GO) test -fuzz='^FuzzDisjointPaths$$' -fuzztime=30s ./internal/routing/srcroute
+# Candidate-path enumeration: on arbitrary endpoints and bounds,
+# Discover returns exactly a visited-set DFS oracle's candidates,
+# latencies and order, each path simple and within maxLen.
 	$(GO) test -fuzz='^FuzzDiscover$$' -fuzztime=30s ./internal/routing/srcroute
+# The shortest-path search every router shares, on tie-heavy digraphs:
+# distances equal Bellman-Ford's, first hops equal an O(V²) scan's,
+# reversed edge lists change nothing, and a search stopped at a
+# destination returns the full search's path.
 	$(GO) test -fuzz='^FuzzShortestPaths$$' -fuzztime=30s ./internal/topology
+# The frozen adjacency against the map-based graph it replaced: graphs
+# with ID gaps, isolated nodes, multi-edges and nodes or links added
+# after a read give the oracle's neighbours, links, relationships, ID
+# list and bound, and an append to a returned row leaves the next row
+# alone.
 	$(GO) test -fuzz='^FuzzFrozenGraph$$' -fuzztime=30s ./internal/topology
+# Hostile ACK bytes against the multipath sender: no panic, the
+# cumulative ACK clamped to the stream, estimators in-domain, the Karn
+# rule held, no timers leaked after the terminal state.
 	$(GO) test -fuzz='^FuzzMultipathAck$$' -fuzztime=30s ./internal/transport/multipath
+# Hostile data segments against the multipath receiver: no panic,
+# foreign traffic refused, and every ACK framed from the per-echo
+# template byte-identical to packet.Serialize's (the corpus holds two
+# routes that collide under FNV-1a on one echo).
 	$(GO) test -fuzz='^FuzzReceiverAck$$' -fuzztime=30s ./internal/transport/multipath
+# Segments in arbitrary order, repeated or missing, against the
+# multipath receiver's reassembly: Out gets exactly the longest
+# contiguous prefix, each segment once and in order, as the
+# keep-everything reference reassembles it; Bytes and Dups agree.
 	$(GO) test -fuzz='^FuzzReassembly$$' -fuzztime=30s ./internal/transport/multipath
 
 # Property-based invariant sweeps: seeded random topologies, traffic, and
 # fault plans run with the runtime invariant checker armed (see
-# cmd/tussle-check). Two fixed seeds so the CI corpus is reproducible;
-# failures shrink to minimal reproducers automatically.
+# cmd/tussle-check); CI's invariant-sweep job runs this target. Two fixed
+# seeds so the CI corpus is reproducible; failures shrink to minimal
+# reproducers automatically.
 invariant-sweep:
+# 500 random topology/traffic/fault-plan trials per seed, all nine
+# invariants armed, automatic shrinking on failure.
 	$(GO) run ./cmd/tussle-check -trials 500 -seed 42
 	$(GO) run ./cmd/tussle-check -trials 500 -seed 7
+# The same discipline over the sharded core: 500 randomized scale
+# scenarios each (topology size, traffic, chaos, shard count all
+# seed-derived) with the checker attached across every shard.
 	$(GO) run ./cmd/tussle-check -sharded -trials 500 -seed 42
 	$(GO) run ./cmd/tussle-check -sharded -trials 500 -seed 7
 
@@ -231,9 +268,10 @@ multipath-chaos:
 cover:
 	$(GO) test -cover ./...
 
-# Golden-determinism guard: regenerating EXPERIMENTS.md from the current
-# code must be a no-op, or a behavior change slipped through without its
-# goldens being regenerated intentionally.
+# Golden-determinism guard (the first step of CI's golden-determinism
+# job): regenerating EXPERIMENTS.md from the current code must be a
+# no-op, or a behavior change slipped through without its goldens being
+# regenerated intentionally.
 golden-check: experiments
 	git diff --exit-code EXPERIMENTS.md
 

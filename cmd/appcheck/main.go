@@ -18,6 +18,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/core"
@@ -110,30 +111,40 @@ const exampleDesign = `{
 `
 
 func main() {
-	example := flag.Bool("example", false, "print a template design and exit")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run audits one design file, or prints the template, and returns the
+// process exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("appcheck", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	example := fs.Bool("example", false, "print a template design and exit")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	if *example {
-		fmt.Print(exampleDesign)
-		return
+		fmt.Fprint(stdout, exampleDesign)
+		return 0
 	}
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: appcheck design.json | appcheck -example")
-		os.Exit(64)
+	if fs.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: appcheck design.json | appcheck -example")
+		return 64
 	}
-	raw, err := os.ReadFile(flag.Arg(0))
+	raw, err := os.ReadFile(fs.Arg(0))
 	if err != nil {
-		fatal("%v", err)
+		return fail(stderr, "%v", err)
 	}
 	var df designFile
 	if err := json.Unmarshal(raw, &df); err != nil {
-		fatal("parse %s: %v", flag.Arg(0), err)
+		return fail(stderr, "parse %s: %v", fs.Arg(0), err)
 	}
 	app, err := toAppDesign(&df)
 	if err != nil {
-		fatal("%v", err)
+		return fail(stderr, "%v", err)
 	}
 	report := core.CheckGuidelines(app)
-	fmt.Printf("design %q: %d/%d guidelines satisfied (%.0f%%)\n\n",
+	fmt.Fprintf(stdout, "design %q: %d/%d guidelines satisfied (%.0f%%)\n\n",
 		app.Name, report.Passed(), len(report.Findings), report.Score()*100)
 	failed := 0
 	for _, f := range report.Findings {
@@ -142,14 +153,15 @@ func main() {
 			mark = "FAIL"
 			failed++
 		}
-		fmt.Printf("  [%s] %-24s %s\n", mark, f.Rule, f.Detail)
+		fmt.Fprintf(stdout, "  [%s] %-24s %s\n", mark, f.Rule, f.Detail)
 	}
 	if failed > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
-func fatal(format string, args ...interface{}) {
-	fmt.Fprintf(os.Stderr, "appcheck: "+format+"\n", args...)
-	os.Exit(1)
+func fail(stderr io.Writer, format string, args ...interface{}) int {
+	fmt.Fprintf(stderr, "appcheck: "+format+"\n", args...)
+	return 1
 }

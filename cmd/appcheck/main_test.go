@@ -1,7 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -63,5 +67,21 @@ func TestToAppDesignMapsFields(t *testing.T) {
 	}
 	if !app.NeedsValueFlow || app.HasValueFlow {
 		t.Fatal("value-flow flags wrong")
+	}
+}
+
+// The template -example prints is a design appcheck itself passes.
+func TestRunExampleRoundTrip(t *testing.T) {
+	var tmpl, errb bytes.Buffer
+	if code := run([]string{"-example"}, &tmpl, &errb); code != 0 || tmpl.String() != exampleDesign {
+		t.Fatalf("-example: exit %d, stderr %q, stdout %q", code, errb.String(), tmpl.String())
+	}
+	path := filepath.Join(t.TempDir(), "design.json")
+	if err := os.WriteFile(path, tmpl.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if code := run([]string{path}, &out, &errb); code != 0 || !strings.Contains(out.String(), "(100%)") {
+		t.Fatalf("audit of the template: exit %d, stdout %q, stderr %q", code, out.String(), errb.String())
 	}
 }

@@ -17,6 +17,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -25,72 +26,80 @@ import (
 )
 
 func main() {
-	if len(os.Args) < 3 {
-		usage()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run executes one policyc command and returns the process exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) < 2 {
+		return usage(stderr)
 	}
-	cmd, file := os.Args[1], os.Args[2]
+	cmd, file := args[0], args[1]
 	src, err := os.ReadFile(file)
 	if err != nil {
-		fatal("%v", err)
+		return fail(stderr, "%v", err)
 	}
 	doc, err := policy.Parse(string(src))
 	if err != nil {
-		fatal("%v", err)
+		return fail(stderr, "%v", err)
 	}
 	switch cmd {
 	case "check":
-		fs := flag.NewFlagSet("check", flag.ExitOnError)
+		fs := flag.NewFlagSet("check", flag.ContinueOnError)
+		fs.SetOutput(stderr)
 		vocab := fs.String("vocab", "", "comma-separated attribute ontology")
-		fs.Parse(os.Args[3:])
-		fmt.Printf("policy %q: %d rules, default %v\n", doc.Name, len(doc.Rules), defaultOf(doc))
-		fmt.Printf("attributes referenced: %s\n", strings.Join(doc.Attributes(), ", "))
+		if err := fs.Parse(args[2:]); err != nil {
+			return 2
+		}
+		fmt.Fprintf(stdout, "policy %q: %d rules, default %v\n", doc.Name, len(doc.Rules), defaultOf(doc))
+		fmt.Fprintf(stdout, "attributes referenced: %s\n", strings.Join(doc.Attributes(), ", "))
 		if *vocab != "" {
 			out := policy.Analyze(doc, strings.Split(*vocab, ","))
-			if len(out) == 0 {
-				fmt.Println("ontology: all attributes within vocabulary")
-			} else {
-				fmt.Printf("ontology: OUTSIDE vocabulary: %s\n", strings.Join(out, ", "))
-				os.Exit(2)
+			if len(out) != 0 {
+				fmt.Fprintf(stdout, "ontology: OUTSIDE vocabulary: %s\n", strings.Join(out, ", "))
+				return 2
 			}
+			fmt.Fprintln(stdout, "ontology: all attributes within vocabulary")
 		}
 	case "eval":
 		env := policy.Env{}
-		for _, kv := range os.Args[3:] {
+		for _, kv := range args[2:] {
 			parts := strings.SplitN(kv, "=", 2)
 			if len(parts) != 2 {
-				fatal("bad binding %q (want attr=value)", kv)
+				return fail(stderr, "bad binding %q (want attr=value)", kv)
 			}
 			env[parts[0]] = parseValue(parts[1])
 		}
 		cd, err := policy.CompileDocument(doc)
 		if err != nil {
-			fatal("%v", err)
+			return fail(stderr, "%v", err)
 		}
 		budget := policy.DefaultBudget()
 		d, errs := cd.Evaluate(env, &budget)
 		for _, e := range errs {
-			fmt.Fprintf(os.Stderr, "warning: %v\n", e)
+			fmt.Fprintf(stderr, "warning: %v\n", e)
 		}
 		where := d.Rule
 		if d.Default {
 			where = "(default)"
 		}
-		fmt.Printf("decision: %v", d.Action.Kind)
+		fmt.Fprintf(stdout, "decision: %v", d.Action.Kind)
 		switch {
 		case d.Action.Reason != "":
-			fmt.Printf(" %q", d.Action.Reason)
+			fmt.Fprintf(stdout, " %q", d.Action.Reason)
 		case d.Action.What != "":
-			fmt.Printf(" %s", d.Action.What)
+			fmt.Fprintf(stdout, " %s", d.Action.What)
 		case d.Action.Kind == policy.Price:
-			fmt.Printf(" %g", d.Action.Amount)
+			fmt.Fprintf(stdout, " %g", d.Action.Amount)
 		}
-		fmt.Printf("  [rule %s]\n", where)
+		fmt.Fprintf(stdout, "  [rule %s]\n", where)
 		if !d.Permitted() {
-			os.Exit(1)
+			return 1
 		}
 	default:
-		usage()
+		return usage(stderr)
 	}
+	return 0
 }
 
 func defaultOf(doc *policy.Document) string {
@@ -115,12 +124,12 @@ func parseValue(s string) policy.Value {
 	return policy.Str(s)
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, "usage: policyc check FILE [-vocab a,b,...] | policyc eval FILE attr=value ...")
-	os.Exit(64)
+func usage(stderr io.Writer) int {
+	fmt.Fprintln(stderr, "usage: policyc check FILE [-vocab a,b,...] | policyc eval FILE attr=value ...")
+	return 64
 }
 
-func fatal(format string, args ...interface{}) {
-	fmt.Fprintf(os.Stderr, "policyc: "+format+"\n", args...)
-	os.Exit(1)
+func fail(stderr io.Writer, format string, args ...interface{}) int {
+	fmt.Fprintf(stderr, "policyc: "+format+"\n", args...)
+	return 1
 }

@@ -1,6 +1,10 @@
 package main
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/policy"
@@ -46,5 +50,29 @@ func TestDefaultOf(t *testing.T) {
 	}
 	if defaultOf(without) != "deny (implicit)" {
 		t.Fatal("implicit default wrong")
+	}
+}
+
+// check -vocab exits 0 when every attribute is in the ontology and 2,
+// naming the strays, when one is not.
+func TestRunCheckVocab(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fw.tpl")
+	src := `policy "fw" { rule web { when port == 80 && role != "guest" then permit } }`
+	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		vocab string
+		code  int
+		want  string
+	}{
+		{"port,role", 0, "ontology: all attributes within vocabulary"},
+		{"port", 2, "ontology: OUTSIDE vocabulary: role"},
+	}
+	for _, c := range cases {
+		var out, errb bytes.Buffer
+		if code := run([]string{"check", path, "-vocab", c.vocab}, &out, &errb); code != c.code || !strings.Contains(out.String(), c.want) {
+			t.Errorf("-vocab %s: exit %d, stdout %q, stderr %q; want exit %d and %q", c.vocab, code, out.String(), errb.String(), c.code, c.want)
+		}
 	}
 }

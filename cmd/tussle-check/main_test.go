@@ -79,6 +79,7 @@ func TestRunRejectsFlagsTheModeIgnores(t *testing.T) {
 		{[]string{"-sharded", "-trials", "1", "-multipath"}, "-multipath has no effect with -sharded"},
 		{[]string{"-replay", "missing.json", "-sharded"}, "-sharded has no effect with -replay"},
 		{[]string{"-replay", "missing.json", "-trials", "5"}, "-trials has no effect with -replay"},
+		{[]string{"-replay", "missing.json", "-v"}, "-v has no effect with -replay"},
 		{[]string{"-trials", "1", "-shards", "4"}, "-shards has no effect without -sharded"},
 	}
 	for _, c := range cases {
@@ -91,7 +92,7 @@ func TestRunRejectsFlagsTheModeIgnores(t *testing.T) {
 
 func TestRunShardedSweep(t *testing.T) {
 	var out, errb bytes.Buffer
-	code := run([]string{"-sharded", "-trials", "2", "-seed", "42", "-shards", "2"}, &out, &errb)
+	code := run([]string{"-sharded", "-trials", "2", "-seed", "42", "-shards", "2", "-v"}, &out, &errb)
 	if code != 0 || !strings.Contains(out.String(), "2 sharded trials clean") {
 		t.Fatalf("exit %d, stdout %q, stderr %q", code, out.String(), errb.String())
 	}

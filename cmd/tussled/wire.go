@@ -2,20 +2,16 @@ package main
 
 // Wire mode: tussled as a live UDP element. -listen turns the process
 // into a TIP forwarding/delivery node driven by internal/wire's batched
-// engine; -blast turns it into the matching load generator. The
-// scenario mode in main.go is untouched — wire mode is dispatched
-// before it.
+// engine; -blast turns it into the matching load generator.
 
 import (
 	"crypto/sha256"
 	"encoding/json"
-	"flag"
 	"fmt"
+	"io"
 	"net/netip"
 	"os"
-	"os/signal"
 	"runtime"
-	"runtime/pprof"
 	"sort"
 	"strconv"
 	"strings"
@@ -76,40 +72,33 @@ func parseTIPAddr(s string) (packet.Addr, error) {
 	return packet.MakeAddr(uint16(p), uint16(h)), nil
 }
 
-// runServe is tussled -listen: serve TIP over UDP until SIGINT, then
-// flush profiles and print the final counters.
-func runServe(args []string) int {
-	fs := flag.NewFlagSet("tussled -listen", flag.ExitOnError)
-	listen := fs.String("listen", "", "UDP address to serve TIP on")
-	node := fs.Uint("node", 1, "this element's node ID (TIP provider number)")
-	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "receive workers (one socket each where SO_REUSEPORT is available)")
-	batch := fs.Int("batch", 64, "recvmmsg/sendmmsg batch size")
-	echo := fs.Bool("echo", false, "echo delivered datagrams back to the sender")
-	srcroute := fs.Bool("srcroute", false, "honor source-route options")
-	srcroutePaid := fs.Bool("srcroute-paid", false, "honor source routes only when the packet carries a payment option")
-	srcroutePolicy := fs.String("srcroute-policy", "", "honor source routes only when this TPL expression holds (attrs: paid, ttl, dst-provider, src-provider, waypoint-provider); compiled once, metered per packet; implies -srcroute")
-	filterStats := fs.Bool("filter-stats", false, "print counters (with the sanity-filter verdict histogram) every second")
-	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the serve loop to this file")
-	memprofile := fs.String("memprofile", "", "write an allocation profile (at shutdown) to this file")
-	mprecv := fs.Uint("mprecv", 0, "reassemble multipath streams delivered to this TTP port (0 = off)")
-	impairPath := fs.Int("impair-path", 0, "install a path impairment middlebox for this on-wire path ID (0 = none; toggle with SIGUSR1)")
-	impairPort := fs.Uint("impair-port", 0, "restrict the path impairment to this TTP destination port (0 = any)")
-	impairOn := fs.Bool("impair-on", false, "start with the path impairment enabled")
-	obsFile := fs.String("obs", "", "write the obs counter snapshot (JSON) at shutdown to this file")
-	peers := peerFlag{}
-	fs.Var(peers, "peer", "next-hop mapping id=host:port (repeatable)")
-	fs.Parse(args)
+const (
+	batch = 64 // datagrams per recvmmsg/sendmmsg call
 
+	// A multipath blast stripes an mpSeed-derived payload over mpPaths
+	// paths to TTP port mpPort; its server reassembles with -mprecv 7777.
+	mpPort    = 7777
+	mpPaths   = 3
+	mpSeed    = 42
+	mpWindow  = 64               // send window in segments
+	mpSeg     = 1024             // segment size in bytes
+	mpTimeout = 60 * time.Second // transfer deadline
+)
+
+// runServe is tussled -listen: serve TIP over UDP until SIGINT or
+// SIGTERM, then flush profiles and print the final counters.
+func runServe(o *options, stdout, stderr io.Writer, notify func(chan<- os.Signal, ...os.Signal)) int {
 	var srPolicy *netsim.SourceRoutePolicy
-	if *srcroutePolicy != "" {
+	if o.srcroutePolicy != "" {
 		var err error
-		if srPolicy, err = netsim.CompileSourceRoutePolicy(*srcroutePolicy); err != nil {
-			fmt.Fprintf(os.Stderr, "tussled: -srcroute-policy: %v\n", err)
+		if srPolicy, err = netsim.CompileSourceRoutePolicy(o.srcroutePolicy); err != nil {
+			fmt.Fprintf(stderr, "tussled: -srcroute-policy: %v\n", err)
 			return 1
 		}
 	}
 
-	id := topology.NodeID(*node)
+	id := topology.NodeID(o.node)
+	peers := o.peers
 	peerIDs := make([]topology.NodeID, 0, len(peers))
 	for pid := range peers {
 		peerIDs = append(peerIDs, pid)
@@ -125,21 +114,22 @@ func runServe(args []string) int {
 	// chain (it is stateless apart from atomics), so one SIGUSR1 flips
 	// the fault for the whole engine.
 	var impair *wire.PathImpairment
-	if *impairPath > 0 {
-		impair = &wire.PathImpairment{PathID: *impairPath, Port: uint16(*impairPort)}
-		impair.SetEnabled(*impairOn)
+	if o.impairPath > 0 {
+		impair = &wire.PathImpairment{PathID: o.impairPath, Port: uint16(o.impairPort)}
+		impair.SetEnabled(o.impairOn)
 	}
+	workers := runtime.GOMAXPROCS(0)
 	var mpRecv *wire.MultipathReceiver
 	var deliver func(data []byte, from netip.AddrPort) []byte
-	if *mprecv > 0 {
-		mpRecv = wire.NewMultipathReceiver(id, uint16(*mprecv), *workers**batch*2)
+	if o.mprecv > 0 {
+		mpRecv = wire.NewMultipathReceiver(id, uint16(o.mprecv), workers*batch*2)
 		deliver = mpRecv.Deliver
 	}
 	eng, err := wire.New(wire.Config{
-		Listen:  *listen,
-		Workers: *workers,
-		Batch:   *batch,
-		Echo:    *echo,
+		Listen:  o.listen,
+		Workers: workers,
+		Batch:   batch,
+		Echo:    o.echo,
 		Deliver: deliver,
 		Peers:   peers,
 		NewDataplane: func() *wire.Dataplane {
@@ -148,97 +138,76 @@ func runServe(args []string) int {
 				mbs = append(mbs, impair)
 			}
 			return wire.NewDataplane(wire.NodeConfig{
-				ID:                           id,
-				Route:                        route,
-				HonorSourceRoutes:            *srcroute || *srcroutePaid || srPolicy != nil,
-				RequirePaymentForSourceRoute: *srcroutePaid,
-				SourceRoutePolicy:            srPolicy,
-				Middleboxes:                  mbs,
-				Peers:                        peerIDs,
+				ID:                id,
+				Route:             route,
+				HonorSourceRoutes: o.srcroute || srPolicy != nil,
+				SourceRoutePolicy: srPolicy,
+				Middleboxes:       mbs,
+				Peers:             peerIDs,
 			})
 		},
 	})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "tussled: %v\n", err)
+		fmt.Fprintf(stderr, "tussled: %v\n", err)
 		return 1
 	}
 
-	var cpuf *os.File
-	if *cpuprofile != "" {
-		if cpuf, err = os.Create(*cpuprofile); err != nil {
-			fmt.Fprintf(os.Stderr, "tussled: cpuprofile: %v\n", err)
-			return 1
-		}
-		if err := pprof.StartCPUProfile(cpuf); err != nil {
-			fmt.Fprintf(os.Stderr, "tussled: cpuprofile: %v\n", err)
-			return 1
-		}
+	stopCPU, err := startCPUProfile(o.cpuprofile)
+	if err != nil {
+		eng.Close()
+		fmt.Fprintf(stderr, "tussled: cpuprofile: %v\n", err)
+		return 1
 	}
 
-	fmt.Printf("tussled: node %d serving TIP on %s (%d workers, batch %d)\n", id, eng.Addr(), *workers, *batch)
+	fmt.Fprintf(stdout, "tussled: node %d serving TIP on %s (%d workers, batch %d)\n", id, eng.Addr(), workers, batch)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		eng.Run()
 	}()
 
-	if impair != nil {
-		usr := make(chan os.Signal, 1)
-		signal.Notify(usr, syscall.SIGUSR1)
-		go func() {
-			for range usr {
-				v := !impair.Enabled()
-				impair.SetEnabled(v)
-				fmt.Printf("tussled: path impairment path=%d enabled=%t dropped=%d\n",
-					impair.PathID, v, impair.Dropped())
-			}
-		}()
-	}
-
 	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	if *filterStats {
-		tick := time.NewTicker(time.Second)
-		defer tick.Stop()
-	loop:
-		for {
-			select {
-			case <-tick.C:
-				fmt.Println(eng.Stats().String())
-			case <-sig:
+	if impair != nil {
+		notify(sig, os.Interrupt, syscall.SIGTERM, syscall.SIGUSR1)
+	} else {
+		notify(sig, os.Interrupt, syscall.SIGTERM)
+	}
+	var tick <-chan time.Time
+	if o.filterStats {
+		t := time.NewTicker(time.Second)
+		defer t.Stop()
+		tick = t.C
+	}
+loop:
+	for {
+		select {
+		case <-tick:
+			fmt.Fprintln(stdout, eng.Stats().String())
+		case s := <-sig:
+			if s != syscall.SIGUSR1 {
 				break loop
 			}
+			v := !impair.Enabled()
+			impair.SetEnabled(v)
+			fmt.Fprintf(stdout, "tussled: path impairment path=%d enabled=%t dropped=%d\n",
+				impair.PathID, v, impair.Dropped())
 		}
-	} else {
-		<-sig
 	}
 
 	eng.Close()
 	<-done
-	if cpuf != nil {
-		pprof.StopCPUProfile()
-		cpuf.Close()
+	stopCPU()
+	if err := writeMemProfile(o.memprofile); err != nil {
+		fmt.Fprintf(stderr, "tussled: memprofile: %v\n", err)
+		return 1
 	}
-	if *memprofile != "" {
-		f, err := os.Create(*memprofile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tussled: memprofile: %v\n", err)
-			return 1
-		}
-		runtime.GC()
-		if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-			fmt.Fprintf(os.Stderr, "tussled: memprofile: %v\n", err)
-			return 1
-		}
-		f.Close()
-	}
-	fmt.Println(eng.Stats().String())
+	fmt.Fprintln(stdout, eng.Stats().String())
 	if impair != nil {
-		fmt.Printf("path-impair: path=%d enabled=%t dropped=%d\n", impair.PathID, impair.Enabled(), impair.Dropped())
+		fmt.Fprintf(stdout, "path-impair: path=%d enabled=%t dropped=%d\n", impair.PathID, impair.Enabled(), impair.Dropped())
 	}
 	if mpRecv != nil {
 		sum := mpRecv.Summary()
-		fmt.Printf("multipath-recv: bytes=%d stream-sha256=%x acks=%d dups=%d\n",
+		fmt.Fprintf(stdout, "multipath-recv: bytes=%d stream-sha256=%x acks=%d dups=%d\n",
 			sum.Bytes, sum.SHA256, sum.Acks, sum.Dups)
 		ids := make([]int, 0, len(sum.PathSegments))
 		for pid := range sum.PathSegments {
@@ -246,124 +215,92 @@ func runServe(args []string) int {
 		}
 		sort.Ints(ids)
 		for _, pid := range ids {
-			fmt.Printf("multipath-recv: path=%d segments=%d\n", pid, sum.PathSegments[pid])
+			fmt.Fprintf(stdout, "multipath-recv: path=%d segments=%d\n", pid, sum.PathSegments[pid])
 		}
 	}
-	if *obsFile != "" {
+	if o.obs != "" {
 		reg := obs.NewRegistry()
 		if mpRecv != nil {
 			mpRecv.PublishObs(reg)
 		}
-		if err := writeObsSnapshot(*obsFile, reg); err != nil {
-			fmt.Fprintf(os.Stderr, "tussled: -obs: %v\n", err)
+		if err := writeObsSnapshot(o.obs, reg); err != nil {
+			fmt.Fprintf(stderr, "tussled: -obs: %v\n", err)
 			return 1
 		}
 	}
 	return 0
 }
 
-// runBlast is tussled -blast: the load-generator side.
-func runBlast(args []string) int {
-	fs := flag.NewFlagSet("tussled -blast", flag.ExitOnError)
-	target := fs.String("blast", "", "target UDP address to blast TIP datagrams at")
-	count := fs.Int("count", 100000, "datagrams to send")
-	dst := fs.String("dst", "1.1", "TIP destination address as provider.host (default delivers at a default -listen node)")
-	src := fs.String("src", "1.1", "TIP source address as provider.host")
-	payload := fs.String("payload", "tussled-blast", "datagram payload")
-	batch := fs.Int("batch", 64, "sendmmsg batch size")
-	conns := fs.Int("conns", 1, "parallel client sockets (distinct source ports)")
-	echo := fs.Bool("echo", false, "expect echoes back and pace against them")
-	mp := fs.Bool("multipath", false, "stripe a reliable stream across paths instead of blasting raw datagrams")
-	mpStrategy := fs.String("mpstrategy", "shortest-k", "multipath scheduling strategy")
-	mpBytes := fs.Int("mpbytes", 1<<20, "multipath stream size in bytes (seed-derived payload)")
-	mpPaths := fs.Int("mppaths", 3, "multipath path count")
-	mpSeed := fs.Uint64("mpseed", 42, "multipath payload/jitter seed")
-	mpWindow := fs.Int("mpwindow", 64, "multipath send window in segments")
-	mpSeg := fs.Int("mpseg", 1024, "multipath segment size in bytes")
-	mpPort := fs.Uint("port", 7777, "multipath receiver TTP port")
-	mpTimeout := fs.Duration("mptimeout", 60*time.Second, "multipath transfer deadline")
-	obsFile := fs.String("obs", "", "write the obs counter snapshot (JSON) to this file")
-	fs.Parse(args)
+// blastAddrs parses the -blast target and the -src and -dst TIP
+// addresses, reporting the first bad one to stderr.
+func blastAddrs(o *options, stderr io.Writer) (target netip.AddrPort, src, dst packet.Addr, ok bool) {
+	target, err := netip.ParseAddrPort(o.blast)
+	if err != nil {
+		fmt.Fprintf(stderr, "tussled: blast target: %v\n", err)
+		return target, 0, 0, false
+	}
+	if dst, err = parseTIPAddr(o.dst); err != nil {
+		fmt.Fprintf(stderr, "tussled: -dst: %v\n", err)
+		return target, 0, 0, false
+	}
+	if src, err = parseTIPAddr(o.src); err != nil {
+		fmt.Fprintf(stderr, "tussled: -src: %v\n", err)
+		return target, 0, 0, false
+	}
+	return target, src, dst, true
+}
 
-	ap, err := netip.ParseAddrPort(*target)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tussled: blast target: %v\n", err)
+// runBlast is tussled -blast: the load-generator side.
+func runBlast(o *options, stdout, stderr io.Writer) int {
+	ap, s, d, ok := blastAddrs(o, stderr)
+	if !ok {
 		return 64
-	}
-	d, err := parseTIPAddr(*dst)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tussled: -dst: %v\n", err)
-		return 64
-	}
-	s, err := parseTIPAddr(*src)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tussled: -src: %v\n", err)
-		return 64
-	}
-	if *mp {
-		return runBlastMultipath(ap, s, d, mpBlastOpts{
-			strategy: *mpStrategy, bytes: *mpBytes, paths: *mpPaths,
-			seed: *mpSeed, window: *mpWindow, seg: *mpSeg,
-			port: uint16(*mpPort), batch: *batch, timeout: *mpTimeout,
-			obsFile: *obsFile,
-		})
 	}
 	data, err := packet.Serialize(
 		&packet.TIP{TTL: 16, Proto: packet.LayerTypeRaw, Src: s, Dst: d},
-		&packet.Raw{Data: []byte(*payload)})
+		&packet.Raw{Data: []byte("tussled-blast")})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "tussled: %v\n", err)
+		fmt.Fprintf(stderr, "tussled: %v\n", err)
 		return 1
 	}
 	res, err := wire.Blast(wire.BlastConfig{
 		Target:  ap,
-		Count:   *count,
+		Count:   o.count,
 		Packets: [][]byte{data},
-		Batch:   *batch,
-		Conns:   *conns,
-		Echo:    *echo,
+		Batch:   batch,
+		Echo:    o.echo,
 	})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "tussled: blast: %v\n", err)
+		fmt.Fprintf(stderr, "tussled: blast: %v\n", err)
 		return 1
 	}
-	fmt.Printf("blast: sent=%d send-errors=%d received=%d lost=%d elapsed=%s pps=%.0f\n",
+	fmt.Fprintf(stdout, "blast: sent=%d send-errors=%d received=%d lost=%d elapsed=%s pps=%.0f\n",
 		res.Sent, res.SendErrors, res.Received, res.Lost, res.Elapsed.Round(time.Millisecond), res.PPS())
 	return 0
 }
 
-// mpBlastOpts carries the -multipath blast knobs.
-type mpBlastOpts struct {
-	strategy string
-	bytes    int
-	paths    int
-	seed     uint64
-	window   int
-	seg      int
-	port     uint16
-	batch    int
-	timeout  time.Duration
-	obsFile  string
-}
-
 // runBlastMultipath is tussled -blast -multipath: stripe one reliable,
-// seed-derived stream across n source-routed paths to the target and
-// report the transfer outcome. The payload hash printed here must match
-// the stream hash the -mprecv server prints at shutdown.
-func runBlastMultipath(target netip.AddrPort, src, dst packet.Addr, o mpBlastOpts) int {
-	strat, err := multipath.StrategyByName(o.strategy)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tussled: -mpstrategy: %v\n", err)
+// seed-derived stream across mpPaths source-routed paths to the target
+// and report the transfer outcome. The payload hash printed here must
+// match the stream hash the -mprecv server prints at shutdown.
+func runBlastMultipath(o *options, stdout, stderr io.Writer) int {
+	target, src, dst, ok := blastAddrs(o, stderr)
+	if !ok {
 		return 64
 	}
-	if o.bytes <= 0 || o.paths <= 0 {
-		fmt.Fprintln(os.Stderr, "tussled: -mpbytes and -mppaths must be positive")
+	strat, err := multipath.StrategyByName(o.mpStrategy)
+	if err != nil {
+		fmt.Fprintf(stderr, "tussled: -mpstrategy: %v\n", err)
+		return 64
+	}
+	if o.mpBytes <= 0 {
+		fmt.Fprintln(stderr, "tussled: -mpbytes must be positive")
 		return 64
 	}
 	// Seed-derived payload: both ends can verify byte-exact delivery
 	// from (seed, size) alone, no shared file needed.
-	payload := make([]byte, o.bytes)
-	rng := sim.NewRNG(o.seed)
+	payload := make([]byte, o.mpBytes)
+	rng := sim.NewRNG(mpSeed)
 	for i := 0; i < len(payload); i += 8 {
 		v := rng.Uint64()
 		for j := 0; j < 8 && i+j < len(payload); j++ {
@@ -372,15 +309,11 @@ func runBlastMultipath(target netip.AddrPort, src, dst packet.Addr, o mpBlastOpt
 	}
 
 	tcfg := multipath.DefaultConfig()
-	tcfg.Seed = o.seed
-	tcfg.Paths = o.paths
-	if o.window > 0 {
-		tcfg.Window = o.window
-	}
-	if o.seg > 0 {
-		tcfg.SegmentSize = o.seg
-	}
-	paths := make([]wire.MPPath, o.paths)
+	tcfg.Seed = mpSeed
+	tcfg.Paths = mpPaths
+	tcfg.Window = mpWindow
+	tcfg.SegmentSize = mpSeg
+	paths := make([]wire.MPPath, mpPaths)
 	for i := range paths {
 		paths[i] = wire.MPPath{Via: target, Latency: sim.Millisecond}
 	}
@@ -389,37 +322,37 @@ func runBlastMultipath(target netip.AddrPort, src, dst packet.Addr, o mpBlastOpt
 		Strategy:  strat,
 		Src:       topology.NodeID(src.Provider()),
 		Dst:       topology.NodeID(dst.Provider()),
-		Port:      o.port,
+		Port:      mpPort,
 		Paths:     paths,
-		Batch:     o.batch,
+		Batch:     batch,
 	}, payload)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "tussled: multipath: %v\n", err)
+		fmt.Fprintf(stderr, "tussled: multipath: %v\n", err)
 		return 1
 	}
 	var reg *obs.Registry
-	if o.obsFile != "" {
+	if o.obs != "" {
 		reg = obs.NewRegistry()
 		snd.AttachObs(reg)
 	}
 	snd.Start()
-	finished := snd.Wait(o.timeout)
+	finished := snd.Wait(mpTimeout)
 	snd.Close()
 
 	st := snd.Stats()
-	fmt.Printf("multipath: strategy=%s bytes=%d payload-sha256=%x\n", o.strategy, len(payload), sha256.Sum256(payload))
-	fmt.Printf("multipath: done=%t failed=%t reason=%q timed-out=%t\n", st.Done, st.Failed, st.FailReason, !finished)
-	fmt.Printf("multipath: segments=%d sent=%d retx=%d probes=%d demotions=%d promotions=%d elapsed=%s\n",
+	fmt.Fprintf(stdout, "multipath: strategy=%s bytes=%d payload-sha256=%x\n", o.mpStrategy, len(payload), sha256.Sum256(payload))
+	fmt.Fprintf(stdout, "multipath: done=%t failed=%t reason=%q timed-out=%t\n", st.Done, st.Failed, st.FailReason, !finished)
+	fmt.Fprintf(stdout, "multipath: segments=%d sent=%d retx=%d probes=%d demotions=%d promotions=%d elapsed=%s\n",
 		st.Segments, st.Sent, st.Retransmissions, st.Probes, st.Demotions, st.Promotions,
 		time.Duration(st.Elapsed).Round(time.Millisecond))
 	for _, p := range snd.Paths() {
-		fmt.Printf("multipath: path=%d state=%s sent=%d acked=%d retx=%d timeouts=%d probes=%d srtt=%s loss=%.3f\n",
+		fmt.Fprintf(stdout, "multipath: path=%d state=%s sent=%d acked=%d retx=%d timeouts=%d probes=%d srtt=%s loss=%.3f\n",
 			p.Index+1, p.State, p.Sent, p.Acked, p.Retx, p.Timeouts, p.Probes,
 			time.Duration(p.SRTT).Round(time.Microsecond), p.Loss)
 	}
 	if reg != nil {
-		if err := writeObsSnapshot(o.obsFile, reg); err != nil {
-			fmt.Fprintf(os.Stderr, "tussled: -obs: %v\n", err)
+		if err := writeObsSnapshot(o.obs, reg); err != nil {
+			fmt.Fprintf(stderr, "tussled: -obs: %v\n", err)
 			return 1
 		}
 	}
@@ -436,19 +369,4 @@ func writeObsSnapshot(path string, reg *obs.Registry) error {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// wireMode dispatches -listen / -blast before the scenario flag set
-// sees the arguments. It returns false when neither flag is present.
-func wireMode() (int, bool) {
-	for _, a := range os.Args[1:] {
-		name, _, _ := strings.Cut(strings.TrimLeft(a, "-"), "=")
-		switch name {
-		case "listen":
-			return runServe(os.Args[1:]), true
-		case "blast":
-			return runBlast(os.Args[1:]), true
-		}
-	}
-	return 0, false
 }

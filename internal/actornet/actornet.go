@@ -184,17 +184,6 @@ func (n *Network) link(a, b int32, v float64) {
 	n.order = slices.Insert(n.order, i, key)
 }
 
-// Alignment returns the current alignment between two actors: 0 when
-// either is unknown or they are not partners.
-func (n *Network) Alignment(a, b string) float64 {
-	if ai, bi := n.index(a), n.index(b); ai >= 0 && bi >= 0 {
-		if e := n.edge(ai, bi); e >= 0 {
-			return n.align[e]
-		}
-	}
-	return 0
-}
-
 // Actors returns the actor names in deterministic (ascending) order.
 func (n *Network) Actors() []string {
 	out := make([]string, len(n.byName))

@@ -90,7 +90,7 @@ func TestAlignmentBounds(t *testing.T) {
 		}
 		for _, a := range n.Actors() {
 			for _, b := range n.Actors() {
-				v := n.Alignment(a, b)
+				v := alignment(n, a, b)
 				if v < 0 || v > 1 {
 					return false
 				}
@@ -109,11 +109,11 @@ func TestAlignClamps(t *testing.T) {
 	n.AddActor("a", Human)
 	n.AddActor("b", Technology)
 	n.Align("a", "b", 5)
-	if n.Alignment("a", "b") != 1 {
+	if alignment(n, "a", "b") != 1 {
 		t.Fatal("alignment not clamped to 1")
 	}
 	n.Align("a", "b", -3)
-	if n.Alignment("a", "b") != 0 {
+	if alignment(n, "a", "b") != 0 {
 		t.Fatal("alignment not clamped to 0")
 	}
 }
@@ -123,7 +123,7 @@ func TestAlignSymmetric(t *testing.T) {
 	n.AddActor("a", Human)
 	n.AddActor("b", Technology)
 	n.Align("a", "b", 0.4)
-	if n.Alignment("a", "b") != n.Alignment("b", "a") {
+	if alignment(n, "a", "b") != alignment(n, "b", "a") {
 		t.Fatal("alignment asymmetric")
 	}
 }
@@ -205,4 +205,15 @@ func TestAlignRejectsUnknownOrSelf(t *testing.T) {
 			t.Fatalf("after the failed Align(%q, %q), durability = %v, want 0.4 from the one real edge", c.a, c.b, d)
 		}
 	}
+}
+
+// alignment returns the current alignment between two actors: 0 when
+// either is unknown or they are not partners.
+func alignment(n *Network, a, b string) float64 {
+	if ai, bi := n.index(a), n.index(b); ai >= 0 && bi >= 0 {
+		if e := n.edge(ai, bi); e >= 0 {
+			return n.align[e]
+		}
+	}
+	return 0
 }

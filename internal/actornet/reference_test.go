@@ -210,7 +210,7 @@ func TestMatchesReference(t *testing.T) {
 			}
 			for _, a := range names {
 				for _, b := range names {
-					if g, w := got.Alignment(a, b), want.Alignment(a, b); math.Float64bits(g) != math.Float64bits(w) {
+					if g, w := alignment(got, a, b), want.Alignment(a, b); math.Float64bits(g) != math.Float64bits(w) {
 						t.Fatalf("seed %d rate %v: Alignment(%s, %s) = %v, reference %v", seed, rate, a, b, g, w)
 					}
 				}

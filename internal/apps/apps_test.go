@@ -92,8 +92,8 @@ func TestWebCacheLRU(t *testing.T) {
 	if _, lat, _ := cache.Get("a"); lat != 105*sim.Millisecond {
 		t.Fatalf("evicted fetch lat = %v, want cold", lat)
 	}
-	if cache.HitRate() <= 0 || cache.HitRate() >= 1 {
-		t.Fatalf("hit rate = %v", cache.HitRate())
+	if cache.Hits != 1 || cache.Misses != 4 {
+		t.Fatalf("hits/misses = %d/%d, want 1/4", cache.Hits, cache.Misses)
 	}
 }
 

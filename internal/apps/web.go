@@ -97,15 +97,6 @@ func (c *WebCache) insert(name string, size int) {
 	c.order = append(c.order, name)
 }
 
-// HitRate reports the cache's hit fraction.
-func (c *WebCache) HitRate() float64 {
-	total := c.Hits + c.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.Hits) / float64(total)
-}
-
 // VoIPScore maps one-way delay to a 1–5 quality score, a compressed
 // E-model: excellent below 150 ms, degrading linearly, unusable past
 // 400 ms. This is the demand curve behind §VII's Internet Telephony

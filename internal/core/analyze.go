@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sort"
 )
 
 // ChoicePoint is one place in a design where some party selects among
@@ -112,23 +111,6 @@ func AnalyzeIsolation(d *Design) IsolationReport {
 		}
 	}
 	return r
-}
-
-// SpilloverPaths lists the coupled space pairs in deterministic order —
-// the channels through which "one tussle spills over and distorts
-// unrelated issues".
-func (r IsolationReport) SpilloverPaths() [][2]Space {
-	out := make([][2]Space, 0, len(r.Couplings))
-	for k := range r.Couplings {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
-	return out
 }
 
 // VisibilityAudit reports, over an engine's deployed mechanisms, the

@@ -217,16 +217,6 @@ func (e *Engine) Run(n int) {
 	}
 }
 
-// Stakeholder returns the named stakeholder, or nil.
-func (e *Engine) Stakeholder(name string) *Stakeholder {
-	for _, s := range e.Stakeholders {
-		if s.Name == name {
-			return s
-		}
-	}
-	return nil
-}
-
 // ControlBalance compares the accumulated utility of two coalitions
 // (e.g. users vs providers): positive means the first coalition is
 // winning the tussle. It is the paper's "balance of power" made a

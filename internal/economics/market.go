@@ -368,15 +368,6 @@ func (m *Market) ConsumerSurplus() float64 {
 	return total
 }
 
-// ProducerProfit sums accumulated provider profit.
-func (m *Market) ProducerProfit() float64 {
-	total := 0.0
-	for _, p := range m.Providers {
-		total += p.Profit
-	}
-	return total
-}
-
 // HHI is the Herfindahl–Hirschman concentration index of subscriber
 // shares (0..1; 1 = monopoly).
 func (m *Market) HHI() float64 {
@@ -397,15 +388,4 @@ func (m *Market) HHI() float64 {
 		}
 	}
 	return h
-}
-
-// AliveProviders counts providers still in the market.
-func (m *Market) AliveProviders() int {
-	n := 0
-	for _, p := range m.Providers {
-		if p.Alive {
-			n++
-		}
-	}
-	return n
 }

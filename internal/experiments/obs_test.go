@@ -67,11 +67,14 @@ func TestRunAllTraceEvents(t *testing.T) {
 	}
 	ring := obs.NewRing(1 << 16)
 	RunAll(42, Options{Parallelism: 1, Obs: obs.NewRegistry(), Trace: obs.NewTracer(ring)})
-	if ring.Total() == 0 {
-		t.Fatal("no trace events emitted by instrumented suite")
+	seen := map[string]bool{}
+	for _, e := range ring.Events() {
+		if e.Scope == "netsim" {
+			seen[e.Kind] = true
+		}
 	}
 	for _, kind := range []string{"send", "deliver", "drop"} {
-		if len(ring.Find("netsim", kind)) == 0 {
+		if !seen[kind] {
 			t.Errorf("no netsim %q events in suite trace", kind)
 		}
 	}

@@ -21,7 +21,6 @@ package fiber
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/qos"
 	"repro/internal/sim"
@@ -77,9 +76,6 @@ type Facility struct {
 
 	// SchedulerFailed models a fault in the shared TDM scheduler.
 	SchedulerFailed bool
-	// failedLambda records a WDM wavelength fault (tenant index, -1
-	// none).
-	failedLambda int
 }
 
 // New builds a facility.
@@ -88,17 +84,8 @@ func New(capacity float64, domain Domain, lambdaCapacity float64, tenants ...*Te
 		Capacity: capacity, Domain: domain,
 		LambdaCapacity: lambdaCapacity,
 		Tenants:        tenants,
-		failedLambda:   -1,
 	}
 }
-
-// FailLambda knocks out tenant i's wavelength (WDM) — a fault with a
-// one-tenant blast radius.
-func (f *Facility) FailLambda(i int) { f.failedLambda = i }
-
-// FailScheduler knocks out the shared TDM scheduler — a fault with a
-// facility-wide blast radius.
-func (f *Facility) FailScheduler() { f.SchedulerFailed = true }
 
 // Measure computes each tenant's delivered throughput under the current
 // design, demands, and faults. It returns the total delivered.
@@ -113,12 +100,8 @@ func (f *Facility) Measure() float64 {
 
 func (f *Facility) measureWDM() float64 {
 	total := 0.0
-	for i, t := range f.Tenants {
-		t.Failed = i == f.failedLambda
-		if t.Failed {
-			t.Delivered = 0
-			continue
-		}
+	for _, t := range f.Tenants {
+		t.Failed = false
 		// Physical isolation: a tenant gets min(demand, its lambda).
 		// Entitlement maps to whole lambdas.
 		lambdas := t.Entitlement * f.Capacity / f.LambdaCapacity
@@ -195,52 +178,6 @@ func (f *Facility) measureTDM() float64 {
 	return total
 }
 
-// FairnessReport verifies sharing: each tenant's achieved share vs its
-// entitlement — the "how can fairness be verified" question. Overage is
-// capacity a tenant took beyond entitlement while another tenant was
-// demand-limited below its own entitlement (true unfairness, not
-// backfilling of idle capacity).
-type FairnessReport struct {
-	// Shares maps tenant name to delivered/capacity.
-	Shares map[string]float64
-	// MaxOverage is the largest unfair overage found.
-	MaxOverage float64
-}
-
-// Verify audits the last Measure run.
-func (f *Facility) Verify() FairnessReport {
-	r := FairnessReport{Shares: map[string]float64{}}
-	// A tenant is "starved" if it wanted its entitlement but got less.
-	starved := false
-	for _, t := range f.Tenants {
-		share := t.Delivered / f.Capacity
-		r.Shares[t.Name] = share
-		entitledDemand := t.Entitlement * f.Capacity
-		if t.Demand >= entitledDemand && t.Delivered < entitledDemand-1e-9 && !t.Failed {
-			starved = true
-		}
-	}
-	if starved {
-		for _, t := range f.Tenants {
-			over := r.Shares[t.Name] - t.Entitlement
-			if over > r.MaxOverage {
-				r.MaxOverage = over
-			}
-		}
-	}
-	return r
-}
-
-// UpgradeGranularity reports the smallest capacity increment the design
-// can sell a tenant — fractional for TDM (any scheduler weight change),
-// a whole lambda for WDM.
-func (f *Facility) UpgradeGranularity() float64 {
-	if f.Domain == WDM {
-		return f.LambdaCapacity
-	}
-	return 0 // arbitrarily fine-grained
-}
-
 // BlastRadius reports how many tenants a single fault takes out under
 // the design's characteristic failure.
 func (f *Facility) BlastRadius() int {
@@ -287,14 +224,4 @@ func (f *Facility) DelaySim(rng *sim.RNG, packets int) (map[string]sim.Time, err
 		out[t.Name] = delays[i]
 	}
 	return out, nil
-}
-
-// TenantNames lists tenants in declaration order (stable reporting).
-func (f *Facility) TenantNames() []string {
-	out := make([]string, len(f.Tenants))
-	for i, t := range f.Tenants {
-		out[i] = t.Name
-	}
-	sort.Strings(out)
-	return out
 }

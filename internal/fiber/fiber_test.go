@@ -28,13 +28,9 @@ func TestTDMFairUnderEntitledLoad(t *testing.T) {
 	if total > 1000+1e-6 {
 		t.Fatalf("delivered %v over capacity", total)
 	}
-	r := f.Verify()
 	// isp-a is entitled to 500 and demands 600: must get >= 500.
 	if f.Tenants[0].Delivered < 500-1e-6 {
 		t.Fatalf("isp-a got %v, entitled to 500", f.Tenants[0].Delivered)
-	}
-	if r.MaxOverage > 0.05 {
-		t.Fatalf("unfair overage %v", r.MaxOverage)
 	}
 }
 
@@ -56,7 +52,7 @@ func TestTDMEnforcementCapsCheater(t *testing.T) {
 
 func TestTDMBackfillsIdleCapacity(t *testing.T) {
 	// When one tenant is idle, others may use its share — that is
-	// efficiency, not unfairness, and Verify must not flag it.
+	// efficiency, not unfairness.
 	tenants := []*Tenant{
 		{Name: "busy", Entitlement: 0.5, Demand: 1000},
 		{Name: "idle", Entitlement: 0.5, Demand: 0},
@@ -65,9 +61,6 @@ func TestTDMBackfillsIdleCapacity(t *testing.T) {
 	f.Measure()
 	if tenants[0].Delivered < 999 {
 		t.Fatalf("busy tenant got %v, idle capacity wasted", tenants[0].Delivered)
-	}
-	if r := f.Verify(); r.MaxOverage != 0 {
-		t.Fatalf("backfilling flagged as unfair: %v", r.MaxOverage)
 	}
 }
 
@@ -104,33 +97,17 @@ func TestWDMNoBackfill(t *testing.T) {
 func TestFaultBlastRadius(t *testing.T) {
 	// WDM: a lambda fault kills one tenant.
 	fw := New(1000, WDM, 250, threeTenants(false)...)
-	fw.FailLambda(1)
-	fw.Measure()
-	if !fw.Tenants[1].Failed || fw.Tenants[0].Failed || fw.Tenants[2].Failed {
-		t.Fatal("lambda fault blast radius wrong")
-	}
 	if fw.BlastRadius() != 1 {
 		t.Fatalf("WDM blast radius = %d", fw.BlastRadius())
 	}
 	// TDM: a scheduler fault kills everyone.
 	ft := New(1000, TDM, 250, threeTenants(false)...)
-	ft.FailScheduler()
+	ft.SchedulerFailed = true
 	if total := ft.Measure(); total != 0 {
 		t.Fatalf("TDM scheduler fault left %v flowing", total)
 	}
 	if ft.BlastRadius() != 3 {
 		t.Fatalf("TDM blast radius = %d", ft.BlastRadius())
-	}
-}
-
-func TestUpgradeGranularity(t *testing.T) {
-	ft := New(1000, TDM, 250, threeTenants(false)...)
-	fw := New(1000, WDM, 250, threeTenants(false)...)
-	if ft.UpgradeGranularity() != 0 {
-		t.Fatal("TDM upgrades should be fractional")
-	}
-	if fw.UpgradeGranularity() != 250 {
-		t.Fatal("WDM upgrades come per lambda")
 	}
 }
 
@@ -185,14 +162,5 @@ func TestTDMConservationQuick(t *testing.T) {
 func TestDomainString(t *testing.T) {
 	if TDM.String() != "tdm" || WDM.String() != "wdm" {
 		t.Fatal("domain names wrong")
-	}
-}
-
-func TestTenantNamesSorted(t *testing.T) {
-	f := New(1000, TDM, 100,
-		&Tenant{Name: "zeta"}, &Tenant{Name: "alpha"})
-	names := f.TenantNames()
-	if names[0] != "alpha" || names[1] != "zeta" {
-		t.Fatalf("names = %v", names)
 	}
 }

@@ -251,11 +251,6 @@ func normalize(v []float64) []float64 {
 	return out
 }
 
-// Value approximates the zero-sum game value via fictitious play.
-func (g *Game) Value(iters int) float64 {
-	return g.FictitiousPlay(iters).Value
-}
-
 // Exploitability measures how far a profile is from equilibrium: the
 // total gain available to the two players by unilateral best response.
 // Zero means Nash.

@@ -138,7 +138,7 @@ func TestZeroSumValueRandomGamesQuick(t *testing.T) {
 			}
 		}
 		g := ZeroSum("rand", a)
-		v := g.Value(5000)
+		v := g.FictitiousPlay(5000).Value
 		// maximin <= v <= minimax
 		maximin := math.Inf(-1)
 		for i := range a {

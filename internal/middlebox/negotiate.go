@@ -44,19 +44,6 @@ func (f *NegotiableFirewall) Name() string { return f.Label }
 // Silent implements netsim.Middlebox.
 func (f *NegotiableFirewall) Silent() bool { return f.Quiet }
 
-// Pinholes returns the currently open negotiated ports (sorted order is
-// the caller's concern; the map is a copy).
-func (f *NegotiableFirewall) Pinholes() map[uint16]bool {
-	out := make(map[uint16]bool, len(f.pinholes))
-	for p := range f.pinholes {
-		out[p] = true
-	}
-	return out
-}
-
-// Close revokes a pinhole.
-func (f *NegotiableFirewall) Close(port uint16) { delete(f.pinholes, port) }
-
 // Process implements netsim.Middlebox.
 func (f *NegotiableFirewall) Process(node topology.NodeID, dir netsim.Direction, data []byte) ([]byte, netsim.Verdict) {
 	if dir != netsim.Delivering {

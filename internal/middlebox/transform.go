@@ -170,18 +170,3 @@ func (w *Wiretap) Process(node topology.NodeID, dir netsim.Direction, data []byt
 	w.Captured = append(w.Captured, Capture{Src: tip.Src, Dst: tip.Dst, Readable: readable, Bytes: len(data)})
 	return nil, netsim.Accept
 }
-
-// ReadableFraction reports how much of the captured traffic the tap
-// could actually read — the §VI-A encryption escalation metric.
-func (w *Wiretap) ReadableFraction() float64 {
-	if len(w.Captured) == 0 {
-		return 0
-	}
-	n := 0
-	for _, c := range w.Captured {
-		if c.Readable {
-			n++
-		}
-	}
-	return float64(n) / float64(len(w.Captured))
-}

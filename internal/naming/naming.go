@@ -112,12 +112,6 @@ func (r *Registry) Resolve(s Space, name string) (packet.Addr, error) {
 	return rec.Addr, nil
 }
 
-// Lookup returns the record itself (for dispute processing and tests).
-func (r *Registry) Lookup(s Space, name string) (*Record, bool) {
-	rec, ok := r.space(s)[name]
-	return rec, ok
-}
-
 // Dispute is a trademark claim: holder asserts rights over any name
 // matching mark.
 type Dispute struct {

@@ -35,7 +35,7 @@ func TestTracerSeesMiddleboxRewrite(t *testing.T) {
 	if !tr.Delivered {
 		t.Fatalf("packet dropped: %s", tr.DropReason)
 	}
-	events := ring.Find("netsim", "mbox-rewrite")
+	events := findEvents(ring, "mbox-rewrite")
 	if len(events) == 0 {
 		t.Fatal("no mbox-rewrite events traced")
 	}
@@ -58,7 +58,7 @@ func TestTracerHidesSilentRewriteName(t *testing.T) {
 
 	n.Send(1, rawPacket(t, 1, 4, 8, 16))
 	sched.Run()
-	events := ring.Find("netsim", "mbox-rewrite")
+	events := findEvents(ring, "mbox-rewrite")
 	if len(events) == 0 {
 		t.Fatal("no mbox-rewrite events traced")
 	}
@@ -89,7 +89,7 @@ func TestTracerSeesQueueOverflowDrop(t *testing.T) {
 	}
 	sched.Run()
 	overflow := 0
-	for _, ev := range ring.Find("netsim", "drop") {
+	for _, ev := range findEvents(ring, "drop") {
 		if ev.Detail == "queue-overflow" {
 			overflow++
 			if ev.Node != 1 {
@@ -117,7 +117,7 @@ func TestTracerSeesLinkFaultDrop(t *testing.T) {
 	if tr.Delivered {
 		t.Fatal("packet delivered across a failed link")
 	}
-	events := ring.Find("netsim", "drop")
+	events := findEvents(ring, "drop")
 	if len(events) != 1 || events[0].Detail != "link-down" {
 		t.Fatalf("drop events = %+v, want one link-down", events)
 	}
@@ -144,7 +144,7 @@ func TestTracerAndCountersAgree(t *testing.T) {
 	if got := counterValue(t, snap, "netsim.sends"); got != 5 {
 		t.Fatalf("netsim.sends = %d, want 5", got)
 	}
-	delivers := ring.Find("netsim", "deliver")
+	delivers := findEvents(ring, "deliver")
 	if len(delivers) != 5 || counterValue(t, snap, "netsim.delivered") != 5 {
 		t.Fatalf("deliver events = %d, counter = %d, want 5/5",
 			len(delivers), counterValue(t, snap, "netsim.delivered"))
@@ -184,4 +184,16 @@ func counterValue(t *testing.T, snap *obs.Snapshot, name string) int64 {
 	}
 	t.Fatalf("counter %q not in snapshot", name)
 	return 0
+}
+
+// findEvents returns the ring's retained netsim events of one kind,
+// oldest first.
+func findEvents(ring *obs.Ring, kind string) []obs.Event {
+	var out []obs.Event
+	for _, e := range ring.Events() {
+		if e.Scope == "netsim" && e.Kind == kind {
+			out = append(out, e)
+		}
+	}
+	return out
 }

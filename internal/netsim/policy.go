@@ -98,9 +98,6 @@ func joinStrings(ss []string) string {
 	return out
 }
 
-// Source returns the canonical policy text.
-func (p *SourceRoutePolicy) Source() string { return p.prog.Source() }
-
 // NewScratch allocates a caller-owned slot buffer for Allow. One scratch
 // per evaluating goroutine (each Forwarder keeps its own).
 func (p *SourceRoutePolicy) NewScratch() []policy.Value {

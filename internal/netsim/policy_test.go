@@ -138,9 +138,6 @@ func TestSourceRoutePolicyInstall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Source(); got != "(paid && (ttl > 2))" {
-		t.Fatalf("canonical policy text = %q", got)
-	}
 	nd := &Node{}
 	nd.UseSourceRoutePolicy(p)
 	if nd.srcRoutePolicy != p || len(nd.srcRouteSlots) != 2 {

@@ -57,14 +57,6 @@ func (c *Counter) Add(n int64) {
 	c.v += n
 }
 
-// Value returns the current count (0 for nil).
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v
-}
-
 // Gauge is a last-written scalar. Merge sums gauges across shards, so
 // use gauges for quantities where a sum is meaningful (pool sizes,
 // high-water marks per shard); prefer counters or histograms otherwise.
@@ -87,14 +79,6 @@ func (g *Gauge) Add(d float64) {
 		return
 	}
 	g.v += d
-}
-
-// Value returns the current value (0 for nil).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
 }
 
 // Histogram is a fixed-layout bucket histogram. Bounds are upper bounds
@@ -136,22 +120,6 @@ func (h *Histogram) Observe(v float64) {
 		}
 	}
 	h.counts[lo]++
-}
-
-// Count returns the number of observations (0 for nil).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count
-}
-
-// Sum returns the total of all observations (0 for nil).
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum
 }
 
 // Fixed bucket layouts shared across the repository, so the same metric

@@ -62,9 +62,8 @@ func (t *Tracer) Emit(e Event) {
 // keeps the most recent cap events in preallocated storage, so emitting
 // into a warmed ring allocates nothing.
 type Ring struct {
-	buf   []Event
-	next  int
-	total uint64
+	buf  []Event
+	next int
 }
 
 // NewRing returns a ring holding the most recent cap events.
@@ -77,7 +76,6 @@ func NewRing(cap int) *Ring {
 
 // Emit implements Sink.
 func (r *Ring) Emit(e Event) {
-	r.total++
 	if len(r.buf) < cap(r.buf) {
 		r.buf = append(r.buf, e)
 		return
@@ -85,10 +83,6 @@ func (r *Ring) Emit(e Event) {
 	r.buf[r.next] = e
 	r.next = (r.next + 1) % cap(r.buf)
 }
-
-// Total returns the number of events ever emitted, including those the
-// ring has since overwritten.
-func (r *Ring) Total() uint64 { return r.total }
 
 // Events returns the retained events, oldest first.
 func (r *Ring) Events() []Event {
@@ -99,18 +93,6 @@ func (r *Ring) Events() []Event {
 		return out
 	}
 	return append(out, r.buf...)
-}
-
-// Find returns the retained events matching scope and kind (either may
-// be empty to match all), oldest first.
-func (r *Ring) Find(scope, kind string) []Event {
-	var out []Event
-	for _, e := range r.Events() {
-		if (scope == "" || e.Scope == scope) && (kind == "" || e.Kind == kind) {
-			out = append(out, e)
-		}
-	}
-	return out
 }
 
 // JSONL streams events as JSON lines to a writer — the offline-analysis

@@ -17,10 +17,6 @@ const (
 	CryptoInspectable uint8 = 1 << 0
 )
 
-// ErrNotInspectable is returned when code asks for the inner type of an
-// opaque encryption layer.
-var ErrNotInspectable = errors.New("packet: crypto layer is opaque")
-
 // ErrAuth is returned when decryption fails authentication.
 var ErrAuth = errors.New("packet: crypto authentication failed")
 
@@ -61,18 +57,8 @@ func (c *Crypto) LayerPayload() []byte { return nil }
 
 // NextLayerType implements DecodingLayer. Encrypted content never chains:
 // decoding stops here. (An inspectable layer still *declares* its inner
-// type via InnerType.)
+// type in Inner.)
 func (c *Crypto) NextLayerType() LayerType { return LayerTypeNone }
-
-// InnerType reports the declared inner layer type of an inspectable
-// layer, or ErrNotInspectable for an opaque one. This is what a
-// middlebox may legitimately learn without the key.
-func (c *Crypto) InnerType() (LayerType, error) {
-	if c.Flags&CryptoInspectable == 0 {
-		return LayerTypeNone, ErrNotInspectable
-	}
-	return c.Inner, nil
-}
 
 // DecodeFrom implements DecodingLayer.
 func (c *Crypto) DecodeFrom(data []byte) error {

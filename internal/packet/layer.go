@@ -146,7 +146,6 @@ func (d *DecodeFailure) Error() string {
 
 // Packet is a fully decoded datagram.
 type Packet struct {
-	data   []byte
 	layers []Layer
 }
 
@@ -155,7 +154,7 @@ type Packet struct {
 // slice is retained, not copied — callers who will mutate it must pass a
 // copy.
 func NewPacket(data []byte, first LayerType) *Packet {
-	p := &Packet{data: data}
+	p := &Packet{}
 	rest := data
 	t := first
 	for t != LayerTypeNone && len(rest) > 0 {
@@ -176,27 +175,11 @@ func NewPacket(data []byte, first LayerType) *Packet {
 	return p
 }
 
-// Data returns the raw bytes the packet was decoded from.
-func (p *Packet) Data() []byte { return p.data }
-
-// Layers returns all decoded layers, outermost first.
-func (p *Packet) Layers() []Layer { return p.layers }
-
 // Layer returns the first layer of the given type, or nil.
 func (p *Packet) Layer(t LayerType) Layer {
 	for _, l := range p.layers {
 		if l.LayerType() == t {
 			return l
-		}
-	}
-	return nil
-}
-
-// ErrorLayer returns the DecodeFailure layer if decoding failed, else nil.
-func (p *Packet) ErrorLayer() *DecodeFailure {
-	for _, l := range p.layers {
-		if f, ok := l.(*DecodeFailure); ok {
-			return f
 		}
 	}
 	return nil

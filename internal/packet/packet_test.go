@@ -69,7 +69,7 @@ func TestTIPRoundTripMinimal(t *testing.T) {
 	data := mustSerialize(t, tip, raw)
 
 	p := NewPacket(data, LayerTypeTIP)
-	if fail := p.ErrorLayer(); fail != nil {
+	if fail := errorLayer(p); fail != nil {
 		t.Fatalf("decode failed: %v", fail.Err)
 	}
 	got := p.Layer(LayerTypeTIP).(*TIP)
@@ -98,7 +98,7 @@ func TestTIPRoundTripOptions(t *testing.T) {
 	data := mustSerialize(t, tip, ttp, raw)
 
 	p := NewPacket(data, LayerTypeTIP)
-	if fail := p.ErrorLayer(); fail != nil {
+	if fail := errorLayer(p); fail != nil {
 		t.Fatalf("decode failed: %v", fail.Err)
 	}
 	got := p.Layer(LayerTypeTIP).(*TIP)
@@ -131,7 +131,7 @@ func TestTIPRoundTripQuick(t *testing.T) {
 			return false
 		}
 		p := NewPacket(data, LayerTypeTIP)
-		if p.ErrorLayer() != nil {
+		if errorLayer(p) != nil {
 			return false
 		}
 		got := p.Layer(LayerTypeTIP).(*TIP)
@@ -158,7 +158,7 @@ func TestTIPChecksumDetectsCorruption(t *testing.T) {
 		copy(corrupt, data)
 		corrupt[i] ^= 0x10
 		p := NewPacket(corrupt, LayerTypeTIP)
-		if p.ErrorLayer() == nil {
+		if errorLayer(p) == nil {
 			t.Fatalf("corruption at header byte %d not detected", i)
 		}
 	}
@@ -173,7 +173,7 @@ func TestTIPRejectsTruncated(t *testing.T) {
 			// Nothing to decode: zero layers, no failure.
 			continue
 		}
-		if p.ErrorLayer() == nil && n < len(data) {
+		if errorLayer(p) == nil && n < len(data) {
 			// A shorter-but-valid prefix would mean total-length is
 			// not enforced.
 			t.Fatalf("truncation to %d bytes accepted", n)
@@ -197,20 +197,6 @@ func TestTIPSourceRouteTooLong(t *testing.T) {
 	tip := &TIP{Proto: LayerTypeRaw, SourceRoute: &SourceRouteOption{Hops: hops}}
 	if _, err := Serialize(tip, &Raw{Data: []byte("x")}); err == nil {
 		t.Fatal("11-hop source route accepted")
-	}
-}
-
-func TestSourceRouteNext(t *testing.T) {
-	sr := &SourceRouteOption{Hops: []Addr{1, 2, 3}}
-	var got []Addr
-	for !sr.Exhausted() {
-		got = append(got, sr.Next())
-	}
-	if len(got) != 3 || got[0] != 1 || got[2] != 3 {
-		t.Fatalf("Next sequence = %v", got)
-	}
-	if sr.Next() != AddrNone {
-		t.Fatal("exhausted Next should return AddrNone")
 	}
 }
 
@@ -248,7 +234,7 @@ func TestTunnelHidesInnerFromOuterClassifier(t *testing.T) {
 		&Raw{Data: inner})
 
 	p := NewPacket(outer, LayerTypeTIP)
-	if fail := p.ErrorLayer(); fail != nil {
+	if fail := errorLayer(p); fail != nil {
 		t.Fatalf("decode failed: %v", fail.Err)
 	}
 	// The outer classifier sees port 443.
@@ -373,11 +359,11 @@ func TestCryptoOpaqueVsInspectableOnWire(t *testing.T) {
 	if err := ci.DecodeFrom(inspectable); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := co.InnerType(); !errors.Is(err, ErrNotInspectable) {
-		t.Fatalf("opaque InnerType err = %v", err)
+	if co.Flags&CryptoInspectable != 0 || co.Inner != LayerTypeNone {
+		t.Fatalf("opaque layer decoded flags %#x, inner %v", co.Flags, co.Inner)
 	}
-	if it, err := ci.InnerType(); err != nil || it != LayerTypeTTP {
-		t.Fatalf("inspectable InnerType = %v, %v", it, err)
+	if ci.Flags&CryptoInspectable == 0 || ci.Inner != LayerTypeTTP {
+		t.Fatalf("inspectable layer decoded flags %#x, inner %v", ci.Flags, ci.Inner)
 	}
 	// The opaque wire form must not leak the inner type byte.
 	if opaque[1] != 0 {
@@ -414,7 +400,7 @@ func TestParserReuseNoAlloc(t *testing.T) {
 
 func TestNewPacketUnknownFirstLayer(t *testing.T) {
 	p := NewPacket([]byte{1, 2, 3}, LayerType(200))
-	if p.ErrorLayer() == nil {
+	if errorLayer(p) == nil {
 		t.Fatal("unknown layer type should produce DecodeFailure")
 	}
 }
@@ -430,15 +416,6 @@ func TestSerializeBufferGrowth(t *testing.T) {
 	out := b.Bytes()
 	if len(out) != 1004 || out[0] != 9 || out[4] != 0 || out[1003] != byte(999%256) {
 		t.Fatalf("buffer layout wrong: len=%d", len(out))
-	}
-}
-
-func TestSerializeBufferAppend(t *testing.T) {
-	b := NewSerializeBuffer()
-	copy(b.Prepend(3), "abc")
-	copy(b.Append(3), "xyz")
-	if string(b.Bytes()) != "abcxyz" {
-		t.Fatalf("Bytes = %q", b.Bytes())
 	}
 }
 
@@ -475,7 +452,7 @@ func BenchmarkNewPacket(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		p := NewPacket(data, LayerTypeTIP)
-		if p.ErrorLayer() != nil {
+		if errorLayer(p) != nil {
 			b.Fatal("decode failed")
 		}
 	}
@@ -543,4 +520,15 @@ func TestDecodeReuseRecyclesOptionStructs(t *testing.T) {
 	if tip.SourceRoute != sr || tip.Payment != pay || tip.Identity != id {
 		t.Fatal("DecodeReuse did not recycle the option structs")
 	}
+}
+
+// errorLayer returns the packet's DecodeFailure layer if decoding
+// failed, else nil.
+func errorLayer(p *Packet) *DecodeFailure {
+	for _, l := range p.layers {
+		if f, ok := l.(*DecodeFailure); ok {
+			return f
+		}
+	}
+	return nil
 }

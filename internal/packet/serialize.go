@@ -52,23 +52,6 @@ func (s *SerializeBuffer) Prepend(n int) []byte {
 	return zone
 }
 
-// Append returns a writable slice of n bytes placed after the current
-// contents. Rarely needed; trailers only.
-func (s *SerializeBuffer) Append(n int) []byte {
-	if s.buf == nil {
-		s.Clear()
-	}
-	used := len(s.buf) - s.start
-	grown := make([]byte, len(s.buf)+n)
-	copy(grown[s.start:], s.buf[s.start:])
-	s.buf = grown[:len(s.buf)+n]
-	zone := s.buf[s.start+used : s.start+used+n]
-	for i := range zone {
-		zone[i] = 0
-	}
-	return zone
-}
-
 // SerializeLayers clears b and writes the given layers innermost-last
 // (the natural reading order: outermost first), returning the packet
 // bytes. Layers that need back-references (lengths, checksums, next-layer

@@ -62,17 +62,6 @@ type SourceRouteOption struct {
 // Exhausted reports whether all waypoints have been visited.
 func (o *SourceRouteOption) Exhausted() bool { return int(o.Ptr) >= len(o.Hops) }
 
-// Next returns the next waypoint and advances the pointer. It returns
-// AddrNone when exhausted.
-func (o *SourceRouteOption) Next() Addr {
-	if o.Exhausted() {
-		return AddrNone
-	}
-	a := o.Hops[o.Ptr]
-	o.Ptr++
-	return a
-}
-
 // PaymentOption is an in-band payment voucher: the "value flow" protocol
 // element §IV-C calls for ("If this value flow requires a protocol,
 // design it"). Providers that forward a source-routed packet can redeem

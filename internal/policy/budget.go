@@ -45,13 +45,3 @@ func NewBudget(steps, allocs int64) Budget {
 // choice points (firewall documents, admission checks): far above what
 // any reasonable policy needs, far below what a hostile one wants.
 func DefaultBudget() Budget { return NewBudget(1<<16, 1<<16) }
-
-// Reset clears usage so the budget can meter another invocation with the
-// same limits.
-func (b *Budget) Reset() { b.stepsUsed, b.allocsUsed = 0, 0 }
-
-// StepsUsed reports instructions executed by the last invocation.
-func (b *Budget) StepsUsed() int64 { return b.stepsUsed }
-
-// AllocsUsed reports allocation units charged by the last invocation.
-func (b *Budget) AllocsUsed() int64 { return b.allocsUsed }

@@ -2,7 +2,6 @@ package policy
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 )
 
@@ -61,14 +60,6 @@ const (
 	opOrCheck
 )
 
-var opNames = [...]string{
-	opConst: "const", opAttr: "attr", opNot: "not",
-	opEq: "eq", opNe: "ne", opLt: "lt", opGt: "gt", opLe: "le", opGe: "ge",
-	opIn: "in", opMakeList: "mklist",
-	opAndJump: "and.jmp", opOrJump: "or.jmp",
-	opAndCheck: "and.chk", opOrCheck: "or.chk",
-}
-
 // instr is one instruction; arg is a constant index, attribute slot,
 // element count, or jump target depending on the opcode.
 type instr struct {
@@ -87,38 +78,11 @@ type Program struct {
 	attrs     []string
 	attrErrs  []error // pre-wrapped unknown-attribute errors per slot
 	maxStack  int
-	src       string // canonical text when compiled through a Cache
 }
 
 // Attrs returns the attribute names the program reads, in slot order.
 // The slice is shared; callers must not mutate it.
 func (p *Program) Attrs() []string { return p.attrs }
-
-// Source returns the canonical policy text the program was compiled
-// from, when it came through a Cache ("" for direct Compile calls).
-func (p *Program) Source() string { return p.src }
-
-// MaxSteps returns the static ceiling on instructions one Run can
-// execute (TPL has no loops, so the instruction count is the bound).
-func (p *Program) MaxSteps() int64 { return int64(len(p.code)) }
-
-// Disasm renders the instruction stream for debugging and tests.
-func (p *Program) Disasm() string {
-	var sb strings.Builder
-	for i, in := range p.code {
-		fmt.Fprintf(&sb, "%3d %-8s", i, opNames[in.op])
-		switch in.op {
-		case opConst:
-			fmt.Fprintf(&sb, " %s", p.consts[in.arg])
-		case opAttr:
-			fmt.Fprintf(&sb, " %s", p.attrs[in.arg])
-		case opMakeList, opAndJump, opOrJump:
-			fmt.Fprintf(&sb, " %d", in.arg)
-		}
-		sb.WriteByte('\n')
-	}
-	return sb.String()
-}
 
 // allocUnits is the guest-visible materialization cost of a value: free
 // for scalars, one unit per string, and 1+len plus element costs per
@@ -442,18 +406,10 @@ func (c *Cache) compileLocked(src string) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.src = canon
 	if canon != "" {
 		c.byCanon[canon] = p
 	}
 	return p, nil
-}
-
-// Size reports distinct cached texts (for tests and introspection).
-func (c *Cache) Size() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.byText)
 }
 
 // CompileText compiles src through the process-wide DefaultCache.

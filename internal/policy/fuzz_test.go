@@ -80,8 +80,8 @@ func FuzzCompileEval(f *testing.F) {
 				t.Fatalf("%q: tiny-budget run diverged: %v vs %v/%v", src, tv, want, werr)
 			}
 		case errors.Is(terr, ErrBudgetExceeded):
-			if tiny.StepsUsed() > tiny.Steps+1 {
-				t.Fatalf("%q: steps overshoot: used %d limit %d", src, tiny.StepsUsed(), tiny.Steps)
+			if tiny.stepsUsed > tiny.Steps+1 {
+				t.Fatalf("%q: steps overshoot: used %d limit %d", src, tiny.stepsUsed, tiny.Steps)
 			}
 		default:
 			if werr == nil || terr.Error() != werr.Error() {

@@ -44,7 +44,7 @@ var opSyms = [...]string{
 // Run executes the program under env with the given budget and returns
 // the result. A nil budget runs unmetered (for trusted internal use
 // only; choice points handling foreign policies must pass one). Budgets
-// accumulate across Runs until Reset, so a document can share one budget
+// accumulate across Runs, so a document can share one budget
 // across its rules. Steady-state Run on a scalar program performs zero
 // Go allocations.
 func (p *Program) Run(env Env, b *Budget) (Value, error) {

@@ -26,13 +26,13 @@ func diffExpr(t *testing.T, src string, env Env) {
 	got, gerr := prog.Run(env, &b)
 	switch {
 	case (werr == nil) != (gerr == nil):
-		t.Fatalf("%s: eval err=%v vm err=%v\n%s", src, werr, gerr, prog.Disasm())
+		t.Fatalf("%s: eval err=%v vm err=%v", src, werr, gerr)
 	case werr != nil:
 		if werr.Error() != gerr.Error() {
 			t.Fatalf("%s: eval err=%q vm err=%q", src, werr, gerr)
 		}
 	case !want.Equal(got):
-		t.Fatalf("%s: eval=%v vm=%v\n%s", src, want, got, prog.Disasm())
+		t.Fatalf("%s: eval=%v vm=%v", src, want, got)
 	}
 }
 
@@ -164,8 +164,8 @@ func TestRunSlotsMatchesRun(t *testing.T) {
 	if werr != nil || gerr != nil || !want.Equal(got) {
 		t.Fatalf("Run=%v/%v RunSlots=%v/%v", want, werr, got, gerr)
 	}
-	if b.StepsUsed() != b2.StepsUsed() {
-		t.Fatalf("steps diverge: %d vs %d", b.StepsUsed(), b2.StepsUsed())
+	if b.stepsUsed != b2.stepsUsed {
+		t.Fatalf("steps diverge: %d vs %d", b.stepsUsed, b2.stepsUsed)
 	}
 	if _, err := prog.RunSlots(slots[:1], &b2); err == nil {
 		t.Fatal("short slot binding should error")
@@ -196,9 +196,9 @@ func TestBudgetBoundary(t *testing.T) {
 		if _, err := prog.Run(c.env, &probe); err != nil {
 			t.Fatalf("%s: probe: %v", c.src, err)
 		}
-		n := probe.StepsUsed()
-		if n <= 0 || n > prog.MaxSteps() {
-			t.Fatalf("%s: steps=%d maxsteps=%d", c.src, n, prog.MaxSteps())
+		n := probe.stepsUsed
+		if max := int64(len(prog.code)); n <= 0 || n > max {
+			t.Fatalf("%s: steps=%d maxsteps=%d", c.src, n, max)
 		}
 		exact := NewBudget(n, 1<<20)
 		if _, err := prog.Run(c.env, &exact); err != nil {
@@ -242,8 +242,8 @@ func TestAllocBudgetAccounting(t *testing.T) {
 		if _, err := prog.Run(c.env, &b); err != nil {
 			t.Fatalf("%s: %v", c.src, err)
 		}
-		if b.AllocsUsed() != c.units {
-			t.Fatalf("%s: allocs used = %d, want %d", c.src, b.AllocsUsed(), c.units)
+		if b.allocsUsed != c.units {
+			t.Fatalf("%s: allocs used = %d, want %d", c.src, b.allocsUsed, c.units)
 		}
 		if c.units > 0 {
 			starved := NewBudget(1<<20, c.units-1)
@@ -265,7 +265,7 @@ func TestBudgetAccumulatesAcrossRuns(t *testing.T) {
 	env := Env{"port": Num(80)}
 	probe := NewBudget(1<<20, 1<<20)
 	prog.Run(env, &probe)
-	per := probe.StepsUsed()
+	per := probe.stepsUsed
 
 	b := NewBudget(2*per, 1<<20)
 	for i := 0; i < 2; i++ {
@@ -275,10 +275,6 @@ func TestBudgetAccumulatesAcrossRuns(t *testing.T) {
 	}
 	if _, err := prog.Run(env, &b); !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("third run should exhaust the shared budget, got %v", err)
-	}
-	b.Reset()
-	if _, err := prog.Run(env, &b); err != nil {
-		t.Fatalf("after Reset: %v", err)
 	}
 }
 
@@ -300,8 +296,8 @@ func TestBudgetCanaryDeepPolicy(t *testing.T) {
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("hostile policy should breach its budget, got %v", err)
 	}
-	if b.StepsUsed() > 10_001 {
-		t.Fatalf("breach was not prompt: %d steps", b.StepsUsed())
+	if b.stepsUsed > 10_001 {
+		t.Fatalf("breach was not prompt: %d steps", b.stepsUsed)
 	}
 	// The tree-walker agrees on the value when given unlimited budget.
 	v, err := prog.Run(Env{}, nil)
@@ -436,9 +432,6 @@ func TestCacheCanonicalDedup(t *testing.T) {
 	if p1 != p2 {
 		t.Fatal("canonical dedup should share one Program across text variants")
 	}
-	if p1.Source() == "" {
-		t.Fatal("cached program should carry its canonical source")
-	}
 	// Memoized raw-text hit.
 	p3, _ := c.CompileText(`x == 1 && y in [2, 3]`)
 	if p3 != p1 {
@@ -448,22 +441,9 @@ func TestCacheCanonicalDedup(t *testing.T) {
 	if _, err := c.CompileText(`x ==`); err == nil {
 		t.Fatal("want parse error")
 	}
-	n := c.Size()
-	if _, err := c.CompileText(`x ==`); err == nil || c.Size() != n {
+	n := len(c.byText)
+	if _, err := c.CompileText(`x ==`); err == nil || len(c.byText) != n {
 		t.Fatal("parse errors should be cached")
-	}
-}
-
-func TestDisasmCoversInstructionSet(t *testing.T) {
-	prog, err := CompileText(`!(x in [1, "a"]) && ([y, 2] == [1, 2] || x < 3)`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := prog.Disasm()
-	for _, op := range []string{"const", "attr", "not", "in", "mklist", "eq", "lt", "and.jmp", "or.jmp"} {
-		if !strings.Contains(d, op) {
-			t.Fatalf("disassembly missing %q:\n%s", op, d)
-		}
 	}
 }
 

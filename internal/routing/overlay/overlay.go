@@ -50,19 +50,6 @@ func (m *Mesh) Observe(a, b topology.NodeID, l sim.Time) {
 	m.lat[a][b] = l
 }
 
-// ObserveLoss records that the direct underlay path a→b is unusable.
-func (m *Mesh) ObserveLoss(a, b topology.NodeID) {
-	if m.lat[a] != nil {
-		delete(m.lat[a], b)
-	}
-}
-
-// Direct returns the measured direct latency, if the path works.
-func (m *Mesh) Direct(a, b topology.NodeID) (sim.Time, bool) {
-	l, ok := m.lat[a][b]
-	return l, ok
-}
-
 // Route computes the lowest-latency overlay path src→dst over working
 // measured edges, with latencies weighed in seconds. Equal-latency ties
 // go to the lower NodeID (see topology.ShortestPaths), so one set of

@@ -68,18 +68,6 @@ func TestRouteUnreachable(t *testing.T) {
 	}
 }
 
-func TestObserveLoss(t *testing.T) {
-	m := NewMesh([]topology.NodeID{1, 2})
-	m.Observe(1, 2, sim.Millisecond)
-	if _, ok := m.Direct(1, 2); !ok {
-		t.Fatal("direct should exist")
-	}
-	m.ObserveLoss(1, 2)
-	if _, ok := m.Direct(1, 2); ok {
-		t.Fatal("direct should be gone after loss")
-	}
-}
-
 // TestRelayEndToEnd exercises the full encapsulation path in the
 // simulator: node 2 blocks traffic 1->4 (a restrictive underlay), and the
 // overlay relays via member 3 to restore connectivity — the §V-A4 tussle

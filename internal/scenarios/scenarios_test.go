@@ -57,10 +57,10 @@ func TestEncryptionEscalationResolves(t *testing.T) {
 	}
 	// The government's wiretap remains deployed but reads nothing —
 	// its utility collapsed after encryption.
-	gov := e.Stakeholder("government")
-	if gov == nil || gov.Utility >= e.Stakeholder("user").Utility {
+	gov := stakeholder(e, "government")
+	if gov == nil || gov.Utility >= stakeholder(e, "user").Utility {
 		t.Fatalf("government should lose the escalation: gov=%v user=%v",
-			gov.Utility, e.Stakeholder("user").Utility)
+			gov.Utility, stakeholder(e, "user").Utility)
 	}
 }
 
@@ -93,9 +93,9 @@ func TestFileSharingEndsInMarketResolution(t *testing.T) {
 	}
 	// Both sides end better off than at the takedown nadir — the
 	// licensed store is the win-win the tussle found.
-	if e.Stakeholder("sharers").Utility <= 0 || e.Stakeholder("rights-holder").Utility <= 0 {
+	if stakeholder(e, "sharers").Utility <= 0 || stakeholder(e, "rights-holder").Utility <= 0 {
 		t.Fatalf("utilities: %v / %v",
-			e.Stakeholder("sharers").Utility, e.Stakeholder("rights-holder").Utility)
+			stakeholder(e, "sharers").Utility, stakeholder(e, "rights-holder").Utility)
 	}
 }
 
@@ -110,4 +110,14 @@ func TestScenariosDeterministic(t *testing.T) {
 			t.Fatalf("scenario %q nondeterministic", n)
 		}
 	}
+}
+
+// stakeholder returns the engine's stakeholder of that name, or nil.
+func stakeholder(e *core.Engine, name string) *core.Stakeholder {
+	for _, s := range e.Stakeholders {
+		if s.Name == name {
+			return s
+		}
+	}
+	return nil
 }

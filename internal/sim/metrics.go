@@ -8,14 +8,13 @@ import (
 // Series accumulates scalar observations and computes summary statistics.
 // It is the workhorse for experiment metrics throughout the repository.
 //
-// Order statistics (Percentile, Gini) are served from a sorted cache that
-// is invalidated by Add and rebuilt at most once between Adds, so bursts
-// of statistic calls cost one sort instead of one sort each. Min and Max
-// are maintained incrementally and never sort at all.
+// Percentile is served from a sorted cache that is invalidated by Add and
+// rebuilt at most once between Adds, so bursts of percentile calls cost
+// one sort instead of one sort each. Max is maintained incrementally and
+// never sorts at all.
 type Series struct {
 	vals []float64
 	sum  float64
-	min  float64
 	max  float64
 
 	// sorted caches the observations in ascending order; valid only when
@@ -27,26 +26,13 @@ type Series struct {
 
 // Add records one observation.
 func (s *Series) Add(v float64) {
-	if len(s.vals) == 0 {
-		s.min, s.max = v, v
-	} else {
-		if v < s.min {
-			s.min = v
-		}
-		if v > s.max {
-			s.max = v
-		}
+	if len(s.vals) == 0 || v > s.max {
+		s.max = v
 	}
 	s.vals = append(s.vals, v)
 	s.sum += v
 	s.dirty = true
 }
-
-// N returns the number of observations.
-func (s *Series) N() int { return len(s.vals) }
-
-// Sum returns the total of all observations.
-func (s *Series) Sum() float64 { return s.sum }
 
 // Mean returns the arithmetic mean, or 0 for an empty series.
 func (s *Series) Mean() float64 {
@@ -56,34 +42,9 @@ func (s *Series) Mean() float64 {
 	return s.sum / float64(len(s.vals))
 }
 
-// Var returns the population variance, or 0 for fewer than 2 observations.
-func (s *Series) Var() float64 {
-	if len(s.vals) < 2 {
-		return 0
-	}
-	m := s.Mean()
-	var acc float64
-	for _, v := range s.vals {
-		d := v - m
-		acc += d * d
-	}
-	return acc / float64(len(s.vals))
-}
-
-// Stddev returns the population standard deviation.
-func (s *Series) Stddev() float64 { return math.Sqrt(s.Var()) }
-
-// Min returns the minimum observation. An empty series returns 0 — the
-// same defined sentinel every other statistic uses — rather than ±Inf,
+// Max returns the maximum observation. An empty series returns 0 — the
+// same defined sentinel every other statistic uses — rather than -Inf,
 // which poisons downstream arithmetic and cannot be serialized as JSON.
-func (s *Series) Min() float64 {
-	if len(s.vals) == 0 {
-		return 0
-	}
-	return s.min
-}
-
-// Max returns the maximum observation, or 0 for an empty series (see Min).
 func (s *Series) Max() float64 {
 	if len(s.vals) == 0 {
 		return 0
@@ -123,28 +84,6 @@ func (s *Series) Percentile(p float64) float64 {
 	return sorted[rank]
 }
 
-// Values returns a copy of the raw observations in insertion order.
-func (s *Series) Values() []float64 {
-	out := make([]float64, len(s.vals))
-	copy(out, s.vals)
-	return out
-}
-
-// Gini computes the Gini coefficient of the observations — used as an
-// inequality measure for welfare and market-share distributions. Values
-// must be non-negative; returns 0 for empty or all-zero series.
-func (s *Series) Gini() float64 {
-	n := len(s.vals)
-	if n == 0 || s.sum == 0 {
-		return 0
-	}
-	var cum float64
-	for i, v := range s.sortedVals() {
-		cum += v * float64(2*(i+1)-n-1)
-	}
-	return cum / (float64(n) * s.sum)
-}
-
 // KeyCache interns prefix+suffix counter keys so hot paths can count
 // parameterized events ("drop:<reason>", "blocked:<device>") without
 // re-concatenating — and so re-allocating — the key string on every
@@ -179,6 +118,3 @@ func (c Counter) Inc(name string) int {
 	c[name]++
 	return c[name]
 }
-
-// Addn increments a named counter by n.
-func (c Counter) Addn(name string, n int) { c[name] += n }

@@ -22,9 +22,6 @@ func NewRNG(seed uint64) *RNG {
 	return &RNG{state: seed}
 }
 
-// Seed resets the generator state.
-func (r *RNG) Seed(seed uint64) { r.state = seed }
-
 // Uint64 returns the next value in the splitmix64 sequence.
 func (r *RNG) Uint64() uint64 {
 	r.state += 0x9e3779b97f4a7c15
@@ -45,9 +42,6 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Int63 returns a non-negative int64.
-func (r *RNG) Int63() int64 { return int64(r.Uint64() >> 1) }
-
 // Float64 returns a uniformly distributed float64 in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
@@ -59,15 +53,6 @@ func (r *RNG) Bool(p float64) bool { return r.Float64() < p }
 // Range returns a uniformly distributed float64 in [lo, hi).
 func (r *RNG) Range(lo, hi float64) float64 {
 	return lo + (hi-lo)*r.Float64()
-}
-
-// Exp returns an exponentially distributed float64 with the given mean.
-func (r *RNG) Exp(mean float64) float64 {
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return -mean * math.Log(u)
 }
 
 // Normal returns a normally distributed float64 via the Box–Muller

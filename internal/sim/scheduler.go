@@ -86,13 +86,12 @@ func entryLess(a, b heapEntry) bool {
 // steady-state simulation schedules events with zero heap allocations
 // once the pool has grown to the high-water mark.
 type Scheduler struct {
-	now     Time
-	seq     uint64
-	events  []event     // slot pool
-	free    []uint32    // recycled slot indices
-	queue   []heapEntry // 4-ary min-heap by (at, key, seq)
-	dead    int         // cancelled events whose heap entries are not yet drained
-	stopped bool
+	now    Time
+	seq    uint64
+	events []event     // slot pool
+	free   []uint32    // recycled slot indices
+	queue  []heapEntry // 4-ary min-heap by (at, key, seq)
+	dead   int         // cancelled events whose heap entries are not yet drained
 
 	// obs holds the scheduler's observability instruments; nil means
 	// disabled, and every hook below is a single nil check.
@@ -250,10 +249,7 @@ func (s *Scheduler) maybeCompact() {
 	}
 }
 
-// Stop halts Run/RunUntil after the current event returns.
-func (s *Scheduler) Stop() { s.stopped = true }
-
-// Run executes events until the queue is empty or Stop is called.
+// Run executes events until the queue is empty.
 func (s *Scheduler) Run() {
 	s.RunUntil(Time(1<<62 - 1))
 }
@@ -310,8 +306,7 @@ func (s *Scheduler) PeekNext() (Time, uint64, bool) {
 // to deadline, and returns. Events scheduled beyond the deadline remain
 // queued.
 func (s *Scheduler) RunUntil(deadline Time) {
-	s.stopped = false
-	for !s.stopped {
+	for {
 		at, ok := s.peekLive()
 		if !ok || at > deadline {
 			break
@@ -321,7 +316,7 @@ func (s *Scheduler) RunUntil(deadline Time) {
 		s.Processed++
 		fn()
 	}
-	if !s.stopped && s.now < deadline && deadline < Time(1<<62-1) {
+	if s.now < deadline && deadline < Time(1<<62-1) {
 		s.now = deadline
 	}
 }

@@ -65,27 +65,18 @@ func TestRNGIntnPanicsOnNonPositive(t *testing.T) {
 	NewRNG(1).Intn(0)
 }
 
-func TestRNGExpMean(t *testing.T) {
-	r := NewRNG(11)
-	var s Series
-	for i := 0; i < 50000; i++ {
-		s.Add(r.Exp(3.0))
-	}
-	if m := s.Mean(); math.Abs(m-3.0) > 0.1 {
-		t.Fatalf("Exp mean = %v, want ~3.0", m)
-	}
-}
-
 func TestRNGNormalMoments(t *testing.T) {
 	r := NewRNG(13)
-	var s Series
+	var s, sq Series
 	for i := 0; i < 50000; i++ {
-		s.Add(r.Normal(5, 2))
+		v := r.Normal(5, 2)
+		s.Add(v)
+		sq.Add(v * v)
 	}
 	if m := s.Mean(); math.Abs(m-5) > 0.1 {
 		t.Fatalf("Normal mean = %v, want ~5", m)
 	}
-	if sd := s.Stddev(); math.Abs(sd-2) > 0.1 {
+	if sd := math.Sqrt(sq.Mean() - s.Mean()*s.Mean()); math.Abs(sd-2) > 0.1 {
 		t.Fatalf("Normal stddev = %v, want ~2", sd)
 	}
 }
@@ -253,23 +244,6 @@ func TestSchedulerPastSchedulingPanics(t *testing.T) {
 	s.Run()
 }
 
-func TestSchedulerStop(t *testing.T) {
-	s := NewScheduler()
-	count := 0
-	for i := 0; i < 10; i++ {
-		s.At(Time(i), func() {
-			count++
-			if count == 3 {
-				s.Stop()
-			}
-		})
-	}
-	s.Run()
-	if count != 3 {
-		t.Fatalf("Stop did not halt the loop: ran %d", count)
-	}
-}
-
 func TestSchedulerStep(t *testing.T) {
 	s := NewScheduler()
 	n := 0
@@ -308,14 +282,8 @@ func TestSeriesBasics(t *testing.T) {
 	for _, v := range []float64{1, 2, 3, 4, 5} {
 		s.Add(v)
 	}
-	if s.N() != 5 || s.Sum() != 15 || s.Mean() != 3 {
-		t.Fatalf("N/Sum/Mean = %d/%v/%v", s.N(), s.Sum(), s.Mean())
-	}
-	if s.Min() != 1 || s.Max() != 5 {
-		t.Fatalf("Min/Max = %v/%v", s.Min(), s.Max())
-	}
-	if v := s.Var(); math.Abs(v-2) > 1e-9 {
-		t.Fatalf("Var = %v, want 2", v)
+	if s.Mean() != 3 || s.Max() != 5 {
+		t.Fatalf("Mean/Max = %v/%v", s.Mean(), s.Max())
 	}
 }
 
@@ -328,12 +296,7 @@ func TestSeriesEmpty(t *testing.T) {
 		got  float64
 	}{
 		{"Mean", s.Mean()},
-		{"Var", s.Var()},
-		{"Stddev", s.Stddev()},
-		{"Min", s.Min()},
 		{"Max", s.Max()},
-		{"Sum", s.Sum()},
-		{"Gini", s.Gini()},
 		{"Percentile(0)", s.Percentile(0)},
 		{"Percentile(50)", s.Percentile(50)},
 		{"Percentile(99)", s.Percentile(99)},
@@ -343,13 +306,10 @@ func TestSeriesEmpty(t *testing.T) {
 			t.Errorf("empty series %s = %v, want 0", tc.name, tc.got)
 		}
 	}
-	if s.N() != 0 {
-		t.Fatalf("empty series N = %d", s.N())
-	}
 	// The sentinel must not leak into statistics once data arrives.
 	s.Add(-3)
-	if s.Min() != -3 || s.Max() != -3 {
-		t.Fatalf("after one Add, Min/Max = %v/%v, want -3/-3", s.Min(), s.Max())
+	if s.Max() != -3 || s.Percentile(0) != -3 {
+		t.Fatalf("after one Add, Max/Percentile(0) = %v/%v, want -3/-3", s.Max(), s.Percentile(0))
 	}
 }
 
@@ -372,46 +332,14 @@ func TestSeriesPercentile(t *testing.T) {
 	}
 }
 
-func TestSeriesGini(t *testing.T) {
-	var equal Series
-	for i := 0; i < 10; i++ {
-		equal.Add(5)
-	}
-	if g := equal.Gini(); math.Abs(g) > 1e-9 {
-		t.Fatalf("Gini of equal distribution = %v, want 0", g)
-	}
-	var unequal Series
-	unequal.Add(100)
-	for i := 0; i < 9; i++ {
-		unequal.Add(0)
-	}
-	if g := unequal.Gini(); g < 0.85 {
-		t.Fatalf("Gini of maximally unequal = %v, want ~0.9", g)
-	}
-}
-
-func TestSeriesGiniBounds(t *testing.T) {
-	r := NewRNG(31)
-	f := func(seed uint32) bool {
-		var s Series
-		n := int(seed%20) + 1
-		for i := 0; i < n; i++ {
-			s.Add(r.Float64() * 10)
-		}
-		g := s.Gini()
-		return g >= -1e-9 && g <= 1
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestCounter(t *testing.T) {
 	c := Counter{}
 	c.Inc("a")
-	c.Inc("a")
-	c.Addn("b", 5)
-	if c["a"] != 2 || c["b"] != 5 || c["missing"] != 0 {
+	if n := c.Inc("a"); n != 2 {
+		t.Fatalf("second Inc returned %d, want 2", n)
+	}
+	c.Inc("b")
+	if c["a"] != 2 || c["b"] != 1 || c["missing"] != 0 {
 		t.Fatalf("counter state wrong: %v", c)
 	}
 }

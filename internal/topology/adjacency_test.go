@@ -50,7 +50,7 @@ func (o *mapGraph) neighbors(id NodeID) []NodeID {
 		for v, lis := range o.adj {
 			out := make([]NodeID, 0, len(lis))
 			for _, li := range lis {
-				out = append(out, o.links[li].Other(v))
+				out = append(out, other(o.links[li], v))
 			}
 			sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 			o.nbr[v] = out
@@ -62,7 +62,7 @@ func (o *mapGraph) neighbors(id NodeID) []NodeID {
 
 func (o *mapGraph) linkBetween(a, b NodeID) (Link, bool) {
 	for _, li := range o.adj[a] {
-		if l := o.links[li]; l.Other(a) == b {
+		if l := o.links[li]; other(l, a) == b {
 			return l, true
 		}
 	}
@@ -97,7 +97,7 @@ func (o *mapGraph) nodeIDs() []NodeID {
 func (o *mapGraph) row(id NodeID) [][2]int {
 	var out [][2]int
 	for _, li := range o.adj[id] {
-		out = append(out, [2]int{int(o.links[li].Other(id)), li})
+		out = append(out, [2]int{int(other(o.links[li], id)), li})
 	}
 	slices.SortFunc(out, func(x, y [2]int) int {
 		return cmp.Or(cmp.Compare(x[0], y[0]), cmp.Compare(x[1], y[1]))
@@ -279,4 +279,12 @@ func TestFrozenGraphConcurrentReads(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// other returns the endpoint of l that is not id.
+func other(l Link, id NodeID) NodeID {
+	if l.A == id {
+		return l.B
+	}
+	return l.A
 }

@@ -73,14 +73,6 @@ type Link struct {
 	Cost float64
 }
 
-// Other returns the endpoint that is not id.
-func (l Link) Other(id NodeID) NodeID {
-	if l.A == id {
-		return l.B
-	}
-	return l.A
-}
-
 // Node is one autonomous system.
 type Node struct {
 	ID   NodeID

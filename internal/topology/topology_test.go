@@ -206,7 +206,7 @@ func TestLinkBetween(t *testing.T) {
 		t.Fatal("phantom link 2-3")
 	}
 	l, _ := g.LinkBetween(2, 1)
-	if l.Other(2) != 1 || l.Other(1) != 2 {
-		t.Fatal("Other endpoints wrong")
+	if min(l.A, l.B) != 1 || max(l.A, l.B) != 2 {
+		t.Fatalf("LinkBetween(2, 1) = %d-%d, want the 1-2 link", l.A, l.B)
 	}
 }

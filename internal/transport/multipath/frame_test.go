@@ -170,12 +170,12 @@ func TestSimSteadyStateZeroAlloc(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				step() // warm the pools, the scheduler heap and the reassembly map
 			}
-			acked := s.Acked()
+			acked := s.acked
 			if avg := testing.AllocsPerRun(500, step); avg != 0 {
 				t.Fatalf("%s: simulated transfer allocates %.2f per millisecond step, want 0", name, avg)
 			}
-			if s.Acked() == acked || s.Done() || s.Failed() {
-				t.Fatalf("%s: transfer left the steady state: acked %d → %d, %+v", name, acked, s.Acked(), s.Stats())
+			if s.acked == acked || s.Done() || s.Failed() {
+				t.Fatalf("%s: transfer left the steady state: acked %d → %d, %+v", name, acked, s.acked, s.Stats())
 			}
 			if len(r.buf)+len(r.free) == 0 {
 				t.Fatalf("%s: no segment arrived out of order; the gate misses the holding path", name)

@@ -99,7 +99,7 @@ func fuzzAckOnPaths(t *testing.T, seed uint64, data []byte, n int) {
 	// Drain: MaxRetries/MaxProbes bound the remaining timer chains.
 	sched.RunUntil(sched.Now() + 5*sim.Second)
 
-	if got, max := s.Acked(), uint32(len(make([]byte, 4*64))/64); got > max {
+	if got, max := s.acked, uint32(len(make([]byte, 4*64))/64); got > max {
 		t.Fatalf("%d paths: hostile ACK pushed acked to %d (stream has %d segments)", n, got, max)
 	}
 	for _, p := range s.Paths() {

@@ -445,9 +445,6 @@ func (s *Sender) Done() bool { return int(s.acked) >= s.nseg }
 // Failed reports whether the transfer gave up.
 func (s *Sender) Failed() bool { return s.failed }
 
-// Acked returns the cumulative acknowledged sequence number.
-func (s *Sender) Acked() uint32 { return s.acked }
-
 // segment returns segment seq's payload: a view into the transfer's
 // data, which Frame copies from.
 func (s *Sender) segment(seq uint32) []byte {

@@ -1,7 +1,5 @@
 package trust
 
-import "sort"
-
 // Reputation is a third-party reputation service: "web sites assess and
 // report the reputation of other sites" (§V-B). It scores subjects from
 // reported interaction outcomes using a Beta(1,1)-prior estimator, so
@@ -45,28 +43,6 @@ func (r *Reputation) Report(subject string, wasGood bool, flip func() bool) {
 func (r *Reputation) Score(subject string) float64 {
 	g, b := r.good[subject], r.bad[subject]
 	return float64(g+1) / float64(g+b+2)
-}
-
-// Known reports whether the service has any history for subject.
-func (r *Reputation) Known(subject string) bool {
-	return r.good[subject]+r.bad[subject] > 0
-}
-
-// Subjects lists every scored subject, sorted.
-func (r *Reputation) Subjects() []string {
-	set := map[string]bool{}
-	for s := range r.good {
-		set[s] = true
-	}
-	for s := range r.bad {
-		set[s] = true
-	}
-	out := make([]string, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Guarantor is a liability-limiting intermediary — the credit-card role

@@ -130,13 +130,6 @@ func TestReputationScores(t *testing.T) {
 	if s := r.Score("fraud"); s >= 0.2 {
 		t.Fatalf("fraud score = %v", s)
 	}
-	if !r.Known("honest") || r.Known("stranger") {
-		t.Fatal("Known wrong")
-	}
-	subs := r.Subjects()
-	if len(subs) != 2 || subs[0] != "fraud" || subs[1] != "honest" {
-		t.Fatalf("Subjects = %v", subs)
-	}
 }
 
 func TestReputationScoreBoundsQuick(t *testing.T) {

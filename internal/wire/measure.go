@@ -96,12 +96,6 @@ func NewLoopbackBench(workers int) (*LoopbackBench, error) {
 	return &LoopbackBench{eng: eng, packets: [][]byte{data}, conns: conns}, nil
 }
 
-// Addr returns the engine's bound address.
-func (b *LoopbackBench) Addr() netip.AddrPort { return b.eng.Addr() }
-
-// Stats returns the engine-side counters.
-func (b *LoopbackBench) Stats() Stats { return b.eng.Stats() }
-
 // Run round-trips count datagrams and returns the blast-side result.
 func (b *LoopbackBench) Run(count int) (BlastResult, error) {
 	return Blast(BlastConfig{

@@ -1,17 +1,24 @@
 package repro_test
 
-// The surface guard: every exported package-level identifier under
-// internal/ must be reached by code that runs — an experiment, a CLI, an
-// example or the benchmark module — or be named in surfaceAllowlist with
-// the reason it stays. The check runs both ways: an allowlist entry whose
-// identifier is gone, or has gained a non-test reference, fails too, so
-// the list cannot go stale.
+// The surface guard: every exported package-level identifier and every
+// exported method under internal/ must be reached by code that runs — an
+// experiment, a CLI, an example or the benchmark module — and every flag a
+// cmd/ binary defines must be passed by something that runs that binary.
+// What is not is named in surfaceAllowlist with the reason it stays. The
+// check runs both ways: an allowlist entry whose target is gone, or has
+// gained a use, fails too, so the list cannot go stale.
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
+	"go/build"
+	"go/constant"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"io"
 	"io/fs"
 	"os"
 	"path"
@@ -22,13 +29,24 @@ import (
 	"testing/fstest"
 )
 
-// surfaceAllowlist names the exported identifiers that stay without a
-// non-test reference, keyed by package path under internal/ and name.
+// surfaceAllowlist names what stays without a use, with the reason. Keys
+// are "pkg.Name" for a package-level identifier and "pkg.Type.Method" for
+// a method, pkg being the package's path under internal/, and
+// "cmd/name -flag" for a flag.
 var surfaceAllowlist = map[string]string{
 	"obs.NewRing":              "the planned decision flight recorder (ROADMAP.md, observability item) keeps the last N decisions in a Ring",
 	"middlebox.NewNAT":         "the only stateful rewriter; wire.TestDifferentialStateful uses it to pin state agreement between the simulator and the wire",
 	"packet.IdentityPseudonym": "wire value 1 of the identity-scheme byte, mirrored by trust.Pseudonymous",
 	"policy.Evaluate":          "the tree-walking reference that TestCompiledDocumentMatchesEvaluate compares the VM against",
+
+	"chaos.Plan.Encode":              "FuzzFaultPlan (make fuzz-smoke) checks the canonical-form round trip through it",
+	"fiber.Facility.DelaySim":        "the packet-level cross-check of E22's fluid TDM model: TestDelaySimWFQHoldsAtPacketLevel runs the tenants through qos's WFQ link",
+	"gametheory.Game.Nash2x2":        "the exact 2x2 solver whose equilibria TestNash2x2HasZeroExploitability feeds to Exploitability, the metric E20 reports",
+	"netsim.Network.InjectArrival":   "the simulator side of the wire differential harness (wire.TestDifferentialDecisions and TestDifferentialStateful)",
+	"obs.Ring.Events":                "the read side of the Ring that obs.NewRing's entry keeps; TestRingSink and netsim's trace tests read events through it",
+	"policy.Program.Run":             "the env-map entry to the VM that the differential suite drives against policy.Evaluate, and the reference TestRunSlotsMatchesRun holds RunSlots to (make policy-smoke)",
+	"wire.MultipathSender.HandleAck": "the ACK entry point TestMultipathDifferentialDecisions scripts to pin the wire sender's decision log to the simulator's",
+	"wire.MultipathSender.SetTrace":  "records the decision log TestMultipathDifferentialDecisions compares with golden_mp_decisions.txt",
 }
 
 func TestSurface(t *testing.T) {
@@ -42,26 +60,26 @@ func TestSurface(t *testing.T) {
 }
 
 // checkSurface scans the module rooted at fsys and returns one line per
-// violation, sorted: an exported identifier under internal/ with no
-// non-test reference that allow does not name, an allow entry that names
-// no such identifier, and an allow entry that has gained a reference.
+// violation, sorted: a surface entry with no use that allow does not
+// name, an allow entry that names no such entry, and an allow entry that
+// has gained a use.
 func checkSurface(fsys fs.FS, allow map[string]string) ([]string, error) {
-	referenced, err := scanSurface(fsys)
+	used, err := scanSurface(fsys)
 	if err != nil {
 		return nil, err
 	}
 	var problems []string
-	for id, used := range referenced {
+	for id, u := range used {
 		_, listed := allow[id]
 		switch {
-		case !used && !listed:
-			problems = append(problems, fmt.Sprintf("%s has no non-test reference: delete it, or allowlist it with a reason", id))
-		case used && listed:
-			problems = append(problems, fmt.Sprintf("%s is allowlisted but now has a non-test reference: remove its entry", id))
+		case !u && !listed:
+			problems = append(problems, fmt.Sprintf("%s %s: delete it, or allowlist it with a reason", id, unusedWhy(id)))
+		case u && listed:
+			problems = append(problems, fmt.Sprintf("%s is allowlisted but now has a use: remove its entry", id))
 		}
 	}
 	for id := range allow {
-		if _, ok := referenced[id]; !ok {
+		if _, ok := used[id]; !ok {
 			problems = append(problems, fmt.Sprintf("%s is allowlisted but not declared: remove its entry", id))
 		}
 	}
@@ -69,27 +87,62 @@ func checkSurface(fsys fs.FS, allow map[string]string) ([]string, error) {
 	return problems, nil
 }
 
-// scanSurface maps each exported package-level func, type, var and const
-// declared in a non-test file under internal/ — keyed as "pkg.Name", pkg
-// being the package's path below internal/ — to whether any non-test
-// file in the tree refers to it. A reference is pkg.Name through the
-// package's import, or a bare Name inside the declaring package. A use
-// inside the identifier's own declaration (a recursive call, a
-// self-referential type) does not count, nor does a type's use in its
-// own methods, so a type only its own methods mention stays
-// unreferenced. Directories named testdata or starting with a dot (a
-// module cache, say) are skipped.
+// unusedWhy says what an entry of the given shape lacks.
+func unusedWhy(id string) string {
+	switch {
+	case strings.HasPrefix(id, "cmd/"):
+		return "is passed by no test of its command, Make target, CI step or bench/run.sh line"
+	case strings.Count(path.Base(id), ".") == 2:
+		return "has no non-test call and satisfies no interface in use"
+	}
+	return "has no non-test reference"
+}
+
+// surfaceInterfaces are the standard interfaces whose methods count as
+// used without being named: the runtime, fmt, sort, flag, io and json
+// call them through values handed over as any or through their own
+// signatures.
+var surfaceInterfaces = [][2]string{
+	{"fmt", "Stringer"}, {"sort", "Interface"}, {"flag", "Value"},
+	{"io", "Writer"}, {"encoding/json", "Marshaler"},
+}
+
+// stdImporter loads standard-library packages from their export data;
+// one instance is shared so each package is read once per test binary.
+var stdImporter = importer.Default()
+
+// scanSurface maps each surface entry to whether something uses it:
+//
+//   - an exported package-level func, type, var or const declared in a
+//     non-test file under internal/ is used when another declaration of a
+//     non-test file refers to it. A use inside its own declaration (a
+//     recursive call, a self-referential type) does not count, nor does a
+//     type's use in its own methods;
+//   - an exported method of a type declared there is used when non-test
+//     code outside the method selects it (a call, a method value or a
+//     method expression), or when the type or its pointer satisfies an
+//     interface that non-test code names, or one of surfaceInterfaces,
+//     and the method belongs to that interface;
+//   - a flag a cmd/NAME binary defines through package flag is used when
+//     a _test.go file of cmd/NAME has the string literal "-flag" (or
+//     "-flag=..."), or when a line of the Makefile, of a CI workflow or
+//     of bench/run.sh passes -flag to that binary: after ./cmd/NAME, or
+//     after the path a "go build -o PATH ./cmd/NAME" in the same file
+//     wrote, and before the next shell operator.
+//
+// Selectors are resolved with go/types over every non-test package whose
+// build constraints hold on this platform. Directories named testdata or
+// starting with a dot (a module cache, say) are skipped.
 func scanSurface(fsys fs.FS) (map[string]bool, error) {
 	modPath, err := modulePath(fsys)
 	if err != nil {
 		return nil, err
 	}
-	type file struct {
-		dir string
-		ast *ast.File
-	}
-	var files []file
 	fset := token.NewFileSet()
+	pkgFiles := map[string][]*ast.File{} // dir -> non-test files
+	testLits := map[string][]string{}    // cmd dir -> string literals of its tests
+	ctxt := build.Default
+	ctxt.OpenFile = func(p string) (io.ReadCloser, error) { return fsys.Open(p) }
 	err = fs.WalkDir(fsys, ".", func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -100,8 +153,13 @@ func scanSurface(fsys fs.FS) (map[string]bool, error) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+		dir := path.Dir(p)
+		isTest := strings.HasSuffix(p, "_test.go")
+		if !strings.HasSuffix(p, ".go") || (isTest && !strings.HasPrefix(dir, "cmd/")) {
 			return nil
+		}
+		if ok, err := ctxt.MatchFile(dir, d.Name()); err != nil || !ok {
+			return err
 		}
 		src, err := fs.ReadFile(fsys, p)
 		if err != nil {
@@ -111,72 +169,220 @@ func scanSurface(fsys fs.FS) (map[string]bool, error) {
 		if err != nil {
 			return err
 		}
-		files = append(files, file{path.Dir(p), f})
+		if isTest {
+			testLits[dir] = append(testLits[dir], stringLits(f)...)
+		} else {
+			pkgFiles[dir] = append(pkgFiles[dir], f)
+		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	pkgName := map[string]string{} // dir -> package name
-	declared := map[string]bool{}  // "dir.Name" -> referenced
-	for _, f := range files {
-		pkgName[f.dir] = f.ast.Name.Name
-		if !strings.HasPrefix(f.dir, "internal/") {
+	checked, err := typeCheck(fset, modPath, pkgFiles)
+	if err != nil {
+		return nil, err
+	}
+	dirs := make([]string, 0, len(checked))
+	for dir := range checked {
+		dirs = append(dirs, dir)
+	}
+	sort.Strings(dirs)
+
+	// Declare the surface: internal/ objects and methods, cmd/ flags.
+	declared := map[types.Object]string{} // object -> id
+	var named []*types.Named
+	for _, dir := range dirs {
+		rel, ok := strings.CutPrefix(dir, "internal/")
+		if !ok {
 			continue
 		}
-		for _, name := range packageLevelNames(f.ast) {
-			if ast.IsExported(name) {
-				declared[f.dir+"."+name] = false
+		scope := checked[dir].pkg.Scope()
+		for _, name := range scope.Names() {
+			obj := scope.Lookup(name)
+			if obj.Exported() {
+				declared[obj] = rel + "." + name
 			}
-		}
-	}
-	mark := func(dir, name string) {
-		if _, ok := declared[dir+"."+name]; ok {
-			declared[dir+"."+name] = true
-		}
-	}
-
-	for _, f := range files {
-		imports := map[string]string{} // local name -> dir
-		for _, spec := range f.ast.Imports {
-			ipath, _ := strconv.Unquote(spec.Path.Value) // the parser checked the literal
-			rel, ok := strings.CutPrefix(ipath, modPath+"/")
-			if !ok {
+			tn, ok := obj.(*types.TypeName)
+			if !ok || tn.IsAlias() {
 				continue
 			}
-			name := pkgName[rel]
-			if spec.Name != nil {
-				name = spec.Name.Name
+			n := tn.Type().(*types.Named)
+			if _, isIface := n.Underlying().(*types.Interface); isIface {
+				continue
 			}
-			if name != "" && name != "_" && name != "." {
-				imports[name] = rel
+			named = append(named, n)
+			for i := 0; i < n.NumMethods(); i++ {
+				if m := n.Method(i); m.Exported() {
+					declared[m] = rel + "." + name + "." + m.Name()
+				}
 			}
 		}
-		for _, decl := range f.ast.Decls {
-			forEachOwnedNode(decl, func(n ast.Node, own map[string]bool) {
-				refs(n, func(x, name string) {
-					if x != "" {
-						if dir, ok := imports[x]; ok {
-							mark(dir, name)
-							return
-						}
-						name = x
-					}
-					if !own[name] {
-						mark(f.dir, name)
-					}
-				})
-			})
+	}
+	used := map[string]bool{}
+	for _, id := range declared {
+		used[id] = false
+	}
+	flagLines, err := runnerFlags(fsys)
+	if err != nil {
+		return nil, err
+	}
+	for _, dir := range dirs {
+		if !strings.HasPrefix(dir, "cmd/") {
+			continue
+		}
+		passed := map[string]bool{}
+		for _, lit := range testLits[dir] {
+			name, _, _ := strings.Cut(strings.TrimLeft(lit, "-"), "=")
+			if strings.HasPrefix(lit, "-") && name != "" {
+				passed[name] = true
+			}
+		}
+		for _, name := range flagLines[path.Base(dir)] {
+			passed[name] = true
+		}
+		for _, name := range definedFlags(checked[dir]) {
+			id := dir + " -" + name
+			used[id] = used[id] || passed[name]
 		}
 	}
 
-	out := map[string]bool{}
-	for id, used := range declared {
-		out[strings.TrimPrefix(id, "internal/")] = used
+	// Mark uses, skipping those inside the using object's own declaration,
+	// and collect the interfaces non-test code names.
+	ifaces := map[*types.Interface]bool{}
+	for _, dir := range dirs {
+		c := checked[dir]
+		for _, f := range c.files {
+			for _, decl := range f.Decls {
+				forEachOwnedNode(decl, c.info, func(n ast.Node, own map[types.Object]bool) {
+					ast.Inspect(n, func(n ast.Node) bool {
+						if it, ok := n.(*ast.InterfaceType); ok {
+							if iface, ok := c.info.TypeOf(it).(*types.Interface); ok {
+								ifaces[iface] = true
+							}
+						}
+						id, ok := n.(*ast.Ident)
+						if !ok {
+							return true
+						}
+						obj := c.info.Uses[id]
+						if fn, ok := obj.(*types.Func); ok {
+							obj = fn.Origin()
+						}
+						if obj == nil || own[obj] {
+							return true
+						}
+						if tn, ok := obj.(*types.TypeName); ok {
+							if iface, ok := tn.Type().Underlying().(*types.Interface); ok {
+								ifaces[iface] = true
+							}
+						}
+						if sid, ok := declared[obj]; ok {
+							used[sid] = true
+						}
+						return true
+					})
+				})
+			}
+		}
 	}
-	return out, nil
+	ifaces[types.Universe.Lookup("error").Type().Underlying().(*types.Interface)] = true
+	for _, si := range surfaceInterfaces {
+		pkg, err := stdImporter.Import(si[0])
+		if err != nil {
+			return nil, err
+		}
+		ifaces[pkg.Scope().Lookup(si[1]).Type().Underlying().(*types.Interface)] = true
+	}
+	for _, n := range named {
+		if n.TypeParams().Len() > 0 || n.NumMethods() == 0 {
+			continue
+		}
+		ptr := types.NewPointer(n)
+		for iface := range ifaces {
+			if iface.NumMethods() == 0 || !types.Implements(ptr, iface) {
+				continue
+			}
+			for i := 0; i < iface.NumMethods(); i++ {
+				m := iface.Method(i)
+				obj, _, _ := types.LookupFieldOrMethod(ptr, false, m.Pkg(), m.Name())
+				if sid, ok := declared[obj]; ok {
+					used[sid] = true
+				}
+			}
+		}
+	}
+	return used, nil
 }
+
+// checkedPkg is one type-checked package.
+type checkedPkg struct {
+	pkg   *types.Package
+	files []*ast.File
+	info  *types.Info
+}
+
+// typeCheck type-checks every package of the tree, resolving imports of
+// the module to its directories and anything else to the standard
+// library.
+func typeCheck(fset *token.FileSet, modPath string, pkgFiles map[string][]*ast.File) (map[string]*checkedPkg, error) {
+	checked := map[string]*checkedPkg{}
+	var check func(dir string) (*checkedPkg, error)
+	imp := importerFunc(func(ipath string) (*types.Package, error) {
+		dir, ok := strings.CutPrefix(ipath, modPath+"/")
+		if ipath == modPath {
+			dir, ok = ".", true
+		}
+		if !ok {
+			return stdImporter.Import(ipath)
+		}
+		if _, ok := pkgFiles[dir]; !ok {
+			return nil, fmt.Errorf("no package in %s", dir)
+		}
+		c, err := check(dir)
+		if err != nil {
+			return nil, err
+		}
+		return c.pkg, nil
+	})
+	check = func(dir string) (*checkedPkg, error) {
+		if c, ok := checked[dir]; ok {
+			if c == nil {
+				return nil, fmt.Errorf("import cycle through %s", dir)
+			}
+			return c, nil
+		}
+		checked[dir] = nil
+		info := &types.Info{
+			Types: map[ast.Expr]types.TypeAndValue{},
+			Defs:  map[*ast.Ident]types.Object{},
+			Uses:  map[*ast.Ident]types.Object{},
+		}
+		ipath := modPath + "/" + dir
+		if dir == "." {
+			ipath = modPath
+		}
+		conf := types.Config{Importer: imp}
+		pkg, err := conf.Check(ipath, fset, pkgFiles[dir], info)
+		if err != nil {
+			return nil, err
+		}
+		c := &checkedPkg{pkg, pkgFiles[dir], info}
+		checked[dir] = c
+		return c, nil
+	}
+	for dir := range pkgFiles {
+		if _, err := check(dir); err != nil {
+			return nil, err
+		}
+	}
+	return checked, nil
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
 // modulePath reads the module line of the go.mod at the root of fsys.
 func modulePath(fsys fs.FS) (string, error) {
@@ -192,44 +398,29 @@ func modulePath(fsys fs.FS) (string, error) {
 	return "", fmt.Errorf("go.mod: no module line")
 }
 
-// packageLevelNames lists the funcs (not methods), types, vars and
-// consts a file declares at package level.
-func packageLevelNames(f *ast.File) []string {
-	var names []string
-	for _, decl := range f.Decls {
-		switch d := decl.(type) {
-		case *ast.FuncDecl:
-			if d.Recv == nil {
-				names = append(names, d.Name.Name)
-			}
-		case *ast.GenDecl:
-			for _, spec := range d.Specs {
-				switch s := spec.(type) {
-				case *ast.TypeSpec:
-					names = append(names, s.Name.Name)
-				case *ast.ValueSpec:
-					for _, n := range s.Names {
-						names = append(names, n.Name)
-					}
+// forEachOwnedNode calls fn on the parts of a top-level declaration that
+// can refer to other objects, with the objects whose uses there do not
+// count: the declared objects themselves, and for a method its receiver
+// type too.
+func forEachOwnedNode(decl ast.Decl, info *types.Info, fn func(ast.Node, map[types.Object]bool)) {
+	switch d := decl.(type) {
+	case *ast.FuncDecl:
+		own := map[types.Object]bool{info.Defs[d.Name]: true}
+		if d.Recv != nil {
+			if sig, ok := info.Defs[d.Name].Type().(*types.Signature); ok {
+				t := sig.Recv().Type()
+				if p, ok := t.(*types.Pointer); ok {
+					t = p.Elem()
+				}
+				if n, ok := t.(*types.Named); ok {
+					own[n.Obj()] = true
 				}
 			}
 		}
-	}
-	return names
-}
-
-// forEachOwnedNode calls fn on the parts of a top-level declaration that
-// can refer to other identifiers, with the names whose uses there do not
-// count: the declared names themselves, or a method's receiver type.
-// Declared names and method receivers are not passed on.
-func forEachOwnedNode(decl ast.Decl, fn func(ast.Node, map[string]bool)) {
-	switch d := decl.(type) {
-	case *ast.FuncDecl:
-		own := map[string]bool{d.Name.Name: true}
-		if d.Recv != nil {
-			own = map[string]bool{receiverType(d.Recv): true}
-		}
 		fn(d.Type, own)
+		if d.Recv != nil {
+			fn(d.Recv, own)
+		}
 		if d.Body != nil {
 			fn(d.Body, own)
 		}
@@ -237,15 +428,15 @@ func forEachOwnedNode(decl ast.Decl, fn func(ast.Node, map[string]bool)) {
 		for _, spec := range d.Specs {
 			switch s := spec.(type) {
 			case *ast.TypeSpec:
-				own := map[string]bool{s.Name.Name: true}
+				own := map[types.Object]bool{info.Defs[s.Name]: true}
 				if s.TypeParams != nil {
 					fn(s.TypeParams, own)
 				}
 				fn(s.Type, own)
 			case *ast.ValueSpec:
-				own := map[string]bool{}
+				own := map[types.Object]bool{}
 				for _, n := range s.Names {
-					own[n.Name] = true
+					own[info.Defs[n]] = true
 				}
 				if s.Type != nil {
 					fn(s.Type, own)
@@ -258,49 +449,109 @@ func forEachOwnedNode(decl ast.Decl, fn func(ast.Node, map[string]bool)) {
 	}
 }
 
-// receiverType returns the name of a method's receiver type.
-func receiverType(recv *ast.FieldList) string {
-	t := recv.List[0].Type
-	if star, ok := t.(*ast.StarExpr); ok {
-		t = star.X
-	}
-	switch x := t.(type) {
-	case *ast.IndexExpr:
-		t = x.X
-	case *ast.IndexListExpr:
-		t = x.X
-	}
-	if id, ok := t.(*ast.Ident); ok {
-		return id.Name
-	}
-	return ""
+// flagDefiners are the package flag functions, and *flag.FlagSet methods,
+// that define a flag; the first string constant among their arguments is
+// the flag's name.
+var flagDefiners = map[string]bool{
+	"Bool": true, "BoolFunc": true, "BoolVar": true, "Duration": true, "DurationVar": true,
+	"Float64": true, "Float64Var": true, "Func": true, "Int": true, "Int64": true,
+	"Int64Var": true, "IntVar": true, "String": true, "StringVar": true, "TextVar": true,
+	"Uint": true, "Uint64": true, "Uint64Var": true, "UintVar": true, "Var": true,
 }
 
-// refs reports every identifier n may refer to: ("", Name) for a bare
-// identifier and (X, Name) for a selector X.Name whose X is an
-// identifier, which is a package or else a bare reference to X. The
-// names of struct fields, interface methods and parameters declare
-// rather than refer, so they are skipped.
-func refs(n ast.Node, fn func(x, name string)) {
-	ast.Inspect(n, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.SelectorExpr:
-			if x, ok := n.X.(*ast.Ident); ok {
-				fn(x.Name, n.Sel.Name)
-				return false
+// definedFlags lists the names of the flags a package defines.
+func definedFlags(c *checkedPkg) []string {
+	var names []string
+	for _, f := range c.files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
 			}
-			refs(n.X, fn)
-			return false
-		case *ast.Field:
-			if n.Type != nil {
-				refs(n.Type, fn)
+			var id *ast.Ident
+			switch fun := call.Fun.(type) {
+			case *ast.SelectorExpr:
+				id = fun.Sel
+			case *ast.Ident:
+				id = fun
 			}
-			return false
-		case *ast.Ident:
-			fn("", n.Name)
+			fn, ok := c.info.Uses[id].(*types.Func)
+			if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "flag" || !flagDefiners[fn.Name()] {
+				return true
+			}
+			for _, arg := range call.Args {
+				if v := c.info.Types[arg].Value; v != nil && v.Kind() == constant.String {
+					names = append(names, constant.StringVal(v))
+					break
+				}
+			}
+			return true
+		})
+	}
+	return names
+}
+
+// stringLits lists the values of a file's string literals.
+func stringLits(f *ast.File) []string {
+	var lits []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+			if s, err := strconv.Unquote(lit.Value); err == nil {
+				lits = append(lits, s)
+			}
 		}
 		return true
 	})
+	return lits
+}
+
+// runnerFlags maps each cmd/ binary's name to the flags that the
+// Makefile, the CI workflows and bench/run.sh pass to it. A missing file
+// passes nothing.
+func runnerFlags(fsys fs.FS) (map[string][]string, error) {
+	files, err := fs.Glob(fsys, ".github/workflows/*.y*ml")
+	if err != nil {
+		return nil, err
+	}
+	out := map[string][]string{}
+	for _, name := range append([]string{"Makefile", "bench/run.sh"}, files...) {
+		src, err := fs.ReadFile(fsys, name)
+		if errors.Is(err, fs.ErrNotExist) {
+			continue
+		} else if err != nil {
+			return nil, err
+		}
+		bins := map[string]string{} // built binary path -> command
+		text := strings.ReplaceAll(string(src), "\\\n", " ")
+		for _, line := range strings.Split(text, "\n") {
+			words := strings.Fields(line)
+			if len(words) > 0 && strings.HasPrefix(words[0], "#") {
+				continue
+			}
+			for i, w := range words {
+				cmd, ok := strings.CutPrefix(w, "./cmd/")
+				if ok && i >= 2 && words[i-2] == "-o" {
+					bins[words[i-1]] = cmd
+					continue
+				}
+				if !ok {
+					if cmd, ok = bins[w]; !ok {
+						continue
+					}
+				}
+				for _, arg := range words[i+1:] {
+					if strings.ContainsAny(arg, ";|&<>()`") {
+						break
+					}
+					if flag, ok := strings.CutPrefix(arg, "-"); ok {
+						flag, _, _ = strings.Cut(strings.TrimPrefix(flag, "-"), "=")
+						out[cmd] = append(out[cmd], flag)
+					}
+				}
+			}
+		}
+	}
+	return out, nil
 }
 
 func TestCheckSurface(t *testing.T) {
@@ -324,7 +575,10 @@ func TestCheckSurface(t *testing.T) {
 			files: map[string]string{
 				"internal/a/a.go": "package a\ntype T struct{ next *T }\nfunc (t *T) Get() *T { return t.next }\n",
 			},
-			want: []string{"a.T has no non-test reference: delete it, or allowlist it with a reason"},
+			want: []string{
+				"a.T has no non-test reference: delete it, or allowlist it with a reason",
+				"a.T.Get has no non-test call and satisfies no interface in use: delete it, or allowlist it with a reason",
+			},
 		},
 		{
 			name: "name used only from a test file",
@@ -350,7 +604,7 @@ func TestCheckSurface(t *testing.T) {
 				"examples/e/main.go": "package main\nimport x \"m/internal/a\"\nfunc main() { x.F() }\n",
 			},
 			allow: map[string]string{"a.F": "reason"},
-			want:  []string{"a.F is allowlisted but now has a non-test reference: remove its entry"},
+			want:  []string{"a.F is allowlisted but now has a use: remove its entry"},
 		},
 		{
 			name: "const used only by its siblings",
@@ -367,6 +621,111 @@ func TestCheckSurface(t *testing.T) {
 				".cache/y.go":              "this does not parse\n",
 			},
 			want: []string{"a.F has no non-test reference: delete it, or allowlist it with a reason"},
+		},
+		{
+			name: "dead method",
+			files: map[string]string{
+				"internal/a/a.go": "package a\ntype T struct{}\nfunc (T) Used() {}\nfunc (T) Dead() {}\nfunc (t T) Self(n int) { if n > 0 { t.Self(n - 1) } }\n",
+				"cmd/c/main.go":   "package main\nimport \"m/internal/a\"\nfunc main() { a.T{}.Used() }\n",
+			},
+			want: []string{
+				"a.T.Dead has no non-test call and satisfies no interface in use: delete it, or allowlist it with a reason",
+				"a.T.Self has no non-test call and satisfies no interface in use: delete it, or allowlist it with a reason",
+			},
+		},
+		{
+			name: "method called only from a test file",
+			files: map[string]string{
+				"internal/a/a.go":      "package a\ntype T struct{}\nfunc New() *T { return &T{} }\nfunc (*T) M() {}\n",
+				"internal/a/a_test.go": "package a\nfunc g() { New().M() }\n",
+				"cmd/c/main.go":        "package main\nimport \"m/internal/a\"\nfunc main() { _ = a.New() }\n",
+				"cmd/c/main_test.go":   "package main\nimport \"m/internal/a\"\nfunc h() { a.New().M() }\n",
+			},
+			want: []string{"a.T.M has no non-test call and satisfies no interface in use: delete it, or allowlist it with a reason"},
+		},
+		{
+			name: "method reached only through an interface",
+			files: map[string]string{
+				"internal/a/a.go": "package a\nimport \"fmt\"\n" +
+					"type Shape interface{ Area() int }\n" +
+					"type Sq struct{ N int }\n" +
+					"func (s Sq) Area() int { return s.N * s.N }\n" +
+					"func (s *Sq) Grow() { s.N++ }\n" +
+					"func (s *Sq) String() string { return fmt.Sprint(s.N) }\n" +
+					"func (s *Sq) Perimeter() int { return 4 * s.N }\n" +
+					"func Total(xs ...Shape) (t int) { for _, x := range xs { t += x.Area() }; return t }\n",
+				"internal/b/b.go": "package b\ntype Grower = interface{ Grow() }\n",
+				"cmd/c/main.go": "package main\nimport (\n\t\"m/internal/a\"\n\t\"m/internal/b\"\n)\n" +
+					"func main() { var g b.Grower = &a.Sq{}; _ = g; _ = a.Total(a.Sq{N: 2}) }\n",
+			},
+			want: []string{"a.Sq.Perimeter has no non-test call and satisfies no interface in use: delete it, or allowlist it with a reason"},
+		},
+		{
+			name: "method only bench calls",
+			files: map[string]string{
+				"internal/a/a.go":      "package a\ntype T struct{}\nfunc (T) Bench() {}\nfunc (T) Test() {}\n",
+				"bench/main.go":        "package main\nimport \"m/internal/a\"\nfunc main() { a.T{}.Bench() }\n",
+				"bench/smoke_test.go":  "package main\nimport \"m/internal/a\"\nfunc h() { a.T{}.Test() }\n",
+				"examples/e/main.go":   "package main\nfunc main() {}\n",
+				"examples/e/e_test.go": "package main\nimport \"m/internal/a\"\nfunc h() { a.T{}.Test() }\n",
+			},
+			want: []string{"a.T.Test has no non-test call and satisfies no interface in use: delete it, or allowlist it with a reason"},
+		},
+		{
+			name: "allowlisted method gained a caller",
+			files: map[string]string{
+				"internal/a/a.go": "package a\ntype T struct{}\nfunc (T) M() {}\nfunc (T) Kept() {}\n",
+				"cmd/c/main.go":   "package main\nimport \"m/internal/a\"\nfunc main() { f := a.T.M; f(a.T{}) }\n",
+			},
+			allow: map[string]string{"a.T.M": "reason", "a.T.Kept": "reason"},
+			want:  []string{"a.T.M is allowlisted but now has a use: remove its entry"},
+		},
+		{
+			name: "flag nothing passes",
+			files: map[string]string{
+				"cmd/c/main.go": "package main\nimport \"flag\"\nfunc main() {\n" +
+					"\tfs := flag.NewFlagSet(\"c\", flag.ExitOnError)\n" +
+					"\tvar n int\n\tfs.IntVar(&n, \"tested\", 1, \"usage\")\n" +
+					"\t_ = fs.String(\"built\", \"\", \"usage\")\n" +
+					"\t_ = flag.Bool(\"ci\", false, \"usage\")\n" +
+					"\t_ = flag.Bool(\"dead\", false, \"usage\")\n}\n",
+				"cmd/c/main_test.go":         "package main\nvar args = []string{\"-tested=2\"}\n",
+				"Makefile":                   "smoke:\n\tgo build -o /tmp/c-bin ./cmd/c\n\t/tmp/c-bin \\\n\t  -built x > /tmp/out; echo -dead\n",
+				".github/workflows/ci.yml":   "jobs:\n  x:\n    steps:\n      - run: go run ./cmd/c -ci\n",
+				".github/workflows/other.md": "go run ./cmd/c -dead\n",
+			},
+			want: []string{"cmd/c -dead is passed by no test of its command, Make target, CI step or bench/run.sh line: delete it, or allowlist it with a reason"},
+		},
+		{
+			name: "flag passed only in README",
+			files: map[string]string{
+				"cmd/c/main.go": "package main\nimport \"flag\"\nfunc main() { _ = flag.Bool(\"v\", false, \"usage\") }\n",
+				"README.md":     "    go run ./cmd/c -v\n",
+			},
+			want: []string{"cmd/c -v is passed by no test of its command, Make target, CI step or bench/run.sh line: delete it, or allowlist it with a reason"},
+		},
+		{
+			name: "flag passed by a Make line for another binary",
+			files: map[string]string{
+				"cmd/c/main.go":      "package main\nimport \"flag\"\nfunc main() { _ = flag.Bool(\"v\", false, \"usage\") }\n",
+				"cmd/d/main.go":      "package main\nimport \"flag\"\nfunc main() { _ = flag.Bool(\"v\", false, \"usage\"); _ = flag.Int(\"n\", 0, \"usage\") }\n",
+				"cmd/d/main_test.go": "package main\nvar args = []string{\"-n\", \"3\"}\n",
+				"cmd/c/c_test.go":    "package main\nvar args = []string{\"-n\", \"3\"}\n",
+				"Makefile":           "t:\n\tgo run ./cmd/d -v\n",
+			},
+			want: []string{"cmd/c -v is passed by no test of its command, Make target, CI step or bench/run.sh line: delete it, or allowlist it with a reason"},
+		},
+		{
+			name: "build constraints select the files",
+			files: map[string]string{
+				"internal/a/a_other.go":  "//go:build !linux\n\npackage a\nfunc F() {}\n",
+				"internal/a/a_linux.go":  "package a\nfunc F() {}\nfunc G() {}\n",
+				"cmd/c/main.go":          "package main\nimport \"m/internal/a\"\nfunc main() { a.F() }\n",
+				"cmd/c/main_windows.go":  "package main\nimport \"m/internal/a\"\nfunc init() { a.G() }\n",
+				"internal/a/ignored.go":  "//go:build ignore\n\npackage main\n",
+				"internal/a/_skipped.go": "package a\nfunc G() {}\n",
+			},
+			want: []string{"a.G has no non-test reference: delete it, or allowlist it with a reason"},
 		},
 	}
 	for _, tc := range cases {
