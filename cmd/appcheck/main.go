@@ -72,19 +72,19 @@ func toAppDesign(df *designFile) (*core.AppDesign, error) {
 			return nil, fmt.Errorf("choice %q: unknown chooser %q", c.Name, c.Chooser)
 		}
 		app.Choices = append(app.Choices, core.ChoicePoint{
-			Name: c.Name, Chooser: kind, Alternatives: c.Alternatives,
+			Chooser: kind, Alternatives: c.Alternatives,
 			Visible: c.Visible, CostExposed: c.CostExposed,
 		})
 	}
 	for _, m := range df.Mechanisms {
-		mech := &core.Mechanism{Name: m.Name, Space: core.Space(m.Space), Visible: m.Visible}
+		mech := &core.Mechanism{Name: m.Name, Visible: m.Visible}
 		for _, sp := range m.Couples {
 			mech.Couples = append(mech.Couples, core.Space(sp))
 		}
 		app.Mechanisms = append(app.Mechanisms, mech)
 	}
 	for _, tp := range df.ThirdParties {
-		app.ThirdParties = append(app.ThirdParties, core.ThirdParty{Name: tp.Name, Selectable: tp.Selectable})
+		app.ThirdParties = append(app.ThirdParties, core.ThirdParty{Selectable: tp.Selectable})
 	}
 	return app, nil
 }

@@ -59,7 +59,7 @@ func TestToAppDesignMapsFields(t *testing.T) {
 	if len(app.Choices) != 1 || app.Choices[0].Chooser != core.ISP || app.Choices[0].Alternatives != 3 {
 		t.Fatalf("choices = %+v", app.Choices)
 	}
-	if len(app.Mechanisms) != 1 || app.Mechanisms[0].Space != "qos" || len(app.Mechanisms[0].Couples) != 1 {
+	if len(app.Mechanisms) != 1 || len(app.Mechanisms[0].Couples) != 1 {
 		t.Fatalf("mechanisms = %+v", app.Mechanisms[0])
 	}
 	if len(app.ThirdParties) != 1 || app.ThirdParties[0].Selectable {

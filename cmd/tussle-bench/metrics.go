@@ -32,7 +32,7 @@ func collectMetrics(seed uint64, suite *obs.Registry) metricsOut {
 	out := metricsOut{Seed: seed, Suite: suite.Snapshot()}
 	for _, exp := range experiments.List() {
 		reg := obs.NewRegistry()
-		exp.RunWith(seed, &obs.Env{Metrics: reg})
+		exp.RunWith(seed, reg)
 		snap := reg.Snapshot()
 		if len(snap.Counters) == 0 && len(snap.Gauges) == 0 && len(snap.Histograms) == 0 {
 			continue

@@ -19,7 +19,7 @@ import (
 func flows(cheaters int) []*congestion.Flow {
 	var out []*congestion.Flow
 	for i := 0; i < 10; i++ {
-		out = append(out, congestion.NewFlow(fmt.Sprintf("flow-%d", i), i < cheaters))
+		out = append(out, congestion.NewFlow(i < cheaters))
 	}
 	return out
 }

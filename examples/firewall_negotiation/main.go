@@ -80,7 +80,7 @@ func main() {
 			return id, true
 		}
 	}
-	rep := trust.NewReputation("site-chosen-mediator", 1.0)
+	rep := trust.NewReputation(1.0)
 	for i := 0; i < 10; i++ {
 		rep.Report("alice", true, nil)
 		rep.Report("mallory", false, nil)

@@ -85,7 +85,7 @@ func main() {
 	fmt.Println("   isolation by path inference, exactly the §VI-A diagnostic gap)")
 
 	// The overlay: members 1, 3, 4 measure each other and route around.
-	mesh := overlay.NewMesh([]topology.NodeID{1, 3, 4})
+	mesh := overlay.NewMesh() // members 1, 3, 4
 	mesh.InstallRelay(net, 3)
 	var got []byte
 	prior := net.Node(4).Deliver

@@ -50,22 +50,22 @@ func main() {
 			switchCost = 0.5
 		}
 		incumbent := &economics.Provider{
-			Name: "incumbent", Cost: 2,
+			Cost:  2,
 			Offer: economics.Offer{Price: 6, AllowsServers: true, AllowsEncryption: true},
 			Strat: &economics.GreedPricing{Step: 0.25},
 		}
 		entrant := &economics.Provider{
-			Name: "entrant", Cost: 2,
+			Cost:  2,
 			Offer: economics.Offer{Price: 6, AllowsServers: true, AllowsEncryption: true},
 			Strat: economics.CompetitivePricing{Step: 0.25, Floor: 0.5},
 		}
 		var consumers []*economics.Consumer
 		for i := 0; i < 60; i++ {
 			consumers = append(consumers, &economics.Consumer{
-				ID: i, WTP: rng.Range(14, 22), SwitchCost: switchCost * rng.Range(0.5, 1.5), Provider: 0,
+				WTP: rng.Range(14, 22), SwitchCost: switchCost * rng.Range(0.5, 1.5), Provider: 0,
 			})
 		}
-		m := economics.NewMarket(rng, []*economics.Provider{incumbent, entrant}, consumers)
+		m := economics.NewMarket([]*economics.Provider{incumbent, entrant}, consumers)
 		for _, c := range consumers {
 			c.Provider = 0
 		}

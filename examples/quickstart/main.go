@@ -46,13 +46,18 @@ func main() {
 
 	// 4. Send a packet carrying the user's choice and a payment voucher
 	// (value must flow, §IV-C) through the simulator.
+	paidOnly, err := netsim.CompileSourceRoutePolicy("paid")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	sched := sim.NewScheduler()
 	net := netsim.New(sched, g)
 	for _, id := range g.NodeIDs() {
 		nd := net.Node(id)
 		nd.Route = pv.RouteFunc(id)
 		nd.HonorSourceRoutes = true
-		nd.RequirePaymentForSourceRoute = true
+		nd.UseSourceRoutePolicy(paidOnly)
 	}
 	want := cands[len(cands)-1]
 	tip := &packet.TIP{
@@ -77,14 +82,14 @@ func main() {
 	design := &core.Design{
 		Name: "tip-internetwork",
 		Choices: []core.ChoicePoint{
-			{Name: "source-route", Chooser: core.User, Alternatives: len(cands), Visible: true, CostExposed: true},
-			{Name: "tos-class", Chooser: core.User, Alternatives: 4, Visible: true, CostExposed: true},
-			{Name: "export-policy", Chooser: core.ISP, Alternatives: 2, Visible: false, CostExposed: true},
+			{Chooser: core.User, Alternatives: len(cands), Visible: true, CostExposed: true}, // source-route
+			{Chooser: core.User, Alternatives: 4, Visible: true, CostExposed: true},          // tos-class
+			{Chooser: core.ISP, Alternatives: 2, Visible: false, CostExposed: true},          // export-policy
 		},
 		Mechanisms: []*core.Mechanism{
-			{Name: "tos-bits", Space: "qos", Visible: true},
-			{Name: "source-routing", Space: "routing", Visible: true},
-			{Name: "payment-voucher", Space: "economics", Visible: true},
+			{Name: "tos-bits", Visible: true},
+			{Name: "source-routing", Visible: true},
+			{Name: "payment-voucher", Visible: true},
 		},
 	}
 	choice := core.AnalyzeChoice(design)

@@ -40,7 +40,7 @@ func main() {
 	// The receiver picks a reputation mediator it trusts (§V-B: "the
 	// parties must be able to choose, so they can select third parties
 	// that they trust").
-	rep := trust.NewReputation("consumer-reports", 1.0)
+	rep := trust.NewReputation(1.0)
 	for i := 0; i < 10; i++ {
 		rep.Report("alice", true, nil)
 		rep.Report("mallory", false, nil)
@@ -76,9 +76,7 @@ func main() {
 	net.Node(3).AddMiddlebox(pfw)
 	report("alice, new app port 7777", send(alice, 7777))
 	report("mallory, attack on port 80", send(mallory, 80))
-	if rules, ok := pfw.Rules(); ok {
-		fmt.Printf("  (the firewall discloses %d rules on request)\n", len(rules))
-	}
+	fmt.Printf("  (the firewall discloses %d rules on request)\n", len(pfw.Rules()))
 
 	fmt.Println("\ntrust-aware firewall (mediates on who, not which port):")
 	net.Node(3).RemoveMiddlebox("port-fw")
@@ -90,8 +88,8 @@ func main() {
 	// The guarantor: even admitted strangers are safe to transact with
 	// because a third party caps the loss.
 	fmt.Println("\nliability guarantor:")
-	card := trust.NewGuarantor("acme-card", 50, 0.03)
-	tx := card.Charge("alice", "unknown-shop", 400)
+	card := trust.NewGuarantor("acme-card", 50)
+	tx := card.Charge(400)
 	fmt.Printf("  alice buys $400 from an unknown shop via %s\n", card.Name)
 	refund := card.Dispute(tx)
 	fmt.Printf("  shop defrauds her; dispute refunds $%.0f, her loss capped at $%.0f\n",

@@ -19,36 +19,9 @@ import (
 	"repro/internal/sim"
 )
 
-// Kind distinguishes human from nonhuman actors — the model gives them
-// "equal attention as shapers" (§II-A).
-type Kind uint8
-
-// Actor kinds.
-const (
-	Human Kind = iota
-	Technology
-	Institution
-)
-
-func (k Kind) String() string {
-	switch k {
-	case Human:
-		return "human"
-	case Technology:
-		return "technology"
-	default:
-		return "institution"
-	}
-}
-
-// Actor is one participant in the socio-technical network.
-type Actor struct {
-	Name   string
-	Kind   Kind
-	Joined int // round of entry
-}
-
-// Network is the actor network.
+// Network is the actor network. Its actors are human and nonhuman alike,
+// and the model gives them "equal attention as shapers" (§II-A): no
+// dynamics depend on which an actor is.
 //
 // Actors live in a slice in join order and are addressed by index; an
 // alignment is one edge, and every edge's value is one slot of align, so
@@ -56,11 +29,12 @@ type Actor struct {
 // in two places only: the public methods take them, and the model's
 // determinism rests on name order, which byName and order keep.
 type Network struct {
-	rng    *sim.RNG
-	actors []Actor
+	rng *sim.RNG
+	// names holds each actor's name, in join order.
+	names []string
 	// byName lists the actor indices in ascending name order.
 	byName []int32
-	// partners lists each actor's alignment partners, indexed like actors.
+	// partners lists each actor's alignment partners, indexed like names.
 	partners [][]partner
 	// align[e] in [0,1] measures the commitment across edge e.
 	align []float64
@@ -69,7 +43,6 @@ type Network struct {
 	// Durability sums in this order: float addition is not associative,
 	// so the order is part of the result.
 	order []orderedEdge
-	Round int
 
 	// HarmonizationRate is how fast aligned pairs converge per round.
 	HarmonizationRate float64
@@ -77,9 +50,8 @@ type Network struct {
 	// around its attachment points.
 	Perturbation float64
 
-	// Entries counts actors that joined after construction;
 	// ChangesTried/ChangesWon track architectural change attempts.
-	Entries, ChangesTried, ChangesWon int
+	ChangesTried, ChangesWon int
 
 	entrySeq int
 }
@@ -105,18 +77,18 @@ func New(rng *sim.RNG) *Network {
 // inserted, and whether an actor has that name.
 func (n *Network) search(name string) (int, bool) {
 	return slices.BinarySearchFunc(n.byName, name, func(a int32, name string) int {
-		return cmp.Compare(n.actors[a].Name, name)
+		return cmp.Compare(n.names[a], name)
 	})
 }
 
 // AddActor inserts an actor; duplicate names panic (a wiring bug).
-func (n *Network) AddActor(name string, kind Kind) {
+func (n *Network) AddActor(name string) {
 	i, dup := n.search(name)
 	if dup {
 		panic(fmt.Sprintf("actornet: duplicate actor %q", name))
 	}
-	n.byName = slices.Insert(n.byName, i, int32(len(n.actors)))
-	n.actors = append(n.actors, Actor{Name: name, Kind: kind, Joined: n.Round})
+	n.byName = slices.Insert(n.byName, i, int32(len(n.names)))
+	n.names = append(n.names, name)
 	n.partners = append(n.partners, nil)
 }
 
@@ -172,14 +144,14 @@ func (n *Network) link(a, b int32, v float64) {
 	n.partners[a] = append(n.partners[a], partner{b, e})
 	n.partners[b] = append(n.partners[b], partner{a, e})
 	key := orderedEdge{a, b, e}
-	if n.actors[b].Name < n.actors[a].Name {
+	if n.names[b] < n.names[a] {
 		key.lo, key.hi = b, a
 	}
 	i, _ := slices.BinarySearchFunc(n.order, key, func(x, key orderedEdge) int {
-		if c := cmp.Compare(n.actors[x.lo].Name, n.actors[key.lo].Name); c != 0 {
+		if c := cmp.Compare(n.names[x.lo], n.names[key.lo]); c != 0 {
 			return c
 		}
-		return cmp.Compare(n.actors[x.hi].Name, n.actors[key.hi].Name)
+		return cmp.Compare(n.names[x.hi], n.names[key.hi])
 	})
 	n.order = slices.Insert(n.order, i, key)
 }
@@ -188,7 +160,7 @@ func (n *Network) link(a, b int32, v float64) {
 func (n *Network) Actors() []string {
 	out := make([]string, len(n.byName))
 	for i, a := range n.byName {
-		out[i] = n.actors[a].Name
+		out[i] = n.names[a]
 	}
 	return out
 }
@@ -211,13 +183,12 @@ func (n *Network) Durability() float64 {
 // attaching to a few existing actors and perturbing the alignments
 // around them.
 func (n *Network) Step(entryRate float64) {
-	n.Round++
 	// Harmonization: all existing edges drift toward 1.
 	r := n.HarmonizationRate
 	for e, v := range n.align {
 		n.align[e] = v + r*(1-v)
 	}
-	if n.rng.Bool(entryRate) && len(n.actors) > 0 {
+	if n.rng.Bool(entryRate) && len(n.names) > 0 {
 		n.enter()
 	}
 }
@@ -227,10 +198,12 @@ func (n *Network) Step(entryRate float64) {
 // destabilize settled arrangements.
 func (n *Network) enter() {
 	n.entrySeq++
-	n.Entries++
-	kinds := []Kind{Human, Technology, Institution}
-	n.AddActor(fmt.Sprintf("entrant-%d", n.entrySeq), kinds[n.rng.Intn(len(kinds))])
-	self := int32(len(n.actors) - 1)
+	// Which of human, technology or institution the entrant is changes
+	// nothing in the model, but the draw is part of the seeded stream
+	// every later draw follows.
+	n.rng.Intn(3)
+	n.AddActor(fmt.Sprintf("entrant-%d", n.entrySeq))
+	self := int32(len(n.names) - 1)
 	// The attachment points are drawn from the name-ordered actor list,
 	// the entrant included (and skipped).
 	existing := n.byName
@@ -288,11 +261,11 @@ func (n *Network) Frozen(threshold float64) bool {
 // aligned.
 func SeedInternet(rng *sim.RNG) *Network {
 	n := New(rng)
-	n.AddActor("protocols", Technology)
-	n.AddActor("isps", Institution)
-	n.AddActor("users", Human)
-	n.AddActor("applications", Technology)
-	n.AddActor("lawmakers", Institution)
+	n.AddActor("protocols")    // technology
+	n.AddActor("isps")         // institution
+	n.AddActor("users")        // human
+	n.AddActor("applications") // technology
+	n.AddActor("lawmakers")    // institution
 	names := n.Actors()
 	for i := range names {
 		for j := i + 1; j < len(names); j++ {

@@ -15,7 +15,7 @@ import (
 // sorted name lists for iteration order.
 type refNetwork struct {
 	rng       *sim.RNG
-	actors    map[string]*Actor
+	actors    map[string]bool
 	align     map[string]map[string]float64
 	actorList []string
 	nbr       map[string][]string
@@ -24,7 +24,7 @@ type refNetwork struct {
 	HarmonizationRate float64
 	Perturbation      float64
 
-	Entries, ChangesTried, ChangesWon int
+	ChangesTried, ChangesWon int
 
 	entrySeq int
 }
@@ -32,7 +32,7 @@ type refNetwork struct {
 func newRef(rng *sim.RNG) *refNetwork {
 	return &refNetwork{
 		rng:               rng,
-		actors:            make(map[string]*Actor),
+		actors:            make(map[string]bool),
 		align:             make(map[string]map[string]float64),
 		nbr:               make(map[string][]string),
 		HarmonizationRate: 0.05,
@@ -40,15 +40,13 @@ func newRef(rng *sim.RNG) *refNetwork {
 	}
 }
 
-func (n *refNetwork) AddActor(name string, kind Kind) *Actor {
-	if _, dup := n.actors[name]; dup {
+func (n *refNetwork) AddActor(name string) {
+	if n.actors[name] {
 		panic(fmt.Sprintf("actornet: duplicate actor %q", name))
 	}
-	a := &Actor{Name: name, Kind: kind, Joined: n.Round}
-	n.actors[name] = a
+	n.actors[name] = true
 	n.align[name] = make(map[string]float64)
 	n.actorList = refInsertSorted(n.actorList, name)
-	return a
 }
 
 func refInsertSorted(xs []string, s string) []string {
@@ -116,10 +114,9 @@ func (n *refNetwork) Step(entryRate float64) {
 
 func (n *refNetwork) enter() {
 	n.entrySeq++
-	n.Entries++
 	name := fmt.Sprintf("entrant-%d", n.entrySeq)
-	kinds := []Kind{Human, Technology, Institution}
-	n.AddActor(name, kinds[n.rng.Intn(len(kinds))])
+	n.rng.Intn(3) // the entrant's kind
+	n.AddActor(name)
 	existing := n.actorList
 	attach := 3
 	if attach > len(existing)-1 {
@@ -159,11 +156,11 @@ func (n *refNetwork) AttemptChange() bool {
 
 func refSeedInternet(rng *sim.RNG) *refNetwork {
 	n := newRef(rng)
-	n.AddActor("protocols", Technology)
-	n.AddActor("isps", Institution)
-	n.AddActor("users", Human)
-	n.AddActor("applications", Technology)
-	n.AddActor("lawmakers", Institution)
+	n.AddActor("protocols")
+	n.AddActor("isps")
+	n.AddActor("users")
+	n.AddActor("applications")
+	n.AddActor("lawmakers")
 	names := n.Actors()
 	for i := range names {
 		for j := i + 1; j < len(names); j++ {
@@ -200,9 +197,6 @@ func TestMatchesReference(t *testing.T) {
 						t.Fatalf("seed %d rate %v round %d: AttemptChange %v, reference %v", seed, rate, i, g, w)
 					}
 				}
-			}
-			if got.Entries != want.Entries {
-				t.Fatalf("seed %d rate %v: Entries %d, reference %d", seed, rate, got.Entries, want.Entries)
 			}
 			names := got.Actors()
 			if !slices.Equal(names, want.Actors()) {

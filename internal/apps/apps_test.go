@@ -55,8 +55,9 @@ func TestMailSpamFiltering(t *testing.T) {
 	if rate := float64(inboxSpam) / float64(inbox); rate > 0.10 {
 		t.Fatalf("inbox spam rate = %v with a 95%% filter", rate)
 	}
-	if s.Filtered == 0 || s.Delivered == 0 {
-		t.Fatalf("counters: %+v", s)
+	// 250 spam and 250 ham offered to a lossless server.
+	if inbox < 250 || inboxSpam == 250 {
+		t.Fatalf("inbox %d with %d spam: want all ham delivered and spam filtered", inbox, inboxSpam)
 	}
 }
 
@@ -75,11 +76,11 @@ func TestMailUnreliableLosesMail(t *testing.T) {
 }
 
 func TestWebCacheLRU(t *testing.T) {
-	origin := NewWebOrigin("origin", 100*sim.Millisecond)
+	origin := NewWebOrigin(100 * sim.Millisecond)
 	origin.Put("a", 10)
 	origin.Put("b", 20)
 	origin.Put("c", 30)
-	cache := NewWebCache("edge", 2, 5*sim.Millisecond, origin)
+	cache := NewWebCache(2, 5*sim.Millisecond, origin)
 
 	if _, lat, ok := cache.Get("a"); !ok || lat != 105*sim.Millisecond {
 		t.Fatalf("cold fetch lat = %v, ok=%v", lat, ok)
@@ -92,24 +93,11 @@ func TestWebCacheLRU(t *testing.T) {
 	if _, lat, _ := cache.Get("a"); lat != 105*sim.Millisecond {
 		t.Fatalf("evicted fetch lat = %v, want cold", lat)
 	}
-	if cache.Hits != 1 || cache.Misses != 4 {
-		t.Fatalf("hits/misses = %d/%d, want 1/4", cache.Hits, cache.Misses)
-	}
-}
-
-func TestWebCacheBrokenFailsRequests(t *testing.T) {
-	origin := NewWebOrigin("origin", 100*sim.Millisecond)
-	origin.Put("a", 1)
-	cache := NewWebCache("edge", 2, 5*sim.Millisecond, origin)
-	cache.Broken = true
-	if _, _, ok := cache.Get("a"); ok {
-		t.Fatal("broken cache served a request — should be a visible failure point")
-	}
 }
 
 func TestWebCacheMissingContent(t *testing.T) {
-	origin := NewWebOrigin("origin", 10*sim.Millisecond)
-	cache := NewWebCache("edge", 2, sim.Millisecond, origin)
+	origin := NewWebOrigin(10 * sim.Millisecond)
+	cache := NewWebCache(2, sim.Millisecond, origin)
 	if _, _, ok := cache.Get("nope"); ok {
 		t.Fatal("missing content served")
 	}

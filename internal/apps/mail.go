@@ -24,9 +24,6 @@ type MailServer struct {
 	SpamFilter float64
 	// Price per message (or per period, units are up to the market).
 	Price float64
-
-	// Delivered, Filtered, Lost count message outcomes.
-	Delivered, Filtered, Lost int
 }
 
 // MailPrefs weights a user's server-selection criteria — the explicit
@@ -64,8 +61,7 @@ func ChooseServer(servers []*MailServer, prefs MailPrefs) *MailServer {
 
 // Message is one mail item.
 type Message struct {
-	From, To string
-	Spam     bool
+	Spam bool
 }
 
 // Handle runs a message through the server: spam may be filtered,
@@ -73,13 +69,7 @@ type Message struct {
 // reached the inbox.
 func (s *MailServer) Handle(m Message, rng *sim.RNG) bool {
 	if !rng.Bool(s.Reliability) {
-		s.Lost++
 		return false
 	}
-	if m.Spam && rng.Bool(s.SpamFilter) {
-		s.Filtered++
-		return false
-	}
-	s.Delivered++
-	return true
+	return !(m.Spam && rng.Bool(s.SpamFilter))
 }

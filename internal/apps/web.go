@@ -6,16 +6,13 @@ import (
 
 // WebOrigin serves content with a fixed round-trip latency.
 type WebOrigin struct {
-	Name    string
 	Latency sim.Time
 	content map[string]int // name -> size
-	// Requests counts origin hits.
-	Requests int
 }
 
 // NewWebOrigin creates an origin server.
-func NewWebOrigin(name string, latency sim.Time) *WebOrigin {
-	return &WebOrigin{Name: name, Latency: latency, content: map[string]int{}}
+func NewWebOrigin(latency sim.Time) *WebOrigin {
+	return &WebOrigin{Latency: latency, content: map[string]int{}}
 }
 
 // Put publishes content.
@@ -27,7 +24,6 @@ func (o *WebOrigin) Get(name string) (int, sim.Time, bool) {
 	if !ok {
 		return 0, o.Latency, false
 	}
-	o.Requests++
 	return size, o.Latency, true
 }
 
@@ -35,38 +31,26 @@ func (o *WebOrigin) Get(name string) (int, sim.Time, bool) {
 // cache that cuts latency for popular content — and one more point of
 // failure and control. LRU with a fixed entry capacity.
 type WebCache struct {
-	Name     string
 	Capacity int
 	Latency  sim.Time // cache hit latency
 	Origin   *WebOrigin
 
 	entries map[string]int
 	order   []string // LRU order, most recent last
-	// Hits and Misses count outcomes; Broken simulates a failed cache
-	// (the added failure point).
-	Hits, Misses int
-	Broken       bool
 }
 
 // NewWebCache creates a cache in front of an origin.
-func NewWebCache(name string, capacity int, latency sim.Time, origin *WebOrigin) *WebCache {
-	return &WebCache{Name: name, Capacity: capacity, Latency: latency, Origin: origin, entries: map[string]int{}}
+func NewWebCache(capacity int, latency sim.Time, origin *WebOrigin) *WebCache {
+	return &WebCache{Capacity: capacity, Latency: latency, Origin: origin, entries: map[string]int{}}
 }
 
-// Get fetches through the cache. A broken cache fails the request
-// outright — the reliability cost of in-network function (§VI-A: "bits
-// of applications 'in the network' increase the number of points of
-// failure").
+// Get fetches through the cache: a hit costs the cache's latency, a miss
+// the origin's on top.
 func (c *WebCache) Get(name string) (int, sim.Time, bool) {
-	if c.Broken {
-		return 0, 0, false
-	}
 	if size, ok := c.entries[name]; ok {
-		c.Hits++
 		c.touch(name)
 		return size, c.Latency, true
 	}
-	c.Misses++
 	size, lat, ok := c.Origin.Get(name)
 	if !ok {
 		return 0, lat, false

@@ -7,7 +7,7 @@ func benchBottleneck(b *testing.B, disc Discipline) {
 	for i := 0; i < b.N; i++ {
 		var flows []*Flow
 		for j := 0; j < 10; j++ {
-			flows = append(flows, NewFlow("f", j < 3))
+			flows = append(flows, NewFlow(j < 3))
 		}
 		bn := NewBottleneck(100, disc, flows...)
 		bn.Run(500)

@@ -16,7 +16,6 @@ import "repro/internal/sim"
 
 // Flow is one end-system's sending process.
 type Flow struct {
-	Name string
 	// Cwnd is the congestion window, in packets per round.
 	Cwnd float64
 	// Aggressive flows ignore loss signals — the §II-B defectors who
@@ -26,16 +25,13 @@ type Flow struct {
 	AdditiveIncrease       float64
 	MultiplicativeDecrease float64
 
-	// Delivered and Lost accumulate across rounds.
-	Delivered, Lost float64
+	// Delivered accumulates across rounds.
+	Delivered float64
 }
 
 // NewFlow returns a standard AIMD flow (increase 1, decrease 0.5).
-func NewFlow(name string, aggressive bool) *Flow {
-	return &Flow{
-		Name: name, Cwnd: 1, Aggressive: aggressive,
-		AdditiveIncrease: 1, MultiplicativeDecrease: 0.5,
-	}
+func NewFlow(aggressive bool) *Flow {
+	return &Flow{Cwnd: 1, Aggressive: aggressive, AdditiveIncrease: 1, MultiplicativeDecrease: 0.5}
 }
 
 // react applies the per-round control law given whether the flow saw
@@ -113,7 +109,6 @@ func (b *Bottleneck) Step() {
 			got := f.Cwnd * frac
 			lost := f.Cwnd - got
 			f.Delivered += got
-			f.Lost += lost
 			b.TotalDelivered += got
 			b.TotalLost += lost
 			f.react(lost > 0.001)
@@ -125,7 +120,6 @@ func (b *Bottleneck) Step() {
 			got := share[i]
 			lost := f.Cwnd - got
 			f.Delivered += got
-			f.Lost += lost
 			b.TotalDelivered += got
 			b.TotalLost += lost
 			f.react(lost > 0.001)

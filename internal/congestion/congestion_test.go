@@ -11,7 +11,7 @@ import (
 func compliantFlows(n int) []*Flow {
 	out := make([]*Flow, n)
 	for i := range out {
-		out[i] = NewFlow("flow", false)
+		out[i] = NewFlow(false)
 	}
 	return out
 }
@@ -31,7 +31,7 @@ func TestCompliantFlowsShareFairly(t *testing.T) {
 
 func TestCheaterDominatesSharedFIFO(t *testing.T) {
 	flows := compliantFlows(4)
-	cheat := NewFlow("cheater", true)
+	cheat := NewFlow(true)
 	flows = append(flows, cheat)
 	b := NewBottleneck(40, SharedFIFO, flows...)
 	b.Run(500)
@@ -44,7 +44,7 @@ func TestCheaterDominatesSharedFIFO(t *testing.T) {
 func TestFairQueueBoundsCheater(t *testing.T) {
 	run := func(disc Discipline) *Bottleneck {
 		flows := compliantFlows(4)
-		flows = append(flows, NewFlow("cheater", true))
+		flows = append(flows, NewFlow(true))
 		b := NewBottleneck(40, disc, flows...)
 		b.Run(500)
 		return b
@@ -74,7 +74,7 @@ func TestCheatersCollapseGoodputOnFIFO(t *testing.T) {
 	// With many cheaters on FIFO, loss explodes.
 	var flows []*Flow
 	for i := 0; i < 5; i++ {
-		flows = append(flows, NewFlow("cheater", true))
+		flows = append(flows, NewFlow(true))
 	}
 	b := NewBottleneck(40, SharedFIFO, flows...)
 	b.Run(500)
@@ -84,7 +84,7 @@ func TestCheatersCollapseGoodputOnFIFO(t *testing.T) {
 }
 
 func TestAIMDReactions(t *testing.T) {
-	f := NewFlow("f", false)
+	f := NewFlow(false)
 	f.Cwnd = 10
 	f.react(false)
 	if f.Cwnd != 11 {
@@ -101,7 +101,7 @@ func TestAIMDReactions(t *testing.T) {
 		t.Fatalf("floor: %v", f.Cwnd)
 	}
 	// Cheater ignores loss.
-	c := NewFlow("c", true)
+	c := NewFlow(true)
 	c.Cwnd = 10
 	c.react(true)
 	if c.Cwnd != 11 {
@@ -155,10 +155,10 @@ func TestSocialPressureRestoresOrder(t *testing.T) {
 	rng := sim.NewRNG(2)
 	var flows []*Flow
 	for i := 0; i < 4; i++ {
-		flows = append(flows, NewFlow("ok", false))
+		flows = append(flows, NewFlow(false))
 	}
 	for i := 0; i < 3; i++ {
-		flows = append(flows, NewFlow("cheater", true))
+		flows = append(flows, NewFlow(true))
 	}
 	b := NewBottleneck(40, SharedFIFO, flows...)
 	converted := SocialPressure(b, rng, 0.05, 600)
@@ -167,7 +167,7 @@ func TestSocialPressureRestoresOrder(t *testing.T) {
 	}
 	// After conversion, measure fairness over a fresh window.
 	for _, f := range b.Flows {
-		f.Delivered, f.Lost = 0, 0
+		f.Delivered = 0
 	}
 	b.TotalDelivered, b.TotalLost = 0, 0
 	b.Run(300)
@@ -182,7 +182,7 @@ func TestGoodputNeverExceedsCapacity(t *testing.T) {
 		var flows []*Flow
 		n := rng.Intn(6) + 1
 		for i := 0; i < n; i++ {
-			flows = append(flows, NewFlow("f", rng.Bool(0.3)))
+			flows = append(flows, NewFlow(rng.Bool(0.3)))
 		}
 		d := SharedFIFO
 		if disc {

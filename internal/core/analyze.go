@@ -8,7 +8,6 @@ import (
 // alternatives at run time — the unit of "design for choice" (§IV-B:
 // "protocols must permit all the parties to express choice").
 type ChoicePoint struct {
-	Name string
 	// Chooser is the party that holds the choice.
 	Chooser Kind
 	// Alternatives is how many options the chooser has (>= 1; 1 means
@@ -79,9 +78,6 @@ func ChoiceBalance(d *Design) float64 {
 
 // IsolationReport is the output of the tussle-boundary analyzer.
 type IsolationReport struct {
-	// Couplings maps each (from, to) space pair to the number of
-	// mechanisms in `from` that condition on `to`.
-	Couplings map[[2]Space]int
 	// CoupledMechanisms counts mechanisms with at least one coupling.
 	CoupledMechanisms int
 	// TotalMechanisms counts all mechanisms analyzed.
@@ -100,14 +96,10 @@ func (r IsolationReport) IsolationScore() float64 {
 
 // AnalyzeIsolation runs the §IV-A analyzer over a design's mechanisms.
 func AnalyzeIsolation(d *Design) IsolationReport {
-	r := IsolationReport{Couplings: make(map[[2]Space]int)}
+	r := IsolationReport{TotalMechanisms: len(d.Mechanisms)}
 	for _, m := range d.Mechanisms {
-		r.TotalMechanisms++
 		if len(m.Couples) > 0 {
 			r.CoupledMechanisms++
-			for _, to := range m.Couples {
-				r.Couplings[[2]Space{m.Space, to}]++
-			}
 		}
 	}
 	return r

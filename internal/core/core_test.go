@@ -15,7 +15,7 @@ func escalationScenario() (*Engine, *Stakeholder, *Stakeholder) {
 	isp.Strat = func(self *Stakeholder, st *State) *Move {
 		if !st.Has("server-ban") {
 			return &Move{Deploy: &Mechanism{
-				Name: "server-ban", Space: "economics", Visible: true,
+				Name: "server-ban", Visible: true,
 				Couples: []Space{"apps"}, // conditions on what app runs
 			}, Note: "value pricing"}
 		}
@@ -24,7 +24,7 @@ func escalationScenario() (*Engine, *Stakeholder, *Stakeholder) {
 	user.Strat = func(self *Stakeholder, st *State) *Move {
 		if st.Has("server-ban") && !st.Has("tunnel") {
 			return &Move{Deploy: &Mechanism{
-				Name: "tunnel", Space: "economics", Distortion: true, Visible: false,
+				Name: "tunnel", Distortion: true, Visible: false,
 			}, Note: "evade"}
 		}
 		return nil
@@ -86,7 +86,7 @@ func TestControlBalance(t *testing.T) {
 
 func TestEngineDirectDeployWithdraw(t *testing.T) {
 	e := NewEngine(nil)
-	e.Deploy(&Mechanism{Name: "x", Space: "s"})
+	e.Deploy(&Mechanism{Name: "x"})
 	if !e.State().Has("x") {
 		t.Fatal("deploy failed")
 	}
@@ -103,12 +103,12 @@ func TestEngineWithdrawMove(t *testing.T) {
 	actor.Strat = func(self *Stakeholder, st *State) *Move {
 		if !fired {
 			fired = true
-			return &Move{Withdraw: "old", Deploy: &Mechanism{Name: "new", Space: "s"}}
+			return &Move{Withdraw: "old", Deploy: &Mechanism{Name: "new"}}
 		}
 		return nil
 	}
 	e := NewEngine(nil, actor)
-	e.Deploy(&Mechanism{Name: "old", Space: "s"})
+	e.Deploy(&Mechanism{Name: "old"})
 	e.Step()
 	if e.State().Has("old") || !e.State().Has("new") {
 		t.Fatalf("swap failed: %v", e.Summary())
@@ -122,9 +122,9 @@ func TestAnalyzeChoiceBits(t *testing.T) {
 	d := &Design{
 		Name: "mail",
 		Choices: []ChoicePoint{
-			{Name: "smtp-server", Chooser: User, Alternatives: 8, Visible: true, CostExposed: true},
-			{Name: "pop-server", Chooser: User, Alternatives: 4, Visible: true, CostExposed: false},
-			{Name: "peering", Chooser: ISP, Alternatives: 2, Visible: false, CostExposed: true},
+			{Chooser: User, Alternatives: 8, Visible: true, CostExposed: true},  // smtp-server
+			{Chooser: User, Alternatives: 4, Visible: true, CostExposed: false}, // pop-server
+			{Chooser: ISP, Alternatives: 2, Visible: false, CostExposed: true},  // peering
 		},
 	}
 	r := AnalyzeChoice(d)
@@ -161,9 +161,9 @@ func TestAnalyzeIsolation(t *testing.T) {
 	d := &Design{
 		Name: "qos-by-port",
 		Mechanisms: []*Mechanism{
-			{Name: "port-classifier", Space: "qos", Couples: []Space{"apps"}},
-			{Name: "tos-bits", Space: "qos"},
-			{Name: "billing", Space: "economics", Couples: []Space{"qos", "apps"}},
+			{Name: "port-classifier", Couples: []Space{"apps"}},
+			{Name: "tos-bits"},
+			{Name: "billing", Couples: []Space{"qos", "apps"}},
 		},
 	}
 	r := AnalyzeIsolation(d)
@@ -172,9 +172,6 @@ func TestAnalyzeIsolation(t *testing.T) {
 	}
 	if math.Abs(r.IsolationScore()-1.0/3) > 1e-9 {
 		t.Fatalf("isolation score = %v", r.IsolationScore())
-	}
-	if len(r.Couplings) != 3 || r.Couplings[[2]Space{"economics", "apps"}] == 0 {
-		t.Fatalf("couplings = %v", r.Couplings)
 	}
 }
 
@@ -219,10 +216,10 @@ func TestEngineDeterministicOrder(t *testing.T) {
 	// mover overwrites. What must hold is determinism across runs.
 	run := func() string {
 		a := &Stakeholder{Name: "a", Kind: User, Strat: func(self *Stakeholder, st *State) *Move {
-			return &Move{Deploy: &Mechanism{Name: "m", Space: "s", Visible: true}}
+			return &Move{Deploy: &Mechanism{Name: "m", Visible: true}}
 		}}
 		b := &Stakeholder{Name: "b", Kind: ISP, Strat: func(self *Stakeholder, st *State) *Move {
-			return &Move{Deploy: &Mechanism{Name: "m", Space: "s", Visible: false}}
+			return &Move{Deploy: &Mechanism{Name: "m", Visible: false}}
 		}}
 		e := NewEngine(nil, a, b)
 		e.Step()

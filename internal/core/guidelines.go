@@ -34,7 +34,6 @@ type AppDesign struct {
 
 // ThirdParty is one mediator in a multi-way application.
 type ThirdParty struct {
-	Name string
 	// Selectable: the end parties can choose which instance of this
 	// mediator they use ("there should be explicit ability to select
 	// what third parties are used to mediate an interaction").

@@ -11,17 +11,17 @@ func goodMail() *AppDesign {
 		Design: Design{
 			Name: "mail",
 			Choices: []ChoicePoint{
-				{Name: "smtp-server", Chooser: User, Alternatives: 8, Visible: true, CostExposed: true},
-				{Name: "pop-server", Chooser: User, Alternatives: 4, Visible: true, CostExposed: true},
+				{Chooser: User, Alternatives: 8, Visible: true, CostExposed: true}, // smtp-server
+				{Chooser: User, Alternatives: 4, Visible: true, CostExposed: true}, // pop-server
 			},
 			Mechanisms: []*Mechanism{
-				{Name: "server-selection", Space: "apps", Visible: true},
-				{Name: "spam-filtering", Space: "apps", Visible: true},
+				{Name: "server-selection", Visible: true},
+				{Name: "spam-filtering", Visible: true},
 			},
 		},
 		UserControlsNetworkFeatures: true,
 		ThirdParties: []ThirdParty{
-			{Name: "reputation-service", Selectable: true},
+			{Selectable: true}, // reputation-service
 		},
 		IntermediariesVisible: true,
 		EndToEndEncryption:    true,
@@ -35,13 +35,13 @@ func badTelephony() *AppDesign {
 		Design: Design{
 			Name: "isp-telephony",
 			Choices: []ChoicePoint{
-				{Name: "codec", Chooser: ISP, Alternatives: 2, Visible: false, CostExposed: false},
+				{Chooser: ISP, Alternatives: 2, Visible: false, CostExposed: false}, // codec
 			},
 			Mechanisms: []*Mechanism{
-				{Name: "qos-for-our-voip-only", Space: "qos", Couples: []Space{"apps", "economics"}},
+				{Name: "qos-for-our-voip-only", Couples: []Space{"apps", "economics"}},
 			},
 		},
-		ThirdParties:   []ThirdParty{{Name: "the-isp-itself", Selectable: false}},
+		ThirdParties:   []ThirdParty{{Selectable: false}}, // the ISP itself
 		NeedsValueFlow: true,
 		HasValueFlow:   false,
 	}

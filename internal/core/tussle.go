@@ -59,7 +59,6 @@ type Space string
 // "adapt ... to try to achieve their conflicting goals" (§I).
 type Mechanism struct {
 	Name  string
-	Space Space
 	Owner string
 	// Distortion marks a move that works by violating the design —
 	// tunneling to evade classification, overloading a field, kludging
@@ -71,9 +70,10 @@ type Mechanism struct {
 	// choices to affected parties (§IV-C: "it matters if choices and
 	// the consequence of choices are visible").
 	Visible bool
-	// Couples lists tussle spaces this mechanism conditions on beyond
-	// its own — isolation violations in the §IV-A sense (e.g. a QoS
-	// mechanism reading application ports couples "qos" to "apps").
+	// Couples lists the tussle spaces other than its own that this
+	// mechanism conditions on — isolation violations in the §IV-A sense
+	// (e.g. a QoS mechanism reading application ports couples "qos" to
+	// "apps").
 	Couples []Space
 }
 
@@ -81,7 +81,6 @@ type Mechanism struct {
 type State struct {
 	Round      int
 	Mechanisms map[string]*Mechanism
-	Utilities  map[string]float64
 }
 
 // mechanismNames returns deployed mechanism names in sorted order.
@@ -151,10 +150,7 @@ func NewEngine(payoff PayoffFunc, stakeholders ...*Stakeholder) *Engine {
 	return &Engine{
 		Stakeholders: stakeholders,
 		Payoff:       payoff,
-		state: State{
-			Mechanisms: make(map[string]*Mechanism),
-			Utilities:  make(map[string]float64),
-		},
+		state:        State{Mechanisms: make(map[string]*Mechanism)},
 	}
 }
 
@@ -203,9 +199,7 @@ func (e *Engine) Step() {
 	if e.Payoff != nil {
 		payoffs := e.Payoff(&e.state)
 		for _, s := range e.Stakeholders {
-			u := payoffs[s.Name]
-			s.Utility += u
-			e.state.Utilities[s.Name] = u
+			s.Utility += payoffs[s.Name]
 		}
 	}
 }

@@ -9,15 +9,15 @@ import (
 func BenchmarkMarketRound(b *testing.B) {
 	rng := sim.NewRNG(1)
 	providers := []*Provider{
-		{Name: "a", Cost: 2, Offer: Offer{Price: 8, AllowsServers: true}, Strat: CompetitivePricing{}},
-		{Name: "b", Cost: 2, Offer: Offer{Price: 9, AllowsServers: true}, Strat: CompetitivePricing{}},
-		{Name: "c", Cost: 2, Offer: Offer{Price: 10}, Strat: &GreedPricing{}},
+		{Cost: 2, Offer: Offer{Price: 8, AllowsServers: true}, Strat: CompetitivePricing{}},
+		{Cost: 2, Offer: Offer{Price: 9, AllowsServers: true}, Strat: CompetitivePricing{}},
+		{Cost: 2, Offer: Offer{Price: 10}, Strat: &GreedPricing{}},
 	}
 	consumers := make([]*Consumer, 500)
 	for i := range consumers {
-		consumers[i] = &Consumer{ID: i, WTP: rng.Range(10, 25), SwitchCost: 1, RunsServer: i%3 == 0}
+		consumers[i] = &Consumer{WTP: rng.Range(10, 25), SwitchCost: 1, RunsServer: i%3 == 0}
 	}
-	m := NewMarket(rng, providers, consumers)
+	m := NewMarket(providers, consumers)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -29,7 +29,7 @@ func BenchmarkLedgerTransfer(b *testing.B) {
 	l := NewLedger(map[string]float64{"a": 1e12, "b": 0})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if err := l.Transfer("a", "b", 0.001, "x"); err != nil {
+		if err := l.Transfer("a", "b", 0.001); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -3,6 +3,7 @@ package economics
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Ledger is the settlement substrate for value flow: "Whatever the
@@ -11,18 +12,9 @@ import (
 // transferred, never created.
 type Ledger struct {
 	balances map[string]float64
-	// Entries is the audit trail.
-	Entries []LedgerEntry
 	// initial is the sum of all opening balances, for the conservation
 	// invariant.
 	initial float64
-}
-
-// LedgerEntry is one transfer.
-type LedgerEntry struct {
-	From, To string
-	Amount   float64
-	Memo     string
 }
 
 // ErrInsufficient is returned on overdraft attempts.
@@ -43,7 +35,7 @@ func (l *Ledger) Balance(acct string) float64 { return l.balances[acct] }
 
 // Transfer moves amount from one account to another. Negative amounts
 // are rejected; overdrafts are rejected.
-func (l *Ledger) Transfer(from, to string, amount float64, memo string) error {
+func (l *Ledger) Transfer(from, to string, amount float64) error {
 	if amount < 0 {
 		return fmt.Errorf("economics: negative transfer %v", amount)
 	}
@@ -52,7 +44,6 @@ func (l *Ledger) Transfer(from, to string, amount float64, memo string) error {
 	}
 	l.balances[from] -= amount
 	l.balances[to] += amount
-	l.Entries = append(l.Entries, LedgerEntry{From: from, To: to, Amount: amount, Memo: memo})
 	return nil
 }
 
@@ -63,12 +54,5 @@ func (l *Ledger) Conserved() bool {
 	for _, v := range l.balances {
 		total += v
 	}
-	return abs(total-l.initial) < 1e-6
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
+	return math.Abs(total-l.initial) < 1e-6
 }

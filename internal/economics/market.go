@@ -16,7 +16,6 @@ import (
 	"math"
 
 	"repro/internal/obs"
-	"repro/internal/sim"
 )
 
 // Offer is what a provider sells: a price and service attributes that
@@ -46,18 +45,14 @@ type Strategy interface {
 // MarketView is the public state a strategy may condition on — prices are
 // visible (choices exposed), costs are not.
 type MarketView struct {
-	Prices      []float64
-	Subscribers []int
-	Round       int
+	Prices []float64
+	Round  int
 	// Self is the index of the provider being repriced.
 	Self int
-	// TotalConsumers is the market size.
-	TotalConsumers int
 }
 
 // Provider is one service provider.
 type Provider struct {
-	Name string
 	// Cost is the marginal cost of serving one consumer per round.
 	Cost float64
 	// FixedCost is the per-round cost of being in the market at all.
@@ -76,7 +71,6 @@ type Provider struct {
 
 // Consumer is one buyer.
 type Consumer struct {
-	ID int
 	// WTP is base willingness to pay per round.
 	WTP float64
 	// RunsServer, WantsEncryption, WantsQoS mark feature demand; each
@@ -154,7 +148,6 @@ func (c *Consumer) valueOf(o Offer) (val float64, tunneling bool) {
 type Market struct {
 	Providers []*Provider
 	Consumers []*Consumer
-	RNG       *sim.RNG
 	Round     int
 
 	// Switches counts provider changes; Tunnels counts rounds spent
@@ -199,28 +192,25 @@ func (m *Market) AttachObs(reg *obs.Registry) {
 }
 
 // NewMarket wires providers and consumers together.
-func NewMarket(rng *sim.RNG, providers []*Provider, consumers []*Consumer) *Market {
+func NewMarket(providers []*Provider, consumers []*Consumer) *Market {
 	for _, p := range providers {
 		p.Alive = true
 	}
 	for _, c := range consumers {
 		c.Provider = -1
 	}
-	return &Market{Providers: providers, Consumers: consumers, RNG: rng}
+	return &Market{Providers: providers, Consumers: consumers}
 }
 
 // view builds the public market view.
 func (m *Market) view() MarketView {
-	v := MarketView{Round: m.Round, TotalConsumers: len(m.Consumers)}
+	v := MarketView{Round: m.Round}
 	for _, p := range m.Providers {
 		price := math.Inf(1)
-		subs := 0
 		if p.Alive {
 			price = p.Offer.Price
-			subs = p.Subscribers
 		}
 		v.Prices = append(v.Prices, price)
-		v.Subscribers = append(v.Subscribers, subs)
 	}
 	return v
 }

@@ -14,7 +14,7 @@ import (
 // incumbents keep prices high.
 func E3ProviderLockin(seed uint64) *Result { return e3ProviderLockin(seed, nil) }
 
-func e3ProviderLockin(seed uint64, env *obs.Env) *Result {
+func e3ProviderLockin(seed uint64, reg *obs.Registry) *Result {
 	res := &Result{
 		ID:    "E3",
 		Title: "provider lock-in from addressing",
@@ -34,14 +34,14 @@ func e3ProviderLockin(seed uint64, env *obs.Env) *Result {
 			// among themselves (Bertrand), so the incumbent's
 			// sustainable markup is exactly what lock-in buys it.
 			incumbent := &economics.Provider{
-				Name: "incumbent", Cost: 2,
+				Cost:  2,
 				Offer: economics.Offer{Price: 6, AllowsServers: true, AllowsEncryption: true},
 				Strat: &economics.GreedPricing{Step: 0.25},
 			}
 			providers := []*economics.Provider{incumbent}
 			for i := 0; i < entrants; i++ {
 				providers = append(providers, &economics.Provider{
-					Name: fmt.Sprintf("entrant-%d", i), Cost: 2,
+					Cost:  2,
 					Offer: economics.Offer{Price: 6, AllowsServers: true, AllowsEncryption: true},
 					Strat: economics.CompetitivePricing{Step: 0.25, Floor: 0.5},
 				})
@@ -49,13 +49,13 @@ func e3ProviderLockin(seed uint64, env *obs.Env) *Result {
 			var consumers []*economics.Consumer
 			for i := 0; i < 120; i++ {
 				consumers = append(consumers, &economics.Consumer{
-					ID: i, WTP: rng.Range(14, 22),
+					WTP:        rng.Range(14, 22),
 					SwitchCost: switchCost * rng.Range(0.5, 1.5),
 					Provider:   0, // everyone starts on the incumbent
 				})
 			}
-			m := economics.NewMarket(rng, providers, consumers)
-			m.AttachObs(env.Registry())
+			m := economics.NewMarket(providers, consumers)
+			m.AttachObs(reg)
 			for _, c := range consumers {
 				c.Provider = 0
 			}
@@ -82,7 +82,7 @@ func e3ProviderLockin(seed uint64, env *obs.Env) *Result {
 // leakage because a rival without the ban attracts the evaders.
 func E4ValuePricing(seed uint64) *Result { return e4ValuePricing(seed, nil) }
 
-func e4ValuePricing(seed uint64, env *obs.Env) *Result {
+func e4ValuePricing(seed uint64, reg *obs.Registry) *Result {
 	res := &Result{
 		ID:    "E4",
 		Title: "value pricing vs tunneling",
@@ -95,13 +95,13 @@ func e4ValuePricing(seed uint64, env *obs.Env) *Result {
 		for _, tunneling := range []string{"no-tunnels", "tunnels"} {
 			rng := sim.NewRNG(seed)
 			providers := []*economics.Provider{{
-				Name: "ban-isp", Cost: 2,
+				Cost:  2,
 				Offer: economics.Offer{Price: 8, AllowsServers: false, ServerSurcharge: 3, AllowsEncryption: true},
 				Strat: economics.StaticPricing{},
 			}}
 			if competition == "duopoly" {
 				providers = append(providers, &economics.Provider{
-					Name: "open-isp", Cost: 2,
+					Cost:  2,
 					Offer: economics.Offer{Price: 9, AllowsServers: true, AllowsEncryption: true},
 					Strat: economics.StaticPricing{},
 				})
@@ -109,13 +109,13 @@ func e4ValuePricing(seed uint64, env *obs.Env) *Result {
 			var consumers []*economics.Consumer
 			for i := 0; i < 100; i++ {
 				consumers = append(consumers, &economics.Consumer{
-					ID: i, WTP: rng.Range(14, 20), SwitchCost: 1,
+					WTP: rng.Range(14, 20), SwitchCost: 1,
 					RunsServer: i%2 == 0,
 					CanTunnel:  tunneling == "tunnels" && i%4 == 0,
 				})
 			}
-			m := economics.NewMarket(rng, providers, consumers)
-			m.AttachObs(env.Registry())
+			m := economics.NewMarket(providers, consumers)
+			m.AttachObs(reg)
 			const rounds = 30
 			m.Run(rounds)
 			res.AddRow(fmt.Sprintf("%s %s", competition, tunneling),
@@ -140,7 +140,7 @@ func e4ValuePricing(seed uint64, env *obs.Env) *Result {
 // the advantage of those that invest in the fiber").
 func E5OpenAccess(seed uint64) *Result { return e5OpenAccess(seed, nil) }
 
-func e5OpenAccess(seed uint64, env *obs.Env) *Result {
+func e5OpenAccess(seed uint64, reg *obs.Registry) *Result {
 	res := &Result{
 		ID:    "E5",
 		Title: "municipal fiber open access at the facility/ISP boundary",
@@ -154,7 +154,7 @@ func e5OpenAccess(seed uint64, env *obs.Env) *Result {
 		rng := sim.NewRNG(seed)
 		// The facility owner also retails.
 		owner := &economics.Provider{
-			Name: "facility-owner", Cost: 1.5,
+			Cost:  1.5,
 			Offer: economics.Offer{Price: 12, AllowsServers: true, AllowsEncryption: true},
 			Strat: func() economics.Strategy {
 				if entrants == 0 {
@@ -166,7 +166,6 @@ func e5OpenAccess(seed uint64, env *obs.Env) *Result {
 		providers := []*economics.Provider{owner}
 		for i := 0; i < entrants; i++ {
 			providers = append(providers, &economics.Provider{
-				Name: fmt.Sprintf("entrant-%d", i),
 				// Entrants pay wholesale per subscriber on top of their
 				// own service cost.
 				Cost:  1.0 + wholesale,
@@ -176,10 +175,10 @@ func e5OpenAccess(seed uint64, env *obs.Env) *Result {
 		}
 		var consumers []*economics.Consumer
 		for i := 0; i < 150; i++ {
-			consumers = append(consumers, &economics.Consumer{ID: i, WTP: rng.Range(14, 22), SwitchCost: 1})
+			consumers = append(consumers, &economics.Consumer{WTP: rng.Range(14, 22), SwitchCost: 1})
 		}
-		m := economics.NewMarket(rng, providers, consumers)
-		m.AttachObs(env.Registry())
+		m := economics.NewMarket(providers, consumers)
+		m.AttachObs(reg)
 		const rounds = 80
 		m.Run(rounds)
 		// Facility profit = owner's retail profit + wholesale revenue

@@ -22,7 +22,7 @@ import (
 // revenue flows to providers when payment is required.
 func E6RoutingControl(seed uint64) *Result { return e6RoutingControl(seed, nil) }
 
-func e6RoutingControl(seed uint64, env *obs.Env) *Result {
+func e6RoutingControl(seed uint64, reg *obs.Registry) *Result {
 	res := &Result{
 		ID:    "E6",
 		Title: "provider vs user control of inter-domain routes",
@@ -32,32 +32,37 @@ func e6RoutingControl(seed uint64, env *obs.Env) *Result {
 		},
 	}
 	configs := []struct {
-		label      string
-		honor      bool
-		requirePay bool
-		attachPay  bool
+		label     string
+		honor     bool
+		attachPay bool
 	}{
-		{"provider-control", false, false, false},
-		{"srcroute unpaid", true, true, false},
-		{"srcroute paid", true, true, true},
+		{"provider-control", false, false},
+		{"srcroute unpaid", true, false},
+		{"srcroute paid", true, true},
+	}
+	paid, err := netsim.CompileSourceRoutePolicy("paid")
+	if err != nil {
+		panic(err)
 	}
 	for _, cfg := range configs {
 		rng := sim.NewRNG(seed)
 		g := topology.GenerateHierarchy(topology.DefaultHierarchy(), rng)
 		sched := sim.NewScheduler()
-		sched.AttachObs(env.Registry())
+		sched.AttachObs(reg)
 		net := netsim.New(sched, g)
-		net.AttachObs(env.Registry(), env.Tracer())
+		net.AttachObs(reg, nil)
 		pv := pathvector.New(g)
-		pv.AttachObs(env.Registry())
+		pv.AttachObs(reg)
 		if err := pv.Converge(); err != nil {
 			panic(err)
 		}
 		for _, id := range g.NodeIDs() {
 			nd := net.Node(id)
 			nd.Route = pv.RouteFunc(id)
-			nd.HonorSourceRoutes = cfg.honor
-			nd.RequirePaymentForSourceRoute = cfg.requirePay
+			if cfg.honor {
+				nd.HonorSourceRoutes = true
+				nd.UseSourceRoutePolicy(paid)
+			}
 		}
 		ledger := economics.NewLedger(map[string]float64{"users": 1e6})
 		payerKey := []byte("user-master-key")
@@ -95,7 +100,7 @@ func e6RoutingControl(seed uint64, env *obs.Env) *Result {
 				}
 				if cfg.attachPay {
 					amount := srcroute.WithPayment(tip, *want, payerKey, uint32(pairs))
-					if err := ledger.Transfer("users", "providers", float64(amount)/1000, "source-route voucher"); err == nil {
+					if err := ledger.Transfer("users", "providers", float64(amount)/1000); err == nil {
 						voucherRevenue += float64(amount) / 1000
 					}
 				}

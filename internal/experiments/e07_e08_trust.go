@@ -56,7 +56,7 @@ func E7TrustFirewall(seed uint64) *Result {
 	for _, design := range []string{"port-fw", "trust-fw"} {
 		for _, attackerFrac := range []float64{0.1, 0.3} {
 			rng := sim.NewRNG(seed)
-			rep := trust.NewReputation("chosen-mediator", 1.0)
+			rep := trust.NewReputation(1.0)
 			// Senders: attackers have a bad history, honest senders good.
 			var senders []sender
 			for i := 0; i < 200; i++ {

@@ -92,11 +92,11 @@ func E9EndToEnd(seed uint64) *Result {
 		// Web latency benefits from caches at feature-bearing nodes: a
 		// cache hit saves the remaining path. Model as an app-level
 		// cache serving a Zipf-ish popular set.
-		origin := apps.NewWebOrigin("origin", sim.Time(webLat.Mean()*float64(sim.Millisecond)))
+		origin := apps.NewWebOrigin(sim.Time(webLat.Mean() * float64(sim.Millisecond)))
 		for i := 0; i < 50; i++ {
 			origin.Put(fmt.Sprintf("page-%d", i), 1000)
 		}
-		cache := apps.NewWebCache("edge", 20, 3*sim.Millisecond, origin)
+		cache := apps.NewWebCache(20, 3*sim.Millisecond, origin)
 		var effWebLat sim.Series
 		if failurePoints > 0 {
 			for i := 0; i < 300; i++ {
@@ -142,7 +142,7 @@ func E10Encryption(seed uint64) *Result {
 		for _, policy := range []string{"carry", "block-crypto"} {
 			rng := sim.NewRNG(seed)
 			blocker := &economics.Provider{
-				Name: "blocker", Cost: 2,
+				Cost: 2,
 				Offer: economics.Offer{Price: 8, AllowsServers: true,
 					AllowsEncryption: policy == "carry"},
 				Strat: economics.StaticPricing{},
@@ -150,7 +150,7 @@ func E10Encryption(seed uint64) *Result {
 			providers := []*economics.Provider{blocker}
 			if competition == "competitive" {
 				providers = append(providers, &economics.Provider{
-					Name: "rival", Cost: 2,
+					Cost:  2,
 					Offer: economics.Offer{Price: 8.5, AllowsServers: true, AllowsEncryption: true},
 					Strat: economics.StaticPricing{},
 				})
@@ -158,11 +158,11 @@ func E10Encryption(seed uint64) *Result {
 			var consumers []*economics.Consumer
 			for i := 0; i < 100; i++ {
 				consumers = append(consumers, &economics.Consumer{
-					ID: i, WTP: rng.Range(12, 18), SwitchCost: 0.5,
+					WTP: rng.Range(12, 18), SwitchCost: 0.5,
 					WantsEncryption: i%2 == 0,
 				})
 			}
-			m := economics.NewMarket(rng, providers, consumers)
+			m := economics.NewMarket(providers, consumers)
 			m.Run(20)
 			// Encrypted traffic carried: subscribers who want
 			// encryption and sit on a carrier that allows it.

@@ -31,7 +31,7 @@ func qosDeploymentRun(seed uint64, valueFlow, routingChoice bool) (deployShare f
 			// The retail market is competitive: margins are thin, so
 			// subscriber acquisition alone cannot fund QoS upkeep —
 			// only the QoS fee (the value-flow mechanism) can.
-			Name: fmt.Sprintf("isp-%d", i), Cost: 7.5,
+			Cost:  7.5,
 			Offer: economics.Offer{Price: 8, AllowsServers: true, AllowsEncryption: true},
 			Strat: economics.StaticPricing{},
 		})
@@ -39,7 +39,7 @@ func qosDeploymentRun(seed uint64, valueFlow, routingChoice bool) (deployShare f
 	var consumers []*economics.Consumer
 	for i := 0; i < 120; i++ {
 		consumers = append(consumers, &economics.Consumer{
-			ID: i, WTP: rng.Range(12, 18), SwitchCost: switchCost,
+			WTP: rng.Range(12, 18), SwitchCost: switchCost,
 			WantsQoS: rng.Bool(0.5),
 			// Consumers start spread across providers (historical
 			// accident of sign-up), so the choice knob is purely about
@@ -47,7 +47,7 @@ func qosDeploymentRun(seed uint64, valueFlow, routingChoice bool) (deployShare f
 			Provider: i % nProviders,
 		})
 	}
-	m := economics.NewMarket(rng, providers, consumers)
+	m := economics.NewMarket(providers, consumers)
 	for i, c := range consumers {
 		c.Provider = i % nProviders
 	}

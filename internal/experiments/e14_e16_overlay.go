@@ -54,7 +54,7 @@ func E14Overlay(seed uint64) *Result {
 				id := id
 				net.Node(id).AddMiddlebox(pairBlocker{blocked: blocked})
 			}
-			mesh := overlay.NewMesh(stubs)
+			mesh := overlay.NewMesh()
 			for _, s := range stubs {
 				mesh.InstallRelay(net, s)
 			}
@@ -119,10 +119,10 @@ func E14Overlay(seed uint64) *Result {
 					if err != nil {
 						panic(err)
 					}
-					before := net.Node(d).Counters.Delivered
+					before := net.Node(d).Delivered
 					net.Send(s, enc)
 					sched.Run()
-					if net.Node(d).Counters.Delivered > before {
+					if net.Node(d).Delivered > before {
 						ok++
 					}
 				}

@@ -35,7 +35,7 @@ func E17Congestion(seed uint64) *Result {
 		for _, cheaters := range []int{0, 1, 3, 5} {
 			var flows []*congestion.Flow
 			for i := 0; i < nFlows; i++ {
-				flows = append(flows, congestion.NewFlow(fmt.Sprintf("f%d", i), i < cheaters))
+				flows = append(flows, congestion.NewFlow(i < cheaters))
 			}
 			b := congestion.NewBottleneck(capacity, disc, flows...)
 			b.Run(rounds)
@@ -68,7 +68,7 @@ func E17Congestion(seed uint64) *Result {
 // bound the damage.
 func E18Byzantine(seed uint64) *Result { return e18Byzantine(seed, nil) }
 
-func e18Byzantine(seed uint64, env *obs.Env) *Result {
+func e18Byzantine(seed uint64, reg *obs.Registry) *Result {
 	res := &Result{
 		ID:    "E18",
 		Title: "byzantine route advertisement: trusting vs robust flooding",
@@ -85,7 +85,7 @@ func e18Byzantine(seed uint64, env *obs.Env) *Result {
 	for _, mode := range []linkstate.VerifyMode{linkstate.TrustAll, linkstate.SignedTwoSided} {
 		for _, attackers := range []int{0, 1, 2} {
 			db := linkstate.NewAdDatabase(g, mode, keys)
-			db.AttachObs(env.Registry())
+			db.AttachObs(reg)
 
 			// The attackers are transit nodes (stubs attract nothing).
 			var liars []topology.NodeID
@@ -112,9 +112,9 @@ func e18Byzantine(seed uint64, env *obs.Env) *Result {
 			// Forwarding: each node routes by the advertised database;
 			// liars blackhole transit traffic.
 			sched := sim.NewScheduler()
-			sched.AttachObs(env.Registry())
+			sched.AttachObs(reg)
 			net := netsim.New(sched, g)
-			net.AttachObs(env.Registry(), env.Tracer())
+			net.AttachObs(reg, nil)
 			tables := linkstate.Compute(db)
 			for _, id := range g.NodeIDs() {
 				net.Node(id).Route = tables[id].RouteFunc()
@@ -191,7 +191,7 @@ func (blackhole) Process(node topology.NodeID, dir netsim.Direction, data []byte
 // flowed.
 func E19MailChoice(seed uint64) *Result { return e19MailChoice(seed, nil) }
 
-func e19MailChoice(seed uint64, env *obs.Env) *Result {
+func e19MailChoice(seed uint64, reg *obs.Registry) *Result {
 	res := &Result{
 		ID:    "E19",
 		Title: "mail server choice vs ISP redirection",
@@ -220,9 +220,9 @@ func e19MailChoice(seed uint64, env *obs.Env) *Result {
 		g.AddNode(3, topology.Transit, 1)
 		g.AddLink(1, 2, topology.CustomerOf, sim.Millisecond, 1)
 		g.AddLink(2, 3, topology.PeerOf, sim.Millisecond, 1)
-		sched.AttachObs(env.Registry())
+		sched.AttachObs(reg)
 		net := netsim.New(sched, g)
-		net.AttachObs(env.Registry(), env.Tracer())
+		net.AttachObs(reg, nil)
 		routes := map[topology.NodeID]map[uint16]topology.NodeID{
 			1: {2: 2, 3: 2},
 			2: {1: 1, 3: 3},
@@ -253,7 +253,7 @@ func e19MailChoice(seed uint64, env *obs.Env) *Result {
 		viaChosen := 0
 		inboxSpam, inboxTotal := 0, 0
 		for i := 0; i < nMessages; i++ {
-			msg := apps.Message{From: "peer", To: "user", Spam: rng.Bool(spamFrac)}
+			msg := apps.Message{Spam: rng.Bool(spamFrac)}
 			useTunnel := cfg == "redirect+tunnel"
 			var data []byte
 			var err error

@@ -10,7 +10,9 @@ import (
 // facility shared by competing retail ISPs, compared across the time
 // domain (packet scheduling) and the color domain (wavelengths) on the
 // exact questions the paper lists — fairness enforcement and
-// verification, fault isolation, and incremental upgrades.
+// verification, fault isolation, and incremental upgrades. The
+// blast-radius column is structural (fiber.Facility.BlastRadius's
+// per-domain count); no scenario injects a fault.
 func E22FiberSharing(seed uint64) *Result {
 	res := &Result{
 		ID:    "E22",

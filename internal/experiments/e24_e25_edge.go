@@ -31,7 +31,7 @@ func E24DelegatedControls(seed uint64) *Result {
 	for _, design := range []string{"end-node", "delegated-fw", "both"} {
 		for _, patchRate := range []float64{0.3, 0.9} {
 			rng := sim.NewRNG(seed)
-			rep := trust.NewReputation("rep", 1.0)
+			rep := trust.NewReputation(1.0)
 			for i := 0; i < 8; i++ {
 				rep.Report("friend", true, nil)
 				rep.Report("attacker", false, nil)

@@ -36,6 +36,10 @@ func E26OverlayVsIntegrated(seed uint64) *Result {
 		},
 	}
 	const nProbes = 40
+	paid, err := netsim.CompileSourceRoutePolicy("paid")
+	if err != nil {
+		panic(err)
+	}
 	for _, design := range []string{"provider-default", "overlay", "srcroute+payment"} {
 		rng := sim.NewRNG(seed)
 		_ = rng
@@ -66,11 +70,11 @@ func E26OverlayVsIntegrated(seed uint64) *Result {
 			}
 			if design == "srcroute+payment" {
 				nd.HonorSourceRoutes = true
-				nd.RequirePaymentForSourceRoute = true
+				nd.UseSourceRoutePolicy(paid)
 			}
 		}
 		ledger := economics.NewLedger(map[string]float64{"users": 1e6, "providers": 0})
-		mesh := overlay.NewMesh([]topology.NodeID{1, 3, 4})
+		mesh := overlay.NewMesh() // members 1, 3, 4
 		mesh.InstallRelay(net, 3)
 		payerKey := []byte("user-key")
 
@@ -100,7 +104,7 @@ func E26OverlayVsIntegrated(seed uint64) *Result {
 					Src: packet.MakeAddr(1, 1), Dst: packet.MakeAddr(4, 1),
 					SourceRoute: want.Option()}
 				amount := srcroute.WithPayment(tip, want, payerKey, uint32(p))
-				if err := ledger.Transfer("users", "providers", float64(amount)/1000, "voucher"); err != nil {
+				if err := ledger.Transfer("users", "providers", float64(amount)/1000); err != nil {
 					panic(err)
 				}
 				data, err := packet.Serialize(tip, &packet.Raw{Data: []byte("payload")})

@@ -43,7 +43,7 @@ const e27PlanJSON = `{
 // while BGP-style news propagates.
 func E27Availability(seed uint64) *Result { return e27Availability(seed, nil) }
 
-func e27Availability(seed uint64, env *obs.Env) *Result {
+func e27Availability(seed uint64, reg *obs.Registry) *Result {
 	res := &Result{
 		ID:    "E27",
 		Title: "availability under a standard fault schedule",
@@ -80,28 +80,28 @@ func e27Availability(seed uint64, env *obs.Env) *Result {
 
 		sched := sim.NewScheduler()
 		net := netsim.New(sched, g)
-		if env != nil {
-			sched.AttachObs(env.Registry())
-			net.AttachObs(env.Registry(), env.Tracer())
+		if reg != nil {
+			sched.AttachObs(reg)
+			net.AttachObs(reg, nil)
 		}
 
 		// Live routing: path-vector with delayed installs (stale windows).
 		pv := pathvector.New(g)
 		pvr := chaos.NewPathVectorRerouter(net, pv, true)
-		pvr.AttachObs(env.Registry())
+		pvr.AttachObs(reg)
 		if err := pvr.Converge(); err != nil {
 			panic(err)
 		}
 		// Shadow link-state instance: reports flooding-model reconvergence
 		// times for the same faults without touching forwarding.
 		lsr := chaos.NewLinkStateRerouter(net, linkstate.NewDatabase(g), false)
-		lsr.AttachObs(env.Registry())
+		lsr.AttachObs(reg)
 		if err := lsr.Converge(); err != nil {
 			panic(err)
 		}
 
 		eng := chaos.New(net, seed)
-		eng.AttachObs(env.Registry())
+		eng.AttachObs(reg)
 		eng.Observe(pvr)
 		eng.Observe(lsr)
 		plan, err := chaos.ParsePlan([]byte(e27PlanJSON))
@@ -112,7 +112,7 @@ func e27Availability(seed uint64, env *obs.Env) *Result {
 			panic(err)
 		}
 
-		mesh := overlay.NewMesh([]topology.NodeID{4, 5, 6})
+		mesh := overlay.NewMesh() // members 4, 5, 6
 		mesh.InstallRelay(net, 6)
 
 		correspondent := packet.MakeAddr(4, 1)
@@ -147,7 +147,7 @@ func e27Availability(seed uint64, env *obs.Env) *Result {
 				}
 				// Counter baseline before any send this round, so the
 				// overlay check sees only this round's arrivals at 2.
-				base := net.Node(2).Counters.Delivered
+				base := net.Node(2).Delivered
 				var attempts []attempt
 				for _, a := range addrs {
 					attempts = append(attempts, attempt{net.Send(4, mkProbe(a)), topology.NodeID(a.Provider())})
@@ -171,7 +171,7 @@ func e27Availability(seed uint64, env *obs.Env) *Result {
 						}
 					}
 					if cfg == "overlay-failover" &&
-						net.Node(2).Counters.Delivered > base && hostUp(2) {
+						net.Node(2).Delivered > base && hostUp(2) {
 						ok = true
 					}
 					if ok {
@@ -230,7 +230,7 @@ const e28PlanJSON = `{
 // shedding engages.
 func E28Degradation(seed uint64) *Result { return e28Degradation(seed, nil) }
 
-func e28Degradation(seed uint64, env *obs.Env) *Result {
+func e28Degradation(seed uint64, reg *obs.Registry) *Result {
 	res := &Result{
 		ID:    "E28",
 		Title: "graceful degradation of QoS and trust planes under partial partition",
@@ -281,17 +281,17 @@ func e28Degradation(seed uint64, env *obs.Env) *Result {
 	keys := linkstate.GenerateKeys(g, sim.NewRNG(seed))
 	for _, mode := range []linkstate.VerifyMode{linkstate.TrustAll, linkstate.SignedTwoSided} {
 		db := linkstate.NewAdDatabase(g, mode, keys)
-		if env != nil {
-			db.AttachObs(env.Registry())
+		if reg != nil {
+			db.AttachObs(reg)
 		}
 		sched := sim.NewScheduler()
 		net := netsim.New(sched, g)
-		if env != nil {
-			sched.AttachObs(env.Registry())
-			net.AttachObs(env.Registry(), env.Tracer())
+		if reg != nil {
+			sched.AttachObs(reg)
+			net.AttachObs(reg, nil)
 		}
 		adr := chaos.NewAdRerouter(net, db, keys, true)
-		adr.AttachObs(env.Registry())
+		adr.AttachObs(reg)
 		if err := adr.Converge(); err != nil {
 			panic(err)
 		}
@@ -299,7 +299,7 @@ func e28Degradation(seed uint64, env *obs.Env) *Result {
 		eng := chaos.New(net, seed)
 		eng.AdDB = db
 		eng.Keys = keys
-		eng.AttachObs(env.Registry())
+		eng.AttachObs(reg)
 		eng.Observe(adr)
 		plan, err := chaos.ParsePlan([]byte(e28PlanJSON))
 		if err != nil {

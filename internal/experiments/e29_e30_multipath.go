@@ -52,12 +52,12 @@ func mpTopology() *topology.Graph {
 // routes (multipath is user-directed routing) plus a static forwarding
 // table pinned through provider 2 — the single-path baseline's only
 // route, and the fallback for unrouted traffic.
-func mpNetwork(env *obs.Env) (*sim.Scheduler, *netsim.Network) {
+func mpNetwork(reg *obs.Registry) (*sim.Scheduler, *netsim.Network) {
 	sched := sim.NewScheduler()
 	net := netsim.New(sched, mpTopology())
-	if env != nil {
-		sched.AttachObs(env.Registry())
-		net.AttachObs(env.Registry(), env.Tracer())
+	if reg != nil {
+		sched.AttachObs(reg)
+		net.AttachObs(reg, nil)
 	}
 	static := map[topology.NodeID]map[uint16]topology.NodeID{
 		8: {9: 2, 8: 8},
@@ -123,7 +123,7 @@ func mpPayload(n int) []byte {
 // bytes flowing through the crash and the partition.
 func E29MultipathAvailability(seed uint64) *Result { return e29MultipathAvailability(seed, nil) }
 
-func e29MultipathAvailability(seed uint64, env *obs.Env) *Result {
+func e29MultipathAvailability(seed uint64, reg *obs.Registry) *Result {
 	res := &Result{
 		ID:    "E29",
 		Title: "multipath strategy availability under the standard fault schedule",
@@ -137,10 +137,10 @@ func e29MultipathAvailability(seed uint64, env *obs.Env) *Result {
 	payload := sharedPayload() // sized to outlast the horizon in every configuration
 
 	run := func(label string, strat multipath.Strategy) {
-		sched, net := mpNetwork(env)
+		sched, net := mpNetwork(reg)
 		eng := chaos.New(net, seed)
-		if env != nil {
-			eng.AttachObs(env.Registry())
+		if reg != nil {
+			eng.AttachObs(reg)
 		}
 		plan, err := chaos.ParsePlan([]byte(e27PlanJSON))
 		if err != nil {
@@ -152,8 +152,8 @@ func e29MultipathAvailability(seed uint64, env *obs.Env) *Result {
 
 		r := multipath.InstallReceiver(net, 9, 7100)
 		s := multipath.NewSender(net, strat, 8, 9, 7100, payload, mpMultipathConfig(seed))
-		if env != nil {
-			s.AttachObs(env.Registry())
+		if reg != nil {
+			s.AttachObs(reg)
 		}
 		s.Start()
 
@@ -206,7 +206,7 @@ func e29MultipathAvailability(seed uint64, env *obs.Env) *Result {
 // transports to.
 func E30PartitionReconvergence(seed uint64) *Result { return e30PartitionReconvergence(seed, nil) }
 
-func e30PartitionReconvergence(seed uint64, env *obs.Env) *Result {
+func e30PartitionReconvergence(seed uint64, reg *obs.Registry) *Result {
 	res := &Result{
 		ID:    "E30",
 		Title: "reconvergence and fairness after a mid-transfer partition",
@@ -219,10 +219,10 @@ func e30PartitionReconvergence(seed uint64, env *obs.Env) *Result {
 	payload := sharedPayload()[: 768<<10 : 768<<10]
 
 	for _, strat := range multipath.Strategies() {
-		sched, net := mpNetwork(env)
+		sched, net := mpNetwork(reg)
 		eng := chaos.New(net, seed)
-		if env != nil {
-			eng.AttachObs(env.Registry())
+		if reg != nil {
+			eng.AttachObs(reg)
 		}
 		plan, err := chaos.ParsePlan([]byte(e30PlanJSON))
 		if err != nil {
@@ -234,8 +234,8 @@ func e30PartitionReconvergence(seed uint64, env *obs.Env) *Result {
 		stream := &multipath.PrefixCheck{Want: payload}
 		multipath.InstallReceiver(net, 9, 7200).Out = stream
 		s := multipath.NewSender(net, strat, 8, 9, 7200, payload, mpMultipathConfig(seed))
-		if env != nil {
-			s.AttachObs(env.Registry())
+		if reg != nil {
+			s.AttachObs(reg)
 		}
 		s.Start()
 		sched.Run()

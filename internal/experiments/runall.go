@@ -21,11 +21,6 @@ type Options struct {
 	// aggregate is independent of the work-stealing schedule — the
 	// determinism contract extends to the metrics.
 	Obs *obs.Registry
-
-	// Trace, when non-nil, receives structured events from instrumented
-	// experiments. Sinks are single-threaded, so tracing is honored only
-	// at Parallelism 1; parallel runs ignore it.
-	Trace *obs.Tracer
 }
 
 // RunAll runs the full evaluation suite with the given seed, fanning the
@@ -47,9 +42,8 @@ func RunAll(seed uint64, opts Options) []*Result {
 	}
 	out := make([]*Result, len(registry))
 	if p <= 1 {
-		env := &obs.Env{Metrics: opts.Obs, Trace: opts.Trace}
 		for i, e := range registry {
-			out[i] = e.RunWith(seed, env)
+			out[i] = e.RunWith(seed, opts.Obs)
 		}
 		return out
 	}
@@ -70,13 +64,12 @@ func RunAll(seed uint64, opts Options) []*Result {
 		w := w
 		go func() {
 			defer wg.Done()
-			env := &obs.Env{Metrics: shards[w]}
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(registry) {
 					return
 				}
-				out[i] = registry[i].RunWith(seed, env)
+				out[i] = registry[i].RunWith(seed, shards[w])
 			}
 		}()
 	}

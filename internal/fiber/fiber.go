@@ -12,11 +12,15 @@
 //
 //   - TDM: packets from all ISPs share the fiber under weighted fair
 //     queueing; fairness is enforced by the scheduler and verified by
-//     per-ISP accounting; capacity upgrades are fractional; a scheduler
-//     fault affects everyone.
+//     per-ISP accounting; capacity upgrades are fractional; the shared
+//     scheduler is a single point of failure for every tenant.
 //   - WDM: each ISP gets its own wavelength; fairness is physical (no
 //     enforcement needed); upgrades come in whole-lambda quanta; a
-//     lambda fault affects exactly one ISP.
+//     lambda serves exactly one ISP.
+//
+// Fault isolation is structural: BlastRadius counts the tenants that
+// share each design's characteristic point of failure. The model
+// injects no fault, so Measure always runs the fault-free plant.
 package fiber
 
 import (
@@ -58,8 +62,6 @@ type Tenant struct {
 
 	// Delivered is measured throughput (bytes/second), set by Measure.
 	Delivered float64
-	// Failed marks a tenant knocked out by a fault.
-	Failed bool
 }
 
 // Facility is the shared access plant.
@@ -73,9 +75,6 @@ type Facility struct {
 	// LambdaCapacity is the per-wavelength capacity for WDM; the
 	// number of lambdas is Capacity/LambdaCapacity.
 	LambdaCapacity float64
-
-	// SchedulerFailed models a fault in the shared TDM scheduler.
-	SchedulerFailed bool
 }
 
 // New builds a facility.
@@ -88,7 +87,7 @@ func New(capacity float64, domain Domain, lambdaCapacity float64, tenants ...*Te
 }
 
 // Measure computes each tenant's delivered throughput under the current
-// design, demands, and faults. It returns the total delivered.
+// design and demands. It returns the total delivered.
 func (f *Facility) Measure() float64 {
 	switch f.Domain {
 	case WDM:
@@ -101,7 +100,6 @@ func (f *Facility) Measure() float64 {
 func (f *Facility) measureWDM() float64 {
 	total := 0.0
 	for _, t := range f.Tenants {
-		t.Failed = false
 		// Physical isolation: a tenant gets min(demand, its lambda).
 		// Entitlement maps to whole lambdas.
 		lambdas := t.Entitlement * f.Capacity / f.LambdaCapacity
@@ -117,13 +115,6 @@ func (f *Facility) measureWDM() float64 {
 }
 
 func (f *Facility) measureTDM() float64 {
-	if f.SchedulerFailed {
-		for _, t := range f.Tenants {
-			t.Failed = true
-			t.Delivered = 0
-		}
-		return 0
-	}
 	// Weighted max-min fair allocation by entitlement.
 	type ent struct {
 		t *Tenant
@@ -131,7 +122,6 @@ func (f *Facility) measureTDM() float64 {
 	}
 	var ents []ent
 	for _, t := range f.Tenants {
-		t.Failed = false
 		ents = append(ents, ent{t, t.Entitlement})
 	}
 	remaining := f.Capacity
@@ -178,8 +168,9 @@ func (f *Facility) measureTDM() float64 {
 	return total
 }
 
-// BlastRadius reports how many tenants a single fault takes out under
-// the design's characteristic failure.
+// BlastRadius reports how many tenants a single fault would take out
+// under the design's characteristic failure: a per-domain count, not a
+// measurement of an injected fault.
 func (f *Facility) BlastRadius() int {
 	if f.Domain == WDM {
 		return 1 // one lambda, one tenant

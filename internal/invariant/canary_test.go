@@ -166,7 +166,7 @@ func TestCanaryCutDelivery(t *testing.T) {
 				if ca == cb && ca >= 0 {
 					continue // endpoints connected in this epoch
 				}
-				before := c.Total
+				before := len(c.violations)
 				c.CheckTrace(&netsim.Trace{
 					Delivered: true,
 					SentAt:    ep.start,
@@ -176,7 +176,7 @@ func TestCanaryCutDelivery(t *testing.T) {
 						{At: ep.start, Node: l.B, Action: "deliver"},
 					},
 				}, 64)
-				if c.Total > before {
+				if len(c.violations) > before {
 					return // the forged cross-cut delivery was convicted
 				}
 			}

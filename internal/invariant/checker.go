@@ -46,9 +46,6 @@ type Checker struct {
 	epochs []epoch
 
 	violations []Violation
-	// Total counts every violation detected, including those beyond the
-	// retention cap.
-	Total int
 }
 
 // epoch is one interval of constant ground-truth connectivity.
@@ -67,8 +64,8 @@ func NewChecker(net *netsim.Network, enabled map[string]bool) *Checker {
 	return &Checker{Net: net, enabled: enabled}
 }
 
-// Violations returns the retained violations (at most maxViolations;
-// Total has the full count).
+// Violations returns the retained violations: the first maxViolations
+// detected.
 func (c *Checker) Violations() []Violation { return c.violations }
 
 // Report records a violation of the named invariant, if it is armed.
@@ -76,7 +73,6 @@ func (c *Checker) Report(invariant, detail string, timeNs int64) {
 	if !c.enabled[invariant] {
 		return
 	}
-	c.Total++
 	if len(c.violations) < maxViolations {
 		c.violations = append(c.violations, Violation{Invariant: invariant, Detail: detail, TimeNs: timeNs})
 	}

@@ -53,17 +53,13 @@ type PortFirewall struct {
 	// node (the residential "no servers" rule); when false, all
 	// directions are filtered.
 	BlockInbound bool
-	// Quiet suppresses self-identification in drop reports.
-	Quiet bool
-	// Hits counts dropped packets.
-	Hits int
 }
 
 // Name implements netsim.Middlebox.
 func (f *PortFirewall) Name() string { return f.Label }
 
 // Silent implements netsim.Middlebox.
-func (f *PortFirewall) Silent() bool { return f.Quiet }
+func (f *PortFirewall) Silent() bool { return false }
 
 // Process implements netsim.Middlebox.
 func (f *PortFirewall) Process(node topology.NodeID, dir netsim.Direction, data []byte) ([]byte, netsim.Verdict) {
@@ -75,7 +71,6 @@ func (f *PortFirewall) Process(node topology.NodeID, dir netsim.Direction, data 
 		return nil, netsim.Accept
 	}
 	if f.BlockedPorts[ttp.DstPort] {
-		f.Hits++
 		return nil, netsim.Drop
 	}
 	return nil, netsim.Accept
@@ -83,13 +78,9 @@ func (f *PortFirewall) Process(node topology.NodeID, dir netsim.Direction, data 
 
 // Rules returns a human-readable dump of the device's configuration —
 // the §V-B disclosure question ("should that end user be able to
-// download and examine these rules?"). It returns ok=false when the
-// operator declines disclosure; the paper notes this can only be a
-// courtesy, not an enforced requirement.
-func (f *PortFirewall) Rules() ([]string, bool) {
-	if f.Quiet {
-		return nil, false
-	}
+// download and examine these rules?"). The paper notes disclosure can
+// only be a courtesy, not an enforced requirement.
+func (f *PortFirewall) Rules() []string {
 	ports := make([]int, 0, len(f.BlockedPorts))
 	for p := range f.BlockedPorts {
 		ports = append(ports, int(p))
@@ -99,34 +90,28 @@ func (f *PortFirewall) Rules() ([]string, bool) {
 	for i, p := range ports {
 		out[i] = fmt.Sprintf("deny port %d", p)
 	}
-	return out, true
+	return out
 }
 
 // TrustFirewall admits traffic based on who is communicating rather than
 // which ports are used — the "trust-aware firewall" §V-B sketches. It
-// consults the sender's identity option and a reputation mediator.
+// consults the sender's identity option and a reputation mediator, and
+// answers a missing or anonymous identity with refusal — the paper's
+// predicted equilibrium ("many people will choose not to communicate
+// with you if you do").
 type TrustFirewall struct {
 	Label string
 	// MinScore is the reputation threshold for admission.
 	MinScore float64
 	// Rep is the chosen third-party mediator.
 	Rep *trust.Reputation
-	// AllowAnonymous admits traffic with a visible anonymous identity;
-	// when false, anonymity is answered with refusal — the paper's
-	// predicted equilibrium ("many people will choose not to
-	// communicate with you if you do").
-	AllowAnonymous bool
-	// Quiet suppresses self-identification.
-	Quiet bool
-	// Hits counts dropped packets.
-	Hits int
 }
 
 // Name implements netsim.Middlebox.
 func (f *TrustFirewall) Name() string { return f.Label }
 
 // Silent implements netsim.Middlebox.
-func (f *TrustFirewall) Silent() bool { return f.Quiet }
+func (f *TrustFirewall) Silent() bool { return false }
 
 // Process implements netsim.Middlebox.
 func (f *TrustFirewall) Process(node topology.NodeID, dir netsim.Direction, data []byte) ([]byte, netsim.Verdict) {
@@ -139,17 +124,10 @@ func (f *TrustFirewall) Process(node topology.NodeID, dir netsim.Direction, data
 	}
 	id := tip.Identity
 	if id == nil || id.Scheme == uint8(trust.Anonymous) {
-		if f.AllowAnonymous {
-			return nil, netsim.Accept
-		}
-		f.Hits++
 		return nil, netsim.Drop
 	}
-	if f.Rep != nil {
-		if f.Rep.Score(string(id.ID)) < f.MinScore {
-			f.Hits++
-			return nil, netsim.Drop
-		}
+	if f.Rep != nil && f.Rep.Score(string(id.ID)) < f.MinScore {
+		return nil, netsim.Drop
 	}
 	return nil, netsim.Accept
 }

@@ -42,9 +42,6 @@ func TestPortFirewallBlocksConfiguredPort(t *testing.T) {
 	if _, v := fw.Process(2, netsim.Delivering, allowed); v != netsim.Accept {
 		t.Fatal("port 80 wrongly blocked")
 	}
-	if fw.Hits != 1 {
-		t.Fatalf("hits = %d", fw.Hits)
-	}
 }
 
 func TestPortFirewallInboundOnly(t *testing.T) {
@@ -78,18 +75,13 @@ func TestPortFirewallTunnelEvasion(t *testing.T) {
 
 func TestPortFirewallDisclosure(t *testing.T) {
 	fw := &PortFirewall{Label: "fw", BlockedPorts: map[uint16]bool{25: true, 80: true}}
-	rules, ok := fw.Rules()
-	if !ok || len(rules) != 2 || rules[0] != "deny port 25" {
-		t.Fatalf("rules = %v, %v", rules, ok)
-	}
-	fw.Quiet = true
-	if _, ok := fw.Rules(); ok {
-		t.Fatal("quiet firewall disclosed rules")
+	if rules := fw.Rules(); len(rules) != 2 || rules[0] != "deny port 25" {
+		t.Fatalf("rules = %v", rules)
 	}
 }
 
 func TestTrustFirewall(t *testing.T) {
-	rep := trust.NewReputation("rep", 1.0)
+	rep := trust.NewReputation(1.0)
 	for i := 0; i < 10; i++ {
 		rep.Report("goodguy", true, nil)
 		rep.Report("badguy", false, nil)
@@ -115,10 +107,6 @@ func TestTrustFirewall(t *testing.T) {
 	}
 	if _, v := fw.Process(2, netsim.Delivering, none); v != netsim.Drop {
 		t.Fatal("unidentified sender admitted")
-	}
-	fw.AllowAnonymous = true
-	if _, v := fw.Process(2, netsim.Delivering, anon); v != netsim.Accept {
-		t.Fatal("anonymous sender blocked despite AllowAnonymous")
 	}
 	// Note: unlike the port firewall, ports are irrelevant here.
 	if _, v := fw.Process(2, netsim.Forwarding, bad); v != netsim.Accept {
@@ -161,9 +149,6 @@ func TestNATTranslatesAndRestores(t *testing.T) {
 	if tip.Dst != internal {
 		t.Fatalf("restored dst = %v, want %v", tip.Dst, internal)
 	}
-	if nat.Translations != 2 {
-		t.Fatalf("translations = %d", nat.Translations)
-	}
 }
 
 func TestNATPassesUnrelatedInbound(t *testing.T) {
@@ -193,13 +178,10 @@ func TestRedirector(t *testing.T) {
 	if out, _ := r.Process(5, netsim.Forwarding, web); out != nil {
 		t.Fatal("non-matching traffic rewritten")
 	}
-	if r.Redirected != 1 {
-		t.Fatalf("redirected = %d", r.Redirected)
-	}
 }
 
 func TestWiretapReadsClearMissesCrypto(t *testing.T) {
-	w := &Wiretap{Label: "tap", MatchSrc: 1}
+	w := &Wiretap{Label: "tap"}
 	clear := pkt(t, packet.TIP{Src: packet.MakeAddr(1, 1), Dst: 2}, &packet.TTP{DstPort: 80}, []byte("private"))
 	w.Process(3, netsim.Forwarding, clear)
 
@@ -218,11 +200,8 @@ func TestWiretapReadsClearMissesCrypto(t *testing.T) {
 	}
 	w.Process(3, netsim.Forwarding, enc)
 
-	other := pkt(t, packet.TIP{Src: packet.MakeAddr(7, 1), Dst: 2}, &packet.TTP{DstPort: 80}, nil)
-	w.Process(3, netsim.Forwarding, other)
-
 	if len(w.Captured) != 2 {
-		t.Fatalf("captured %d, want 2 (matching src only)", len(w.Captured))
+		t.Fatalf("captured %d, want 2", len(w.Captured))
 	}
 	if w.Captured[0].Readable == w.Captured[1].Readable {
 		t.Fatalf("captured %+v, want exactly one readable", w.Captured)
@@ -253,17 +232,9 @@ func TestMiddleboxAccessors(t *testing.T) {
 			t.Errorf("%s: Silent() = %v", b.name, b.mb.Silent())
 		}
 	}
-	// Quiet variants report silent.
-	quiets := []netsim.Middlebox{
-		&PortFirewall{Label: "q", Quiet: true},
-		&TrustFirewall{Label: "q", Quiet: true},
-		&Redirector{Label: "q", Quiet: true},
-		&NegotiableFirewall{Label: "q", Quiet: true},
-	}
-	for _, mb := range quiets {
-		if !mb.Silent() {
-			t.Errorf("%T quiet variant not silent", mb)
-		}
+	// A quiet redirector reports silent.
+	if q := (&Redirector{Label: "q", Quiet: true}); !q.Silent() {
+		t.Error("quiet redirector not silent")
 	}
 }
 

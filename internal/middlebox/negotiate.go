@@ -30,7 +30,6 @@ type NegotiableFirewall struct {
 	Rep *trust.Reputation
 	// AlwaysOpen ports need no negotiation.
 	AlwaysOpen map[uint16]bool
-	Quiet      bool
 
 	pinholes map[uint16]bool
 	// Requests/Granted/Denied count control-channel activity; Hits
@@ -42,7 +41,7 @@ type NegotiableFirewall struct {
 func (f *NegotiableFirewall) Name() string { return f.Label }
 
 // Silent implements netsim.Middlebox.
-func (f *NegotiableFirewall) Silent() bool { return f.Quiet }
+func (f *NegotiableFirewall) Silent() bool { return false }
 
 // Process implements netsim.Middlebox.
 func (f *NegotiableFirewall) Process(node topology.NodeID, dir netsim.Direction, data []byte) ([]byte, netsim.Verdict) {

@@ -30,7 +30,7 @@ func negotiationDoc(t *testing.T) *policy.CompiledDocument {
 }
 
 func TestNegotiableFirewallGrantsAndEnforces(t *testing.T) {
-	rep := trust.NewReputation("rep", 1.0)
+	rep := trust.NewReputation(1.0)
 	for i := 0; i < 10; i++ {
 		rep.Report("alice", true, nil)
 	}
@@ -68,7 +68,7 @@ func TestNegotiableFirewallGrantsAndEnforces(t *testing.T) {
 }
 
 func TestNegotiableFirewallDenials(t *testing.T) {
-	rep := trust.NewReputation("rep", 1.0)
+	rep := trust.NewReputation(1.0)
 	for i := 0; i < 10; i++ {
 		rep.Report("mallory", false, nil)
 	}

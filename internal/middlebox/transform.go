@@ -19,8 +19,6 @@ type NAT struct {
 	// source address, so inbound replies can be un-translated.
 	ports   map[uint16]packet.Addr
 	nextExt uint16
-	// Translations counts rewrites performed.
-	Translations int
 }
 
 // NewNAT creates a NAT translating to the given public address.
@@ -49,34 +47,26 @@ func (n *NAT) Process(node topology.NodeID, dir netsim.Direction, data []byte) (
 		ext := n.nextExt
 		n.nextExt++
 		n.ports[ext] = orig
-		out := rewrite(tip, ttp, func(t *packet.TIP, u *packet.TTP) {
+		return rewrite(tip, ttp, func(t *packet.TIP, u *packet.TTP) {
 			t.Src = n.Public
 			u.SrcPort = ext
-		})
-		if out == nil {
-			return nil, netsim.Accept
-		}
-		n.Translations++
-		return out, netsim.Accept
+		}), netsim.Accept
 	case netsim.Delivering:
 		orig, ok := n.ports[ttp.DstPort]
 		if !ok {
 			return nil, netsim.Accept
 		}
-		out := rewrite(tip, ttp, func(t *packet.TIP, u *packet.TTP) {
+		return rewrite(tip, ttp, func(t *packet.TIP, u *packet.TTP) {
 			t.Dst = orig
-		})
-		if out == nil {
-			return nil, netsim.Accept
-		}
-		n.Translations++
-		return out, netsim.Accept
+		}), netsim.Accept
 	}
 	return nil, netsim.Accept
 }
 
 // rewrite re-serializes a TIP/TTP packet after applying mutate. The
-// payload below TTP is preserved byte-for-byte.
+// payload below TTP is preserved byte-for-byte. It returns nil when the
+// result does not serialize, and the device then passes the packet on
+// unchanged.
 func rewrite(tip *packet.TIP, ttp *packet.TTP, mutate func(*packet.TIP, *packet.TTP)) []byte {
 	t2 := *tip
 	u2 := *ttp
@@ -101,8 +91,7 @@ type Redirector struct {
 	To packet.Addr
 	// Quiet hides the device from drop reports (it never drops, but
 	// quietness also models undisclosed rewriting).
-	Quiet      bool
-	Redirected int
+	Quiet bool
 }
 
 // Name implements netsim.Middlebox.
@@ -117,12 +106,7 @@ func (r *Redirector) Process(node topology.NodeID, dir netsim.Direction, data []
 	if tip == nil || ttp == nil || ttp.DstPort != r.MatchPort || tip.Dst == r.To {
 		return nil, netsim.Accept
 	}
-	out := rewrite(tip, ttp, func(t *packet.TIP, u *packet.TTP) { t.Dst = r.To })
-	if out == nil {
-		return nil, netsim.Accept
-	}
-	r.Redirected++
-	return out, netsim.Accept
+	return rewrite(tip, ttp, func(t *packet.TIP, u *packet.TTP) { t.Dst = r.To }), netsim.Accept
 }
 
 // Wiretap copies matching traffic to a collector — "the desire of third
@@ -131,18 +115,14 @@ func (r *Redirector) Process(node topology.NodeID, dir netsim.Direction, data []
 // opaque; the tap records whether it could see inside.
 type Wiretap struct {
 	Label string
-	// MatchSrc limits capture to one surveilled provider (0 = all).
-	MatchSrc uint16
 	// Captured accumulates capture records.
 	Captured []Capture
 }
 
 // Capture is one intercepted packet summary.
 type Capture struct {
-	Src, Dst packet.Addr
 	// Readable reports whether the payload was in the clear.
 	Readable bool
-	Bytes    int
 }
 
 // Name implements netsim.Middlebox.
@@ -157,9 +137,6 @@ func (w *Wiretap) Process(node topology.NodeID, dir netsim.Direction, data []byt
 	if tip == nil {
 		return nil, netsim.Accept
 	}
-	if w.MatchSrc != 0 && tip.Src.Provider() != w.MatchSrc {
-		return nil, netsim.Accept
-	}
 	readable := true
 	if ttp != nil && ttp.Next == packet.LayerTypeCrypto {
 		readable = false
@@ -167,6 +144,6 @@ func (w *Wiretap) Process(node topology.NodeID, dir netsim.Direction, data []byt
 	if tip.Proto == packet.LayerTypeCrypto {
 		readable = false
 	}
-	w.Captured = append(w.Captured, Capture{Src: tip.Src, Dst: tip.Dst, Readable: readable, Bytes: len(data)})
+	w.Captured = append(w.Captured, Capture{Readable: readable})
 	return nil, netsim.Accept
 }

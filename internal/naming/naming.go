@@ -61,10 +61,6 @@ type Registry struct {
 	Isolated bool
 
 	spaces map[Space]map[string]*Record
-	// Disputes counts rulings applied; Collateral counts records whose
-	// resolution broke although they were not the dispute's target
-	// kind (machine/mailbox bindings lost to a brand fight).
-	Disputes, Collateral int
 }
 
 // NewRegistry creates a registry in the chosen design.
@@ -130,7 +126,6 @@ func defaultMatch(name, mark string) bool {
 
 // Ruling summarizes the outcome of a dispute.
 type Ruling struct {
-	Dispute Dispute
 	// Suspended lists records suspended by the ruling.
 	Suspended []string
 	// Collateral counts suspensions that hit machine/mailbox bindings
@@ -145,8 +140,7 @@ type Ruling struct {
 // matching name in the single namespace is suspended unless owned by the
 // holder, and each suspension of a non-brand use is collateral damage.
 func (r *Registry) FileDispute(d Dispute, brandOwnership map[string]string) Ruling {
-	r.Disputes++
-	ruling := Ruling{Dispute: d}
+	var ruling Ruling
 	apply := func(rec *Record, isBrandUse bool) {
 		if rec.Owner == d.Holder || rec.Suspended {
 			return
@@ -155,7 +149,6 @@ func (r *Registry) FileDispute(d Dispute, brandOwnership map[string]string) Ruli
 		ruling.Suspended = append(ruling.Suspended, rec.Name)
 		if !isBrandUse {
 			ruling.Collateral++
-			r.Collateral++
 		}
 	}
 	if r.Isolated {

@@ -150,12 +150,10 @@ func TestResolverHierarchyWalk(t *testing.T) {
 	if !ok || addr != packet.MakeAddr(7, 1) {
 		t.Fatalf("resolve = %v, %v", addr, ok)
 	}
-	// Three servers were queried: root, example, shop.
-	if res.QueriesIssued != 3 {
-		t.Fatalf("queries = %d", res.QueriesIssued)
-	}
-	if root.Queries != 1 || example.Queries != 1 || shop.Queries != 1 {
-		t.Fatalf("per-server load = %d/%d/%d", root.Queries, example.Queries, shop.Queries)
+	// The walk needs every zone on the way: a name under a zone no
+	// server delegates does not resolve.
+	if addr, ok := res.Resolve("www.shop.other"); ok {
+		t.Fatalf("undelegated zone resolved to %v", addr)
 	}
 }
 
@@ -166,15 +164,16 @@ func TestResolverCache(t *testing.T) {
 	now := sim.Time(0)
 	res := NewResolver(root, 10*sim.Second, func() sim.Time { return now })
 	res.Resolve("a.z")
-	res.Resolve("a.z")
-	if res.CacheHits != 1 || res.QueriesIssued != 2 {
-		t.Fatalf("hits=%d queries=%d", res.CacheHits, res.QueriesIssued)
+	// A rebinding at the zone stays unseen while the cached entry
+	// lives: the resolver does not ask the servers again.
+	z.Bind("a", 6)
+	if addr, _ := res.Resolve("a.z"); addr != 5 {
+		t.Fatalf("cached resolve = %v, want 5", addr)
 	}
 	// Expiry forces re-resolution.
 	now = 11 * sim.Second
-	res.Resolve("a.z")
-	if res.QueriesIssued != 4 {
-		t.Fatalf("queries after expiry = %d", res.QueriesIssued)
+	if addr, _ := res.Resolve("a.z"); addr != 6 {
+		t.Fatalf("resolve after expiry = %v, want 6", addr)
 	}
 }
 

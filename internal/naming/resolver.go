@@ -12,14 +12,10 @@ import (
 // first ("www.shop.example"); the hierarchy is walked from the rightmost
 // label.
 type AuthServer struct {
-	// Label is this zone's label ("" for the root).
-	Label string
 	// records are terminal bindings within this zone.
 	records map[string]packet.Addr
-	// children are delegations.
+	// children are delegations, by label.
 	children map[string]*AuthServer
-	// Queries counts lookups served (load metric).
-	Queries int
 }
 
 // NewRoot creates an empty root server.
@@ -32,7 +28,7 @@ func (s *AuthServer) Delegate(label string) *AuthServer {
 	if c, ok := s.children[label]; ok {
 		return c
 	}
-	c := &AuthServer{Label: label, records: map[string]packet.Addr{}, children: map[string]*AuthServer{}}
+	c := NewRoot()
 	s.children[label] = c
 	return c
 }
@@ -42,10 +38,10 @@ func (s *AuthServer) Bind(label string, addr packet.Addr) {
 	s.records[label] = addr
 }
 
-// Resolver performs iterative resolution with a TTL cache, counting the
-// queries it issues — the realistic substrate under the §VI-A
-// observation that mature-application "enhancement" (caches, kludges)
-// accumulates in the network.
+// Resolver performs iterative resolution with a TTL cache — the
+// realistic substrate under the §VI-A observation that
+// mature-application "enhancement" (caches, kludges) accumulates in the
+// network.
 type Resolver struct {
 	Root *AuthServer
 	// TTL is how long cache entries live.
@@ -54,9 +50,6 @@ type Resolver struct {
 	Clock func() sim.Time
 
 	cache map[string]cacheEntry
-	// QueriesIssued counts upstream queries; CacheHits counts
-	// resolutions served locally.
-	QueriesIssued, CacheHits int
 }
 
 type cacheEntry struct {
@@ -74,7 +67,6 @@ func NewResolver(root *AuthServer, ttl sim.Time, clock func() sim.Time) *Resolve
 func (r *Resolver) Resolve(name string) (packet.Addr, bool) {
 	now := r.Clock()
 	if e, ok := r.cache[name]; ok && e.expires > now {
-		r.CacheHits++
 		return e.addr, true
 	}
 	labels := strings.Split(name, ".")
@@ -82,16 +74,12 @@ func (r *Resolver) Resolve(name string) (packet.Addr, bool) {
 	// Walk zones from the rightmost label down to (but excluding) the
 	// leftmost, which is the terminal record.
 	for i := len(labels) - 1; i >= 1; i-- {
-		srv.Queries++
-		r.QueriesIssued++
 		child, ok := srv.children[labels[i]]
 		if !ok {
 			return packet.AddrNone, false
 		}
 		srv = child
 	}
-	srv.Queries++
-	r.QueriesIssued++
 	addr, ok := srv.records[labels[0]]
 	if !ok {
 		return packet.AddrNone, false

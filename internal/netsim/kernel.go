@@ -128,39 +128,20 @@ type Forwarder struct {
 	// options — the provider's side of the §V-A4 tussle. A provider
 	// that does not honor them forwards by its own routing only.
 	HonorSourceRoutes bool
-	// RequirePaymentForSourceRoute models the §V-A4 recommendation:
-	// the provider honors source routes only when the packet carries a
-	// payment voucher.
-	RequirePaymentForSourceRoute bool
-	// srcRoutePolicy generalizes the payment flag: a compiled, metered
-	// admission program evaluated per packet on the policy VM (see
-	// UseSourceRoutePolicy). While set it replaces the boolean check;
-	// srcRouteSlots is this forwarder's evaluation scratch.
+	// srcRoutePolicy, when set, admits source routes: a compiled,
+	// metered program evaluated per packet on the policy VM (see
+	// UseSourceRoutePolicy). The `paid` policy is §V-A4's
+	// recommendation, honoring a source route only when the packet
+	// carries a payment voucher. srcRouteSlots is this forwarder's
+	// evaluation scratch.
 	srcRoutePolicy *SourceRoutePolicy
 	srcRouteSlots  []policy.Value
 	// Middleboxes are processed in order; any Drop wins. See the
 	// Middlebox interface for the single-pass chain semantics.
 	Middleboxes []Middlebox
 
-	// Counters tallies this forwarder's decisions by outcome.
-	Counters NodeCounters
-}
-
-// NodeCounters tallies one forwarder's decisions by outcome. Decide
-// counts every arrival it delivers or passes on and every middlebox
-// drop; nextHop counts the fate of each source route it reads.
-type NodeCounters struct {
 	// Delivered counts packets that terminated at the node.
 	Delivered int
-	// Forwarded counts transit packets that survived the TTL patch.
-	Forwarded int
-	// MboxDrop counts packets a middlebox dropped, loud or silent.
-	MboxDrop int
-	// SrcRouteDenied counts source routes the admission policy refused,
-	// and SrcRouteUnpaid those ignored for lack of a payment voucher.
-	SrcRouteDenied, SrcRouteUnpaid int
-	// SrcRouteHonored counts source routes the node followed.
-	SrcRouteHonored int
 }
 
 // AddMiddlebox appends m to the node's processing chain.
@@ -237,7 +218,6 @@ func (f *Forwarder) Decide(data []byte, tip *packet.TIP, dir Direction, shift ui
 	for i, m := range f.Middleboxes {
 		out, verdict := m.Process(f.ID, dir, data)
 		if verdict == Drop {
-			f.Counters.MboxDrop++
 			if m.Silent() {
 				return Decision{Kind: Dropped, Drop: DropLost, Mbox: i, Reason: "lost"}
 			}
@@ -259,7 +239,7 @@ func (f *Forwarder) Decide(data []byte, tip *packet.TIP, dir Direction, shift ui
 		}
 	}
 	if dir == Delivering {
-		f.Counters.Delivered++
+		f.Delivered++
 		return Decision{Kind: Deliver, Data: data}
 	}
 	if dir == Forwarding {
@@ -271,7 +251,6 @@ func (f *Forwarder) Decide(data []byte, tip *packet.TIP, dir Direction, shift ui
 		if ttl == 0 {
 			return dropped(DropTTL)
 		}
-		f.Counters.Forwarded++
 	}
 	next, ok := f.nextHop(data, tip, env)
 	if !ok {
@@ -284,51 +263,39 @@ func (f *Forwarder) Decide(data []byte, tip *packet.TIP, dir Direction, shift ui
 // node's policy allows it.
 func (f *Forwarder) nextHop(data []byte, tip *packet.TIP, env substrate) (topology.NodeID, bool) {
 	if f.HonorSourceRoutes {
-		if wp, ok := packet.PeekSourceRoute(data); ok {
-			allowed := true
-			if f.srcRoutePolicy != nil {
-				// Compiled admission policy: fail-safe deny, bounded by
-				// the per-packet budget.
-				allowed = f.srcRoutePolicy.Allow(f.srcRouteSlots, tip, wp)
-				if !allowed {
-					f.Counters.SrcRouteDenied++
-				}
-			} else if f.RequirePaymentForSourceRoute && tip.Payment == nil {
-				allowed = false
-				f.Counters.SrcRouteUnpaid++
-			}
-			if allowed {
-				if wp == packet.MakeAddr(uint16(f.ID), 0) || wp.Provider() == uint16(f.ID) {
-					// We are the current waypoint: advance to the next.
-					nxt, advanced, err := packet.AdvanceSourceRoute(data)
-					if err == nil {
-						// Mirror the in-place pointer bump into the
-						// decoded header (coherence rule).
-						if advanced && tip.SourceRoute != nil && !tip.SourceRoute.Exhausted() {
-							tip.SourceRoute.Ptr++
-						}
-						if nxt != packet.AddrNone {
-							wp = nxt
-						} else {
-							wp = tip.Dst // route exhausted: head to destination
-						}
+		// A source route the admission policy refuses (fail-safe deny,
+		// bounded by the per-packet budget) is ignored.
+		wp, ok := packet.PeekSourceRoute(data)
+		if ok && (f.srcRoutePolicy == nil || f.srcRoutePolicy.Allow(f.srcRouteSlots, tip, wp)) {
+			if wp == packet.MakeAddr(uint16(f.ID), 0) || wp.Provider() == uint16(f.ID) {
+				// We are the current waypoint: advance to the next.
+				nxt, advanced, err := packet.AdvanceSourceRoute(data)
+				if err == nil {
+					// Mirror the in-place pointer bump into the
+					// decoded header (coherence rule).
+					if advanced && tip.SourceRoute != nil && !tip.SourceRoute.Exhausted() {
+						tip.SourceRoute.Ptr++
+					}
+					if nxt != packet.AddrNone {
+						wp = nxt
+					} else {
+						wp = tip.Dst // route exhausted: head to destination
 					}
 				}
-				f.Counters.SrcRouteHonored++
-				// Route toward the waypoint's provider. If the waypoint is
-				// a direct neighbor, use it.
-				target := topology.NodeID(wp.Provider())
-				if target == f.ID {
-					target = topology.NodeID(tip.Dst.Provider())
-				}
-				if env.adjacent(f.ID, target) {
-					return target, true
-				}
-				if f.Route != nil {
-					return f.Route(packet.MakeAddr(uint16(target), 0), tip)
-				}
-				return 0, false
 			}
+			// Route toward the waypoint's provider. If the waypoint is
+			// a direct neighbor, use it.
+			target := topology.NodeID(wp.Provider())
+			if target == f.ID {
+				target = topology.NodeID(tip.Dst.Provider())
+			}
+			if env.adjacent(f.ID, target) {
+				return target, true
+			}
+			if f.Route != nil {
+				return f.Route(packet.MakeAddr(uint16(target), 0), tip)
+			}
+			return 0, false
 		}
 	}
 	if f.Route == nil {

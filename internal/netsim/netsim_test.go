@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/packet"
@@ -165,22 +166,30 @@ func TestMiddleboxDropSilent(t *testing.T) {
 	}
 }
 
-// Each node tallies its own decisions: the origin counts nothing, a
-// transit node counts what it forwards and delivers, and a dropping
-// middlebox is charged to the node it sits at.
+// Each node counts the packets it delivers: the origin counts nothing,
+// a transit node counts only what terminates there, and a packet a
+// middlebox drops is charged to no node's deliveries.
 func TestNodeCounters(t *testing.T) {
 	n, sched := chainNet(t)
 	n.Node(3).AddMiddlebox(&dropBox{name: "fw3"})
-	n.Send(1, mkPkt(t, packet.MakeAddr(1, 1), packet.MakeAddr(2, 1), 8))
-	n.Send(1, mkPkt(t, packet.MakeAddr(1, 1), packet.MakeAddr(4, 1), 8))
+	toTwo := n.Send(1, mkPkt(t, packet.MakeAddr(1, 1), packet.MakeAddr(2, 1), 8))
+	toFour := n.Send(1, mkPkt(t, packet.MakeAddr(1, 1), packet.MakeAddr(4, 1), 8))
 	sched.Run()
-	want := map[topology.NodeID]NodeCounters{
-		2: {Delivered: 1, Forwarded: 1},
-		3: {MboxDrop: 1},
+	if !toTwo.Delivered {
+		t.Fatalf("packet to node 2 dropped: %s", toTwo.DropReason)
+	}
+	// Node 2 forwarded the packet to 4 on; node 3's middlebox dropped it.
+	if p := fmt.Sprint(toFour.Path()); toFour.Delivered || toFour.DropReason != "blocked:fw3" || toFour.DropNode != 3 || p != "[1 2]" {
+		t.Fatalf("packet to node 4: delivered=%v reason=%q at node %d after %s, want blocked:fw3 at node 3 after [1 2]",
+			toFour.Delivered, toFour.DropReason, toFour.DropNode, p)
 	}
 	for id := topology.NodeID(1); id <= 4; id++ {
-		if got := n.Node(id).Counters; got != want[id] {
-			t.Errorf("node %d counters = %+v, want %+v", id, got, want[id])
+		want := 0
+		if id == 2 {
+			want = 1
+		}
+		if got := n.Node(id).Delivered; got != want {
+			t.Errorf("node %d delivered %d, want %d", id, got, want)
 		}
 	}
 }
@@ -272,38 +281,26 @@ func TestSourceRouteIgnoredWithoutHonor(t *testing.T) {
 	}
 }
 
+// The `paid` policy is §V-A4's recommendation: a source route is
+// honored only when the packet carries a payment voucher, and an unpaid
+// one is ignored, the packet still forwarding by the node's own routing.
 func TestSourceRouteRequiresPayment(t *testing.T) {
-	n, sched := chainNet(t)
+	n, sched := diamondNet(t)
 	for id := topology.NodeID(1); id <= 4; id++ {
-		nd := n.Node(id)
-		nd.HonorSourceRoutes = true
-		nd.RequirePaymentForSourceRoute = true
+		useSourceRoutePolicy(t, n.Node(id), "paid")
 	}
-	mk := func(pay *packet.PaymentOption) []byte {
-		data, err := packet.Serialize(
-			&packet.TIP{TTL: 8, Proto: packet.LayerTypeRaw,
-				Src: packet.MakeAddr(1, 1), Dst: packet.MakeAddr(4, 1),
-				SourceRoute: &packet.SourceRouteOption{Hops: []packet.Addr{packet.MakeAddr(3, 0)}},
-				Payment:     pay},
-			&packet.Raw{Data: []byte("x")})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
-	trUnpaid := n.Send(1, mk(nil))
-	trPaid := n.Send(1, mk(&packet.PaymentOption{Payer: packet.MakeAddr(1, 1), AmountMilli: 100}))
+	trUnpaid := n.Send(1, srcRoutedPkt(t, false, 3))
+	trPaid := n.Send(1, srcRoutedPkt(t, true, 3))
 	sched.Run()
 	if !trUnpaid.Delivered || !trPaid.Delivered {
-		t.Fatal("both should still deliver on a chain")
+		t.Fatalf("deliveries: unpaid=%v paid=%v (%s/%s)",
+			trUnpaid.Delivered, trPaid.Delivered, trUnpaid.DropReason, trPaid.DropReason)
 	}
-	// The unpaid packet's source route was ignored (fell back to Route);
-	// node 1 counts it.
-	if n.Node(1).Counters.SrcRouteUnpaid == 0 {
-		t.Fatal("unpaid source route not flagged")
+	if p := trUnpaid.Path(); p[1] != 2 {
+		t.Fatalf("unpaid path = %v, want default via 2", p)
 	}
-	if n.Node(1).Counters.SrcRouteHonored == 0 {
-		t.Fatal("paid source route not honored")
+	if p := trPaid.Path(); p[1] != 3 {
+		t.Fatalf("paid path = %v, want source-routed via 3", p)
 	}
 }
 

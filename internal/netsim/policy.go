@@ -3,6 +3,7 @@ package netsim
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/packet"
 	"repro/internal/policy"
@@ -23,7 +24,7 @@ import (
 // costs SourceRoutePolicySteps instructions and nothing more — it cannot
 // stall a forwarding worker. Evaluation is fail-safe: an error or a
 // non-bool result denies the source route (the packet still forwards by
-// the node's own routing, exactly like the legacy payment check).
+// the node's own routing).
 
 // Source-route policy vocabulary: the attributes a policy may reference.
 const (
@@ -82,20 +83,9 @@ func CompileSourceRoutePolicy(src string) (*SourceRoutePolicy, error) {
 	}
 	if len(unknown) > 0 {
 		sort.Strings(unknown)
-		return nil, fmt.Errorf("netsim: source-route policy references attributes outside the vocabulary: %s", joinStrings(unknown))
+		return nil, fmt.Errorf("netsim: source-route policy references attributes outside the vocabulary: %s", strings.Join(unknown, ", "))
 	}
 	return &SourceRoutePolicy{prog: prog, codes: codes}, nil
-}
-
-func joinStrings(ss []string) string {
-	out := ""
-	for i, s := range ss {
-		if i > 0 {
-			out += ", "
-		}
-		out += s
-	}
-	return out
 }
 
 // NewScratch allocates a caller-owned slot buffer for Allow. One scratch
@@ -129,9 +119,9 @@ func (p *SourceRoutePolicy) Allow(scratch []policy.Value, tip *packet.TIP, wp pa
 }
 
 // UseSourceRoutePolicy installs a compiled source-route admission policy
-// (see CompileSourceRoutePolicy) on the forwarder; nil clears it. While a
-// policy is set it replaces the RequirePaymentForSourceRoute boolean;
-// per-packet evaluation is fail-safe deny. The forwarder gets its own
+// (see CompileSourceRoutePolicy) on the forwarder; nil clears it, and
+// the forwarder then honors every source route if HonorSourceRoutes is
+// set. Per-packet evaluation is fail-safe deny. The forwarder gets its own
 // evaluation scratch, so one compiled policy may serve many forwarders.
 func (f *Forwarder) UseSourceRoutePolicy(p *SourceRoutePolicy) {
 	f.srcRoutePolicy, f.srcRouteSlots = p, nil

@@ -10,8 +10,7 @@ import (
 )
 
 // This file pins the compiled source-route admission policy: the `paid`
-// policy is behaviorally identical to the legacy
-// RequirePaymentForSourceRoute boolean, richer vocabularies steer
+// policy's decision shows in the packet header, richer vocabularies steer
 // routing, out-of-vocabulary references are refused at install time, and
 // an installed policy keeps the forward hop zero-alloc.
 
@@ -43,9 +42,10 @@ func srcRoutedPkt(t *testing.T, pay bool, via uint16) []byte {
 	return data
 }
 
-// A `paid` policy must reproduce the legacy payment boolean decision for
-// decision: honored when a voucher is present, denied otherwise (with
-// the packet still forwarded by the node's own routing).
+// Under the `paid` policy the decision shows in the packet itself: the
+// node at the waypoint advances an admitted source route's pointer and
+// leaves a refused one untouched. On the chain both packets take the
+// node's own route, so only the header tells them apart.
 func TestSourceRoutePolicyPaidEquivalence(t *testing.T) {
 	n, sched := chainNet(t)
 	for id := topology.NodeID(1); id <= 4; id++ {
@@ -53,17 +53,23 @@ func TestSourceRoutePolicyPaidEquivalence(t *testing.T) {
 		nd.HonorSourceRoutes = true
 		useSourceRoutePolicy(t, nd, "paid")
 	}
+	ptr := map[*Trace]uint8{}
+	n.Node(4).Deliver = func(_ *Node, tr *Trace, data []byte) {
+		var tip packet.TIP
+		if err := tip.DecodeFrom(data); err != nil || tip.SourceRoute == nil {
+			t.Errorf("delivered packet lost its source route: %v", err)
+			return
+		}
+		ptr[tr] = tip.SourceRoute.Ptr
+	}
 	trUnpaid := n.Send(1, srcRoutedPkt(t, false, 3))
 	trPaid := n.Send(1, srcRoutedPkt(t, true, 3))
 	sched.Run()
 	if !trUnpaid.Delivered || !trPaid.Delivered {
 		t.Fatalf("deliveries: unpaid=%v paid=%v", trUnpaid.Delivered, trPaid.Delivered)
 	}
-	if n.Node(1).Counters.SrcRouteDenied == 0 {
-		t.Fatal("unpaid source route not denied by policy")
-	}
-	if n.Node(1).Counters.SrcRouteHonored == 0 {
-		t.Fatal("paid source route not honored by policy")
+	if ptr[trUnpaid] != 0 || ptr[trPaid] != 1 {
+		t.Fatalf("source-route pointer at delivery: unpaid %d, paid %d; want 0 and 1", ptr[trUnpaid], ptr[trPaid])
 	}
 }
 

@@ -63,7 +63,6 @@ type Shard struct {
 
 // Sharded is a simulation partitioned across K shards.
 type Sharded struct {
-	Graph  *topology.Graph
 	Part   *topology.Partition
 	Shards []*Shard
 	// Window is the conservative lookahead (minimum cross-shard link
@@ -95,7 +94,7 @@ const faultKeyFlag = uint64(1) << 63
 // before sending traffic.
 func NewSharded(g *topology.Graph, k int) *Sharded {
 	part := topology.PartitionBalanced(g, k)
-	s := &Sharded{Graph: g, Part: part}
+	s := &Sharded{Part: part}
 	s.Window, s.hasCross = part.MinCrossLatency(g)
 	s.Shards = make([]*Shard, part.K)
 	for i := 0; i < part.K; i++ {

@@ -31,6 +31,7 @@ package obs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -186,7 +187,7 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 		return nil
 	}
 	if h, ok := r.hists[name]; ok {
-		if !sameBounds(h.bounds, bounds) {
+		if !slices.Equal(h.bounds, bounds) {
 			panic(fmt.Sprintf("obs: histogram %q re-registered with different bounds", name))
 		}
 		return h
@@ -199,18 +200,6 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	h := &Histogram{name: name, bounds: bounds, counts: make([]uint64, len(bounds)+1)}
 	r.hists[name] = h
 	return h
-}
-
-func sameBounds(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Merge folds src into r: counters and gauges sum, histograms add

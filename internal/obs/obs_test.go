@@ -180,17 +180,3 @@ func TestJSONLSink(t *testing.T) {
 		t.Fatalf("round-trip event = %+v", e)
 	}
 }
-
-func TestEnvNilSafety(t *testing.T) {
-	var env *Env
-	if env.Registry() != nil || env.Tracer() != nil {
-		t.Fatal("nil env returned live handles")
-	}
-	env = &Env{Metrics: NewRegistry()}
-	if env.Registry() == nil {
-		t.Fatal("env dropped its registry")
-	}
-	if env.Tracer() != nil {
-		t.Fatal("env invented a tracer")
-	}
-}

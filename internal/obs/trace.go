@@ -120,28 +120,3 @@ func (j *JSONL) Emit(e Event) {
 
 // Err returns the first write error, if any.
 func (j *JSONL) Err() error { return j.err }
-
-// Env bundles the two halves of the observability layer as they are
-// threaded through the experiment runner: a metrics registry shard and
-// an optional tracer. A nil *Env is the disabled configuration — its
-// accessors return nil, which every instrument treats as a no-op.
-type Env struct {
-	Metrics *Registry
-	Trace   *Tracer
-}
-
-// Registry returns the metrics shard (nil when disabled).
-func (e *Env) Registry() *Registry {
-	if e == nil {
-		return nil
-	}
-	return e.Metrics
-}
-
-// Tracer returns the event tracer (nil when disabled).
-func (e *Env) Tracer() *Tracer {
-	if e == nil {
-		return nil
-	}
-	return e.Trace
-}

@@ -97,7 +97,6 @@ const (
 // selector of §IV-A), hop limit, and optional source route, payment, and
 // identity options.
 type TIP struct {
-	Version  uint8
 	TOS      uint8
 	TTL      uint8
 	Proto    LayerType
@@ -167,7 +166,6 @@ func (t *TIP) decode(data []byte, reuse bool) error {
 	if Checksum(data[:hlen]) != 0 {
 		return ErrChecksum
 	}
-	t.Version = tipVersion
 	t.TOS = data[1]
 	t.TTL = data[4]
 	t.Proto = LayerType(data[5])

@@ -195,10 +195,8 @@ type Rule struct {
 
 // Document is a parsed policy.
 type Document struct {
-	Name      string
-	Principal string
-	AppliesTo string
-	Rules     []Rule
+	Name  string
+	Rules []Rule
 	// Default applies when no rule matches; when absent the document
 	// default is Deny ("that which is not permitted is forbidden").
 	Default    *Action

@@ -94,21 +94,13 @@ func (p *parser) document() (*Document, error) {
 			return nil, p.errf("expected declaration or rule, found %q", t.text)
 		}
 		switch t.text {
-		case "principal":
+		case "principal", "applies-to":
+			// Who states the policy and what it governs: declarations
+			// for the reader, which evaluation does not consult.
 			p.pos++
-			id := p.cur()
-			if id.kind != tokIdent {
-				return nil, p.errf("principal must be an identifier")
+			if p.cur().kind != tokIdent {
+				return nil, p.errf("%s must be an identifier", t.text)
 			}
-			doc.Principal = id.text
-			p.pos++
-		case "applies-to":
-			p.pos++
-			id := p.cur()
-			if id.kind != tokIdent {
-				return nil, p.errf("applies-to must be an identifier")
-			}
-			doc.AppliesTo = id.text
 			p.pos++
 		case "rule":
 			r, err := p.rule()

@@ -27,7 +27,7 @@ func TestParseDocument(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if doc.Name != "broadband-aup" || doc.Principal != "isp" || doc.AppliesTo != "traffic" {
+	if doc.Name != "broadband-aup" {
 		t.Fatalf("header: %+v", doc)
 	}
 	if len(doc.Rules) != 3 {

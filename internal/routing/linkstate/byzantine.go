@@ -196,7 +196,7 @@ func (db *AdDatabase) EffectiveCost(a, b topology.NodeID) (float64, bool) {
 // SPF runs the shortest-path search from src over the advertised (not
 // true) costs. Its edges are the neighbours each advertisement claims,
 // phantoms included, not the graph's.
-func (db *AdDatabase) SPF(src topology.NodeID) (next map[topology.NodeID]topology.NodeID, dist map[topology.NodeID]float64) {
+func (db *AdDatabase) SPF(src topology.NodeID) map[topology.NodeID]topology.NodeID {
 	sp := &db.search
 	sp.Reset(src)
 	for u, _, ok := sp.Next(); ok; u, _, ok = sp.Next() {

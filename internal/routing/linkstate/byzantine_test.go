@@ -31,12 +31,12 @@ func TestHonestAdsMatchPlainSPF(t *testing.T) {
 		ad.Sign(keys[id])
 		db.Flood(ad)
 	}
-	next, dist := db.SPF(1)
-	if next[4] != 3 {
-		t.Fatalf("honest next hop to 4 = %d, want 3", next[4])
+	tables := Compute(db)
+	if nh := tables[1].Next[4]; nh != 3 {
+		t.Fatalf("honest next hop to 4 = %d, want 3", nh)
 	}
-	if dist[4] != 6 {
-		t.Fatalf("honest dist to 4 = %v", dist[4])
+	if d := routeCost(t, tables, db.EffectiveCost, 1, 4); d != 6 {
+		t.Fatalf("honest dist to 4 = %v", d)
 	}
 	if db.Rejected != 0 {
 		t.Fatalf("honest ads rejected: %d", db.Rejected)
@@ -53,7 +53,7 @@ func TestLiarAttractsTrafficWhenTrusted(t *testing.T) {
 			db.Flood(HonestAdvertisement(g, id))
 		}
 	}
-	next, _ := db.SPF(1)
+	next := db.SPF(1)
 	// 1's cost to reach 2 is 1's own (honest) claim 5, but 2 claims
 	// 2→4 = 0.01, so the path via 2 costs 5.01 < 6 via 3. The liar
 	// wins the traffic.
@@ -79,7 +79,7 @@ func TestTwoSidedMaxDefeatsAttraction(t *testing.T) {
 	}
 	// max(0.01, honest 5) = 5 on both of the liar's links: traffic
 	// stays on the honest path.
-	next, _ := db.SPF(1)
+	next := db.SPF(1)
 	if next[4] != 3 {
 		t.Fatalf("two-sided max failed: next hop = %d", next[4])
 	}
@@ -153,9 +153,8 @@ func TestPhantomLinksWorkWhenTrusted(t *testing.T) {
 			db.Flood(HonestAdvertisement(g, id))
 		}
 	}
-	_, dist := db.SPF(1)
-	if dist[4] > 5.02 {
-		t.Fatalf("phantom shortcut not believed: dist = %v", dist[4])
+	if d := routeCost(t, Compute(db), db.EffectiveCost, 1, 4); d > 5.02 {
+		t.Fatalf("phantom shortcut not believed: dist = %v", d)
 	}
 }
 
@@ -177,7 +176,7 @@ func TestLiarCanStillRepel(t *testing.T) {
 		ad.Sign(keys[id])
 		db.Flood(ad)
 	}
-	next, _ := db.SPF(1)
+	next := db.SPF(1)
 	if next[4] != 2 {
 		t.Fatalf("repulsion failed: next hop = %d", next[4])
 	}
@@ -194,7 +193,7 @@ func TestSignedSPFOnGeneratedTopology(t *testing.T) {
 		db.Flood(ad)
 	}
 	ids := g.NodeIDs()
-	next, _ := db.SPF(ids[0])
+	next := db.SPF(ids[0])
 	for _, dst := range ids[1:] {
 		if _, ok := next[dst]; !ok {
 			t.Fatalf("unreachable %d under honest signed ads", dst)

@@ -59,14 +59,15 @@ func (s *spf) attachObs(reg *obs.Registry) {
 }
 
 // tables ends an SPF run: it records the run and returns the search's
-// next-hop and distance tables.
-func (s *spf) tables() (map[topology.NodeID]topology.NodeID, map[topology.NodeID]float64) {
-	next, dist := s.search.Tables()
+// next-hop table.
+func (s *spf) tables() map[topology.NodeID]topology.NodeID {
+	next := s.search.Tables()
 	if s.spfRuns != nil {
 		s.spfRuns.Inc()
-		s.spfSettled.Observe(float64(len(dist)))
+		// Every settled node has a next hop but the source.
+		s.spfSettled.Observe(float64(len(next) + 1))
 	}
-	return next, dist
+	return next
 }
 
 func (s *spf) graph() *topology.Graph { return s.g }
@@ -100,9 +101,9 @@ func (db *Database) VisibleChoices() int {
 }
 
 // SPF runs the shortest-path search from src over the database's costs
-// and returns, for every reachable destination, the next hop and total
-// cost. A negative cost (how chaos masks a failed link) is no edge.
-func (db *Database) SPF(src topology.NodeID) (next map[topology.NodeID]topology.NodeID, dist map[topology.NodeID]float64) {
+// and returns the next hop to every reachable destination. A negative
+// cost (how chaos masks a failed link) is no edge.
+func (db *Database) SPF(src topology.NodeID) map[topology.NodeID]topology.NodeID {
 	sp := &db.search
 	sp.Reset(src)
 	for u, _, ok := sp.Next(); ok; u, _, ok = sp.Next() {
@@ -119,20 +120,18 @@ func (db *Database) SPF(src topology.NodeID) (next map[topology.NodeID]topology.
 type Table struct {
 	Src  topology.NodeID
 	Next map[topology.NodeID]topology.NodeID
-	Dist map[topology.NodeID]float64
 }
 
 // Compute builds a forwarding table for every node of the graph from
 // db's SPF; db is a *Database or an *AdDatabase.
 func Compute(db interface {
-	SPF(topology.NodeID) (map[topology.NodeID]topology.NodeID, map[topology.NodeID]float64)
+	SPF(topology.NodeID) map[topology.NodeID]topology.NodeID
 	graph() *topology.Graph
 }) map[topology.NodeID]*Table {
 	ids := db.graph().NodeIDs()
 	out := make(map[topology.NodeID]*Table, len(ids))
 	for _, id := range ids {
-		next, dist := db.SPF(id)
-		out[id] = &Table{Src: id, Next: next, Dist: dist}
+		out[id] = &Table{Src: id, Next: db.SPF(id)}
 	}
 	return out
 }

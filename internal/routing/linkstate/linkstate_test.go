@@ -22,14 +22,31 @@ func diamond() *topology.Graph {
 	return g
 }
 
+// routeCost sums cost over the route tables give from a to b: the
+// distance at which a's SPF settled b.
+func routeCost(t *testing.T, tables map[topology.NodeID]*Table, cost func(a, b topology.NodeID) (float64, bool), a, b topology.NodeID) float64 {
+	t.Helper()
+	sum := 0.0
+	for hops := 0; a != b; hops++ {
+		nh, ok := tables[a].Next[b]
+		c, edge := cost(a, nh)
+		if !ok || !edge || hops > len(tables) {
+			t.Fatalf("no route from %d to %d", a, b)
+		}
+		sum += c
+		a = nh
+	}
+	return sum
+}
+
 func TestSPFPicksCheapestPath(t *testing.T) {
 	db := NewDatabase(diamond())
-	next, dist := db.SPF(1)
-	if next[4] != 3 {
-		t.Fatalf("next hop to 4 = %d, want 3", next[4])
+	tables := Compute(db)
+	if nh := tables[1].Next[4]; nh != 3 {
+		t.Fatalf("next hop to 4 = %d, want 3", nh)
 	}
-	if dist[4] != 2 {
-		t.Fatalf("dist to 4 = %v, want 2", dist[4])
+	if d := routeCost(t, tables, db.Cost, 1, 4); d != 2 {
+		t.Fatalf("dist to 4 = %v, want 2", d)
 	}
 }
 
@@ -37,7 +54,7 @@ func TestSPFCostOverrideShiftsTraffic(t *testing.T) {
 	db := NewDatabase(diamond())
 	// Node 3 raises its advertised cost (visible traffic engineering).
 	db.SetCost(1, 3, 10)
-	next, _ := db.SPF(1)
+	next := db.SPF(1)
 	if next[4] != 2 {
 		t.Fatalf("after override, next hop to 4 = %d, want 2", next[4])
 	}
@@ -117,9 +134,9 @@ func TestDistanceTriangleInequality(t *testing.T) {
 				if c == a || c == b {
 					continue
 				}
-				dab := tables[a].Dist[b]
-				dac := tables[a].Dist[c]
-				dcb := tables[c].Dist[b]
+				dab := routeCost(t, tables, db.Cost, a, b)
+				dac := routeCost(t, tables, db.Cost, a, c)
+				dcb := routeCost(t, tables, db.Cost, c, b)
 				if dab > dac+dcb+1e-9 {
 					t.Fatalf("triangle violated: d(%d,%d)=%v > %v+%v", a, b, dab, dac, dcb)
 				}

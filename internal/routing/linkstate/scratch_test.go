@@ -16,9 +16,7 @@ func TestSPFScratchReuseIsStateless(t *testing.T) {
 	db := NewDatabase(g)
 	for round := 0; round < 3; round++ {
 		for _, src := range g.NodeIDs() {
-			next, dist := db.SPF(src)
-			freshNext, freshDist := NewDatabase(g).SPF(src)
-			if !reflect.DeepEqual(next, freshNext) || !reflect.DeepEqual(dist, freshDist) {
+			if !reflect.DeepEqual(db.SPF(src), NewDatabase(g).SPF(src)) {
 				t.Fatalf("round %d src %d: reused-scratch SPF diverged from fresh database", round, src)
 			}
 		}
@@ -31,14 +29,19 @@ func TestSPFScratchReuseIsStateless(t *testing.T) {
 	for _, nb := range g.Neighbors(a) {
 		db.SetCost(a, nb, 1e6)
 	}
-	_, dist := db.SPF(a)
+	tables := Compute(db)
 	fresh := NewDatabase(g)
 	for _, nb := range g.Neighbors(a) {
 		fresh.SetCost(a, nb, 1e6)
 	}
-	_, freshDist := fresh.SPF(a)
-	if !reflect.DeepEqual(dist, freshDist) {
+	freshTables := Compute(fresh)
+	if !reflect.DeepEqual(tables[a].Next, freshTables[a].Next) {
 		t.Fatal("SPF after SetCost diverged from fresh database with same overrides")
+	}
+	for _, b := range ids[1:] {
+		if d, want := routeCost(t, tables, db.Cost, a, b), routeCost(t, freshTables, fresh.Cost, a, b); d != want {
+			t.Fatalf("distance to %d after SetCost = %v, fresh database %v", b, d, want)
+		}
 	}
 }
 
@@ -74,11 +77,10 @@ func TestAdSPFScratchReuseIsStateless(t *testing.T) {
 	flood(db)
 	for round := 0; round < 3; round++ {
 		for _, src := range g.NodeIDs() {
-			next, dist := db.SPF(src)
+			next := db.SPF(src)
 			fresh := NewAdDatabase(g, SignedTwoSided, keys)
 			flood(fresh)
-			freshNext, freshDist := fresh.SPF(src)
-			if !reflect.DeepEqual(next, freshNext) || !reflect.DeepEqual(dist, freshDist) {
+			if !reflect.DeepEqual(next, fresh.SPF(src)) {
 				t.Fatalf("round %d src %d: reused-scratch AdDatabase SPF diverged", round, src)
 			}
 		}

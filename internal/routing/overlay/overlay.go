@@ -26,7 +26,6 @@ import (
 // Mesh is an overlay over a set of member nodes. Route reuses one
 // search, so a Mesh must not be shared across goroutines.
 type Mesh struct {
-	Members []topology.NodeID
 	// lat[a][b] is the measured underlay latency a→b; absence means the
 	// underlay path is unusable (blocked or failed).
 	lat map[topology.NodeID]map[topology.NodeID]sim.Time
@@ -36,10 +35,10 @@ type Mesh struct {
 	search topology.ShortestPaths // reused by every Route
 }
 
-// NewMesh creates an overlay with the given members and no measurements.
-func NewMesh(members []topology.NodeID) *Mesh {
-	m := &Mesh{Members: members, lat: make(map[topology.NodeID]map[topology.NodeID]sim.Time)}
-	return m
+// NewMesh creates an overlay with no measurements; its members are the
+// nodes Observe gives edges and InstallRelay gives relays.
+func NewMesh() *Mesh {
+	return &Mesh{lat: make(map[topology.NodeID]map[topology.NodeID]sim.Time)}
 }
 
 // Observe records a latency measurement for the direct underlay path a→b.

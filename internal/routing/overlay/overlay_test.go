@@ -11,7 +11,7 @@ import (
 )
 
 func TestRouteDirectWhenAvailable(t *testing.T) {
-	m := NewMesh([]topology.NodeID{1, 2, 3})
+	m := NewMesh()
 	m.Observe(1, 3, 10*sim.Millisecond)
 	m.Observe(1, 2, 5*sim.Millisecond)
 	m.Observe(2, 3, 20*sim.Millisecond)
@@ -22,7 +22,7 @@ func TestRouteDirectWhenAvailable(t *testing.T) {
 }
 
 func TestRouteRelaysAroundLoss(t *testing.T) {
-	m := NewMesh([]topology.NodeID{1, 2, 3})
+	m := NewMesh()
 	m.Observe(1, 2, 5*sim.Millisecond)
 	m.Observe(2, 3, 5*sim.Millisecond)
 	// 1->3 direct is unusable (never observed / lost).
@@ -33,7 +33,7 @@ func TestRouteRelaysAroundLoss(t *testing.T) {
 }
 
 func TestRouteRelaysWhenFaster(t *testing.T) {
-	m := NewMesh([]topology.NodeID{1, 2, 3})
+	m := NewMesh()
 	m.Observe(1, 3, 50*sim.Millisecond) // congested direct path
 	m.Observe(1, 2, 5*sim.Millisecond)
 	m.Observe(2, 3, 5*sim.Millisecond)
@@ -47,7 +47,7 @@ func TestRouteRelaysWhenFaster(t *testing.T) {
 // first, so every call must take relay 2, whatever order the mesh's
 // latency map yields the relays in.
 func TestRouteTieIsDeterministic(t *testing.T) {
-	m := NewMesh([]topology.NodeID{1, 2, 3, 4, 5, 6})
+	m := NewMesh()
 	for _, relay := range []topology.NodeID{2, 3, 5, 6} {
 		m.Observe(1, relay, sim.Millisecond)
 		m.Observe(relay, 4, sim.Millisecond)
@@ -61,7 +61,7 @@ func TestRouteTieIsDeterministic(t *testing.T) {
 }
 
 func TestRouteUnreachable(t *testing.T) {
-	m := NewMesh([]topology.NodeID{1, 2, 3})
+	m := NewMesh()
 	m.Observe(1, 2, sim.Millisecond)
 	if p := m.Route(1, 3); p != nil {
 		t.Fatalf("route = %v, want nil", p)
@@ -117,7 +117,7 @@ func TestRelayEndToEnd(t *testing.T) {
 	}
 
 	// Overlay relays via member 3.
-	m := NewMesh([]topology.NodeID{1, 3, 4})
+	m := NewMesh()
 	m.InstallRelay(n, 3)
 	var got []byte
 	n.Node(4).Deliver = func(nd *netsim.Node, tr *netsim.Trace, data []byte) { got = data }
@@ -161,7 +161,7 @@ func TestRelayPassthroughNonTunnel(t *testing.T) {
 	g := topology.Linear(2, sim.Millisecond)
 	n := netsim.New(sched, g)
 	n.Node(1).Route = func(dst packet.Addr, tip *packet.TIP) (topology.NodeID, bool) { return 2, true }
-	m := NewMesh([]topology.NodeID{2})
+	m := NewMesh()
 	delivered := false
 	n.Node(2).Deliver = func(nd *netsim.Node, tr *netsim.Trace, data []byte) { delivered = true }
 	m.InstallRelay(n, 2) // wraps the existing handler

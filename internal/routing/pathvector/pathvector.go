@@ -17,8 +17,8 @@ import (
 
 // Route is one candidate path to a destination.
 type Route struct {
-	Dst topology.NodeID
-	// Path is the AS path, first element = next hop, last = Dst.
+	// Path is the AS path, first element = next hop, last = the
+	// destination.
 	Path []topology.NodeID
 	// LearnedFrom classifies the neighbor the route came from.
 	LearnedFrom topology.NeighborClass
@@ -129,7 +129,7 @@ func (p *Protocol) Converge() error {
 		best := map[topology.NodeID]Route{}
 		// A crashed router originates nothing, not even its own prefix.
 		if !p.DownNodes[id] {
-			best[id] = Route{Dst: id, Path: nil, LearnedFrom: topology.Customer, LocalPref: 1 << 20}
+			best[id] = Route{LearnedFrom: topology.Customer, LocalPref: 1 << 20}
 		}
 		p.RIBs[id] = &RIB{Node: id, Best: best}
 	}
@@ -159,7 +159,6 @@ func (p *Protocol) Converge() error {
 						continue
 					}
 					cand := Route{
-						Dst:         dst,
 						Path:        append([]topology.NodeID{nb}, r.Path...),
 						LearnedFrom: myClassOfNb,
 					}

@@ -409,7 +409,7 @@ func (r *Result) Render() string {
 		r.Nodes, r.Links, r.Config.Sinks, r.Config.Packets, r.Config.Seed, r.Config.Chaos)
 	fmt.Fprintf(&b, "delivered=%d dropped=%d ratio=%.6f\n",
 		r.Delivered, r.Dropped,
-		float64(r.Delivered)/float64(maxInt(1, r.Delivered+r.Dropped)))
+		float64(r.Delivered)/float64(max(1, r.Delivered+r.Dropped)))
 	keys := make([]string, 0, len(r.Stats))
 	for k := range r.Stats {
 		keys = append(keys, k)
@@ -419,11 +419,4 @@ func (r *Result) Render() string {
 		fmt.Fprintf(&b, "stat %s=%d\n", k, r.Stats[k])
 	}
 	return b.String()
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

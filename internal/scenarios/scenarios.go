@@ -47,11 +47,11 @@ func ValuePricing() *core.Engine {
 		switch {
 		case !st.Has("server-ban"):
 			return &core.Move{Deploy: &core.Mechanism{
-				Name: "server-ban", Space: "economics", Visible: true, Couples: []core.Space{"apps"},
+				Name: "server-ban", Visible: true, Couples: []core.Space{"apps"},
 			}, Note: "value pricing: servers need the business tier"}
 		case st.Has("tunnel") && !st.Has("dpi"):
 			return &core.Move{Deploy: &core.Mechanism{
-				Name: "dpi", Space: "economics", Visible: false, Couples: []core.Space{"apps", "trust"},
+				Name: "dpi", Visible: false, Couples: []core.Space{"apps", "trust"},
 			}, Note: "deep inspection to find tunnels"}
 		}
 		return nil
@@ -60,11 +60,11 @@ func ValuePricing() *core.Engine {
 		switch {
 		case st.Has("server-ban") && !st.Has("tunnel"):
 			return &core.Move{Deploy: &core.Mechanism{
-				Name: "tunnel", Space: "economics", Distortion: true,
+				Name: "tunnel", Distortion: true,
 			}, Note: "tunnel to disguise the ports being used"}
 		case st.Has("dpi") && !st.Has("encrypted-tunnel"):
 			return &core.Move{Deploy: &core.Mechanism{
-				Name: "encrypted-tunnel", Space: "economics", Distortion: true,
+				Name: "encrypted-tunnel", Distortion: true,
 			}, Note: "encrypt so inspection sees nothing"}
 		}
 		return nil
@@ -97,7 +97,7 @@ func Encryption() *core.Engine {
 	gov.Strat = func(self *core.Stakeholder, st *core.State) *core.Move {
 		if !st.Has("wiretap") {
 			return &core.Move{Deploy: &core.Mechanism{
-				Name: "wiretap", Space: "trust", Visible: false, Couples: []core.Space{"apps"},
+				Name: "wiretap", Visible: false, Couples: []core.Space{"apps"},
 			}, Note: "data capture site in the network"}
 		}
 		return nil
@@ -105,7 +105,7 @@ func Encryption() *core.Engine {
 	user.Strat = func(self *core.Stakeholder, st *core.State) *core.Move {
 		if st.Has("wiretap") && !st.Has("e2e-encryption") {
 			return &core.Move{Deploy: &core.Mechanism{
-				Name: "e2e-encryption", Space: "trust", Visible: true,
+				Name: "e2e-encryption", Visible: true,
 			}, Note: "peeking is irresistible; encrypt end to end"}
 		}
 		return nil
@@ -113,7 +113,7 @@ func Encryption() *core.Engine {
 	isp.Strat = func(self *core.Stakeholder, st *core.State) *core.Move {
 		if st.Has("e2e-encryption") && !st.Has("block-encrypted") && st.Round < 6 {
 			return &core.Move{Deploy: &core.Mechanism{
-				Name: "block-encrypted", Space: "trust", Visible: true, Couples: []core.Space{"economics"},
+				Name: "block-encrypted", Visible: true, Couples: []core.Space{"economics"},
 			}, Note: "refuse to carry encrypted data"}
 		}
 		if st.Has("block-encrypted") && st.Round >= 6 {
@@ -146,14 +146,14 @@ func Firewall() *core.Engine {
 	admin.Strat = func(self *core.Stakeholder, st *core.State) *core.Move {
 		if !st.Has("port-firewall") && !st.Has("trust-firewall") {
 			return &core.Move{Deploy: &core.Mechanism{
-				Name: "port-firewall", Space: "trust", Visible: true, Couples: []core.Space{"apps"},
+				Name: "port-firewall", Visible: true, Couples: []core.Space{"apps"},
 			}, Note: "that which is not permitted is forbidden"}
 		}
 		if st.Has("user-tunnel") && !st.Has("trust-firewall") {
 			return &core.Move{
 				Withdraw: "port-firewall",
 				Deploy: &core.Mechanism{
-					Name: "trust-firewall", Space: "trust", Visible: true,
+					Name: "trust-firewall", Visible: true,
 				},
 				Note: "mediate on who communicates, not which ports",
 			}
@@ -163,7 +163,7 @@ func Firewall() *core.Engine {
 	user.Strat = func(self *core.Stakeholder, st *core.State) *core.Move {
 		if st.Has("port-firewall") && !st.Has("user-tunnel") {
 			return &core.Move{Deploy: &core.Mechanism{
-				Name: "user-tunnel", Space: "trust", Distortion: true,
+				Name: "user-tunnel", Distortion: true,
 			}, Note: "route and tunnel around it"}
 		}
 		if st.Has("trust-firewall") && st.Has("user-tunnel") {
@@ -196,13 +196,13 @@ func FileSharing() *core.Engine {
 		switch {
 		case !st.Has("central-index") && !st.Has("distributed-index"):
 			return &core.Move{Deploy: &core.Mechanism{
-				Name: "central-index", Space: "content", Visible: true,
+				Name: "central-index", Visible: true,
 			}, Note: "napster: one index, mutual aid"}
 		case st.Has("index-takedown") && !st.Has("distributed-index"):
 			return &core.Move{
 				Withdraw: "central-index",
 				Deploy: &core.Mechanism{
-					Name: "distributed-index", Space: "content", Visible: true,
+					Name: "distributed-index", Visible: true,
 				},
 				Note: "no single point for the next injunction",
 			}
@@ -213,11 +213,11 @@ func FileSharing() *core.Engine {
 		switch {
 		case st.Has("central-index") && !st.Has("index-takedown"):
 			return &core.Move{Deploy: &core.Mechanism{
-				Name: "index-takedown", Space: "content", Visible: true,
+				Name: "index-takedown", Visible: true,
 			}, Note: "injunction against the index operator"}
 		case st.Has("distributed-index") && !st.Has("licensed-store"):
 			return &core.Move{Deploy: &core.Mechanism{
-				Name: "licensed-store", Space: "content", Visible: true, Couples: []core.Space{"economics"},
+				Name: "licensed-store", Visible: true, Couples: []core.Space{"economics"},
 			}, Note: "compete: convenient licensed distribution"}
 		}
 		return nil

@@ -1,6 +1,8 @@
 package topology
 
 import (
+	"slices"
+
 	"repro/internal/sim"
 )
 
@@ -75,7 +77,7 @@ func GenerateHierarchy(cfg HierarchyConfig, rng *sim.RNG) *Graph {
 		if rng.Bool(cfg.MultihomeProb) && len(tier1) > 1 {
 			second := tier1[rng.Intn(len(tier1))]
 			if second == up {
-				second = tier1[(indexOf(tier1, up)+1)%len(tier1)]
+				second = tier1[(slices.Index(tier1, up)+1)%len(tier1)]
 			}
 			g.AddLink(next, second, CustomerOf, lat(), cost())
 		}
@@ -100,22 +102,13 @@ func GenerateHierarchy(cfg HierarchyConfig, rng *sim.RNG) *Graph {
 		if rng.Bool(cfg.MultihomeProb) && len(upstreams) > 1 {
 			second := upstreams[rng.Intn(len(upstreams))]
 			if second == up {
-				second = upstreams[(indexOf(upstreams, up)+1)%len(upstreams)]
+				second = upstreams[(slices.Index(upstreams, up)+1)%len(upstreams)]
 			}
 			g.AddLink(next, second, CustomerOf, lat(), cost())
 		}
 		next++
 	}
 	return g
-}
-
-func indexOf(ids []NodeID, id NodeID) int {
-	for i, v := range ids {
-		if v == id {
-			return i
-		}
-	}
-	return -1
 }
 
 // GenerateScaleFree builds a connected Barabási–Albert-style topology of

@@ -117,22 +117,17 @@ func (sp *ShortestPaths) Relax(v NodeID, w float64) {
 	sp.push(spEntry{dist: d, id: v, slot: i})
 }
 
-// Tables returns fresh maps of every settled node's distance and of
-// every settled node's first hop but the source's. After a search run
-// until Next reports an empty frontier, these cover every reachable node.
-func (sp *ShortestPaths) Tables() (next map[NodeID]NodeID, dist map[NodeID]float64) {
-	next = make(map[NodeID]NodeID, len(sp.nodes))
-	dist = make(map[NodeID]float64, len(sp.nodes))
+// Tables returns a fresh map of every settled node's first hop but the
+// source's. After a search run until Next reports an empty frontier, it
+// covers every reachable node.
+func (sp *ShortestPaths) Tables() map[NodeID]NodeID {
+	next := make(map[NodeID]NodeID, len(sp.nodes))
 	for i, n := range sp.nodes {
-		if !n.done {
-			continue
-		}
-		dist[n.id] = n.dist
-		if i > 0 {
+		if i > 0 && n.done {
 			next[n.id] = n.first
 		}
 	}
-	return next, dist
+	return next
 }
 
 // Path returns the shortest path from the source to dst, both included,

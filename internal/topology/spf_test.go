@@ -40,20 +40,22 @@ func decodeSPGraph(data []byte) (ids []NodeID, src NodeID, adj map[NodeID][]spEd
 
 // fullSearch runs sp from src over adj until the frontier empties,
 // checking that Next settles each node once, in non-decreasing distance.
+// It returns the first hops Tables reports and the distance Next
+// settled each node at.
 func fullSearch(t *testing.T, sp *ShortestPaths, src NodeID, adj map[NodeID][]spEdge) (map[NodeID]NodeID, map[NodeID]float64) {
-	settled := map[NodeID]bool{}
+	dist := map[NodeID]float64{}
 	last := 0.0
 	sp.Reset(src)
 	for u, d, ok := sp.Next(); ok; u, d, ok = sp.Next() {
-		if settled[u] || d < last {
-			t.Fatalf("settled %d at distance %v after %v (settled before: %v)", u, d, last, settled[u])
+		if _, settled := dist[u]; settled || d < last {
+			t.Fatalf("settled %d at distance %v after %v (settled before: %v)", u, d, last, settled)
 		}
-		settled[u], last = true, d
+		dist[u], last = d, d
 		for _, e := range adj[u] {
 			sp.Relax(e.to, e.w)
 		}
 	}
-	return sp.Tables()
+	return sp.Tables(), dist
 }
 
 // pathSearch runs sp from src over adj, stopping once dst settles.
@@ -205,7 +207,7 @@ func minWeight(adj map[NodeID][]spEdge, u, v NodeID) (float64, bool) {
 	return w, ok
 }
 
-// After one warm-up, a full search allocates only the maps Tables
+// After one warm-up, a full search allocates only the map Tables
 // returns, and a path search only the slice Path returns.
 func TestShortestPathsAllocs(t *testing.T) {
 	g := GenerateHierarchy(DefaultHierarchy(), sim.NewRNG(3))
@@ -227,17 +229,16 @@ func TestShortestPathsAllocs(t *testing.T) {
 		t.Errorf("full search allocates %.0f times, want 0", a)
 	}
 	var next map[NodeID]NodeID
-	var dist map[NodeID]float64
-	full := testing.AllocsPerRun(20, func() { search(false); next, dist = sp.Tables() })
-	n := len(dist)
+	full := testing.AllocsPerRun(20, func() { search(false); next = sp.Tables() })
+	n := len(next)
 	maps := testing.AllocsPerRun(20, func() {
-		next, dist = make(map[NodeID]NodeID, n), make(map[NodeID]float64, n)
+		next = make(map[NodeID]NodeID, n)
 		for _, id := range ids {
-			next[id], dist[id] = id, 0
+			next[id] = id
 		}
 	})
 	if full > maps {
-		t.Errorf("full search with Tables allocates %.0f times, its two maps alone %.0f", full, maps)
+		t.Errorf("full search with Tables allocates %.0f times, its map alone %.0f", full, maps)
 	}
 	var path []NodeID
 	if a := testing.AllocsPerRun(20, func() { search(true); path = sp.Path(dst) }); a != 1 {

@@ -75,7 +75,6 @@ type Link struct {
 
 // Node is one autonomous system.
 type Node struct {
-	ID   NodeID
 	Kind Kind
 	// Tier is 1 for the core clique, higher for regional/stub tiers.
 	Tier int
@@ -102,7 +101,7 @@ func (g *Graph) AddNode(id NodeID, kind Kind, tier int) *Node {
 	if _, dup := g.Nodes[id]; dup {
 		panic(fmt.Sprintf("topology: duplicate node %d", id))
 	}
-	n := &Node{ID: id, Kind: kind, Tier: tier}
+	n := &Node{Kind: kind, Tier: tier}
 	g.Nodes[id] = n
 	return n
 }

@@ -106,8 +106,6 @@ type LossyLink struct {
 	Label    string
 	LossProb float64
 	rng      *sim.RNG
-	// Lost counts drops.
-	Lost int
 }
 
 // InstallLossyLink attaches a plain lossy link at a node.
@@ -137,7 +135,6 @@ func (l *LossyLink) Process(node topology.NodeID, dir netsim.Direction, data []b
 		return nil, netsim.Accept
 	}
 	if l.rng.Bool(l.LossProb) {
-		l.Lost++
 		return nil, netsim.Drop
 	}
 	return nil, netsim.Accept

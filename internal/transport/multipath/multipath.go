@@ -188,7 +188,7 @@ type Path struct {
 	Sent, Acked, Retx, Timeouts, Probes int
 	Demotions, Promotions               int
 	AckedBytes                          int
-	LastDemoteAt, LastPromoteAt         sim.Time
+	LastDemoteAt                        sim.Time
 
 	// full and tail are the prebuilt headers of full-size and tail
 	// segments: the TIP total length is checksummed, so the two lengths
@@ -726,7 +726,6 @@ func (s *Sender) promote(p *Path) {
 	p.Consec = 0
 	p.probes = 0
 	p.Promotions++
-	p.LastPromoteAt = s.now()
 	s.stats.Promotions++
 	s.obsPromote.Inc()
 	if s.drv.Trace != nil {

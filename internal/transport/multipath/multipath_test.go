@@ -2,7 +2,9 @@ package multipath
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/netsim"
@@ -155,6 +157,8 @@ func TestPromotionAfterRecovery(t *testing.T) {
 	cfg := mpConfig(42)
 	cfg.MaxProbes = 100 // don't declare dead during the outage
 	s := NewSender(net, &DisjointnessMax{}, 8, 9, 7000, mpPayload(192<<10), cfg)
+	var log []string
+	s.SetTrace(func(line string) { log = append(log, line) })
 	sched.After(10*sim.Millisecond, func() { net.FailLink(9, 1) })
 	sched.After(250*sim.Millisecond, func() { net.RestoreLink(9, 1) })
 	s.Start()
@@ -176,9 +180,18 @@ func TestPromotionAfterRecovery(t *testing.T) {
 	if revived == nil {
 		t.Fatal("no path records a promotion")
 	}
-	if revived.LastPromoteAt <= revived.LastDemoteAt {
-		t.Fatalf("promotion at %v not after demotion at %v", revived.LastPromoteAt, revived.LastDemoteAt)
+	// The decision log shows the revived path demoted, then promoted.
+	demote := fmt.Sprintf(" demote path=%d", revived.Index)
+	promote := fmt.Sprintf(" promote path=%d", revived.Index)
+	demoted := false
+	for _, line := range log {
+		if strings.HasSuffix(line, demote) {
+			demoted = true
+		} else if demoted && strings.HasSuffix(line, promote) {
+			return
+		}
 	}
+	t.Fatalf("no%s after a%s in the decision log", promote, demote)
 }
 
 // TestAllPathsDeadFails severs the receiver entirely: the sender must

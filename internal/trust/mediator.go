@@ -5,8 +5,6 @@ package trust
 // reported interaction outcomes using a Beta(1,1)-prior estimator, so
 // unknown subjects score 0.5.
 type Reputation struct {
-	// Name identifies the service; parties choose which one to consult.
-	Name string
 	// Accuracy is the probability a report is recorded truthfully;
 	// mediators themselves vary in quality, which is why choice among
 	// them matters.
@@ -17,11 +15,8 @@ type Reputation struct {
 
 // NewReputation creates a service with the given report accuracy
 // (1.0 = perfect bookkeeping).
-func NewReputation(name string, accuracy float64) *Reputation {
-	return &Reputation{
-		Name: name, Accuracy: accuracy,
-		good: make(map[string]int), bad: make(map[string]int),
-	}
+func NewReputation(accuracy float64) *Reputation {
+	return &Reputation{Accuracy: accuracy, good: make(map[string]int), bad: make(map[string]int)}
 }
 
 // Report records an interaction outcome for subject. flip provides the
@@ -53,11 +48,6 @@ type Guarantor struct {
 	Name string
 	// LiabilityCap is the maximum loss a customer bears per dispute.
 	LiabilityCap float64
-	// FeeRate is the guarantor's cut of each transaction.
-	FeeRate float64
-
-	// Revenue accumulates fees; Payouts accumulates dispute refunds.
-	Revenue, Payouts float64
 
 	txSeq int
 	txs   map[int]*Transaction
@@ -65,24 +55,20 @@ type Guarantor struct {
 
 // Transaction is one guaranteed purchase.
 type Transaction struct {
-	ID       int
-	Buyer    string
-	Seller   string
 	Amount   float64
 	Disputed bool
 	Refunded float64
 }
 
 // NewGuarantor creates a guarantor with the classic $50-style cap.
-func NewGuarantor(name string, cap float64, feeRate float64) *Guarantor {
-	return &Guarantor{Name: name, LiabilityCap: cap, FeeRate: feeRate, txs: make(map[int]*Transaction)}
+func NewGuarantor(name string, cap float64) *Guarantor {
+	return &Guarantor{Name: name, LiabilityCap: cap, txs: make(map[int]*Transaction)}
 }
 
-// Charge records a guaranteed transaction and returns its ID.
-func (g *Guarantor) Charge(buyer, seller string, amount float64) int {
+// Charge records a guaranteed transaction of amount and returns its ID.
+func (g *Guarantor) Charge(amount float64) int {
 	g.txSeq++
-	g.Revenue += amount * g.FeeRate
-	g.txs[g.txSeq] = &Transaction{ID: g.txSeq, Buyer: buyer, Seller: seller, Amount: amount}
+	g.txs[g.txSeq] = &Transaction{Amount: amount}
 	return g.txSeq
 }
 
@@ -100,7 +86,6 @@ func (g *Guarantor) Dispute(txID int) float64 {
 		refund = 0
 	}
 	tx.Refunded = refund
-	g.Payouts += refund
 	return refund
 }
 

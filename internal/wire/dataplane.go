@@ -13,15 +13,15 @@ type NodeConfig struct {
 	ID topology.NodeID
 	// Route computes next hops; nil means the node can only deliver.
 	Route netsim.RouteFunc
-	// HonorSourceRoutes / RequirePaymentForSourceRoute mirror the
-	// netsim.Node fields (the §V-A4 source-routing tussle knobs).
-	HonorSourceRoutes            bool
-	RequirePaymentForSourceRoute bool
+	// HonorSourceRoutes mirrors the netsim.Node field (the §V-A4
+	// source-routing tussle knob).
+	HonorSourceRoutes bool
 	// SourceRoutePolicy is the compiled, metered admission program
-	// (netsim.CompileSourceRoutePolicy); while set it replaces the
-	// payment boolean, exactly as Forwarder.UseSourceRoutePolicy does in
-	// the simulator. The compiled object is immutable and may be shared
-	// across workers; each Dataplane keeps its own evaluation scratch.
+	// (netsim.CompileSourceRoutePolicy), installed exactly as
+	// Forwarder.UseSourceRoutePolicy does in the simulator; nil admits
+	// every source route. The compiled object is immutable and may be
+	// shared across workers; each Dataplane keeps its own evaluation
+	// scratch.
 	SourceRoutePolicy *netsim.SourceRoutePolicy
 	// Middleboxes are processed in installation order, single-pass,
 	// with the exact netsim chain semantics. Stateful implementations
@@ -55,11 +55,10 @@ type Dataplane struct {
 func NewDataplane(cfg NodeConfig) *Dataplane {
 	d := &Dataplane{
 		fwd: netsim.Forwarder{
-			ID:                           cfg.ID,
-			Route:                        cfg.Route,
-			HonorSourceRoutes:            cfg.HonorSourceRoutes,
-			RequirePaymentForSourceRoute: cfg.RequirePaymentForSourceRoute,
-			Middleboxes:                  cfg.Middleboxes,
+			ID:                cfg.ID,
+			Route:             cfg.Route,
+			HonorSourceRoutes: cfg.HonorSourceRoutes,
+			Middleboxes:       cfg.Middleboxes,
 		},
 		peers:           netsim.NewPeerSet(cfg.Peers),
 		blockedReason:   make([]string, len(cfg.Middleboxes)),

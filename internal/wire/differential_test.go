@@ -44,16 +44,34 @@ func (garbler) Process(node topology.NodeID, dir netsim.Direction, data []byte) 
 	return []byte{0xDE, 0xAD}, netsim.Accept
 }
 
+// ghost is a silent port firewall: it drops traffic to one destination
+// port without naming itself in the drop report.
+type ghost struct{ port uint16 }
+
+func (ghost) Name() string { return "ghost" }
+func (ghost) Silent() bool { return true }
+func (g ghost) Process(node topology.NodeID, dir netsim.Direction, data []byte) ([]byte, netsim.Verdict) {
+	var tip packet.TIP
+	if err := tip.DecodeFrom(data); err != nil || tip.Proto != packet.LayerTypeTTP {
+		return nil, netsim.Accept
+	}
+	var ttp packet.TTP
+	if err := ttp.DecodeFrom(tip.LayerPayload()); err != nil || ttp.DstPort != g.port {
+		return nil, netsim.Accept
+	}
+	return nil, netsim.Drop
+}
+
 // diffChain builds the middlebox chain under test. Each engine gets its
 // own instances (stateful devices are not shareable); both are built
 // from this one spec.
 func diffChain() []netsim.Middlebox {
 	return []netsim.Middlebox{
 		&middlebox.PortFirewall{Label: "fw", BlockedPorts: map[uint16]bool{25: true}},
-		&middlebox.PortFirewall{Label: "ghost", BlockedPorts: map[uint16]bool{6667: true}, Quiet: true},
+		ghost{port: 6667},
 		&middlebox.Redirector{Label: "redir", MatchPort: 8080, To: packet.MakeAddr(2, 99)},
 		&middlebox.Redirector{Label: "redir-out", MatchPort: 9090, To: packet.MakeAddr(4, 7)},
-		&middlebox.Wiretap{Label: "tap", MatchSrc: 1},
+		&middlebox.Wiretap{Label: "tap"},
 		garbler{},
 	}
 }
@@ -80,7 +98,7 @@ func newSimTwin(cfg NodeConfig) *simTwin {
 	}
 	nd := tw.n.Node(2)
 	nd.HonorSourceRoutes = cfg.HonorSourceRoutes
-	nd.RequirePaymentForSourceRoute = cfg.RequirePaymentForSourceRoute
+	nd.UseSourceRoutePolicy(cfg.SourceRoutePolicy)
 	for _, m := range cfg.Middleboxes {
 		nd.AddMiddlebox(m)
 	}
@@ -279,7 +297,6 @@ func TestDifferentialStateful(t *testing.T) {
 	mkConfig := func() NodeConfig {
 		cfg := testNodeConfig([]netsim.Middlebox{middlebox.NewNAT("nat", public)})
 		cfg.HonorSourceRoutes = false
-		cfg.RequirePaymentForSourceRoute = false
 		return cfg
 	}
 	tw := newSimTwin(mkConfig())

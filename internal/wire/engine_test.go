@@ -62,7 +62,13 @@ func TestEngineLoopbackEcho(t *testing.T) {
 	if res.Received == 0 {
 		t.Fatal("no echoes came back")
 	}
+	// A worker flushes its counters once per batch, after sending the
+	// batch's echoes, so the last echoes can arrive before they are
+	// counted: wait for that flush.
 	st := eng.Stats()
+	for deadline := time.Now().Add(2 * time.Second); st.Received < uint64(res.Received) && time.Now().Before(deadline); st = eng.Stats() {
+		time.Sleep(time.Millisecond)
+	}
 	if st.Received < uint64(res.Received) {
 		t.Fatalf("engine received %d, client got %d echoes back", st.Received, res.Received)
 	}

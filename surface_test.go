@@ -2,11 +2,13 @@ package repro_test
 
 // The surface guard: every exported package-level identifier and every
 // exported method under internal/ must be reached by code that runs — an
-// experiment, a CLI, an example or the benchmark module — and every flag a
-// cmd/ binary defines must be passed by something that runs that binary.
-// What is not is named in surfaceAllowlist with the reason it stays. The
-// check runs both ways: an allowlist entry whose target is gone, or has
-// gained a use, fails too, so the list cannot go stale.
+// experiment, a CLI, an example or the benchmark module — every exported
+// field of an exported struct type there must be both written and read by
+// such code, and every flag a cmd/ binary defines must be passed by
+// something that runs that binary. What is not is named in
+// surfaceAllowlist with the reason it stays. The check runs both ways: an
+// allowlist entry whose target is gone, or has gained a use, fails too, so
+// the list cannot go stale.
 
 import (
 	"errors"
@@ -22,6 +24,7 @@ import (
 	"io/fs"
 	"os"
 	"path"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -30,9 +33,9 @@ import (
 )
 
 // surfaceAllowlist names what stays without a use, with the reason. Keys
-// are "pkg.Name" for a package-level identifier and "pkg.Type.Method" for
-// a method, pkg being the package's path under internal/, and
-// "cmd/name -flag" for a flag.
+// are "pkg.Name" for a package-level identifier, "pkg.Type.Method" for a
+// method and "pkg.Type.Field" for a field, pkg being the package's path
+// under internal/, and "cmd/name -flag" for a flag.
 var surfaceAllowlist = map[string]string{
 	"obs.NewRing":              "the planned decision flight recorder (ROADMAP.md, observability item) keeps the last N decisions in a Ring",
 	"middlebox.NewNAT":         "the only stateful rewriter; wire.TestDifferentialStateful uses it to pin state agreement between the simulator and the wire",
@@ -47,6 +50,9 @@ var surfaceAllowlist = map[string]string{
 	"policy.Program.Run":             "the env-map entry to the VM that the differential suite drives against policy.Evaluate, and the reference TestRunSlotsMatchesRun holds RunSlots to (make policy-smoke)",
 	"wire.MultipathSender.HandleAck": "the ACK entry point TestMultipathDifferentialDecisions scripts to pin the wire sender's decision log to the simulator's",
 	"wire.MultipathSender.SetTrace":  "records the decision log TestMultipathDifferentialDecisions compares with golden_mp_decisions.txt",
+
+	"wire.MPPath.Hops":                 "the interior waypoints of a striped path, which TestMultipathDifferentialDecisions sets to replay the simulator's candidate paths; the wire's own paths are direct",
+	"wire.MultipathSenderConfig.Clock": "the timer seam TestMultipathDifferentialDecisions sets to a SimClock to replay scripted ACKs against the simulator; tussled runs on the wall clock",
 }
 
 func TestSurface(t *testing.T) {
@@ -60,26 +66,26 @@ func TestSurface(t *testing.T) {
 }
 
 // checkSurface scans the module rooted at fsys and returns one line per
-// violation, sorted: a surface entry with no use that allow does not
+// violation, sorted: a surface entry lacking a use that allow does not
 // name, an allow entry that names no such entry, and an allow entry that
 // has gained a use.
 func checkSurface(fsys fs.FS, allow map[string]string) ([]string, error) {
-	used, err := scanSurface(fsys)
+	lacks, err := scanSurface(fsys)
 	if err != nil {
 		return nil, err
 	}
 	var problems []string
-	for id, u := range used {
+	for id, lack := range lacks {
 		_, listed := allow[id]
 		switch {
-		case !u && !listed:
-			problems = append(problems, fmt.Sprintf("%s %s: delete it, or allowlist it with a reason", id, unusedWhy(id)))
-		case u && listed:
+		case lack != "" && !listed:
+			problems = append(problems, fmt.Sprintf("%s %s: delete it, or allowlist it with a reason", id, lack))
+		case lack == "" && listed:
 			problems = append(problems, fmt.Sprintf("%s is allowlisted but now has a use: remove its entry", id))
 		}
 	}
 	for id := range allow {
-		if _, ok := used[id]; !ok {
+		if _, ok := lacks[id]; !ok {
 			problems = append(problems, fmt.Sprintf("%s is allowlisted but not declared: remove its entry", id))
 		}
 	}
@@ -87,7 +93,7 @@ func checkSurface(fsys fs.FS, allow map[string]string) ([]string, error) {
 	return problems, nil
 }
 
-// unusedWhy says what an entry of the given shape lacks.
+// unusedWhy says what an unused identifier, method or flag lacks.
 func unusedWhy(id string) string {
 	switch {
 	case strings.HasPrefix(id, "cmd/"):
@@ -111,7 +117,8 @@ var surfaceInterfaces = [][2]string{
 // one instance is shared so each package is read once per test binary.
 var stdImporter = importer.Default()
 
-// scanSurface maps each surface entry to whether something uses it:
+// scanSurface maps each surface entry to what it lacks, or to "" when it
+// has its uses:
 //
 //   - an exported package-level func, type, var or const declared in a
 //     non-test file under internal/ is used when another declaration of a
@@ -123,6 +130,10 @@ var stdImporter = importer.Default()
 //     method expression), or when the type or its pointer satisfies an
 //     interface that non-test code names, or one of surfaceInterfaces,
 //     and the method belongs to that interface;
+//   - an exported field of an exported struct type declared there must be
+//     written and read by non-test code, as fieldAccess tells them apart;
+//     a field with a json tag counts as both, since the codec writes and
+//     reads it;
 //   - a flag a cmd/NAME binary defines through package flag is used when
 //     a _test.go file of cmd/NAME has the string literal "-flag" (or
 //     "-flag=..."), or when a line of the Makefile, of a CI workflow or
@@ -133,7 +144,7 @@ var stdImporter = importer.Default()
 // Selectors are resolved with go/types over every non-test package whose
 // build constraints hold on this platform. Directories named testdata or
 // starting with a dot (a module cache, say) are skipped.
-func scanSurface(fsys fs.FS) (map[string]bool, error) {
+func scanSurface(fsys fs.FS) (map[string]string, error) {
 	modPath, err := modulePath(fsys)
 	if err != nil {
 		return nil, err
@@ -190,8 +201,11 @@ func scanSurface(fsys fs.FS) (map[string]bool, error) {
 	}
 	sort.Strings(dirs)
 
-	// Declare the surface: internal/ objects and methods, cmd/ flags.
+	// Declare the surface: internal/ objects, methods and fields, cmd/
+	// flags.
 	declared := map[types.Object]string{} // object -> id
+	fields := map[*types.Var]string{}     // field -> id
+	codec := map[*types.Var]bool{}        // json-tagged fields
 	var named []*types.Named
 	for _, dir := range dirs {
 		rel, ok := strings.CutPrefix(dir, "internal/")
@@ -216,6 +230,15 @@ func scanSurface(fsys fs.FS) (map[string]bool, error) {
 			for i := 0; i < n.NumMethods(); i++ {
 				if m := n.Method(i); m.Exported() {
 					declared[m] = rel + "." + name + "." + m.Name()
+				}
+			}
+			if st, ok := n.Underlying().(*types.Struct); ok && tn.Exported() {
+				for i := 0; i < st.NumFields(); i++ {
+					if f := st.Field(i); f.Exported() && !f.Embedded() {
+						fields[f] = rel + "." + name + "." + f.Name()
+						tag, ok := reflect.StructTag(st.Tag(i)).Lookup("json")
+						codec[f] = ok && tag != "-"
+					}
 				}
 			}
 		}
@@ -251,9 +274,12 @@ func scanSurface(fsys fs.FS) (map[string]bool, error) {
 	// Mark uses, skipping those inside the using object's own declaration,
 	// and collect the interfaces non-test code names.
 	ifaces := map[*types.Interface]bool{}
+	acc := fieldAccess{write: map[*types.Var]bool{}, read: map[*types.Var]bool{}}
 	for _, dir := range dirs {
 		c := checked[dir]
+		acc.info = c.info
 		for _, f := range c.files {
+			acc.visit(f)
 			for _, decl := range f.Decls {
 				forEachOwnedNode(decl, c.info, func(n ast.Node, own map[types.Object]bool) {
 					ast.Inspect(n, func(n ast.Node) bool {
@@ -313,7 +339,217 @@ func scanSurface(fsys fs.FS) (map[string]bool, error) {
 			}
 		}
 	}
-	return used, nil
+
+	lacks := map[string]string{}
+	for id, u := range used {
+		lacks[id] = ""
+		if !u {
+			lacks[id] = unusedWhy(id)
+		}
+	}
+	for f, id := range fields {
+		w, r := acc.write[f] || codec[f], acc.read[f] || codec[f]
+		switch {
+		case !w && !r:
+			lacks[id] = "has no non-test write or read"
+		case !w:
+			lacks[id] = "has no non-test write"
+		case !r:
+			lacks[id] = "has no non-test read"
+		default:
+			lacks[id] = ""
+		}
+	}
+	return lacks, nil
+}
+
+// fieldAccess records which struct fields non-test code writes and which
+// it reads. A field is written by a composite literal, keyed or
+// positional, and as the target of =, op= or ++/--, directly or through a
+// chain of selectors, indexes and dereferences below it (s.Drops[k]++
+// writes Drops); x.F = append(x.F, v) only writes F. Taking F's address,
+// explicitly or by calling a pointer method on it or slicing it when it
+// is an array, both writes and reads it. Any other evaluation reads it,
+// and so does handing a value that holds it to fmt, reflect or an
+// encoding package, or comparing such a value with == or !=.
+type fieldAccess struct {
+	info        *types.Info
+	write, read map[*types.Var]bool
+}
+
+func (a *fieldAccess) mark(obj types.Object, write, read bool) {
+	v, ok := obj.(*types.Var)
+	if !ok || !v.IsField() {
+		return
+	}
+	v = v.Origin()
+	a.write[v] = a.write[v] || write
+	a.read[v] = a.read[v] || read
+}
+
+func (a *fieldAccess) visit(n ast.Node) {
+	ast.Inspect(n, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				a.target(lhs, true, false)
+			}
+			for i, rhs := range n.Rhs {
+				read := []ast.Expr{rhs}
+				// x.F = append(x.F, v...) reads only the appended values.
+				if call, ok := rhs.(*ast.CallExpr); ok && len(n.Lhs) == len(n.Rhs) && a.builtin(call) == "append" &&
+					types.ExprString(call.Args[0]) == types.ExprString(n.Lhs[i]) {
+					read = call.Args[1:]
+				}
+				for _, e := range read {
+					a.visit(e)
+				}
+			}
+			return false
+		case *ast.IncDecStmt:
+			a.target(n.X, true, false)
+			return false
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				a.target(n.X, true, true)
+				return false
+			}
+		case *ast.SliceExpr:
+			if _, ok := a.info.TypeOf(n.X).Underlying().(*types.Array); ok {
+				a.target(n.X, true, true)
+				for _, e := range []ast.Expr{n.Low, n.High, n.Max} {
+					if e != nil {
+						a.visit(e)
+					}
+				}
+				return false
+			}
+		case *ast.SelectorExpr:
+			sel := a.info.Selections[n]
+			if sel == nil {
+				return true
+			}
+			switch sel.Kind() {
+			case types.FieldVal:
+				a.mark(sel.Obj(), false, true)
+			case types.MethodVal:
+				// A pointer method called on a value takes its address.
+				_, ptrRecv := sel.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer)
+				_, ptrOperand := a.info.TypeOf(n.X).Underlying().(*types.Pointer)
+				if ptrRecv && !ptrOperand {
+					a.target(n.X, true, true)
+					return false
+				}
+			}
+		case *ast.CompositeLit:
+			t := a.info.TypeOf(n)
+			if p, ok := t.(*types.Pointer); ok {
+				t = p.Elem()
+			}
+			st, ok := t.Underlying().(*types.Struct)
+			if !ok {
+				return true
+			}
+			for i, el := range n.Elts {
+				if kv, ok := el.(*ast.KeyValueExpr); ok {
+					a.mark(a.info.Uses[kv.Key.(*ast.Ident)], true, false)
+				} else {
+					a.mark(st.Field(i), true, false)
+				}
+			}
+		case *ast.CallExpr:
+			if fn := callee(a.info, n); fn != nil && fn.Pkg() != nil {
+				if p := fn.Pkg().Path(); p == "fmt" || p == "reflect" || strings.HasPrefix(p, "encoding/") {
+					for _, arg := range n.Args {
+						a.readAll(a.info.TypeOf(arg), map[types.Type]bool{})
+					}
+				}
+			}
+		case *ast.BinaryExpr:
+			if n.Op == token.EQL || n.Op == token.NEQ {
+				switch a.info.TypeOf(n.X).Underlying().(type) {
+				case *types.Struct, *types.Array:
+					a.readAll(a.info.TypeOf(n.X), map[types.Type]bool{})
+				}
+			}
+		}
+		return true
+	})
+}
+
+// target marks the fields along an assigned, incremented or addressed
+// expression, and visits the index expressions on the way as reads.
+func (a *fieldAccess) target(e ast.Expr, write, read bool) {
+	for {
+		switch x := e.(type) {
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			a.visit(x.Index)
+			e = x.X
+		case *ast.SelectorExpr:
+			sel := a.info.Selections[x]
+			if sel == nil || sel.Kind() != types.FieldVal {
+				a.visit(e)
+				return
+			}
+			a.mark(sel.Obj(), write, read)
+			e = x.X
+		default:
+			a.visit(e)
+			return
+		}
+	}
+}
+
+// readAll marks every field a value of type t holds, through pointers,
+// containers and nested structs, as read.
+func (a *fieldAccess) readAll(t types.Type, seen map[types.Type]bool) {
+	if t == nil || seen[t] {
+		return
+	}
+	seen[t] = true
+	switch u := t.Underlying().(type) {
+	case *types.Pointer:
+		a.readAll(u.Elem(), seen)
+	case *types.Slice:
+		a.readAll(u.Elem(), seen)
+	case *types.Array:
+		a.readAll(u.Elem(), seen)
+	case *types.Map:
+		a.readAll(u.Key(), seen)
+		a.readAll(u.Elem(), seen)
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			a.mark(u.Field(i), false, true)
+			a.readAll(u.Field(i).Type(), seen)
+		}
+	}
+}
+
+// builtin names the builtin a call invokes, or is "".
+func (a *fieldAccess) builtin(call *ast.CallExpr) string {
+	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
+		if b, ok := a.info.Uses[id].(*types.Builtin); ok {
+			return b.Name()
+		}
+	}
+	return ""
+}
+
+// callee returns the function or method a call invokes by name, or nil.
+func callee(info *types.Info, call *ast.CallExpr) *types.Func {
+	var id *ast.Ident
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.SelectorExpr:
+		id = fun.Sel
+	case *ast.Ident:
+		id = fun
+	}
+	fn, _ := info.Uses[id].(*types.Func)
+	return fn
 }
 
 // checkedPkg is one type-checked package.
@@ -355,9 +591,10 @@ func typeCheck(fset *token.FileSet, modPath string, pkgFiles map[string][]*ast.F
 		}
 		checked[dir] = nil
 		info := &types.Info{
-			Types: map[ast.Expr]types.TypeAndValue{},
-			Defs:  map[*ast.Ident]types.Object{},
-			Uses:  map[*ast.Ident]types.Object{},
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
 		}
 		ipath := modPath + "/" + dir
 		if dir == "." {
@@ -468,15 +705,8 @@ func definedFlags(c *checkedPkg) []string {
 			if !ok {
 				return true
 			}
-			var id *ast.Ident
-			switch fun := call.Fun.(type) {
-			case *ast.SelectorExpr:
-				id = fun.Sel
-			case *ast.Ident:
-				id = fun
-			}
-			fn, ok := c.info.Uses[id].(*types.Func)
-			if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "flag" || !flagDefiners[fn.Name()] {
+			fn := callee(c.info, call)
+			if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "flag" || !flagDefiners[fn.Name()] {
 				return true
 			}
 			for _, arg := range call.Args {
@@ -726,6 +956,143 @@ func TestCheckSurface(t *testing.T) {
 				"internal/a/_skipped.go": "package a\nfunc G() {}\n",
 			},
 			want: []string{"a.G has no non-test reference: delete it, or allowlist it with a reason"},
+		},
+		{
+			name: "field written by a keyed literal",
+			files: map[string]string{
+				"internal/a/a.go": "package a\ntype T struct{ F, G int }\n",
+				"cmd/c/main.go":   "package main\nimport \"m/internal/a\"\nfunc main() { t := a.T{F: 1}; println(t.F, t.G) }\n",
+			},
+			want: []string{"a.T.G has no non-test write: delete it, or allowlist it with a reason"},
+		},
+		{
+			name: "fields written by a positional literal",
+			files: map[string]string{
+				"internal/a/a.go": "package a\ntype T struct{ F, G int }\n",
+				"cmd/c/main.go":   "package main\nimport \"m/internal/a\"\nfunc main() { t := a.T{1, 2}; println(t.F) }\n",
+			},
+			want: []string{"a.T.G has no non-test read: delete it, or allowlist it with a reason"},
+		},
+		{
+			name: "field written by assignment",
+			files: map[string]string{
+				"internal/a/a.go":      "package a\ntype T struct{ F, G, H int }\n",
+				"internal/a/a_test.go": "package a\nfunc set(t *T) { t.G = 1 }\n",
+				"cmd/c/main.go":        "package main\nimport \"m/internal/a\"\nfunc main() { var t a.T; t.F = 1; println(t.F, t.G, t.H) }\n",
+			},
+			want: []string{
+				"a.T.G has no non-test write: delete it, or allowlist it with a reason",
+				"a.T.H has no non-test write: delete it, or allowlist it with a reason",
+			},
+		},
+		{
+			name: "field only updated in place",
+			files: map[string]string{
+				"internal/a/a.go": "package a\ntype T struct{ F, G int }\nfunc (t *T) Add(n int) { t.F += n; t.G -= n }\nfunc (t *T) Net() int { return t.G }\n",
+				"cmd/c/main.go":   "package main\nimport \"m/internal/a\"\nfunc main() { var t a.T; t.Add(1); println(t.Net()) }\n",
+			},
+			want: []string{"a.T.F has no non-test read: delete it, or allowlist it with a reason"},
+		},
+		{
+			name: "field only incremented through an index",
+			files: map[string]string{
+				"internal/a/a.go": "package a\ntype S struct{ Drops map[string]int; Hops []int; Keys []string }\n" +
+					"func (s *S) Drop(i int) { s.Drops[s.Keys[i]]++; s.Hops[i]-- }\n",
+				"cmd/c/main.go": "package main\nimport \"m/internal/a\"\n" +
+					"func main() { s := a.S{Drops: map[string]int{}, Hops: []int{0}, Keys: []string{\"x\"}}; s.Drop(0); println(len(s.Hops)) }\n",
+			},
+			want: []string{"a.S.Drops has no non-test read: delete it, or allowlist it with a reason"},
+		},
+		{
+			name: "field written through its address",
+			files: map[string]string{
+				"internal/a/a.go": "package a\ntype T struct{ F, G int }\n",
+				"cmd/c/main.go":   "package main\nimport \"m/internal/a\"\nfunc main() { var t a.T; p := &t.F; *p = 1; println(t.G) }\n",
+			},
+			want: []string{"a.T.G has no non-test write: delete it, or allowlist it with a reason"},
+		},
+		{
+			name: "field written by a pointer method",
+			files: map[string]string{
+				"internal/a/a.go": "package a\nimport \"strings\"\ntype T struct{ B strings.Builder; S *strings.Builder }\n",
+				"cmd/c/main.go":   "package main\nimport \"m/internal/a\"\nfunc main() { var t a.T; t.B.WriteString(\"x\"); t.S.WriteString(\"y\") }\n",
+			},
+			want: []string{"a.T.S has no non-test write: delete it, or allowlist it with a reason"},
+		},
+		{
+			name: "array field written through a slice of it",
+			files: map[string]string{
+				"internal/a/a.go": "package a\ntype Sum struct{ SHA [32]byte; Parts [][]byte }\n",
+				"cmd/c/main.go": "package main\nimport (\n\t\"crypto/sha256\"\n\t\"m/internal/a\"\n)\n" +
+					"func main() { var s a.Sum; h := sha256.New(); h.Sum(s.SHA[:0]); h.Sum(s.Parts[0][:0]) }\n",
+			},
+			want: []string{"a.Sum.Parts has no non-test write: delete it, or allowlist it with a reason"},
+		},
+		{
+			name: "append-only field",
+			files: map[string]string{
+				"internal/a/a.go": "package a\ntype Ledger struct{ Entries, Seen []int }\n" +
+					"func (l *Ledger) Add(v int) { l.Entries = append(l.Entries, v); l.Seen = append(l.Seen, len(l.Entries)) }\n",
+				"internal/a/a_test.go": "package a\nvar _ = (&Ledger{}).Seen[0]\n",
+				"cmd/c/main.go":        "package main\nimport \"m/internal/a\"\nfunc main() { var l a.Ledger; l.Add(1) }\n",
+			},
+			want: []string{"a.Ledger.Seen has no non-test read: delete it, or allowlist it with a reason"},
+		},
+		{
+			name: "fields read by fmt",
+			files: map[string]string{
+				"internal/a/a.go": "package a\ntype In struct{ X int }\ntype T struct{ F int; In *In }\ntype U struct{ G int }\n",
+				"cmd/c/main.go": "package main\nimport (\n\t\"fmt\"\n\t\"m/internal/a\"\n)\n" +
+					"func main() { fmt.Println([]a.T{{F: 1, In: &a.In{X: 2}}}); _ = a.U{G: 3} }\n",
+			},
+			want: []string{"a.U.G has no non-test read: delete it, or allowlist it with a reason"},
+		},
+		{
+			name: "fields read by an encoding",
+			files: map[string]string{
+				"internal/a/a.go": "package a\ntype T struct{ F int }\ntype U struct{ G int }\n",
+				"cmd/c/main.go": "package main\nimport (\n\t\"encoding/json\"\n\t\"m/internal/a\"\n)\n" +
+					"func main() { _, _ = json.Marshal(&a.T{F: 1}); _ = a.U{G: 3} }\n",
+			},
+			want: []string{"a.U.G has no non-test read: delete it, or allowlist it with a reason"},
+		},
+		{
+			name: "fields read by reflect",
+			files: map[string]string{
+				"internal/a/a.go": "package a\ntype T struct{ F int }\ntype U struct{ G int }\n",
+				"cmd/c/main.go": "package main\nimport (\n\t\"reflect\"\n\t\"m/internal/a\"\n)\n" +
+					"func main() { _ = reflect.DeepEqual(a.T{F: 1}, a.T{}); _ = a.U{G: 3} }\n",
+			},
+			want: []string{"a.U.G has no non-test read: delete it, or allowlist it with a reason"},
+		},
+		{
+			name: "fields read by ==",
+			files: map[string]string{
+				"internal/a/a.go": "package a\ntype T struct{ F int }\ntype U struct{ G int }\n",
+				"cmd/c/main.go": "package main\nimport \"m/internal/a\"\n" +
+					"func main() { println(a.T{F: 1} == a.T{}); u := &a.U{G: 3}; println(u != &a.U{G: 4}) }\n",
+			},
+			want: []string{"a.U.G has no non-test read: delete it, or allowlist it with a reason"},
+		},
+		{
+			name: "json-tagged fields need no use",
+			files: map[string]string{
+				"internal/a/a.go": "package a\ntype T struct {\n\tF int `json:\"f\"`\n\tG int `json:\"-\"`\n\tH int\n}\n",
+				"cmd/c/main.go":   "package main\nimport \"m/internal/a\"\nfunc main() { _ = a.T{} }\n",
+			},
+			want: []string{
+				"a.T.G has no non-test write or read: delete it, or allowlist it with a reason",
+				"a.T.H has no non-test write or read: delete it, or allowlist it with a reason",
+			},
+		},
+		{
+			name: "allowlisted field gained a use",
+			files: map[string]string{
+				"internal/a/a.go": "package a\ntype T struct{ F, Seam int }\n",
+				"cmd/c/main.go":   "package main\nimport \"m/internal/a\"\nfunc main() { t := a.T{F: 1}; println(t.F, t.Seam) }\n",
+			},
+			allow: map[string]string{"a.T.F": "reason", "a.T.Seam": "reason"},
+			want:  []string{"a.T.F is allowlisted but now has a use: remove its entry"},
 		},
 	}
 	for _, tc := range cases {
