@@ -70,8 +70,10 @@ scale-json:
 # bench/testdata/scale_seed*.txt (which shard-determinism cannot catch:
 # it only compares shard counts with each other, so a change shifting
 # all of them alike passes it; and its 5k-node graph is too small for
-# hubs to dominate the partition); then a quick scale measurement
-# compared against the committed baseline.
+# hubs to dominate the partition); then the seed-42, 2-shard digest once
+# more at GOMAXPROCS=1, where the sink routing tables are built by one
+# worker instead of one per P; then a quick scale measurement compared
+# against the committed baseline.
 scale-smoke:
 	$(GO) run ./cmd/netsim -nodes 100000 -shards 2 -packets 2000000 -seed 42
 	@for run in 42/2 7/2 42/4; do \
@@ -79,7 +81,9 @@ scale-smoke:
 	  $(GO) run ./cmd/netsim -nodes 100000 -shards $$shards -packets 1000000 -chaos -seed $$seed 2>/dev/null > /tmp/scale-digest.out || exit 1; \
 	  cmp /tmp/scale-digest.out bench/testdata/scale_seed$$seed.txt || { echo "scale-smoke: seed $$seed at $$shards shards: digest differs from bench/testdata/scale_seed$$seed.txt"; exit 1; }; \
 	done; \
-	echo "scale-smoke: 100k-node chaos digests match bench/testdata (seeds 42+7 on 2 shards, seed 42 on 4)"
+	GOMAXPROCS=1 $(GO) run ./cmd/netsim -nodes 100000 -shards 2 -packets 1000000 -chaos -seed 42 2>/dev/null > /tmp/scale-digest.out || exit 1; \
+	cmp /tmp/scale-digest.out bench/testdata/scale_seed42.txt || { echo "scale-smoke: seed 42 at 2 shards, GOMAXPROCS=1: digest differs from bench/testdata/scale_seed42.txt"; exit 1; }; \
+	echo "scale-smoke: 100k-node chaos digests match bench/testdata (seeds 42+7 on 2 shards, seed 42 on 4, seed 42 on 2 at GOMAXPROCS=1)"
 	$(GO) run ./cmd/tussle-bench -scale-json /tmp/scale-smoke.json -iters 2
 	$(GO) run ./cmd/tussle-bench -compare -tolerance 0.5 BENCH_scale.json /tmp/scale-smoke.json
 

@@ -36,7 +36,6 @@ type designFile struct {
 	} `json:"choices"`
 	Mechanisms []struct {
 		Name    string   `json:"name"`
-		Space   string   `json:"space"`
 		Couples []string `json:"couples,omitempty"`
 		Visible bool     `json:"visible"`
 	} `json:"mechanisms"`
@@ -96,8 +95,8 @@ const exampleDesign = `{
     {"name": "pop-server", "chooser": "user", "alternatives": 4, "visible": true, "cost_exposed": true}
   ],
   "mechanisms": [
-    {"name": "server-selection", "space": "apps", "visible": true},
-    {"name": "spam-filtering", "space": "apps", "visible": true}
+    {"name": "server-selection", "visible": true},
+    {"name": "spam-filtering", "visible": true}
   ],
   "third_parties": [
     {"name": "reputation-service", "selectable": true}

@@ -25,7 +25,8 @@ import (
 // (choice without compensation), and by paid source routing (the
 // integrated scheme: choice with designed value flow). Measured: the
 // latency users achieve, provider compensation, and uncompensated
-// transit (the economic distortion).
+// transit (the economic distortion). The topology, routes and probes of
+// all three designs are fixed, so the result does not depend on the seed.
 func E26OverlayVsIntegrated(seed uint64) *Result {
 	res := &Result{
 		ID:    "E26",
@@ -41,8 +42,6 @@ func E26OverlayVsIntegrated(seed uint64) *Result {
 		panic(err)
 	}
 	for _, design := range []string{"provider-default", "overlay", "srcroute+payment"} {
-		rng := sim.NewRNG(seed)
-		_ = rng
 		// Diamond: 1 -slow- 2 -slow- 4 and 1 -fast- 3 -fast- 4; default
 		// routing prefers via 2 (the provider's business choice).
 		sched := sim.NewScheduler()

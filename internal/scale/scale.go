@@ -11,8 +11,11 @@ package scale
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/netsim"
 	"repro/internal/obs"
@@ -257,33 +260,71 @@ func (sm *Sim) Run() *Result {
 
 // nextHopTables runs one BFS per sink over the graph's frozen
 // adjacency, producing dense node -> next-hop-toward-sink tables. Entry 0
-// means unreachable (node IDs start at 1). Rows are sorted by neighbour,
+// means unreachable (node IDs start at 1). Rows are sorted by neighbour
+// and every node takes the first node that reached it as its next hop,
 // so the traversal order, and with it every table, is deterministic.
+//
+// The sinks are shared out among GOMAXPROCS workers, each with its own
+// seen-set and queue. The walks only read, and each table has exactly
+// one writer, so no table depends on the worker count or on which worker
+// built it. The workers' seen-sets share one allocation, and so do their
+// queues, which keeps a small graph's build to a handful of allocations
+// beside its tables.
 func nextHopTables(adj *topology.Adjacency, sinks []topology.NodeID) [][]topology.NodeID {
+	bound := adj.Bound()
 	out := make([][]topology.NodeID, len(sinks))
-	queue := make([]topology.NodeID, 0, adj.Bound())
-	for i, sk := range sinks {
-		tbl := make([]topology.NodeID, adj.Bound())
-		seen := make([]bool, adj.Bound())
-		queue = queue[:0]
-		seen[sk] = true
-		queue = append(queue, sk)
-		for qi := 0; qi < len(queue); qi++ {
-			v := queue[qi]
-			nbrs, _ := adj.Row(v)
-			for _, nb := range nbrs {
-				if seen[nb] {
-					continue
-				}
-				seen[nb] = true
-				// nb's first hop toward the sink is v.
-				tbl[nb] = v
-				queue = append(queue, nb)
-			}
-		}
-		out[i] = tbl
+	for i := range out {
+		out[i] = make([]topology.NodeID, bound)
 	}
+	workers := min(runtime.GOMAXPROCS(0), len(sinks))
+	seen := make([]uint8, workers*bound)
+	queue := make([]hop, workers*(bound+1))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			seen := seen[w*bound : (w+1)*bound]
+			queue := queue[w*(bound+1) : (w+1)*(bound+1)]
+			for i := int(next.Add(1) - 1); i < len(sinks); i = int(next.Add(1) - 1) {
+				walk(adj, sinks[i], seen, queue, out[i])
+			}
+		}()
+	}
+	wg.Wait()
 	return out
+}
+
+// hop is one entry of a walk's queue: a node, and the node that first
+// reached it, which is its next hop toward the walk's sink.
+type hop struct{ node, parent topology.NodeID }
+
+// walk fills tbl with each node's next hop toward sink. The neighbour
+// loop has no branch: it writes every neighbour at the queue's tail and
+// moves the tail past it only if it was not yet seen, so the next
+// neighbour overwrites a seen one. The queue keeps first-in, first-out
+// order, so each node keeps the same first discoverer as in a branching
+// BFS. seen must have length Bound, and queue one more than that for the
+// write past the last node reached.
+func walk(adj *topology.Adjacency, sink topology.NodeID, seen []uint8, queue []hop, tbl []topology.NodeID) {
+	clear(seen)
+	seen[sink] = 1
+	queue[0] = hop{node: sink}
+	tail := 1
+	for head := 0; head < tail; head++ {
+		v := queue[head].node
+		nbrs, _ := adj.Row(v)
+		for _, nb := range nbrs {
+			queue[tail] = hop{nb, v}
+			was := seen[nb]
+			seen[nb] = 1
+			tail += 1 - int(was)
+		}
+	}
+	for _, h := range queue[1:tail] {
+		tbl[h.node] = h.parent
+	}
 }
 
 // scheduleTraffic arms one fire-and-forget send chain per source node.

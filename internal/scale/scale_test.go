@@ -2,9 +2,12 @@ package scale
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/topology"
 )
 
 // TestShardCountDeterminism is the core guarantee of the sharded
@@ -138,6 +141,92 @@ func TestShardLoadBalanced(t *testing.T) {
 			}
 		}
 	}
+}
+
+// referenceNextHopTables builds the tables the plain way: one sequential
+// BFS per sink over the frozen rows, branching on each neighbour's seen
+// flag, with a fresh seen-set and table per sink. It is the oracle the
+// parallel, branch-free walk must match.
+func referenceNextHopTables(adj *topology.Adjacency, sinks []topology.NodeID) [][]topology.NodeID {
+	out := make([][]topology.NodeID, len(sinks))
+	queue := make([]topology.NodeID, 0, adj.Bound())
+	for i, sk := range sinks {
+		tbl := make([]topology.NodeID, adj.Bound())
+		seen := make([]bool, adj.Bound())
+		queue = queue[:0]
+		seen[sk] = true
+		queue = append(queue, sk)
+		for qi := 0; qi < len(queue); qi++ {
+			v := queue[qi]
+			nbrs, _ := adj.Row(v)
+			for _, nb := range nbrs {
+				if seen[nb] {
+					continue
+				}
+				seen[nb] = true
+				// nb's first hop toward the sink is v.
+				tbl[nb] = v
+				queue = append(queue, nb)
+			}
+		}
+		out[i] = tbl
+	}
+	return out
+}
+
+// TestNextHopTablesMatchReference: every table nextHopTables builds is
+// the reference BFS's, entry for entry, at GOMAXPROCS 1, 2 and 4. The
+// graphs are Prepare's own, with its sinks, at 3, 1k and 10k nodes, and
+// hand-built ones with ID gaps, parallel links, an isolated node, two
+// components, equal-length paths, a single sink and fewer sinks than
+// workers.
+func TestNextHopTablesMatchReference(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	check := func(name string, adj *topology.Adjacency, sinks []topology.NodeID) {
+		t.Helper()
+		want := referenceNextHopTables(adj, sinks)
+		for _, procs := range []int{1, 2, 4} {
+			runtime.GOMAXPROCS(procs)
+			got := nextHopTables(adj, sinks)
+			if len(got) != len(want) {
+				t.Fatalf("%s, GOMAXPROCS %d: %d tables, want %d", name, procs, len(got), len(want))
+			}
+			for i := range want {
+				if slices.Equal(got[i], want[i]) {
+					continue
+				}
+				v := 0
+				for v < min(len(got[i]), len(want[i])) && got[i][v] == want[i][v] {
+					v++
+				}
+				t.Errorf("%s, GOMAXPROCS %d: sink %d's table (%d entries, want %d) first differs at node %d",
+					name, procs, sinks[i], len(got[i]), len(want[i]), v)
+			}
+		}
+	}
+	for _, nodes := range []int{3, 1000, 10000} {
+		for seed := uint64(1); seed <= 20; seed++ {
+			sm := Prepare(Config{Nodes: nodes, Packets: 1, Seed: seed})
+			check(fmt.Sprintf("scale-free nodes=%d seed=%d", nodes, seed), sm.G.Freeze(), sm.Sinks)
+		}
+	}
+
+	// Component A is 1, 2, 3, 5, 8, with two links between 1 and 2, and
+	// two equal-length paths between 1 and 3, through 2 and through 5;
+	// component B is the triangle 9, 12, 20; 15 has no links; IDs 4, 6,
+	// 7, 10, 11, 13, 14 and 16-19 are gaps.
+	g := topology.NewGraph()
+	for _, id := range []topology.NodeID{1, 2, 3, 5, 8, 9, 12, 15, 20} {
+		g.AddNode(id, topology.Transit, 1)
+	}
+	for _, l := range [][2]topology.NodeID{{1, 2}, {2, 3}, {1, 2}, {3, 8}, {5, 1}, {3, 5}, {20, 9}, {9, 12}, {12, 20}} {
+		g.AddLink(l[0], l[1], topology.PeerOf, sim.Millisecond, 1)
+	}
+	adj := g.Freeze()
+	check("single sink", adj, []topology.NodeID{8})
+	check("sink in each component", adj, []topology.NodeID{1, 12})
+	check("isolated sink", adj, []topology.NodeID{15})
+	check("every node a sink", adj, g.NodeIDs())
 }
 
 // BenchmarkScaleForward is the scale sweep: end-to-end packets through
