@@ -26,7 +26,8 @@
 //
 // Scale mode prints a deterministic digest on stdout — identical bytes
 // for the same seed at any shard count, sequential or parallel — and
-// timing and per-shard load (nodes and executed events) on stderr, so
+// timing, the partition's geometry (cut links, epoch window, cross-shard
+// handoffs) and per-shard load (nodes and executed events) on stderr, so
 // CI can diff the digest across shard counts.
 //
 // Multipath mode (-multipath) stripes a reliable transfer over
@@ -330,15 +331,17 @@ func runScale(stdout, stderr io.Writer, nodes, shards, packets int, parallel, ch
 	// Shard geometry is shard-count-dependent by definition, so it goes
 	// to stderr with the timing, keeping stdout diffable across counts.
 	// Per-shard node and event counts show a skewed partition: the
-	// busiest shard bounds the parallel drain.
+	// busiest shard bounds the parallel drain. Handoffs are the packets
+	// the drain moved between shards, each one a heap insert on another
+	// shard's scheduler (at an epoch barrier, under the parallel driver).
 	var load strings.Builder
 	var busiest uint64
 	for i, sh := range sm.S.Shards {
 		fmt.Fprintf(&load, " %d:%dn/%dev", i, sm.S.Part.Counts[i], sh.Sched.Processed)
 		busiest = max(busiest, sh.Sched.Processed)
 	}
-	fmt.Fprintf(stderr, "netsim: scale: shards=%d window=%v cross-links=%d load%s busiest=%.3fx mean\n",
-		len(sm.S.Shards), res.Window, res.CrossLinks, load.String(),
+	fmt.Fprintf(stderr, "netsim: scale: shards=%d window=%v cross-links=%d handoffs=%d load%s busiest=%.3fx mean\n",
+		len(sm.S.Shards), res.Window, res.CrossLinks, sm.S.Handoffs(), load.String(),
 		float64(busiest)*float64(len(sm.S.Shards))/float64(max(res.Processed, 1)))
 	fmt.Fprint(stdout, res.Render())
 	total := res.Delivered + res.Dropped

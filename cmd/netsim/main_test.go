@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -74,6 +75,26 @@ func TestRunAcceptsEachModesFlags(t *testing.T) {
 		}
 		if !strings.Contains(out.String(), c.want) {
 			t.Errorf("%v: stdout lacks %q:\n%s", c.args, c.want, out.String())
+		}
+	}
+}
+
+// The scale geometry line on stderr names the cut links, the window and
+// the drain's cross-shard handoffs: none on one shard, some on two.
+func TestScaleGeometryLine(t *testing.T) {
+	for _, c := range []struct {
+		shards string
+		want   *regexp.Regexp
+	}{
+		{"1", regexp.MustCompile(`netsim: scale: shards=1 window=0ns cross-links=0 handoffs=0 load`)},
+		{"2", regexp.MustCompile(`netsim: scale: shards=2 window=\S+ cross-links=[1-9]\d* handoffs=[1-9]\d* load`)},
+	} {
+		var out, errb bytes.Buffer
+		if code := run([]string{"-nodes", "300", "-shards", c.shards, "-packets", "500"}, &out, &errb); code != 0 {
+			t.Fatalf("-shards %s: exit %d; stderr %q", c.shards, code, errb.String())
+		}
+		if !c.want.MatchString(errb.String()) {
+			t.Errorf("-shards %s: stderr %q does not match %s", c.shards, errb.String(), c.want)
 		}
 	}
 }

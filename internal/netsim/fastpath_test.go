@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/packet"
@@ -294,5 +295,38 @@ func TestDecodedHeaderCoherenceAfterTransform(t *testing.T) {
 	}
 	if p := tr.Path(); p[len(p)-1] != 5 {
 		t.Fatalf("routing ignored rewritten destination: path %v", p)
+	}
+}
+
+// TestInjectBytesPerPacket bounds what a fire-and-forget packet costs
+// while it is in flight. It injects n packets at once over a link that
+// duplicates every packet, so n flights and their n copies are live
+// together and none can reuse another's context, and it divides the
+// growth of TotalAlloc by the 2n packets. A packet's own cost is its
+// flight, buffer and scheduling closure, plus its shares of the
+// scheduler's slot pool and heap; a Trace with an event slab per
+// packet, which no caller of Inject can read, pushes it past the bound.
+func TestInjectBytesPerPacket(t *testing.T) {
+	const n = 1000
+	net, sched := chainNet(t)
+	net.ImpairLink(1, 2, LinkImpairment{Duplicate: 1}, sim.NewRNG(5))
+	delivered := 0
+	net.Node(2).Deliver = func(*Node, *Trace, []byte) { delivered++ }
+	pkt := mkPkt(t, packet.MakeAddr(1, 1), packet.MakeAddr(2, 1), 16)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for range n {
+		net.Inject(1, pkt)
+	}
+	sched.Run()
+	runtime.ReadMemStats(&after)
+	if delivered != 2*n {
+		t.Fatalf("delivered %d packets, want %d originals and copies", delivered, 2*n)
+	}
+	perPacket := float64(after.TotalAlloc-before.TotalAlloc) / (2 * n)
+	t.Logf("%.0f bytes per packet", perPacket)
+	if perPacket > 600 {
+		t.Fatalf("a fire-and-forget packet cost %.0f bytes in flight, want <= 600", perPacket)
 	}
 }

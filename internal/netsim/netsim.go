@@ -151,10 +151,12 @@ type Network struct {
 	MaxQueue sim.Time
 	// HopProcessing is fixed per-hop processing latency.
 	HopProcessing sim.Time
-	// TraceEventCap pre-sizes each Trace's event slab; traces longer
-	// than this grow by the usual append doubling. Tune it to the
-	// expected path length (send + hops + terminal) to keep steady-state
-	// forwarding allocation-free for longer paths.
+	// TraceEventCap pre-sizes the event slab of each Trace that Send and
+	// InjectArrival return; traces longer than this grow by the usual
+	// append doubling. Tune it to the expected path length (send + hops +
+	// terminal) to keep steady-state forwarding allocation-free for
+	// longer paths. Inject and duplicated packets record no events, so
+	// their traces have no slab.
 	TraceEventCap int
 
 	lt linkTable
@@ -196,15 +198,15 @@ type Network struct {
 	// shardOf/shardID/handoff wire this network into a sharded group:
 	// shardOf is the dense NodeID->shard table (nil when unsharded),
 	// shardID is this network's own shard, and handoff receives flights
-	// whose next hop is owned by another shard. See Sharded.
-	shardOf []int32
-	shardID int32
-	handoff func(f *flight, to topology.NodeID, arrive sim.Time, key uint64)
+	// whose next hop is owned by another shard. See Sharded. handoffs
+	// counts those flights; only this shard's goroutine writes it.
+	shardOf  []int32
+	shardID  int32
+	handoff  func(f *flight, to topology.NodeID, arrive sim.Time, key uint64)
+	handoffs int
 
 	// flightFree recycles flight contexts between packets.
 	flightFree []*flight
-	// traceFree recycles traces for fire-and-forget Inject traffic.
-	traceFree []*Trace
 
 	// dropKeys/blockedKeys/malformedKeys intern hot-path counter and
 	// trace strings so drops do not concatenate on every packet.
@@ -411,7 +413,16 @@ type flight struct {
 	tip  packet.TIP
 	node *Node
 	dir  Direction
-	hops int    // forward hops taken, for the obs hop histogram
+	// quiet marks a flight whose trace is own: it records no events, only
+	// the packet's fate, which a DeliverFunc may read during delivery.
+	quiet bool
+	// undecoded marks a launched flight whose bytes the first step must
+	// decode (tip is stale until then).
+	undecoded bool
+	// hops counts forward hops taken, for the obs hop histogram. With
+	// the flags before it, it fills one word, which keeps a flight in a
+	// 240-byte size class.
+	hops int32
 	run  func() // method value for f.step, created once per flight
 
 	// buf is the flight-owned byte buffer used by Inject: the packet is
@@ -419,12 +430,11 @@ type flight struct {
 	// and it is retained across recycles so steady-state injection does
 	// not allocate.
 	buf []byte
-	// pooled marks fire-and-forget flights whose Trace returns to the
-	// network's trace pool on termination.
-	pooled bool
-	// undecoded marks a launched flight whose bytes the first step must
-	// decode (tip is stale until then).
-	undecoded bool
+	// own is the trace of a fire-and-forget flight (Inject, and the copies
+	// duplicate makes), which no caller keeps: t points at it while the
+	// packet is in flight, so such a packet allocates no Trace. It comes
+	// last, after every field a hop reads.
+	own Trace
 }
 
 // newFlight returns a recycled or fresh flight context.
@@ -443,25 +453,19 @@ func (n *Network) newFlight() *flight {
 // option structs so DecodeReuse on the next tenant is allocation-free;
 // flight-owned buffers (Inject) are likewise retained.
 func (n *Network) releaseFlight(f *flight) {
-	if f.pooled && f.t != nil {
-		n.traceFree = append(n.traceFree, f.t)
-		f.pooled = false
-	}
 	f.t = nil
+	f.quiet = false
 	f.data = nil
 	f.node = nil
 	n.flightFree = append(n.flightFree, f)
 }
 
-// newTrace returns a pooled or fresh Trace initialized for a send now.
-func (n *Network) newTrace() *Trace {
-	if k := len(n.traceFree); k > 0 {
-		t := n.traceFree[k-1]
-		n.traceFree = n.traceFree[:k-1]
-		*t = Trace{Events: t.Events[:0], SentAt: n.Sched.Now()}
-		return t
-	}
-	return &Trace{SentAt: n.Sched.Now(), Events: make([]TraceEvent, 0, n.TraceEventCap)}
+// quietTrace points f's trace at its own, reset for a packet sent at
+// sentAt, and marks the flight quiet.
+func (f *flight) quietTrace(sentAt sim.Time) {
+	f.own = Trace{SentAt: sentAt}
+	f.t = &f.own
+	f.quiet = true
 }
 
 // step runs the flight's packet through the node it has arrived at. It is
@@ -469,7 +473,7 @@ func (n *Network) newTrace() *Trace {
 func (f *flight) step() {
 	if f.undecoded {
 		f.undecoded = false
-		if f.dir == Sending && !f.pooled {
+		if f.dir == Sending && !f.quiet {
 			f.t.record(f.net.Sched.Now(), f.node.ID, "send", "")
 		}
 		if err := f.tip.DecodeReuse(f.data); err != nil {
@@ -488,9 +492,10 @@ func (n *Network) Send(src topology.NodeID, data []byte) *Trace {
 
 // Inject sends a packet at src fire-and-forget: the bytes are copied
 // into a flight-owned buffer (the caller's slice may be reused
-// immediately) and the Trace is drawn from and returned to a pool when
-// the packet terminates. Scale scenarios injecting 10^7 packets use it
-// to keep steady-state traffic free of per-packet allocation.
+// immediately), and the packet's Trace is the flight's own and records
+// no events: only its fate, for the DeliverFunc that receives it. Scale
+// scenarios injecting 10^7 packets use it to keep steady-state traffic
+// free of per-packet allocation.
 func (n *Network) Inject(src topology.NodeID, data []byte) {
 	n.launch(src, Sending, data, true, true)
 }
@@ -515,17 +520,16 @@ func (n *Network) InjectArrival(id topology.NodeID, data []byte) *Trace {
 
 // launch starts a packet at node id now, on a fresh flight whose first
 // step decodes the bytes. copyData copies them into the flight's own
-// buffer so the caller's slice may be reused at once; pooled draws the
-// Trace from the trace pool and returns it there when the packet
-// terminates, so the caller must not keep it.
-func (n *Network) launch(id topology.NodeID, dir Direction, data []byte, copyData, pooled bool) *Trace {
+// buffer so the caller's slice may be reused at once; quiet gives the
+// packet the flight's own trace, which records no events and is reused
+// with the flight, so the caller must not keep it.
+func (n *Network) launch(id topology.NodeID, dir Direction, data []byte, copyData, quiet bool) *Trace {
 	f := n.newFlight()
-	if pooled {
-		f.t = n.newTrace()
+	if quiet {
+		f.quietTrace(n.Sched.Now())
 	} else {
 		f.t = &Trace{SentAt: n.Sched.Now(), Events: make([]TraceEvent, 0, n.TraceEventCap)}
 	}
-	f.pooled = pooled
 	f.data = data
 	if copyData {
 		f.buf = append(f.buf[:0], data...)
@@ -586,7 +590,7 @@ func (n *Network) drop(t *Trace, node topology.NodeID, reason string, quiet bool
 
 // dropFlight terminates a flight with a drop and recycles its context.
 func (n *Network) dropFlight(f *flight, node topology.NodeID, reason string) {
-	n.drop(f.t, node, reason, f.pooled)
+	n.drop(f.t, node, reason, f.quiet)
 	n.releaseFlight(f)
 }
 
@@ -625,7 +629,7 @@ func (nd *Node) process(f *flight) {
 		t := f.t
 		t.Delivered = true
 		t.DoneAt = n.Sched.Now()
-		if !f.pooled {
+		if !f.quiet {
 			t.record(n.Sched.Now(), nd.ID, "deliver", "")
 		}
 		if n.obs != nil {
@@ -671,7 +675,7 @@ func (nd *Node) process(f *flight) {
 // forwarded records a forwarding hop at node: the packet passed its TTL
 // check there and was routed onward.
 func (n *Network) forwarded(f *flight, node topology.NodeID) {
-	if !f.pooled {
+	if !f.quiet {
 		f.t.record(n.Sched.Now(), node, "forward", "")
 	}
 	f.hops++
@@ -763,6 +767,7 @@ func (n *Network) schedArrival(f *flight, from, to topology.NodeID, arrive sim.T
 	}
 	key := n.nextKey(from)
 	if n.shardOf != nil && n.shardOf[to] != n.shardID {
+		n.handoffs++
 		n.handoff(f, to, arrive, key)
 		return
 	}
@@ -803,13 +808,13 @@ func (imp *LinkImpairment) apply(n *Network, f *flight, from, to topology.NodeID
 }
 
 // duplicate injects a copy of a transiting packet, arriving one extra
-// serialization time behind the original. The copy gets its own flight
-// and internal trace; its fate shows up in the usual delivery/drop
-// counters (tagged by the "dup-injected" stat), not in the original
-// packet's trace.
+// serialization time behind the original. The copy gets its own quiet
+// flight, as an Inject does; its fate shows up in the usual
+// delivery/drop counters (tagged by the "dup-injected" stat), not in the
+// original packet's trace.
 func (n *Network) duplicate(f *flight, from, to topology.NodeID, arrive sim.Time) {
 	g := n.newFlight()
-	g.t = &Trace{SentAt: f.t.SentAt, Events: make([]TraceEvent, 0, n.TraceEventCap)}
+	g.quietTrace(f.t.SentAt)
 	g.data = append(g.buf[:0], f.data...)
 	g.buf = g.data
 	if err := g.tip.DecodeReuse(g.data); err != nil {

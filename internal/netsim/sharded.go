@@ -270,6 +270,18 @@ func (s *Sharded) Stats() sim.Counter {
 	return out
 }
 
+// Handoffs sums the packets handed from one shard to another, each
+// counted by the shard that sent it. The count depends on the partition,
+// never on the driver: lockstep and parallel runs hand off the same
+// packets.
+func (s *Sharded) Handoffs() int {
+	sum := 0
+	for _, sh := range s.Shards {
+		sum += sh.Net.handoffs
+	}
+	return sum
+}
+
 // Processed sums events executed across shard schedulers.
 func (s *Sharded) Processed() uint64 {
 	var sum uint64

@@ -98,7 +98,10 @@ type Sim struct {
 // Run executes one scale scenario to completion.
 func Run(cfg Config) *Result { return Prepare(cfg).Run() }
 
-// Prepare builds a scale scenario without draining it.
+// Prepare builds a scale scenario without draining it. It panics if a
+// node has more than 65,535 links, the most a sink routing table entry
+// can name (see nextHopTables); at 100k nodes the largest degree is
+// 1,222 at seed 42 and 744 at seed 7.
 func Prepare(cfg Config) *Sim {
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = 1000
@@ -157,31 +160,33 @@ func Prepare(cfg Config) *Sim {
 		sinks[i] = ids[i*len(ids)/cfg.Sinks]
 		isSink[sinks[i]] = true
 	}
-	next := nextHopTables(adj, sinks)
-	sinkIdx := make([]int32, len(isSink))
-	for i := range sinkIdx {
-		sinkIdx[i] = -1
+	rt := &sinkRoutes{sinkIdx: make([]int32, len(isSink)), next: nextHopTables(adj, sinks)}
+	for i := range rt.sinkIdx {
+		rt.sinkIdx[i] = -1
 	}
 	for i, sk := range sinks {
-		sinkIdx[sk] = int32(i)
+		rt.sinkIdx[sk] = int32(i)
 	}
 
 	// Static shortest-path routing toward sinks: each node's RouteFunc
-	// is a dense double index (sink table, then node), no maps on the
-	// hot path.
+	// is a dense double index (sink table, then node) that names a
+	// position in the node's own row, no maps on the hot path.
 	for _, v := range ids {
-		v := v
+		nbrs, _ := adj.Row(v)
 		s.Owner(v).Node(v).Route = func(dst packet.Addr, tip *packet.TIP) (topology.NodeID, bool) {
 			d := uint32(dst)
-			if d >= uint32(len(sinkIdx)) {
+			if d >= uint32(len(rt.sinkIdx)) {
 				return 0, false
 			}
-			si := sinkIdx[d]
+			si := rt.sinkIdx[d]
 			if si < 0 {
 				return 0, false
 			}
-			nh := next[si][v]
-			return nh, nh != 0
+			p := rt.next[si][v]
+			if p == 0 {
+				return 0, false
+			}
+			return nbrs[p-1], true
 		}
 	}
 
@@ -258,11 +263,26 @@ func (sm *Sim) Run() *Result {
 	return res
 }
 
+// sinkRoutes is what every node's route closure reads: the table index
+// of each sink, -1 for every other node ID, and the tables themselves.
+type sinkRoutes struct {
+	sinkIdx []int32
+	next    [][]uint16
+}
+
+// maxDegree is the most links a node may have: a table entry is a
+// uint16 holding 1 + a position in the node's row.
+const maxDegree = 1<<16 - 1
+
 // nextHopTables runs one BFS per sink over the graph's frozen
-// adjacency, producing dense node -> next-hop-toward-sink tables. Entry 0
-// means unreachable (node IDs start at 1). Rows are sorted by neighbour
-// and every node takes the first node that reached it as its next hop,
-// so the traversal order, and with it every table, is deterministic.
+// adjacency, producing dense node -> next-hop-toward-sink tables. An
+// entry is 1 + the next hop's position in the node's own adjacency row,
+// and 0 means no hop (the sink itself, or unreachable), so a table is
+// half the size a NodeID per node would take and a fresh, zeroed table
+// needs no fill. Rows are sorted by neighbour and every node takes the
+// first node that reached it as its next hop, so the traversal order,
+// and with it every table, is deterministic. It panics if a node has
+// more than maxDegree links.
 //
 // The sinks are shared out among GOMAXPROCS workers, each with its own
 // seen-set and queue. The walks only read, and each table has exactly
@@ -270,11 +290,12 @@ func (sm *Sim) Run() *Result {
 // built it. The workers' seen-sets share one allocation, and so do their
 // queues, which keeps a small graph's build to a handful of allocations
 // beside its tables.
-func nextHopTables(adj *topology.Adjacency, sinks []topology.NodeID) [][]topology.NodeID {
+func nextHopTables(adj *topology.Adjacency, sinks []topology.NodeID) [][]uint16 {
 	bound := adj.Bound()
-	out := make([][]topology.NodeID, len(sinks))
+	start, twin := twins(adj)
+	out := make([][]uint16, len(sinks))
 	for i := range out {
-		out[i] = make([]topology.NodeID, bound)
+		out[i] = make([]uint16, bound)
 	}
 	workers := min(runtime.GOMAXPROCS(0), len(sinks))
 	seen := make([]uint8, workers*bound)
@@ -288,7 +309,7 @@ func nextHopTables(adj *topology.Adjacency, sinks []topology.NodeID) [][]topolog
 			seen := seen[w*bound : (w+1)*bound]
 			queue := queue[w*(bound+1) : (w+1)*(bound+1)]
 			for i := int(next.Add(1) - 1); i < len(sinks); i = int(next.Add(1) - 1) {
-				walk(adj, sinks[i], seen, queue, out[i])
+				walk(adj, start, twin, sinks[i], seen, queue, out[i])
 			}
 		}()
 	}
@@ -296,18 +317,58 @@ func nextHopTables(adj *topology.Adjacency, sinks []topology.NodeID) [][]topolog
 	return out
 }
 
-// hop is one entry of a walk's queue: a node, and the node that first
-// reached it, which is its next hop toward the walk's sink.
-type hop struct{ node, parent topology.NodeID }
+// twins numbers the adjacency's entries row by row, in O(Bound + links).
+// start[v] is the number of node v's first entry, and for the
+// entry of the link from v to u, twin holds the position in u's row of
+// the same link's entry back to v. Rows are sorted by neighbour, so
+// reading them in node order reaches each row's entries for v in the
+// order they sit in that row: a per-node cursor hands out positions, and
+// pairs the k-th of several parallel links between two nodes with the
+// k-th, which rows also sort by link index.
+func twins(adj *topology.Adjacency) (start []int32, twin []uint16) {
+	bound := adj.Bound()
+	start = make([]int32, bound)
+	entries := 0
+	for v := range bound {
+		nbrs, _ := adj.Row(topology.NodeID(v))
+		if len(nbrs) > maxDegree {
+			panic(fmt.Sprintf("scale: node %d has %d links; sink routing tables name at most %d", v, len(nbrs), maxDegree))
+		}
+		start[v] = int32(entries)
+		entries += len(nbrs)
+	}
+	twin = make([]uint16, entries)
+	cursor := make([]uint16, bound)
+	e := 0
+	for v := range bound {
+		nbrs, _ := adj.Row(topology.NodeID(v))
+		for _, u := range nbrs {
+			twin[e] = cursor[u]
+			cursor[u]++
+			e++
+		}
+	}
+	return start, twin
+}
 
-// walk fills tbl with each node's next hop toward sink. The neighbour
-// loop has no branch: it writes every neighbour at the queue's tail and
-// moves the tail past it only if it was not yet seen, so the next
-// neighbour overwrites a seen one. The queue keeps first-in, first-out
-// order, so each node keeps the same first discoverer as in a branching
-// BFS. seen must have length Bound, and queue one more than that for the
-// write past the last node reached.
-func walk(adj *topology.Adjacency, sink topology.NodeID, seen []uint8, queue []hop, tbl []topology.NodeID) {
+// hop is one entry of a walk's queue: a node, and the number of the
+// adjacency entry that first reached it, the link from its next hop
+// toward the walk's sink.
+type hop struct {
+	node  topology.NodeID
+	entry int32
+}
+
+// walk fills tbl with each node's next hop toward sink, as 1 + its
+// position in the node's row. The neighbour loop has no branch: it
+// writes every neighbour at the queue's tail and moves the tail past it
+// only if it was not yet seen, so the next neighbour overwrites a seen
+// one. The queue keeps first-in, first-out order, so each node keeps the
+// same first discoverer as in a branching BFS. The fill then turns each
+// discovering entry into the position of its twin. seen must have length
+// Bound, and queue one more than that for the write past the last node
+// reached.
+func walk(adj *topology.Adjacency, start []int32, twin []uint16, sink topology.NodeID, seen []uint8, queue []hop, tbl []uint16) {
 	clear(seen)
 	seen[sink] = 1
 	queue[0] = hop{node: sink}
@@ -315,15 +376,16 @@ func walk(adj *topology.Adjacency, sink topology.NodeID, seen []uint8, queue []h
 	for head := 0; head < tail; head++ {
 		v := queue[head].node
 		nbrs, _ := adj.Row(v)
-		for _, nb := range nbrs {
-			queue[tail] = hop{nb, v}
+		e := start[v]
+		for i, nb := range nbrs {
+			queue[tail] = hop{nb, e + int32(i)}
 			was := seen[nb]
 			seen[nb] = 1
 			tail += 1 - int(was)
 		}
 	}
 	for _, h := range queue[1:tail] {
-		tbl[h.node] = h.parent
+		tbl[h.node] = twin[h.entry] + 1
 	}
 }
 
@@ -333,7 +395,8 @@ func walk(adj *topology.Adjacency, sink topology.NodeID, seen []uint8, queue []h
 // function of (seed, node) — never of the partition. One pre-serialized
 // template packet per shard is retargeted in place (packet.SetDst) for
 // every send; Inject copies it into a flight-owned buffer, so the
-// steady state allocates nothing.
+// steady state allocates nothing. The chains' state is one generator
+// per source, all in one slice.
 func scheduleTraffic(s *netsim.Sharded, cfg Config, ids, sinks []topology.NodeID, isSink []bool) {
 	sources := make([]topology.NodeID, 0, len(ids)-len(sinks))
 	for _, id := range ids {
@@ -344,8 +407,8 @@ func scheduleTraffic(s *netsim.Sharded, cfg Config, ids, sinks []topology.NodeID
 	if len(sources) == 0 {
 		return
 	}
-	scratch := make([][]byte, len(s.Shards))
-	for i := range scratch {
+	shards := make([]trafficShard, len(s.Shards))
+	for i, sh := range s.Shards {
 		data, err := packet.Serialize(
 			&packet.TIP{TTL: 64, Proto: packet.LayerTypeRaw,
 				Src: packet.MakeAddr(0, 1), Dst: packet.AddrNone},
@@ -353,8 +416,9 @@ func scheduleTraffic(s *netsim.Sharded, cfg Config, ids, sinks []topology.NodeID
 		if err != nil {
 			panic(err)
 		}
-		scratch[i] = data
+		shards[i] = trafficShard{net: sh.Net, buf: data, sinks: sinks}
 	}
+	gens := make([]generator, len(sources))
 	base, rem := cfg.Packets/len(sources), cfg.Packets%len(sources)
 	for si, src := range sources {
 		quota := base
@@ -364,33 +428,61 @@ func scheduleTraffic(s *netsim.Sharded, cfg Config, ids, sinks []topology.NodeID
 		if quota == 0 {
 			continue
 		}
-		src := src
-		net := s.Owner(src)
-		shard := s.Part.ShardOf(src)
-		rng := sim.NewRNG(sim.SeedStream(cfg.Seed, trafficStream|uint64(src)))
-		mean := float64(cfg.Horizon) / float64(quota)
-		gap := func() sim.Time {
-			t := sim.Time(rng.Range(0.2, 1.8) * mean)
-			if t < 1 {
-				t = 1
-			}
-			return t
+		g := &gens[si]
+		*g = generator{
+			shard: &shards[s.Part.ShardOf(src)],
+			rng:   *sim.NewRNG(sim.SeedStream(cfg.Seed, trafficStream|uint64(src))),
+			mean:  float64(cfg.Horizon) / float64(quota),
+			left:  quota,
+			src:   src,
 		}
-		sent := 0
-		var fire func()
-		fire = func() {
-			buf := scratch[shard]
-			sink := sinks[rng.Intn(len(sinks))]
-			if err := packet.SetDst(buf, net.AddrOf(sink)); err != nil {
-				panic(err)
-			}
-			net.Inject(src, buf)
-			sent++
-			if sent < quota {
-				net.AtNode(net.Sched.Now()+gap(), src, fire)
-			}
-		}
-		net.AtNode(gap(), src, fire)
+		g.fire = g.send
+		g.shard.net.AtNode(g.gap(), src, g.fire)
+	}
+}
+
+// trafficShard is what a shard's generators share: the shard's network,
+// its template packet and the sinks.
+type trafficShard struct {
+	net   *netsim.Network
+	buf   []byte
+	sinks []topology.NodeID
+}
+
+// generator is one source's send chain. fire, the method value of send
+// bound once, is the callback every send re-arms, so a send allocates
+// nothing.
+type generator struct {
+	shard *trafficShard
+	rng   sim.RNG
+	mean  float64
+	fire  func()
+	left  int
+	src   topology.NodeID
+}
+
+// gap draws the time to the next send: uniform in [0.2, 1.8) times the
+// mean gap, and at least 1ns.
+func (g *generator) gap() sim.Time {
+	t := sim.Time(g.rng.Range(0.2, 1.8) * g.mean)
+	if t < 1 {
+		t = 1
+	}
+	return t
+}
+
+// send retargets the shard's template at a random sink, injects it, and
+// arms the next send until the quota is spent.
+func (g *generator) send() {
+	sh := g.shard
+	sink := sh.sinks[g.rng.Intn(len(sh.sinks))]
+	if err := packet.SetDst(sh.buf, sh.net.AddrOf(sink)); err != nil {
+		panic(err)
+	}
+	sh.net.Inject(g.src, sh.buf)
+	g.left--
+	if g.left > 0 {
+		sh.net.AtNode(sh.net.Sched.Now()+g.gap(), g.src, g.fire)
 	}
 }
 

@@ -143,6 +143,26 @@ func TestShardLoadBalanced(t *testing.T) {
 	}
 }
 
+// TestHandoffsIndependentOfDriver: a packet crossing shards is handed
+// off once whichever driver runs the shards, so lockstep and parallel
+// drains count the same handoffs, and one shard hands off nothing.
+func TestHandoffsIndependentOfDriver(t *testing.T) {
+	handoffs := func(shards int, par bool) int {
+		sm := Prepare(Config{Nodes: 2000, Packets: 20000, Seed: 42, Chaos: true, Shards: shards, Parallel: par})
+		sm.Run()
+		return sm.S.Handoffs()
+	}
+	if n := handoffs(1, false); n != 0 {
+		t.Fatalf("1 shard handed off %d packets, want 0", n)
+	}
+	for _, k := range []int{2, 4} {
+		lock, par := handoffs(k, false), handoffs(k, true)
+		if lock == 0 || lock != par {
+			t.Errorf("%d shards: lockstep handed off %d packets, parallel %d; want the same, above 0", k, lock, par)
+		}
+	}
+}
+
 // referenceNextHopTables builds the tables the plain way: one sequential
 // BFS per sink over the frozen rows, branching on each neighbour's seen
 // flag, with a fresh seen-set and table per sink. It is the oracle the
@@ -174,40 +194,64 @@ func referenceNextHopTables(adj *topology.Adjacency, sinks []topology.NodeID) []
 	return out
 }
 
-// TestNextHopTablesMatchReference: every table nextHopTables builds is
-// the reference BFS's, entry for entry, at GOMAXPROCS 1, 2 and 4. The
-// graphs are Prepare's own, with its sinks, at 3, 1k and 10k nodes, and
-// hand-built ones with ID gaps, parallel links, an isolated node, two
-// components, equal-length paths, a single sink and fewer sinks than
-// workers.
-func TestNextHopTablesMatchReference(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	check := func(name string, adj *topology.Adjacency, sinks []topology.NodeID) {
-		t.Helper()
-		want := referenceNextHopTables(adj, sinks)
-		for _, procs := range []int{1, 2, 4} {
-			runtime.GOMAXPROCS(procs)
-			got := nextHopTables(adj, sinks)
-			if len(got) != len(want) {
-				t.Fatalf("%s, GOMAXPROCS %d: %d tables, want %d", name, procs, len(got), len(want))
-			}
-			for i := range want {
-				if slices.Equal(got[i], want[i]) {
-					continue
-				}
-				v := 0
-				for v < min(len(got[i]), len(want[i])) && got[i][v] == want[i][v] {
-					v++
-				}
-				t.Errorf("%s, GOMAXPROCS %d: sink %d's table (%d entries, want %d) first differs at node %d",
-					name, procs, sinks[i], len(got[i]), len(want[i]), v)
-			}
+// hopsOf maps a position table back to next-hop NodeIDs through each
+// node's row: entry p names the node's (p-1)th neighbour, and 0 no hop.
+// A position past the end of the row maps to an ID no graph here has,
+// so it fails the comparison instead of panicking.
+func hopsOf(adj *topology.Adjacency, tbl []uint16) []topology.NodeID {
+	hops := make([]topology.NodeID, len(tbl))
+	for v, p := range tbl {
+		if p == 0 {
+			continue
+		}
+		nbrs, _ := adj.Row(topology.NodeID(v))
+		hops[v] = 1<<32 - 1
+		if int(p) <= len(nbrs) {
+			hops[v] = nbrs[p-1]
 		}
 	}
+	return hops
+}
+
+// checkTables builds the tables at GOMAXPROCS 1, 2 and 4, maps every
+// entry back through its node's row and compares each table with the
+// reference BFS's, entry for entry.
+func checkTables(t *testing.T, name string, adj *topology.Adjacency, sinks []topology.NodeID) {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	want := referenceNextHopTables(adj, sinks)
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		tables := nextHopTables(adj, sinks)
+		if len(tables) != len(want) {
+			t.Fatalf("%s, GOMAXPROCS %d: %d tables, want %d", name, procs, len(tables), len(want))
+		}
+		for i := range want {
+			got := hopsOf(adj, tables[i])
+			if slices.Equal(got, want[i]) {
+				continue
+			}
+			v := 0
+			for v < min(len(got), len(want[i])) && got[v] == want[i][v] {
+				v++
+			}
+			t.Errorf("%s, GOMAXPROCS %d: sink %d's table (%d entries, want %d) first differs at node %d",
+				name, procs, sinks[i], len(got), len(want[i]), v)
+		}
+	}
+}
+
+// TestNextHopTablesMatchReference: every table nextHopTables builds,
+// mapped from row positions back to NodeIDs, is the reference BFS's,
+// entry for entry, at GOMAXPROCS 1, 2 and 4. The graphs are Prepare's
+// own, with its sinks, at 3, 1k and 10k nodes, and hand-built ones with
+// ID gaps, parallel links, an isolated node, two components,
+// equal-length paths, a single sink and fewer sinks than workers.
+func TestNextHopTablesMatchReference(t *testing.T) {
 	for _, nodes := range []int{3, 1000, 10000} {
 		for seed := uint64(1); seed <= 20; seed++ {
 			sm := Prepare(Config{Nodes: nodes, Packets: 1, Seed: seed})
-			check(fmt.Sprintf("scale-free nodes=%d seed=%d", nodes, seed), sm.G.Freeze(), sm.Sinks)
+			checkTables(t, fmt.Sprintf("scale-free nodes=%d seed=%d", nodes, seed), sm.G.Freeze(), sm.Sinks)
 		}
 	}
 
@@ -223,10 +267,39 @@ func TestNextHopTablesMatchReference(t *testing.T) {
 		g.AddLink(l[0], l[1], topology.PeerOf, sim.Millisecond, 1)
 	}
 	adj := g.Freeze()
-	check("single sink", adj, []topology.NodeID{8})
-	check("sink in each component", adj, []topology.NodeID{1, 12})
-	check("isolated sink", adj, []topology.NodeID{15})
-	check("every node a sink", adj, g.NodeIDs())
+	checkTables(t, "single sink", adj, []topology.NodeID{8})
+	checkTables(t, "sink in each component", adj, []topology.NodeID{1, 12})
+	checkTables(t, "isolated sink", adj, []topology.NodeID{15})
+	checkTables(t, "every node a sink", adj, g.NodeIDs())
+}
+
+// star is a hub, node 1, linked once to each of leaves other nodes.
+func star(leaves int) *topology.Adjacency {
+	g := topology.NewGraph()
+	for id := topology.NodeID(1); id <= topology.NodeID(leaves+1); id++ {
+		g.AddNode(id, topology.Stub, 1)
+	}
+	for id := topology.NodeID(2); id <= topology.NodeID(leaves+1); id++ {
+		g.AddLink(1, id, topology.CustomerOf, sim.Millisecond, 1)
+	}
+	return g.Freeze()
+}
+
+// TestNextHopTablesDegreeLimit: a table entry names a position in a row
+// with 16 bits, so a hub of degree 65,535 builds, with every entry
+// mapping back to the reference, and one of degree 65,536 panics with
+// the documented message instead of wrapping.
+func TestNextHopTablesDegreeLimit(t *testing.T) {
+	adj := star(maxDegree)
+	checkTables(t, "star of degree 65535", adj, []topology.NodeID{1, 2, maxDegree + 1})
+
+	want := "scale: node 1 has 65536 links; sink routing tables name at most 65535"
+	defer func() {
+		if got := recover(); got != want {
+			t.Fatalf("degree 65536: recovered %v, want panic %q", got, want)
+		}
+	}()
+	nextHopTables(star(maxDegree+1), []topology.NodeID{1})
 }
 
 // BenchmarkScaleForward is the scale sweep: end-to-end packets through

@@ -38,10 +38,8 @@ func (t Time) String() string {
 // event is one slot in the scheduler's event pool. Slots are recycled
 // through a free list; gen increments on every release so stale EventIDs
 // (and stale heap entries) can never touch a recycled slot's new tenant.
+// The event's ordering key lives only in its heap entry.
 type event struct {
-	at   Time
-	key  uint64 // deterministic cross-run tie-breaker (see AtKeyed); 0 for At
-	seq  uint64 // tie-breaker: FIFO among same-time events; globally unique
 	fn   func()
 	born Time // scheduling time, for the obs event-lag span
 	gen  uint32
@@ -57,13 +55,26 @@ type EventID struct {
 
 // heapEntry is one element of the scheduler's 4-ary min-heap. The ordering
 // key (at, key, seq) is stored inline so comparisons never chase a
-// pointer, and seq doubles as the liveness check against the pool slot: a
-// slot recycled since this entry was pushed carries a different seq.
+// pointer. The entry's slot carries, in what would otherwise be padding,
+// the slot's generation when the entry was pushed: the liveness check,
+// since a slot released since then carries a different one. The struct
+// keeps four fields, the most the compiler holds in registers; a fifth
+// would make every heap move go through memory.
 type heapEntry struct {
 	at   Time
-	key  uint64
-	seq  uint64
-	slot uint32
+	key  uint64 // deterministic cross-run tie-breaker (see AtKeyed); 0 for At
+	seq  uint64 // tie-breaker: FIFO among same-time events; globally unique
+	slot slotGen
+}
+
+// slotGen names a pool slot and one of its generations.
+type slotGen struct{ idx, gen uint32 }
+
+// live reports whether e's event is still scheduled: its slot has not
+// been released, by dispatch or by Cancel, since e was pushed.
+func (s *Scheduler) live(e heapEntry) bool {
+	ev := &s.events[e.slot.idx]
+	return ev.live && ev.gen == e.slot.gen
 }
 
 func entryLess(a, b heapEntry) bool {
@@ -183,17 +194,14 @@ func (s *Scheduler) AtKeyed(at Time, key uint64, fn func()) EventID {
 	}
 	idx := s.acquire()
 	ev := &s.events[idx]
-	ev.at = at
-	ev.key = key
-	ev.seq = s.seq
 	ev.fn = fn
 	ev.born = s.now
 	ev.live = true
-	s.seq++
 	if s.obs != nil {
 		s.obs.scheduled.Inc()
 	}
-	s.push(heapEntry{at: at, key: key, seq: ev.seq, slot: idx})
+	s.push(heapEntry{at: at, key: key, seq: s.seq, slot: slotGen{idx, ev.gen}})
+	s.seq++
 	return EventID{slot: idx + 1, gen: ev.gen}
 }
 
@@ -236,8 +244,7 @@ func (s *Scheduler) maybeCompact() {
 	}
 	kept := s.queue[:0]
 	for _, e := range s.queue {
-		ev := &s.events[e.slot]
-		if ev.live && ev.seq == e.seq {
+		if s.live(e) {
 			kept = append(kept, e)
 		}
 	}
@@ -261,18 +268,18 @@ func (s *Scheduler) popLive() (at Time, fn func(), ok bool) {
 	for len(s.queue) > 0 {
 		e := s.queue[0]
 		s.pop()
-		ev := &s.events[e.slot]
-		if !ev.live || ev.seq != e.seq {
+		if !s.live(e) {
 			s.dead--
 			continue
 		}
-		at, fn = ev.at, ev.fn
+		ev := &s.events[e.slot.idx]
+		at, fn = e.at, ev.fn
 		if s.obs != nil {
 			s.obs.dispatched.Inc()
 			s.obs.lag.Observe(float64(at - ev.born))
 			s.obs.depth.Observe(float64(s.Pending()))
 		}
-		s.release(e.slot)
+		s.release(e.slot.idx)
 		return at, fn, true
 	}
 	return 0, nil, false
@@ -292,8 +299,7 @@ func (s *Scheduler) peekLive() (Time, bool) {
 func (s *Scheduler) PeekNext() (Time, uint64, bool) {
 	for len(s.queue) > 0 {
 		e := s.queue[0]
-		ev := &s.events[e.slot]
-		if ev.live && ev.seq == e.seq {
+		if s.live(e) {
 			return e.at, e.key, true
 		}
 		s.pop()
