@@ -35,8 +35,11 @@ race:
 
 # One-iteration smoke of the suite benchmarks, then a quick measurement
 # run compared against the committed baseline: catches regressions that
-# break the benches, ns/op regressions, and allocs/op growth (gated at
-# zero tolerance — alloc counts are deterministic) in the same pass. The
+# break the benches, ns/op regressions, and allocs/op growth in the same
+# pass. allocs/op is gated at zero tolerance: the minimum over -iters
+# runs is compared exactly, though it still moves by a few allocations
+# from run to run on allocation-heavy experiments (ROADMAP.md's first
+# open item), so this gate can fail on an unchanged tree. The
 # ns/op gate's default tolerance is 10% (see tussle-bench -compare); CI
 # machines are noisy and the fastest experiments run in microseconds,
 # where scheduler jitter alone moves ns/op by tens of percent, so this

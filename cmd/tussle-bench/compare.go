@@ -9,11 +9,11 @@ import (
 )
 
 // This file implements `tussle-bench -compare old.json new.json`: the
-// regression gate over two BENCH_suite.json files. Any experiment whose
-// ns/op grew by more than the tolerance — or whose allocs/op grew at
-// all — fails the comparison, so CI can hold the committed baseline
-// against a freshly measured run. Alloc counts are deterministic per
-// run (unlike timings), which is why their tolerance is zero.
+// regression gate over two baseline files. Any row whose ns/op grew by
+// more than the tolerance — or whose allocs/op grew at all — fails. Each
+// file records the minimum over -iters runs, and the gate compares those
+// minima exactly; alloc counts are not deterministic, though, and move by
+// a few from run to run on allocation-heavy rows (ROADMAP.md, first item).
 
 // regression is one experiment's old-vs-new delta.
 type regression struct {
@@ -46,10 +46,10 @@ func loadSuite(path string) (*suiteBench, error) {
 // compareSuites diffs two benchmark files and returns the per-experiment
 // deltas plus whether any experiment regressed: ns/op grown beyond
 // tolerance (e.g. 0.10 = fail when ns/op grows more than 10%), or
-// allocs/op grown at all (alloc counts are deterministic, so any growth
-// is a real regression, not noise). Experiments present in only one file
-// never fail the gate (the suite may have grown or shrunk between
-// revisions); runCompare lists them (see onlyIn).
+// allocs/op grown at all (the recorded minima compared exactly, though
+// they are not deterministic; see above). Experiments present in only
+// one file never fail the gate (the suite may have grown or shrunk
+// between revisions); runCompare lists them (see onlyIn).
 func compareSuites(oldSB, newSB *suiteBench, tolerance float64) (deltas []regression, regressed []regression) {
 	oldByID := make(map[string]expBench, len(oldSB.Experiments))
 	for _, e := range oldSB.Experiments {
@@ -102,15 +102,15 @@ func suiteAllocs(sb *suiteBench) uint64 {
 }
 
 // runCompare is the -compare entry point; returns the process exit code.
-func runCompare(w io.Writer, oldPath, newPath string, tolerance float64) int {
+func runCompare(w, stderr io.Writer, oldPath, newPath string, tolerance float64) int {
 	oldSB, err := loadSuite(oldPath)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "tussle-bench: %v\n", err)
+		fmt.Fprintf(stderr, "tussle-bench: %v\n", err)
 		return 2
 	}
 	newSB, err := loadSuite(newPath)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "tussle-bench: %v\n", err)
+		fmt.Fprintf(stderr, "tussle-bench: %v\n", err)
 		return 2
 	}
 	deltas, regressed := compareSuites(oldSB, newSB, tolerance)

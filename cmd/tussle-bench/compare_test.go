@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -52,8 +53,7 @@ func TestCompareSuitesDetectsRegression(t *testing.T) {
 }
 
 // Alloc growth fails the gate at any size, regardless of the ns/op
-// tolerance — alloc counts are deterministic, so one extra alloc/op is a
-// real regression.
+// tolerance: the gate compares the recorded allocs/op exactly.
 func TestCompareSuitesGatesAllocs(t *testing.T) {
 	oldSB := &suiteBench{Experiments: []expBench{
 		{ID: "E1", NsPerOp: 1000, AllocsPerOp: 10},
@@ -76,7 +76,7 @@ func TestCompareSuitesGatesAllocs(t *testing.T) {
 	dir := t.TempDir()
 	oldPath := writeSuite(t, dir, "old.json", oldSB.Experiments)
 	newPath := writeSuite(t, dir, "new.json", newSB.Experiments)
-	if code := runCompare(&out, oldPath, newPath, 0.10); code != 1 {
+	if code := runCompare(&out, io.Discard, oldPath, newPath, 0.10); code != 1 {
 		t.Fatalf("alloc-regressed compare exit = %d, want 1; output:\n%s", code, out.String())
 	}
 	if !strings.Contains(out.String(), "allocs 10->11") {
@@ -97,7 +97,7 @@ func TestRunCompareExitCodes(t *testing.T) {
 	})
 
 	var out strings.Builder
-	if code := runCompare(&out, oldPath, okPath, 0.10); code != 0 {
+	if code := runCompare(&out, io.Discard, oldPath, okPath, 0.10); code != 0 {
 		t.Fatalf("ok compare exit = %d, want 0; output:\n%s", code, out.String())
 	}
 	if !strings.Contains(out.String(), "OK: no ns/op or allocs/op regression") {
@@ -105,7 +105,7 @@ func TestRunCompareExitCodes(t *testing.T) {
 	}
 
 	out.Reset()
-	if code := runCompare(&out, oldPath, badPath, 0.10); code != 1 {
+	if code := runCompare(&out, io.Discard, oldPath, badPath, 0.10); code != 1 {
 		t.Fatalf("regressed compare exit = %d, want 1; output:\n%s", code, out.String())
 	}
 	if !strings.Contains(out.String(), "FAIL") || !strings.Contains(out.String(), "E1") {
@@ -113,7 +113,7 @@ func TestRunCompareExitCodes(t *testing.T) {
 	}
 
 	out.Reset()
-	if code := runCompare(&out, filepath.Join(dir, "missing.json"), okPath, 0.10); code != 2 {
+	if code := runCompare(&out, io.Discard, filepath.Join(dir, "missing.json"), okPath, 0.10); code != 2 {
 		t.Fatalf("missing-file compare exit = %d, want 2", code)
 	}
 }
@@ -131,7 +131,7 @@ func TestRunCompareReportsUnmatchedRows(t *testing.T) {
 		{ID: "E3", NsPerOp: 1000, AllocsPerOp: 10},
 	})
 	var out strings.Builder
-	if code := runCompare(&out, oldPath, newPath, 0.10); code != 0 {
+	if code := runCompare(&out, io.Discard, oldPath, newPath, 0.10); code != 0 {
 		t.Fatalf("exit = %d, want 0; output:\n%s", code, out.String())
 	}
 	for _, want := range []string{

@@ -3,9 +3,9 @@
 //
 // Usage:
 //
-//	tussle-bench [-seed N] [-only E3,E11] [-quiet] [-parallel N] [-json FILE] [-metrics FILE]
-//	tussle-bench -policy-json BENCH_policy.json [-iters N]
-//	tussle-bench -compare old.json new.json [-tolerance 0.10]
+//	tussle-bench [-seed N] [-only E3,E11] [-quiet] [-markdown] [-parallel N] [-json FILE] [-iters N] [-metrics FILE]
+//	tussle-bench [-scale-json FILE] [-wire-json FILE] [-policy-json FILE] [-iters N] [-seed N]
+//	tussle-bench -compare [-tolerance 0.10] old.json new.json
 //
 // Every run is deterministic for a given seed: the experiments are pure
 // functions of the seed, so -parallel changes only wall-clock time, never
@@ -15,6 +15,8 @@
 // allocs/op, bytes/op) plus sequential-vs-parallel suite wall time, and
 // writes the measurements as JSON — the repo's recorded perf baseline
 // (BENCH_suite.json by convention; see the Makefile bench-json target).
+// -scale-json, -wire-json and -policy-json write the other baselines
+// instead of running the suite; sweep.go holds all four sweeps.
 //
 // -compare diffs two such JSON files and exits non-zero when any
 // experiment's ns/op regressed beyond -tolerance (default 10%) or its
@@ -25,285 +27,123 @@
 // enabled and writes the metric snapshots (suite-wide aggregate plus a
 // per-experiment breakdown) as JSON. Metrics record only simulated
 // quantities, so the file is byte-identical across runs at the same seed.
+//
+// Each mode reads only some of the flags: compare mode -compare and
+// -tolerance; sweep mode (any of -scale-json, -wire-json, -policy-json)
+// those three, -iters and -seed; suite mode the rest. A flag the selected
+// mode ignores exits 2.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"runtime"
-	"runtime/debug"
+	"slices"
 	"strings"
-	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/obs"
-	"repro/internal/scale"
 )
 
-// expBench is one experiment's measured cost.
-type expBench struct {
-	ID          string `json:"id"`
-	NsPerOp     int64  `json:"ns_per_op"`
-	AllocsPerOp uint64 `json:"allocs_per_op"`
-	BytesPerOp  uint64 `json:"bytes_per_op"`
-}
-
-// suiteBench records the measurement run as a whole.
-type suiteBench struct {
-	Seed         uint64 `json:"seed"`
-	Iters        int    `json:"iters"`
-	GOOS         string `json:"goos"`
-	GOARCH       string `json:"goarch"`
-	NumCPU       int    `json:"num_cpu"`
-	GOMAXPROCS   int    `json:"gomaxprocs"`
-	Parallelism  int    `json:"parallelism"`
-	SequentialNs int64  `json:"suite_sequential_ns"`
-	ParallelNs   int64  `json:"suite_parallel_ns"`
-	// Speedup is null (not a number) when the host cannot express
-	// parallelism — on a single-core host sequential vs parallel wall
-	// time measures only goroutine-switch overhead, and recording the
-	// resulting ~1.0x as a baseline would make -compare treat real
-	// multi-core speedups as regressions. SpeedupNote says why.
-	Speedup     *float64   `json:"suite_speedup"`
-	SpeedupNote string     `json:"suite_speedup_note,omitempty"`
-	Experiments []expBench `json:"experiments"`
-}
-
-// benchSuite measures each experiment individually (single goroutine, so
-// the MemStats deltas attribute cleanly) and then the whole suite both
-// sequentially and with the parallel runner.
-func benchSuite(seed uint64, iters, parallelism int) suiteBench {
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
-	sb := suiteBench{
-		Seed:        seed,
-		Iters:       iters,
-		GOOS:        runtime.GOOS,
-		GOARCH:      runtime.GOARCH,
-		NumCPU:      runtime.NumCPU(),
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		Parallelism: parallelism,
-	}
-	var m0, m1 runtime.MemStats
-	for _, exp := range experiments.List() {
-		exp.Run(seed) // warm caches and pools out of the measurement
-		// Minimum across iterations for every dimension, exactly as the
-		// scale and wire sweeps: timing noise (scheduler preemption, GC,
-		// neighbors on the machine) is strictly additive, and the MemStats
-		// delta around a run occasionally picks up a stray runtime
-		// allocation (GC bookkeeping, background timers), so the minimum —
-		// not the mean — is the reproducible figure the zero-tolerance
-		// alloc gate needs. GC is paused for the measured region: a
-		// collection mid-run empties every sync.Pool at a timing-dependent
-		// point, and the refills show up as a few spurious allocations that
-		// the min cannot reliably filter on allocation-heavy experiments.
-		var minNs int64
-		var minAllocs, minBytes uint64
-		for i := 0; i < iters; i++ {
-			runtime.GC()
-			gcPct := debug.SetGCPercent(-1)
-			runtime.ReadMemStats(&m0)
-			t0 := time.Now()
-			exp.Run(seed)
-			el := time.Since(t0).Nanoseconds()
-			runtime.ReadMemStats(&m1)
-			debug.SetGCPercent(gcPct)
-			if i == 0 || el < minNs {
-				minNs = el
-			}
-			if a := m1.Mallocs - m0.Mallocs; i == 0 || a < minAllocs {
-				minAllocs = a
-			}
-			if b := m1.TotalAlloc - m0.TotalAlloc; i == 0 || b < minBytes {
-				minBytes = b
-			}
-		}
-		sb.Experiments = append(sb.Experiments, expBench{
-			ID:          exp.ID,
-			NsPerOp:     minNs,
-			AllocsPerOp: minAllocs,
-			BytesPerOp:  minBytes,
-		})
-	}
-	t0 := time.Now()
-	for i := 0; i < iters; i++ {
-		experiments.All(seed)
-	}
-	sb.SequentialNs = time.Since(t0).Nanoseconds() / int64(iters)
-	t0 = time.Now()
-	for i := 0; i < iters; i++ {
-		experiments.RunAll(seed, experiments.Options{Parallelism: parallelism})
-	}
-	sb.ParallelNs = time.Since(t0).Nanoseconds() / int64(iters)
-	switch {
-	case runtime.GOMAXPROCS(0) == 1:
-		sb.SpeedupNote = "GOMAXPROCS=1: parallel speedup is not measurable on a single-core host"
-	case sb.ParallelNs > 0:
-		sp := float64(sb.SequentialNs) / float64(sb.ParallelNs)
-		sb.Speedup = &sp
-	}
-	return sb
-}
-
-// scaleSizes is the BenchmarkScaleForward sweep rendered as committable
-// JSON: end-to-end sharded-core runs (topology + routing tables + full
-// drain) at three orders of magnitude, recorded in the suiteBench
-// schema so the existing -compare gate holds BENCH_scale.json against a
-// fresh measurement.
-var scaleSizes = []struct {
-	id             string
-	nodes, packets int
-}{
-	{"scale-1k", 1_000, 20_000},
-	{"scale-10k", 10_000, 100_000},
-	{"scale-100k", 100_000, 500_000},
-}
-
-// benchScale measures the scale workload per size; ns/op is the minimum
-// across iterations (as in benchSuite), allocs are the exact per-run
-// mean.
-func benchScale(seed uint64, iters int) suiteBench {
-	sb := suiteBench{
-		Seed:        seed,
-		Iters:       iters,
-		GOOS:        runtime.GOOS,
-		GOARCH:      runtime.GOARCH,
-		NumCPU:      runtime.NumCPU(),
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		Parallelism: 1,
-		SpeedupNote: "scale sweep: per-size end-to-end runs, no suite-level parallel phase",
-	}
-	var m0, m1 runtime.MemStats
-	for _, sz := range scaleSizes {
-		cfg := scale.Config{Nodes: sz.nodes, Packets: sz.packets, Seed: seed, Shards: 1}
-		res := scale.Run(cfg) // warm pools and page cache out of the measurement
-		if res.Delivered+res.Dropped != sz.packets {
-			fmt.Fprintf(os.Stderr, "tussle-bench: %s terminated %d of %d packets\n",
-				sz.id, res.Delivered+res.Dropped, sz.packets)
-			os.Exit(1)
-		}
-		// Minimum across iterations for every dimension: timing noise is
-		// additive, and at millions of allocations per run the MemStats
-		// deltas pick up the occasional stray runtime allocation (GC
-		// bookkeeping, background timers), so the minimum — not the mean
-		// — is the reproducible figure the zero-tolerance alloc gate
-		// needs.
-		var minNs int64
-		var minAllocs, minBytes uint64
-		for i := 0; i < iters; i++ {
-			runtime.GC()
-			runtime.ReadMemStats(&m0)
-			t0 := time.Now()
-			scale.Run(cfg)
-			el := time.Since(t0).Nanoseconds()
-			runtime.ReadMemStats(&m1)
-			if i == 0 || el < minNs {
-				minNs = el
-			}
-			if a := m1.Mallocs - m0.Mallocs; i == 0 || a < minAllocs {
-				minAllocs = a
-			}
-			if b := m1.TotalAlloc - m0.TotalAlloc; i == 0 || b < minBytes {
-				minBytes = b
-			}
-		}
-		sb.Experiments = append(sb.Experiments, expBench{
-			ID:          sz.id,
-			NsPerOp:     minNs,
-			AllocsPerOp: minAllocs,
-			BytesPerOp:  minBytes,
-		})
-	}
-	return sb
-}
-
 func main() {
-	seed := flag.Uint64("seed", 42, "simulation seed (runs are deterministic per seed)")
-	only := flag.String("only", "", "comma-separated experiment IDs to run (e.g. E3,E11); empty = all")
-	quiet := flag.Bool("quiet", false, "print findings only, not the full tables")
-	markdown := flag.Bool("markdown", false, "emit EXPERIMENTS.md-style markdown")
-	parallel := flag.Int("parallel", 0, "worker goroutines for the suite (0 = GOMAXPROCS, 1 = sequential)")
-	jsonPath := flag.String("json", "", "also micro-benchmark every experiment and write JSON to this file (e.g. BENCH_suite.json)")
-	scaleJSONPath := flag.String("scale-json", "", "measure the sharded-core scale sweep (1k/10k/100k nodes) and write JSON to this file (e.g. BENCH_scale.json)")
-	wireJSONPath := flag.String("wire-json", "", "measure the live UDP wire engine (decision kernel + loopback round trip) and write JSON to this file (e.g. BENCH_wire.json)")
-	policyJSONPath := flag.String("policy-json", "", "measure the metered policy VM (scalar / membership / nested shapes, per-eval) and write JSON to this file (e.g. BENCH_policy.json)")
-	iters := flag.Int("iters", 3, "iterations per experiment for -json measurements")
-	compare := flag.Bool("compare", false, "compare two bench JSON files (old new); exit non-zero on ns/op or allocs/op regression")
-	tolerance := flag.Float64("tolerance", 0.10, "allowed fractional ns/op growth per experiment for -compare")
-	metricsPath := flag.String("metrics", "", "run the suite instrumented and write metric snapshots (suite aggregate + per-experiment) as JSON to this file")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run parses args, selects the mode, and runs it; it returns the process
+// exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tussle-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		seed        = fs.Uint64("seed", 42, "simulation seed (runs are deterministic per seed)")
+		only        = fs.String("only", "", "comma-separated experiment IDs to run (e.g. E3,E11); empty = all")
+		quiet       = fs.Bool("quiet", false, "print findings only, not the full tables")
+		markdown    = fs.Bool("markdown", false, "emit EXPERIMENTS.md-style markdown")
+		parallel    = fs.Int("parallel", 0, "worker goroutines for the suite (0 = GOMAXPROCS, 1 = sequential)")
+		_           = fs.String("json", "", "also micro-benchmark every experiment and write JSON to this file (e.g. BENCH_suite.json)")
+		scaleJSON   = fs.String("scale-json", "", "measure the sharded-core scale sweep (1k/10k/100k nodes) and write JSON to this file (e.g. BENCH_scale.json)")
+		wireJSON    = fs.String("wire-json", "", "measure the live UDP wire engine (decision kernel + loopback round trip) and write JSON to this file (e.g. BENCH_wire.json)")
+		policyJSON  = fs.String("policy-json", "", "measure the metered policy VM (scalar / membership / nested shapes, per-eval) and write JSON to this file (e.g. BENCH_policy.json)")
+		iters       = fs.Int("iters", 3, "measured runs per row for -json and the sweep flags (the minimum is recorded)")
+		compare     = fs.Bool("compare", false, "compare two bench JSON files (old new); exit non-zero on ns/op or allocs/op regression")
+		tolerance   = fs.Float64("tolerance", 0.10, "allowed fractional ns/op growth per experiment for -compare")
+		metricsPath = fs.String("metrics", "", "run the suite instrumented and write metric snapshots (suite aggregate + per-experiment) as JSON to this file")
+	)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	// Each mode reads only some of the flags. One set explicitly that the
+	// selected mode would ignore is an error: -scale-json a -json b must
+	// not write a and drop b.
+	sweepMode := *scaleJSON != "" || *wireJSON != "" || *policyJSON != ""
+	mode, reads := "in suite mode", "seed only quiet markdown parallel json iters metrics"
+	switch {
+	case *compare:
+		mode, reads = "with -compare", "compare tolerance"
+	case sweepMode:
+		mode, reads = "with -scale-json, -wire-json or -policy-json", "scale-json wire-json policy-json iters seed"
+	}
+	ignored := ""
+	fs.Visit(func(f *flag.Flag) {
+		if ignored == "" && !slices.Contains(strings.Fields(reads), f.Name) {
+			ignored = f.Name
+		}
+	})
+	if ignored != "" {
+		fmt.Fprintf(stderr, "tussle-bench: -%s has no effect %s\n", ignored, mode)
+		return 2
+	}
 
 	if *compare {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "tussle-bench: -compare needs exactly two files: old.json new.json")
-			os.Exit(2)
+		if fs.NArg() != 2 {
+			fmt.Fprintln(stderr, "tussle-bench: -compare needs exactly two files: old.json new.json")
+			return 2
 		}
-		os.Exit(runCompare(os.Stdout, flag.Arg(0), flag.Arg(1), *tolerance))
+		return runCompare(stdout, stderr, fs.Arg(0), fs.Arg(1), *tolerance)
 	}
-
-	if *policyJSONPath != "" {
-		if *iters < 1 {
-			*iters = 1
+	if !sweepMode {
+		if code := runSuite(stdout, stderr, *seed, *only, *quiet, *markdown, *parallel, *metricsPath); code != 0 {
+			return code
 		}
-		sb := benchPolicy(*iters)
-		writeBenchJSON(*policyJSONPath, sb)
-		for _, e := range sb.Experiments {
-			fmt.Fprintf(os.Stderr, "tussle-bench: %-14s %8d ns/op %8d allocs/op (%.1fM evals/s)\n",
-				e.ID, e.NsPerOp, e.AllocsPerOp, 1e3/float64(e.NsPerOp))
-		}
-		fmt.Fprintf(os.Stderr, "tussle-bench: wrote %s\n", *policyJSONPath)
-		return
 	}
-
-	if *wireJSONPath != "" {
-		if *iters < 1 {
-			*iters = 1
+	// Each sweep reads its file name from its own flag. In suite mode only
+	// -json can name one; in sweep mode every file named is written, in
+	// table order.
+	for _, sw := range sweeps(*seed, *parallel) {
+		if path := fs.Lookup(sw.flag).Value.String(); path != "" {
+			if err := runSweep(sw, path, max(*iters, 1), stderr); err != nil {
+				fmt.Fprintf(stderr, "tussle-bench: %v\n", err)
+				return 1
+			}
 		}
-		sb := benchWire(*iters)
-		writeBenchJSON(*wireJSONPath, sb)
-		for _, e := range sb.Experiments {
-			fmt.Fprintf(os.Stderr, "tussle-bench: %-14s %8d ns/op %8d allocs/op\n", e.ID, e.NsPerOp, e.AllocsPerOp)
-		}
-		fmt.Fprintf(os.Stderr, "tussle-bench: wrote %s\n", *wireJSONPath)
-		return
 	}
+	return 0
+}
 
-	if *scaleJSONPath != "" {
-		if *iters < 1 {
-			*iters = 1
-		}
-		sb := benchScale(*seed, *iters)
-		writeBenchJSON(*scaleJSONPath, sb)
-		for _, e := range sb.Experiments {
-			fmt.Fprintf(os.Stderr, "tussle-bench: %-10s %12d ns/op %8d allocs/op\n", e.ID, e.NsPerOp, e.AllocsPerOp)
-		}
-		fmt.Fprintf(os.Stderr, "tussle-bench: wrote %s\n", *scaleJSONPath)
-		return
-	}
-
+// runSuite runs the experiments, prints the selected ones, and writes the
+// -metrics file when one is named.
+func runSuite(stdout, stderr io.Writer, seed uint64, only string, quiet, markdown bool, parallel int, metricsPath string) int {
 	want := map[string]bool{}
-	if *only != "" {
-		for _, id := range strings.Split(*only, ",") {
+	if only != "" {
+		for _, id := range strings.Split(only, ",") {
 			want[strings.ToUpper(strings.TrimSpace(id))] = true
 		}
 	}
 
 	var suiteReg *obs.Registry
-	if *metricsPath != "" {
+	if metricsPath != "" {
 		suiteReg = obs.NewRegistry()
 	}
-	results := experiments.RunAll(*seed, experiments.Options{Parallelism: *parallel, Obs: suiteReg})
-	if *markdown {
-		fmt.Printf("# EXPERIMENTS — paper claims vs measured results\n\n")
-		fmt.Printf("Generated by `go run ./cmd/tussle-bench -markdown` with seed %d.\n", *seed)
-		fmt.Printf("The source paper is a position paper with no tables or figures; each\n")
-		fmt.Printf("experiment below operationalizes one of its claims (section anchors\n")
-		fmt.Printf("given per experiment; the full index is in DESIGN.md §3). Every value\n")
-		fmt.Printf("is deterministic for the seed, and every directional claim in a\n")
-		fmt.Printf("\"Measured\" line is enforced by a test in internal/experiments.\n\n")
+	results := experiments.RunAll(seed, experiments.Options{Parallelism: parallel, Obs: suiteReg})
+	if markdown {
+		fmt.Fprintf(stdout, "# EXPERIMENTS — paper claims vs measured results\n\n")
+		fmt.Fprintf(stdout, "Generated by `go run ./cmd/tussle-bench -markdown` with seed %d.\n", seed)
+		fmt.Fprintf(stdout, "The source paper is a position paper with no tables or figures; each\n")
+		fmt.Fprintf(stdout, "experiment below operationalizes one of its claims (section anchors\n")
+		fmt.Fprintf(stdout, "given per experiment; the full index is in DESIGN.md §3). Every value\n")
+		fmt.Fprintf(stdout, "is deterministic for the seed, and every directional claim in a\n")
+		fmt.Fprintf(stdout, "\"Measured\" line is enforced by a test in internal/experiments.\n\n")
 	}
 	printed := 0
 	for _, r := range results {
@@ -312,78 +152,49 @@ func main() {
 		}
 		printed++
 		switch {
-		case *markdown:
-			r.RenderMarkdown(os.Stdout)
-		case *quiet:
-			fmt.Printf("%s %s\n  finding: %s\n", r.ID, r.Title, r.Finding)
+		case markdown:
+			r.RenderMarkdown(stdout)
+		case quiet:
+			fmt.Fprintf(stdout, "%s %s\n  finding: %s\n", r.ID, r.Title, r.Finding)
 		default:
-			r.Render(os.Stdout)
+			r.Render(stdout)
 		}
 	}
 	if printed == 0 {
-		fmt.Fprintf(os.Stderr, "tussle-bench: no experiments matched %q\n", *only)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "tussle-bench: no experiments matched %q\n", only)
+		return 1
 	}
-	if *markdown && len(want) == 0 {
+	if markdown && len(want) == 0 {
 		// A static trailing section (no measured values, so regenerating
 		// this file stays a deterministic no-op): the live-wire multipath
 		// runs live in CI smoke jobs, not in the seeded suite, because
 		// wall-clock loopback timings are not reproducible by seed.
-		fmt.Printf("## W1 — multipath striping on the live wire (CI smoke, wall clock)\n\n")
-		fmt.Printf("**Paper claim.** §IV-B/§V-A4: routing around the tussle has to survive\n")
-		fmt.Printf("contact with a real substrate — the same demote/probe/promote machine\n")
-		fmt.Printf("that scores 1.0 availability in E29 runs over real UDP sockets on the\n")
-		fmt.Printf("wall clock, and the differential harness proves it is the *same*\n")
-		fmt.Printf("machine (decision logs byte-identical to the simulator's, seeds 42+7,\n")
-		fmt.Printf("pinned in internal/wire/testdata/golden_mp_decisions.txt).\n\n")
-		fmt.Printf("Availability on the wire is asserted, not scored: the\n")
-		fmt.Printf("`wire-multipath-smoke` CI job stripes 10 MiB through the real tussled\n")
-		fmt.Printf("binary on loopback and fails on any broken promise below.\n\n")
-		fmt.Printf("| run | strategy | impairment | asserted |\n")
-		fmt.Printf("|---|---|---|---|\n")
-		fmt.Printf("| 1 | shortest-k | path 2 dropped at start, lifted mid-run (SIGUSR1) | transfer completes; reassembled sha256 equals the payload's; ≥1 demotion |\n")
-		fmt.Printf("| 2 | loss-adaptive | none | transfer completes byte-exact; all three paths carry segments |\n\n")
-		fmt.Printf("**Measured.** per-op cost rides in BENCH_wire.json as the\n")
-		fmt.Printf("`wire-mp-roundtrip` row (one striped segment out, its cumulative ACK\n")
-		fmt.Printf("back), gated by `tussle-bench -compare` with allocs/op at zero\n")
-		fmt.Printf("tolerance — the striping fast path stays off the heap per packet.\n")
+		fmt.Fprintf(stdout, "## W1 — multipath striping on the live wire (CI smoke, wall clock)\n\n")
+		fmt.Fprintf(stdout, "**Paper claim.** §IV-B/§V-A4: routing around the tussle has to survive\n")
+		fmt.Fprintf(stdout, "contact with a real substrate — the same demote/probe/promote machine\n")
+		fmt.Fprintf(stdout, "that scores 1.0 availability in E29 runs over real UDP sockets on the\n")
+		fmt.Fprintf(stdout, "wall clock, and the differential harness proves it is the *same*\n")
+		fmt.Fprintf(stdout, "machine (decision logs byte-identical to the simulator's, seeds 42+7,\n")
+		fmt.Fprintf(stdout, "pinned in internal/wire/testdata/golden_mp_decisions.txt).\n\n")
+		fmt.Fprintf(stdout, "Availability on the wire is asserted, not scored: the\n")
+		fmt.Fprintf(stdout, "`wire-multipath-smoke` CI job stripes 10 MiB through the real tussled\n")
+		fmt.Fprintf(stdout, "binary on loopback and fails on any broken promise below.\n\n")
+		fmt.Fprintf(stdout, "| run | strategy | impairment | asserted |\n")
+		fmt.Fprintf(stdout, "|---|---|---|---|\n")
+		fmt.Fprintf(stdout, "| 1 | shortest-k | path 2 dropped at start, lifted mid-run (SIGUSR1) | transfer completes; reassembled sha256 equals the payload's; ≥1 demotion |\n")
+		fmt.Fprintf(stdout, "| 2 | loss-adaptive | none | transfer completes byte-exact; all three paths carry segments |\n\n")
+		fmt.Fprintf(stdout, "**Measured.** per-op cost rides in BENCH_wire.json as the\n")
+		fmt.Fprintf(stdout, "`wire-mp-roundtrip` row (one striped segment out, its cumulative ACK\n")
+		fmt.Fprintf(stdout, "back), gated by `tussle-bench -compare` with allocs/op at zero\n")
+		fmt.Fprintf(stdout, "tolerance — the striping fast path stays off the heap per packet.\n")
 	}
 
-	if *metricsPath != "" {
-		if err := writeMetrics(*metricsPath, *seed, suiteReg); err != nil {
-			fmt.Fprintf(os.Stderr, "tussle-bench: write %s: %v\n", *metricsPath, err)
-			os.Exit(1)
+	if metricsPath != "" {
+		if err := writeMetrics(metricsPath, seed, suiteReg); err != nil {
+			fmt.Fprintf(stderr, "tussle-bench: write %s: %v\n", metricsPath, err)
+			return 1
 		}
-		fmt.Fprintf(os.Stderr, "tussle-bench: wrote %s\n", *metricsPath)
+		fmt.Fprintf(stderr, "tussle-bench: wrote %s\n", metricsPath)
 	}
-
-	if *jsonPath != "" {
-		if *iters < 1 {
-			*iters = 1
-		}
-		sb := benchSuite(*seed, *iters, *parallel)
-		writeBenchJSON(*jsonPath, sb)
-		speedup := "n/a (single-core)"
-		if sb.Speedup != nil {
-			speedup = fmt.Sprintf("%.2fx", *sb.Speedup)
-		}
-		fmt.Fprintf(os.Stderr, "tussle-bench: wrote %s (suite %.2fms sequential, %.2fms parallel ×%d, speedup %s)\n",
-			*jsonPath,
-			float64(sb.SequentialNs)/1e6, float64(sb.ParallelNs)/1e6,
-			sb.Parallelism, speedup)
-	}
-}
-
-// writeBenchJSON marshals a bench record to path, exiting on error.
-func writeBenchJSON(path string, sb suiteBench) {
-	buf, err := json.MarshalIndent(sb, "", "  ")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tussle-bench: marshal bench json: %v\n", err)
-		os.Exit(1)
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "tussle-bench: write %s: %v\n", path, err)
-		os.Exit(1)
-	}
+	return 0
 }

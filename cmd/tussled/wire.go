@@ -73,8 +73,6 @@ func parseTIPAddr(s string) (packet.Addr, error) {
 }
 
 const (
-	batch = 64 // datagrams per recvmmsg/sendmmsg call
-
 	// A multipath blast stripes an mpSeed-derived payload over mpPaths
 	// paths to TTP port mpPort; its server reassembles with -mprecv 7777.
 	mpPort    = 7777
@@ -122,13 +120,12 @@ func runServe(o *options, stdout, stderr io.Writer, notify func(chan<- os.Signal
 	var mpRecv *wire.MultipathReceiver
 	var deliver func(data []byte, from netip.AddrPort) []byte
 	if o.mprecv > 0 {
-		mpRecv = wire.NewMultipathReceiver(id, uint16(o.mprecv), workers*batch*2)
+		mpRecv = wire.NewMultipathReceiver(id, uint16(o.mprecv), workers*wire.Batch*2)
 		deliver = mpRecv.Deliver
 	}
 	eng, err := wire.New(wire.Config{
 		Listen:  o.listen,
 		Workers: workers,
-		Batch:   batch,
 		Echo:    o.echo,
 		Deliver: deliver,
 		Peers:   peers,
@@ -159,7 +156,7 @@ func runServe(o *options, stdout, stderr io.Writer, notify func(chan<- os.Signal
 		return 1
 	}
 
-	fmt.Fprintf(stdout, "tussled: node %d serving TIP on %s (%d workers, batch %d)\n", id, eng.Addr(), workers, batch)
+	fmt.Fprintf(stdout, "tussled: node %d serving TIP on %s (%d workers, batch %d)\n", id, eng.Addr(), workers, wire.Batch)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -267,7 +264,6 @@ func runBlast(o *options, stdout, stderr io.Writer) int {
 		Target:  ap,
 		Count:   o.count,
 		Packets: [][]byte{data},
-		Batch:   batch,
 		Echo:    o.echo,
 	})
 	if err != nil {
@@ -324,7 +320,6 @@ func runBlastMultipath(o *options, stdout, stderr io.Writer) int {
 		Dst:       topology.NodeID(dst.Provider()),
 		Port:      mpPort,
 		Paths:     paths,
-		Batch:     batch,
 	}, payload)
 	if err != nil {
 		fmt.Fprintf(stderr, "tussled: multipath: %v\n", err)

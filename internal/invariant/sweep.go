@@ -312,6 +312,10 @@ func refShard() *obs.Registry {
 	return r
 }
 
+// maxRepros caps how many failures a sweep shrinks; later failures are
+// still recorded, unshrunk.
+const maxRepros = 3
+
 // Config parameterizes a sweep.
 type Config struct {
 	// Trials is how many seeded scenarios to run.
@@ -324,9 +328,6 @@ type Config struct {
 	Shrink bool
 	// MaxShrinkRuns caps candidate executions per shrink (0 = 400).
 	MaxShrinkRuns int
-	// MaxRepros caps how many failures are shrunk (0 = 3); later
-	// failures are still recorded, unshrunk.
-	MaxRepros int
 	// ForceMultipath upgrades every generated transfer to the multipath
 	// sender (path count derived from the trial seed), concentrating the
 	// sweep on the striped data plane instead of the ~35% of transfers
@@ -379,9 +380,6 @@ func Sweep(cfg Config) *Result {
 	if cfg.MaxShrinkRuns <= 0 {
 		cfg.MaxShrinkRuns = 400
 	}
-	if cfg.MaxRepros <= 0 {
-		cfg.MaxRepros = 3
-	}
 	enabled := cfg.Invariants
 	if enabled == nil {
 		enabled = AllSet()
@@ -401,7 +399,7 @@ func Sweep(cfg Config) *Result {
 			continue
 		}
 		f := &Failure{Trial: i, Seed: seed, Violations: tr.violations}
-		if cfg.Shrink && shrunk < cfg.MaxRepros {
+		if cfg.Shrink && shrunk < maxRepros {
 			f.Repro = ShrinkScenario(sc, enabled, tr.violations[0].Invariant, nil, cfg.MaxShrinkRuns)
 			shrunk++
 		}

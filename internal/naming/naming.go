@@ -115,10 +115,9 @@ type Dispute struct {
 	Holder string
 }
 
-// matches reports whether a registered name infringes the mark. The
-// simulated standard: the name contains the mark as a label or prefix.
-type matchFunc func(name, mark string) bool
-
+// defaultMatch reports whether a registered name infringes the mark.
+// The simulated standard: the name contains the mark as a label or
+// prefix.
 func defaultMatch(name, mark string) bool {
 	return name == mark || strings.HasPrefix(name, mark+".") ||
 		strings.HasPrefix(name, mark+"-") || strings.HasSuffix(name, "."+mark)

@@ -30,9 +30,6 @@ type Config struct {
 	// node).
 	Nodes int
 	M     int
-	// Sinks is how many nodes absorb traffic; they are spread evenly
-	// across the ID space. All other nodes originate packets.
-	Sinks int
 	// Packets is the total packet count, split evenly across sources.
 	Packets int
 	// Seed drives every random choice (topology, send times, sink
@@ -45,8 +42,6 @@ type Config struct {
 	// Chaos injects a deterministic fault schedule (link failures and
 	// recoveries, node crashes, packet impairments) during the run.
 	Chaos bool
-	// Payload is the per-packet payload size in bytes (default 64).
-	Payload int
 	// Horizon is the traffic injection window (default 200ms); the run
 	// itself continues until all in-flight packets terminate.
 	Horizon sim.Time
@@ -59,6 +54,7 @@ type Result struct {
 	Config     Config
 	Nodes      int
 	Links      int
+	Sinks      int // nodes that absorbed traffic (see Prepare)
 	CrossLinks int
 	Window     sim.Time
 	Delivered  int
@@ -69,6 +65,9 @@ type Result struct {
 	// Config.Obs).
 	Metrics *obs.Registry
 }
+
+// payload is the per-packet payload size in bytes.
+const payload = 64
 
 // chaosStream and trafficStream separate the seed's derived RNG streams
 // so adding chaos cannot perturb traffic randomness.
@@ -115,26 +114,11 @@ func Prepare(cfg Config) *Sim {
 	if cfg.Nodes < cfg.M+1 {
 		cfg.Nodes = cfg.M + 1
 	}
-	if cfg.Sinks <= 0 {
-		// Sinks scale with the topology so the aggregate sink ingress
-		// capacity scales with the packet load; a handful of sinks under
-		// millions of packets would just measure queue-overflow.
-		cfg.Sinks = 8
-		if cfg.Nodes/500 > cfg.Sinks {
-			cfg.Sinks = cfg.Nodes / 500
-		}
-	}
-	if cfg.Sinks >= cfg.Nodes {
-		cfg.Sinks = cfg.Nodes / 2
-	}
 	if cfg.Packets <= 0 {
 		cfg.Packets = 10 * cfg.Nodes
 	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
-	}
-	if cfg.Payload <= 0 {
-		cfg.Payload = 64
 	}
 	if cfg.Horizon <= 0 {
 		cfg.Horizon = 200 * sim.Millisecond
@@ -154,10 +138,19 @@ func Prepare(cfg Config) *Sim {
 
 	ids := g.NodeIDs()
 	adj := g.Freeze()
-	sinks := make([]topology.NodeID, cfg.Sinks)
+	// Sinks absorb the traffic; every other node originates packets. They
+	// scale with the topology so the aggregate sink ingress capacity
+	// scales with the packet load (a handful of sinks under millions of
+	// packets would just measure queue-overflow), and they are spread
+	// evenly across the ID space.
+	nsinks := max(8, cfg.Nodes/500)
+	if nsinks >= cfg.Nodes {
+		nsinks = cfg.Nodes / 2
+	}
+	sinks := make([]topology.NodeID, nsinks)
 	isSink := make([]bool, adj.Bound())
 	for i := range sinks {
-		sinks[i] = ids[i*len(ids)/cfg.Sinks]
+		sinks[i] = ids[i*len(ids)/nsinks]
 		isSink[sinks[i]] = true
 	}
 	rt := &sinkRoutes{sinkIdx: make([]int32, len(isSink)), next: nextHopTables(adj, sinks)}
@@ -250,6 +243,7 @@ func (sm *Sim) Run() *Result {
 		Config:     cfg,
 		Nodes:      len(g.Nodes),
 		Links:      len(g.Links),
+		Sinks:      len(sm.Sinks),
 		CrossLinks: s.Part.CrossLinks(g),
 		Window:     s.Window,
 		Delivered:  s.Delivered(),
@@ -412,7 +406,7 @@ func scheduleTraffic(s *netsim.Sharded, cfg Config, ids, sinks []topology.NodeID
 		data, err := packet.Serialize(
 			&packet.TIP{TTL: 64, Proto: packet.LayerTypeRaw,
 				Src: packet.MakeAddr(0, 1), Dst: packet.AddrNone},
-			&packet.Raw{Data: make([]byte, cfg.Payload)})
+			&packet.Raw{Data: make([]byte, payload)})
 		if err != nil {
 			panic(err)
 		}
@@ -539,7 +533,7 @@ func scheduleChaos(s *netsim.Sharded, cfg Config, g *topology.Graph) {
 func (r *Result) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "scale: nodes=%d links=%d sinks=%d packets=%d seed=%d chaos=%v\n",
-		r.Nodes, r.Links, r.Config.Sinks, r.Config.Packets, r.Config.Seed, r.Config.Chaos)
+		r.Nodes, r.Links, r.Sinks, r.Config.Packets, r.Config.Seed, r.Config.Chaos)
 	fmt.Fprintf(&b, "delivered=%d dropped=%d ratio=%.6f\n",
 		r.Delivered, r.Dropped,
 		float64(r.Delivered)/float64(max(1, r.Delivered+r.Dropped)))

@@ -56,8 +56,8 @@ func TestDeliversTraffic(t *testing.T) {
 // when the first source picks one.
 func TestFewerNodesThanSeedClique(t *testing.T) {
 	r := Run(Config{Nodes: 1, Packets: 10})
-	if r.Nodes != 3 || r.Config.Nodes != 3 || r.Config.Sinks != 1 {
-		t.Fatalf("nodes=%d config nodes=%d sinks=%d, want 3/3/1", r.Nodes, r.Config.Nodes, r.Config.Sinks)
+	if r.Nodes != 3 || r.Config.Nodes != 3 || r.Sinks != 1 {
+		t.Fatalf("nodes=%d config nodes=%d sinks=%d, want 3/3/1", r.Nodes, r.Config.Nodes, r.Sinks)
 	}
 	if r.Delivered != 10 || r.Dropped != 0 {
 		t.Fatalf("delivered=%d dropped=%d, want 10/0\n%s", r.Delivered, r.Dropped, r.Render())

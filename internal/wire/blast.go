@@ -17,6 +17,16 @@ import (
 // benchmark lossless instead of overrunning the receiver's socket
 // buffer.
 
+const (
+	// blastWindow is the maximum outstanding (sent minus echoed)
+	// datagrams in echo mode — comfortably inside a default UDP receive
+	// buffer for small packets.
+	blastWindow = 256
+	// blastTimeout is the per-read echo deadline; expiry writes off the
+	// outstanding window as lost.
+	blastTimeout = 2 * time.Second
+)
+
 // BlastConfig configures one blast run.
 type BlastConfig struct {
 	// Target is the engine's UDP address.
@@ -25,21 +35,12 @@ type BlastConfig struct {
 	Count int
 	// Packets are the datagram templates, cycled in order. Required.
 	Packets [][]byte
-	// Batch is the sendmmsg batch size (default 64).
-	Batch int
 	// Echo reads echoes back and paces the send window against them.
 	Echo bool
-	// Window is the maximum outstanding (sent minus echoed) datagrams
-	// in echo mode (default 256 — comfortably inside a default UDP
-	// receive buffer for small packets).
-	Window int
 	// Conns is the number of parallel client sockets (default 1). Each
 	// socket is a distinct source port, so SO_REUSEPORT servers spread
 	// them across workers.
 	Conns int
-	// Timeout is the per-read echo deadline; expiry writes off the
-	// outstanding window as lost (default 2s).
-	Timeout time.Duration
 }
 
 func (c *BlastConfig) fill() error {
@@ -49,17 +50,8 @@ func (c *BlastConfig) fill() error {
 	if c.Count <= 0 {
 		return errors.New("wire: blast count must be positive")
 	}
-	if c.Batch <= 0 {
-		c.Batch = 64
-	}
-	if c.Window <= 0 {
-		c.Window = 256
-	}
 	if c.Conns <= 0 {
 		c.Conns = 1
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = 2 * time.Second
 	}
 	return nil
 }
@@ -143,27 +135,27 @@ func blastConn(cfg *BlastConfig, count int) (BlastResult, error) {
 	conn := pc.(*net.UDPConn)
 	defer conn.Close()
 
-	tx, err := newTxBatch(conn, cfg.Batch)
+	tx, err := newTxBatch(conn, Batch)
 	if err != nil {
 		return r, err
 	}
 	var rx *rxBatch
 	if cfg.Echo {
-		bufs := make([][]byte, cfg.Batch)
-		slab := make([]byte, cfg.Batch*2048)
+		bufs := make([][]byte, Batch)
+		slab := make([]byte, Batch*slotSize)
 		for i := range bufs {
-			bufs[i] = slab[i*2048 : (i+1)*2048]
+			bufs[i] = slab[i*slotSize : (i+1)*slotSize]
 		}
 		if rx, err = newRxBatch(conn, bufs); err != nil {
 			return r, err
 		}
 	}
 
-	entries := make([]txEntry, cfg.Batch)
+	entries := make([]txEntry, Batch)
 	for i := range entries {
 		entries[i].addr = cfg.Target
 	}
-	window := cfg.Window
+	window := blastWindow
 	if !cfg.Echo {
 		window = count // no pacing without echoes
 	}
@@ -172,7 +164,7 @@ func blastConn(cfg *BlastConfig, count int) (BlastResult, error) {
 	for progress < count || outstanding > 0 {
 		// Fill the send window.
 		for progress < count && outstanding < window {
-			k := min(cfg.Batch, window-outstanding, count-progress)
+			k := min(Batch, window-outstanding, count-progress)
 			for i := 0; i < k; i++ {
 				entries[i].data = cfg.Packets[next]
 				next++
@@ -197,7 +189,7 @@ func blastConn(cfg *BlastConfig, count int) (BlastResult, error) {
 			continue
 		}
 		// Drain echoes.
-		if err := conn.SetReadDeadline(time.Now().Add(cfg.Timeout)); err != nil {
+		if err := conn.SetReadDeadline(time.Now().Add(blastTimeout)); err != nil {
 			return r, err
 		}
 		n, err := rx.recv()

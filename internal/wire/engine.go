@@ -15,6 +15,14 @@ import (
 	"repro/internal/topology"
 )
 
+// Batch is the number of datagrams the engine, the blast client and the
+// multipath sender move per recvmmsg/sendmmsg call (the portable
+// fallback receives one at a time).
+const Batch = 64
+
+// slotSize is the buffer size per datagram.
+const slotSize = 2048
+
 // Config assembles an Engine.
 type Config struct {
 	// Listen is the UDP address to bind ("host:port"; port 0 picks one).
@@ -24,11 +32,6 @@ type Config struct {
 	// across them; elsewhere all workers share one socket. Default:
 	// GOMAXPROCS.
 	Workers int
-	// Batch is the number of datagrams moved per recvmmsg/sendmmsg
-	// call (default 64; the portable fallback receives one at a time).
-	Batch int
-	// SlotSize is the receive buffer size per datagram (default 2048).
-	SlotSize int
 	// Echo sends delivered datagrams back to their sender — the
 	// loopback benchmark and smoke-test mode.
 	Echo bool
@@ -56,12 +59,6 @@ func (c *Config) fill() {
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.Batch <= 0 {
-		c.Batch = 64
-	}
-	if c.SlotSize <= 0 {
-		c.SlotSize = 2048
 	}
 	if c.NewDataplane == nil {
 		c.NewDataplane = func() *Dataplane { return NewDataplane(NodeConfig{ID: 0}) }
@@ -249,22 +246,20 @@ func New(cfg Config) (*Engine, error) {
 }
 
 func (e *Engine) newWorker(conn *net.UDPConn) (*worker, error) {
-	b := e.cfg.Batch
 	w := &worker{eng: e, conn: conn, dp: e.cfg.NewDataplane()}
 	// One slab cut into the batch's receive buffers, reused for the
 	// worker's lifetime.
-	size := e.cfg.SlotSize
-	slab := make([]byte, b*size)
-	w.rxBuf = make([][]byte, b)
+	slab := make([]byte, Batch*slotSize)
+	w.rxBuf = make([][]byte, Batch)
 	for i := range w.rxBuf {
-		w.rxBuf[i] = slab[i*size : (i+1)*size : (i+1)*size]
+		w.rxBuf[i] = slab[i*slotSize : (i+1)*slotSize : (i+1)*slotSize]
 	}
-	w.txq = make([]txEntry, 0, b)
+	w.txq = make([]txEntry, 0, Batch)
 	var err error
 	if w.rx, err = newRxBatch(conn, w.rxBuf); err != nil {
 		return nil, err
 	}
-	if w.tx, err = newTxBatch(conn, b); err != nil {
+	if w.tx, err = newTxBatch(conn, Batch); err != nil {
 		return nil, err
 	}
 	return w, nil

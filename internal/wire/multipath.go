@@ -60,8 +60,6 @@ type MultipathSenderConfig struct {
 	Port uint16
 	// Paths are the wire paths to stripe across. Required.
 	Paths []MPPath
-	// Batch is the sendmmsg batch size (default 64).
-	Batch int
 	// Clock overrides the timer substrate; nil means a fresh WallClock.
 	// The differential harness passes a SimClock to replay scripted ACK
 	// streams in virtual time.
@@ -115,14 +113,14 @@ func NewMultipathSender(cfg MultipathSenderConfig, payload []byte) (*MultipathSe
 		return nil, fmt.Errorf("wire: multipath socket: %w", err)
 	}
 	s.conn = pc.(*net.UDPConn)
-	if s.tx, err = newTxBatch(s.conn, s.batch()); err != nil {
+	if s.tx, err = newTxBatch(s.conn, Batch); err != nil {
 		s.conn.Close()
 		return nil, err
 	}
-	bufs := make([][]byte, s.batch())
-	slab := make([]byte, s.batch()*2048)
+	bufs := make([][]byte, Batch)
+	slab := make([]byte, Batch*slotSize)
 	for i := range bufs {
-		bufs[i] = slab[i*2048 : (i+1)*2048]
+		bufs[i] = slab[i*slotSize : (i+1)*slotSize]
 	}
 	s.rxBuf = bufs
 	if s.rx, err = newRxBatch(s.conn, bufs); err != nil {
@@ -165,21 +163,13 @@ func newMultipathSender(cfg MultipathSenderConfig, payload []byte, emit func(int
 	if err := s.core.FrameErr(); err != nil {
 		return nil, fmt.Errorf("wire: multipath template %w", err)
 	}
-	nring := 2 * s.batch()
-	s.ring = make([][]byte, nring)
-	slab := make([]byte, nring*2048)
+	s.ring = make([][]byte, 2*Batch)
+	slab := make([]byte, 2*Batch*slotSize)
 	for i := range s.ring {
-		s.ring[i] = slab[i*2048 : (i+1)*2048 : (i+1)*2048]
+		s.ring[i] = slab[i*slotSize : (i+1)*slotSize : (i+1)*slotSize]
 	}
-	s.txq = make([]txEntry, 0, s.batch())
+	s.txq = make([]txEntry, 0, Batch)
 	return s, nil
-}
-
-func (s *MultipathSender) batch() int {
-	if s.cfg.Batch > 0 {
-		return s.cfg.Batch
-	}
-	return 64
 }
 
 // xmit is the Driver transmission hook: frame the segment into a ring

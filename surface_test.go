@@ -51,6 +51,7 @@ var surfaceAllowlist = map[string]string{
 	"wire.MultipathSender.HandleAck": "the ACK entry point TestMultipathDifferentialDecisions scripts to pin the wire sender's decision log to the simulator's",
 	"wire.MultipathSender.SetTrace":  "records the decision log TestMultipathDifferentialDecisions compares with golden_mp_decisions.txt",
 
+	"scale.Config.Horizon":             "only Prepare's default fill sets it, but bench/simscale.go reads sm.Cfg.Horizon to slice the drain into timed chunks",
 	"wire.MPPath.Hops":                 "the interior waypoints of a striped path, which TestMultipathDifferentialDecisions sets to replay the simulator's candidate paths; the wire's own paths are direct",
 	"wire.MultipathSenderConfig.Clock": "the timer seam TestMultipathDifferentialDecisions sets to a SimClock to replay scripted ACKs against the simulator; tussled runs on the wall clock",
 }
@@ -367,7 +368,10 @@ func scanSurface(fsys fs.FS) (map[string]string, error) {
 // it reads. A field is written by a composite literal, keyed or
 // positional, and as the target of =, op= or ++/--, directly or through a
 // chain of selectors, indexes and dereferences below it (s.Drops[k]++
-// writes Drops); x.F = append(x.F, v) only writes F. Taking F's address,
+// writes Drops); x.F = append(x.F, v) only writes F. A default fill is no
+// write: x.F = K, K a constant, in the body of an if whose condition
+// compares the same x.F with 0 or "" (if c.N <= 0 { c.N = 8 }), that if
+// being the nearest one enclosing the assignment. Taking F's address,
 // explicitly or by calling a pointer method on it or slicing it when it
 // is an array, both writes and reads it. Any other evaluation reads it,
 // and so does handing a value that holds it to fmt, reflect or an
@@ -375,6 +379,9 @@ func scanSurface(fsys fs.FS) (map[string]string, error) {
 type fieldAccess struct {
 	info        *types.Info
 	write, read map[*types.Var]bool
+	// zeroTested holds the selector the nearest enclosing if compares
+	// with 0 or "", when it does; see defaultFill.
+	zeroTested string
 }
 
 func (a *fieldAccess) mark(obj types.Object, write, read bool) {
@@ -391,8 +398,10 @@ func (a *fieldAccess) visit(n ast.Node) {
 	ast.Inspect(n, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				a.target(lhs, true, false)
+			for i, lhs := range n.Lhs {
+				if !a.defaultFill(n, i) {
+					a.target(lhs, true, false)
+				}
 			}
 			for i, rhs := range n.Rhs {
 				read := []ast.Expr{rhs}
@@ -408,6 +417,20 @@ func (a *fieldAccess) visit(n ast.Node) {
 			return false
 		case *ast.IncDecStmt:
 			a.target(n.X, true, false)
+			return false
+		case *ast.IfStmt:
+			if n.Init != nil {
+				a.visit(n.Init)
+			}
+			a.visit(n.Cond)
+			outer := a.zeroTested
+			a.zeroTested = a.zeroTest(n.Cond)
+			a.visit(n.Body)
+			a.zeroTested = ""
+			if n.Else != nil {
+				a.visit(n.Else)
+			}
+			a.zeroTested = outer
 			return false
 		case *ast.UnaryExpr:
 			if n.Op == token.AND {
@@ -475,6 +498,44 @@ func (a *fieldAccess) visit(n ast.Node) {
 		}
 		return true
 	})
+}
+
+// zeroTest returns the selector x.F that cond compares with 0 or "", or
+// "" when cond is no such comparison. A binary if condition with a 0 or ""
+// operand can only be a comparison.
+func (a *fieldAccess) zeroTest(cond ast.Expr) string {
+	b, ok := ast.Unparen(cond).(*ast.BinaryExpr)
+	if !ok {
+		return ""
+	}
+	for _, xy := range [][2]ast.Expr{{b.X, b.Y}, {b.Y, b.X}} {
+		sel, ok := ast.Unparen(xy[0]).(*ast.SelectorExpr)
+		v := a.info.Types[xy[1]].Value
+		if !ok || v == nil {
+			continue
+		}
+		switch v.Kind() {
+		case constant.Int, constant.Float:
+			if constant.Sign(v) == 0 {
+				return types.ExprString(sel)
+			}
+		case constant.String:
+			if constant.StringVal(v) == "" {
+				return types.ExprString(sel)
+			}
+		}
+	}
+	return ""
+}
+
+// defaultFill reports whether the i-th assignment of n is a default fill:
+// a constant put in the selector the nearest enclosing if compares with 0
+// or "".
+func (a *fieldAccess) defaultFill(n *ast.AssignStmt, i int) bool {
+	if a.zeroTested == "" || n.Tok != token.ASSIGN || len(n.Lhs) != len(n.Rhs) || a.info.Types[n.Rhs[i]].Value == nil {
+		return false
+	}
+	return types.ExprString(ast.Unparen(n.Lhs[i])) == a.zeroTested
 }
 
 // target marks the fields along an assigned, incremented or addressed
@@ -983,6 +1044,24 @@ func TestCheckSurface(t *testing.T) {
 			want: []string{
 				"a.T.G has no non-test write: delete it, or allowlist it with a reason",
 				"a.T.H has no non-test write: delete it, or allowlist it with a reason",
+			},
+		},
+		{
+			name: "default fills are not writes",
+			files: map[string]string{
+				"internal/a/a.go": "package a\ntype T struct{ N, M, K, L, V int; S, U string }\nfunc (t *T) Fill() {\n" +
+					"\tif t.N <= 0 { t.N = 8 }\n" +
+					"\tif (t.S == \"\") { t.S = \"x\" + \"y\" }\n" +
+					"\tif t.M == 0 { t.M = t.N * 2 }\n" +
+					"\tif 0 == t.K { t.L = 3 }\n" +
+					"\tif t.U == \"\" { if t.N > 1 { t.U = \"y\" } }\n" +
+					"\tif t.V == 0 { } else { t.V = 1 }\n" +
+					"\tprintln(t.N, t.M, t.K, t.L, t.V, t.S, t.U)\n}\n",
+				"cmd/c/main.go": "package main\nimport \"m/internal/a\"\nfunc main() { t := a.T{K: 1}; t.Fill() }\n",
+			},
+			want: []string{
+				"a.T.N has no non-test write: delete it, or allowlist it with a reason",
+				"a.T.S has no non-test write: delete it, or allowlist it with a reason",
 			},
 		},
 		{
