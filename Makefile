@@ -76,17 +76,23 @@ scale-json:
 # hubs to dominate the partition); then the seed-42, 2-shard digest once
 # more at GOMAXPROCS=1, where the sink routing tables are built by one
 # worker instead of one per P; then a quick scale measurement compared
-# against the committed baseline.
+# against the committed baseline. On 2 shards the chaos drains must also
+# execute exactly their pinned event counts (netsim prints the count on
+# stderr): sim-scale's rel_time is drain time per event, so a change in
+# the events a packet costs has to show here, as a deliberate change to
+# these counts, not as a silent move in rel_time. The count includes one
+# copy of each chaos fault per shard, so it is pinned per shard count.
 scale-smoke:
 	$(GO) run ./cmd/netsim -nodes 100000 -shards 2 -packets 2000000 -seed 42
-	@for run in 42/2 7/2 42/4; do \
-	  seed=$${run%/*}; shards=$${run#*/}; \
-	  $(GO) run ./cmd/netsim -nodes 100000 -shards $$shards -packets 1000000 -chaos -seed $$seed 2>/dev/null > /tmp/scale-digest.out || exit 1; \
+	@for run in 42/2/7759830 7/2/7859434 42/4/-; do \
+	  seed=$${run%%/*}; rest=$${run#*/}; shards=$${rest%/*}; events=$${rest#*/}; \
+	  $(GO) run ./cmd/netsim -nodes 100000 -shards $$shards -packets 1000000 -chaos -seed $$seed 2>/tmp/scale-digest.err > /tmp/scale-digest.out || { cat /tmp/scale-digest.err; exit 1; }; \
 	  cmp /tmp/scale-digest.out bench/testdata/scale_seed$$seed.txt || { echo "scale-smoke: seed $$seed at $$shards shards: digest differs from bench/testdata/scale_seed$$seed.txt"; exit 1; }; \
+	  [ "$$events" = - ] || grep -q " $$events events in " /tmp/scale-digest.err || { echo "scale-smoke: seed $$seed at $$shards shards: the drain did not execute $$events events:"; cat /tmp/scale-digest.err; exit 1; }; \
 	done; \
 	GOMAXPROCS=1 $(GO) run ./cmd/netsim -nodes 100000 -shards 2 -packets 1000000 -chaos -seed 42 2>/dev/null > /tmp/scale-digest.out || exit 1; \
 	cmp /tmp/scale-digest.out bench/testdata/scale_seed42.txt || { echo "scale-smoke: seed 42 at 2 shards, GOMAXPROCS=1: digest differs from bench/testdata/scale_seed42.txt"; exit 1; }; \
-	echo "scale-smoke: 100k-node chaos digests match bench/testdata (seeds 42+7 on 2 shards, seed 42 on 4, seed 42 on 2 at GOMAXPROCS=1)"
+	echo "scale-smoke: 100k-node chaos digests match bench/testdata (seeds 42+7 on 2 shards, seed 42 on 4, seed 42 on 2 at GOMAXPROCS=1); drain event counts match (seeds 42+7 on 2 shards)"
 	$(GO) run ./cmd/tussle-bench -scale-json /tmp/scale-smoke.json -iters 2
 	$(GO) run ./cmd/tussle-bench -compare -tolerance 0.5 BENCH_scale.json /tmp/scale-smoke.json
 

@@ -333,7 +333,8 @@ func runScale(stdout, stderr io.Writer, nodes, shards, packets int, parallel, ch
 	// Per-shard node and event counts show a skewed partition: the
 	// busiest shard bounds the parallel drain. Handoffs are the packets
 	// the drain moved between shards, each one a heap insert on another
-	// shard's scheduler (at an epoch barrier, under the parallel driver).
+	// shard's scheduler (under the parallel driver, by that shard's
+	// goroutine at the start of the next epoch).
 	var load strings.Builder
 	var busiest uint64
 	for i, sh := range sm.S.Shards {

@@ -36,13 +36,16 @@ import (
 // cross-shard link latency W after it was sent. The parallel driver
 // therefore runs epochs of width W: every shard executes its local
 // events in [T, T+W) concurrently, buffering cross-shard arrivals in
-// per-sender outboxes; at the epoch barrier the outboxes are drained
-// into the destination heaps. Any arrival produced in the epoch lands
-// at time >= T+W — never inside the epoch that produced it — so no
-// shard ever receives an event in its past.
+// per-sender outboxes. Each shard's goroutine schedules the arrivals
+// addressed to it at the start of the next epoch, before it runs its
+// own events, so nothing is inserted serially at the barrier. Any
+// arrival produced in the epoch lands at time >= T+W — never inside the
+// epoch that produced it — and the next epoch's start T' counts the
+// earliest buffered arrival, so no shard ever receives an event in its
+// past.
 
-// arrival is one cross-shard packet handoff buffered at an epoch
-// barrier.
+// arrival is one cross-shard packet handoff, buffered in an outbox
+// until the epoch after the one that produced it.
 type arrival struct {
 	f      *flight
 	to     topology.NodeID
@@ -56,10 +59,19 @@ type Shard struct {
 	ID    int32
 	Sched *sim.Scheduler
 	Net   *Network
-	// out buffers cross-shard arrivals per destination shard during a
-	// parallel epoch. Written only by this shard's goroutine.
-	out [][]arrival
+	// out buffers cross-shard arrivals during parallel epochs, in two
+	// sets by epoch parity, each indexed by destination shard. In an
+	// epoch this shard's goroutine appends to the set of the epoch's
+	// parity, while each destination's goroutine empties its box in the
+	// other set, the one the previous epoch filled.
+	out [2][][]arrival
+	// early is the earliest arrival time buffered in the current epoch
+	// (noArrival if none); written only by this shard's goroutine.
+	early sim.Time
 }
+
+// noArrival is Shard.early when a shard has buffered nothing.
+const noArrival = sim.Time(1<<63 - 1)
 
 // Sharded is a simulation partitioned across K shards.
 type Sharded struct {
@@ -78,6 +90,7 @@ type Sharded struct {
 
 	hasCross   bool
 	inParallel bool
+	parity     int // the outbox set the running epoch fills
 	faultSeq   uint32
 }
 
@@ -103,14 +116,18 @@ func NewSharded(g *topology.Graph, k int) *Sharded {
 		net.keyed = true
 		net.shardOf = part.Table()
 		net.shardID = int32(i)
-		sh := &Shard{ID: int32(i), Sched: sched, Net: net, out: make([][]arrival, part.K)}
+		sh := &Shard{ID: int32(i), Sched: sched, Net: net, early: noArrival}
+		sh.out = [2][][]arrival{make([][]arrival, part.K), make([][]arrival, part.K)}
 		net.handoff = func(f *flight, to topology.NodeID, arrive sim.Time, key uint64) {
 			d := s.Part.ShardOf(to)
-			if s.inParallel {
-				sh.out[d] = append(sh.out[d], arrival{f: f, to: to, arrive: arrive, key: key})
+			a := arrival{f: f, to: to, arrive: arrive, key: key}
+			if !s.inParallel {
+				s.insertArrival(s.Shards[d], a)
 				return
 			}
-			s.insertArrival(s.Shards[d], arrival{f: f, to: to, arrive: arrive, key: key})
+			box := &sh.out[s.parity][d]
+			*box = append(*box, a)
+			sh.early = min(sh.early, arrive)
 		}
 		s.Shards[i] = sh
 	}
@@ -200,19 +217,16 @@ func (s *Sharded) runLockstep(deadline sim.Time) {
 }
 
 // runParallel runs conservative-lookahead epochs: all shards execute
-// [T, T+W) concurrently, then a barrier drains cross-shard outboxes.
+// [T, T+W) concurrently, each first scheduling the arrivals the previous
+// epoch buffered for it. Before it returns, it schedules the last
+// epoch's arrivals too, so that between calls every pending event is in
+// a shard heap.
 func (s *Sharded) runParallel(deadline sim.Time) {
 	var wg sync.WaitGroup
 	for {
-		var start sim.Time
-		found := false
-		for _, sh := range s.Shards {
-			if at, _, ok := sh.Sched.PeekNext(); ok && (!found || at < start) {
-				start, found = at, true
-			}
-		}
+		start, found := s.epochStart()
 		if !found || start > deadline {
-			return
+			break
 		}
 		// Epoch [start, end): no cross-shard links means one epoch
 		// suffices (the shards never interact).
@@ -220,24 +234,52 @@ func (s *Sharded) runParallel(deadline sim.Time) {
 		if s.hasCross && start+s.Window < end {
 			end = start + s.Window
 		}
+		filled := s.parity
+		s.parity ^= 1
 		s.inParallel = true
 		wg.Add(len(s.Shards))
 		for _, sh := range s.Shards {
 			go func(sh *Shard) {
 				defer wg.Done()
+				s.receive(sh, filled)
 				sh.Sched.RunUntil(end - 1)
 			}(sh)
 		}
 		wg.Wait()
 		s.inParallel = false
-		for _, sh := range s.Shards {
-			for d, box := range sh.out {
-				for _, a := range box {
-					s.insertArrival(s.Shards[d], a)
-				}
-				sh.out[d] = box[:0]
-			}
+	}
+	for _, sh := range s.Shards {
+		s.receive(sh, s.parity)
+	}
+}
+
+// epochStart returns the time of the earliest pending event on any
+// shard, counting the arrivals buffered in the epoch just run, and
+// resets every shard's buffered minimum for the next epoch. found is
+// false when nothing is pending anywhere.
+func (s *Sharded) epochStart() (start sim.Time, found bool) {
+	start = noArrival
+	for _, sh := range s.Shards {
+		if at, _, ok := sh.Sched.PeekNext(); ok {
+			start, found = min(start, at), true
 		}
+		if sh.early != noArrival {
+			start, found = min(start, sh.early), true
+			sh.early = noArrival
+		}
+	}
+	return start, found
+}
+
+// receive schedules on dst the arrivals every shard buffered for it in
+// outbox set p, and empties those boxes.
+func (s *Sharded) receive(dst *Shard, p int) {
+	for _, src := range s.Shards {
+		box := src.out[p][dst.ID]
+		for _, a := range box {
+			s.insertArrival(dst, a)
+		}
+		src.out[p][dst.ID] = box[:0]
 	}
 }
 

@@ -163,6 +163,59 @@ func TestHandoffsIndependentOfDriver(t *testing.T) {
 	}
 }
 
+// TestSlicedDrainMatchesOneDrain: a drain cut into RunUntil slices the
+// way bench/simscale.go cuts it (eight slices of the traffic horizon,
+// then Run) ends where one Run ends, under both drivers: the same
+// Render() as one Run on one shard, and the same Processed() and
+// Handoffs() as one Run on as many shards. A slice of the parallel
+// driver can end with cross-shard arrivals still buffered, which
+// RunUntil must schedule before it returns, so after every slice the
+// parallel drain has run and holds pending as many events as the
+// lockstep one, which schedules each arrival at once. Processed() is
+// compared at the same shard count because every shard runs its own
+// copy of each replicated fault event.
+func TestSlicedDrainMatchesOneDrain(t *testing.T) {
+	const slices = 8
+	pending := func(sm *Sim) int {
+		n := 0
+		for _, sh := range sm.S.Shards {
+			n += sh.Sched.Pending()
+		}
+		return n
+	}
+	for _, seed := range []uint64{42, 7} {
+		base := Config{Nodes: 5000, Packets: 10000, Seed: seed, Chaos: true}
+		want := Run(withShards(base, 1, false)).Render()
+		for _, k := range []int{2, 4, 8} {
+			one := Prepare(withShards(base, k, true))
+			oneRes := one.Run()
+			par, lock := Prepare(withShards(base, k, true)), Prepare(withShards(base, k, false))
+			for i := 1; i <= slices; i++ {
+				d := par.Cfg.Horizon * sim.Time(i) / slices
+				par.S.RunUntil(d)
+				lock.S.RunUntil(d)
+				if p, l := pending(par), pending(lock); p != l || par.S.Processed() != lock.S.Processed() {
+					t.Fatalf("seed=%d shards=%d: after slice %d the parallel drain ran %d events and holds %d pending, lockstep %d and %d",
+						seed, k, i, par.S.Processed(), p, lock.S.Processed(), l)
+				}
+			}
+			for _, sm := range []*Sim{par, lock} {
+				r := sm.Run()
+				name := fmt.Sprintf("seed=%d shards=%d parallel=%v", seed, k, sm.Cfg.Parallel)
+				if got := r.Render(); got != want {
+					t.Errorf("%s: sliced drain diverged from one drain on one shard:\n-- want:\n%s-- got:\n%s", name, want, got)
+				}
+				if r.Processed != oneRes.Processed {
+					t.Errorf("%s: sliced drain processed %d events, one drain %d", name, r.Processed, oneRes.Processed)
+				}
+				if got, want := sm.S.Handoffs(), one.S.Handoffs(); got != want {
+					t.Errorf("%s: sliced drain handed off %d packets, one drain %d", name, got, want)
+				}
+			}
+		}
+	}
+}
+
 // referenceNextHopTables builds the tables the plain way: one sequential
 // BFS per sink over the frozen rows, branching on each neighbour's seen
 // flag, with a fresh seen-set and table per sink. It is the oracle the

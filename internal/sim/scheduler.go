@@ -37,13 +37,19 @@ func (t Time) String() string {
 
 // event is one slot in the scheduler's event pool. Slots are recycled
 // through a free list; gen increments on every release so stale EventIDs
-// (and stale heap entries) can never touch a recycled slot's new tenant.
-// The event's ordering key lives only in its heap entry.
+// can never touch a recycled slot's new tenant. The slot holds the
+// event's tie-break, (key, seq), which the heap reads when two entries
+// share a time, so a slot stays with its heap entry until the entry
+// leaves the heap: at dispatch, or, after Cancel has marked it dead,
+// when the heap drains or compacts the entry away. A comparison
+// therefore never reads a recycled slot.
 type event struct {
 	fn   func()
-	born Time // scheduling time, for the obs event-lag span
+	born Time   // scheduling time, for the obs event-lag span
+	key  uint64 // deterministic cross-run tie-breaker (see AtKeyed); 0 for At
+	seq  uint64 // tie-breaker: FIFO among same-time events; globally unique
 	gen  uint32
-	live bool
+	live bool // scheduled and neither dispatched nor cancelled
 }
 
 // EventID identifies a scheduled event so it can be cancelled. The zero
@@ -53,38 +59,31 @@ type EventID struct {
 	gen  uint32
 }
 
-// heapEntry is one element of the scheduler's 4-ary min-heap. The ordering
-// key (at, key, seq) is stored inline so comparisons never chase a
-// pointer. The entry's slot carries, in what would otherwise be padding,
-// the slot's generation when the entry was pushed: the liveness check,
-// since a slot released since then carries a different one. The struct
-// keeps four fields, the most the compiler holds in registers; a fifth
-// would make every heap move go through memory.
+// heapEntry is one element of the scheduler's 4-ary min-heap: the
+// event's time and its pool slot. At 16 bytes, a node's four children
+// fill one 64-byte cache line (see heapPad). Entries order by (at, key,
+// seq); key and seq are read from the slot only when times tie.
 type heapEntry struct {
 	at   Time
-	key  uint64 // deterministic cross-run tie-breaker (see AtKeyed); 0 for At
-	seq  uint64 // tie-breaker: FIFO among same-time events; globally unique
-	slot slotGen
+	slot uint32
 }
 
-// slotGen names a pool slot and one of its generations.
-type slotGen struct{ idx, gen uint32 }
-
-// live reports whether e's event is still scheduled: its slot has not
-// been released, by dispatch or by Cancel, since e was pushed.
-func (s *Scheduler) live(e heapEntry) bool {
-	ev := &s.events[e.slot.idx]
-	return ev.live && ev.gen == e.slot.gen
-}
-
-func entryLess(a, b heapEntry) bool {
+// less orders heap entries by (at, key, seq). seq is globally unique, so
+// the order is strict.
+func (s *Scheduler) less(a, b heapEntry) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
-	if a.key != b.key {
-		return a.key < b.key
+	return s.tieLess(a.slot, b.slot)
+}
+
+// tieLess orders the events in two slots by (key, seq).
+func (s *Scheduler) tieLess(a, b uint32) bool {
+	ea, eb := &s.events[a], &s.events[b]
+	if ea.key != eb.key {
+		return ea.key < eb.key
 	}
-	return a.seq < b.seq
+	return ea.seq < eb.seq
 }
 
 // Scheduler is a discrete-event simulation loop: events execute in
@@ -101,7 +100,7 @@ type Scheduler struct {
 	seq    uint64
 	events []event     // slot pool
 	free   []uint32    // recycled slot indices
-	queue  []heapEntry // 4-ary min-heap by (at, key, seq)
+	queue  []heapEntry // 4-ary min-heap by (at, key, seq); see heapPad
 	dead   int         // cancelled events whose heap entries are not yet drained
 
 	// obs holds the scheduler's observability instruments; nil means
@@ -164,8 +163,9 @@ func (s *Scheduler) acquire() uint32 {
 	return uint32(len(s.events) - 1)
 }
 
-// release recycles a slot, bumping its generation so outstanding
-// EventIDs for the old tenant become inert.
+// release recycles a slot once its heap entry has left the heap,
+// bumping its generation so outstanding EventIDs for the old tenant
+// become inert.
 func (s *Scheduler) release(idx uint32) {
 	ev := &s.events[idx]
 	ev.fn = nil
@@ -196,12 +196,14 @@ func (s *Scheduler) AtKeyed(at Time, key uint64, fn func()) EventID {
 	ev := &s.events[idx]
 	ev.fn = fn
 	ev.born = s.now
+	ev.key = key
+	ev.seq = s.seq
 	ev.live = true
+	s.seq++
 	if s.obs != nil {
 		s.obs.scheduled.Inc()
 	}
-	s.push(heapEntry{at: at, key: key, seq: s.seq, slot: slotGen{idx, ev.gen}})
-	s.seq++
+	s.push(heapEntry{at: at, slot: idx})
 	return EventID{slot: idx + 1, gen: ev.gen}
 }
 
@@ -215,7 +217,8 @@ func (s *Scheduler) After(d Time, fn func()) EventID {
 
 // Cancel prevents a scheduled event from running. Cancelling an already-run
 // or already-cancelled event is a no-op, as is cancelling the zero EventID.
-// The slot is recycled immediately; the heap entry is dropped lazily.
+// The event is marked dead and its callback dropped at once; its heap
+// entry, and with it the slot, is released lazily.
 func (s *Scheduler) Cancel(id EventID) {
 	if id.slot == 0 {
 		return
@@ -228,7 +231,8 @@ func (s *Scheduler) Cancel(id EventID) {
 	if !ev.live || ev.gen != id.gen {
 		return
 	}
-	s.release(idx)
+	ev.fn = nil
+	ev.live = false
 	s.dead++
 	if s.obs != nil {
 		s.obs.cancelled.Inc()
@@ -244,15 +248,17 @@ func (s *Scheduler) maybeCompact() {
 	}
 	kept := s.queue[:0]
 	for _, e := range s.queue {
-		if s.live(e) {
+		if s.events[e.slot].live {
 			kept = append(kept, e)
+		} else {
+			s.release(e.slot)
 		}
 	}
 	s.queue = kept
 	s.dead = 0
-	// Re-establish the heap invariant bottom-up.
-	for i := len(s.queue)/2 - 1; i >= 0; i-- {
-		s.siftDown(i)
+	// Re-establish the heap invariant bottom-up, from the last parent.
+	for i := (len(kept)+2)/4 - 1; i >= 0; i-- {
+		s.fill(i, kept[i])
 	}
 }
 
@@ -261,51 +267,49 @@ func (s *Scheduler) Run() {
 	s.RunUntil(Time(1<<62 - 1))
 }
 
-// popLive removes and returns the earliest live event's (time, callback),
-// draining any dead heap entries on the way. ok is false when no live
-// event remains.
-func (s *Scheduler) popLive() (at Time, fn func(), ok bool) {
+// top returns the earliest live heap entry and its event without
+// removing it, draining and releasing dead entries from the top of the
+// heap. ok is false when no live event remains.
+func (s *Scheduler) top() (e heapEntry, ev *event, ok bool) {
 	for len(s.queue) > 0 {
-		e := s.queue[0]
+		e = s.queue[0]
+		ev = &s.events[e.slot]
+		if ev.live {
+			return e, ev, true
+		}
 		s.pop()
-		if !s.live(e) {
-			s.dead--
-			continue
-		}
-		ev := &s.events[e.slot.idx]
-		at, fn = e.at, ev.fn
-		if s.obs != nil {
-			s.obs.dispatched.Inc()
-			s.obs.lag.Observe(float64(at - ev.born))
-			s.obs.depth.Observe(float64(s.Pending()))
-		}
-		s.release(e.slot.idx)
-		return at, fn, true
+		s.release(e.slot)
+		s.dead--
 	}
-	return 0, nil, false
+	return heapEntry{}, nil, false
 }
 
-// peekLive returns the timestamp of the earliest live event without
-// removing it, draining dead entries from the top of the heap.
-func (s *Scheduler) peekLive() (Time, bool) {
-	at, _, ok := s.PeekNext()
-	return at, ok
+// dispatch removes the live top entry e, whose event is ev, releases its
+// slot and runs the event.
+func (s *Scheduler) dispatch(e heapEntry, ev *event) {
+	s.pop()
+	fn := ev.fn
+	if s.obs != nil {
+		s.obs.dispatched.Inc()
+		s.obs.lag.Observe(float64(e.at - ev.born))
+		s.obs.depth.Observe(float64(s.Pending()))
+	}
+	s.release(e.slot)
+	s.now = e.at
+	s.Processed++
+	fn()
 }
 
 // PeekNext returns the (time, key) of the earliest live event without
 // removing it, draining dead entries from the top of the heap. The
-// sharded lockstep driver uses it to merge K shard schedulers into one
-// global (time, key)-ordered dispatch sequence.
+// sharded drivers use it to merge K shard schedulers into one global
+// (time, key)-ordered dispatch sequence and to find each epoch's start.
 func (s *Scheduler) PeekNext() (Time, uint64, bool) {
-	for len(s.queue) > 0 {
-		e := s.queue[0]
-		if s.live(e) {
-			return e.at, e.key, true
-		}
-		s.pop()
-		s.dead--
+	e, ev, ok := s.top()
+	if !ok {
+		return 0, 0, false
 	}
-	return 0, 0, false
+	return e.at, ev.key, true
 }
 
 // RunUntil executes events with timestamps <= deadline, advances the clock
@@ -313,14 +317,11 @@ func (s *Scheduler) PeekNext() (Time, uint64, bool) {
 // queued.
 func (s *Scheduler) RunUntil(deadline Time) {
 	for {
-		at, ok := s.peekLive()
-		if !ok || at > deadline {
+		e, ev, ok := s.top()
+		if !ok || e.at > deadline {
 			break
 		}
-		_, fn, _ := s.popLive()
-		s.now = at
-		s.Processed++
-		fn()
+		s.dispatch(e, ev)
 	}
 	if s.now < deadline && deadline < Time(1<<62-1) {
 		s.now = deadline
@@ -330,69 +331,140 @@ func (s *Scheduler) RunUntil(deadline Time) {
 // Step executes exactly one live event and returns true, or returns false
 // if the queue is empty.
 func (s *Scheduler) Step() bool {
-	at, fn, ok := s.popLive()
+	e, ev, ok := s.top()
 	if !ok {
 		return false
 	}
-	s.now = at
-	s.Processed++
-	fn()
+	s.dispatch(e, ev)
 	return true
 }
 
-// The queue is a 4-ary min-heap: half the depth of a binary heap, and
-// the four children of a node sit in two adjacent cache lines, so the
-// dominant cost of a pop on a large queue — one cache miss per level —
-// is roughly halved. Heap shape cannot affect dispatch order: entryLess
-// is a strict total order ((at, key, seq) with seq globally unique), so
-// every correct heap yields the same pop sequence.
+// The queue is a 4-ary min-heap: half the depth of a binary heap. Heap
+// shape cannot affect dispatch order: less is a strict total order
+// ((at, key, seq) with seq globally unique), so every correct heap yields
+// the same pop sequence.
+//
+// heapPad is how far into its allocation the heap starts. The children
+// of entry i sit at 4i+1..4i+4, so three 16-byte entries in, every
+// sibling group starts on a 64-byte boundary whenever the allocation
+// does, as every allocation above 32 KiB does: the four children a pop
+// compares at each level share one cache line, and the dominant cost of
+// a pop on a large queue is one cache miss per level.
+const heapPad = 3
+
+// grow doubles the heap's capacity, keeping it heapPad entries into its
+// allocation.
+func (s *Scheduler) grow() {
+	n := len(s.queue)
+	buf := make([]heapEntry, heapPad+n, heapPad+max(2*n, 16))
+	copy(buf[heapPad:], s.queue)
+	s.queue = buf[heapPad:]
+}
 
 // push adds an entry to the heap.
 func (s *Scheduler) push(e heapEntry) {
-	s.queue = append(s.queue, e)
-	// Sift up.
-	i := len(s.queue) - 1
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !entryLess(s.queue[i], s.queue[parent]) {
+	if len(s.queue) == cap(s.queue) {
+		s.grow()
+	}
+	n := len(s.queue)
+	s.queue = s.queue[:n+1]
+	s.up(n, 0, e)
+}
+
+// up puts e in the hole at i, first moving the hole up past every
+// ancestor e precedes, no higher than root.
+func (s *Scheduler) up(i, root int, e heapEntry) {
+	q := s.queue
+	for i > root {
+		p := (i - 1) / 4
+		if !s.less(e, q[p]) {
 			break
 		}
-		s.queue[i], s.queue[parent] = s.queue[parent], s.queue[i]
-		i = parent
+		q[i] = q[p]
+		i = p
 	}
+	q[i] = e
 }
 
 // pop removes the minimum entry from the heap.
 func (s *Scheduler) pop() {
 	n := len(s.queue) - 1
-	s.queue[0] = s.queue[n]
+	last := s.queue[n]
 	s.queue = s.queue[:n]
 	if n > 0 {
-		s.siftDown(0)
+		s.fill(0, last)
 	}
 }
 
-func (s *Scheduler) siftDown(i int) {
-	n := len(s.queue)
+// fill puts e in the hole at i, whose children head heaps. The hole
+// first moves down to a leaf along the least child at each level, then
+// e rises from there, no higher than i. On a pop e comes from the bottom
+// of the heap and belongs near it, so this compares siblings with each
+// other on the way down and e with few ancestors on the way up, instead
+// of e with the least child at every level.
+func (s *Scheduler) fill(i int, e heapEntry) {
+	q := s.queue
+	root := i
 	for {
-		l := 4*i + 1
-		if l >= n {
-			return
+		i = descend(q, i)
+		c := 4*i + 1
+		if c >= len(q) {
+			break
 		}
-		m := l
-		hi := l + 4
-		if hi > n {
-			hi = n
-		}
-		for c := l + 1; c < hi; c++ {
-			if entryLess(s.queue[c], s.queue[m]) {
-				m = c
+		// Fewer than four children, or two that tie for the least time:
+		// pick by the full order.
+		m := c
+		for k := c + 1; k < min(c+4, len(q)); k++ {
+			if s.less(q[k], q[m]) {
+				m = k
 			}
 		}
-		if !entryLess(s.queue[m], s.queue[i]) {
-			return
-		}
-		s.queue[i], s.queue[m] = s.queue[m], s.queue[i]
+		q[i] = q[m]
 		i = m
 	}
+	s.up(i, root, e)
+}
+
+// descend moves the hole at i down the heap q to the least of four
+// children at each level, and returns where the hole stops: at a node
+// with fewer than four children, or at one whose least child time is
+// shared by a sibling, which only the slots' (key, seq) can order.
+func descend(q []heapEntry, i int) int {
+	n := len(q)
+	for {
+		c := 4*i + 1
+		if c+4 > n {
+			return i
+		}
+		g := (*[4]heapEntry)(q[c : c+4])
+		k := minChild4(g[0].at, g[1].at, g[2].at, g[3].at)
+		if tied(g, g[k].at) {
+			return i
+		}
+		q[i] = g[k]
+		i = c + k
+	}
+}
+
+// minChild4 returns the position of the earliest of four sibling times.
+// It has no branches: the compiler turns each comparison into a flag
+// and each min into a conditional move, so a pop's descent does not
+// mispredict on random times. The winning pair is chosen by a mask,
+// k01 ^ (k01^k23)&-flag, because an if here compiles back to a branch.
+func minChild4(a0, a1, a2, a3 Time) int {
+	k01, k23 := b2i(a1 < a0), 2+b2i(a3 < a2)
+	return (k01 ^ (k01^k23)&-b2i(min(a2, a3) < min(a0, a1))) & 3
+}
+
+// tied reports whether more than one of four sibling entries falls at
+// time m.
+func tied(g *[4]heapEntry, m Time) bool {
+	return b2i(g[0].at == m)+b2i(g[1].at == m)+b2i(g[2].at == m)+b2i(g[3].at == m) > 1
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

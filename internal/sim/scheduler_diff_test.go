@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"testing"
@@ -96,9 +97,107 @@ func (r *refScheduler) runUntil(deadline Time) {
 // when they run, at a delay of 0 included; cancels hit pending, already
 // run, already cancelled (stale) and zero IDs; and bursts of scheduling
 // followed by mass cancels drive the heap's compaction.
+//
+// The deep subtests hold at least 50,000 pending events; see
+// checkDeepHeap.
 func TestSchedulerMatchesReference(t *testing.T) {
 	for seed := uint64(1); seed <= 20; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { checkAgainstReference(t, seed, 2000) })
+	}
+	for seed := uint64(1); seed <= 3; seed++ {
+		t.Run(fmt.Sprintf("deep/seed=%d", seed), func(t *testing.T) { checkDeepHeap(t, seed, 50_000) })
+	}
+}
+
+// checkDeepHeap drives the scheduler through heaps of at least depth
+// pending events, far deeper than checkAgainstReference's. Each round
+// tops the heap up: most times are distinct, drawn from a wide window,
+// and one in eight falls on one of 64 shared ticks, so sibling entries
+// tie on time and the heap must order them by (key, seq). It then
+// cancels a tenth of what is pending and re-arms each cancelled event,
+// half of them at its old time and key, while the dead entries are
+// still queued, and runs until a deadline inside the window. No event
+// schedules another, so the oracle is a sort: RunUntil(d) must run
+// exactly the pending events at or before d, in (at, key, seq) order.
+func checkDeepHeap(t *testing.T, seed uint64, depth int) {
+	rng := NewRNG(seed)
+	s := NewScheduler()
+	var ran, want []int
+	var ids []EventID      // by label
+	var pending []refEvent // the oracle's; cancelled labels are skipped at the next sort
+	cancelled := map[int]bool{}
+	var seq uint64
+	schedule := func(at Time, key uint64) {
+		label := len(ids)
+		ids = append(ids, s.AtKeyed(at, key, func() { ran = append(ran, label) }))
+		pending = append(pending, refEvent{at: at, key: key, seq: seq, label: label})
+		seq++
+	}
+	const window = 1 << 24
+	// sortPending drops cancelled events from the oracle and sorts the
+	// rest into dispatch order.
+	sortPending := func() {
+		pending = slices.DeleteFunc(pending, func(e refEvent) bool { return cancelled[e.label] })
+		slices.SortFunc(pending, func(a, b refEvent) int {
+			if a.at != b.at {
+				return cmp.Compare(a.at, b.at)
+			}
+			if a.key != b.key {
+				return cmp.Compare(a.key, b.key)
+			}
+			return cmp.Compare(a.seq, b.seq)
+		})
+	}
+	for round := 0; round < 6; round++ {
+		for s.Pending() < depth {
+			at := s.Now() + 1 + Time(rng.Intn(window))
+			if rng.Bool(0.125) {
+				at = s.Now() + Time(1+rng.Intn(64))*(window/64)
+			}
+			schedule(at, uint64(rng.Intn(4)))
+		}
+		sortPending()
+		if s.Pending() != len(pending) {
+			t.Fatalf("round %d: Pending() = %d, reference %d", round, s.Pending(), len(pending))
+		}
+		for _, e := range pending {
+			if !rng.Bool(0.1) {
+				continue
+			}
+			s.Cancel(ids[e.label])
+			cancelled[e.label] = true
+			if rng.Bool(0.5) {
+				schedule(e.at, e.key)
+			} else {
+				schedule(s.Now()+1+Time(rng.Intn(window)), e.key)
+			}
+		}
+		if s.dead == 0 {
+			t.Fatalf("round %d: no cancelled entry is still queued", round)
+		}
+		sortPending()
+		d := s.Now() + Time(rng.Intn(window/2))
+		s.RunUntil(d)
+		n := 0
+		for n < len(pending) && pending[n].at <= d {
+			want = append(want, pending[n].label)
+			n++
+		}
+		pending = pending[n:]
+		if !slices.Equal(ran, want) {
+			t.Fatalf("round %d: ran %v,\nreference ran %v", round, tail(ran), tail(want))
+		}
+		if s.Pending() != len(pending) {
+			t.Fatalf("round %d: Pending() = %d after RunUntil, reference %d", round, s.Pending(), len(pending))
+		}
+	}
+	s.Run()
+	sortPending()
+	for _, e := range pending {
+		want = append(want, e.label)
+	}
+	if !slices.Equal(ran, want) {
+		t.Fatalf("final drain: ran %v,\nreference ran %v", tail(ran), tail(want))
 	}
 }
 

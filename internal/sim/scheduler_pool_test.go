@@ -156,3 +156,31 @@ func TestSchedulerCancelZeroID(t *testing.T) {
 		t.Fatal("Cancel of zero EventID killed a live event")
 	}
 }
+
+// A cancelled event's slot stays with its heap entry until the entry
+// leaves the heap, so a same-time comparison never reads the (key, seq)
+// of a recycled slot: no event scheduled meanwhile is given the slot,
+// and it is reissued only once the dead entry has been drained.
+func TestSchedulerCancelledSlotHeldWhileQueued(t *testing.T) {
+	s := NewScheduler()
+	dead := s.At(10, func() {})
+	s.Cancel(dead)
+	for i := 0; i < 100; i++ {
+		if id := s.At(Time(20+i), func() {}); id.slot == dead.slot {
+			t.Fatalf("event %d was given the cancelled event's slot while its entry is queued", i)
+		}
+	}
+	s.RunUntil(10) // drains the dead entry; nothing runs
+	if s.Processed != 0 || s.dead != 0 {
+		t.Fatalf("RunUntil(10) ran %d events and left %d dead entries, want 0 and 0", s.Processed, s.dead)
+	}
+	ran := false
+	if id := s.At(15, func() { ran = true }); id.slot != dead.slot {
+		t.Fatalf("the drained slot %d was not reissued; the next event got slot %d", dead.slot, id.slot)
+	}
+	s.Cancel(dead) // stale: must not cancel the slot's new tenant
+	s.Run()
+	if !ran {
+		t.Fatal("a stale Cancel killed the slot's new tenant")
+	}
+}

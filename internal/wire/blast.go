@@ -19,12 +19,17 @@ import (
 
 const (
 	// blastWindow is the maximum outstanding (sent minus echoed)
-	// datagrams in echo mode — comfortably inside a default UDP receive
-	// buffer for small packets.
+	// datagrams in echo mode; the client's receive buffer is sized to
+	// hold that many echoes.
 	blastWindow = 256
-	// blastTimeout is the per-read echo deadline; expiry writes off the
-	// outstanding window as lost.
+	// blastTimeout is the per-read echo deadline while datagrams remain
+	// to be sent; expiry writes off the outstanding window as lost.
 	blastTimeout = 2 * time.Second
+	// blastTailIdle is the per-read echo deadline once every datagram is
+	// sent: echoes that have not come back after this long without any
+	// echo are lost. A lost datagram stays outstanding until a deadline
+	// writes it off, so every lossy run ends with one expiry.
+	blastTailIdle = 100 * time.Millisecond
 )
 
 // BlastConfig configures one blast run.
@@ -134,6 +139,13 @@ func blastConn(cfg *BlastConfig, count int) (BlastResult, error) {
 	}
 	conn := pc.(*net.UDPConn)
 	defer conn.Close()
+	if cfg.Echo {
+		// Room for a whole window of echoes: a full window of small
+		// loopback echoes can overflow the default 208 KiB queue.
+		if err := conn.SetReadBuffer(blastWindow * slotSize); err != nil {
+			return r, fmt.Errorf("wire: blast receive buffer: %w", err)
+		}
+	}
 
 	tx, err := newTxBatch(conn, Batch)
 	if err != nil {
@@ -189,7 +201,11 @@ func blastConn(cfg *BlastConfig, count int) (BlastResult, error) {
 			continue
 		}
 		// Drain echoes.
-		if err := conn.SetReadDeadline(time.Now().Add(blastTimeout)); err != nil {
+		wait := blastTimeout
+		if progress == count {
+			wait = blastTailIdle
+		}
+		if err := conn.SetReadDeadline(time.Now().Add(wait)); err != nil {
 			return r, err
 		}
 		n, err := rx.recv()
