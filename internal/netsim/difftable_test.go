@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/sim"
@@ -32,26 +34,25 @@ func refKey(a, b topology.NodeID) [2]topology.NodeID {
 }
 
 // backlog is NodeBacklog by a scan of every link: the largest backlog
-// on a live link out of id, in the direction leaving id.
+// on a live link out of id, in the direction leaving id, which is the
+// backlog entry of the link's place in id's adjacency row.
 func (m *refModel) backlog(n *Network, id topology.NodeID) sim.Time {
+	_, row := n.lt.adj.Row(id)
+	out := int(n.Node(id).out)
 	var worst sim.Time
 	for i, l := range n.Graph.Links {
 		if (l.A != id && l.B != id) || m.failed[refKey(l.A, l.B)] {
 			continue
 		}
-		di := 2 * i
-		if l.B == id {
-			di++
-		}
-		worst = max(worst, n.lt.busy[di]-n.Sched.Now())
+		worst = max(worst, n.lt.busy[out+slices.Index(row, int32(i))]-n.Sched.Now())
 	}
 	return worst
 }
 
 // checkAgainst compares every observable of the dense tables with the
-// reference: per-link failure state (query and dense row), link-index
-// lookups in both directions, each node's backlog, the crashed-node
-// flags, and the impairment table's nil-when-empty contract.
+// reference: per-link failure state (query and dense flags), link-index
+// lookups in both directions, the backlog of each node n runs, the
+// crashed-node flags of every node, and the impairment flags and table.
 func (m *refModel) checkAgainst(t *testing.T, n *Network, step int) {
 	t.Helper()
 	g := n.Graph
@@ -60,8 +61,8 @@ func (m *refModel) checkAgainst(t *testing.T, n *Network, step int) {
 		if got := n.LinkFailed(l.A, l.B); got != want {
 			t.Fatalf("step %d: LinkFailed(%d,%d) = %v, ref %v", step, l.A, l.B, got, want)
 		}
-		if got := n.lt.failed[i]; got != want {
-			t.Fatalf("step %d: dense failed[%d] (%d–%d) = %v, ref %v", step, i, l.A, l.B, got, want)
+		if got := n.lt.flags[i]&linkDown != 0; got != want {
+			t.Fatalf("step %d: dense linkDown[%d] (%d–%d) = %v, ref %v", step, i, l.A, l.B, got, want)
 		}
 		li := n.linkIndex(l.A, l.B)
 		if li != int32(i) {
@@ -72,8 +73,11 @@ func (m *refModel) checkAgainst(t *testing.T, n *Network, step int) {
 		}
 	}
 	for _, id := range g.NodeIDs() {
-		if got, want := n.NodeBacklog(id), m.backlog(n, id); got != want {
-			t.Fatalf("step %d: NodeBacklog(%d) = %v, scan of the links %v", step, id, got, want)
+		// A node another shard runs has no backlog here, only fault flags.
+		if n.slot[id] >= 0 {
+			if got, want := n.NodeBacklog(id), m.backlog(n, id); got != want {
+				t.Fatalf("step %d: NodeBacklog(%d) = %v, scan of the links %v", step, id, got, want)
+			}
 		}
 		if got, want := n.NodeFailed(id), m.down[id]; got != want {
 			t.Fatalf("step %d: NodeFailed(%d) = %v, ref %v", step, id, got, want)
@@ -85,15 +89,13 @@ func (m *refModel) checkAgainst(t *testing.T, n *Network, step int) {
 	if n.ImpairedLinks() != len(m.impaired) {
 		t.Fatalf("step %d: ImpairedLinks = %d, ref %d", step, n.ImpairedLinks(), len(m.impaired))
 	}
-	if len(m.impaired) == 0 {
-		if n.impair != nil {
-			t.Fatalf("step %d: impair table non-nil with no impairments (healthy fast path lost)", step)
+	for i, l := range g.Links {
+		want := m.impaired[refKey(l.A, l.B)]
+		if got := n.lt.flags[i]&linkImpaired != 0; got != want {
+			t.Fatalf("step %d: dense linkImpaired[%d] (%d–%d) = %v, ref %v", step, i, l.A, l.B, got, want)
 		}
-	} else {
-		for i, l := range g.Links {
-			if got, want := n.impair[i] != nil, m.impaired[refKey(l.A, l.B)]; got != want {
-				t.Fatalf("step %d: dense impair[%d] (%d–%d) present=%v, ref %v", step, i, l.A, l.B, got, want)
-			}
+		if got := n.impair[int32(i)] != nil; got != want {
+			t.Fatalf("step %d: impair[%d] (%d–%d) present=%v, ref %v", step, i, l.A, l.B, got, want)
 		}
 	}
 }
@@ -103,21 +105,52 @@ func (m *refModel) checkAgainst(t *testing.T, n *Network, step int) {
 // comparing the dense link/failure/impairment tables against the
 // map reference after every operation. Mutations naming a link or node
 // the topology does not have must panic and change nothing; queries on
-// them report false.
+// them report false. The schedule runs on one network and, as FaultAt
+// replicates faults, on every shard of 2- and 4-shard groups, whose
+// fault tables must each match the reference for every node and link.
 func TestLinkTableMatchesReference(t *testing.T) {
+	t.Run("unsharded", func(t *testing.T) {
+		linkTableSchedule(t, func(g *topology.Graph) []*Network {
+			return []*Network{New(sim.NewScheduler(), g)}
+		})
+	})
+	for _, k := range []int{2, 4} {
+		t.Run(fmt.Sprintf("shards=%d", k), func(t *testing.T) {
+			linkTableSchedule(t, func(g *topology.Graph) []*Network {
+				s := NewSharded(g, k)
+				nets := make([]*Network, len(s.Shards))
+				for i, sh := range s.Shards {
+					nets[i] = sh.Net
+				}
+				return nets
+			})
+		})
+	}
+}
+
+// linkTableSchedule runs the reference schedule on the networks build
+// returns for the schedule's topology, applying every operation to each.
+func linkTableSchedule(t *testing.T, build func(*topology.Graph) []*Network) {
 	rng := sim.NewRNG(20260806)
 	g := topology.GenerateHierarchy(topology.HierarchyConfig{
 		Tier1: 2, Tier2: 3, Stubs: 6,
 		MultihomeProb: 0.5, PeerProb: 0.3,
 		BaseLatency: 5 * sim.Millisecond,
 	}, rng.Fork())
-	n := New(sim.NewScheduler(), g)
+	nets := build(g)
 	// Distinct backlogs on every directed link, from an RNG of their own so
 	// the operation schedule stays as it was, give NodeBacklog a maximum to
 	// find.
 	busy := sim.NewRNG(7)
-	for i := range n.lt.busy {
-		n.lt.busy[i] = sim.Time(1 + busy.Intn(1000))
+	for _, n := range nets {
+		for i := range n.lt.busy {
+			n.lt.busy[i] = sim.Time(1 + busy.Intn(1000))
+		}
+	}
+	each := func(op func(n *Network)) {
+		for _, n := range nets {
+			op(n)
+		}
 	}
 	ref := newRefModel()
 	ids := g.NodeIDs()
@@ -136,71 +169,87 @@ func TestLinkTableMatchesReference(t *testing.T) {
 		}
 	}
 
-	ref.checkAgainst(t, n, -1)
+	check := func(step int) {
+		for _, n := range nets {
+			ref.checkAgainst(t, n, step)
+		}
+	}
+	check(-1)
 	for step := 0; step < 400; step++ {
 		switch rng.Intn(8) {
 		case 0:
 			l := pickLink()
-			n.FailLink(l.A, l.B)
+			each(func(n *Network) { n.FailLink(l.A, l.B) })
 			ref.failed[refKey(l.A, l.B)] = true
 		case 1:
 			l := pickLink()
-			n.RestoreLink(l.A, l.B)
+			each(func(n *Network) { n.RestoreLink(l.A, l.B) })
 			delete(ref.failed, refKey(l.A, l.B))
 		case 2:
 			id := pickNode()
-			n.FailNode(id)
+			each(func(n *Network) { n.FailNode(id) })
 			ref.down[id] = true
 		case 3:
 			id := pickNode()
-			n.RecoverNode(id)
+			each(func(n *Network) { n.RecoverNode(id) })
 			delete(ref.down, id)
 		case 4:
 			l := pickLink()
-			n.ImpairLink(l.A, l.B, LinkImpairment{Corrupt: 0.1}, rng.Fork())
+			imp := rng.Fork()
+			each(func(n *Network) { n.ImpairLink(l.A, l.B, LinkImpairment{Corrupt: 0.1}, imp) })
 			ref.impaired[refKey(l.A, l.B)] = true
 		case 5:
 			l := pickLink()
-			n.ClearImpairment(l.A, l.B)
+			each(func(n *Network) { n.ClearImpairment(l.A, l.B) })
 			delete(ref.impaired, refKey(l.A, l.B))
 		case 6:
 			a, b := pickNonLink()
-			switch rng.Intn(4) {
-			case 0:
-				mustPanic(t, "FailLink", func() { n.FailLink(a, b) })
-			case 1:
-				mustPanic(t, "RestoreLink", func() { n.RestoreLink(a, b) })
-			case 2:
-				mustPanic(t, "ImpairLink", func() { n.ImpairLink(a, b, LinkImpairment{Corrupt: 0.1}, nil) })
-			default:
-				mustPanic(t, "ClearImpairment", func() { n.ClearImpairment(a, b) })
-			}
-			if n.LinkFailed(a, b) || n.LinkFailed(b, a) {
-				t.Fatalf("step %d: LinkFailed(%d,%d) = true for a pair with no link", step, a, b)
-			}
+			op := rng.Intn(4)
+			each(func(n *Network) {
+				switch op {
+				case 0:
+					mustPanic(t, "FailLink", func() { n.FailLink(a, b) })
+				case 1:
+					mustPanic(t, "RestoreLink", func() { n.RestoreLink(a, b) })
+				case 2:
+					mustPanic(t, "ImpairLink", func() { n.ImpairLink(a, b, LinkImpairment{Corrupt: 0.1}, nil) })
+				default:
+					mustPanic(t, "ClearImpairment", func() { n.ClearImpairment(a, b) })
+				}
+				if n.LinkFailed(a, b) || n.LinkFailed(b, a) {
+					t.Fatalf("step %d: LinkFailed(%d,%d) = true for a pair with no link", step, a, b)
+				}
+			})
 		case 7:
 			// Node 0 is inside the dense tables but not in the topology.
 			id := []topology.NodeID{0, unknown, unknown + 5}[rng.Intn(3)]
-			if rng.Bool(0.5) {
-				mustPanic(t, "FailNode", func() { n.FailNode(id) })
-			} else {
-				mustPanic(t, "RecoverNode", func() { n.RecoverNode(id) })
-			}
-			if n.NodeFailed(id) {
-				t.Fatalf("step %d: NodeFailed(%d) = true for an unknown node", step, id)
-			}
+			fail := rng.Bool(0.5)
+			each(func(n *Network) {
+				if fail {
+					mustPanic(t, "FailNode", func() { n.FailNode(id) })
+				} else {
+					mustPanic(t, "RecoverNode", func() { n.RecoverNode(id) })
+				}
+				if n.NodeFailed(id) {
+					t.Fatalf("step %d: NodeFailed(%d) = true for an unknown node", step, id)
+				}
+			})
 		}
-		ref.checkAgainst(t, n, step)
+		check(step)
 	}
 }
 
 // mustPanic fails the test unless fn panics.
 func mustPanic(t *testing.T, what string, fn func()) {
 	t.Helper()
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("%s on a missing element did not panic", what)
-		}
-	}()
+	if !panics(fn) {
+		t.Fatalf("%s on a missing element did not panic", what)
+	}
+}
+
+// panics reports whether fn panics.
+func panics(fn func()) (panicked bool) {
+	defer func() { panicked = recover() != nil }()
 	fn()
+	return false
 }

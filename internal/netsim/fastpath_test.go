@@ -22,20 +22,35 @@ func linearNet(tb testing.TB, nodes int) (*Network, *sim.Scheduler) {
 	g := topology.Linear(nodes, sim.Millisecond)
 	n := New(sched, g)
 	for id := topology.NodeID(1); id <= topology.NodeID(nodes); id++ {
-		id := id
-		n.Node(id).Route = func(dst packet.Addr, tip *packet.TIP) (topology.NodeID, bool) {
-			d := topology.NodeID(dst.Provider())
-			switch {
-			case d == id:
-				return id, true
-			case d > id:
-				return id + 1, true
-			default:
-				return id - 1, true
-			}
-		}
+		n.Node(id).Route = chainRoute(id)
 	}
 	return n, sched
+}
+
+// shardedChain is linearNet on k shards, each node's route on the shard
+// that runs it. The degree-balanced partition deals the chain's inner
+// nodes to the shards in turn, so at k = 2 nearly every hop is a handoff.
+func shardedChain(nodes, k int) *Sharded {
+	s := NewSharded(topology.Linear(nodes, sim.Millisecond), k)
+	for id := topology.NodeID(1); id <= topology.NodeID(nodes); id++ {
+		s.Owner(id).Node(id).Route = chainRoute(id)
+	}
+	return s
+}
+
+// chainRoute is node id's shortest-path route on a chain.
+func chainRoute(id topology.NodeID) RouteFunc {
+	return func(dst packet.Addr, tip *packet.TIP) (topology.NodeID, bool) {
+		d := topology.NodeID(dst.Provider())
+		switch {
+		case d == id:
+			return id, true
+		case d > id:
+			return id + 1, true
+		default:
+			return id - 1, true
+		}
+	}
 }
 
 func rawPacket(tb testing.TB, src, dst topology.NodeID, ttl uint8, payload int) []byte {
@@ -51,16 +66,30 @@ func rawPacket(tb testing.TB, src, dst topology.NodeID, ttl uint8, payload int) 
 }
 
 // sendAllocs measures steady-state allocations for one full packet
-// lifetime across a chain of the given length.
-func sendAllocs(t *testing.T, nodes int) float64 {
-	n, sched := linearNet(t, nodes)
-	n.TraceEventCap = nodes + 2
+// lifetime across a chain of the given length: on one network, or, when
+// shards > 0, on a lockstep group of that many shards.
+func sendAllocs(t *testing.T, nodes, shards int) float64 {
+	var launch func([]byte) *Trace
+	var drain func()
+	if shards == 0 {
+		n, sched := linearNet(t, nodes)
+		n.TraceEventCap = nodes + 2
+		launch = func(b []byte) *Trace { return n.Send(1, b) }
+		drain = sched.Run
+	} else {
+		s := shardedChain(nodes, shards)
+		for _, sh := range s.Shards {
+			sh.Net.TraceEventCap = nodes + 2
+		}
+		launch = func(b []byte) *Trace { return s.Send(1, b) }
+		drain = s.Run
+	}
 	pristine := rawPacket(t, 1, topology.NodeID(nodes), uint8(nodes+8), 64)
 	buf := make([]byte, len(pristine))
 	send := func() {
 		copy(buf, pristine) // restore the TTL the previous run decremented
-		tr := n.Send(1, buf)
-		sched.Run()
+		tr := launch(buf)
+		drain()
 		if !tr.Delivered {
 			t.Fatalf("drop on %d-node chain: %s", nodes, tr.DropReason)
 		}
@@ -74,8 +103,8 @@ func sendAllocs(t *testing.T, nodes int) float64 {
 // A steady-state forward hop must not allocate: total allocations per
 // packet are a constant (trace + event slab), independent of path length.
 func TestForwardHopZeroAlloc(t *testing.T) {
-	short := sendAllocs(t, 8)
-	long := sendAllocs(t, 40)
+	short := sendAllocs(t, 8, 0)
+	long := sendAllocs(t, 40, 0)
 	if long != short {
 		t.Fatalf("per-packet allocs grew with path length: %.1f on 8 nodes vs %.1f on 40 nodes — forward hop is not zero-alloc",
 			short, long)
@@ -83,6 +112,19 @@ func TestForwardHopZeroAlloc(t *testing.T) {
 	// The per-packet constant: Trace struct + pre-sized event slab.
 	if short > 2 {
 		t.Fatalf("steady-state packet cost %.1f allocs, want <= 2 (Trace + event slab)", short)
+	}
+	// Keyed hops and cross-shard handoffs: on 2 shards nearly every hop
+	// changes shard.
+	short = sendAllocs(t, 8, 2)
+	long = sendAllocs(t, 40, 2)
+	if long != short {
+		t.Fatalf("per-packet allocs grew with path length on 2 shards: %.1f on 8 nodes vs %.1f on 40 nodes — a keyed hop or handoff allocates",
+			short, long)
+	}
+	// The packet ends on the other shard, whose free list keeps its flight,
+	// so each send also builds a flight and its step closure.
+	if short > 4 {
+		t.Fatalf("steady-state packet cost on 2 shards %.1f allocs, want <= 4 (Trace + event slab + flight + closure)", short)
 	}
 }
 

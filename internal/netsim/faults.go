@@ -14,8 +14,10 @@ import (
 // packet died and why, as far as the devices on its path disclose it.
 //
 // Fault state lives only in the dense tables the forwarding path reads.
-// The mutations below panic on a link or node the topology does not
-// have, as Node does for an unknown ID; the queries report false.
+// Those tables cover the whole topology, so the calls below work on any
+// node or link, including on a shard that does not run the node. The
+// mutations panic on a link or node the topology does not have, as Node
+// does for an unknown ID; the queries report false.
 
 // mustLink returns the link index of a–b, panicking when the topology
 // has no such link (a wiring bug).
@@ -27,18 +29,26 @@ func (n *Network) mustLink(a, b topology.NodeID) int32 {
 	return li
 }
 
+// mustNode returns id, panicking when the topology has no such node.
+func (n *Network) mustNode(id topology.NodeID) topology.NodeID {
+	if int(id) >= len(n.slot) || n.slot[id] == notNode {
+		panic(fmt.Sprintf("netsim: unknown node %d", id))
+	}
+	return id
+}
+
 // FailLink marks the link between a and b down in both directions.
 // Transit over a failed link drops with reason "link-down".
-func (n *Network) FailLink(a, b topology.NodeID) { n.lt.failed[n.mustLink(a, b)] = true }
+func (n *Network) FailLink(a, b topology.NodeID) { n.lt.flags[n.mustLink(a, b)] |= linkDown }
 
 // RestoreLink brings a failed link back.
-func (n *Network) RestoreLink(a, b topology.NodeID) { n.lt.failed[n.mustLink(a, b)] = false }
+func (n *Network) RestoreLink(a, b topology.NodeID) { n.lt.flags[n.mustLink(a, b)] &^= linkDown }
 
 // LinkFailed reports whether the link between a and b exists and is
 // currently down.
 func (n *Network) LinkFailed(a, b topology.NodeID) bool {
 	li := n.linkIndex(a, b)
-	return li >= 0 && n.lt.failed[li]
+	return li >= 0 && n.lt.flags[li]&linkDown != 0
 }
 
 // FailNode crashes a node: it stops forwarding, delivering, and
@@ -47,13 +57,13 @@ func (n *Network) LinkFailed(a, b topology.NodeID) bool {
 // error reports); packets subsequently routed at a live neighbor toward
 // the dead one are dropped at the neighbor with reason "peer-down" (the
 // keepalive-loss detection that lets diagnostics localize the crash).
-func (n *Network) FailNode(id topology.NodeID) { n.nodeDown[n.Node(id).ID] = true }
+func (n *Network) FailNode(id topology.NodeID) { n.nodeDown[n.mustNode(id)] = true }
 
 // RecoverNode brings a crashed node back. Its routing state (RouteFunc,
 // middleboxes, counters) is whatever it was before the crash; protocols
 // that want to model cold-start reconvergence do so via their fault
 // observers.
-func (n *Network) RecoverNode(id topology.NodeID) { n.nodeDown[n.Node(id).ID] = false }
+func (n *Network) RecoverNode(id topology.NodeID) { n.nodeDown[n.mustNode(id)] = false }
 
 // NodeFailed reports whether the node exists and is currently crashed.
 func (n *Network) NodeFailed(id topology.NodeID) bool {
@@ -99,53 +109,42 @@ func (n *Network) ImpairLink(a, b topology.NodeID, imp LinkImpairment, rng *sim.
 		imp.dirRNG[1] = rng.StreamFork(1)
 	}
 	if n.impair == nil {
-		n.impair = make([]*LinkImpairment, len(n.Graph.Links))
-	}
-	if n.impair[li] == nil {
-		n.impaired++
+		n.impair = make(map[int32]*LinkImpairment)
 	}
 	n.impair[li] = &imp
+	n.lt.flags[li] |= linkImpaired
 }
 
 // ClearImpairment removes the impairment on the link between a and b.
-// The table goes back to nil with the last impairment, so the healthy
-// fast path is again a single nil check.
 func (n *Network) ClearImpairment(a, b topology.NodeID) {
 	li := n.mustLink(a, b)
-	if n.impair == nil || n.impair[li] == nil {
-		return
-	}
-	n.impair[li] = nil
-	n.impaired--
-	if n.impaired == 0 {
-		n.impair = nil
-	}
+	delete(n.impair, li)
+	n.lt.flags[li] &^= linkImpaired
 }
 
 // ImpairedLinks returns the number of links with an active packet
 // impairment installed. Reachability checks use it to gate expectations:
 // a corrupting link can legitimately kill a probe between nodes that are
 // topologically connected.
-func (n *Network) ImpairedLinks() int { return n.impaired }
+func (n *Network) ImpairedLinks() int { return len(n.impair) }
 
 // NodeBacklog returns the largest outbound transmission backlog across
 // the node's live adjacent links: how long a packet admitted now on the
 // busiest of them would wait before its serialization starts. It is a
 // cheap local congestion signal for QoS devices (load shedding keyed on
-// egress pressure).
+// egress pressure). Like Node, it panics on a node this network does
+// not run.
 func (n *Network) NodeBacklog(id topology.NodeID) sim.Time {
+	nd := n.Node(id)
 	now := n.Sched.Now()
 	var worst sim.Time
 	_, links := n.lt.adj.Row(id)
-	for _, li := range links {
-		if n.lt.failed[li] {
+	busy := n.lt.busy[nd.out:]
+	for p, li := range links {
+		if n.lt.flags[li]&linkDown != 0 {
 			continue
 		}
-		di := 2 * int(li)
-		if n.Graph.Links[li].A != id {
-			di++
-		}
-		if b := n.lt.busy[di] - now; b > worst {
+		if b := busy[p] - now; b > worst {
 			worst = b
 		}
 	}

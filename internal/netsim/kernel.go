@@ -121,13 +121,14 @@ func dropped(kind DropKind) Decision {
 // wire dataplane owns one per worker.
 type Forwarder struct {
 	ID topology.NodeID
+	// HonorSourceRoutes controls whether this node obeys source-route
+	// options — the provider's side of the §V-A4 tussle. A provider
+	// that does not honor them forwards by its own routing only. It sits
+	// beside ID so the two share a word.
+	HonorSourceRoutes bool
 
 	// Route computes next hops; nil means the node can only deliver.
 	Route RouteFunc
-	// HonorSourceRoutes controls whether this node obeys source-route
-	// options — the provider's side of the §V-A4 tussle. A provider
-	// that does not honor them forwards by its own routing only.
-	HonorSourceRoutes bool
 	// srcRoutePolicy, when set, admits source routes: a compiled,
 	// metered program evaluated per packet on the policy VM (see
 	// UseSourceRoutePolicy). The `paid` policy is §V-A4's

@@ -114,33 +114,58 @@ type Node struct {
 
 	// Deliver handles locally-destined traffic (after middleboxes).
 	Deliver DeliverFunc
+
+	// keySeq is the node's per-origin event-key sequence (see nextKey).
+	// out is the index in the network's backlog table of
+	// the node's first row entry: the backlog toward the neighbour at
+	// position p of the node's adjacency row is busy[out+p].
+	keySeq uint32
+	out    int32
 }
 
 // linkTable is the dense forwarding-plane view of the topology: the
-// graph's frozen adjacency, per-directed-link transmission backlog, and
-// per-link failure flags. It is built once from the Graph in New; the
-// topology is fixed from then on.
+// graph's frozen adjacency, the transmission backlog of each directed
+// link out of a node the network runs, and per-link fault flags. It is
+// built once from the Graph in New; the topology is fixed from then on.
 type linkTable struct {
-	adj    *topology.Adjacency // shared with the Graph and every shard
-	busy   []sim.Time          // indexed by 2*linkIdx (+1 for the B→A direction)
-	failed []bool              // indexed by linkIdx
+	adj  *topology.Adjacency // shared with the Graph and every shard
+	busy []sim.Time          // by Node.out plus row position
+	// flags holds each link's linkDown and linkImpaired bits, indexed by
+	// link index. Every shard keeps a full copy (see Sharded).
+	flags []uint8
 }
+
+// Link fault flags.
+const (
+	linkDown     uint8 = 1 << iota // the link is failed: transit drops "link-down"
+	linkImpaired                   // the link has an entry in Network.impair
+)
+
+// Slot table entries below zero: IDs a network does not run.
+const (
+	notNode int32 = -1 // the topology has no such node
+	remote  int32 = -2 // another shard of the group runs the node
+)
 
 // Network is the assembled simulator.
 //
-// Node state lives in a flat arena ([]Node) indexed through the dense
-// nodesByID table. The same struct-of-arrays discipline covers the rest
-// of the hot state: transmit backlogs, link-failure flags, node-down
-// flags, impairments, and the per-node key counters all live in
-// contiguous slices indexed by the dense node or link index, and they are
-// the only copy of that state.
+// A Network runs a set of nodes: every node of the topology, or, as a
+// shard of a Sharded group, the nodes its partition assigns it. Their
+// state lives in a flat arena ([]Node) indexed through the dense slot
+// table, and the per-node state the forwarding path writes (the key
+// counter, the first backlog entry) lives in the Node itself. The rest
+// of the hot state follows the same struct-of-arrays discipline:
+// transmit backlogs are sized by the run nodes' adjacency rows, while
+// the fault state every node reads (link flags, node-down flags) covers
+// the whole topology. Each is the only copy of that state.
 type Network struct {
 	Sched *sim.Scheduler
 	Graph *topology.Graph
-	// nodeArr is the contiguous node arena, allocated once in New, so node
-	// addresses are stable; nodesByID indexes it by NodeID.
-	nodeArr   []Node
-	nodesByID []*Node
+	// nodeArr is the arena of the nodes this network runs, in ascending ID
+	// order, allocated once at construction, so node addresses are stable.
+	// slot maps a NodeID to its arena index, or to notNode or remote.
+	nodeArr []Node
+	slot    []int32
 
 	// LinkRate is bytes/second of every link (serialization delay).
 	LinkRate float64
@@ -162,12 +187,11 @@ type Network struct {
 	lt linkTable
 	// nodeDown flags crashed nodes, indexed by NodeID.
 	nodeDown []bool
-	// impair holds per-link packet impairment (corruption, duplication,
-	// reordering) indexed by link index. It is nil while no link is
-	// impaired, so the healthy fast path pays a single nil check;
-	// impaired counts its non-nil entries.
-	impair   []*LinkImpairment
-	impaired int
+	// impair holds the installed packet impairments (corruption,
+	// duplication, reordering) by link index. A link's linkImpaired flag
+	// says whether it has one, so the healthy fast path reads no more than
+	// the link's flags.
+	impair map[int32]*LinkImpairment
 
 	// obs/tracer are the observability hooks; both nil when disabled,
 	// and every instrumented site is a single nil check so the
@@ -192,16 +216,10 @@ type Network struct {
 	// count, including 1); legacy single-scheduler networks leave it off
 	// so their golden outputs are untouched.
 	keyed bool
-	// keySeq is the per-origin-node key sequence counter (dense).
-	keySeq []uint32
 
-	// shardOf/shardID/handoff wire this network into a sharded group:
-	// shardOf is the dense NodeID->shard table (nil when unsharded),
-	// shardID is this network's own shard, and handoff receives flights
-	// whose next hop is owned by another shard. See Sharded. handoffs
-	// counts those flights; only this shard's goroutine writes it.
-	shardOf  []int32
-	shardID  int32
+	// handoff wires this network into a sharded group: it receives flights
+	// whose next hop another shard runs. See Sharded. handoffs counts those
+	// flights; only this shard's goroutine writes it.
 	handoff  func(f *flight, to topology.NodeID, arrive sim.Time, key uint64)
 	handoffs int
 
@@ -220,11 +238,16 @@ type Network struct {
 	Delivered, Dropped int
 }
 
-// New builds a Network over a topology. All nodes start with no routes,
-// no middleboxes, and no delivery handler. The Network freezes g and sizes
-// its dense tables from it once, here: g must not gain nodes or links
-// afterwards.
-func New(sched *sim.Scheduler, g *topology.Graph) *Network {
+// New builds a Network that runs every node of a topology. All nodes
+// start with no routes, no middleboxes, and no delivery handler. The
+// Network freezes g and sizes its dense tables from it once, here: g must
+// not gain nodes or links afterwards.
+func New(sched *sim.Scheduler, g *topology.Graph) *Network { return newNetwork(sched, g, nil, 0) }
+
+// newNetwork is New for the nodes part assigns to shard, or for every
+// node when part is nil. The arena and the backlog table hold only those
+// nodes; the fault tables cover the whole topology.
+func newNetwork(sched *sim.Scheduler, g *topology.Graph, part *topology.Partition, shard int32) *Network {
 	n := &Network{
 		Sched:         sched,
 		Graph:         g,
@@ -238,27 +261,38 @@ func New(sched *sim.Scheduler, g *topology.Graph) *Network {
 		blockedKeys:   sim.NewKeyCache("blocked:"),
 		malformedKeys: sim.NewKeyCache("malformed-after:"),
 	}
-	// Flat node arena in ascending ID order; the dense per-node tables are
-	// indexed by NodeID, up to the largest. Freezing the graph here, before
-	// any shard goroutine starts, leaves the shards only reads of it.
+	// Flat node arena in ascending ID order; the slot and node-down tables
+	// are indexed by NodeID, up to the largest. Freezing the graph here,
+	// before any shard goroutine starts, leaves the shards only reads of
+	// it.
 	adj := g.Freeze()
 	ids := g.NodeIDs()
-	size := adj.Bound()
-	n.nodeArr = make([]Node, len(ids))
-	n.nodesByID = make([]*Node, size)
-	for i, id := range ids {
-		nd := &n.nodeArr[i]
-		nd.ID = id
-		nd.Net = n
-		n.nodesByID[id] = nd
+	run := len(ids)
+	if part != nil {
+		run = part.Counts[shard]
+	}
+	n.nodeArr = make([]Node, 0, run)
+	n.slot = make([]int32, adj.Bound())
+	for id := range n.slot {
+		n.slot[id] = notNode
+	}
+	entries := 0
+	for _, id := range ids {
+		if part != nil && part.ShardOf(id) != shard {
+			n.slot[id] = remote
+			continue
+		}
+		n.slot[id] = int32(len(n.nodeArr))
+		n.nodeArr = append(n.nodeArr, Node{Forwarder: Forwarder{ID: id}, Net: n, out: int32(entries)})
+		nbr, _ := adj.Row(id)
+		entries += len(nbr)
 	}
 	n.lt = linkTable{
-		adj:    adj,
-		busy:   make([]sim.Time, 2*len(g.Links)),
-		failed: make([]bool, len(g.Links)),
+		adj:   adj,
+		busy:  make([]sim.Time, entries),
+		flags: make([]uint8, len(g.Links)),
 	}
-	n.nodeDown = make([]bool, size)
-	n.keySeq = make([]uint32, size)
+	n.nodeDown = make([]bool, adj.Bound())
 	return n
 }
 
@@ -276,12 +310,12 @@ func (n *Network) AddrOf(id topology.NodeID) packet.Addr {
 }
 
 // nextKey allocates the next deterministic ordering key for an event
-// originating at node v: (origin node, per-origin sequence). Keys are
+// originating at node nd: (origin node, per-origin sequence). Keys are
 // unique per origin and allocated in the origin's own execution order,
 // so they are identical at any shard count.
-func (n *Network) nextKey(v topology.NodeID) uint64 {
-	k := uint64(v)<<32 | uint64(n.keySeq[v])
-	n.keySeq[v]++
+func nextKey(nd *Node) uint64 {
+	k := uint64(nd.ID)<<32 | uint64(nd.keySeq)
+	nd.keySeq++
 	return k
 }
 
@@ -345,13 +379,21 @@ func (n *Network) AttachObs(reg *obs.Registry, tr *obs.Tracer) {
 
 // linkIndex returns the Graph.Links index of the from→to adjacency, or
 // -1 when the nodes are not adjacent.
-func (n *Network) linkIndex(from, to topology.NodeID) int32 { return n.lt.adj.LinkIndex(from, to) }
+func (n *Network) linkIndex(from, to topology.NodeID) int32 {
+	_, li := n.lt.adj.LinkIndex(from, to)
+	return li
+}
 
-// Node returns the node for id; it panics on unknown IDs (a wiring bug).
+// Node returns the node for id. It panics on an ID the topology lacks and
+// on a node another shard runs (wiring bugs: a shard's copy of a node it
+// does not run would never execute).
 func (n *Network) Node(id topology.NodeID) *Node {
-	if int(id) < len(n.nodesByID) {
-		if nd := n.nodesByID[id]; nd != nil {
-			return nd
+	if int(id) < len(n.slot) {
+		switch s := n.slot[id]; {
+		case s >= 0:
+			return &n.nodeArr[s]
+		case s == remote:
+			panic(fmt.Sprintf("netsim: node %d runs on another shard", id))
 		}
 	}
 	panic(fmt.Sprintf("netsim: unknown node %d", id))
@@ -550,7 +592,7 @@ func (n *Network) launch(id topology.NodeID, dir Direction, data []byte, copyDat
 		n.tracer.Emit(obs.Event{Time: int64(n.Sched.Now()), Scope: "netsim", Kind: "send", Node: int64(id)})
 	}
 	if n.keyed {
-		n.Sched.AtKeyed(n.Sched.Now(), n.nextKey(id), f.run)
+		n.Sched.AtKeyed(n.Sched.Now(), nextKey(f.node), f.run)
 	} else {
 		n.Sched.After(0, f.run)
 	}
@@ -560,11 +602,11 @@ func (n *Network) launch(id topology.NodeID, dir Direction, data []byte, copyDat
 // AtNode schedules a user callback (typically a traffic generator's next
 // send) at time t, ordered by an event key allocated from node v. In
 // keyed (sharded) mode this is what makes generator callbacks interleave
-// with packet arrivals identically at every shard count; unkeyed
-// networks fall back to plain At.
+// with packet arrivals identically at every shard count, and v must be a
+// node this network runs; unkeyed networks fall back to plain At.
 func (n *Network) AtNode(t sim.Time, v topology.NodeID, fn func()) {
 	if n.keyed {
-		n.Sched.AtKeyed(t, n.nextKey(v), fn)
+		n.Sched.AtKeyed(t, nextKey(n.Node(v)), fn)
 	} else {
 		n.Sched.At(t, fn)
 	}
@@ -649,12 +691,12 @@ func (nd *Node) process(f *flight) {
 		if f.dir != Sending {
 			n.forwarded(f, nd.ID)
 		}
-		li := n.linkIndex(nd.ID, dec.Next)
+		pos, li := n.lt.adj.LinkIndex(nd.ID, dec.Next)
 		if li < 0 {
 			n.dropFlight(f, nd.ID, "bad-next-hop")
 			return
 		}
-		n.transmit(f, nd.ID, dec.Next, li)
+		n.transmit(f, nd, dec.Next, pos, li)
 	default:
 		reason := dec.Reason
 		switch dec.Drop {
@@ -703,27 +745,26 @@ func (n *Network) rewrote(node topology.NodeID, m Middlebox) {
 	}
 }
 
-// transmit models link serialization + propagation + queueing. li is the
-// Graph.Links index of the from→to adjacency (already validated).
-func (n *Network) transmit(f *flight, from, to topology.NodeID, li int32) {
-	if n.lt.failed[li] {
-		n.dropFlight(f, from, "link-down")
+// transmit models link serialization + propagation + queueing. pos and li
+// are the position of to in from's row and the Graph.Links index of the
+// from→to adjacency (already validated).
+func (n *Network) transmit(f *flight, from *Node, to topology.NodeID, pos int, li int32) {
+	flags := n.lt.flags[li]
+	if flags&linkDown != 0 {
+		n.dropFlight(f, from.ID, "link-down")
 		return
 	}
 	// A dead adjacency is detected by the live endpoint (keepalive loss),
 	// so the drop is attributed to the upstream node — this is what lets
 	// a trace localize a crashed node to one hop.
 	if n.nodeDown[to] {
-		n.dropFlight(f, from, "peer-down")
+		n.dropFlight(f, from.ID, "peer-down")
 		return
 	}
 	link := &n.Graph.Links[li]
-	di := 2 * int(li)
-	if link.A != from {
-		di++
-	}
+	bi := int(from.out) + pos
 	now := n.Sched.Now()
-	busy := n.lt.busy[di]
+	busy := n.lt.busy[bi]
 	if busy < now {
 		busy = now
 	}
@@ -733,20 +774,24 @@ func (n *Network) transmit(f *flight, from, to topology.NodeID, li int32) {
 	// so the bound cannot be exceeded. (An earlier revision compared the
 	// pre-admission backlog, letting the queue overshoot by one packet.)
 	if busy-now+txTime > n.MaxQueue {
-		n.dropFlight(f, from, "queue-overflow")
+		n.dropFlight(f, from.ID, "queue-overflow")
 		return
 	}
 	busy += txTime
-	n.lt.busy[di] = busy
+	n.lt.busy[bi] = busy
 	if n.tracer.Enabled() {
 		// Value is the backlog the admitted packet leaves behind (waiting
 		// plus its own serialization) — the quantity MaxQueue bounds, so
 		// an invariant checker can verify admission never exceeds it.
-		n.tracer.Emit(obs.Event{Time: int64(now), Scope: "netsim", Kind: "enqueue", Node: int64(from), Value: float64(busy - now)})
+		n.tracer.Emit(obs.Event{Time: int64(now), Scope: "netsim", Kind: "enqueue", Node: int64(from.ID), Value: float64(busy - now)})
 	}
 	arrive := busy + link.Latency + n.HopProcessing
-	if n.impair != nil {
-		if imp := n.impair[li]; imp != nil && !imp.apply(n, f, from, to, di&1, arrive, txTime, &arrive) {
+	if flags&linkImpaired != 0 {
+		dir := 0
+		if link.A != from.ID {
+			dir = 1
+		}
+		if !n.impair[li].apply(n, f, from, to, dir, arrive, txTime, &arrive) {
 			return
 		}
 	}
@@ -754,24 +799,26 @@ func (n *Network) transmit(f *flight, from, to topology.NodeID, li int32) {
 }
 
 // schedArrival hands an in-flight packet to its next node: through the
-// local scheduler, or through the sharded handoff when the next hop is
-// owned by another shard. In keyed mode the event key is allocated from
-// the sending node in the sender's own execution order, so same-time
-// arrival ordering is identical at every shard count.
-func (n *Network) schedArrival(f *flight, from, to topology.NodeID, arrive sim.Time) {
+// local scheduler, or through the sharded handoff when another shard runs
+// the next hop. In keyed mode the event key is allocated from the sending
+// node in the sender's own execution order, so same-time arrival ordering
+// is identical at every shard count. to is adjacent to from, so it is a
+// node of the topology and its slot is an arena index or remote.
+func (n *Network) schedArrival(f *flight, from *Node, to topology.NodeID, arrive sim.Time) {
 	if !n.keyed {
-		f.node = n.Node(to)
+		f.node = &n.nodeArr[n.slot[to]]
 		f.dir = Forwarding
 		n.Sched.At(arrive, f.run)
 		return
 	}
-	key := n.nextKey(from)
-	if n.shardOf != nil && n.shardOf[to] != n.shardID {
+	key := nextKey(from)
+	s := n.slot[to]
+	if s < 0 {
 		n.handoffs++
 		n.handoff(f, to, arrive, key)
 		return
 	}
-	f.node = n.Node(to)
+	f.node = &n.nodeArr[s]
 	f.dir = Forwarding
 	n.Sched.AtKeyed(arrive, key, f.run)
 }
@@ -787,7 +834,7 @@ func (n *Network) schedArrival(f *flight, from, to topology.NodeID, arrive sim.T
 // transmissions are executed by the sender's shard in an order that is
 // shard-count-independent, while the interleaving of the two directions
 // is not — forking the stream per direction removes that dependence.
-func (imp *LinkImpairment) apply(n *Network, f *flight, from, to topology.NodeID, dir int, arrive, txTime sim.Time, out *sim.Time) bool {
+func (imp *LinkImpairment) apply(n *Network, f *flight, from *Node, to topology.NodeID, dir int, arrive, txTime sim.Time, out *sim.Time) bool {
 	rng := imp.rng
 	if imp.dirRNG[dir] != nil {
 		rng = imp.dirRNG[dir]
@@ -812,7 +859,7 @@ func (imp *LinkImpairment) apply(n *Network, f *flight, from, to topology.NodeID
 // flight, as an Inject does; its fate shows up in the usual
 // delivery/drop counters (tagged by the "dup-injected" stat), not in the
 // original packet's trace.
-func (n *Network) duplicate(f *flight, from, to topology.NodeID, arrive sim.Time) {
+func (n *Network) duplicate(f *flight, from *Node, to topology.NodeID, arrive sim.Time) {
 	g := n.newFlight()
 	g.quietTrace(f.t.SentAt)
 	g.data = append(g.buf[:0], f.data...)

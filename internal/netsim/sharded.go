@@ -10,17 +10,17 @@ import (
 
 // This file is the sharded simulation core: one logical simulation
 // partitioned across K shard networks, each with its own scheduler and
-// its own slice of the node state, synchronized by conservative
-// lookahead on the minimum cross-shard link latency.
+// holding only the nodes it runs, synchronized by conservative lookahead
+// on the minimum cross-shard link latency.
 //
 // # Why the output is byte-identical at any shard count
 //
 // Every event in a sharded run carries a deterministic ordering key
 // allocated from its origin node in the origin's own execution order
-// (see Network.nextKey), and each shard's heap dispatches by (time,
+// (see nextKey), and each shard's heap dispatches by (time,
 // key). The simulation state is node-partitioned: a node's middleboxes,
-// counters, and its outbound directed-link backlogs are written only by
-// the shard that owns the node. Fault state (link failures, node
+// counters, key sequence and outbound directed-link backlogs exist only
+// on the shard that owns the node. Fault state (link failures, node
 // crashes, impairments) is replicated — FaultAt schedules the same
 // mutation on every shard at the same (time, key) — so reads of remote
 // fault flags (the "peer-down" check) see identical values everywhere.
@@ -53,8 +53,9 @@ type arrival struct {
 	key    uint64
 }
 
-// Shard is one partition of a sharded simulation: its own scheduler and
-// network (full topology, but it only ever executes the nodes it owns).
+// Shard is one partition of a sharded simulation: its own scheduler and a
+// network that holds only the nodes the shard owns. Its fault tables
+// still cover the whole topology.
 type Shard struct {
 	ID    int32
 	Sched *sim.Scheduler
@@ -112,10 +113,8 @@ func NewSharded(g *topology.Graph, k int) *Sharded {
 	s.Shards = make([]*Shard, part.K)
 	for i := 0; i < part.K; i++ {
 		sched := sim.NewScheduler()
-		net := New(sched, g)
+		net := newNetwork(sched, g, part, int32(i))
 		net.keyed = true
-		net.shardOf = part.Table()
-		net.shardID = int32(i)
 		sh := &Shard{ID: int32(i), Sched: sched, Net: net, early: noArrival}
 		sh.out = [2][][]arrival{make([][]arrival, part.K), make([][]arrival, part.K)}
 		net.handoff = func(f *flight, to topology.NodeID, arrive sim.Time, key uint64) {

@@ -118,14 +118,14 @@ func (a *Adjacency) Row(id NodeID) ([]NodeID, []int32) {
 	return a.nbr[lo:hi:hi], a.link[lo:hi:hi]
 }
 
-// LinkIndex returns the index in Graph.Links of the link between from
-// and to, or -1 when they are not adjacent. Between nodes joined by
-// several links it is the lowest index: the first of to's entries in
-// from's row.
-func (a *Adjacency) LinkIndex(from, to NodeID) int32 {
-	nbr, link := a.Row(from)
+// LinkIndex returns the position in from's row of to's first entry and
+// that entry's index in Graph.Links, or -1, -1 when the nodes are not
+// adjacent. Between nodes joined by several links the entry is the
+// first of to's, so the link is the lowest index.
+func (a *Adjacency) LinkIndex(from, to NodeID) (pos int, link int32) {
+	nbr, links := a.Row(from)
 	if i, ok := slices.BinarySearch(nbr, to); ok {
-		return link[i]
+		return i, links[i]
 	}
-	return -1
+	return -1, -1
 }

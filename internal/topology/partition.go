@@ -78,7 +78,8 @@ func PartitionBalanced(g *Graph, k int) *Partition {
 	}
 
 	// A linear scan for the lightest shard costs O(n·k), no more than
-	// the k full-topology shard networks a sharded simulation builds.
+	// the k NodeID-indexed slot and fault tables a sharded simulation's
+	// shard networks build.
 	load := make([]int, k)
 	for _, id := range order {
 		s := 0
@@ -101,10 +102,6 @@ func (p *Partition) ShardOf(id NodeID) int32 {
 	}
 	return p.shardOf[id]
 }
-
-// Table exposes the dense NodeID -> shard mapping for hot-path use. The
-// returned slice is shared; callers must not modify it.
-func (p *Partition) Table() []int32 { return p.shardOf }
 
 // CrossLinks returns how many links have endpoints in different shards.
 func (p *Partition) CrossLinks(g *Graph) int {

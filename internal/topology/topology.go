@@ -132,7 +132,7 @@ func (g *Graph) Neighbors(id NodeID) []NodeID {
 // LinkBetween returns the link between a and b, if any; between nodes
 // joined by several links, the one added first.
 func (g *Graph) LinkBetween(a, b NodeID) (Link, bool) {
-	li := g.Freeze().LinkIndex(a, b)
+	_, li := g.Freeze().LinkIndex(a, b)
 	if li < 0 {
 		return Link{}, false
 	}

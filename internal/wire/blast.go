@@ -19,8 +19,8 @@ import (
 
 const (
 	// blastWindow is the maximum outstanding (sent minus echoed)
-	// datagrams in echo mode; the client's receive buffer is sized to
-	// hold that many echoes.
+	// datagrams in echo mode; the client's and the engine's receive
+	// buffers (socketBuffer) are sized to hold that many.
 	blastWindow = 256
 	// blastTimeout is the per-read echo deadline while datagrams remain
 	// to be sent; expiry writes off the outstanding window as lost.
@@ -142,7 +142,7 @@ func blastConn(cfg *BlastConfig, count int) (BlastResult, error) {
 	if cfg.Echo {
 		// Room for a whole window of echoes: a full window of small
 		// loopback echoes can overflow the default 208 KiB queue.
-		if err := conn.SetReadBuffer(blastWindow * slotSize); err != nil {
+		if err := conn.SetReadBuffer(socketBuffer); err != nil {
 			return r, fmt.Errorf("wire: blast receive buffer: %w", err)
 		}
 	}

@@ -23,6 +23,13 @@ const Batch = 64
 // slotSize is the buffer size per datagram.
 const slotSize = 2048
 
+// socketBuffer is the receive buffer requested for every engine socket
+// and for the blast client's: room for a full blast window of datagrams.
+// Under a blast, the kernel's default (net.core.rmem_default, 208 KiB on
+// common Linux hosts) overflows, and the datagrams its queue drops never
+// reach the engine.
+const socketBuffer = blastWindow * slotSize
+
 // Config assembles an Engine.
 type Config struct {
 	// Listen is the UDP address to bind ("host:port"; port 0 picks one).
@@ -229,6 +236,10 @@ func New(cfg Config) (*Engine, error) {
 		}
 		conn := pc.(*net.UDPConn)
 		e.conns = append(e.conns, conn)
+		if err := conn.SetReadBuffer(socketBuffer); err != nil {
+			e.Close()
+			return nil, fmt.Errorf("wire: receive buffer on %s: %w", conn.LocalAddr(), err)
+		}
 		if i == 0 {
 			// Later sockets must bind the exact port the first one got.
 			addr = conn.LocalAddr().String()
