@@ -28,7 +28,9 @@
 // for the same seed at any shard count, sequential or parallel — and
 // timing, the partition's geometry (cut links, epoch window, cross-shard
 // handoffs) and per-shard load (nodes and executed events) on stderr, so
-// CI can diff the digest across shard counts.
+// CI can diff the digest across shard counts. Set-up (topology, routing
+// tables, traffic and chaos arming) is timed apart from the drain, and
+// the packet and event rates are over the drain alone.
 //
 // Multipath mode (-multipath) stripes a reliable transfer over
 // link-disjoint source routes between the best-connected stub pair of
@@ -326,8 +328,10 @@ func runScale(stdout, stderr io.Writer, nodes, shards, packets int, parallel, ch
 	}
 	start := time.Now()
 	sm := scale.Prepare(cfg)
+	setup := time.Since(start)
+	start = time.Now()
 	res := sm.Run()
-	wall := time.Since(start)
+	drain := time.Since(start)
 	// Shard geometry is shard-count-dependent by definition, so it goes
 	// to stderr with the timing, keeping stdout diffable across counts.
 	// Per-shard node and event counts show a skewed partition: the
@@ -346,9 +350,9 @@ func runScale(stdout, stderr io.Writer, nodes, shards, packets int, parallel, ch
 		float64(busiest)*float64(len(sm.S.Shards))/float64(max(res.Processed, 1)))
 	fmt.Fprint(stdout, res.Render())
 	total := res.Delivered + res.Dropped
-	fmt.Fprintf(stderr, "netsim: scale: %d packets, %d events in %v (%.0f pkt/s, %.0f ev/s, GOMAXPROCS=%d)\n",
-		total, res.Processed, wall.Round(time.Millisecond),
-		float64(total)/wall.Seconds(), float64(res.Processed)/wall.Seconds(),
+	fmt.Fprintf(stderr, "netsim: scale: set-up %v; drained %d packets, %d events in %v (%.0f pkt/s, %.0f ev/s, GOMAXPROCS=%d)\n",
+		setup.Round(time.Millisecond), total, res.Processed, drain.Round(time.Millisecond),
+		float64(total)/drain.Seconds(), float64(res.Processed)/drain.Seconds(),
 		runtime.GOMAXPROCS(0))
 	if metricsPath != "" {
 		return writeMetrics(stderr, res.Metrics, metricsPath)

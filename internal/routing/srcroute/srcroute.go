@@ -48,6 +48,7 @@ func Discover(g *topology.Graph, src, dst topology.NodeID, k, maxLen int) []Cand
 	if maxLen <= 0 {
 		maxLen = 8
 	}
+	adj := g.Freeze()
 	var out []Candidate
 	path := []topology.NodeID{src}
 	var lat sim.Time
@@ -62,17 +63,25 @@ func Discover(g *topology.Graph, src, dst topology.NodeID, k, maxLen int) []Cand
 		if len(path) >= maxLen {
 			return
 		}
-		for _, nb := range g.Neighbors(cur) {
+		nbrs, links := adj.Row(cur)
+		// A neighbour joined by several links has one entry per link,
+		// lowest index first, and every entry takes the first one's link,
+		// the one LinkBetween returns.
+		var li int32
+		for i, nb := range nbrs {
+			if i == 0 || nb != nbrs[i-1] {
+				li = links[i]
+			}
 			// The path holds at most maxLen nodes: scanning it is
 			// cheaper than keeping a visited set beside it.
 			if slices.Contains(path, nb) {
 				continue
 			}
-			l, _ := g.LinkBetween(cur, nb)
+			d := g.Links[li].Latency
 			path = append(path, nb)
-			lat += l.Latency
+			lat += d
 			dfs(nb)
-			lat -= l.Latency
+			lat -= d
 			path = path[:len(path)-1]
 		}
 	}

@@ -195,11 +195,75 @@ func discoverRef(g *topology.Graph, src, dst topology.NodeID, k, maxLen int) []C
 	return out
 }
 
+// checkDiscover requires Discover to return exactly the visited-set
+// oracle's candidates, latencies and order, and every path to be simple,
+// run from src to dst over real links and fit in maxLen.
+func checkDiscover(t *testing.T, g *topology.Graph, src, dst topology.NodeID, k, maxLen int) {
+	t.Helper()
+	got := Discover(g, src, dst, k, maxLen)
+	if want := discoverRef(g, src, dst, k, maxLen); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Discover(%d, %d, k=%d, maxLen=%d) = %v, oracle %v", src, dst, k, maxLen, got, want)
+	}
+	if maxLen <= 0 {
+		maxLen = 8
+	}
+	if k > 0 && len(got) > k {
+		t.Fatalf("%d candidates for k=%d", len(got), k)
+	}
+	for ci, c := range got {
+		if len(c.Path) == 0 || len(c.Path) > maxLen {
+			t.Fatalf("candidate %d has %d nodes (maxLen %d)", ci, len(c.Path), maxLen)
+		}
+		if c.Path[0] != src || c.Path[len(c.Path)-1] != dst {
+			t.Fatalf("candidate %d endpoints wrong: %v", ci, c.Path)
+		}
+		for i, n := range c.Path {
+			if slices.Contains(c.Path[:i], n) {
+				t.Fatalf("candidate %d revisits %d: %v", ci, n, c.Path)
+			}
+			if i == 0 {
+				continue
+			}
+			if _, adj := g.LinkBetween(c.Path[i-1], n); !adj {
+				t.Fatalf("candidate %d uses non-link %d-%d", ci, c.Path[i-1], n)
+			}
+		}
+	}
+}
+
+// TestDiscoverParallelLinks: where nodes are joined by several links of
+// different latencies, Discover prices a hop by the link LinkBetween
+// returns, the one added first, as the oracle does, whichever endpoint
+// the links were added from and whether or not the first is the fastest.
+// Every pair of nodes is searched at several bounds.
+func TestDiscoverParallelLinks(t *testing.T) {
+	g := topology.NewGraph()
+	for i := 1; i <= 5; i++ {
+		g.AddNode(topology.NodeID(i), topology.Transit, 1)
+	}
+	for _, l := range []struct {
+		a, b topology.NodeID
+		ms   sim.Time
+	}{
+		{1, 2, 5}, {1, 3, 2}, {2, 1, 1}, {2, 4, 1}, {3, 4, 4},
+		{4, 3, 2}, {4, 3, 7}, {1, 2, 3}, {4, 5, 1}, {3, 5, 6}, {5, 4, 9},
+	} {
+		g.AddLink(l.a, l.b, topology.PeerOf, l.ms*sim.Millisecond, 1)
+	}
+	for _, src := range g.NodeIDs() {
+		for _, dst := range g.NodeIDs() {
+			for _, k := range []int{0, 1, 3} {
+				for _, maxLen := range []int{0, 2, 3, 5} {
+					checkDiscover(t, g, src, dst, k, maxLen)
+				}
+			}
+		}
+	}
+}
+
 // FuzzDiscover drives Discover over generated hierarchies with arbitrary
-// endpoints and bounds. It must return exactly the visited-set oracle's
-// candidates, latencies and order, and every path must be simple, run
-// from src to dst over real links and fit in maxLen. maxLen is capped at
-// 10 so that one input enumerates in milliseconds.
+// endpoints and bounds, through checkDiscover. maxLen is capped at 10 so
+// that one input enumerates in milliseconds.
 func FuzzDiscover(f *testing.F) {
 	f.Add(uint64(42), uint8(0), uint8(13), uint8(5), uint8(7))
 	f.Add(uint64(7), uint8(2), uint8(5), uint8(1), uint8(4))
@@ -209,35 +273,6 @@ func FuzzDiscover(f *testing.F) {
 		ids := g.NodeIDs()
 		src := ids[int(srcIdx)%len(ids)]
 		dst := ids[int(dstIdx)%len(ids)]
-		kk, ml := int(k%12), int(maxLen%11)
-		got := Discover(g, src, dst, kk, ml)
-		if want := discoverRef(g, src, dst, kk, ml); !reflect.DeepEqual(got, want) {
-			t.Fatalf("Discover(%d, %d, k=%d, maxLen=%d) = %v, oracle %v", src, dst, kk, ml, got, want)
-		}
-		if ml <= 0 {
-			ml = 8
-		}
-		if kk > 0 && len(got) > kk {
-			t.Fatalf("%d candidates for k=%d", len(got), kk)
-		}
-		for ci, c := range got {
-			if len(c.Path) == 0 || len(c.Path) > ml {
-				t.Fatalf("candidate %d has %d nodes (maxLen %d)", ci, len(c.Path), ml)
-			}
-			if c.Path[0] != src || c.Path[len(c.Path)-1] != dst {
-				t.Fatalf("candidate %d endpoints wrong: %v", ci, c.Path)
-			}
-			for i, n := range c.Path {
-				if slices.Contains(c.Path[:i], n) {
-					t.Fatalf("candidate %d revisits %d: %v", ci, n, c.Path)
-				}
-				if i == 0 {
-					continue
-				}
-				if _, adj := g.LinkBetween(c.Path[i-1], n); !adj {
-					t.Fatalf("candidate %d uses non-link %d-%d", ci, c.Path[i-1], n)
-				}
-			}
-		}
+		checkDiscover(t, g, src, dst, int(k%12), int(maxLen%11))
 	})
 }

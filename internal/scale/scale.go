@@ -97,10 +97,14 @@ type Sim struct {
 // Run executes one scale scenario to completion.
 func Run(cfg Config) *Result { return Prepare(cfg).Run() }
 
-// Prepare builds a scale scenario without draining it. It panics if a
-// node has more than 65,535 links, the most a sink routing table entry
-// can name (see nextHopTables); at 100k nodes the largest degree is
-// 1,222 at seed 42 and 744 at seed 7.
+// Prepare builds a scale scenario without draining it. Each node routes
+// by its entry in the sink routing tables (see nextHopTables): a node
+// with at most 255 links reads one byte per sink, and a hub, a node with
+// more, reads its own row of 16-bit entries, so neither route function
+// branches on the encoding. It panics if a node has more than 65,535
+// links, the most a 16-bit entry can name; at 100k nodes the largest
+// degree is 1,222 at seed 42 and 744 at seed 7, and 14 and 8 nodes are
+// hubs.
 func Prepare(cfg Config) *Sim {
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = 1000
@@ -153,7 +157,8 @@ func Prepare(cfg Config) *Sim {
 		sinks[i] = ids[i*len(ids)/nsinks]
 		isSink[sinks[i]] = true
 	}
-	rt := &sinkRoutes{sinkIdx: make([]int32, len(isSink)), next: nextHopTables(adj, sinks)}
+	tables := nextHopTables(adj, sinks)
+	rt := &sinkRoutes{sinkIdx: make([]int32, len(isSink)), next: tables.next}
 	for i := range rt.sinkIdx {
 		rt.sinkIdx[i] = -1
 	}
@@ -162,16 +167,32 @@ func Prepare(cfg Config) *Sim {
 	}
 
 	// Static shortest-path routing toward sinks: each node's RouteFunc
-	// is a dense double index (sink table, then node) that names a
-	// position in the node's own row, no maps on the hot path.
+	// is a dense double index (sink, then node) that names a position in
+	// the node's own row, no maps on the hot path. A hub's function reads
+	// its own row of the hub table; hub rows are in ascending ID order,
+	// the order ids walks them in.
+	hub := 0
 	for _, v := range ids {
 		nbrs, _ := adj.Row(v)
-		s.Owner(v).Node(v).Route = func(dst packet.Addr, tip *packet.TIP) (topology.NodeID, bool) {
-			d := uint32(dst)
-			if d >= uint32(len(rt.sinkIdx)) {
-				return 0, false
+		nd := s.Owner(v).Node(v)
+		if len(nbrs) > maxByteDegree {
+			row := tables.hubs[hub*nsinks : (hub+1)*nsinks]
+			hub++
+			nd.Route = func(dst packet.Addr, tip *packet.TIP) (topology.NodeID, bool) {
+				si := rt.index(dst)
+				if si < 0 {
+					return 0, false
+				}
+				p := row[si]
+				if p == 0 {
+					return 0, false
+				}
+				return nbrs[p-1], true
 			}
-			si := rt.sinkIdx[d]
+			continue
+		}
+		nd.Route = func(dst packet.Addr, tip *packet.TIP) (topology.NodeID, bool) {
+			si := rt.index(dst)
 			if si < 0 {
 				return 0, false
 			}
@@ -257,39 +278,64 @@ func (sm *Sim) Run() *Result {
 	return res
 }
 
-// sinkRoutes is what every node's route closure reads: the table index
-// of each sink, -1 for every other node ID, and the tables themselves.
+// sinkRoutes is what the route closures read: the table index of each
+// sink, -1 for every other node ID, and the byte tables.
 type sinkRoutes struct {
 	sinkIdx []int32
-	next    [][]uint16
+	next    [][]uint8
 }
 
-// maxDegree is the most links a node may have: a table entry is a
-// uint16 holding 1 + a position in the node's row.
-const maxDegree = 1<<16 - 1
+// index returns the table index of the sink dst names, or -1 when dst
+// names no sink.
+func (rt *sinkRoutes) index(dst packet.Addr) int32 {
+	if d := uint32(dst); d < uint32(len(rt.sinkIdx)) {
+		return rt.sinkIdx[d]
+	}
+	return -1
+}
 
-// nextHopTables runs one BFS per sink over the graph's frozen
-// adjacency, producing dense node -> next-hop-toward-sink tables. An
-// entry is 1 + the next hop's position in the node's own adjacency row,
-// and 0 means no hop (the sink itself, or unreachable), so a table is
-// half the size a NodeID per node would take and a fresh, zeroed table
-// needs no fill. Rows are sorted by neighbour and every node takes the
-// first node that reached it as its next hop, so the traversal order,
-// and with it every table, is deterministic. It panics if a node has
-// more than maxDegree links.
+// maxByteDegree is the most links a node may have to keep its entries in
+// the byte tables, and maxDegree the most any node may have: an entry
+// holds 1 + a position in the node's row.
+const (
+	maxByteDegree = 1<<8 - 1
+	maxDegree     = 1<<16 - 1
+)
+
+// sinkTables are the next-hop tables toward every sink. An entry is 1 +
+// the next hop's position in the node's own adjacency row, and 0 means
+// no hop (the sink itself, or unreachable), so a fresh, zeroed table
+// needs no fill.
+type sinkTables struct {
+	// next holds one table per sink, indexed by NodeID, with the entries
+	// of every node that has at most maxByteDegree links. A hub's entries
+	// here stay 0.
+	next [][]uint8
+	// hubs holds the hubs' entries, hub-major: the k-th hub in ascending
+	// ID order has its entry for sink i at k*len(next) + i.
+	hubs []uint16
+}
+
+// nextHopTables runs one BFS per sink over a relabelled copy of the
+// graph's frozen adjacency (see relabel), producing dense node ->
+// next-hop-toward-sink tables. Rows keep the adjacency's order, sorted by
+// neighbour, and every node takes the first node that reached it as its
+// next hop, so the traversal order, and with it every table, is
+// deterministic and the same as a BFS over the adjacency itself. It
+// panics if a node has more than maxDegree links.
 //
 // The sinks are shared out among GOMAXPROCS workers, each with its own
-// seen-set and queue. The walks only read, and each table has exactly
-// one writer, so no table depends on the worker count or on which worker
-// built it. The workers' seen-sets share one allocation, and so do their
-// queues, which keeps a small graph's build to a handful of allocations
-// beside its tables.
-func nextHopTables(adj *topology.Adjacency, sinks []topology.NodeID) [][]uint16 {
+// seen-set and queue. The walks only read, each byte table has exactly
+// one writer, and so does each hub entry, so no table depends on the
+// worker count or on which worker built it. The workers' seen-sets share
+// one allocation, and so do their queues, which keeps a small graph's
+// build to a handful of allocations beside its tables.
+func nextHopTables(adj *topology.Adjacency, sinks []topology.NodeID) sinkTables {
+	r := relabel(adj)
 	bound := adj.Bound()
-	start, twin := twins(adj)
-	out := make([][]uint16, len(sinks))
-	for i := range out {
-		out[i] = make([]uint16, bound)
+	t := sinkTables{next: make([][]uint8, len(sinks)), hubs: make([]uint16, int(r.hubs)*len(sinks))}
+	for i := range t.next {
+		t.next[i] = make([]uint8, bound)
 	}
 	workers := min(runtime.GOMAXPROCS(0), len(sinks))
 	seen := make([]uint8, workers*bound)
@@ -303,83 +349,139 @@ func nextHopTables(adj *topology.Adjacency, sinks []topology.NodeID) [][]uint16 
 			seen := seen[w*bound : (w+1)*bound]
 			queue := queue[w*(bound+1) : (w+1)*(bound+1)]
 			for i := int(next.Add(1) - 1); i < len(sinks); i = int(next.Add(1) - 1) {
-				walk(adj, start, twin, sinks[i], seen, queue, out[i])
+				walk(r, t, i, r.num[sinks[i]], seen, queue)
 			}
 		}()
 	}
 	wg.Wait()
-	return out
+	return t
 }
 
-// twins numbers the adjacency's entries row by row, in O(Bound + links).
-// start[v] is the number of node v's first entry, and for the
-// entry of the link from v to u, twin holds the position in u's row of
-// the same link's entry back to v. Rows are sorted by neighbour, so
-// reading them in node order reaches each row's entries for v in the
-// order they sit in that row: a per-node cursor hands out positions, and
-// pairs the k-th of several parallel links between two nodes with the
-// k-th, which rows also sort by link index.
-func twins(adj *topology.Adjacency) (start []int32, twin []uint16) {
+// rows is a copy of an adjacency's rows with every ID below Bound given
+// a new number, so that nodes a walk reaches together sit together in
+// memory. Each row keeps its entries in the adjacency's order, so a
+// position in a row means the same in both, and each entry carries its
+// twin: for the entry of the link from v to u, the position in u's row of
+// the same link's entry back to v.
+type rows struct {
+	off  []int32           // node k's entries are [off[k], off[k+1])
+	nbr  []int32           // each entry's neighbour, by number
+	twin []uint16          // each entry's twin's position
+	num  []int32           // each NodeID's number
+	old  []topology.NodeID // each number's NodeID
+	hubs int32             // the hubs, and only they, are numbered below this
+}
+
+// relabel builds the copy of adj's rows that the walks read, in
+// O(Bound + links). The hubs, nodes with more than maxByteDegree links,
+// take the first numbers, in ascending ID order; the rest are numbered
+// breadth-first from the hubs, and when that search runs dry, from the
+// lowest ID not yet numbered. The order decides only locality: the
+// walks give every node the same next hop in any order. It panics if a
+// node has more than maxDegree links.
+//
+// Rows are sorted by neighbour, so reading them in ID order reaches each
+// row's entries for v in the order they sit in that row: a per-node
+// cursor hands out the twin positions, and pairs the k-th of several
+// parallel links between two nodes with the k-th, which rows also sort by
+// link index.
+func relabel(adj *topology.Adjacency) *rows {
 	bound := adj.Bound()
-	start = make([]int32, bound)
-	entries := 0
+	r := &rows{
+		off: make([]int32, bound+1),
+		num: make([]int32, bound),
+		old: make([]topology.NodeID, 0, bound),
+	}
+	// r.old is the search's queue: a node is numbered as it is queued.
+	number := func(v topology.NodeID) {
+		if r.num[v] < 0 {
+			r.num[v] = int32(len(r.old))
+			r.old = append(r.old, v)
+		}
+	}
 	for v := range bound {
+		r.num[v] = -1
 		nbrs, _ := adj.Row(topology.NodeID(v))
 		if len(nbrs) > maxDegree {
 			panic(fmt.Sprintf("scale: node %d has %d links; sink routing tables name at most %d", v, len(nbrs), maxDegree))
 		}
-		start[v] = int32(entries)
-		entries += len(nbrs)
+		if len(nbrs) > maxByteDegree {
+			number(topology.NodeID(v))
+		}
 	}
-	twin = make([]uint16, entries)
+	r.hubs = int32(len(r.old))
+	lowest := 0
+	for head := 0; head < bound; head++ {
+		if head == len(r.old) {
+			for r.num[lowest] >= 0 {
+				lowest++
+			}
+			number(topology.NodeID(lowest))
+		}
+		nbrs, _ := adj.Row(r.old[head])
+		for _, u := range nbrs {
+			number(u)
+		}
+		r.off[head+1] = r.off[head] + int32(len(nbrs))
+	}
+	entries := r.off[bound]
+	r.nbr = make([]int32, entries)
+	r.twin = make([]uint16, entries)
 	cursor := make([]uint16, bound)
-	e := 0
 	for v := range bound {
 		nbrs, _ := adj.Row(topology.NodeID(v))
+		e := r.off[r.num[v]]
 		for _, u := range nbrs {
-			twin[e] = cursor[u]
+			r.nbr[e] = r.num[u]
+			r.twin[e] = cursor[u]
 			cursor[u]++
 			e++
 		}
 	}
-	return start, twin
+	return r
 }
 
-// hop is one entry of a walk's queue: a node, and the number of the
-// adjacency entry that first reached it, the link from its next hop
-// toward the walk's sink.
+// hop is one entry of a walk's queue: a node's number, and the number of
+// the entry that first reached it, the link from its next hop toward the
+// walk's sink.
 type hop struct {
-	node  topology.NodeID
+	node  int32
 	entry int32
 }
 
-// walk fills tbl with each node's next hop toward sink, as 1 + its
-// position in the node's row. The neighbour loop has no branch: it
-// writes every neighbour at the queue's tail and moves the tail past it
-// only if it was not yet seen, so the next neighbour overwrites a seen
-// one. The queue keeps first-in, first-out order, so each node keeps the
-// same first discoverer as in a branching BFS. The fill then turns each
-// discovering entry into the position of its twin. seen must have length
-// Bound, and queue one more than that for the write past the last node
-// reached.
-func walk(adj *topology.Adjacency, start []int32, twin []uint16, sink topology.NodeID, seen []uint8, queue []hop, tbl []uint16) {
+// walk fills sink i's entries in t, each node's next hop toward the sink
+// numbered sink, as 1 + its position in the node's row. The neighbour
+// loop has no branch: it writes every neighbour at the queue's tail and
+// moves the tail past it only if it was not yet seen, so the next
+// neighbour overwrites a seen one. The queue keeps first-in, first-out
+// order, so each node keeps the same first discoverer as in a branching
+// BFS. The fill then turns each discovering entry into the position of
+// its twin, and writes it to the node's hub row or, by its NodeID, to the
+// sink's byte table. seen must have length Bound, and queue one more than
+// that for the write past the last node reached.
+func walk(r *rows, t sinkTables, i int, sink int32, seen []uint8, queue []hop) {
 	clear(seen)
 	seen[sink] = 1
 	queue[0] = hop{node: sink}
 	tail := 1
 	for head := 0; head < tail; head++ {
 		v := queue[head].node
-		nbrs, _ := adj.Row(v)
-		e := start[v]
-		for i, nb := range nbrs {
-			queue[tail] = hop{nb, e + int32(i)}
+		lo, hi := r.off[v], r.off[v+1]
+		for j, nb := range r.nbr[lo:hi] {
+			queue[tail] = hop{nb, lo + int32(j)}
 			was := seen[nb]
 			seen[nb] = 1
 			tail += 1 - int(was)
 		}
 	}
+	tbl, sinks := t.next[i], len(t.next)
 	for _, h := range queue[1:tail] {
-		tbl[h.node] = twin[h.entry] + 1
+		p := r.twin[h.entry] + 1
+		if h.node < r.hubs {
+			t.hubs[int(h.node)*sinks+i] = p
+		} else {
+			tbl[r.old[h.node]] = uint8(p)
+		}
 	}
 }
 

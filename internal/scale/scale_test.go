@@ -1,11 +1,15 @@
 package scale
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"runtime"
 	"slices"
 	"testing"
 
+	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -247,19 +251,41 @@ func referenceNextHopTables(adj *topology.Adjacency, sinks []topology.NodeID) []
 	return out
 }
 
-// hopsOf maps a position table back to next-hop NodeIDs through each
+// tableEntries returns the one accessor the tests read nextHopTables'
+// output through: node v's entry for sink i, from the hub rows for a node
+// with more than maxByteDegree links, which take the rows in ascending ID
+// order, and from sink i's byte table for every other node.
+func tableEntries(adj *topology.Adjacency, t sinkTables) func(i int, v topology.NodeID) int {
+	hub := make([]int, adj.Bound())
+	k := 0
+	for v := range hub {
+		if nbrs, _ := adj.Row(topology.NodeID(v)); len(nbrs) > maxByteDegree {
+			hub[v] = k
+			k++
+		}
+	}
+	return func(i int, v topology.NodeID) int {
+		if nbrs, _ := adj.Row(v); len(nbrs) > maxByteDegree {
+			return int(t.hubs[hub[v]*len(t.next)+i])
+		}
+		return int(t.next[i][v])
+	}
+}
+
+// hopsOf maps sink i's entries back to next-hop NodeIDs through each
 // node's row: entry p names the node's (p-1)th neighbour, and 0 no hop.
 // A position past the end of the row maps to an ID no graph here has,
 // so it fails the comparison instead of panicking.
-func hopsOf(adj *topology.Adjacency, tbl []uint16) []topology.NodeID {
-	hops := make([]topology.NodeID, len(tbl))
-	for v, p := range tbl {
+func hopsOf(adj *topology.Adjacency, entry func(int, topology.NodeID) int, i int) []topology.NodeID {
+	hops := make([]topology.NodeID, adj.Bound())
+	for v := range hops {
+		p := entry(i, topology.NodeID(v))
 		if p == 0 {
 			continue
 		}
 		nbrs, _ := adj.Row(topology.NodeID(v))
 		hops[v] = 1<<32 - 1
-		if int(p) <= len(nbrs) {
+		if p <= len(nbrs) {
 			hops[v] = nbrs[p-1]
 		}
 	}
@@ -276,11 +302,12 @@ func checkTables(t *testing.T, name string, adj *topology.Adjacency, sinks []top
 	for _, procs := range []int{1, 2, 4} {
 		runtime.GOMAXPROCS(procs)
 		tables := nextHopTables(adj, sinks)
-		if len(tables) != len(want) {
-			t.Fatalf("%s, GOMAXPROCS %d: %d tables, want %d", name, procs, len(tables), len(want))
+		if len(tables.next) != len(want) {
+			t.Fatalf("%s, GOMAXPROCS %d: %d tables, want %d", name, procs, len(tables.next), len(want))
 		}
+		entry := tableEntries(adj, tables)
 		for i := range want {
-			got := hopsOf(adj, tables[i])
+			got := hopsOf(adj, entry, i)
 			if slices.Equal(got, want[i]) {
 				continue
 			}
@@ -326,7 +353,7 @@ func TestNextHopTablesMatchReference(t *testing.T) {
 	checkTables(t, "every node a sink", adj, g.NodeIDs())
 }
 
-// star is a hub, node 1, linked once to each of leaves other nodes.
+// star is a centre, node 1, linked once to each of leaves other nodes.
 func star(leaves int) *topology.Adjacency {
 	g := topology.NewGraph()
 	for id := topology.NodeID(1); id <= topology.NodeID(leaves+1); id++ {
@@ -338,13 +365,25 @@ func star(leaves int) *topology.Adjacency {
 	return g.Freeze()
 }
 
-// TestNextHopTablesDegreeLimit: a table entry names a position in a row
-// with 16 bits, so a hub of degree 65,535 builds, with every entry
-// mapping back to the reference, and one of degree 65,536 panics with
-// the documented message instead of wrapping.
+// TestNextHopTablesDegreeLimit: a node with at most 255 links keeps its
+// entries in the byte tables, and one with more takes a 16-bit hub row.
+// Stars of degree 255, 256 and 65,535 build, with sinks at the centre,
+// the first leaf and the last leaf: every entry maps back to the
+// reference, and the centre's entry toward the last leaf, the last
+// position of its row, equals its degree: 255, the largest byte; 256,
+// the first value past one; and 65,535, the largest a hub row holds. A
+// star of degree 65,536 panics with the documented message instead of
+// wrapping.
 func TestNextHopTablesDegreeLimit(t *testing.T) {
-	adj := star(maxDegree)
-	checkTables(t, "star of degree 65535", adj, []topology.NodeID{1, 2, maxDegree + 1})
+	for _, degree := range []int{maxByteDegree, maxByteDegree + 1, maxDegree} {
+		adj := star(degree)
+		last := topology.NodeID(degree + 1)
+		sinks := []topology.NodeID{1, 2, last}
+		checkTables(t, fmt.Sprintf("star of degree %d", degree), adj, sinks)
+		if got := tableEntries(adj, nextHopTables(adj, sinks))(2, 1); got != degree {
+			t.Errorf("star of degree %d: the centre's entry toward leaf %d is %d, want %d", degree, last, got, degree)
+		}
+	}
 
 	want := "scale: node 1 has 65536 links; sink routing tables name at most 65535"
 	defer func() {
@@ -353,6 +392,52 @@ func TestNextHopTablesDegreeLimit(t *testing.T) {
 		}
 	}()
 	nextHopTables(star(maxDegree+1), []topology.NodeID{1})
+}
+
+// TestPrepareTablesPinned pins every next hop Prepare installs at 100k
+// nodes, the size of the benchmark and the committed digests. For each
+// sink in order and each ID below Bound, it hashes the next hop the ID's
+// route function returns toward the sink, as 4-byte little-endian, and 0
+// for no hop or an ID without a node, so the pin does not depend on how
+// the tables encode a hop: the expected hashes were taken from the 16-bit
+// tables that preceded the byte and hub layout. The reference test stops
+// at 10k nodes, and the scale digests count deliveries, which another
+// equal-length next hop need not move.
+func TestPrepareTablesPinned(t *testing.T) {
+	if raceEnabled {
+		t.Skip("100k-node builds are too slow under the race detector")
+	}
+	for _, c := range []struct {
+		seed uint64
+		want string
+	}{
+		{42, "4bee56e85b5f87d29be24be61d74163e34e171928d8f2ac101f2f86cf922a93d"},
+		{7, "24540e6dae87dd714d7f33d20b06cd238b4a65f6ab8c07c6e6c6191f51abb735"},
+	} {
+		sm := Prepare(Config{Nodes: 100000, Packets: 1, Seed: c.seed})
+		routes := make([]netsim.RouteFunc, sm.G.Freeze().Bound())
+		for _, v := range sm.G.NodeIDs() {
+			routes[v] = sm.S.Owner(v).Node(v).Route
+		}
+		h := sha256.New()
+		buf := make([]byte, 4*len(routes))
+		for _, sk := range sm.Sinks {
+			dst := sm.S.Owner(sk).AddrOf(sk)
+			for v, route := range routes {
+				var next topology.NodeID
+				if route != nil {
+					if nh, ok := route(dst, nil); ok {
+						next = nh
+					}
+				}
+				binary.LittleEndian.PutUint32(buf[4*v:], uint32(next))
+			}
+			h.Write(buf)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != c.want {
+			t.Errorf("seed %d: tables hash to %s, want %s", c.seed, got, c.want)
+		}
+	}
 }
 
 // BenchmarkScaleForward is the scale sweep: end-to-end packets through
