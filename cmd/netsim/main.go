@@ -326,12 +326,18 @@ func runScale(stdout, stderr io.Writer, nodes, shards, packets int, parallel, ch
 		Shards: shards, Parallel: parallel, Chaos: chaosOn,
 		Obs: metricsPath != "",
 	}
+	// Each phase reports the heap bytes it allocated, live or dead: a
+	// phase that runs between two collections keeps all of them resident.
+	alloc := totalAlloc()
 	start := time.Now()
 	sm := scale.Prepare(cfg)
 	setup := time.Since(start)
+	setupBytes := totalAlloc() - alloc
+	alloc = totalAlloc()
 	start = time.Now()
 	res := sm.Run()
 	drain := time.Since(start)
+	drainBytes := totalAlloc() - alloc
 	// Shard geometry is shard-count-dependent by definition, so it goes
 	// to stderr with the timing, keeping stdout diffable across counts.
 	// Per-shard node and event counts show a skewed partition: the
@@ -350,14 +356,23 @@ func runScale(stdout, stderr io.Writer, nodes, shards, packets int, parallel, ch
 		float64(busiest)*float64(len(sm.S.Shards))/float64(max(res.Processed, 1)))
 	fmt.Fprint(stdout, res.Render())
 	total := res.Delivered + res.Dropped
-	fmt.Fprintf(stderr, "netsim: scale: set-up %v; drained %d packets, %d events in %v (%.0f pkt/s, %.0f ev/s, GOMAXPROCS=%d)\n",
-		setup.Round(time.Millisecond), total, res.Processed, drain.Round(time.Millisecond),
+	fmt.Fprintf(stderr, "netsim: scale: set-up %v, %.1f MB allocated; drained %d packets, %d events in %v, %.1f MB allocated (%.0f pkt/s, %.0f ev/s, GOMAXPROCS=%d)\n",
+		setup.Round(time.Millisecond), float64(setupBytes)/1e6, total, res.Processed,
+		drain.Round(time.Millisecond), float64(drainBytes)/1e6,
 		float64(total)/drain.Seconds(), float64(res.Processed)/drain.Seconds(),
 		runtime.GOMAXPROCS(0))
 	if metricsPath != "" {
 		return writeMetrics(stderr, res.Metrics, metricsPath)
 	}
 	return 0
+}
+
+// totalAlloc returns the bytes the process has allocated on the heap so
+// far.
+func totalAlloc() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.TotalAlloc
 }
 
 // writeMetrics dumps a registry snapshot as indented JSON and returns the

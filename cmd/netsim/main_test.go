@@ -99,15 +99,16 @@ func TestScaleGeometryLine(t *testing.T) {
 	}
 }
 
-// The scale timing line on stderr gives set-up apart from the drain, and
-// keeps the " N events in " phrase make scale-smoke greps for; the drain
-// of 500 packets on 300 nodes executes more events than it has packets.
+// The scale timing line on stderr gives set-up apart from the drain, each
+// with the bytes it allocated, and keeps the " N events in " phrase make
+// scale-smoke greps for; the drain of 500 packets on 300 nodes executes
+// more events than it has packets.
 func TestScaleTimingLine(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run([]string{"-nodes", "300", "-packets", "500"}, &out, &errb); code != 0 {
 		t.Fatalf("exit %d; stderr %q", code, errb.String())
 	}
-	want := regexp.MustCompile(`netsim: scale: set-up \S+; drained 500 packets, [1-9]\d{3,} events in \S+ \(\d+ pkt/s, \d+ ev/s, GOMAXPROCS=\d+\)`)
+	want := regexp.MustCompile(`netsim: scale: set-up \S+, \d+\.\d MB allocated; drained 500 packets, [1-9]\d{3,} events in \S+, \d+\.\d MB allocated \(\d+ pkt/s, \d+ ev/s, GOMAXPROCS=\d+\)`)
 	if !want.MatchString(errb.String()) {
 		t.Errorf("stderr %q does not match %s", errb.String(), want)
 	}

@@ -219,12 +219,18 @@ type Network struct {
 
 	// handoff wires this network into a sharded group: it receives flights
 	// whose next hop another shard runs. See Sharded. handoffs counts those
-	// flights; only this shard's goroutine writes it.
+	// flights; only this shard's goroutine writes it. handback receives
+	// the flights that end here but another shard's network made, to go
+	// back to that network's free list. shard is the network's index in
+	// its group.
 	handoff  func(f *flight, to topology.NodeID, arrive sim.Time, key uint64)
 	handoffs int
+	handback func(f *flight)
+	shard    int32
 
-	// flightFree recycles flight contexts between packets.
-	flightFree []*flight
+	// freeFlights heads the chain of this network's recycled flights,
+	// linked through flight.nextFree.
+	freeFlights *flight
 
 	// dropKeys/blockedKeys/malformedKeys intern hot-path counter and
 	// trace strings so drops do not concatenate on every packet.
@@ -256,6 +262,7 @@ func newNetwork(sched *sim.Scheduler, g *topology.Graph, part *topology.Partitio
 		HopProcessing: 10 * sim.Microsecond,
 		TraceEventCap: 8,
 		addrShift:     ProviderShift,
+		shard:         shard,
 		Stats:         sim.Counter{},
 		dropKeys:      sim.NewKeyCache("drop:"),
 		blockedKeys:   sim.NewKeyCache("blocked:"),
@@ -447,9 +454,12 @@ func (t *Trace) record(at sim.Time, node topology.NodeID, action, detail string)
 // network header (kept coherent with the bytes — see the package
 // comment), the trace, and the node the packet is headed to. The struct
 // and its single scheduling closure are allocated once and recycled
-// through Network.flightFree, so per-hop scheduling allocates nothing.
+// through the free list of home, the network that made it, so per-hop
+// scheduling allocates nothing. In a sharded group the packet may end on
+// another shard, which hands the flight back (see Sharded); the network
+// a flight is at is always node.Net.
 type flight struct {
-	net  *Network
+	home *Network
 	t    *Trace
 	data []byte
 	tip  packet.TIP
@@ -461,11 +471,13 @@ type flight struct {
 	// undecoded marks a launched flight whose bytes the first step must
 	// decode (tip is stale until then).
 	undecoded bool
-	// hops counts forward hops taken, for the obs hop histogram. With
-	// the flags before it, it fills one word, which keeps a flight in a
-	// 240-byte size class.
+	// hops counts forward hops taken, for the obs hop histogram. It
+	// shares a word with the flags before it: a flight is 248 bytes, in
+	// the 256-byte size class.
 	hops int32
 	run  func() // method value for f.step, created once per flight
+	// nextFree links a recycled flight to the next on its free list.
+	nextFree *flight
 
 	// buf is the flight-owned byte buffer used by Inject: the packet is
 	// copied into it so the caller's buffer can be reused immediately,
@@ -479,27 +491,39 @@ type flight struct {
 	own Trace
 }
 
-// newFlight returns a recycled or fresh flight context.
+// newFlight returns a recycled or fresh flight context, the last
+// recycled first.
 func (n *Network) newFlight() *flight {
-	if k := len(n.flightFree); k > 0 {
-		f := n.flightFree[k-1]
-		n.flightFree = n.flightFree[:k-1]
+	if f := n.freeFlights; f != nil {
+		n.freeFlights = f.nextFree
 		return f
 	}
-	f := &flight{net: n}
+	f := &flight{home: n}
 	f.run = f.step
 	return f
 }
 
-// releaseFlight recycles a terminated flight. The decoded TIP keeps its
-// option structs so DecodeReuse on the next tenant is allocation-free;
-// flight-owned buffers (Inject) are likewise retained.
+// releaseFlight recycles a terminated flight: onto this network's free
+// list if it made the flight, or else through handback toward the shard
+// that did. The decoded TIP keeps its option structs so DecodeReuse on
+// the next tenant is allocation-free; flight-owned buffers (Inject) are
+// likewise retained.
 func (n *Network) releaseFlight(f *flight) {
 	f.t = nil
 	f.quiet = false
 	f.data = nil
 	f.node = nil
-	n.flightFree = append(n.flightFree, f)
+	if f.home != n {
+		n.handback(f)
+		return
+	}
+	n.recycle(f)
+}
+
+// recycle pushes f onto the network's free list.
+func (n *Network) recycle(f *flight) {
+	f.nextFree = n.freeFlights
+	n.freeFlights = f
 }
 
 // quietTrace points f's trace at its own, reset for a packet sent at
@@ -515,11 +539,12 @@ func (f *flight) quietTrace(sentAt sim.Time) {
 func (f *flight) step() {
 	if f.undecoded {
 		f.undecoded = false
+		n := f.node.Net
 		if f.dir == Sending && !f.quiet {
-			f.t.record(f.net.Sched.Now(), f.node.ID, "send", "")
+			f.t.record(n.Sched.Now(), f.node.ID, "send", "")
 		}
 		if err := f.tip.DecodeReuse(f.data); err != nil {
-			f.net.dropFlight(f, f.node.ID, "malformed")
+			n.dropFlight(f, f.node.ID, "malformed")
 			return
 		}
 	}

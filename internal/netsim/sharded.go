@@ -43,6 +43,17 @@ import (
 // epoch that produced it — and the next epoch's start T' counts the
 // earliest buffered arrival, so no shard ever receives an event in its
 // past.
+//
+// # Flights go home
+//
+// A flight is recycled by the network that made it. When its packet ends
+// on another shard, that shard hands it back: at once under the lockstep
+// driver, which runs one shard at a time, and in a parallel epoch by
+// chaining it, with no lock and no allocation, on a list per (epoch
+// parity, home shard) that the home shard splices onto its free list
+// when it takes the next epoch's arrivals. Were flights kept where their
+// packets end, a shard that launches more packets than it ends would
+// allocate flights while another hoarded them.
 
 // arrival is one cross-shard packet handoff, buffered in an outbox
 // until the epoch after the one that produced it.
@@ -66,10 +77,17 @@ type Shard struct {
 	// parity, while each destination's goroutine empties its box in the
 	// other set, the one the previous epoch filled.
 	out [2][][]arrival
+	// back chains the flights that ended on this shard during parallel
+	// epochs but another shard made, in two sets by epoch parity as out
+	// is, each indexed by the shard that made them.
+	back [2][]flightChain
 	// early is the earliest arrival time buffered in the current epoch
 	// (noArrival if none); written only by this shard's goroutine.
 	early sim.Time
 }
+
+// flightChain is a list of flights linked through flight.nextFree.
+type flightChain struct{ head, tail *flight }
 
 // noArrival is Shard.early when a shard has buffered nothing.
 const noArrival = sim.Time(1<<63 - 1)
@@ -117,6 +135,7 @@ func NewSharded(g *topology.Graph, k int) *Sharded {
 		net.keyed = true
 		sh := &Shard{ID: int32(i), Sched: sched, Net: net, early: noArrival}
 		sh.out = [2][][]arrival{make([][]arrival, part.K), make([][]arrival, part.K)}
+		sh.back = [2][]flightChain{make([]flightChain, part.K), make([]flightChain, part.K)}
 		net.handoff = func(f *flight, to topology.NodeID, arrive sim.Time, key uint64) {
 			d := s.Part.ShardOf(to)
 			a := arrival{f: f, to: to, arrive: arrive, key: key}
@@ -128,17 +147,28 @@ func NewSharded(g *topology.Graph, k int) *Sharded {
 			*box = append(*box, a)
 			sh.early = min(sh.early, arrive)
 		}
+		net.handback = func(f *flight) {
+			if !s.inParallel {
+				f.home.recycle(f)
+				return
+			}
+			c := &sh.back[s.parity][f.home.shard]
+			if c.head == nil {
+				c.tail = f
+			}
+			f.nextFree = c.head
+			c.head = f
+		}
 		s.Shards[i] = sh
 	}
 	return s
 }
 
-// insertArrival rebinds a handed-off flight to the destination shard's
-// network and schedules it there. Insertion order across arrivals is
+// insertArrival moves a handed-off flight to its node on the destination
+// shard and schedules it there. Insertion order across arrivals is
 // irrelevant: the heap dispatches by (time, key) and keys are unique.
 func (s *Sharded) insertArrival(dst *Shard, a arrival) {
 	f := a.f
-	f.net = dst.Net
 	f.node = dst.Net.Node(a.to)
 	f.dir = Forwarding
 	dst.Sched.AtKeyed(a.arrive, a.key, f.run)
@@ -271,7 +301,8 @@ func (s *Sharded) epochStart() (start sim.Time, found bool) {
 }
 
 // receive schedules on dst the arrivals every shard buffered for it in
-// outbox set p, and empties those boxes.
+// outbox set p, splices the flights they handed back to dst in set p
+// onto its free list, and empties those boxes and lists.
 func (s *Sharded) receive(dst *Shard, p int) {
 	for _, src := range s.Shards {
 		box := src.out[p][dst.ID]
@@ -279,6 +310,11 @@ func (s *Sharded) receive(dst *Shard, p int) {
 			s.insertArrival(dst, a)
 		}
 		src.out[p][dst.ID] = box[:0]
+		if c := &src.back[p][dst.ID]; c.head != nil {
+			c.tail.nextFree = dst.Net.freeFlights
+			dst.Net.freeFlights = c.head
+			*c = flightChain{}
+		}
 	}
 }
 

@@ -42,7 +42,8 @@ func (t Time) String() string {
 // share a time, so a slot stays with its heap entry until the entry
 // leaves the heap: at dispatch, or, after Cancel has marked it dead,
 // when the heap drains or compacts the entry away. A comparison
-// therefore never reads a recycled slot.
+// therefore never reads a recycled slot, and a released slot's seq is
+// free to hold the free list's link (see release).
 type event struct {
 	fn   func()
 	born Time   // scheduling time, for the obs event-lag span
@@ -51,6 +52,17 @@ type event struct {
 	gen  uint32
 	live bool // scheduled and neither dispatched nor cancelled
 }
+
+// The slot pool is kept in chunks of chunkSlots slots (40 KiB each):
+// slot i lives at chunks[i>>chunkShift][i&chunkMask]. The first chunk
+// grows by append, so a pool that never passes chunkSlots slots costs
+// what one slice would; every later chunk is allocated whole and never
+// moves, so growth copies nothing and leaves no outgrown array behind.
+const (
+	chunkShift = 10
+	chunkSlots = 1 << chunkShift
+	chunkMask  = chunkSlots - 1
+)
 
 // EventID identifies a scheduled event so it can be cancelled. The zero
 // value is valid and refers to no event.
@@ -79,7 +91,7 @@ func (s *Scheduler) less(a, b heapEntry) bool {
 
 // tieLess orders the events in two slots by (key, seq).
 func (s *Scheduler) tieLess(a, b uint32) bool {
-	ea, eb := &s.events[a], &s.events[b]
+	ea, eb := s.slot(a), s.slot(b)
 	if ea.key != eb.key {
 		return ea.key < eb.key
 	}
@@ -94,12 +106,18 @@ func (s *Scheduler) tieLess(a, b uint32) bool {
 //
 // Events live in a slot pool recycled through a free list, so a
 // steady-state simulation schedules events with zero heap allocations
-// once the pool has grown to the high-water mark.
+// once the pool has grown to the high-water mark. The pool grows in
+// fixed chunks (see chunkSlots) and the free list is chained through
+// the released slots themselves, so growing the pool copies no slot and
+// leaves no outgrown array behind, which in a long run between garbage
+// collections would stay resident until the next one.
 type Scheduler struct {
 	now    Time
 	seq    uint64
-	events []event     // slot pool
-	free   []uint32    // recycled slot indices
+	chunks [][]event   // slot pool; see chunkSlots
+	first  [1][]event  // backs chunks until a second chunk is added
+	slots  uint32      // slots ever handed out
+	free   uint32      // 1 + the first slot of the free chain; 0 when it is empty
 	queue  []heapEntry // 4-ary min-heap by (at, key, seq); see heapPad
 	dead   int         // cancelled events whose heap entries are not yet drained
 
@@ -152,26 +170,42 @@ func (s *Scheduler) Now() Time { return s.now }
 // events are excluded even before their heap entries are drained.
 func (s *Scheduler) Pending() int { return len(s.queue) - s.dead }
 
-// acquire returns a slot index for a new event, recycling freed slots.
-func (s *Scheduler) acquire() uint32 {
-	if n := len(s.free); n > 0 {
-		idx := s.free[n-1]
-		s.free = s.free[:n-1]
-		return idx
+// slot returns the event in pool slot idx.
+func (s *Scheduler) slot(idx uint32) *event {
+	return &s.chunks[idx>>chunkShift][idx&chunkMask]
+}
+
+// newSlot adds a slot to the pool and returns its index; AtKeyed calls
+// it when the free chain is empty.
+func (s *Scheduler) newSlot() uint32 {
+	idx := s.slots
+	switch {
+	case idx < chunkSlots:
+		// The first chunk's header lives in the Scheduler, so a pool of
+		// one chunk allocates only the chunk's own growth.
+		if s.chunks == nil {
+			s.chunks = s.first[:]
+		}
+		s.chunks[0] = append(s.chunks[0], event{})
+	case idx&chunkMask == 0:
+		s.chunks = append(s.chunks, make([]event, chunkSlots))
 	}
-	s.events = append(s.events, event{})
-	return uint32(len(s.events) - 1)
+	s.slots++
+	return idx
 }
 
 // release recycles a slot once its heap entry has left the heap,
 // bumping its generation so outstanding EventIDs for the old tenant
-// become inert.
+// become inert, and pushes it on the free chain: its seq holds 1 + the
+// next free slot. Nothing reads a released slot's seq as a tie-break,
+// because no heap entry refers to the slot any more (see event).
 func (s *Scheduler) release(idx uint32) {
-	ev := &s.events[idx]
+	ev := s.slot(idx)
 	ev.fn = nil
 	ev.live = false
 	ev.gen++
-	s.free = append(s.free, idx)
+	ev.seq = uint64(s.free)
+	s.free = idx + 1
 }
 
 // At schedules fn at the absolute simulated time at. Scheduling in the past
@@ -192,8 +226,16 @@ func (s *Scheduler) AtKeyed(at Time, key uint64, fn func()) EventID {
 	if at < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, s.now))
 	}
-	idx := s.acquire()
-	ev := &s.events[idx]
+	// Reuse the last released slot, or else grow the pool. The pop is
+	// written out here rather than in a function of its own, which
+	// would be too costly for the compiler to inline.
+	idx := s.free - 1
+	if s.free != 0 {
+		s.free = uint32(s.slot(idx).seq)
+	} else {
+		idx = s.newSlot()
+	}
+	ev := s.slot(idx)
 	ev.fn = fn
 	ev.born = s.now
 	ev.key = key
@@ -224,10 +266,10 @@ func (s *Scheduler) Cancel(id EventID) {
 		return
 	}
 	idx := id.slot - 1
-	if int(idx) >= len(s.events) {
+	if idx >= s.slots {
 		return
 	}
-	ev := &s.events[idx]
+	ev := s.slot(idx)
 	if !ev.live || ev.gen != id.gen {
 		return
 	}
@@ -248,7 +290,7 @@ func (s *Scheduler) maybeCompact() {
 	}
 	kept := s.queue[:0]
 	for _, e := range s.queue {
-		if s.events[e.slot].live {
+		if s.slot(e.slot).live {
 			kept = append(kept, e)
 		} else {
 			s.release(e.slot)
@@ -273,7 +315,7 @@ func (s *Scheduler) Run() {
 func (s *Scheduler) top() (e heapEntry, ev *event, ok bool) {
 	for len(s.queue) > 0 {
 		e = s.queue[0]
-		ev = &s.events[e.slot]
+		ev = s.slot(e.slot)
 		if ev.live {
 			return e, ev, true
 		}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 )
 
@@ -182,5 +183,126 @@ func TestSchedulerCancelledSlotHeldWhileQueued(t *testing.T) {
 	s.Run()
 	if !ran {
 		t.Fatal("a stale Cancel killed the slot's new tenant")
+	}
+}
+
+// scheduleBytes returns the bytes that scheduling n events into a new
+// scheduler allocates, the Scheduler itself not counted.
+func scheduleBytes(n int) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	fn := func() {}
+	s := NewScheduler()
+	runtime.GC() // the process's first collection allocates for itself
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		s.At(Time(i), fn)
+	}
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(s)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// The slot pool grows in chunks that never move, so a deep pool leaves
+// no outgrown arrays behind: 100,000 events keep 56 bytes each (a
+// 40-byte slot and a 16-byte heap entry) and may allocate at most twice
+// that. A pool grown by append copying allocated 265 bytes per event.
+// A pool that stays in the first chunk grows by append as one slice
+// would, so 1,000 events allocate exactly what they did before chunks:
+// a whole first chunk up front would cost small simulations 40 KiB.
+func TestSchedulerGrowthBytes(t *testing.T) {
+	const deep = 100_000
+	per := float64(scheduleBytes(deep)) / deep
+	t.Logf("%d events: %.1f bytes per event", deep, per)
+	if per > 112 {
+		t.Errorf("scheduling %d events allocated %.1f bytes per event, want <= 112", deep, per)
+	}
+	const appendGrown = 126_880 // a []event and the heap, each grown by doubling
+	if got := scheduleBytes(1000); got != appendGrown {
+		t.Errorf("scheduling 1000 events allocated %d bytes, want %d", got, appendGrown)
+	}
+}
+
+// A slot never moves once handed out and its chunk is full: the first
+// chunk moves only while it grows, and every later chunk is allocated
+// whole.
+func TestSchedulerSlotsDoNotMove(t *testing.T) {
+	s := NewScheduler()
+	fn := func() {}
+	addr := make([]*event, 0, 10*chunkSlots)
+	for i := 0; i < 10*chunkSlots; i++ {
+		s.At(Time(i), fn)
+		if i == chunkSlots-1 {
+			for j := 0; j <= i; j++ {
+				addr = append(addr, s.slot(uint32(j)))
+			}
+		} else if i >= chunkSlots {
+			addr = append(addr, s.slot(uint32(i)))
+		}
+	}
+	for i, p := range addr {
+		if q := s.slot(uint32(i)); q != p {
+			t.Fatalf("slot %d moved from %p to %p as the pool grew to %d slots", i, p, q, len(addr))
+		}
+	}
+}
+
+// Slots on either side of a chunk boundary follow the pool's rules: a
+// cancelled slot is held while its heap entry is queued and reissued
+// once the entry drains, the last released first; a stale ID for it
+// cancels nothing; and its new tenant can be cancelled and run.
+func TestSchedulerChunkBoundarySlots(t *testing.T) {
+	edges := []uint32{chunkSlots - 1, chunkSlots, 2*chunkSlots - 1, 2 * chunkSlots}
+	s := NewScheduler()
+	ran := 0
+	fn := func() { ran++ }
+	// Every slot's event runs at 100 or later, except the edges', which
+	// run at 1, 2, 3 and 4.
+	ids := make([]EventID, 2*chunkSlots+8)
+	for i := range ids {
+		at := Time(100 + i)
+		for k, e := range edges {
+			if uint32(i) == e {
+				at = Time(1 + k)
+			}
+		}
+		if ids[i] = s.At(at, fn); ids[i].slot != uint32(i)+1 {
+			t.Fatalf("event %d was given slot %d, want %d", i, ids[i].slot-1, i)
+		}
+	}
+	for _, e := range edges {
+		s.Cancel(ids[e])
+	}
+	if got, want := s.Pending(), len(ids)-len(edges); got != want {
+		t.Fatalf("Pending = %d after cancelling the edge slots, want %d", got, want)
+	}
+	// Held while queued: an event scheduled now takes a fresh slot.
+	for i := 0; i < 4; i++ {
+		if id := s.At(50, fn); id.slot-1 < uint32(len(ids)) {
+			t.Fatalf("event scheduled with the edges' entries queued was given slot %d", id.slot-1)
+		}
+	}
+	s.RunUntil(4) // drains the four dead entries; nothing runs
+	if ran != 0 || s.dead != 0 {
+		t.Fatalf("RunUntil(4) ran %d events and left %d dead entries, want 0 and 0", ran, s.dead)
+	}
+	// Released in time order, reissued last released first.
+	tenants := make([]EventID, len(edges))
+	for k := range edges {
+		tenants[k] = s.At(10, fn)
+		if want := edges[len(edges)-1-k]; tenants[k].slot-1 != want {
+			t.Fatalf("reissue %d took slot %d, want %d", k, tenants[k].slot-1, want)
+		}
+	}
+	for _, e := range edges {
+		s.Cancel(ids[e]) // stale: must not touch the new tenant
+	}
+	if got, want := s.Pending(), len(ids)+4; got != want {
+		t.Fatalf("Pending = %d after stale cancels, want %d", got, want)
+	}
+	s.Cancel(tenants[0])
+	s.Run()
+	if want := len(ids) + 4 - 1; ran != want {
+		t.Fatalf("ran %d events, want %d", ran, want)
 	}
 }

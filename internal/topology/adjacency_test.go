@@ -2,6 +2,7 @@ package topology
 
 import (
 	"cmp"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -222,7 +223,13 @@ func TestFrozenGraphMatchesOracle(t *testing.T) {
 // TestFrozenGraphAllocs: once frozen, Neighbors, LinkBetween and RelFrom
 // allocate nothing, and the freeze itself allocates as many objects for
 // 10k nodes as for 1k, so nothing is allocated per node or per link.
+//
+// The process's first garbage collection allocates a few runtime objects
+// of its own (later ones allocate at most one), so the test collects
+// once before it counts: otherwise that first collection can land inside
+// one of the measured freezes.
 func TestFrozenGraphAllocs(t *testing.T) {
+	runtime.GC()
 	g := GenerateScaleFree(1000, 2, sim.NewRNG(42))
 	reads := testing.AllocsPerRun(100, func() {
 		for _, v := range g.Neighbors(1) {

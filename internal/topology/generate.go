@@ -128,6 +128,12 @@ func GenerateHierarchy(cfg HierarchyConfig, rng *sim.RNG) *Graph {
 // around 2ms and cost around [1,10) from the caller's rng, so the graph
 // is a pure function of (n, m, rng state). The graph is connected by
 // construction: every node attaches to an earlier one.
+//
+// The graph is sized once: the node map for n entries, the n Nodes in
+// one slice and Links at its exact final length, m(m+1)/2 clique links
+// and m for each later node, so generating it leaves no outgrown array
+// behind. Every node and link still passes AddNode's and AddLink's
+// checks.
 func GenerateScaleFree(n, m int, rng *sim.RNG) *Graph {
 	if m < 1 {
 		m = 1
@@ -141,17 +147,20 @@ func GenerateScaleFree(n, m int, rng *sim.RNG) *Graph {
 	}
 	cost := func() float64 { return rng.Range(1, 10) }
 
-	g := NewGraph()
-	for i := 1; i <= n; i++ {
-		g.AddNode(NodeID(i), Transit, 2)
+	links := m*(m+1)/2 + (n-m-1)*m
+	g := &Graph{Nodes: make(map[NodeID]*Node, n), Links: make([]Link, 0, links)}
+	nodes := make([]Node, n)
+	for i := range nodes {
+		nodes[i] = Node{Kind: Transit, Tier: 2}
+		g.addNode(NodeID(i+1), &nodes[i])
 	}
 	// targets is the repeated-endpoint list: each node appears once per
 	// unit of degree, so a uniform draw from it is degree-preferential.
-	targets := make([]NodeID, 0, 2*(m*(m+1)/2+(n-m-1)*m))
+	targets := make([]NodeID, 0, 2*links)
 	// Seed clique of m+1 nodes.
 	seed := m + 1
 	for i := 1; i <= seed; i++ {
-		g.Nodes[NodeID(i)].Tier = 1
+		nodes[i-1].Tier = 1
 		for j := i + 1; j <= seed; j++ {
 			g.AddLink(NodeID(i), NodeID(j), PeerOf, lat(), cost())
 			targets = append(targets, NodeID(i), NodeID(j))
@@ -186,9 +195,8 @@ func GenerateScaleFree(n, m int, rng *sim.RNG) *Graph {
 	}
 	for i := seed + 1; i <= n; i++ {
 		if deg[i] <= m {
-			nd := g.Nodes[NodeID(i)]
-			nd.Kind = Stub
-			nd.Tier = 3
+			nodes[i-1].Kind = Stub
+			nodes[i-1].Tier = 3
 		}
 	}
 	return g

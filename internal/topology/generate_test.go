@@ -64,6 +64,23 @@ func TestScaleFreeConnected(t *testing.T) {
 	}
 }
 
+// TestScaleFreeSizedOnce: the generator sizes its graph once. Links ends
+// at exactly its capacity, whatever (n, m), and 100k nodes allocate a
+// few hundred objects, the node map's and a handful of slices, not one
+// per node.
+func TestScaleFreeSizedOnce(t *testing.T) {
+	for _, tc := range []struct{ n, m int }{{1, 0}, {2, 3}, {5, 1}, {50, 2}, {500, 3}} {
+		g := GenerateScaleFree(tc.n, tc.m, sim.NewRNG(42))
+		if len(g.Links) != cap(g.Links) {
+			t.Errorf("n=%d m=%d: %d links in a slice of capacity %d", tc.n, tc.m, len(g.Links), cap(g.Links))
+		}
+	}
+	allocs := testing.AllocsPerRun(1, func() { GenerateScaleFree(100_000, 2, sim.NewRNG(42)) })
+	if allocs >= 1000 {
+		t.Errorf("generating 100k nodes allocated %v objects, want fewer than 1000", allocs)
+	}
+}
+
 // TestScaleFreeShape: the degree distribution should be heavy-tailed —
 // a hub far above the mean degree — and leaves must be classified Stub.
 func TestScaleFreeShape(t *testing.T) {

@@ -98,12 +98,18 @@ func NewGraph() *Graph {
 // AddNode inserts a node; it panics on duplicate IDs (topology bugs should
 // fail loudly at construction).
 func (g *Graph) AddNode(id NodeID, kind Kind, tier int) *Node {
+	n := &Node{Kind: kind, Tier: tier}
+	g.addNode(id, n)
+	return n
+}
+
+// addNode inserts the node n under id, with AddNode's checks, for
+// generators that allocate their nodes together.
+func (g *Graph) addNode(id NodeID, n *Node) {
 	if _, dup := g.Nodes[id]; dup {
 		panic(fmt.Sprintf("topology: duplicate node %d", id))
 	}
-	n := &Node{Kind: kind, Tier: tier}
 	g.Nodes[id] = n
-	return n
 }
 
 // AddLink connects two existing nodes. rel is from a's perspective:
