@@ -181,12 +181,12 @@ shard-determinism:
 	      cmp /tmp/shard-ref.out /tmp/shard-par.out || { echo "shard-determinism: shards=$$k parallel seed=$$seed chaos='$$chaos' digest diverged"; exit 1; }; \
 	      cmp /tmp/shard-ref-m.json /tmp/shard-par-m.json || { echo "shard-determinism: shards=$$k parallel seed=$$seed chaos='$$chaos' metrics diverged"; exit 1; }; \
 	      $(GO) run ./cmd/netsim -nodes 5000 -shards $$k -parallel=false -seed $$seed $$chaos -metrics /tmp/shard-seq-m.json 2>/dev/null > /tmp/shard-seq.out || exit 1; \
-	      cmp /tmp/shard-ref.out /tmp/shard-seq.out || { echo "shard-determinism: shards=$$k lockstep seed=$$seed chaos='$$chaos' digest diverged"; exit 1; }; \
-	      cmp /tmp/shard-ref-m.json /tmp/shard-seq-m.json || { echo "shard-determinism: shards=$$k lockstep seed=$$seed chaos='$$chaos' metrics diverged"; exit 1; }; \
+	      cmp /tmp/shard-ref.out /tmp/shard-seq.out || { echo "shard-determinism: shards=$$k serial seed=$$seed chaos='$$chaos' digest diverged"; exit 1; }; \
+	      cmp /tmp/shard-ref-m.json /tmp/shard-seq-m.json || { echo "shard-determinism: shards=$$k serial seed=$$seed chaos='$$chaos' metrics diverged"; exit 1; }; \
 	    done; \
 	  done; \
 	done; \
-	echo "shard-determinism: digests and metrics identical at shards 1/2/4/8 (lockstep+parallel, +/-chaos, seeds 42+7)"
+	echo "shard-determinism: digests and metrics identical at shards 1/2/4/8 (serial+parallel, +/-chaos, seeds 42+7)"
 
 # Regenerate EXPERIMENTS.md from the current code.
 experiments:
@@ -258,7 +258,7 @@ invariant-sweep:
 	$(GO) run ./cmd/tussle-check -trials 500 -seed 7
 # The same discipline over the sharded core: 500 randomized scale
 # scenarios each (topology size, traffic, chaos, shard count all
-# seed-derived) with the checker attached across every shard.
+# seed-derived) on the parallel driver, with a checker on every shard.
 	$(GO) run ./cmd/tussle-check -sharded -trials 500 -seed 42
 	$(GO) run ./cmd/tussle-check -sharded -trials 500 -seed 7
 

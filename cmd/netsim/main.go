@@ -89,7 +89,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		eventsPath   = fs.String("events", "", "write forwarding-layer events as JSON lines to this file")
 		nodes        = fs.Int("nodes", 0, "scale mode: run the sharded core over a scale-free topology this big")
 		shards       = fs.Int("shards", 1, "scale mode: shard count")
-		parallel     = fs.Bool("parallel", true, "scale mode: run shards in parallel epochs (off = lockstep)")
+		parallel     = fs.Bool("parallel", true, "scale mode: run each epoch's shards in parallel (off = one after another)")
 		chaosOn      = fs.Bool("chaos", false, "scale mode: inject a deterministic fault schedule")
 		useMultipath = fs.Bool("multipath", false, "multipath mode: stripe a reliable transfer over disjoint source routes")
 		mpStrategy   = fs.String("mpstrategy", "disjointness-max", "multipath mode: path-selection strategy (shortest-k, disjointness-max, latency-weighted, loss-adaptive)")
@@ -318,7 +318,7 @@ func loadPlan(path string) (*chaos.Plan, error) {
 
 // runScale executes the sharded scale workload. Everything on stdout is
 // deterministic for (seed, nodes, packets, chaos) — independent of the
-// shard count and driver — so CI diffs it across shard counts; wall
+// shard count and of -parallel — so CI diffs it across shard counts; wall
 // time and throughput go to stderr.
 func runScale(stdout, stderr io.Writer, nodes, shards, packets int, parallel, chaosOn bool, seed uint64, metricsPath string) int {
 	cfg := scale.Config{
@@ -343,8 +343,8 @@ func runScale(stdout, stderr io.Writer, nodes, shards, packets int, parallel, ch
 	// Per-shard node and event counts show a skewed partition: the
 	// busiest shard bounds the parallel drain. Handoffs are the packets
 	// the drain moved between shards, each one a heap insert on another
-	// shard's scheduler (under the parallel driver, by that shard's
-	// goroutine at the start of the next epoch).
+	// shard's scheduler, made by that shard at the start of the next
+	// epoch (on its own goroutine under -parallel).
 	var load strings.Builder
 	var busiest uint64
 	for i, sh := range sm.S.Shards {

@@ -44,7 +44,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		reproPath  = fs.String("repro", "", "write the first shrunk reproducer to this file")
 		replayPath = fs.String("replay", "", "replay a reproducer file instead of sweeping")
 		multi      = fs.Bool("multipath", false, "force every generated transfer onto the multipath sender")
-		sharded    = fs.Bool("sharded", false, "sweep sharded scale scenarios (checker attached across shards)")
+		sharded    = fs.Bool("sharded", false, "sweep sharded scale scenarios (one checker per shard)")
 		shards     = fs.Int("shards", 0, "with -sharded: pin the shard count (0 rotates 2/4/8)")
 		verbose    = fs.Bool("v", false, "print per-failure violation details")
 	)
@@ -86,21 +86,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Trials: *trials, Seed: *seed, Invariants: enabled,
 		}, *shards)
 		if res.Clean() {
-			fmt.Fprintf(stdout, "tussle-check: %d sharded trials clean (seed %d, checker attached across shards)\n",
+			fmt.Fprintf(stdout, "tussle-check: %d sharded trials clean (seed %d, one checker per shard)\n",
 				res.Trials, *seed)
 			return 0
 		}
-		fmt.Fprintf(stdout, "tussle-check: %d of %d sharded trials FAILED (seed %d)\n",
-			len(res.Failures), res.Trials, *seed)
-		for _, f := range res.Failures {
-			fmt.Fprintf(stdout, "  trial %d (seed %d): %d violation(s), first: %s\n",
-				f.Trial, f.Seed, len(f.Violations), f.Violations[0].String())
-			if *verbose {
-				for _, v := range f.Violations[1:] {
-					fmt.Fprintf(stdout, "    %s\n", v.String())
-				}
-			}
-		}
+		printFailures(stdout, "sharded trials", res, *seed, *verbose)
 		return 1
 	}
 
@@ -118,21 +108,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	fmt.Fprintf(stdout, "tussle-check: %d of %d trials FAILED (seed %d)\n",
-		len(res.Failures), res.Trials, *seed)
-	for _, f := range res.Failures {
-		fmt.Fprintf(stdout, "  trial %d (seed %d): %d violation(s), first: %s\n",
-			f.Trial, f.Seed, len(f.Violations), f.Violations[0].String())
-		if *verbose {
-			for _, v := range f.Violations[1:] {
-				fmt.Fprintf(stdout, "    %s\n", v.String())
-			}
-		}
-		if f.Repro != nil {
-			fmt.Fprintf(stdout, "    shrunk: %d plan events, %d traffic entries\n",
-				len(f.Repro.Scenario.Plan.Events), len(f.Repro.Scenario.Traffic))
-		}
-	}
+	printFailures(stdout, "trials", res, *seed, *verbose)
 	if *reproPath != "" {
 		if err := writeFirstRepro(res, *reproPath); err != nil {
 			fmt.Fprintln(stderr, err)
@@ -141,6 +117,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "reproducer written to %s\n", *reproPath)
 	}
 	return 1
+}
+
+// printFailures reports the failed trials of res, which ran as many of
+// what: each one's first violation, the rest with verbose, and the size
+// of its shrunk reproducer when it has one.
+func printFailures(w io.Writer, what string, res *invariant.Result, seed uint64, verbose bool) {
+	fmt.Fprintf(w, "tussle-check: %d of %d %s FAILED (seed %d)\n", len(res.Failures), res.Trials, what, seed)
+	for _, f := range res.Failures {
+		fmt.Fprintf(w, "  trial %d (seed %d): %d violation(s), first: %s\n",
+			f.Trial, f.Seed, len(f.Violations), f.Violations[0].String())
+		if verbose {
+			for _, v := range f.Violations[1:] {
+				fmt.Fprintf(w, "    %s\n", v.String())
+			}
+		}
+		if f.Repro != nil {
+			fmt.Fprintf(w, "    shrunk: %d plan events, %d traffic entries\n",
+				len(f.Repro.Scenario.Plan.Events), len(f.Repro.Scenario.Traffic))
+		}
+	}
 }
 
 // writeFirstRepro emits the first shrunk reproducer as canonical JSON.

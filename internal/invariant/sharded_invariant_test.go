@@ -10,8 +10,8 @@ import (
 
 // TestSweepShardedClean: the sharded core holds the event-stream
 // invariants (conservation, queue-bound, clock) and per-packet trace
-// validity with the checker attached across shards, under chaos, at
-// several shard counts.
+// validity with a checker on every shard of the parallel driver, under
+// chaos, at several shard counts.
 func TestSweepShardedClean(t *testing.T) {
 	res := SweepSharded(Config{Trials: 24, Seed: 42}, 0)
 	if !res.Clean() {
@@ -27,19 +27,34 @@ func TestSweepShardedClean(t *testing.T) {
 }
 
 // TestShardedCheckerSeesTraffic guards against the sweep silently
-// checking nothing: a checker attached across shards must actually
-// observe the bulk traffic on every shard.
+// checking nothing: the shards' checkers must actually observe the bulk
+// traffic, and must see packets cross shards through the outboxes. At 4
+// shards some packets end on another shard than the one that sent them,
+// so some shard's own counts do not balance, while the counts summed
+// across shards do.
 func TestShardedCheckerSeesTraffic(t *testing.T) {
-	sm := scale.Prepare(scale.Config{Nodes: 200, Packets: 1000, Seed: 42, Shards: 4})
-	c := NewChecker(sm.S.Shards[0].Net, ShardedInvariants())
-	sm.AttachSink(c)
+	sm := scale.Prepare(scale.Config{Nodes: 200, Packets: 1000, Seed: 42, Shards: 4, Parallel: true})
+	cs := shardCheckers(sm, ShardedInvariants())
 	traces := sm.SendProbes(8)
 	res := sm.Run()
+	if sm.S.Handoffs() == 0 {
+		t.Fatal("no packet crossed shards")
+	}
+	unbalanced := 0
+	for _, c := range cs {
+		if c.delivers+c.drops != c.sends+c.dups {
+			unbalanced++
+		}
+	}
+	if unbalanced == 0 {
+		t.Fatalf("every shard's own counts balance after %d handoffs: the checkers saw no packet cross shards", sm.S.Handoffs())
+	}
+	c := merge(cs)
 	if c.sends < 1000 {
-		t.Fatalf("checker saw %d sends, want >= 1000", c.sends)
+		t.Fatalf("checkers saw %d sends, want >= 1000", c.sends)
 	}
 	if c.delivers+c.drops != c.sends+c.dups {
-		t.Fatalf("checker counts unbalanced: sends=%d dups=%d delivers=%d drops=%d",
+		t.Fatalf("merged counts unbalanced: sends=%d dups=%d delivers=%d drops=%d",
 			c.sends, c.dups, c.delivers, c.drops)
 	}
 	delivered := 0
@@ -61,13 +76,15 @@ func TestShardedCheckerSeesTraffic(t *testing.T) {
 	}
 }
 
-// TestShardedCheckerDetectsViolation: the cross-shard checker is live —
-// a fabricated non-monotone event stream trips the clock invariant.
+// TestShardedCheckerDetectsViolation: a shard's checker is live — a
+// fabricated non-monotone event stream trips its clock invariant.
 func TestShardedCheckerDetectsViolation(t *testing.T) {
-	sm := scale.Prepare(scale.Config{Nodes: 150, Packets: 500, Seed: 7, Shards: 2})
-	c := NewChecker(sm.S.Shards[0].Net, ShardedInvariants())
-	sm.AttachSink(c)
+	sm := scale.Prepare(scale.Config{Nodes: 150, Packets: 500, Seed: 7, Shards: 2, Parallel: true})
+	c := shardCheckers(sm, ShardedInvariants())[1]
 	sm.Run()
+	if c.sends == 0 {
+		t.Fatal("shard 1's checker saw no sends")
+	}
 	// Replay a stale-timestamped event into the sink by hand.
 	c.Emit(obs.Event{Time: 1, Scope: "netsim", Kind: "deliver", Node: 1})
 	found := false

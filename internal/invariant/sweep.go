@@ -170,12 +170,10 @@ func runScenario(sc *Scenario, enabled map[string]bool, hk *hooks) *trialResult 
 			rcv.Out = hk.corruptStream(stream)
 		}
 		cfg := multipath.Config{
-			Paths: sp.Multipath, MaxPathLen: 8,
-			Window: 4, SegmentSize: 256,
+			Paths: sp.Multipath, Window: 4, SegmentSize: 256,
 			RTO: 20 * sim.Millisecond, MaxRetries: 8,
-			Backoff: 2, MaxRTO: 200 * sim.Millisecond,
-			JitterFrac: 0.1, Seed: sc.Seed,
-			DemoteAfter: 2, ProbeEvery: 50 * sim.Millisecond, MaxProbes: 6,
+			MaxRTO: 200 * sim.Millisecond, Seed: sc.Seed,
+			ProbeEvery: 50 * sim.Millisecond, MaxProbes: 6,
 		}
 		snd := multipath.NewSender(net, strat, sp.Src, sp.Dst, 7777, sent, cfg)
 		sched.At(1*sim.Millisecond, snd.Start)

@@ -67,7 +67,8 @@ func rawPacket(tb testing.TB, src, dst topology.NodeID, ttl uint8, payload int) 
 
 // sendAllocs measures steady-state allocations for one full packet
 // lifetime across a chain of the given length: on one network, or, when
-// shards > 0, on a lockstep group of that many shards.
+// shards > 0, on a group of that many shards whose epochs run on the
+// caller's goroutine.
 func sendAllocs(t *testing.T, nodes, shards int) float64 {
 	var launch func([]byte) *Trace
 	var drain func()
@@ -128,7 +129,7 @@ func TestForwardHopZeroAlloc(t *testing.T) {
 	}
 }
 
-// Flights go back to the shard that made them under either driver: after
+// Flights go back to the shard that made them, serial or parallel: after
 // each drain, every flight is on its maker's free list, so a shard that
 // launches packets ending on another shard reuses its flights instead of
 // making new ones while the other shard hoards them.

@@ -174,8 +174,6 @@ type Network struct {
 	// packet is tail-dropped when admitting it would push the link's
 	// backlog beyond MaxQueue, so the bound is never exceeded.
 	MaxQueue sim.Time
-	// HopProcessing is fixed per-hop processing latency.
-	HopProcessing sim.Time
 	// TraceEventCap pre-sizes the event slab of each Trace that Send and
 	// InjectArrival return; traces longer than this grow by the usual
 	// append doubling. Tune it to the expected path length (send + hops +
@@ -244,6 +242,9 @@ type Network struct {
 	Delivered, Dropped int
 }
 
+// hopProcessing is the fixed processing latency of every hop.
+const hopProcessing = 10 * sim.Microsecond
+
 // New builds a Network that runs every node of a topology. All nodes
 // start with no routes, no middleboxes, and no delivery handler. The
 // Network freezes g and sizes its dense tables from it once, here: g must
@@ -259,7 +260,6 @@ func newNetwork(sched *sim.Scheduler, g *topology.Graph, part *topology.Partitio
 		Graph:         g,
 		LinkRate:      1e8, // 800 Mbit/s
 		MaxQueue:      100 * sim.Millisecond,
-		HopProcessing: 10 * sim.Microsecond,
 		TraceEventCap: 8,
 		addrShift:     ProviderShift,
 		shard:         shard,
@@ -517,11 +517,6 @@ func (n *Network) releaseFlight(f *flight) {
 		n.handback(f)
 		return
 	}
-	n.recycle(f)
-}
-
-// recycle pushes f onto the network's free list.
-func (n *Network) recycle(f *flight) {
 	f.nextFree = n.freeFlights
 	n.freeFlights = f
 }
@@ -810,7 +805,7 @@ func (n *Network) transmit(f *flight, from *Node, to topology.NodeID, pos int, l
 		// an invariant checker can verify admission never exceeds it.
 		n.tracer.Emit(obs.Event{Time: int64(now), Scope: "netsim", Kind: "enqueue", Node: int64(from.ID), Value: float64(busy - now)})
 	}
-	arrive := busy + link.Latency + n.HopProcessing
+	arrive := busy + link.Latency + hopProcessing
 	if flags&linkImpaired != 0 {
 		dir := 0
 		if link.A != from.ID {

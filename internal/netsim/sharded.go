@@ -27,33 +27,32 @@ import (
 // Same-time events on different shards therefore touch disjoint state
 // and commute; the only ordering that matters is the per-shard (time,
 // key) order, and the keys are a pure function of the simulation, not
-// of the partition. Running the K schedulers in lockstep (a global
-// (time, key) merge) or in parallel epochs produces the same state.
+// of the partition. Running an epoch's shards one after another or
+// concurrently produces the same state.
 //
 // # Conservative lookahead
 //
 // A packet crossing shards cannot arrive earlier than the smallest
-// cross-shard link latency W after it was sent. The parallel driver
-// therefore runs epochs of width W: every shard executes its local
-// events in [T, T+W) concurrently, buffering cross-shard arrivals in
-// per-sender outboxes. Each shard's goroutine schedules the arrivals
-// addressed to it at the start of the next epoch, before it runs its
-// own events, so nothing is inserted serially at the barrier. Any
-// arrival produced in the epoch lands at time >= T+W — never inside the
-// epoch that produced it — and the next epoch's start T' counts the
-// earliest buffered arrival, so no shard ever receives an event in its
-// past.
+// cross-shard link latency W after it was sent. Every run is therefore
+// a sequence of epochs of width W. In an epoch [T, T+W) every shard
+// first schedules the arrivals addressed to it that the previous epoch
+// buffered, so nothing is inserted serially at the barrier, then
+// executes its local events, buffering cross-shard arrivals in
+// per-sender outboxes. Any arrival produced in the epoch lands at time >= T+W —
+// never inside the epoch that produced it — and the next epoch's start
+// T' counts the earliest buffered arrival, so no shard ever receives an
+// event in its past. A zero W would leave no epoch to run, so NewSharded
+// refuses a zero-latency cross-shard link.
 //
 // # Flights go home
 //
 // A flight is recycled by the network that made it. When its packet ends
-// on another shard, that shard hands it back: at once under the lockstep
-// driver, which runs one shard at a time, and in a parallel epoch by
-// chaining it, with no lock and no allocation, on a list per (epoch
-// parity, home shard) that the home shard splices onto its free list
-// when it takes the next epoch's arrivals. Were flights kept where their
-// packets end, a shard that launches more packets than it ends would
-// allocate flights while another hoarded them.
+// on another shard, that shard hands it back by chaining it, with no
+// lock and no allocation, on a list per (epoch parity, home shard) that
+// the home shard splices onto its free list when it takes the next
+// epoch's arrivals. Were flights kept where their packets end, a shard
+// that launches more packets than it ends would allocate flights while
+// another hoarded them.
 
 // arrival is one cross-shard packet handoff, buffered in an outbox
 // until the epoch after the one that produced it.
@@ -71,18 +70,17 @@ type Shard struct {
 	ID    int32
 	Sched *sim.Scheduler
 	Net   *Network
-	// out buffers cross-shard arrivals during parallel epochs, in two
-	// sets by epoch parity, each indexed by destination shard. In an
-	// epoch this shard's goroutine appends to the set of the epoch's
-	// parity, while each destination's goroutine empties its box in the
-	// other set, the one the previous epoch filled.
+	// out buffers cross-shard arrivals, in two sets by epoch parity,
+	// each indexed by destination shard. In an epoch this shard appends
+	// to the set of the epoch's parity, while each destination empties
+	// its box in the other set, the one the previous epoch filled.
 	out [2][][]arrival
-	// back chains the flights that ended on this shard during parallel
-	// epochs but another shard made, in two sets by epoch parity as out
-	// is, each indexed by the shard that made them.
+	// back chains the flights that ended on this shard but another shard
+	// made, in two sets by epoch parity as out is, each indexed by the
+	// shard that made them.
 	back [2][]flightChain
 	// early is the earliest arrival time buffered in the current epoch
-	// (noArrival if none); written only by this shard's goroutine.
+	// (noArrival if none); written only by this shard.
 	early sim.Time
 }
 
@@ -100,17 +98,14 @@ type Sharded struct {
 	// latency); zero when the partition has no cross-shard links (the
 	// shards are then fully independent).
 	Window sim.Time
-	// Parallel selects the epoch-barrier driver (one goroutine per
-	// shard per epoch) instead of the sequential lockstep driver. Both
-	// produce identical results; lockstep additionally yields a single
-	// globally time-ordered event stream, which is what the invariant
-	// checker consumes.
+	// Parallel runs each epoch's shards on a goroutine apiece instead of
+	// one after another on the caller's goroutine. The epochs, and so
+	// the results, are the same either way.
 	Parallel bool
 
-	hasCross   bool
-	inParallel bool
-	parity     int // the outbox set the running epoch fills
-	faultSeq   uint32
+	hasCross bool
+	parity   int // the outbox set the running epoch fills
+	faultSeq uint32
 }
 
 // faultKeyFlag marks replicated fault events: it is above every
@@ -123,11 +118,15 @@ const faultKeyFlag = uint64(1) << 63
 // The partition decides only which shard runs a node's events, so it
 // moves wall-clock time, never output. Callers wire
 // routes/middleboxes/delivery on the owning shard's network (see Owner)
-// before sending traffic.
+// before sending traffic. It panics if a link between two shards has no
+// latency, which leaves the epochs no lookahead.
 func NewSharded(g *topology.Graph, k int) *Sharded {
 	part := topology.PartitionBalanced(g, k)
 	s := &Sharded{Part: part}
 	s.Window, s.hasCross = part.MinCrossLatency(g)
+	if s.hasCross && s.Window <= 0 {
+		panic("netsim: a zero-latency cross-shard link leaves the epochs no lookahead")
+	}
 	s.Shards = make([]*Shard, part.K)
 	for i := 0; i < part.K; i++ {
 		sched := sim.NewScheduler()
@@ -137,21 +136,11 @@ func NewSharded(g *topology.Graph, k int) *Sharded {
 		sh.out = [2][][]arrival{make([][]arrival, part.K), make([][]arrival, part.K)}
 		sh.back = [2][]flightChain{make([]flightChain, part.K), make([]flightChain, part.K)}
 		net.handoff = func(f *flight, to topology.NodeID, arrive sim.Time, key uint64) {
-			d := s.Part.ShardOf(to)
-			a := arrival{f: f, to: to, arrive: arrive, key: key}
-			if !s.inParallel {
-				s.insertArrival(s.Shards[d], a)
-				return
-			}
-			box := &sh.out[s.parity][d]
-			*box = append(*box, a)
+			box := &sh.out[s.parity][s.Part.ShardOf(to)]
+			*box = append(*box, arrival{f: f, to: to, arrive: arrive, key: key})
 			sh.early = min(sh.early, arrive)
 		}
 		net.handback = func(f *flight) {
-			if !s.inParallel {
-				f.home.recycle(f)
-				return
-			}
 			c := &sh.back[s.parity][f.home.shard]
 			if c.head == nil {
 				c.tail = f
@@ -162,16 +151,6 @@ func NewSharded(g *topology.Graph, k int) *Sharded {
 		s.Shards[i] = sh
 	}
 	return s
-}
-
-// insertArrival moves a handed-off flight to its node on the destination
-// shard and schedules it there. Insertion order across arrivals is
-// irrelevant: the heap dispatches by (time, key) and keys are unique.
-func (s *Sharded) insertArrival(dst *Shard, a arrival) {
-	f := a.f
-	f.node = dst.Net.Node(a.to)
-	f.dir = Forwarding
-	dst.Sched.AtKeyed(a.arrive, a.key, f.run)
 }
 
 // Owner returns the shard network owning node id; routes, middleboxes,
@@ -200,58 +179,17 @@ func (s *Sharded) FaultAt(t sim.Time, fn func(n *Network)) {
 	}
 }
 
-// Run drains the simulation: lockstep by default, epoch-parallel when
-// Parallel is set.
+// Run drains the simulation.
 func (s *Sharded) Run() { s.RunUntil(sim.Time(1<<62 - 1)) }
 
-// RunUntil executes all events with timestamps <= deadline and advances
-// every shard clock to deadline.
+// RunUntil executes all events with timestamps <= deadline in
+// conservative-lookahead epochs and advances every shard clock to
+// deadline. In an epoch [T, T+W) each shard schedules the arrivals the
+// previous epoch buffered for it and then runs its events before T+W;
+// Parallel chooses only whether the shards do so concurrently. Before
+// it returns, RunUntil schedules the last epoch's arrivals too, so that
+// between calls every pending event is in a shard heap.
 func (s *Sharded) RunUntil(deadline sim.Time) {
-	if s.Parallel && len(s.Shards) > 1 && (!s.hasCross || s.Window > 0) {
-		s.runParallel(deadline)
-	} else {
-		s.runLockstep(deadline)
-	}
-	for _, sh := range s.Shards {
-		if sh.Sched.Now() < deadline && deadline < sim.Time(1<<62-1) {
-			sh.Sched.RunUntil(deadline)
-		}
-	}
-}
-
-// runLockstep merges the K shard heaps into one global (time, key)
-// dispatch order and executes events one at a time on the owning
-// shard's scheduler. Ties across shards (replicated faults share (t,
-// key)) break by shard ID; the copies mutate disjoint state, so the
-// tie-break does not affect output.
-func (s *Sharded) runLockstep(deadline sim.Time) {
-	for {
-		var best *Shard
-		var bat sim.Time
-		var bkey uint64
-		for _, sh := range s.Shards {
-			at, key, ok := sh.Sched.PeekNext()
-			if !ok {
-				continue
-			}
-			if best == nil || at < bat || (at == bat && key < bkey) {
-				best, bat, bkey = sh, at, key
-			}
-		}
-		if best == nil || bat > deadline {
-			return
-		}
-		best.Sched.Step()
-	}
-}
-
-// runParallel runs conservative-lookahead epochs: all shards execute
-// [T, T+W) concurrently, each first scheduling the arrivals the previous
-// epoch buffered for it. Before it returns, it schedules the last
-// epoch's arrivals too, so that between calls every pending event is in
-// a shard heap.
-func (s *Sharded) runParallel(deadline sim.Time) {
-	var wg sync.WaitGroup
 	for {
 		start, found := s.epochStart()
 		if !found || start > deadline {
@@ -265,21 +203,37 @@ func (s *Sharded) runParallel(deadline sim.Time) {
 		}
 		filled := s.parity
 		s.parity ^= 1
-		s.inParallel = true
-		wg.Add(len(s.Shards))
-		for _, sh := range s.Shards {
-			go func(sh *Shard) {
-				defer wg.Done()
-				s.receive(sh, filled)
-				sh.Sched.RunUntil(end - 1)
-			}(sh)
+		if s.Parallel && len(s.Shards) > 1 {
+			s.parallelEpoch(filled, end)
+			continue
 		}
-		wg.Wait()
-		s.inParallel = false
+		for _, sh := range s.Shards {
+			s.receive(sh, filled)
+			sh.Sched.RunUntil(end - 1)
+		}
 	}
 	for _, sh := range s.Shards {
 		s.receive(sh, s.parity)
+		if sh.Sched.Now() < deadline && deadline < sim.Time(1<<62-1) {
+			sh.Sched.RunUntil(deadline)
+		}
 	}
+}
+
+// parallelEpoch runs one epoch ending at end with a goroutine per shard,
+// each taking the arrivals buffered in outbox set filled, and waits for
+// them all.
+func (s *Sharded) parallelEpoch(filled int, end sim.Time) {
+	var wg sync.WaitGroup
+	wg.Add(len(s.Shards))
+	for _, sh := range s.Shards {
+		go func() {
+			defer wg.Done()
+			s.receive(sh, filled)
+			sh.Sched.RunUntil(end - 1)
+		}()
+	}
+	wg.Wait()
 }
 
 // epochStart returns the time of the earliest pending event on any
@@ -289,7 +243,7 @@ func (s *Sharded) runParallel(deadline sim.Time) {
 func (s *Sharded) epochStart() (start sim.Time, found bool) {
 	start = noArrival
 	for _, sh := range s.Shards {
-		if at, _, ok := sh.Sched.PeekNext(); ok {
+		if at, ok := sh.Sched.PeekNext(); ok {
 			start, found = min(start, at), true
 		}
 		if sh.early != noArrival {
@@ -301,13 +255,17 @@ func (s *Sharded) epochStart() (start sim.Time, found bool) {
 }
 
 // receive schedules on dst the arrivals every shard buffered for it in
-// outbox set p, splices the flights they handed back to dst in set p
-// onto its free list, and empties those boxes and lists.
+// outbox set p, each flight moved to its node there, splices the flights
+// they handed back to dst in set p onto its free list, and empties those
+// boxes and lists. Insertion order across arrivals is irrelevant: the
+// heap dispatches by (time, key) and keys are unique.
 func (s *Sharded) receive(dst *Shard, p int) {
 	for _, src := range s.Shards {
 		box := src.out[p][dst.ID]
 		for _, a := range box {
-			s.insertArrival(dst, a)
+			a.f.node = dst.Net.Node(a.to)
+			a.f.dir = Forwarding
+			dst.Sched.AtKeyed(a.arrive, a.key, a.f.run)
 		}
 		src.out[p][dst.ID] = box[:0]
 		if c := &src.back[p][dst.ID]; c.head != nil {
@@ -349,8 +307,7 @@ func (s *Sharded) Stats() sim.Counter {
 
 // Handoffs sums the packets handed from one shard to another, each
 // counted by the shard that sent it. The count depends on the partition,
-// never on the driver: lockstep and parallel runs hand off the same
-// packets.
+// never on Parallel: serial and parallel runs hand off the same packets.
 func (s *Sharded) Handoffs() int {
 	sum := 0
 	for _, sh := range s.Shards {

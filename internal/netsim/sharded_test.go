@@ -102,6 +102,19 @@ func TestShardHoldsOnlyItsNodes(t *testing.T) {
 	}
 }
 
+// NewSharded refuses a zero-latency link between two shards, which would
+// leave the epochs no lookahead, and builds the same chain on one shard,
+// where no link crosses.
+func TestNewShardedRejectsZeroLatencyCrossLink(t *testing.T) {
+	g := topology.Linear(4, 0)
+	if panics(func() { NewSharded(g, 1) }) {
+		t.Fatal("one shard of a zero-latency chain panicked, though no link crosses shards")
+	}
+	if !panics(func() { NewSharded(g, 2) }) {
+		t.Fatal("two shards of a zero-latency chain did not panic")
+	}
+}
+
 // The per-node state of a sharded group is held once, by the shards
 // that run the nodes; only the NodeID- and link-indexed slot and fault
 // tables are per shard. So building 8 shards may cost at most twice the

@@ -35,8 +35,9 @@ type Config struct {
 	// Seed drives every random choice (topology, send times, sink
 	// selection, chaos).
 	Seed uint64
-	// Shards is the partition width; Parallel selects the epoch-barrier
-	// driver over the sequential lockstep driver.
+	// Shards is the partition width; Parallel runs each epoch's shards
+	// on goroutines of their own instead of one after another, with the
+	// same results.
 	Shards   int
 	Parallel bool
 	// Chaos injects a deterministic fault schedule (link failures and
@@ -82,8 +83,8 @@ const probeStream = uint64(1) << 41
 
 // Sim is a prepared but not-yet-run scale scenario: topology built,
 // routes installed, traffic and chaos armed. It exists so callers can
-// attach extra instrumentation — an invariant checker sink, traced
-// probe packets — between build and drain.
+// attach extra instrumentation — an invariant checker on every shard,
+// traced probe packets — between build and drain.
 type Sim struct {
 	Cfg   Config
 	S     *netsim.Sharded
@@ -212,20 +213,17 @@ func Prepare(cfg Config) *Sim {
 	return &Sim{Cfg: cfg, S: s, G: g, Sinks: sinks, isSink: isSink, regs: regs}
 }
 
-// AttachSink attaches one shared tracer sink to every shard's network
-// (alongside any metric registry from Config.Obs). A shared sink is not
-// safe under the parallel driver, so this forces the lockstep driver —
-// which additionally delivers the sink a single globally time-ordered
-// event stream, exactly what the invariant checker consumes.
-func (sm *Sim) AttachSink(sink obs.Sink) {
-	sm.S.Parallel = false
-	tr := obs.NewTracer(sink)
+// AttachSinks gives every shard's network a tracer (alongside any metric
+// registry from Config.Obs) whose sink is the one sink returns for that
+// shard. A shard's sink sees the events its own scheduler runs, in that
+// scheduler's time order, and no other goroutine's.
+func (sm *Sim) AttachSinks(sink func(shard int32) obs.Sink) {
 	for i, sh := range sm.S.Shards {
 		var reg *obs.Registry
 		if sm.regs != nil {
 			reg = sm.regs[i]
 		}
-		sh.Net.AttachObs(reg, tr)
+		sh.Net.AttachObs(reg, obs.NewTracer(sink(sh.ID)))
 	}
 }
 

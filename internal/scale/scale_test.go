@@ -16,8 +16,8 @@ import (
 
 // TestShardCountDeterminism is the core guarantee of the sharded
 // simulation core: the same config renders byte-identically at every
-// shard count, under both the sequential lockstep driver and the
-// parallel epoch driver, with and without chaos faults.
+// shard count, with each epoch's shards run one after another and in
+// parallel, with and without chaos faults.
 func TestShardCountDeterminism(t *testing.T) {
 	for _, seed := range []uint64{42, 7} {
 		for _, chaos := range []bool{false, true} {
@@ -148,8 +148,8 @@ func TestShardLoadBalanced(t *testing.T) {
 }
 
 // TestHandoffsIndependentOfDriver: a packet crossing shards is handed
-// off once whichever driver runs the shards, so lockstep and parallel
-// drains count the same handoffs, and one shard hands off nothing.
+// off once whether the epochs' shards run serially or in parallel, so
+// both drains count the same handoffs, and one shard hands off nothing.
 func TestHandoffsIndependentOfDriver(t *testing.T) {
 	handoffs := func(shards int, par bool) int {
 		sm := Prepare(Config{Nodes: 2000, Packets: 20000, Seed: 42, Chaos: true, Shards: shards, Parallel: par})
@@ -160,22 +160,21 @@ func TestHandoffsIndependentOfDriver(t *testing.T) {
 		t.Fatalf("1 shard handed off %d packets, want 0", n)
 	}
 	for _, k := range []int{2, 4} {
-		lock, par := handoffs(k, false), handoffs(k, true)
-		if lock == 0 || lock != par {
-			t.Errorf("%d shards: lockstep handed off %d packets, parallel %d; want the same, above 0", k, lock, par)
+		serial, par := handoffs(k, false), handoffs(k, true)
+		if serial == 0 || serial != par {
+			t.Errorf("%d shards: serial handed off %d packets, parallel %d; want the same, above 0", k, serial, par)
 		}
 	}
 }
 
 // TestSlicedDrainMatchesOneDrain: a drain cut into RunUntil slices the
 // way bench/simscale.go cuts it (eight slices of the traffic horizon,
-// then Run) ends where one Run ends, under both drivers: the same
+// then Run) ends where one Run ends, serial or parallel: the same
 // Render() as one Run on one shard, and the same Processed() and
-// Handoffs() as one Run on as many shards. A slice of the parallel
-// driver can end with cross-shard arrivals still buffered, which
-// RunUntil must schedule before it returns, so after every slice the
-// parallel drain has run and holds pending as many events as the
-// lockstep one, which schedules each arrival at once. Processed() is
+// Handoffs() as one Run on as many shards. A slice can end with
+// cross-shard arrivals still buffered, which RunUntil must schedule
+// before it returns, and after every slice the parallel drain has run
+// and holds pending as many events as the serial one. Processed() is
 // compared at the same shard count because every shard runs its own
 // copy of each replicated fault event.
 func TestSlicedDrainMatchesOneDrain(t *testing.T) {
@@ -193,17 +192,17 @@ func TestSlicedDrainMatchesOneDrain(t *testing.T) {
 		for _, k := range []int{2, 4, 8} {
 			one := Prepare(withShards(base, k, true))
 			oneRes := one.Run()
-			par, lock := Prepare(withShards(base, k, true)), Prepare(withShards(base, k, false))
+			par, serial := Prepare(withShards(base, k, true)), Prepare(withShards(base, k, false))
 			for i := 1; i <= slices; i++ {
 				d := par.Cfg.Horizon * sim.Time(i) / slices
 				par.S.RunUntil(d)
-				lock.S.RunUntil(d)
-				if p, l := pending(par), pending(lock); p != l || par.S.Processed() != lock.S.Processed() {
-					t.Fatalf("seed=%d shards=%d: after slice %d the parallel drain ran %d events and holds %d pending, lockstep %d and %d",
-						seed, k, i, par.S.Processed(), p, lock.S.Processed(), l)
+				serial.S.RunUntil(d)
+				if p, q := pending(par), pending(serial); p != q || par.S.Processed() != serial.S.Processed() {
+					t.Fatalf("seed=%d shards=%d: after slice %d the parallel drain ran %d events and holds %d pending, serial %d and %d",
+						seed, k, i, par.S.Processed(), p, serial.S.Processed(), q)
 				}
 			}
-			for _, sm := range []*Sim{par, lock} {
+			for _, sm := range []*Sim{par, serial} {
 				r := sm.Run()
 				name := fmt.Sprintf("seed=%d shards=%d parallel=%v", seed, k, sm.Cfg.Parallel)
 				if got := r.Render(); got != want {

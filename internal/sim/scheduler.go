@@ -342,16 +342,13 @@ func (s *Scheduler) dispatch(e heapEntry, ev *event) {
 	fn()
 }
 
-// PeekNext returns the (time, key) of the earliest live event without
-// removing it, draining dead entries from the top of the heap. The
-// sharded drivers use it to merge K shard schedulers into one global
-// (time, key)-ordered dispatch sequence and to find each epoch's start.
-func (s *Scheduler) PeekNext() (Time, uint64, bool) {
-	e, ev, ok := s.top()
-	if !ok {
-		return 0, 0, false
-	}
-	return e.at, ev.key, true
+// PeekNext returns the time of the earliest live event without removing
+// it, draining dead entries from the top of the heap, and false when no
+// live event remains. The sharded driver reads it to find each epoch's
+// start, and the wire's wall clock to arm its timer.
+func (s *Scheduler) PeekNext() (Time, bool) {
+	e, _, ok := s.top()
+	return e.at, ok
 }
 
 // RunUntil executes events with timestamps <= deadline, advances the clock
@@ -368,17 +365,6 @@ func (s *Scheduler) RunUntil(deadline Time) {
 	if s.now < deadline && deadline < Time(1<<62-1) {
 		s.now = deadline
 	}
-}
-
-// Step executes exactly one live event and returns true, or returns false
-// if the queue is empty.
-func (s *Scheduler) Step() bool {
-	e, ev, ok := s.top()
-	if !ok {
-		return false
-	}
-	s.dispatch(e, ev)
-	return true
 }
 
 // The queue is a 4-ary min-heap: half the depth of a binary heap. Heap

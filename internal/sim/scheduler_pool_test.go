@@ -28,12 +28,9 @@ func TestSchedulerPendingExcludesCancelled(t *testing.T) {
 	if got := s.Pending(); got != 6 {
 		t.Fatalf("Pending after double cancel = %d, want 6", got)
 	}
-	ran := 0
-	for s.Step() {
-		ran++
-	}
-	if ran != 6 {
-		t.Fatalf("ran %d events, want 6", ran)
+	s.Run()
+	if s.Processed != 6 {
+		t.Fatalf("ran %d events, want 6", s.Processed)
 	}
 	if got := s.Pending(); got != 0 {
 		t.Fatalf("Pending after drain = %d, want 0", got)
@@ -91,12 +88,9 @@ func TestSchedulerCompactionAfterMassCancel(t *testing.T) {
 	if len(s.queue) > 200 {
 		t.Fatalf("heap holds %d entries after mass cancel, want compaction to <= 200", len(s.queue))
 	}
-	ran := 0
-	for s.Step() {
-		ran++
-	}
-	if ran != 100 {
-		t.Fatalf("ran %d events, want 100", ran)
+	s.Run()
+	if s.Processed != 100 {
+		t.Fatalf("ran %d events, want 100", s.Processed)
 	}
 }
 

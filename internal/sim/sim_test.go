@@ -244,19 +244,24 @@ func TestSchedulerPastSchedulingPanics(t *testing.T) {
 	s.Run()
 }
 
-func TestSchedulerStep(t *testing.T) {
+// PeekNext reports the earliest live event's time without running it,
+// skips a cancelled event at the top, and reports false once nothing is
+// pending.
+func TestSchedulerPeekNext(t *testing.T) {
 	s := NewScheduler()
 	n := 0
-	s.At(1, func() { n++ })
+	first := s.At(1, func() { n++ })
 	s.At(2, func() { n++ })
-	if !s.Step() || n != 1 {
-		t.Fatal("first Step failed")
+	if at, ok := s.PeekNext(); !ok || at != 1 || n != 0 {
+		t.Fatalf("PeekNext() = %v, %v after running %d events, want 1, true after none", at, ok, n)
 	}
-	if !s.Step() || n != 2 {
-		t.Fatal("second Step failed")
+	s.Cancel(first)
+	if at, ok := s.PeekNext(); !ok || at != 2 {
+		t.Fatalf("PeekNext() = %v, %v with the first event cancelled, want 2, true", at, ok)
 	}
-	if s.Step() {
-		t.Fatal("Step on empty queue returned true")
+	s.Run()
+	if at, ok := s.PeekNext(); ok || n != 1 {
+		t.Fatalf("PeekNext() = %v, %v after a drain that ran %d events, want false after 1", at, ok, n)
 	}
 }
 

@@ -31,7 +31,6 @@ func TestFullParkThenPromotion(t *testing.T) {
 	cfg.RTO = 10 * sim.Millisecond
 	cfg.MaxRTO = 40 * sim.Millisecond
 	cfg.MaxRetries = 20
-	cfg.DemoteAfter = 2
 	cfg.ProbeEvery = 25 * sim.Millisecond
 	cfg.MaxProbes = 50
 	s := NewDriverSender(
@@ -40,7 +39,7 @@ func TestFullParkThenPromotion(t *testing.T) {
 	var trace []string
 	s.SetTrace(func(l string) { trace = append(trace, l) })
 
-	// By 100ms every path has timed out DemoteAfter times; check the
+	// By 100ms every path has timed out demoteAfter times; check the
 	// full park from inside the run, then revive.
 	sched.After(100*sim.Millisecond, func() {
 		for _, p := range s.Paths() {

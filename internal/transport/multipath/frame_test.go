@@ -30,7 +30,7 @@ func TestFrameMatchesSerialize(t *testing.T) {
 	for _, strat := range append(Strategies(), Routed{}) {
 		cfg := mpConfig(42)
 		cfg.SegmentSize = seg
-		cands := strat.Discover(g, 8, 9, cfg.Paths, cfg.MaxPathLen)
+		cands := strat.Discover(g, 8, 9, cfg.Paths, maxPathLen)
 		s := NewDriverSender(Driver{}, strat, cands, 8, 9, 7000, data, cfg)
 		for _, p := range s.paths {
 			opt := p.Cand.Option()

@@ -69,8 +69,6 @@ type Config struct {
 	// strategy (strategies may select fewer, or more for
 	// disjointness-max).
 	Paths int
-	// MaxPathLen bounds discovered paths in nodes.
-	MaxPathLen int
 	// Window is the transfer-wide sending window in segments.
 	Window int
 	// SegmentSize is payload bytes per segment.
@@ -81,15 +79,8 @@ type Config struct {
 	// MaxRetries gives up on the transfer after this many
 	// retransmissions of a single segment.
 	MaxRetries int
-	// Backoff multiplies the timeout per successive retransmission of a
-	// segment; MaxRTO caps it; JitterFrac stretches each timeout by a
-	// seeded uniform factor in [1, 1+JitterFrac).
-	Backoff    float64
-	MaxRTO     sim.Time
-	JitterFrac float64
-	// DemoteAfter is the consecutive-timeout count that demotes a path
-	// to probation.
-	DemoteAfter int
+	// MaxRTO caps the timeout as it backs off (see backoff).
+	MaxRTO sim.Time
 	// ProbeEvery is the probation probe interval; MaxProbes unanswered
 	// probes declare the path dead.
 	ProbeEvery sim.Time
@@ -102,16 +93,27 @@ type Config struct {
 	ContentType packet.LayerType
 }
 
+// The sender's fixed tuning: each retransmission of a segment multiplies
+// its timeout by backoff, up to Config.MaxRTO, and each timeout is
+// stretched by a seeded uniform factor in [1, 1+jitterFrac); demoteAfter
+// consecutive timeouts put a path on probation; discovered paths have at
+// most maxPathLen nodes.
+const (
+	backoff     = 2
+	jitterFrac  = 0.1
+	demoteAfter = 2
+	maxPathLen  = 8
+)
+
 // DefaultConfig returns laptop-scale defaults: exponential backoff
 // (doubling from 60ms, capped at one second) with 10% deterministic
 // jitter, three paths, a demotion trigger fast enough to migrate within
 // two RTOs, and probing that revives a healed path in ~150ms.
 func DefaultConfig() Config {
 	return Config{
-		Paths: 3, MaxPathLen: 8, Window: 16, SegmentSize: 512,
-		RTO: 60 * sim.Millisecond, MaxRetries: 30,
-		Backoff: 2, MaxRTO: sim.Second, JitterFrac: 0.1,
-		DemoteAfter: 2, ProbeEvery: 150 * sim.Millisecond, MaxProbes: 12,
+		Paths: 3, Window: 16, SegmentSize: 512,
+		RTO: 60 * sim.Millisecond, MaxRetries: 30, MaxRTO: sim.Second,
+		ProbeEvery: 150 * sim.Millisecond, MaxProbes: 12,
 		ContentType: packet.LayerTypeRaw,
 	}
 }
@@ -123,12 +125,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.Paths <= 0 {
 		cfg.Paths = 3
-	}
-	if cfg.MaxPathLen <= 0 {
-		cfg.MaxPathLen = 8
-	}
-	if cfg.DemoteAfter <= 0 {
-		cfg.DemoteAfter = 2
 	}
 	if cfg.ProbeEvery <= 0 {
 		cfg.ProbeEvery = 150 * sim.Millisecond
@@ -290,7 +286,7 @@ type Sender struct {
 // the transfer ends.
 func NewSender(net *netsim.Network, strat Strategy, src, dst topology.NodeID, port uint16, data []byte, cfg Config) *Sender {
 	cfg = cfg.withDefaults()
-	cands := strat.Discover(net.Graph, src, dst, cfg.Paths, cfg.MaxPathLen)
+	cands := strat.Discover(net.Graph, src, dst, cfg.Paths, maxPathLen)
 	s := NewDriverSender(Driver{}, strat, cands, src, dst, port, data, cfg)
 	s.net = net
 	s.drv = Driver{Clock: SimClock{net.Sched}, Xmit: s.simXmit}
@@ -598,19 +594,14 @@ func (s *Sender) rto(p *Path, attempt int) sim.Time {
 			d = est
 		}
 	}
-	if s.cfg.Backoff > 1 {
-		for i := 0; i < attempt; i++ {
-			d = sim.Time(float64(d) * s.cfg.Backoff)
-			if s.cfg.MaxRTO > 0 && d >= s.cfg.MaxRTO {
-				d = s.cfg.MaxRTO
-				break
-			}
+	for i := 0; i < attempt; i++ {
+		d = sim.Time(float64(d) * backoff)
+		if s.cfg.MaxRTO > 0 && d >= s.cfg.MaxRTO {
+			d = s.cfg.MaxRTO
+			break
 		}
 	}
-	if s.cfg.JitterFrac > 0 {
-		d += sim.Time(p.rng.Float64() * s.cfg.JitterFrac * float64(d))
-	}
-	return d
+	return d + sim.Time(p.rng.Float64()*jitterFrac*float64(d))
 }
 
 // timeout handles a segment's retransmission timer: charge the path,
@@ -631,7 +622,7 @@ func (s *Sender) timeout(fl *flight) {
 	}
 	// Demotion moves traffic to another path; a sender's only path has
 	// none, so it keeps retransmitting with backoff until MaxRetries.
-	if p.State == PathActive && p.Consec >= s.cfg.DemoteAfter && len(s.paths) > 1 {
+	if p.State == PathActive && p.Consec >= demoteAfter && len(s.paths) > 1 {
 		s.demote(p)
 	}
 	fl.retries++

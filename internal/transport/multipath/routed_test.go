@@ -87,9 +87,10 @@ func TestTransferSurvivesLinkFlap(t *testing.T) {
 // TestOnePathNeverDemotes pins the one-path rule: demotion exists to
 // move traffic to another path, so a sender's only path keeps
 // retransmitting until MaxRetries instead of going on probation and
-// dying of unanswered probes. With a fixed 60ms RTO (no backoff, no
-// jitter) and four retries, the fifth timeout gives up at exactly
-// 300ms.
+// dying of unanswered probes. With a 60ms RTO, no MaxRTO and four
+// retries, the five timeouts double from 60ms, and jitter stretches each
+// by less than jitterFrac, so the fifth gives up at or after
+// 60+120+240+480+960 = 1,860ms and before 1.1 times that.
 func TestOnePathNeverDemotes(t *testing.T) {
 	sched, net := chainNet(3)
 	net.FailLink(2, 3)
@@ -101,8 +102,10 @@ func TestOnePathNeverDemotes(t *testing.T) {
 	if !st.Failed || st.FailReason != "segment 0 unacknowledged after 4 retransmissions" {
 		t.Fatalf("want give-up after 4 retransmissions, got %+v", st)
 	}
-	if want := 5 * 60 * sim.Millisecond; st.Elapsed != want || sched.Now() != want {
-		t.Fatalf("gave up at %v (clock %v), want %v", st.Elapsed, sched.Now(), want)
+	lo := 1860 * sim.Millisecond
+	hi := sim.Time(float64(lo) * (1 + jitterFrac))
+	if st.Elapsed < lo || st.Elapsed >= hi || sched.Now() != st.Elapsed {
+		t.Fatalf("gave up at %v (clock %v), want in [%v, %v)", st.Elapsed, sched.Now(), lo, hi)
 	}
 	if st.Demotions != 0 || st.Probes != 0 {
 		t.Fatalf("the only path was demoted or probed: %+v", st)

@@ -155,7 +155,9 @@ func mpRunWire(t *testing.T, seed uint64, script []mpAckEv) []string {
 	t.Helper()
 	cfg := mpDiffConfig(seed)
 	strat := &multipath.ShortestK{}
-	cands := strat.Discover(mpDiffGraph(), 8, 9, cfg.Paths, cfg.MaxPathLen)
+	// At most 8 nodes a path, the bound the simulator's sender discovers
+	// with.
+	cands := strat.Discover(mpDiffGraph(), 8, 9, cfg.Paths, 8)
 	if len(cands) == 0 {
 		t.Fatal("no candidates discovered")
 	}

@@ -112,7 +112,7 @@ func (c *WallClock) run() {
 	for {
 		c.mu.Lock()
 		c.sched.RunUntil(c.Now())
-		next, _, ok := c.sched.PeekNext()
+		next, ok := c.sched.PeekNext()
 		if !ok {
 			next = never
 		}
